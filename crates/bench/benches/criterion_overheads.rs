@@ -29,12 +29,12 @@ fn octet_fast_path(c: &mut Criterion) {
 }
 
 fn octet_inline_cache_hit(c: &mut Criterion) {
-    // Cache ON: an owned-object re-access hits the per-thread ownership
-    // inline cache and skips the metadata-word load entirely. Must be
-    // strictly cheaper than `octet/fast_path_same_state`.
+    // Cache ON: an owned-object re-access finds its stamp in the
+    // per-thread ownership table and skips the metadata-word load
+    // entirely. Must be strictly cheaper than `octet/fast_path_same_state`.
     let p = Protocol::with_config(1, 2, CoordinationMode::Immediate, NullSink, None, true);
     p.thread_begin(ThreadId(0));
-    p.write_barrier(ThreadId(0), ObjId(0)); // claim WrEx + fill the cache line
+    p.write_barrier(ThreadId(0), ObjId(0)); // claim WrEx + stamp the table
     c.bench_function("octet/inline_cache_hit", |b| {
         b.iter(|| black_box(p.write_barrier(black_box(ThreadId(0)), black_box(ObjId(0)))))
     });

@@ -69,9 +69,7 @@ pub struct DcConfig {
     pub shards: u32,
     /// Octet's per-thread ownership inline cache (hit = no state-word
     /// load). `false` restores the exact uncached barrier — the
-    /// differential baseline for `--barrier-cache off`. Defaults to the
-    /// `DC_BARRIER_CACHE` environment variable (`on`/`off`), read once;
-    /// on when unset.
+    /// differential baseline for `--barrier-cache off`. On by default.
     pub barrier_cache: bool,
 }
 
@@ -115,16 +113,6 @@ fn default_shards() -> u32 {
     })
 }
 
-/// The process-wide default barrier-cache switch: `DC_BARRIER_CACHE` if set
-/// to `on`/`off`, else on. Read once.
-fn default_barrier_cache() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        let v = std::env::var_os("DC_BARRIER_CACHE");
-        !matches!(v.as_deref().and_then(|s| s.to_str()), Some("off"))
-    })
-}
-
 impl DcConfig {
     /// Single-run mode: ICD + logging + PCD, everything instrumented.
     pub fn single_run(coordination: CoordinationMode) -> Self {
@@ -141,7 +129,7 @@ impl DcConfig {
             observability: default_obs_level(),
             op_transport: default_op_transport(),
             shards: default_shards(),
-            barrier_cache: default_barrier_cache(),
+            barrier_cache: true,
         }
     }
 
@@ -174,8 +162,7 @@ impl DcConfig {
     }
 
     /// Returns this configuration with Octet's ownership inline cache
-    /// switched on or off (overriding the `DC_BARRIER_CACHE` environment
-    /// default).
+    /// switched on or off.
     pub fn with_barrier_cache(mut self, barrier_cache: bool) -> Self {
         self.barrier_cache = barrier_cache;
         self

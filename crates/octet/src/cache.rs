@@ -1,10 +1,13 @@
 //! Per-thread ownership inline cache.
 //!
-//! A small direct-mapped cache of objects a thread is known to still hold
-//! in `WrEx_T` / `RdEx_T` (or to have a read permission on, e.g. `RdSh`
-//! with an up-to-date counter). A probe hit skips the metadata-word load
-//! entirely: the probe touches only the thread's own slot, so the hot path
-//! generates zero shared-cache-line traffic.
+//! A flat per-thread table, one stamp per heap object, marking the objects
+//! the thread is known to still hold in `WrEx_T` / `RdEx_T` (or to have a
+//! read permission on, e.g. `RdSh` with an up-to-date counter). A stamp is
+//! valid only while it carries the thread's current *generation*, so
+//! nothing aliases or is evicted: a probe misses only on a first touch or
+//! after a flush, and a flush is one generation bump. A probe hit skips the
+//! metadata-word load entirely: the probe touches only the thread's own
+//! slot, so the hot path generates zero shared-cache-line traffic.
 //!
 //! Soundness rests on Octet's safe-point invariant (paper §3.2.1): a
 //! running thread's exclusive ownership can only be revoked at that
@@ -29,16 +32,12 @@ use dc_runtime::ids::{ObjId, ThreadId};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Entries per thread slot; direct-mapped by `obj.index() % WAYS`.
-const WAYS: usize = 64;
-
-/// Entry bit 0: the entry is valid.
-const VALID: u64 = 1;
-/// Entry bit 1: the cached permission licenses writes (`WrEx_T`), not
-/// just reads.
-const WRITE_OK: u64 = 2;
-/// Object id occupies the bits above the two flag bits.
-const OBJ_SHIFT: u32 = 2;
+/// Stamp bit 0: the cached permission licenses writes (`WrEx_T`), not
+/// just reads. The generation occupies the 31 bits above it.
+const WRITE_OK: u32 = 1;
+/// First generation, and a stamp's unit of generation. Never 0: tables
+/// are zero-initialized and a zero stamp must match no live generation.
+const GEN_ONE: u32 = 1 << 1;
 
 /// Owner-thread-private half of a slot. Remote threads never touch this.
 #[derive(Debug)]
@@ -46,11 +45,14 @@ struct CacheLocal {
     /// Last revocation epoch this thread observed; a probe that sees a
     /// newer epoch flushes before answering.
     seen_epoch: u32,
-    /// Whether any entry is valid — lets idle flushes (e.g. block/unblock
-    /// with an empty cache) skip the memset and the flush counter.
+    /// Whether any stamp is valid — lets idle flushes (e.g. block/unblock
+    /// with an empty cache) skip the generation bump and the flush counter.
     occupied: bool,
-    /// Direct-mapped entries, `0` = empty.
-    entries: [u64; WAYS],
+    /// Current generation, pre-shifted (`generation << 1`).
+    generation: u32,
+    /// One stamp per heap object: `generation << 1 | write_ok`, valid iff
+    /// the generation is current; `0` = never valid.
+    stamps: Box<[u32]>,
     /// Probe hits since the last [`OwnershipCache::take_counters`].
     hits: u64,
     /// Non-empty flushes since the last [`OwnershipCache::take_counters`].
@@ -74,21 +76,6 @@ struct CacheSlot {
 // `revoked` epoch.
 unsafe impl Sync for CacheSlot {}
 
-impl CacheSlot {
-    fn new() -> Self {
-        CacheSlot {
-            revoked: AtomicU32::new(0),
-            local: UnsafeCell::new(CacheLocal {
-                seen_epoch: 0,
-                occupied: false,
-                entries: [0; WAYS],
-                hits: 0,
-                flushes: 0,
-            }),
-        }
-    }
-}
-
 impl std::fmt::Debug for CacheSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheSlot")
@@ -104,16 +91,23 @@ pub(crate) struct OwnershipCache {
 }
 
 impl OwnershipCache {
-    /// Builds a cache with one slot per thread.
-    pub(crate) fn new(n_threads: usize) -> Self {
+    /// Builds a cache with one slot per thread, each covering every one
+    /// of the heap's `n_objects` objects (4 bytes per object per thread).
+    pub(crate) fn new(n_objects: usize, n_threads: usize) -> Self {
+        let slot = |_| CacheSlot {
+            revoked: AtomicU32::new(0),
+            local: UnsafeCell::new(CacheLocal {
+                seen_epoch: 0,
+                occupied: false,
+                generation: GEN_ONE,
+                stamps: vec![0; n_objects].into_boxed_slice(),
+                hits: 0,
+                flushes: 0,
+            }),
+        };
         OwnershipCache {
-            slots: (0..n_threads).map(|_| CacheSlot::new()).collect(),
+            slots: (0..n_threads).map(slot).collect(),
         }
-    }
-
-    #[inline]
-    fn entry_base(obj: ObjId) -> u64 {
-        ((obj.index() as u64) << OBJ_SHIFT) | VALID
     }
 
     /// Owner-thread probe: returns `true` when the cache proves the
@@ -132,13 +126,12 @@ impl OwnershipCache {
             Self::flush_local(local, revoked);
             return false;
         }
-        let e = local.entries[obj.index() % WAYS];
-        let base = Self::entry_base(obj);
+        let stamp = local.stamps[obj.index()];
         let hit = if write {
-            e == base | WRITE_OK
+            stamp == local.generation | WRITE_OK
         } else {
             // A read is licensed by either permission level.
-            (e & !WRITE_OK) == base
+            (stamp & !WRITE_OK) == local.generation
         };
         if hit {
             local.hits += 1;
@@ -153,24 +146,28 @@ impl OwnershipCache {
         let slot = &self.slots[t.index()];
         // SAFETY: only the owner thread inserts into its own slot.
         let local = unsafe { &mut *slot.local.get() };
-        let mut e = Self::entry_base(obj);
-        if write_ok {
-            e |= WRITE_OK;
-        }
-        local.entries[obj.index() % WAYS] = e;
+        local.stamps[obj.index()] = local.generation | u32::from(write_ok);
         local.occupied = true;
     }
 
+    /// Invalidates every stamp by moving to the next generation. On wrap
+    /// the new generation would collide with stamps written billions of
+    /// flushes ago, so the table is cleared and the generation restarts
+    /// at one, never 0 (the never-valid stamp).
     fn flush_local(local: &mut CacheLocal, revoked: u32) {
         local.seen_epoch = revoked;
         if local.occupied {
-            local.entries = [0; WAYS];
+            local.generation = local.generation.wrapping_add(GEN_ONE);
+            if local.generation == 0 {
+                local.stamps.fill(0);
+                local.generation = GEN_ONE;
+            }
             local.occupied = false;
             local.flushes += 1;
         }
     }
 
-    /// Owner-thread flush: invalidates every entry (no-op on an already
+    /// Owner-thread flush: invalidates every stamp (no-op on an already
     /// empty cache). Called at safe-point responses, around block and
     /// unblock, and at thread end.
     #[inline]
@@ -213,44 +210,46 @@ mod tests {
 
     #[test]
     fn probe_miss_then_insert_then_hit() {
-        let cache = OwnershipCache::new(2);
+        let cache = OwnershipCache::new(8, 2);
         let obj = ObjId(7);
         assert!(!cache.probe(T0, obj, false));
         cache.insert(T0, obj, false);
-        assert!(
-            cache.probe(T0, obj, false),
-            "read permission licenses reads"
-        );
-        assert!(
-            !cache.probe(T0, obj, true),
-            "read permission rejects writes"
-        );
+        assert!(cache.probe(T0, obj, false), "read stamp licenses reads");
+        assert!(!cache.probe(T0, obj, true), "read stamp rejects writes");
         cache.insert(T0, obj, true);
-        assert!(
-            cache.probe(T0, obj, true),
-            "write permission licenses writes"
-        );
-        assert!(
-            cache.probe(T0, obj, false),
-            "write permission licenses reads"
-        );
+        assert!(cache.probe(T0, obj, true), "write stamp licenses writes");
+        assert!(cache.probe(T0, obj, false), "write stamp licenses reads");
         assert_eq!(cache.take_counters(T0), (3, 0));
     }
 
     #[test]
-    fn direct_map_collision_evicts() {
-        let cache = OwnershipCache::new(1);
-        let a = ObjId(1);
-        let b = ObjId(1 + WAYS as u32);
+    fn no_aliasing_between_objects_64_apart() {
+        let cache = OwnershipCache::new(128, 1);
+        let (a, b) = (ObjId(1), ObjId(1 + 64));
         cache.insert(T0, a, true);
         cache.insert(T0, b, true);
-        assert!(!cache.probe(T0, a, true), "colliding insert evicted a");
+        assert!(cache.probe(T0, a, true), "b's insert must not evict a");
         assert!(cache.probe(T0, b, true));
     }
 
     #[test]
+    fn generation_wrap_clears_the_table_and_restarts_at_one() {
+        let cache = OwnershipCache::new(4, 1);
+        // SAFETY: single-threaded test; each reference dies with its call.
+        let local = || unsafe { &mut *cache.slots[0].local.get() };
+        cache.insert(T0, ObjId(2), true); // stamped in generation 1
+        local().generation = ((1 << 31) - 1) << 1; // the last generation
+        cache.insert(T0, ObjId(3), true);
+        cache.flush(T0); // wraps
+        assert_eq!(local().generation, GEN_ONE, "restart at 1, never 0");
+        assert!(!cache.probe(T0, ObjId(2), true), "pre-wrap stamp hit");
+        assert!(!cache.probe(T0, ObjId(3), true));
+        assert!(!cache.probe(T0, ObjId(0), false), "zero stamp hit");
+    }
+
+    #[test]
     fn flush_empties_and_counts_only_when_occupied() {
-        let cache = OwnershipCache::new(1);
+        let cache = OwnershipCache::new(4, 1);
         cache.flush(T0);
         assert_eq!(cache.take_counters(T0), (0, 0), "empty flush is uncounted");
         cache.insert(T0, ObjId(3), true);
@@ -261,17 +260,13 @@ mod tests {
 
     #[test]
     fn remote_revoke_invalidates_next_probe() {
-        let cache = OwnershipCache::new(2);
+        let cache = OwnershipCache::new(8, 2);
         let obj = ObjId(5);
         cache.insert(T0, obj, true);
         assert!(cache.probe(T0, obj, true));
         cache.revoke(T0); // as if ThreadId(1) took ownership
         assert!(!cache.probe(T0, obj, true), "stale hit after revocation");
-        assert!(
-            !cache.probe(T0, obj, true),
-            "epoch sync keeps the cache empty, not flapping"
-        );
-        let (hits, flushes) = cache.take_counters(T0);
-        assert_eq!((hits, flushes), (1, 1));
+        assert!(!cache.probe(T0, obj, true), "epoch sync must not flap");
+        assert_eq!(cache.take_counters(T0), (1, 1));
     }
 }

@@ -23,7 +23,7 @@ use crate::registry::{
     Request, ThreadRegistry, BLOCKED, BLOCKED_HELD, REQ_CANCELLED, REQ_PENDING, RUNNING,
 };
 use crate::state::{classify, OctetState, Responders, TransitionKind};
-use crate::word::{decode, encode, encode_intermediate, DecodedState, StateTable};
+use crate::word::{decode, encode, encode_intermediate, rd_sh_counter, DecodedState, StateTable};
 use dc_obs::{EventKind, PipelineObs, Stage};
 use dc_runtime::ids::{AccessKind, ObjId, ThreadId};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
@@ -187,7 +187,7 @@ impl<S: TransitionSink> Protocol<S> {
             sink,
             stats: ProtocolStats::default(),
             obs,
-            cache: barrier_cache.then(|| OwnershipCache::new(n_threads)),
+            cache: barrier_cache.then(|| OwnershipCache::new(n_objects, n_threads)),
         }
     }
 
@@ -361,9 +361,45 @@ impl<S: TransitionSink> Protocol<S> {
 
     /// The barrier body without the leading inline-cache probe. Clients
     /// that already probed (and missed) on their own fused fast path call
-    /// this directly to avoid probing twice; a miss that still classifies
-    /// as same-state warms the cache.
+    /// this directly to avoid probing twice. The inlined head is the
+    /// paper's fast path — one load and compare of the state word; a miss
+    /// that is same-state (a first probe after a flush) warms the cache.
+    /// Everything else is an out-of-line transition.
+    #[inline]
     pub fn access_uncached(&self, t: ThreadId, obj: ObjId, kind: AccessKind) -> BarrierOutcome {
+        let word = self.states.load(obj.index());
+        if let Some(write_ok) = self.same_state(word, t, kind) {
+            // The uncached fast path performs no shared writes (the
+            // paper's key performance property) — not even a statistics
+            // update. Warming the inline cache is a core-local store only.
+            if let Some(cache) = &self.cache {
+                cache.insert(t, obj, write_ok);
+            }
+            return BarrierOutcome::Same;
+        }
+        self.transition(t, obj, kind)
+    }
+
+    /// Table 1's same-state rows tested on the raw state word, without
+    /// decoding it: `Some(write_ok)` when `t`'s access of `kind` needs no
+    /// transition (`write_ok` iff the word is `WrEx_t`). Must agree with
+    /// [`classify`]` == Same`, the tested reference.
+    #[inline]
+    fn same_state(&self, word: u64, t: ThreadId, kind: AccessKind) -> Option<bool> {
+        if word == encode(OctetState::WrEx(t)) {
+            return Some(true);
+        }
+        let same = kind == AccessKind::Read
+            && (word == encode(OctetState::RdEx(t))
+                || rd_sh_counter(word).is_some_and(|c| c <= self.threads.rd_sh_cnt(t)));
+        same.then_some(false)
+    }
+
+    /// Every barrier outcome the same-state head did not settle: classify
+    /// against the decoded state and perform the transition Table 1
+    /// prescribes, retrying when another thread's transition interferes.
+    #[cold]
+    fn transition(&self, t: ThreadId, obj: ObjId, kind: AccessKind) -> BarrierOutcome {
         let i = obj.index();
         loop {
             let word = self.states.load(i);
@@ -382,10 +418,9 @@ impl<S: TransitionSink> Protocol<S> {
             };
             match classify(state, kind, t, self.threads.rd_sh_cnt(t)) {
                 TransitionKind::Same => {
-                    // The uncached fast path performs no shared writes
-                    // (the paper's key performance property) — not even a
-                    // statistics update. Warming the inline cache is a
-                    // core-local store only.
+                    // Reached only when the word changed under us (on a
+                    // retry, or between the head's load and ours): same
+                    // contract as the inlined head — no shared writes.
                     if let Some(cache) = &self.cache {
                         cache.insert(t, obj, matches!(state, OctetState::WrEx(_)));
                     }
@@ -616,8 +651,12 @@ mod tests {
     const T2: ThreadId = ThreadId(2);
     const O: ObjId = ObjId(0);
 
+    /// Objects the cache-invalidation tests run on — the first, and one
+    /// past id 64: a flush must invalidate every stamp wherever it sits.
+    const OBJS: [ObjId; 2] = [O, ObjId(64 + 7)];
+
     fn immediate(n_threads: usize) -> Protocol<NullSink> {
-        let p = Protocol::new(4, n_threads, CoordinationMode::Immediate, NullSink);
+        let p = Protocol::new(128, n_threads, CoordinationMode::Immediate, NullSink);
         for i in 0..n_threads {
             p.thread_begin(ThreadId::from_index(i));
         }
@@ -847,36 +886,105 @@ mod tests {
         assert_eq!(hits, 198);
     }
 
+    /// Every re-access of an owned object is a hit however many objects
+    /// the thread streams over: the table has no capacity to exceed.
+    #[test]
+    fn streaming_over_192_owned_objects_hits_on_every_reaccess() {
+        const OBJECTS: u32 = 192;
+        const PASSES: u64 = 5;
+        let p = Protocol::new(192, 2, CoordinationMode::Immediate, NullSink);
+        p.thread_begin(T0);
+        for pass in 0..PASSES {
+            for o in (0..OBJECTS).map(ObjId) {
+                let first = if pass == 0 {
+                    BarrierOutcome::FirstTouch
+                } else {
+                    BarrierOutcome::Same
+                };
+                assert_eq!(p.write_barrier(T0, o), first);
+                assert_eq!(p.read_barrier(T0, o), BarrierOutcome::Same);
+            }
+        }
+        let accesses = PASSES * u64::from(OBJECTS) * 2;
+        let first_touches = u64::from(OBJECTS);
+        assert_eq!(
+            folded_cache_counters(&p, T0),
+            (accesses - first_touches, 1),
+            "only first touches miss; the one flush is thread_end's"
+        );
+    }
+
+    /// The inlined same-state head agrees with `classify(..) == Same` over
+    /// the Table-1 state × kind × owner matrix (and every counter relation
+    /// for `RdSh`), and reports `write_ok` exactly for `WrEx_t`.
+    #[test]
+    fn same_state_head_agrees_with_classify() {
+        let states = [
+            OctetState::Free,
+            OctetState::WrEx(T0),
+            OctetState::WrEx(T1),
+            OctetState::RdEx(T0),
+            OctetState::RdEx(T1),
+            OctetState::RdSh(4),
+        ];
+        for cnt in [0, 3, 4, 9] {
+            let p = immediate(2);
+            p.threads.raise_rd_sh_cnt(T0, cnt);
+            for state in states {
+                for kind in [AccessKind::Read, AccessKind::Write] {
+                    let head = p.same_state(encode(state), T0, kind);
+                    let reference = classify(state, kind, T0, cnt) == TransitionKind::Same;
+                    assert_eq!(head.is_some(), reference, "{state:?} {kind:?} cnt {cnt}");
+                    if let Some(write_ok) = head {
+                        assert_eq!(write_ok, state == OctetState::WrEx(T0));
+                    }
+                }
+            }
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                assert_eq!(p.same_state(encode_intermediate(T0), T0, kind), None);
+            }
+        }
+    }
+
     #[test]
     fn conflicting_transition_revokes_the_loser() {
-        let p = immediate(2);
-        p.write_barrier(T0, O);
-        p.write_barrier(T0, O); // warm T0's cache
-        assert!(matches!(
-            p.write_barrier(T1, O),
-            BarrierOutcome::Conflicting { .. }
-        ));
-        // A stale hit would answer `Same` here; the revocation epoch forces
-        // the slow path, which sees T1's ownership and conflicts back.
-        assert!(matches!(
-            p.write_barrier(T0, O),
-            BarrierOutcome::Conflicting { .. }
-        ));
-        assert_eq!(p.state_of(O), DecodedState::Stable(OctetState::WrEx(T0)));
+        for obj in OBJS {
+            let p = immediate(2);
+            p.write_barrier(T0, obj);
+            p.write_barrier(T0, obj); // warm T0's cache
+            assert!(matches!(
+                p.write_barrier(T1, obj),
+                BarrierOutcome::Conflicting { .. }
+            ));
+            // A stale hit would answer `Same` here; the revocation epoch
+            // forces the slow path, which sees T1's ownership and conflicts
+            // back.
+            assert!(matches!(
+                p.write_barrier(T0, obj),
+                BarrierOutcome::Conflicting { .. }
+            ));
+            assert_eq!(p.state_of(obj), DecodedState::Stable(OctetState::WrEx(T0)));
+        }
     }
 
     #[test]
     fn rdsh_upgrade_revokes_the_demoted_owner() {
-        let p = immediate(3);
-        p.read_barrier(T0, O);
-        p.read_barrier(T0, O); // warm T0's read entry (RdEx T0)
-        p.read_barrier(T1, O); // RdEx T0 → RdSh: demotes T0 in place
+        for obj in OBJS {
+            let p = immediate(3);
+            p.read_barrier(T0, obj);
+            p.read_barrier(T0, obj); // warm T0's read stamp (RdEx T0)
+            p.read_barrier(T1, obj); // RdEx T0 → RdSh: demotes T0 in place
 
-        // T0's cached entry is revoked; its next read re-classifies against
-        // RdSh. The upgrade counter was stamped while T0's rdShCnt lagged,
-        // so a stale `Same` hit would skip the required fence transition.
-        assert_eq!(p.read_barrier(T0, O), BarrierOutcome::Fence { counter: 1 });
-        assert_eq!(p.read_barrier(T0, O), BarrierOutcome::Same);
+            // T0's stamp is revoked; its next read re-classifies against
+            // RdSh. The upgrade counter was stamped while T0's rdShCnt
+            // lagged, so a stale `Same` hit would skip the required fence
+            // transition.
+            assert_eq!(
+                p.read_barrier(T0, obj),
+                BarrierOutcome::Fence { counter: 1 }
+            );
+            assert_eq!(p.read_barrier(T0, obj), BarrierOutcome::Same);
+        }
     }
 
     #[test]
@@ -888,59 +996,64 @@ mod tests {
                 self.0.fetch_add(1, Ordering::SeqCst);
             }
         }
-        let p = std::sync::Arc::new(Protocol::new(
-            1,
-            2,
-            CoordinationMode::Threaded,
-            Count::default(),
-        ));
-        p.thread_begin(T0);
-        p.write_barrier(T0, O);
-        p.write_barrier(T0, O); // warm T0's cache
+        for obj in OBJS {
+            let p = std::sync::Arc::new(Protocol::new(
+                128,
+                2,
+                CoordinationMode::Threaded,
+                Count::default(),
+            ));
+            p.thread_begin(T0);
+            p.write_barrier(T0, obj);
+            p.write_barrier(T0, obj); // warm T0's cache
 
-        let p2 = std::sync::Arc::clone(&p);
-        let writer = std::thread::spawn(move || {
-            p2.thread_begin(T1);
-            p2.write_barrier(T1, O);
-            p2.thread_end(T1);
-        });
-        while p.sink().0.load(Ordering::SeqCst) == 0 {
-            p.safe_point(T0); // grants ownership away → must flush
-            std::thread::yield_now();
+            let p2 = std::sync::Arc::clone(&p);
+            let writer = std::thread::spawn(move || {
+                p2.thread_begin(T1);
+                p2.write_barrier(T1, obj);
+                p2.thread_end(T1);
+            });
+            while p.sink().0.load(Ordering::SeqCst) == 0 {
+                p.safe_point(T0); // grants ownership away → must flush
+                std::thread::yield_now();
+            }
+            writer.join().unwrap();
+            // No stale hit: T0's next write conflicts with T1's ownership.
+            assert!(matches!(
+                p.write_barrier(T0, obj),
+                BarrierOutcome::Conflicting { .. }
+            ));
+            p.thread_end(T0);
+            assert!(p.stats().cache_flushes.load(Ordering::Relaxed) >= 1);
         }
-        writer.join().unwrap();
-        // No stale hit: T0's next write conflicts with T1's ownership.
-        assert!(matches!(
-            p.write_barrier(T0, O),
-            BarrierOutcome::Conflicting { .. }
-        ));
-        p.thread_end(T0);
-        assert!(p.stats().cache_flushes.load(Ordering::Relaxed) >= 1);
     }
 
     #[test]
     fn block_unblock_cycle_flushes_the_cache() {
-        let p = std::sync::Arc::new(Protocol::new(1, 2, CoordinationMode::Threaded, NullSink));
-        p.thread_begin(T0);
-        p.write_barrier(T0, O);
-        p.write_barrier(T0, O); // warm T0's cache
-        p.before_block(T0); // T0 parks; cache flushed
-        let p2 = std::sync::Arc::clone(&p);
-        std::thread::spawn(move || {
-            p2.thread_begin(T1);
-            p2.write_barrier(T1, O); // implicit protocol while T0 sleeps
-            p2.thread_end(T1);
-        })
-        .join()
-        .unwrap();
-        p.after_unblock(T0);
-        // A stale hit would answer `Same`; the flush forces the slow path.
-        assert!(matches!(
-            p.write_barrier(T0, O),
-            BarrierOutcome::Conflicting { .. }
-        ));
-        p.thread_end(T0);
-        assert!(p.stats().cache_flushes.load(Ordering::Relaxed) >= 1);
+        for obj in OBJS {
+            let p =
+                std::sync::Arc::new(Protocol::new(128, 2, CoordinationMode::Threaded, NullSink));
+            p.thread_begin(T0);
+            p.write_barrier(T0, obj);
+            p.write_barrier(T0, obj); // warm T0's cache
+            p.before_block(T0); // T0 parks; cache flushed
+            let p2 = std::sync::Arc::clone(&p);
+            std::thread::spawn(move || {
+                p2.thread_begin(T1);
+                p2.write_barrier(T1, obj); // implicit protocol while T0 sleeps
+                p2.thread_end(T1);
+            })
+            .join()
+            .unwrap();
+            p.after_unblock(T0);
+            // A stale hit would answer `Same`; the flush forces the slow path.
+            assert!(matches!(
+                p.write_barrier(T0, obj),
+                BarrierOutcome::Conflicting { .. }
+            ));
+            p.thread_end(T0);
+            assert!(p.stats().cache_flushes.load(Ordering::Relaxed) >= 1);
+        }
     }
 
     #[test]

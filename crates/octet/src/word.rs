@@ -58,6 +58,14 @@ pub fn decode(word: u64) -> DecodedState {
     }
 }
 
+/// The counter of a read-shared word, `None` for every other state: the
+/// barrier's inlined same-state test, which must not pay for a full
+/// [`decode`].
+#[inline]
+pub fn rd_sh_counter(word: u64) -> Option<u32> {
+    (word & TAG_BITS == TAG_RDSH).then_some((word >> 3) as u32)
+}
+
 /// The per-object atomic state-word table.
 pub struct StateTable {
     words: Box<[AtomicU64]>,

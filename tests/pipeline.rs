@@ -1,8 +1,10 @@
 //! End-to-end pipeline tests spanning all crates: workloads → engines →
 //! checkers → violations.
 
-use dc_core::{run_doublechecker, run_multi, run_single, DcConfig, ExecPlan};
+use dc_core::{run_doublechecker, run_multi, run_single, DcConfig, ExecPlan, ObsLevel};
 use dc_runtime::engine::det::Schedule;
+use dc_runtime::heap::ObjKind;
+use dc_runtime::program::{Op, ProgramBuilder};
 use dc_runtime::spec::AtomicitySpec;
 use dc_velodrome::{Velodrome, VelodromeConfig};
 use dc_workloads::{all, by_name, Scale, Workload};
@@ -116,6 +118,44 @@ fn multi_run_mode_catches_violations_on_tsp() {
     assert!(
         second.stats.regular_accesses + second.stats.unary_accesses
             <= single.stats.regular_accesses + single.stats.unary_accesses
+    );
+}
+
+/// A write stream over far more thread-owned objects than any fixed-size
+/// ownership cache holds: the per-object stamp table has no capacity to
+/// exceed, so under the deterministic engine everything but the first
+/// touches is an inline-cache hit (counted, not timed).
+#[test]
+fn streaming_over_owned_objects_hits_the_ownership_cache() {
+    const OBJECTS: usize = 192;
+    const PASSES: u32 = 64;
+    let mut b = ProgramBuilder::new();
+    let mut entries = Vec::new();
+    for t in 0..2 {
+        let sweep = (0..OBJECTS)
+            .map(|_| b.object(ObjKind::Plain { fields: 1 }))
+            .flat_map(|o| [Op::Write(o, 0), Op::Read(o, 0)])
+            .collect();
+        let sweep = b.method(format!("sweep{t}"), sweep);
+        let body = vec![Op::Loop {
+            count: PASSES,
+            body: vec![Op::Call(sweep)],
+        }];
+        entries.push(b.method(format!("run{t}"), body));
+    }
+    for &e in &entries {
+        b.thread(e);
+    }
+    let program = b.build().unwrap();
+    let spec = AtomicitySpec::excluding(entries);
+    let plan = ExecPlan::Det(Schedule::random(1));
+    let config = DcConfig::single_run(plan.coordination()).with_observability(ObsLevel::Counters);
+    let report = run_doublechecker(&program, &spec, config, &plan).unwrap();
+    let hits = report.pipeline.expect("counters are on").octet.cache_hits;
+    let accesses = report.stats.regular_accesses + report.stats.unary_accesses;
+    assert!(
+        hits * 100 >= accesses * 99,
+        "{hits} cache hits over {accesses} instrumented accesses"
     );
 }
 
