@@ -225,7 +225,18 @@ enum Context {
 
 struct Local {
     tracker: TxTracker,
+    /// `Instrumented` only while `handles` is resolved.
     context: Context,
+    /// The thread's Octet and ICD state, resolved once at `thread_begin` so
+    /// the per-access kernel never indexes by `ThreadId`; `None` before.
+    /// The slots behind the handles are `Arc`-shared with the `Protocol`
+    /// and the `Icd`, both of which live as long as the checker does.
+    handles: Option<Handles>,
+}
+
+struct Handles {
+    octet: dc_octet::ThreadHandle,
+    icd: dc_icd::ThreadHandle,
 }
 
 #[repr(align(128))]
@@ -241,9 +252,10 @@ pub struct DoubleChecker {
     config: DcConfig,
     spec: AtomicitySpec,
     icd: Arc<Icd>,
+    /// The only run-scoped state (it needs the heap's size): set by the
+    /// one `run_begin` a checker accepts. The fused fast path never reads
+    /// it; the slow kernel and the lifecycle hooks do.
     octet: OnceLock<Protocol<IcdSink>>,
-    /// Per-object "conflate cells" flags (arrays etc.), sized at run_begin.
-    conflated: OnceLock<Vec<bool>>,
     slots: Box<[Slot]>,
     violations: Mutex<Vec<Violation>>,
     pcd_stats: Mutex<ReplayStats>,
@@ -350,12 +362,12 @@ impl DoubleChecker {
             spec,
             icd,
             octet: OnceLock::new(),
-            conflated: OnceLock::new(),
             slots: (0..n_threads)
                 .map(|_| Slot {
                     local: UnsafeCell::new(Local {
                         tracker: TxTracker::new(),
                         context: Context::Skipped,
+                        handles: None,
                     }),
                 })
                 .collect(),
@@ -478,33 +490,50 @@ impl DoubleChecker {
         (violations, stats)
     }
 
-    /// The instrumented access body shared by plain, array, and sync hooks.
-    #[inline]
+    /// The instrumented access body shared by plain, array, and sync hooks:
+    /// one inlined straight-line sequence over the thread's own state.
+    #[inline(always)]
     fn access(&self, t: ThreadId, obj: ObjId, cell: CellId, kind: AccessKind, is_sync: bool) {
         // SAFETY: called on thread t.
         let local = unsafe { self.local(t) };
         if local.context == Context::Skipped {
             return;
         }
+        // `refresh_context` grants `Instrumented` only with resolved handles.
+        let Some(handles) = &local.handles else {
+            return;
+        };
         // Fused fast path: one combined per-access check. No new ICD edge
         // events (so `before_access` would be a no-op) plus an
-        // ownership-inline-cache hit (so the Octet barrier would classify
+        // ownership-table hit (so the Octet barrier would classify
         // same-state without touching the state word) feed the elision
         // probe and the log tail directly — the whole hot kernel is
-        // core-local. Anything else takes the full slow kernel.
-        if self.icd.edge_events_unchanged(t) && self.octet().cache_probe(t, obj, kind) {
-            self.record(t, obj, cell, kind, is_sync, false);
+        // core-local. Anything else takes the full slow kernel. With the
+        // ownership cache off the probe always misses: the same kernel,
+        // every access through the slow half.
+        if handles.icd.edge_events_unchanged() && handles.octet.cache_probe(obj, kind) {
+            handles
+                .icd
+                .record_access(obj, cell, kind.is_write(), is_sync, false);
             return;
         }
-        self.access_slow(t, obj, cell, kind, is_sync);
+        self.access_slow(t, handles, obj, cell, kind, is_sync);
     }
 
     /// The full per-access kernel: unary merging / elision-epoch
-    /// maintenance, the uncached Octet barrier (the inline cache was
+    /// maintenance, the uncached Octet barrier (the ownership table was
     /// already probed — a hit with *changed* edge events still lands here
     /// so the unary cut happens first), Figure-4 post-processing, then the
     /// log tail.
-    fn access_slow(&self, t: ThreadId, obj: ObjId, cell: CellId, kind: AccessKind, is_sync: bool) {
+    fn access_slow(
+        &self,
+        t: ThreadId,
+        handles: &Handles,
+        obj: ObjId,
+        cell: CellId,
+        kind: AccessKind,
+        is_sync: bool,
+    ) {
         // Unary merging / elision-epoch maintenance; may cut the unary tx.
         let scc = self.icd.before_access(t);
         if scc.is_some() {
@@ -537,56 +566,33 @@ impl DoubleChecker {
                 force_log = true;
             }
         }
-        self.record(t, obj, cell, kind, is_sync, force_log);
+        // Field granularity; ICD conflates arrays and monitors as it logs.
+        handles
+            .icd
+            .record_access(obj, cell, kind.is_write(), is_sync, force_log);
     }
 
-    /// Log the access at field granularity (arrays conflated), shared by
-    /// the fused fast path and the slow kernel.
-    #[inline]
-    fn record(
-        &self,
-        t: ThreadId,
-        obj: ObjId,
-        cell: CellId,
-        kind: AccessKind,
-        is_sync: bool,
-        force_log: bool,
-    ) {
-        let log_cell = if self
-            .conflated
-            .get()
-            .is_some_and(|c| c.get(obj.index()).copied().unwrap_or(false))
-        {
-            if is_sync {
-                SYNC_CELL
-            } else {
-                0
-            }
-        } else {
-            cell
-        };
-        self.icd
-            .record_access(t, obj, log_cell, kind.is_write(), is_sync, force_log);
+    /// Answers pending explicit-protocol requests at a safe point.
+    #[cold]
+    fn respond(&self, t: ThreadId) {
+        self.octet().safe_point(t);
     }
 
     /// Recomputes the thread's instrumentation context from its transaction
     /// state and the configured filter.
     fn refresh_context(&self, local: &mut Local) {
-        local.context = match local.tracker.transaction_method() {
-            Some(m) => {
-                if self.config.filter.covers_method(m) {
-                    Context::Instrumented
-                } else {
-                    Context::Skipped
-                }
-            }
-            None => {
-                if self.config.filter.instrument_unary {
-                    Context::Instrumented
-                } else {
-                    Context::Skipped
-                }
-            }
+        debug_assert!(
+            local.handles.is_some(),
+            "a transaction hook ran on a thread before its thread_begin"
+        );
+        let covered = match local.tracker.transaction_method() {
+            Some(m) => self.config.filter.covers_method(m),
+            None => self.config.filter.instrument_unary,
+        };
+        local.context = if covered && local.handles.is_some() {
+            Context::Instrumented
+        } else {
+            Context::Skipped
         };
     }
 }
@@ -597,18 +603,20 @@ impl Checker for DoubleChecker {
             obs.checker.runs_begun.inc();
             obs.trace(Stage::Checker, EventKind::RunBegin, self.n_threads as u64);
         }
-        let _ = self.octet.set(Protocol::with_config(
+        let octet = Protocol::with_config(
             heap.len(),
             self.n_threads,
             self.config.coordination,
             IcdSink(Arc::clone(&self.icd)),
             self.obs.clone(),
             self.config.barrier_cache,
-        ));
-        let conflated: Vec<bool> = (0..heap.len())
-            .map(|i| heap.kind(ObjId::from_index(i)).conflates_cells())
-            .collect();
-        let _ = self.conflated.set(conflated);
+        );
+        // Per-thread handles point into this run's tables, so a silently
+        // kept first `Protocol` and layout would be the wrong heap's.
+        assert!(
+            self.octet.set(octet).is_ok(),
+            "DoubleChecker is single-run: run_begin called twice"
+        );
         self.icd
             .attach_layout(dc_runtime::heap::CellLayout::new(heap));
     }
@@ -655,6 +663,10 @@ impl Checker for DoubleChecker {
         debug_assert!(scc.is_none());
         // SAFETY: called on thread t.
         let local = unsafe { self.local(t) };
+        local.handles = Some(Handles {
+            octet: self.octet().thread_handle(t),
+            icd: self.icd.thread_handle(t),
+        });
         self.refresh_context(local);
     }
 
@@ -720,7 +732,17 @@ impl Checker for DoubleChecker {
 
     #[inline]
     fn safe_point(&self, t: ThreadId) {
-        self.octet().safe_point(t);
+        // SAFETY: called on thread t.
+        let local = unsafe { self.local(t) };
+        // Before `thread_begin` nobody can have sent `t` a request (a thread
+        // that is not running is coordinated with implicitly): a no-op.
+        if local
+            .handles
+            .as_ref()
+            .is_some_and(|h| h.octet.has_requests())
+        {
+            self.respond(t);
+        }
     }
 
     fn before_block(&self, t: ThreadId) {
@@ -729,5 +751,63 @@ impl Checker for DoubleChecker {
 
     fn after_unblock(&self, t: ThreadId) {
         self.octet().after_unblock(t);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dc_runtime::heap::ObjKind;
+
+    const T0: ThreadId = ThreadId(0);
+    const O: ObjId = ObjId(0);
+
+    fn checker() -> DoubleChecker {
+        DoubleChecker::new(
+            1,
+            AtomicitySpec::all_atomic(),
+            DcConfig::single_run(CoordinationMode::Immediate),
+        )
+    }
+
+    fn heap() -> Heap {
+        Heap::new(&[ObjKind::Plain { fields: 2 }], 1)
+    }
+
+    #[test]
+    #[should_panic(expected = "DoubleChecker is single-run")]
+    fn second_run_begin_panics_instead_of_keeping_the_first_runs_tables() {
+        let c = checker();
+        c.run_begin(&heap());
+        c.run_begin(&heap());
+    }
+
+    /// Per-thread handles are resolved at `thread_begin`; a hook that runs
+    /// earlier finds none and does nothing — it never reaches for run or
+    /// thread state that does not exist yet.
+    #[test]
+    fn hooks_before_thread_begin_are_no_ops() {
+        let c = checker();
+        c.safe_point(T0); // even before run_begin
+        c.run_begin(&heap());
+        c.safe_point(T0);
+        c.read(T0, O, 0);
+        c.write(T0, O, 1);
+        c.sync_acquire(T0, O);
+        c.thread_begin(T0);
+        c.safe_point(T0);
+        c.write(T0, O, 1);
+        c.thread_end(T0);
+        c.run_end();
+        let stats = c.stats();
+        assert_eq!(
+            (
+                stats.unary_accesses,
+                stats.regular_accesses,
+                stats.log_entries
+            ),
+            (1, 0, 1),
+            "only the access after thread_begin is analyzed"
+        );
     }
 }

@@ -7,7 +7,11 @@
 //! slots behind `UnsafeCell`; the cross-thread-visible registers —
 //! `currTX(T)`, `T.lastRdEx`, the published log length — are atomics, read
 //! by other threads only during Octet coordination (when the owner is at a
-//! safe point or held).
+//! safe point or held). The slots are `Arc`-shared: a thread resolves its own
+//! once ([`Icd::thread_handle`]) and the per-access hooks then run on the
+//! [`ThreadHandle`] alone, with no `ThreadId` indexing and no reference back
+//! to the `Icd`; the `ThreadId`-taking hooks resolve the slot and run the
+//! same code.
 //!
 //! Graph maintenance has two modes ([`PipelineMode`]): in `Sync` mode
 //! application threads mutate the IDG under a global mutex (rare relative to
@@ -26,7 +30,7 @@ use crate::pipeline::{
 use crate::types::{Edge, EdgeKind, LogEntry, SccReport, TxId, TxKind};
 use dc_obs::{EventKind, PipelineObs, Stage};
 use dc_runtime::heap::CellLayout;
-use dc_runtime::ids::{CellId, MethodId, ObjId, ThreadId};
+use dc_runtime::ids::{CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -122,19 +126,27 @@ pub(crate) struct ThreadRegs {
 /// (which reads them as collector roots).
 #[derive(Debug)]
 pub(crate) struct Registers {
-    pub(crate) threads: Box<[ThreadRegs]>,
+    pub(crate) threads: Box<[Arc<ThreadRegs>]>,
 }
 
 /// Per-thread local (owner-only) state.
 struct Local {
+    /// The thread's cross-thread registers (the same block `Icd::regs`
+    /// lists), so the per-access hooks reach them from the slot alone.
+    regs: Arc<ThreadRegs>,
+    /// [`IcdConfig::logging`], copied so the per-access hooks need no `Icd`.
+    logging: bool,
+    /// The attached [`CellLayout`] as of thread begin (clones share the
+    /// table); empty without one.
+    layout: CellLayout,
     log: Vec<LogEntry>,
-    /// Duplicate-elision table keyed by (obj, cell): used until a
-    /// [`CellLayout`] is attached (tests, standalone use).
+    /// Duplicate-elision table keyed by (obj, cell): used by threads that
+    /// began with no [`CellLayout`] attached (tests, standalone use).
     elision: HashMap<(ObjId, CellId), (u32, bool)>,
     /// Flat duplicate-elision table (`epoch << 1 | wrote` per layout slot);
-    /// the fast path when a layout is attached. Sized at thread begin (or
-    /// by the cold fallback if the layout arrived later) so the hot loop
-    /// never re-checks the lazy init.
+    /// the fast path when a layout is attached. Sized at thread begin so the
+    /// hot loop never re-checks a lazy init; non-empty implies `layout` is
+    /// the attached one.
     elision_flat: Vec<u64>,
     /// Bumped at transaction start and whenever the owner observes a new
     /// edge on its current transaction; stale elision entries simply
@@ -148,12 +160,42 @@ struct Local {
     /// Pipelined mode: ticketed graph ops buffered during the current hook,
     /// flushed as one batch before the hook returns.
     pending: Vec<(u64, GraphOp)>,
+    /// Instrumented accesses of the current transaction; folded into the
+    /// per-kind totals when the transaction's kind is about to change, so
+    /// the per-access hook bumps one counter without testing `kind`.
+    accesses: u64,
     regular_accesses: u64,
     unary_accesses: u64,
     log_entries: u64,
 }
 
 impl Local {
+    /// Out-of-line elision for a thread that began with no layout attached
+    /// (standalone use): a HashMap keyed by `(obj, cell)`. Returns `true`
+    /// when the access is already covered this epoch.
+    #[cold]
+    fn elide_cold(&mut self, obj: ObjId, cell: CellId, is_write: bool, force: bool) -> bool {
+        let epoch = self.epoch;
+        let covered = !force
+            && self
+                .elision
+                .get(&(obj, cell))
+                .is_some_and(|&(e, wrote)| e == epoch && (wrote || !is_write));
+        if !covered {
+            self.elision.insert((obj, cell), (epoch, is_write));
+        }
+        covered
+    }
+
+    /// Folds the current transaction's access count into its kind's total.
+    fn fold_accesses(&mut self) {
+        match self.kind {
+            TxKind::Regular(_) => self.regular_accesses += self.accesses,
+            TxKind::Unary => self.unary_accesses += self.accesses,
+        }
+        self.accesses = 0;
+    }
+
     /// Advances the elision epoch. On u32 wrap the new epoch would collide
     /// with stale table entries stamped billions of accesses ago, letting
     /// them spuriously elide a fresh access (and silently drop a log
@@ -176,15 +218,19 @@ struct Slot {
     local: UnsafeCell<Local>,
 }
 
-// SAFETY: `local` is only ever accessed by the owning thread (all &self
-// methods touching it take the owner's ThreadId and are called by the
-// engine on that thread).
+// SAFETY: `local` is only ever accessed by the owning thread (every method
+// touching it runs on the owner: the engine calls the `ThreadId`-taking
+// hooks on that thread, and a `ThreadHandle` is used only by the thread it
+// was resolved for).
 unsafe impl Sync for Slot {}
 
 impl Slot {
-    fn new() -> Self {
+    fn new(regs: Arc<ThreadRegs>, logging: bool) -> Self {
         Slot {
             local: UnsafeCell::new(Local {
+                regs,
+                logging,
+                layout: CellLayout::default(),
                 log: Vec::new(),
                 elision: HashMap::new(),
                 elision_flat: Vec::new(),
@@ -193,17 +239,118 @@ impl Slot {
                 kind: TxKind::Unary,
                 seq: 0,
                 pending: Vec::new(),
+                accesses: 0,
                 regular_accesses: 0,
                 unary_accesses: 0,
                 log_entries: 0,
             }),
         }
     }
+
+    /// SAFETY: must only be called from code running on the owning thread.
+    #[allow(clippy::mut_from_ref)]
+    #[inline(always)]
+    unsafe fn local(&self) -> &mut Local {
+        &mut *self.local.get()
+    }
+
+    /// [`Icd::edge_events_unchanged`] for the owning thread.
+    #[inline(always)]
+    fn edge_events_unchanged(&self) -> bool {
+        // SAFETY: called on the owning thread.
+        let local = unsafe { self.local() };
+        // Acquire pairs with the AcqRel bump in `note_edge_event`.
+        local.regs.edge_events.load(Ordering::Acquire) == local.seen_edge_events
+    }
+
+    /// [`Icd::record_access`] for the owning thread.
+    #[inline(always)]
+    fn record_access(&self, obj: ObjId, cell: CellId, is_write: bool, is_sync: bool, force: bool) {
+        // SAFETY: called on the owning thread.
+        let local = unsafe { self.local() };
+        local.accesses += 1;
+        if !local.logging {
+            return;
+        }
+        let epoch = local.epoch;
+        // Hot branch: the flat table exists (allocated at thread begin when
+        // a layout is attached), so the probe is one layout load, one table
+        // load, one compare and at most one core-local store.
+        let log_cell = if !local.elision_flat.is_empty() {
+            let entry = local.layout.entry(obj);
+            let slot = &mut local.elision_flat[entry.slot(cell) as usize];
+            let (e, wrote) = ((*slot >> 1) as u32, *slot & 1 != 0);
+            if !force && e == epoch && (wrote || !is_write) {
+                // Already covered this epoch. The shared log-length atomic
+                // is written only when the log grows, so elided accesses
+                // (the common case in tight loops) stay core-local.
+                return;
+            }
+            *slot = (u64::from(epoch) << 1) | u64::from(is_write || (wrote && e == epoch));
+            // Conflated kinds (arrays, monitors, thread objects) share one
+            // metadata cell per object — the paper's array-level metadata
+            // (§5.4); the elision slot above is already the same for every
+            // one of their cells.
+            if !entry.conflated() {
+                cell
+            } else if is_sync {
+                SYNC_CELL
+            } else {
+                0
+            }
+        } else if local.elide_cold(obj, cell, is_write, force) {
+            return;
+        } else {
+            cell
+        };
+        local
+            .log
+            .push(LogEntry::new(obj, log_cell, is_write, is_sync));
+        local.log_entries += 1;
+        local
+            .regs
+            .log_len
+            .store(local.log.len() as u32, Ordering::Release);
+    }
+}
+
+/// One thread's ICD state, resolved once ([`Icd::thread_handle`]) for a
+/// client's fused per-access kernel: the edge-event test and the log tail
+/// run on the handle alone. Valid as long as it is held (the slot is
+/// `Arc`-shared with the [`Icd`]). Like every `ThreadId`-taking hook, a
+/// handle's methods must only be called by the thread it was resolved for.
+pub struct ThreadHandle(Arc<Slot>);
+
+impl ThreadHandle {
+    /// [`Icd::edge_events_unchanged`] for this thread.
+    #[inline(always)]
+    pub fn edge_events_unchanged(&self) -> bool {
+        self.0.edge_events_unchanged()
+    }
+
+    /// [`Icd::record_access`] for this thread.
+    #[inline(always)]
+    pub fn record_access(
+        &self,
+        obj: ObjId,
+        cell: CellId,
+        is_write: bool,
+        is_sync: bool,
+        force: bool,
+    ) {
+        self.0.record_access(obj, cell, is_write, is_sync, force);
+    }
+}
+
+impl std::fmt::Debug for ThreadHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ThreadHandle").finish_non_exhaustive()
+    }
 }
 
 /// The imprecise-cycle-detection analysis.
 pub struct Icd {
-    slots: Box<[Slot]>,
+    slots: Box<[Arc<Slot>]>,
     regs: Arc<Registers>,
     layout: OnceLock<CellLayout>,
     /// The IDG in `Sync` mode. In `Pipelined` mode this holds a placeholder
@@ -268,7 +415,7 @@ impl Icd {
         obs: Option<Arc<PipelineObs>>,
     ) -> Self {
         let regs = Arc::new(Registers {
-            threads: (0..n_threads).map(|_| ThreadRegs::default()).collect(),
+            threads: (0..n_threads).map(|_| Arc::default()).collect(),
         });
         let stats = Arc::new(IcdStats::default());
         let graph = Graph::new();
@@ -288,7 +435,11 @@ impl Icd {
             ),
         };
         Icd {
-            slots: (0..n_threads).map(|_| Slot::new()).collect(),
+            slots: regs
+                .threads
+                .iter()
+                .map(|r| Arc::new(Slot::new(Arc::clone(r), config.logging)))
+                .collect(),
             regs,
             layout: OnceLock::new(),
             graph: Mutex::new(graph),
@@ -319,10 +470,26 @@ impl Icd {
         &self.stats
     }
 
-    /// Attaches the heap's cell layout, switching duplicate elision to a
-    /// flat side table (call once at run start).
+    /// Attaches the heap's cell layout: threads that begin afterwards use
+    /// a flat duplicate-elision side table and log conflated kinds (arrays,
+    /// monitors) at one cell per object. Call once, at run start, before any
+    /// thread begins.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a second call: a silently kept first layout would be the
+    /// wrong heap's.
     pub fn attach_layout(&self, layout: CellLayout) {
-        let _ = self.layout.set(layout);
+        assert!(
+            self.layout.set(layout).is_ok(),
+            "Icd::attach_layout called twice"
+        );
+    }
+
+    /// Resolves `t`'s per-thread state into a handle. Resolve after
+    /// [`Icd::thread_begin`], which is what binds the attached layout.
+    pub fn thread_handle(&self, t: ThreadId) -> ThreadHandle {
+        ThreadHandle(Arc::clone(&self.slots[t.index()]))
     }
 
     /// Cross-thread IDG edges added so far (Table 3). Lock-free.
@@ -374,20 +541,12 @@ impl Icd {
         self.graph.lock()
     }
 
-    /// SAFETY: must only be called from code running on thread `t`.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn local(&self, t: ThreadId) -> &mut Local {
-        &mut *self.slots[t.index()].local.get()
-    }
-
-    /// Flushes thread `t`'s buffered graph ops to the owner (pipelined
+    /// Flushes the thread's buffered graph ops to the owner (pipelined
     /// mode). Every public hook that can create ops calls this before
     /// returning, so tickets never linger in a private buffer.
     #[inline]
-    fn flush(&self, t: ThreadId) {
+    fn flush(&self, local: &mut Local) {
         if let Some(p) = &self.pipeline {
-            // SAFETY: called on thread t.
-            let local = unsafe { self.local(t) };
             if !local.pending.is_empty() {
                 // Swaps in a pooled buffer (capacity intact), so steady-state
                 // flushes never reallocate the pending batch.
@@ -415,16 +574,18 @@ impl Icd {
 
     /// Thread start: opens the thread's first unary transaction.
     pub fn thread_begin(&self, t: ThreadId) -> Option<SccReport> {
-        let report = self.begin_tx(t, TxKind::Unary);
-        self.flush(t);
-        // Hoist the flat elision table's allocation off the record_access
-        // hot loop: in the checker flow the layout is attached before any
-        // thread begins, and this runs on the owner thread (mutating the
-        // slot here is safe; doing it in `attach_layout` would not be).
+        // SAFETY: called on thread t.
+        let local = unsafe { self.slots[t.index()].local() };
+        let report = self.begin_tx(t, local, TxKind::Unary);
+        self.flush(local);
+        // Bind the attached layout and allocate the flat elision table off
+        // the record_access hot loop: in the checker flow the layout is
+        // attached before any thread begins, and this runs on the owner
+        // thread (mutating the slot here is safe; doing it in
+        // `attach_layout` would not be).
         if let Some(layout) = self.layout.get() {
-            // SAFETY: called on thread t.
-            let local = unsafe { self.local(t) };
             if local.elision_flat.is_empty() && layout.total() > 0 {
+                local.layout = layout.clone();
                 local.elision_flat = vec![0; layout.total() as usize];
             }
         }
@@ -434,10 +595,11 @@ impl Icd {
     /// Thread exit: ends the current transaction (its id stays visible as a
     /// coordination source) and folds local counters into global stats.
     pub fn thread_end(&self, t: ThreadId) -> Option<SccReport> {
-        let report = self.end_current_tx(t);
-        self.flush(t);
         // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        let local = unsafe { self.slots[t.index()].local() };
+        let report = self.end_current_tx(t, local);
+        self.flush(local);
+        local.fold_accesses();
         self.stats
             .regular_accesses
             .fetch_add(local.regular_accesses, Ordering::Relaxed);
@@ -456,30 +618,34 @@ impl Icd {
     /// A regular transaction rooted at `method` begins (atomic method
     /// entered from non-transactional context).
     pub fn begin_regular(&self, t: ThreadId, method: MethodId) -> Option<SccReport> {
-        let report = self.end_current_tx(t);
-        let r2 = self.begin_tx(t, TxKind::Regular(method));
-        debug_assert!(r2.is_none(), "begin_tx after end cannot detect an SCC");
-        self.flush(t);
-        report
+        // SAFETY: called on thread t.
+        let local = unsafe { self.slots[t.index()].local() };
+        self.restart_tx(t, local, TxKind::Regular(method))
     }
 
     /// The regular transaction ends; a fresh unary transaction opens
     /// immediately (paper §4: "At method end, it creates a new unary
     /// transaction").
     pub fn end_regular(&self, t: ThreadId) -> Option<SccReport> {
-        let report = self.end_current_tx(t);
-        let r2 = self.begin_tx(t, TxKind::Unary);
-        debug_assert!(r2.is_none());
-        self.flush(t);
+        // SAFETY: called on thread t.
+        let local = unsafe { self.slots[t.index()].local() };
+        self.restart_tx(t, local, TxKind::Unary)
+    }
+
+    /// Ends the current transaction and opens one of `kind` in its place.
+    fn restart_tx(&self, t: ThreadId, local: &mut Local, kind: TxKind) -> Option<SccReport> {
+        let report = self.end_current_tx(t, local);
+        let r2 = self.begin_tx(t, local, kind);
+        debug_assert!(r2.is_none(), "begin_tx after end cannot detect an SCC");
+        self.flush(local);
         report
     }
 
-    fn begin_tx(&self, t: ThreadId, kind: TxKind) -> Option<SccReport> {
+    fn begin_tx(&self, t: ThreadId, local: &mut Local, kind: TxKind) -> Option<SccReport> {
         let regs = &self.regs.threads[t.index()];
         let id = TxId(self.next_tx.fetch_add(1, Ordering::Relaxed));
-        // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
         local.seq += 1;
+        local.fold_accesses();
         local.kind = kind;
         local.bump_epoch();
         local.seen_edge_events = regs.edge_events.load(Ordering::Acquire);
@@ -529,7 +695,7 @@ impl Icd {
     /// detection from it (§3.2.3), and periodically runs the collector. In
     /// pipelined mode both happen on the graph owner and this returns
     /// `None`; reports reach the sink instead.
-    fn end_current_tx(&self, t: ThreadId) -> Option<SccReport> {
+    fn end_current_tx(&self, t: ThreadId, local: &mut Local) -> Option<SccReport> {
         let id = TxId(
             self.regs.threads[t.index()]
                 .current_tx
@@ -538,8 +704,6 @@ impl Icd {
         if !id.is_some() {
             return None;
         }
-        // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
         let log = std::mem::take(&mut local.log);
         if let Some(p) = &self.pipeline {
             let ticket = p.ticket();
@@ -633,12 +797,7 @@ impl Icd {
     /// check and skips `before_access` entirely on `true`.
     #[inline]
     pub fn edge_events_unchanged(&self, t: ThreadId) -> bool {
-        let events = self.regs.threads[t.index()]
-            .edge_events
-            .load(Ordering::Acquire);
-        // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
-        events == local.seen_edge_events
+        self.slots[t.index()].edge_events_unchanged()
     }
 
     /// Must run before each access's Octet barrier: observes edges attached
@@ -647,28 +806,24 @@ impl Icd {
     /// (paper §4's merging rule).
     #[inline]
     pub fn before_access(&self, t: ThreadId) -> Option<SccReport> {
-        let regs = &self.regs.threads[t.index()];
-        let events = regs.edge_events.load(Ordering::Acquire);
         // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        let local = unsafe { self.slots[t.index()].local() };
+        let events = local.regs.edge_events.load(Ordering::Acquire);
         if events == local.seen_edge_events {
             return None;
         }
         local.seen_edge_events = events;
         local.bump_epoch();
         if local.kind == TxKind::Unary {
-            let report = self.end_current_tx(t);
-            let r2 = self.begin_tx(t, TxKind::Unary);
-            debug_assert!(r2.is_none());
-            self.flush(t);
-            report
+            self.restart_tx(t, local, TxKind::Unary)
         } else {
             None
         }
     }
 
     /// Records the access in the current transaction's read/write log
-    /// (after the Octet barrier). `force` bypasses duplicate elision — set
+    /// (after the Octet barrier), at one cell per object for conflated kinds
+    /// when a layout is attached. `force` bypasses duplicate elision — set
     /// when the barrier reported a possible dependence, so the dependence's
     /// sink entry lands at a log position after the edge.
     #[inline]
@@ -681,85 +836,7 @@ impl Icd {
         is_sync: bool,
         force: bool,
     ) {
-        let regs = &self.regs.threads[t.index()];
-        // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
-        match local.kind {
-            TxKind::Regular(_) => local.regular_accesses += 1,
-            TxKind::Unary => local.unary_accesses += 1,
-        }
-        if !self.config.logging {
-            return;
-        }
-        let epoch = local.epoch;
-        // Hot branch: the flat table exists (allocated at thread begin when
-        // a layout is attached), so the probe is one load, one compare and
-        // at most one core-local store — the lazy-init check is hoisted to
-        // the cold fallback below.
-        let grows = if !local.elision_flat.is_empty() {
-            let layout = self
-                .layout
-                .get()
-                .expect("a flat elision table implies an attached layout");
-            let slot_idx = layout.slot(obj, cell) as usize;
-            let packed = local.elision_flat[slot_idx];
-            let (e, wrote) = ((packed >> 1) as u32, packed & 1 != 0);
-            if !force && e == epoch && (wrote || !is_write) {
-                false // already covered this epoch
-            } else {
-                local.elision_flat[slot_idx] =
-                    (u64::from(epoch) << 1) | u64::from(is_write || (wrote && e == epoch));
-                true
-            }
-        } else {
-            Self::elide_cold(self.layout.get(), local, obj, cell, is_write, force, epoch)
-        };
-        // Single tail: the shared log-length atomic is written only when the
-        // log actually grows, so elided accesses (the common case in tight
-        // loops) never touch it and stay core-local.
-        if !grows {
-            return;
-        }
-        local.log.push(LogEntry::new(obj, cell, is_write, is_sync));
-        local.log_entries += 1;
-        regs.log_len
-            .store(local.log.len() as u32, Ordering::Release);
-    }
-
-    /// Out-of-line elision fallback for threads without a flat table: first
-    /// access after a late-attached layout (allocates the table), or
-    /// layout-free standalone use (HashMap keyed by `(obj, cell)`).
-    #[cold]
-    fn elide_cold(
-        layout: Option<&CellLayout>,
-        local: &mut Local,
-        obj: ObjId,
-        cell: CellId,
-        is_write: bool,
-        force: bool,
-        epoch: u32,
-    ) -> bool {
-        if let Some(layout) = layout {
-            if layout.total() > 0 {
-                local.elision_flat = vec![0; layout.total() as usize];
-                // Freshly zeroed slots decode as (epoch 0, no write) and a
-                // live epoch is never 0, so this access always logs.
-                local.elision_flat[layout.slot(obj, cell) as usize] =
-                    (u64::from(epoch) << 1) | u64::from(is_write);
-                return true;
-            }
-        }
-        let covered = !force
-            && local
-                .elision
-                .get(&(obj, cell))
-                .is_some_and(|&(e, wrote)| e == epoch && (wrote || !is_write));
-        if covered {
-            false
-        } else {
-            local.elision.insert((obj, cell), (epoch, is_write));
-            true
-        }
+        self.slots[t.index()].record_access(obj, cell, is_write, is_sync, force);
     }
 
     // ----- Figure 4: edge-creation procedures ------------------------------
@@ -1053,8 +1130,8 @@ mod tests {
     /// next access to its cell and silently drop a log entry.
     fn wrap_epoch_back_to(icd: &Icd, stale: u32) {
         // SAFETY: the test runs on the thread owning slot 0.
-        unsafe { icd.local(T0) }.epoch = u32::MAX;
-        while unsafe { icd.local(T0) }.epoch != stale {
+        unsafe { icd.slots[0].local() }.epoch = u32::MAX;
+        while unsafe { icd.slots[0].local() }.epoch != stale {
             icd.begin_regular(T0, M); // one epoch bump per begin
         }
     }
@@ -1063,10 +1140,10 @@ mod tests {
     fn epoch_wrap_clears_hash_elision_table() {
         let icd = icd(1);
         icd.record_access(T0, O, 0, false, false, false);
-        let stale = unsafe { icd.local(T0) }.epoch;
+        let stale = unsafe { icd.slots[0].local() }.epoch;
         wrap_epoch_back_to(&icd, stale);
         assert!(
-            unsafe { icd.local(T0) }.elision.is_empty(),
+            unsafe { icd.slots[0].local() }.elision.is_empty(),
             "wrap must clear the hash elision table"
         );
         icd.record_access(T0, O, 0, false, false, false);
@@ -1080,11 +1157,12 @@ mod tests {
     #[test]
     fn epoch_wrap_clears_flat_elision_table() {
         use dc_runtime::heap::{Heap, ObjKind};
-        let icd = icd(1);
+        let icd = Icd::new(1, IcdConfig::default());
         let heap = Heap::new(&[ObjKind::Plain { fields: 2 }], 1);
         icd.attach_layout(CellLayout::new(&heap));
+        icd.thread_begin(T0); // binds the layout: the flat table is live
         icd.record_access(T0, O, 0, false, false, false);
-        let stale = unsafe { icd.local(T0) }.epoch;
+        let stale = unsafe { icd.slots[0].local() }.epoch;
         wrap_epoch_back_to(&icd, stale);
         icd.record_access(T0, O, 0, false, false, false);
         assert_eq!(

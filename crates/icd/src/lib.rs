@@ -27,6 +27,6 @@ mod ring;
 mod shard;
 pub mod types;
 
-pub use icd::{Icd, IcdConfig, IcdStats};
+pub use icd::{Icd, IcdConfig, IcdStats, ThreadHandle};
 pub use pipeline::{OpTransport, PipelineError, PipelineMode, SccSink};
 pub use types::{Edge, EdgeKind, LogEntry, ReplayConstraint, SccReport, TxId, TxKind, TxSnapshot};

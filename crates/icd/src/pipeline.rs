@@ -994,11 +994,9 @@ pub(crate) fn run_collect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::icd::ThreadRegs;
-
     fn test_regs(n: usize) -> Arc<Registers> {
         Arc::new(Registers {
-            threads: (0..n).map(|_| ThreadRegs::default()).collect(),
+            threads: (0..n).map(|_| Arc::default()).collect(),
         })
     }
 

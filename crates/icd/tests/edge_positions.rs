@@ -5,8 +5,9 @@
 //! log actually grows (elided accesses never touch it), so the sequence
 //! deliberately mixes elided duplicates in around the edge-creating hooks.
 
-use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, PipelineMode, SccReport};
-use dc_runtime::ids::{MethodId, ObjId, ThreadId};
+use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, LogEntry, PipelineMode, SccReport};
+use dc_runtime::heap::{CellLayout, Heap, ObjKind};
+use dc_runtime::ids::{MethodId, ObjId, ThreadId, SYNC_CELL};
 
 const T0: ThreadId = ThreadId(0);
 const T1: ThreadId = ThreadId(1);
@@ -100,5 +101,58 @@ fn pipelined_edge_positions_match_sync() {
             .iter()
             .any(|e| e.src_pos == 1 && e.dst_pos == 2 && e.src.0 > e.dst.0),
         "second conflict: T1 logged 1 of 2 accesses, T0 still at 2: {cross:?}"
+    );
+}
+
+/// Conflation of array and monitor cells happens where ICD appends to the
+/// log (the caller passes cells as the program gave them): with the heap's
+/// layout attached, every cell of a conflated kind logs — and elides — as
+/// one cell per object, and a `Plain` object's cells stay apart.
+#[test]
+fn log_append_conflates_arrays_and_monitors_but_not_plain_objects() {
+    const PLAIN: ObjId = ObjId(0);
+    const ARRAY: ObjId = ObjId(1);
+    const MONITOR: ObjId = ObjId(2);
+    let heap = Heap::new(
+        &[
+            ObjKind::Plain { fields: 8 },
+            ObjKind::Array { len: 8 },
+            ObjKind::Monitor,
+        ],
+        1,
+    );
+    let icd = Icd::new(
+        1,
+        IcdConfig {
+            collect_every: 0,
+            ..IcdConfig::default()
+        },
+    );
+    icd.attach_layout(CellLayout::new(&heap));
+    icd.thread_begin(T0);
+    icd.begin_regular(T0, MethodId(0));
+    icd.record_access(T0, ARRAY, 5, false, false, false); // logs cell 0
+    icd.record_access(T0, ARRAY, 2, false, false, false); // same slot: elided
+    icd.record_access(T0, MONITOR, SYNC_CELL, false, true, false); // acquire
+    icd.record_access(T0, MONITOR, SYNC_CELL, true, true, false); // release
+    icd.record_access(T0, PLAIN, 5, true, false, false); // as given
+    icd.record_access(T0, PLAIN, 2, true, false, false); // its own slot
+    icd.end_regular(T0);
+    icd.thread_end(T0);
+    let report = icd.snapshot_all_finished();
+    let tx = report
+        .txs
+        .iter()
+        .find(|t| t.kind.is_regular())
+        .expect("the regular transaction finished");
+    assert_eq!(
+        *tx.log,
+        [
+            LogEntry::new(ARRAY, 0, false, false),
+            LogEntry::new(MONITOR, SYNC_CELL, false, true),
+            LogEntry::new(MONITOR, SYNC_CELL, true, true),
+            LogEntry::new(PLAIN, 5, true, false),
+            LogEntry::new(PLAIN, 2, true, false),
+        ]
     );
 }

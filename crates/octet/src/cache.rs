@@ -18,7 +18,7 @@
 //! * locally, whenever the thread responds to pending requests
 //!   ([`respond_pending`](crate::Protocol::safe_point)), around
 //!   block/unblock, and at thread end;
-//! * remotely, via a revocation epoch ([`OwnershipCache::revoke`]) bumped
+//! * remotely, via a revocation epoch ([`CacheSlot::revoke`]) bumped
 //!   by any thread that takes ownership away without the loser executing
 //!   code (the immediate-mode coordination path and the read-shared
 //!   upgrade, which demotes the previous exclusive owner in place).
@@ -31,6 +31,7 @@
 use dc_runtime::ids::{ObjId, ThreadId};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// Stamp bit 0: the cached permission licenses writes (`WrEx_T`), not
 /// just reads. The generation occupies the 31 bits above it.
@@ -53,9 +54,9 @@ struct CacheLocal {
     /// One stamp per heap object: `generation << 1 | write_ok`, valid iff
     /// the generation is current; `0` = never valid.
     stamps: Box<[u32]>,
-    /// Probe hits since the last [`OwnershipCache::take_counters`].
+    /// Probe hits since the last [`CacheSlot::take_counters`].
     hits: u64,
-    /// Non-empty flushes since the last [`OwnershipCache::take_counters`].
+    /// Non-empty flushes since the last [`CacheSlot::take_counters`].
     flushes: u64,
 }
 
@@ -63,7 +64,7 @@ struct CacheLocal {
 /// epoch is the only field remote threads write, and the owner's private
 /// state never shares a line with another thread's slot.
 #[repr(align(128))]
-struct CacheSlot {
+pub(crate) struct CacheSlot {
     /// Revocation epoch, bumped by remote threads that take ownership
     /// away from this thread outside its own execution.
     revoked: AtomicU32,
@@ -71,7 +72,7 @@ struct CacheSlot {
 }
 
 // SAFETY: `local` is only ever accessed by the slot's owner thread (the
-// protocol passes the accessing thread's own id to `probe`/`insert`/
+// protocol resolves the accessing thread's own slot for `probe`/`insert`/
 // `flush`/`take_counters`); remote threads touch only the atomic
 // `revoked` epoch.
 unsafe impl Sync for CacheSlot {}
@@ -85,43 +86,54 @@ impl std::fmt::Debug for CacheSlot {
 }
 
 /// The per-thread ownership inline cache (one slot per registered thread).
+/// Slots are `Arc`-shared so a thread can resolve its own once
+/// ([`crate::ThreadHandle`]) instead of indexing per access.
 #[derive(Debug)]
 pub(crate) struct OwnershipCache {
-    slots: Box<[CacheSlot]>,
+    slots: Box<[Arc<CacheSlot>]>,
 }
 
 impl OwnershipCache {
     /// Builds a cache with one slot per thread, each covering every one
     /// of the heap's `n_objects` objects (4 bytes per object per thread).
     pub(crate) fn new(n_objects: usize, n_threads: usize) -> Self {
-        let slot = |_| CacheSlot {
-            revoked: AtomicU32::new(0),
-            local: UnsafeCell::new(CacheLocal {
-                seen_epoch: 0,
-                occupied: false,
-                generation: GEN_ONE,
-                stamps: vec![0; n_objects].into_boxed_slice(),
-                hits: 0,
-                flushes: 0,
-            }),
+        let slot = |_| {
+            Arc::new(CacheSlot {
+                revoked: AtomicU32::new(0),
+                local: UnsafeCell::new(CacheLocal {
+                    seen_epoch: 0,
+                    occupied: false,
+                    generation: GEN_ONE,
+                    stamps: vec![0; n_objects].into_boxed_slice(),
+                    hits: 0,
+                    flushes: 0,
+                }),
+            })
         };
         OwnershipCache {
             slots: (0..n_threads).map(slot).collect(),
         }
     }
 
+    /// Thread `t`'s slot.
+    #[inline]
+    pub(crate) fn slot(&self, t: ThreadId) -> &Arc<CacheSlot> {
+        &self.slots[t.index()]
+    }
+}
+
+impl CacheSlot {
     /// Owner-thread probe: returns `true` when the cache proves the
     /// access would classify as a same-state fast path. On a revocation
     /// epoch mismatch the cache self-flushes and misses.
-    #[inline]
-    pub(crate) fn probe(&self, t: ThreadId, obj: ObjId, write: bool) -> bool {
-        let slot = &self.slots[t.index()];
+    #[inline(always)]
+    pub(crate) fn probe(&self, obj: ObjId, write: bool) -> bool {
         // Acquire pairs with the revoker's release bump: seeing an
         // up-to-date epoch means any revocation that *preceded* the new
         // ownership is visible here as a flush.
-        let revoked = slot.revoked.load(Ordering::Acquire);
+        let revoked = self.revoked.load(Ordering::Acquire);
         // SAFETY: only the owner thread probes its own slot.
-        let local = unsafe { &mut *slot.local.get() };
+        let local = unsafe { &mut *self.local.get() };
         if local.seen_epoch != revoked {
             Self::flush_local(local, revoked);
             return false;
@@ -142,10 +154,9 @@ impl OwnershipCache {
     /// Owner-thread insert after the slow path established a stable
     /// permission for `obj` (`write_ok` iff the state is `WrEx_T`).
     #[inline]
-    pub(crate) fn insert(&self, t: ThreadId, obj: ObjId, write_ok: bool) {
-        let slot = &self.slots[t.index()];
+    pub(crate) fn insert(&self, obj: ObjId, write_ok: bool) {
         // SAFETY: only the owner thread inserts into its own slot.
-        let local = unsafe { &mut *slot.local.get() };
+        let local = unsafe { &mut *self.local.get() };
         local.stamps[obj.index()] = local.generation | u32::from(write_ok);
         local.occupied = true;
     }
@@ -154,6 +165,7 @@ impl OwnershipCache {
     /// the new generation would collide with stamps written billions of
     /// flushes ago, so the table is cleared and the generation restarts
     /// at one, never 0 (the never-valid stamp).
+    #[cold]
     fn flush_local(local: &mut CacheLocal, revoked: u32) {
         local.seen_epoch = revoked;
         if local.occupied {
@@ -170,31 +182,26 @@ impl OwnershipCache {
     /// Owner-thread flush: invalidates every stamp (no-op on an already
     /// empty cache). Called at safe-point responses, around block and
     /// unblock, and at thread end.
-    #[inline]
-    pub(crate) fn flush(&self, t: ThreadId) {
-        let slot = &self.slots[t.index()];
-        let revoked = slot.revoked.load(Ordering::Acquire);
+    pub(crate) fn flush(&self) {
+        let revoked = self.revoked.load(Ordering::Acquire);
         // SAFETY: only the owner thread flushes its own slot.
-        let local = unsafe { &mut *slot.local.get() };
+        let local = unsafe { &mut *self.local.get() };
         Self::flush_local(local, revoked);
     }
 
-    /// Remote revocation: bumps `t`'s epoch so its next probe flushes.
-    /// Used when ownership is taken from `t` without `t` executing a
-    /// safe-point response (immediate-mode coordination, the `RdSh`
+    /// Remote revocation: bumps this thread's epoch so its next probe
+    /// flushes. Used when ownership is taken from it without it executing
+    /// a safe-point response (immediate-mode coordination, the `RdSh`
     /// upgrade's in-place demotion of the previous owner).
     #[inline]
-    pub(crate) fn revoke(&self, t: ThreadId) {
-        self.slots[t.index()]
-            .revoked
-            .fetch_add(1, Ordering::Release);
+    pub(crate) fn revoke(&self) {
+        self.revoked.fetch_add(1, Ordering::Release);
     }
 
     /// Owner-thread counter drain: returns and resets `(hits, flushes)`.
-    pub(crate) fn take_counters(&self, t: ThreadId) -> (u64, u64) {
-        let slot = &self.slots[t.index()];
+    pub(crate) fn take_counters(&self) -> (u64, u64) {
         // SAFETY: only the owner thread drains its own slot's counters.
-        let local = unsafe { &mut *slot.local.get() };
+        let local = unsafe { &mut *self.local.get() };
         let out = (local.hits, local.flushes);
         local.hits = 0;
         local.flushes = 0;
@@ -211,62 +218,67 @@ mod tests {
     #[test]
     fn probe_miss_then_insert_then_hit() {
         let cache = OwnershipCache::new(8, 2);
+        let slot = cache.slot(T0);
         let obj = ObjId(7);
-        assert!(!cache.probe(T0, obj, false));
-        cache.insert(T0, obj, false);
-        assert!(cache.probe(T0, obj, false), "read stamp licenses reads");
-        assert!(!cache.probe(T0, obj, true), "read stamp rejects writes");
-        cache.insert(T0, obj, true);
-        assert!(cache.probe(T0, obj, true), "write stamp licenses writes");
-        assert!(cache.probe(T0, obj, false), "write stamp licenses reads");
-        assert_eq!(cache.take_counters(T0), (3, 0));
+        assert!(!slot.probe(obj, false));
+        slot.insert(obj, false);
+        assert!(slot.probe(obj, false), "read stamp licenses reads");
+        assert!(!slot.probe(obj, true), "read stamp rejects writes");
+        slot.insert(obj, true);
+        assert!(slot.probe(obj, true), "write stamp licenses writes");
+        assert!(slot.probe(obj, false), "write stamp licenses reads");
+        assert_eq!(slot.take_counters(), (3, 0));
     }
 
     #[test]
     fn no_aliasing_between_objects_64_apart() {
         let cache = OwnershipCache::new(128, 1);
+        let slot = cache.slot(T0);
         let (a, b) = (ObjId(1), ObjId(1 + 64));
-        cache.insert(T0, a, true);
-        cache.insert(T0, b, true);
-        assert!(cache.probe(T0, a, true), "b's insert must not evict a");
-        assert!(cache.probe(T0, b, true));
+        slot.insert(a, true);
+        slot.insert(b, true);
+        assert!(slot.probe(a, true), "b's insert must not evict a");
+        assert!(slot.probe(b, true));
     }
 
     #[test]
     fn generation_wrap_clears_the_table_and_restarts_at_one() {
         let cache = OwnershipCache::new(4, 1);
+        let slot = cache.slot(T0);
         // SAFETY: single-threaded test; each reference dies with its call.
         let local = || unsafe { &mut *cache.slots[0].local.get() };
-        cache.insert(T0, ObjId(2), true); // stamped in generation 1
+        slot.insert(ObjId(2), true); // stamped in generation 1
         local().generation = ((1 << 31) - 1) << 1; // the last generation
-        cache.insert(T0, ObjId(3), true);
-        cache.flush(T0); // wraps
+        slot.insert(ObjId(3), true);
+        slot.flush(); // wraps
         assert_eq!(local().generation, GEN_ONE, "restart at 1, never 0");
-        assert!(!cache.probe(T0, ObjId(2), true), "pre-wrap stamp hit");
-        assert!(!cache.probe(T0, ObjId(3), true));
-        assert!(!cache.probe(T0, ObjId(0), false), "zero stamp hit");
+        assert!(!slot.probe(ObjId(2), true), "pre-wrap stamp hit");
+        assert!(!slot.probe(ObjId(3), true));
+        assert!(!slot.probe(ObjId(0), false), "zero stamp hit");
     }
 
     #[test]
     fn flush_empties_and_counts_only_when_occupied() {
         let cache = OwnershipCache::new(4, 1);
-        cache.flush(T0);
-        assert_eq!(cache.take_counters(T0), (0, 0), "empty flush is uncounted");
-        cache.insert(T0, ObjId(3), true);
-        cache.flush(T0);
-        assert!(!cache.probe(T0, ObjId(3), true));
-        assert_eq!(cache.take_counters(T0), (0, 1));
+        let slot = cache.slot(T0);
+        slot.flush();
+        assert_eq!(slot.take_counters(), (0, 0), "empty flush is uncounted");
+        slot.insert(ObjId(3), true);
+        slot.flush();
+        assert!(!slot.probe(ObjId(3), true));
+        assert_eq!(slot.take_counters(), (0, 1));
     }
 
     #[test]
     fn remote_revoke_invalidates_next_probe() {
         let cache = OwnershipCache::new(8, 2);
+        let slot = cache.slot(T0);
         let obj = ObjId(5);
-        cache.insert(T0, obj, true);
-        assert!(cache.probe(T0, obj, true));
-        cache.revoke(T0); // as if ThreadId(1) took ownership
-        assert!(!cache.probe(T0, obj, true), "stale hit after revocation");
-        assert!(!cache.probe(T0, obj, true), "epoch sync must not flap");
-        assert_eq!(cache.take_counters(T0), (1, 1));
+        slot.insert(obj, true);
+        assert!(slot.probe(obj, true));
+        slot.revoke(); // as if ThreadId(1) took ownership
+        assert!(!slot.probe(obj, true), "stale hit after revocation");
+        assert!(!slot.probe(obj, true), "epoch sync must not flap");
+        assert_eq!(slot.take_counters(), (1, 1));
     }
 }

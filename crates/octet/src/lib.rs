@@ -48,7 +48,8 @@ pub mod state;
 pub mod word;
 
 pub use protocol::{
-    BarrierOutcome, CoordinationMode, NullSink, Protocol, ProtocolStats, TransitionSink,
+    BarrierOutcome, CoordinationMode, NullSink, Protocol, ProtocolStats, ThreadHandle,
+    TransitionSink,
 };
 pub use state::{classify, possibly_dependent, OctetState, Responders, TransitionKind};
 pub use word::DecodedState;

@@ -18,9 +18,9 @@
 //! the requester runs the hook itself). While spin-waiting for a response
 //! the requester marks itself blocked, so coordination can never deadlock.
 
-use crate::cache::OwnershipCache;
+use crate::cache::{CacheSlot, OwnershipCache};
 use crate::registry::{
-    Request, ThreadRegistry, BLOCKED, BLOCKED_HELD, REQ_CANCELLED, REQ_PENDING, RUNNING,
+    Request, ThreadRegistry, ThreadSlot, BLOCKED, BLOCKED_HELD, REQ_CANCELLED, REQ_PENDING, RUNNING,
 };
 use crate::state::{classify, OctetState, Responders, TransitionKind};
 use crate::word::{decode, encode, encode_intermediate, rd_sh_counter, DecodedState, StateTable};
@@ -129,6 +129,44 @@ impl ProtocolStats {
     }
 }
 
+/// One thread's per-thread protocol state, resolved once
+/// ([`Protocol::thread_handle`]) so a client's fused per-access kernel
+/// reaches its ownership-table slot and pending-request flag without
+/// indexing by `ThreadId`. Valid as long as it is held (the slots are
+/// `Arc`-shared with the protocol). Like every `ThreadId`-taking hook, a
+/// handle's methods must only be called by the thread it was resolved for.
+pub struct ThreadHandle {
+    /// `None` with the ownership cache disabled: every probe misses.
+    cache: Option<Arc<CacheSlot>>,
+    slot: Arc<ThreadSlot>,
+}
+
+impl ThreadHandle {
+    /// [`Protocol::cache_probe`] for this thread.
+    #[inline(always)]
+    pub fn cache_probe(&self, obj: ObjId, kind: AccessKind) -> bool {
+        match &self.cache {
+            Some(cache) => cache.probe(obj, kind.is_write()),
+            None => false,
+        }
+    }
+
+    /// Whether explicit-protocol requests are pending: the test
+    /// [`Protocol::safe_point`] makes before responding.
+    #[inline(always)]
+    pub fn has_requests(&self) -> bool {
+        self.slot.has_requests()
+    }
+}
+
+impl std::fmt::Debug for ThreadHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ThreadHandle")
+            .field("cache", &self.cache.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
 /// The Octet protocol for one run.
 pub struct Protocol<S> {
     states: StateTable,
@@ -228,6 +266,14 @@ impl<S: TransitionSink> Protocol<S> {
         self.threads.rd_sh_cnt(t)
     }
 
+    /// Resolves `t`'s per-thread state into a handle.
+    pub fn thread_handle(&self, t: ThreadId) -> ThreadHandle {
+        ThreadHandle {
+            cache: self.cache.as_ref().map(|c| Arc::clone(c.slot(t))),
+            slot: Arc::clone(self.threads.slot(t)),
+        }
+    }
+
     /// Marks `t` as running; must be called before `t`'s first barrier.
     pub fn thread_begin(&self, t: ThreadId) {
         self.threads.set_running(t);
@@ -240,8 +286,8 @@ impl<S: TransitionSink> Protocol<S> {
         self.respond_pending(t);
         self.threads.set_blocked(t);
         if let Some(cache) = &self.cache {
-            cache.flush(t);
-            let (hits, flushes) = cache.take_counters(t);
+            cache.slot(t).flush();
+            let (hits, flushes) = cache.slot(t).take_counters();
             self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
             self.stats
                 .cache_flushes
@@ -267,7 +313,7 @@ impl<S: TransitionSink> Protocol<S> {
     pub fn before_block(&self, t: ThreadId) {
         self.respond_pending(t);
         if let Some(cache) = &self.cache {
-            cache.flush(t);
+            cache.slot(t).flush();
         }
         self.threads.set_blocked(t);
     }
@@ -280,7 +326,7 @@ impl<S: TransitionSink> Protocol<S> {
     pub fn after_unblock(&self, t: ThreadId) {
         self.threads.set_running(t);
         if let Some(cache) = &self.cache {
-            cache.flush(t);
+            cache.slot(t).flush();
         }
         self.respond_pending(t);
     }
@@ -299,7 +345,7 @@ impl<S: TransitionSink> Protocol<S> {
             // The flush happens on our own thread before our next probe,
             // so no stale hit can slip in between.
             if let Some(cache) = &self.cache {
-                cache.flush(t);
+                cache.slot(t).flush();
             }
             if requesters.len() > 1 {
                 if let Some(obs) = &self.obs {
@@ -349,7 +395,7 @@ impl<S: TransitionSink> Protocol<S> {
     #[inline]
     pub fn cache_probe(&self, t: ThreadId, obj: ObjId, kind: AccessKind) -> bool {
         match &self.cache {
-            Some(cache) => cache.probe(t, obj, kind.is_write()),
+            Some(cache) => cache.slot(t).probe(obj, kind.is_write()),
             None => false,
         }
     }
@@ -373,7 +419,7 @@ impl<S: TransitionSink> Protocol<S> {
             // paper's key performance property) — not even a statistics
             // update. Warming the inline cache is a core-local store only.
             if let Some(cache) = &self.cache {
-                cache.insert(t, obj, write_ok);
+                cache.slot(t).insert(obj, write_ok);
             }
             return BarrierOutcome::Same;
         }
@@ -422,7 +468,9 @@ impl<S: TransitionSink> Protocol<S> {
                     // retry, or between the head's load and ours): same
                     // contract as the inlined head — no shared writes.
                     if let Some(cache) = &self.cache {
-                        cache.insert(t, obj, matches!(state, OctetState::WrEx(_)));
+                        cache
+                            .slot(t)
+                            .insert(obj, matches!(state, OctetState::WrEx(_)));
                     }
                     return BarrierOutcome::Same;
                 }
@@ -431,7 +479,9 @@ impl<S: TransitionSink> Protocol<S> {
                         self.stats.bump(&self.stats.first_touch);
                         self.observe_transition(|o| &o.octet.first_touch, 0);
                         if let Some(cache) = &self.cache {
-                            cache.insert(t, obj, matches!(new, OctetState::WrEx(_)));
+                            cache
+                                .slot(t)
+                                .insert(obj, matches!(new, OctetState::WrEx(_)));
                         }
                         return BarrierOutcome::FirstTouch;
                     }
@@ -445,7 +495,7 @@ impl<S: TransitionSink> Protocol<S> {
                         self.stats.bump(&self.stats.upgrades);
                         self.observe_transition(|o| &o.octet.upgrades, 1);
                         if let Some(cache) = &self.cache {
-                            cache.insert(t, obj, true);
+                            cache.slot(t).insert(obj, true);
                         }
                         return BarrierOutcome::UpgradedToWrEx;
                     }
@@ -458,7 +508,7 @@ impl<S: TransitionSink> Protocol<S> {
                     // state (a spurious bump on CAS failure just costs the
                     // loser one extra flush).
                     if let Some(cache) = &self.cache {
-                        cache.revoke(prev_owner);
+                        cache.slot(prev_owner).revoke();
                     }
                     // Stamp a fresh counter; if the CAS loses, the counter
                     // value is simply skipped (harmless: counters only need
@@ -473,7 +523,7 @@ impl<S: TransitionSink> Protocol<S> {
                         self.stats.bump(&self.stats.upgrades);
                         self.observe_transition(|o| &o.octet.upgrades, 1);
                         if let Some(cache) = &self.cache {
-                            cache.insert(t, obj, false);
+                            cache.slot(t).insert(obj, false);
                         }
                         return BarrierOutcome::UpgradedToRdSh {
                             prev_owner,
@@ -487,7 +537,7 @@ impl<S: TransitionSink> Protocol<S> {
                     self.stats.bump(&self.stats.fences);
                     self.observe_transition(|o| &o.octet.fences, 2);
                     if let Some(cache) = &self.cache {
-                        cache.insert(t, obj, false);
+                        cache.slot(t).insert(obj, false);
                     }
                     return BarrierOutcome::Fence { counter };
                 }
@@ -510,7 +560,9 @@ impl<S: TransitionSink> Protocol<S> {
                     self.stats.bump(&self.stats.conflicts);
                     self.observe_transition(|o| &o.octet.conflicts, 3);
                     if let Some(cache) = &self.cache {
-                        cache.insert(t, obj, matches!(new, OctetState::WrEx(_)));
+                        cache
+                            .slot(t)
+                            .insert(obj, matches!(new, OctetState::WrEx(_)));
                     }
                     return BarrierOutcome::Conflicting { new, responders: n };
                 }
@@ -547,7 +599,7 @@ impl<S: TransitionSink> Protocol<S> {
         // belt-and-braces on top of the responder's own flush — one RMW on
         // an already-slow coordination path.
         if let Some(cache) = &self.cache {
-            cache.revoke(resp);
+            cache.slot(resp).revoke();
         }
         if self.mode == CoordinationMode::Immediate {
             // Deterministic engine: every other thread is at a safe point.

@@ -36,7 +36,7 @@ pub struct Request {
 }
 
 #[repr(align(128))]
-struct ThreadSlot {
+pub(crate) struct ThreadSlot {
     status: AtomicU32,
     has_requests: AtomicBool,
     mailbox: Mutex<Vec<Request>>,
@@ -55,19 +55,33 @@ impl ThreadSlot {
             rd_sh_cnt: AtomicU32::new(0),
         }
     }
+
+    /// Cheap check whether the thread has pending requests (safe-point
+    /// fast path). Acquire pairs with [`ThreadRegistry::enqueue_request`]'s
+    /// release store after the mailbox push.
+    #[inline]
+    pub(crate) fn has_requests(&self) -> bool {
+        self.has_requests.load(Ordering::Acquire)
+    }
 }
 
-/// Dense per-thread coordination slots.
+/// Dense per-thread coordination slots, `Arc`-shared so a thread can
+/// resolve its own once ([`crate::ThreadHandle`]).
 pub struct ThreadRegistry {
-    slots: Box<[ThreadSlot]>,
+    slots: Box<[Arc<ThreadSlot>]>,
 }
 
 impl ThreadRegistry {
     /// Creates a registry for `n` threads, all initially blocked.
     pub fn new(n: usize) -> Self {
         ThreadRegistry {
-            slots: (0..n).map(|_| ThreadSlot::new()).collect(),
+            slots: (0..n).map(|_| Arc::new(ThreadSlot::new())).collect(),
         }
+    }
+
+    /// Thread `t`'s slot.
+    pub(crate) fn slot(&self, t: ThreadId) -> &Arc<ThreadSlot> {
+        &self.slots[t.index()]
     }
 
     /// Number of threads.
@@ -136,7 +150,7 @@ impl ThreadRegistry {
     /// Cheap check whether `t` has pending requests (safe-point fast path).
     #[inline]
     pub fn has_requests(&self, t: ThreadId) -> bool {
-        self.slots[t.index()].has_requests.load(Ordering::Acquire)
+        self.slots[t.index()].has_requests()
     }
 
     /// Drains `t`'s mailbox, invoking `respond` for each still-pending

@@ -246,8 +246,9 @@ impl SyncTables {
 /// Runs `program` on real OS threads under `checker`.
 ///
 /// Returns aggregate statistics including the wall-clock time of the
-/// parallel phase (heap construction and thread spawning excluded from
-/// `elapsed_nanos`... spawning is included; construction is not).
+/// parallel phase: `elapsed_nanos` covers spawning the threads, running
+/// them and joining them; heap and sync-table construction,
+/// `Checker::run_begin` and `Checker::run_end` are outside it.
 ///
 /// # Panics
 ///

@@ -13,6 +13,7 @@
 
 use crate::ids::{CellId, ObjId, ThreadId};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The shape of a heap object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -152,52 +153,24 @@ impl Heap {
     }
 }
 
-/// Dense per-cell slot numbering for analysis side tables: every object gets
-/// one slot per cell (conflated kinds get one) plus a synchronization slot.
-/// Both Velodrome's metadata and ICD's duplicate-elision tables index with
-/// this layout.
-#[derive(Clone, Debug)]
-pub struct CellLayout {
-    base: Vec<u32>,
-    cells: Vec<u32>,
-    total: u32,
+/// One object's entry in a [`CellLayout`]: its first slot and its cell
+/// count, with the kind's conflation flag packed into the count's top bit so
+/// the elision slot and the flag come from one load.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ObjLayout {
+    base: u32,
+    /// `cells | CONFLATED`; a cell count never exceeds `u16::MAX`.
+    cells: u32,
 }
 
-impl CellLayout {
-    /// Builds the layout for every object in `heap`.
-    pub fn new(heap: &Heap) -> Self {
-        let n = heap.len();
-        let mut base = Vec::with_capacity(n);
-        let mut cells = Vec::with_capacity(n);
-        let mut total = 0u32;
-        for i in 0..n {
-            let obj_cells: u32 = match heap.kind(ObjId::from_index(i)) {
-                ObjKind::Plain { fields } => u32::from(fields).max(1),
-                ObjKind::Array { .. }
-                | ObjKind::Monitor
-                | ObjKind::Barrier { .. }
-                | ObjKind::ThreadObj => 1,
-            };
-            base.push(total);
-            cells.push(obj_cells);
-            total = total
-                .checked_add(obj_cells + 1)
-                .expect("cell layout too large");
-        }
-        CellLayout { base, cells, total }
-    }
+impl ObjLayout {
+    const CONFLATED: u32 = 1 << 31;
 
-    /// Total number of slots.
-    pub fn total(&self) -> u32 {
-        self.total
-    }
-
-    /// Flat slot for `(obj, cell)`; [`crate::ids::SYNC_CELL`] maps to the
-    /// object's sync slot, out-of-range cells conflate to slot 0.
+    /// Flat slot for `cell`; [`crate::ids::SYNC_CELL`] maps to the object's
+    /// sync slot, out-of-range cells conflate to slot 0.
     #[inline]
-    pub fn slot(&self, obj: ObjId, cell: CellId) -> u32 {
-        let i = obj.index();
-        let cells = self.cells[i];
+    pub fn slot(self, cell: CellId) -> u32 {
+        let cells = self.cells & !Self::CONFLATED;
         let offset = if cell == crate::ids::SYNC_CELL {
             cells
         } else if cell < cells {
@@ -205,7 +178,75 @@ impl CellLayout {
         } else {
             0
         };
-        self.base[i] + offset
+        self.base + offset
+    }
+
+    /// [`ObjKind::conflates_cells`] of the object's kind.
+    #[inline]
+    pub fn conflated(self) -> bool {
+        self.cells & Self::CONFLATED != 0
+    }
+}
+
+/// Dense per-cell slot numbering for analysis side tables: every object gets
+/// one slot per cell (conflated kinds get one) plus a synchronization slot.
+/// ICD's duplicate-elision tables index with this layout. Clones share the
+/// entry table.
+#[derive(Clone, Debug, Default)]
+pub struct CellLayout {
+    entries: Arc<[ObjLayout]>,
+    total: u32,
+}
+
+impl CellLayout {
+    /// Builds the layout for every object in `heap`.
+    pub fn new(heap: &Heap) -> Self {
+        let mut total = 0u32;
+        let entries = (0..heap.len())
+            .map(|i| {
+                let kind = heap.kind(ObjId::from_index(i));
+                let cells: u32 = match kind {
+                    ObjKind::Plain { fields } => u32::from(fields).max(1),
+                    ObjKind::Array { .. }
+                    | ObjKind::Monitor
+                    | ObjKind::Barrier { .. }
+                    | ObjKind::ThreadObj => 1,
+                };
+                let base = total;
+                total = total.checked_add(cells + 1).expect("cell layout too large");
+                let flag = if kind.conflates_cells() {
+                    ObjLayout::CONFLATED
+                } else {
+                    0
+                };
+                ObjLayout {
+                    base,
+                    cells: cells | flag,
+                }
+            })
+            .collect();
+        CellLayout { entries, total }
+    }
+
+    /// Total number of slots.
+    pub fn total(&self) -> u32 {
+        self.total
+    }
+
+    /// The entry of `obj`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obj` is out of range.
+    #[inline]
+    pub fn entry(&self, obj: ObjId) -> ObjLayout {
+        self.entries[obj.index()]
+    }
+
+    /// Flat slot for `(obj, cell)`; see [`ObjLayout::slot`].
+    #[inline]
+    pub fn slot(&self, obj: ObjId, cell: CellId) -> u32 {
+        self.entry(obj).slot(cell)
     }
 }
 
@@ -261,6 +302,57 @@ mod tests {
         assert!(ObjKind::Monitor.conflates_cells());
         assert!(ObjKind::Barrier { parties: 2 }.conflates_cells());
         assert!(ObjKind::ThreadObj.conflates_cells());
+    }
+
+    /// The packed one-entry-per-object layout numbers slots exactly as the
+    /// two-vector (`base[]`, `cells[]`) layout it replaced, and its flag is
+    /// the kind's conflation rule.
+    #[test]
+    fn packed_layout_matches_the_two_vector_formula() {
+        use crate::ids::SYNC_CELL;
+        let kinds = [
+            ObjKind::Plain { fields: 0 },
+            ObjKind::Plain { fields: 1 },
+            ObjKind::Plain { fields: 5 },
+            ObjKind::Plain { fields: u16::MAX },
+            ObjKind::Array { len: 7 },
+            ObjKind::Monitor,
+            ObjKind::Barrier { parties: 2 },
+        ];
+        let heap = Heap::new(&kinds, 1); // + one ThreadObj
+        let layout = CellLayout::new(&heap);
+        let (mut base, mut cells) = (Vec::new(), Vec::new());
+        let mut total = 0u32;
+        for i in 0..heap.len() {
+            let n = match heap.kind(ObjId::from_index(i)) {
+                ObjKind::Plain { fields } => u32::from(fields).max(1),
+                _ => 1,
+            };
+            base.push(total);
+            cells.push(n);
+            total += n + 1;
+        }
+        assert_eq!(layout.total(), total);
+        for i in 0..heap.len() {
+            let obj = ObjId::from_index(i);
+            let last = cells[i] - 1;
+            for cell in [0, last, cells[i], cells[i] + 9, SYNC_CELL] {
+                let offset = if cell == SYNC_CELL {
+                    cells[i]
+                } else if cell < cells[i] {
+                    cell
+                } else {
+                    0
+                };
+                assert_eq!(layout.slot(obj, cell), base[i] + offset, "{obj:?} {cell}");
+                assert_eq!(layout.entry(obj).slot(cell), base[i] + offset);
+            }
+            assert_eq!(
+                layout.entry(obj).conflated(),
+                heap.kind(obj).conflates_cells(),
+                "{obj:?}"
+            );
+        }
     }
 
     #[test]

@@ -209,7 +209,9 @@ fn sharded_idg_is_bit_identical_across_the_suite() {
 /// as same-state, so disabling the cache on the same deterministic schedule
 /// — across shards ∈ {1, 2} and both op transports — must reproduce the
 /// violation set, static transaction information, and statistics bit for
-/// bit (modulo the collector's timing-dependent reclaim count).
+/// bit (modulo the collector's timing-dependent reclaim count). Both legs
+/// run the one fused access kernel: cache-off is the leg whose per-thread
+/// Octet handle carries no ownership-table slot, so every probe misses.
 #[test]
 fn barrier_cache_on_and_off_are_bit_identical_across_the_suite() {
     for wl in all(Scale::Tiny) {

@@ -93,6 +93,8 @@ proptest! {
     /// the cache-on run's deduplicated violations, static transaction
     /// info, and statistics bit for bit — a hit may only ever stand in for
     /// a same-state classification the metadata word would have made.
+    /// Cache-off is the null-cache-handle leg of the same access kernel,
+    /// not a second kernel.
     #[test]
     fn barrier_cache_off_matches_cache_on(p in ProgramStrategy, seed in 0u64..1000) {
         use dc_core::{run_doublechecker, DcConfig};
