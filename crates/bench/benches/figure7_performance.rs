@@ -15,9 +15,6 @@
 //! counterpart): single-run with the asynchronous analysis pipeline, where
 //! application threads never take the graph mutex (`graph_locks = 0`) and
 //! SCC detection + PCD replay run on background threads.
-//! `single-run-shards2` splits that pipeline's IDG across two shard owners
-//! partitioned by connected component; the observed records compare the
-//! single owner's busy time against the sharded maximum.
 //! `single-run-aerodrome` races the vector-clock backend (no paper
 //! counterpart): same dependence discovery as Velodrome, but cycle
 //! detection is a constant-time clock comparison per join instead of a
@@ -57,10 +54,6 @@ const CONFIGS: &[Config] = &[
     },
     Config {
         name: "single-run-pipelined",
-        paper: "n/a (this repro)",
-    },
-    Config {
-        name: "single-run-shards2",
         paper: "n/a (this repro)",
     },
     Config {
@@ -122,7 +115,7 @@ fn main() {
         // (observability `full`, excluded from the timing columns): queue
         // high-watermarks and stage tail latencies for the metrics column,
         // full pipeline report to the jsonl record.
-        let (cell, pipeline_json) = pipeline_metrics(wl, &spec, 1);
+        let (cell, pipeline_json) = pipeline_metrics(wl, &spec);
         row.push(cell);
         dc_bench::record_json(
             "figure7.jsonl",
@@ -130,19 +123,6 @@ fn main() {
                 "benchmark": wl.name,
                 "config": "single-run-pipelined-observed",
                 "pipeline": pipeline_json,
-            }),
-        );
-        // The same instrumented run with two shard owners: the jsonl record
-        // carries per-shard busy time and the merge count so the shard-
-        // scaling comparison (EXPERIMENTS.md) can be read off directly.
-        let (_, sharded_json) = pipeline_metrics(wl, &spec, 2);
-        dc_bench::record_json(
-            "figure7.jsonl",
-            &serde_json::json!({
-                "benchmark": wl.name,
-                "config": "single-run-sharded-observed",
-                "shards": 2,
-                "pipeline": sharded_json,
             }),
         );
         // One instrumented AeroDrome run (join timing on, excluded from the
@@ -179,17 +159,12 @@ fn main() {
 /// Runs the pipelined configuration once with full observability and
 /// distils the pipeline report into a table cell (queue high-watermark and
 /// stage p99s) plus the complete JSON record.
-fn pipeline_metrics(
-    wl: &Workload,
-    spec: &AtomicitySpec,
-    shards: u32,
-) -> (String, serde_json::Value) {
+fn pipeline_metrics(wl: &Workload, spec: &AtomicitySpec) -> (String, serde_json::Value) {
     let report = dc_core::run_doublechecker(
         &wl.program,
         spec,
         DcConfig::single_run(CoordinationMode::Threaded)
             .with_pipelined(true)
-            .with_shards(shards)
             .with_observability(dc_core::ObsLevel::Full),
         &ExecPlan::Real,
     )
@@ -319,22 +294,6 @@ fn run_config(
                         n,
                         spec.clone(),
                         DcConfig::single_run(CoordinationMode::Threaded).with_pipelined(true),
-                    )
-                },
-                trials,
-            )
-            .0
-        }
-        "single-run-shards2" => {
-            time_real(
-                &wl.program,
-                || {
-                    DoubleChecker::new(
-                        n,
-                        spec.clone(),
-                        DcConfig::single_run(CoordinationMode::Threaded)
-                            .with_pipelined(true)
-                            .with_shards(2),
                     )
                 },
                 trials,

@@ -12,7 +12,7 @@
 //!   filter: PCD processes every executed transaction at run end.
 
 use crate::report::{DcStats, StaticTxInfo};
-use dc_icd::{Icd, IcdConfig, OpTransport, PipelineError, PipelineMode, SccReport, SccSink};
+use dc_icd::{Icd, IcdConfig, PipelineError, PipelineMode, SccReport, SccSink};
 use dc_obs::{EventKind, ObsLevel, PipelineObs, PipelineReport, Stage, TraceEvent};
 use dc_octet::{BarrierOutcome, CoordinationMode, OctetState, Protocol, TransitionSink};
 use dc_pcd::{replay_scc, ReplayPool, ReplayStats, Violation};
@@ -56,17 +56,8 @@ pub struct DcConfig {
     /// How much the pipeline observability layer records. `Off` compiles to
     /// a single pointer test per instrumentation site; no level changes
     /// checker results. Defaults to the `DC_OBS` environment variable
-    /// (`off`/`counters`/`full`; legacy `DC_TRACE` means `full`), read once.
+    /// (`off`/`counters`/`full`), read once.
     pub observability: ObsLevel,
-    /// Transport carrying graph ops to the owner thread in pipelined mode
-    /// (ignored otherwise). Defaults to the `DC_TRANSPORT` environment
-    /// variable (`ring`/`channel`), read once; `ring` when unset.
-    pub op_transport: OpTransport,
-    /// IDG shards in pipelined mode (ignored otherwise): 1 keeps the single
-    /// graph-owner thread, above 1 partitions the graph by connected
-    /// component across that many shard-owner threads. Defaults to the
-    /// `DC_SHARDS` environment variable, read once; 1 when unset.
-    pub shards: u32,
     /// Octet's per-thread ownership inline cache (hit = no state-word
     /// load). `false` restores the exact uncached barrier — the
     /// differential baseline for `--barrier-cache off`. On by default.
@@ -74,43 +65,23 @@ pub struct DcConfig {
 }
 
 /// The process-wide default observability level: `DC_OBS` if set and valid,
-/// else `full` when the legacy `DC_TRACE` is set, else off. Read once.
+/// else off. Read once.
 fn default_obs_level() -> ObsLevel {
     static LEVEL: OnceLock<ObsLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
-        if let Some(v) = std::env::var_os("DC_OBS") {
-            if let Some(level) = v.to_str().and_then(ObsLevel::parse) {
-                return level;
-            }
-        }
-        if std::env::var_os("DC_TRACE").is_some() {
-            return ObsLevel::Full;
-        }
-        ObsLevel::Off
+        std::env::var_os("DC_OBS")
+            .and_then(|v| v.to_str().and_then(ObsLevel::parse))
+            .unwrap_or(ObsLevel::Off)
     })
 }
 
-/// The process-wide default op transport: `DC_TRANSPORT` if set and valid,
-/// else the ring. Read once.
-fn default_op_transport() -> OpTransport {
-    static TRANSPORT: OnceLock<OpTransport> = OnceLock::new();
-    *TRANSPORT.get_or_init(|| {
-        std::env::var_os("DC_TRANSPORT")
-            .and_then(|v| v.to_str().and_then(OpTransport::parse))
-            .unwrap_or_default()
-    })
-}
-
-/// The process-wide default pipelined shard count: `DC_SHARDS` if set and a
-/// positive integer, else 1. Read once.
-fn default_shards() -> u32 {
-    static SHARDS: OnceLock<u32> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        std::env::var_os("DC_SHARDS")
-            .and_then(|v| v.to_str().and_then(|s| s.parse().ok()))
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
+/// Compatibility stub: the frozen benchmark names the one transport left
+/// (`dc-benchmark/src/subject.rs:131`). Remove with ROADMAP 2(c).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub enum OpTransport {
+    /// The MPSC op ring.
+    Ring,
 }
 
 impl DcConfig {
@@ -127,8 +98,6 @@ impl DcConfig {
             coordination,
             pipelined: false,
             observability: default_obs_level(),
-            op_transport: default_op_transport(),
-            shards: default_shards(),
             barrier_cache: true,
         }
     }
@@ -147,17 +116,21 @@ impl DcConfig {
         self
     }
 
-    /// Returns this configuration with the given pipelined op transport
-    /// (overriding the `DC_TRANSPORT` environment default).
-    pub fn with_op_transport(mut self, transport: OpTransport) -> Self {
-        self.op_transport = transport;
+    /// Compatibility no-op for `dc-benchmark/src/subject.rs:131`. Remove
+    /// with ROADMAP 2(c).
+    #[doc(hidden)]
+    pub fn with_op_transport(self, _transport: OpTransport) -> Self {
         self
     }
 
-    /// Returns this configuration with the given pipelined IDG shard count
-    /// (overriding the `DC_SHARDS` environment default).
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards;
+    /// Compatibility no-op for `dc-benchmark/src/subject.rs:132`: there is
+    /// one graph owner. Remove with ROADMAP 2(c).
+    #[doc(hidden)]
+    pub fn with_shards(self, shards: u32) -> Self {
+        assert_eq!(
+            shards, 1,
+            "the sharded IDG is deleted; this stub goes with ROADMAP 2(c)"
+        );
         self
     }
 
@@ -324,8 +297,6 @@ impl DoubleChecker {
             } else {
                 PipelineMode::Sync
             },
-            transport: config.op_transport,
-            shards: config.shards,
         };
         let static_info = Arc::new(Mutex::new(StaticTxInfo::default()));
         let sccs_to_pcd = Arc::new(AtomicU64::new(0));
@@ -780,6 +751,17 @@ mod tests {
         let c = checker();
         c.run_begin(&heap());
         c.run_begin(&heap());
+    }
+
+    /// The frozen benchmark's `.with_op_transport(Ring).with_shards(1)` is
+    /// accepted; any other shard count names a design that no longer exists.
+    #[test]
+    #[should_panic(expected = "ROADMAP 2(c)")]
+    fn with_shards_accepts_only_the_single_owner() {
+        let config = DcConfig::single_run(CoordinationMode::Immediate)
+            .with_op_transport(OpTransport::Ring)
+            .with_shards(1);
+        config.with_shards(2);
     }
 
     /// Per-thread handles are resolved at `thread_begin`; a hook that runs

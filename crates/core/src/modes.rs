@@ -296,16 +296,15 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_and_sharded_runs_report_no_pipeline_error_when_healthy() {
+    fn sync_and_pipelined_runs_report_no_pipeline_error_when_healthy() {
         let (p, spec) = racy_program(10);
-        for shards in [1u32, 2, 4] {
-            let config = DcConfig::single_run(CoordinationMode::Immediate)
-                .with_pipelined(true)
-                .with_shards(shards);
+        for pipelined in [false, true] {
+            let config =
+                DcConfig::single_run(CoordinationMode::Immediate).with_pipelined(pipelined);
             let report =
                 run_doublechecker(&p, &spec, config, &ExecPlan::Det(Schedule::random(3))).unwrap();
-            assert_eq!(report.pipeline_error, None, "shards={shards}");
-            assert!(!report.violations.is_empty(), "shards={shards}");
+            assert_eq!(report.pipeline_error, None, "pipelined={pipelined}");
+            assert!(!report.violations.is_empty(), "pipelined={pipelined}");
         }
     }
 

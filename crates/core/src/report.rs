@@ -104,12 +104,6 @@ pub fn pipeline_report_to_json(r: &PipelineReport) -> Value {
             "collect_latency": histogram_json(r.graph.collect_latency),
             "enqueue_latency": histogram_json(r.graph.enqueue_latency),
             "apply_latency": histogram_json(r.graph.apply_latency),
-            "shards": gauge_json(r.graph.shards),
-            "shard_merges": r.graph.shard_merges,
-            "shard_queue_depth": r.graph.shard_depth.iter()
-                .map(|&g| gauge_json(g))
-                .collect::<Vec<_>>(),
-            "shard_busy_ns": r.graph.shard_busy.to_vec(),
         }),
         "replay": serde_json::json!({
             "submitted": r.replay.submitted,
@@ -127,7 +121,13 @@ pub fn pipeline_report_to_json(r: &PipelineReport) -> Value {
     })
 }
 
-/// The `--stats-json` document: the [`DcStats`] fields at the top level,
+/// Version of the `--stats-json` document, written as its top-level
+/// `schema_version`. Bump it whenever a key is added, removed, renamed or
+/// retyped; `dc-cli`'s golden key-path test fails until both agree.
+pub const STATS_SCHEMA_VERSION: u64 = 1;
+
+/// The `--stats-json` document: `schema_version`
+/// ([`STATS_SCHEMA_VERSION`]) and the [`DcStats`] fields at the top level,
 /// plus a `pipeline` member (the [`PipelineReport`] schema) when
 /// observability was on and `null` otherwise, plus a `pipeline_error`
 /// member (the drained [`PipelineError`]'s message, `null` on a healthy
@@ -139,6 +139,10 @@ pub fn stats_to_json(
 ) -> Value {
     let mut value = Value::from(stats);
     if let Value::Object(map) = &mut value {
+        map.insert(
+            "schema_version".to_string(),
+            Value::from(STATS_SCHEMA_VERSION),
+        );
         map.insert(
             "pipeline".to_string(),
             match pipeline {

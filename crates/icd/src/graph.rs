@@ -213,16 +213,6 @@ impl Graph {
         Self::default()
     }
 
-    /// Creates an empty graph sharing an existing counter cell. Shard
-    /// graphs all publish into the pipeline's one `GraphCounters`, so
-    /// lock-free readers see a single total regardless of sharding.
-    pub fn with_counters(counters: Arc<GraphCounters>) -> Self {
-        Graph {
-            counters,
-            ..Graph::default()
-        }
-    }
-
     /// The shared counter cell, for lock-free readers.
     pub fn counters(&self) -> Arc<GraphCounters> {
         Arc::clone(&self.counters)
@@ -527,59 +517,6 @@ impl Graph {
         }
     }
 
-    /// Moves every live node of `other` into this graph (a cross-shard
-    /// merge). Node contents — edges, logs, replay constraints — transfer
-    /// verbatim; only slab slot numbers are remapped. Counters are *not*
-    /// touched: shard graphs share one counter cell, so the merged edges
-    /// were already counted when they were added.
-    ///
-    /// The two graphs must be disjoint (no shared `TxId`), which the
-    /// sharding layer guarantees: a transaction is routed to exactly one
-    /// shard at a time.
-    pub fn absorb(&mut self, other: Graph) {
-        let Graph {
-            slab, g_last_rd_sh, ..
-        } = other;
-        // Pass 1: move nodes, recording old-slot → new-slot.
-        let mut remap: Vec<u32> = vec![u32::MAX; slab.len()];
-        let mut moved: Vec<u32> = Vec::new();
-        for (old_slot, node) in slab.into_iter().enumerate() {
-            if !node.id.is_some() {
-                continue;
-            }
-            let new_slot = match self.free.pop() {
-                Some(slot) => {
-                    debug_assert!(!self.slab[slot as usize].id.is_some());
-                    self.slab[slot as usize] = node;
-                    slot
-                }
-                None => {
-                    let slot = u32::try_from(self.slab.len()).expect("slab overflow");
-                    self.slab.push(node);
-                    slot
-                }
-            };
-            let id = self.slab[new_slot as usize].id;
-            let prev = self.index.insert(id, new_slot);
-            debug_assert!(prev.is_none(), "shards shared a transaction id");
-            remap[old_slot] = new_slot;
-            moved.push(new_slot);
-        }
-        // Pass 2: rewrite the moved nodes' out-edge slot references.
-        for &slot in &moved {
-            for d in &mut self.slab[slot as usize].out_dst {
-                *d = remap[*d as usize];
-                debug_assert!(*d != u32::MAX, "edge into a dead slot survived");
-            }
-        }
-        // At most one shard can hold a live `gLastRdSh` (every op touching
-        // it routes through the same union-find key).
-        if g_last_rd_sh.is_some() {
-            debug_assert!(!self.g_last_rd_sh.is_some(), "two shards own gLastRdSh");
-            self.g_last_rd_sh = g_last_rd_sh;
-        }
-    }
-
     /// Drops finished transactions unreachable from the roots via outgoing
     /// edges (the JVM-reachability semantics the paper relies on), pushing
     /// their slots onto the free list. Returns the number collected.
@@ -877,37 +814,6 @@ mod tests {
             g.finish(TxId(1), vec![]),
             Err(FinishError::AlreadyFinished(TxId(1)))
         );
-    }
-
-    #[test]
-    fn absorb_moves_nodes_edges_and_remaps_slots() {
-        // Target graph with a freed slot, so absorb exercises both slot
-        // recycling and slab growth.
-        let mut a = graph_with(2);
-        a.finish(TxId(1), vec![]).unwrap();
-        assert_eq!(a.collect([TxId(2)]), 1);
-        assert_eq!(a.free_slots(), 1);
-        // Source shard: its own slab with a cycle 10 ⇄ 11 plus a stray 12.
-        let mut b = Graph::with_counters(a.counters());
-        for i in [10u64, 11, 12] {
-            b.insert(TxId(i), ThreadId(1), TxKind::Unary, i);
-        }
-        b.add_edge(edge(10, 11));
-        b.add_edge(edge(11, 10));
-        b.finish(TxId(10), vec![]).unwrap();
-        b.finish(TxId(11), vec![]).unwrap();
-        b.g_last_rd_sh = TxId(12);
-        let edges_before = a.cross_edges();
-        a.absorb(b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.free_slots(), 0, "freed slot was recycled");
-        assert_eq!(a.g_last_rd_sh, TxId(12), "gLastRdSh transfers");
-        assert_eq!(a.cross_edges(), edges_before, "absorb never recounts");
-        // The moved cycle is still detectable through remapped slots.
-        let scc = a.scc_from(TxId(11)).expect("cycle survives the move");
-        assert_eq!(scc.len(), 2);
-        let ids: Vec<TxId> = scc.tx_ids().collect();
-        assert!(ids.contains(&TxId(10)) && ids.contains(&TxId(11)));
     }
 
     #[test]

@@ -41,18 +41,15 @@
 //! # Transport
 //!
 //! Batches travel over a fixed-capacity cache-line-aligned MPSC ring
-//! ([`crate::ring::OpRing`]) by default: sends are one `fetch_add` plus one
-//! release store, with spin-then-yield backpressure on a full ring (counted
-//! as `graph.ring_full_waits`). Batch buffers are pooled and round-trip
-//! owner→app, so a steady-state enqueue performs no allocation. The legacy
-//! unbounded channel is kept selectable ([`OpTransport::Channel`]) as the
-//! differential baseline.
+//! ([`crate::ring::OpRing`]): sends are one `fetch_add` plus one release
+//! store, with spin-then-yield backpressure on a full ring (counted as
+//! `graph.ring_full_waits`). Batch buffers are pooled and round-trip
+//! owner→app, so a steady-state enqueue performs no allocation.
 
 use crate::graph::{Graph, SccProbe};
 use crate::icd::{IcdConfig, IcdStats, Registers};
 use crate::ring::OpRing;
 use crate::types::{Edge, EdgeKind, LogEntry, SccReport, TxId, TxKind};
-use crossbeam::channel::{self, Receiver, Sender};
 use dc_obs::{EventKind, PipelineObs, Stage};
 use dc_runtime::ids::ThreadId;
 use parking_lot::Mutex;
@@ -61,7 +58,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Whether IDG maintenance runs on the application threads under a global
-/// lock (`Sync`) or on a dedicated graph-owner thread fed through a channel
+/// lock (`Sync`) or on a dedicated graph-owner thread fed through the op ring
 /// (`Pipelined`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PipelineMode {
@@ -72,30 +69,6 @@ pub enum PipelineMode {
     /// Application threads enqueue operations; SCC detection, collection,
     /// and PCD dispatch run off the application hot path.
     Pipelined,
-}
-
-/// How pipelined-mode operations travel from application threads to the
-/// graph owner.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OpTransport {
-    /// Fixed-capacity cache-line-aligned MPSC ring with pooled batch
-    /// buffers; spin-then-yield backpressure when full.
-    #[default]
-    Ring,
-    /// The previous unbounded channel, kept as the differential baseline
-    /// (`ring-vs-channel` suites) and for A/B measurements.
-    Channel,
-}
-
-impl OpTransport {
-    /// Parses `"ring"` / `"channel"`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "ring" => Some(OpTransport::Ring),
-            "channel" => Some(OpTransport::Channel),
-            _ => None,
-        }
-    }
 }
 
 /// Ring capacity in messages (batches), a power of two. 1024 in-flight
@@ -114,14 +87,13 @@ const BATCH_CAPACITY: usize = 32;
 const POOL_RETAIN: usize = RING_CAPACITY + 128;
 /// Initial reorder-scoreboard span (tickets), a power of two; grows by
 /// doubling if in-flight tickets ever span further.
-pub(crate) const REORDER_CAPACITY: usize = 256;
+const REORDER_CAPACITY: usize = 256;
 
-/// Callback invoked by a graph-owner thread for every detected SCC. `Sync`
-/// because with sharding enabled several shard owners share one sink.
-pub type SccSink = Box<dyn Fn(SccReport) + Send + Sync + 'static>;
+/// Callback invoked by the graph-owner thread for every detected SCC.
+pub type SccSink = Box<dyn Fn(SccReport) + Send + 'static>;
 
-/// A structural failure in the op stream, detected on the graph-owner (or
-/// shard/router) thread. Instead of panicking — which poisons the owner
+/// A structural failure in the op stream, detected on the graph-owner
+/// thread. Instead of panicking — which poisons the owner
 /// thread and aborts the whole multi-run process at join — the pipeline
 /// stops applying, drains, and surfaces the first error through
 /// [`PipelineHandle::shutdown_into`] into the final report.
@@ -208,41 +180,26 @@ pub(crate) enum GraphOp {
     },
     /// A transaction ends with its final read/write log; triggers SCC
     /// detection and (periodically) the collector on the owner.
-    ///
-    /// `thread` is the finishing thread — routing metadata for the sharded
-    /// router (apply ignores it).
-    Finish {
-        id: TxId,
-        thread: ThreadId,
-        log: Vec<LogEntry>,
-    },
+    Finish { id: TxId, log: Vec<LogEntry> },
     /// `handleConflictingTransition`: one cross-thread edge, positions
-    /// snapshotted at creation. The `*_thread` fields are routing metadata:
-    /// the router unions the two threads' components before routing.
+    /// snapshotted at creation.
     Cross {
         src: TxId,
-        src_thread: ThreadId,
         src_pos: u32,
         dst: TxId,
-        dst_thread: ThreadId,
         dst_pos: u32,
     },
     /// `handleUpgradingTransition`: edges from `lastRdEx` and `gLastRdSh`,
-    /// then the `gLastRdSh` update. `thread` is the upgrading thread and
-    /// `last_owner` the thread of `last_rd_ex` — routing metadata.
+    /// then the `gLastRdSh` update.
     Upgrade {
         cur: TxId,
-        thread: ThreadId,
         dst_pos: u32,
         last_rd_ex: TxId,
-        last_owner: ThreadId,
         snap: PosSnapshot,
     },
-    /// `handleFenceTransition`: edge from `gLastRdSh`. `thread` is the
-    /// fencing thread — routing metadata.
+    /// `handleFenceTransition`: edge from `gLastRdSh`.
     Fence {
         cur: TxId,
-        thread: ThreadId,
         dst_pos: u32,
         snap: PosSnapshot,
     },
@@ -252,7 +209,7 @@ pub(crate) enum GraphOp {
 pub(crate) type OpBatch = Vec<(u64, GraphOp)>;
 
 /// Transport protocol between application threads and the graph owner.
-pub(crate) enum Msg {
+enum Msg {
     /// A batch of ticketed operations from one thread's buffer.
     Ops(OpBatch),
     /// Drain marker carrying the final ticket; sent by
@@ -264,7 +221,7 @@ pub(crate) enum Msg {
 /// Shared free list of batch buffers. The owner clears applied batches and
 /// returns them here; application threads refill their pending buffer from
 /// it, so in steady state no batch is ever allocated or freed.
-pub(crate) struct BatchPool {
+struct BatchPool {
     bufs: Mutex<Vec<OpBatch>>,
     obs: Option<Arc<PipelineObs>>,
 }
@@ -290,7 +247,7 @@ impl BatchPool {
 
     /// Clears and returns a buffer to the pool (dropping it when the pool
     /// is already at its retention cap).
-    pub(crate) fn put(&self, mut buf: OpBatch) {
+    fn put(&self, mut buf: OpBatch) {
         buf.clear();
         let mut bufs = self.bufs.lock();
         if bufs.len() < POOL_RETAIN {
@@ -302,62 +259,14 @@ impl BatchPool {
     }
 }
 
-/// Producer half of the selected transport.
-enum TxPort {
-    Ring(Arc<OpRing<Msg>>),
-    Channel(Sender<Msg>),
-}
-
-impl TxPort {
-    /// Sends one message; returns true when the send had to wait for ring
-    /// space (always false on the unbounded channel).
-    fn send(&self, msg: Msg) -> bool {
-        match self {
-            TxPort::Ring(ring) => ring.send(msg),
-            TxPort::Channel(tx) => {
-                let _ = tx.send(msg);
-                false
-            }
-        }
-    }
-
-    /// Unconditionally wakes a parked consumer. The ring's `send` only
-    /// notifies when it observes the consumer's `sleeping` flag, leaving a
-    /// window where a shutdown marker sits unnoticed until the park timeout
-    /// expires; shutdown calls this to make drain latency wake-driven. The
-    /// channel transport's own condvar has no such window.
-    fn wake(&self) {
-        if let TxPort::Ring(ring) = self {
-            ring.wake();
-        }
-    }
-}
-
-/// Consumer half of the selected transport.
-pub(crate) enum RxPort {
-    Ring(Arc<OpRing<Msg>>),
-    Channel(Receiver<Msg>),
-}
-
-impl RxPort {
-    /// Receives the next message; `None` only on the channel transport when
-    /// every sender is gone (legacy disconnect path).
-    pub(crate) fn recv(&self) -> Option<Msg> {
-        match self {
-            RxPort::Ring(ring) => Some(ring.recv()),
-            RxPort::Channel(rx) => rx.recv().ok(),
-        }
-    }
-}
-
-/// What an owner, router, or shard thread returns at join: the drained
-/// graph plus the first structural error it hit.
-pub(crate) type OwnerExit = (Graph, Option<PipelineError>);
+/// What the owner thread returns at join: the drained graph plus the first
+/// structural error it hit.
+type OwnerExit = (Graph, Option<PipelineError>);
 
 /// Application-side handle: the op transport, the batch pool, the ticket
 /// counter, and the owner thread's join handle.
 pub(crate) struct PipelineHandle {
-    port: TxPort,
+    ring: Arc<OpRing<Msg>>,
     pool: Arc<BatchPool>,
     next_ticket: AtomicU64,
     owner: Mutex<Option<JoinHandle<OwnerExit>>>,
@@ -371,8 +280,7 @@ impl std::fmt::Debug for PipelineHandle {
 }
 
 impl PipelineHandle {
-    /// Moves `graph` onto a freshly spawned graph-owner thread (or, with
-    /// `config.shards > 1`, a router thread fanning out to shard owners).
+    /// Moves `graph` onto a freshly spawned graph-owner thread.
     pub(crate) fn spawn(
         graph: Graph,
         regs: Arc<Registers>,
@@ -409,47 +317,24 @@ impl PipelineHandle {
         obs: Option<Arc<PipelineObs>>,
         park_timeout: Option<std::time::Duration>,
     ) -> Self {
-        let (port, rx) = match config.transport {
-            OpTransport::Ring => {
-                let ring = Arc::new(match park_timeout {
-                    Some(t) => OpRing::with_park_timeout(RING_CAPACITY, t),
-                    None => OpRing::with_capacity(RING_CAPACITY),
-                });
-                (TxPort::Ring(Arc::clone(&ring)), RxPort::Ring(ring))
-            }
-            OpTransport::Channel => {
-                let (tx, rx) = channel::unbounded();
-                (TxPort::Channel(tx), RxPort::Channel(rx))
-            }
-        };
+        let ring = Arc::new(match park_timeout {
+            Some(t) => OpRing::with_park_timeout(RING_CAPACITY, t),
+            None => OpRing::with_capacity(RING_CAPACITY),
+        });
         let pool = Arc::new(BatchPool::new(obs.clone()));
-        let shards = (config.shards.max(1) as usize).min(dc_obs::MAX_SHARDS);
-        if let Some(obs) = &obs {
-            obs.graph.shards.set(shards as i64);
-        }
-        let owner_obs = obs.clone();
+        let owner_ring = Arc::clone(&ring);
         let owner_pool = Arc::clone(&pool);
-        let owner = if shards > 1 {
-            let n_threads = regs.threads.len();
-            std::thread::Builder::new()
-                .name("dc-graph-router".into())
-                .spawn(move || {
-                    crate::shard::router_loop(
-                        rx, owner_pool, graph, regs, stats, config, sink, owner_obs, shards,
-                        n_threads,
-                    )
-                })
-                .expect("spawn graph-router thread")
-        } else {
-            std::thread::Builder::new()
-                .name("dc-graph-owner".into())
-                .spawn(move || {
-                    owner_loop(rx, owner_pool, graph, regs, stats, config, sink, owner_obs)
-                })
-                .expect("spawn graph-owner thread")
-        };
+        let owner_obs = obs.clone();
+        let owner = std::thread::Builder::new()
+            .name("dc-graph-owner".into())
+            .spawn(move || {
+                owner_loop(
+                    owner_ring, owner_pool, graph, regs, stats, config, sink, owner_obs,
+                )
+            })
+            .expect("spawn graph-owner thread");
         PipelineHandle {
-            port,
+            ring,
             pool,
             next_ticket: AtomicU64::new(0),
             owner: Mutex::new(Some(owner)),
@@ -511,7 +396,7 @@ impl PipelineHandle {
             obs.trace(Stage::Graph, EventKind::BatchSent, n);
         }
         let t0 = self.obs.as_ref().and_then(|o| o.clock());
-        let waited = self.port.send(Msg::Ops(batch));
+        let waited = self.ring.send(Msg::Ops(batch));
         if let Some(obs) = &self.obs {
             obs.graph.enqueue_latency.record_elapsed(t0);
             if waited {
@@ -527,10 +412,12 @@ impl PipelineHandle {
     pub(crate) fn shutdown_into(&self, slot: &Mutex<Graph>) -> Option<PipelineError> {
         let handle = self.owner.lock().take()?;
         let ticket = self.ticket();
-        self.port.send(Msg::Shutdown(ticket));
-        // An idle owner may be parked past `send`'s conditional notify;
-        // without this, drain latency is clamped to the ring park timeout.
-        self.port.wake();
+        self.ring.send(Msg::Shutdown(ticket));
+        // The ring's `send` only notifies when it observes the consumer's
+        // `sleeping` flag, so an idle owner may be parked past it; without
+        // this unconditional wake, drain latency is clamped to the ring
+        // park timeout.
+        self.ring.wake();
         let (graph, error) = handle.join().expect("graph-owner thread panicked");
         *slot.lock() = graph;
         error
@@ -539,13 +426,13 @@ impl PipelineHandle {
 
 impl Drop for PipelineHandle {
     /// Backstop for handles dropped without [`PipelineHandle::shutdown_into`]:
-    /// the ring transport has no disconnect signal, so the owner thread must
-    /// be told to stop or it would block forever.
+    /// the ring has no disconnect signal, so the owner thread must be told
+    /// to stop or it would block forever.
     fn drop(&mut self) {
         if let Some(handle) = self.owner.get_mut().take() {
             let ticket = self.ticket();
-            self.port.send(Msg::Shutdown(ticket));
-            self.port.wake();
+            self.ring.send(Msg::Shutdown(ticket));
+            self.ring.wake();
             let _ = handle.join();
         }
     }
@@ -555,14 +442,14 @@ impl Drop for PipelineHandle {
 /// adaptive threshold. With collection disabled (`every == 0`) it counts
 /// nothing — the counter used to increment unconditionally and overflow
 /// `u32` on long soak runs (debug builds panicked after 2³² ends).
-pub(crate) struct CollectPacer {
+struct CollectPacer {
     every: u32,
     ends: u32,
     threshold: u32,
 }
 
 impl CollectPacer {
-    pub(crate) fn new(every: u32) -> Self {
+    fn new(every: u32) -> Self {
         CollectPacer {
             every,
             ends: 0,
@@ -572,7 +459,7 @@ impl CollectPacer {
 
     /// Counts one transaction end (saturating: a threshold of `u32::MAX`
     /// must still trigger rather than wrap).
-    pub(crate) fn on_finish(&mut self) {
+    fn on_finish(&mut self) {
         if self.every == 0 {
             return;
         }
@@ -580,14 +467,14 @@ impl CollectPacer {
     }
 
     /// True when enough ends accumulated for a collection pass.
-    pub(crate) fn due(&self) -> bool {
+    fn due(&self) -> bool {
         self.every > 0 && self.ends >= self.threshold
     }
 
     /// Resets after a pass: next threshold is the configured cadence or
     /// half the survivor count, whichever is larger (collecting a mostly
     /// live graph is wasted work).
-    pub(crate) fn after_collect(&mut self, survivors: usize) {
+    fn after_collect(&mut self, survivors: usize) {
         self.ends = 0;
         self.threshold = self
             .every
@@ -601,7 +488,7 @@ impl CollectPacer {
 /// arrival lands beyond the window. Replaces the former `BTreeMap`, whose
 /// per-insert node allocation was the owner loop's last steady-state
 /// allocation.
-pub(crate) struct Reorder {
+struct Reorder {
     slots: Vec<Option<GraphOp>>,
     /// Next ticket to apply (everything below is applied).
     next: u64,
@@ -609,7 +496,7 @@ pub(crate) struct Reorder {
 }
 
 impl Reorder {
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         assert!(capacity.is_power_of_two());
         Reorder {
             slots: (0..capacity).map(|_| None).collect(),
@@ -618,11 +505,11 @@ impl Reorder {
         }
     }
 
-    pub(crate) fn next_ticket(&self) -> u64 {
+    fn next_ticket(&self) -> u64 {
         self.next
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.occupied
     }
 
@@ -630,7 +517,7 @@ impl Reorder {
     /// or one already occupied is a corrupted stream: formerly
     /// `debug_assert!`s, which in release silently leaked the old op and
     /// desynced `occupied` — now checked errors the owner surfaces.
-    pub(crate) fn insert(&mut self, ticket: u64, op: GraphOp) -> Result<(), PipelineError> {
+    fn insert(&mut self, ticket: u64, op: GraphOp) -> Result<(), PipelineError> {
         if ticket < self.next {
             return Err(PipelineError::StaleTicket {
                 ticket,
@@ -651,7 +538,7 @@ impl Reorder {
     }
 
     /// Takes the op at the contiguous frontier, if it has arrived.
-    pub(crate) fn pop_next(&mut self) -> Option<GraphOp> {
+    fn pop_next(&mut self) -> Option<GraphOp> {
         let mask = self.slots.len() as u64 - 1;
         let op = self.slots[(self.next & mask) as usize].take()?;
         self.next += 1;
@@ -660,7 +547,7 @@ impl Reorder {
     }
 
     /// Buffered (received, unapplied) ops, for collector rooting.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &GraphOp> {
+    fn iter(&self) -> impl Iterator<Item = &GraphOp> {
         self.slots.iter().filter_map(|s| s.as_ref())
     }
 
@@ -689,7 +576,7 @@ impl Reorder {
 /// applied; the loop exits at the shutdown marker as usual.
 #[allow(clippy::too_many_arguments)]
 fn owner_loop(
-    rx: RxPort,
+    ring: Arc<OpRing<Msg>>,
     pool: Arc<BatchPool>,
     mut graph: Graph,
     regs: Arc<Registers>,
@@ -697,17 +584,15 @@ fn owner_loop(
     config: IcdConfig,
     sink: Option<SccSink>,
     obs: Option<Arc<PipelineObs>>,
-) -> (Graph, Option<PipelineError>) {
+) -> OwnerExit {
     let mut reorder = Reorder::with_capacity(REORDER_CAPACITY);
     let mut shutdown_at: Option<u64> = None;
     let mut error: Option<PipelineError> = None;
     let mut pacer = CollectPacer::new(config.collect_every);
     // Collector root scratch, retained across passes.
     let mut roots: Vec<TxId> = Vec::new();
-    // `recv` returning `None` (channel transport only: every sender dropped
-    // without a shutdown marker) also ends the loop.
-    'recv: while let Some(msg) = rx.recv() {
-        match msg {
+    'recv: loop {
+        match ring.recv() {
             Msg::Ops(mut batch) => {
                 for (ticket, op) in batch.drain(..) {
                     if error.is_none() {
@@ -739,9 +624,6 @@ fn owner_loop(
             let t0 = obs.as_ref().and_then(|o| o.clock());
             let applied = apply(&mut graph, &config, sink.as_ref(), obs.as_deref(), op);
             if let Some(obs) = &obs {
-                if let Some(t0) = t0 {
-                    obs.graph.shard_busy[0].add(t0.elapsed().as_nanos() as u64);
-                }
                 obs.graph.apply_latency.record_elapsed(t0);
                 obs.graph.ops_applied.inc();
                 obs.graph.queue_depth.dec();
@@ -766,7 +648,7 @@ fn owner_loop(
                 &regs,
                 &stats,
                 &mut pacer,
-                Some(&reorder),
+                &reorder,
                 &mut roots,
                 obs.as_deref(),
             );
@@ -784,7 +666,7 @@ fn owner_loop(
 /// Applies one operation, mirroring the synchronous under-lock code paths.
 /// `Err` means the op stream itself was malformed; the graph is left as it
 /// was before the offending op.
-pub(crate) fn apply(
+fn apply(
     graph: &mut Graph,
     config: &IcdConfig,
     sink: Option<&SccSink>,
@@ -811,7 +693,7 @@ pub(crate) fn apply(
                 });
             }
         }
-        GraphOp::Finish { id, log, .. } => {
+        GraphOp::Finish { id, log } => {
             graph.finish(id, log)?;
             if config.detect_sccs {
                 let t0 = obs.and_then(|o| o.clock());
@@ -839,7 +721,6 @@ pub(crate) fn apply(
             src_pos,
             dst,
             dst_pos,
-            ..
         } => {
             graph.add_edge(Edge {
                 src,
@@ -854,7 +735,6 @@ pub(crate) fn apply(
             dst_pos,
             last_rd_ex,
             snap,
-            ..
         } => {
             if last_rd_ex.is_some() && last_rd_ex != cur {
                 if let Some(src_pos) = resolve_src_pos(graph, &snap, last_rd_ex) {
@@ -881,9 +761,7 @@ pub(crate) fn apply(
             }
             graph.g_last_rd_sh = cur;
         }
-        GraphOp::Fence {
-            cur, dst_pos, snap, ..
-        } => {
+        GraphOp::Fence { cur, dst_pos, snap } => {
             let g = graph.g_last_rd_sh;
             if g.is_some() && g != cur {
                 if let Some(src_pos) = resolve_src_pos(graph, &snap, g) {
@@ -933,12 +811,12 @@ fn resolve_src_pos(graph: &Graph, snap: &PosSnapshot, tx: TxId) -> Option<u32> {
 /// finished, unreachable, and has its full (final) in-edge set applied —
 /// i.e. provably never part of a future cycle — so dropping an edge out of
 /// it loses nothing.
-pub(crate) fn run_collect(
+fn run_collect(
     graph: &mut Graph,
     regs: &Registers,
     stats: &IcdStats,
     pacer: &mut CollectPacer,
-    reorder: Option<&Reorder>,
+    reorder: &Reorder,
     roots: &mut Vec<TxId>,
     obs: Option<&PipelineObs>,
 ) {
@@ -950,10 +828,7 @@ pub(crate) fn run_collect(
         roots.push(TxId(tr.last_rd_ex.load(Ordering::Acquire)));
     }
     roots.push(graph.g_last_rd_sh);
-    // Shard owners pass `None`: they have no scoreboard (the router applies
-    // strict ticket order before routing), and the in-flight safety
-    // argument below covers ops still in their rings.
-    for op in reorder.map(Reorder::iter).into_iter().flatten() {
+    for op in reorder.iter() {
         match *op {
             GraphOp::Insert { id, prev, .. } => {
                 roots.push(id);
@@ -1003,10 +878,8 @@ mod tests {
     fn op() -> GraphOp {
         GraphOp::Cross {
             src: TxId(1),
-            src_thread: ThreadId(0),
             src_pos: 0,
             dst: TxId(2),
-            dst_thread: ThreadId(1),
             dst_pos: 0,
         }
     }
@@ -1158,7 +1031,6 @@ mod tests {
         // to panic (poisoning the join), now it drains and reports.
         h.send_one(GraphOp::Finish {
             id: TxId(42),
-            thread: ThreadId(0),
             log: vec![],
         });
         let slot = Mutex::new(Graph::default());
@@ -1166,34 +1038,6 @@ mod tests {
             h.shutdown_into(&slot),
             Some(PipelineError::MalformedFinish {
                 id: TxId(42),
-                already_finished: false,
-            })
-        );
-    }
-
-    #[test]
-    fn sharded_router_surfaces_shard_errors_at_shutdown() {
-        let h = PipelineHandle::spawn(
-            Graph::default(),
-            test_regs(2),
-            Arc::new(IcdStats::default()),
-            IcdConfig {
-                shards: 2,
-                ..IcdConfig::default()
-            },
-            None,
-            None,
-        );
-        h.send_one(GraphOp::Finish {
-            id: TxId(7),
-            thread: ThreadId(1),
-            log: vec![],
-        });
-        let slot = Mutex::new(Graph::default());
-        assert_eq!(
-            h.shutdown_into(&slot),
-            Some(PipelineError::MalformedFinish {
-                id: TxId(7),
                 already_finished: false,
             })
         );

@@ -7,7 +7,7 @@
 //! apply loop.
 
 use dc_icd::graph::Graph;
-use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, OpTransport, PipelineMode, TxId, TxKind};
+use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, PipelineMode, TxId, TxKind};
 use dc_obs::{ObsLevel, PipelineObs};
 use dc_runtime::ids::{MethodId, ThreadId};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -104,7 +104,6 @@ fn warm_pipelined_enqueue_apply_path_does_not_allocate() {
             logging: false,
             collect_every: 8,
             pipeline: PipelineMode::Pipelined,
-            transport: OpTransport::Ring,
             ..IcdConfig::default()
         },
         None,

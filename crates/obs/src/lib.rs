@@ -70,10 +70,6 @@ impl ObsLevel {
     }
 }
 
-/// Upper bound on IDG shards the metrics arrays are sized for (the pipeline
-/// clamps `--shards` to this).
-pub const MAX_SHARDS: usize = 8;
-
 /// Octet-layer metrics: slow-path state transitions by kind. The uncached
 /// same-state fast path is deliberately uncounted — it must stay
 /// write-free; inline-cache hit/flush tallies accrue thread-locally and
@@ -133,16 +129,6 @@ pub struct GraphMetrics {
     pub enqueue_latency: Histogram,
     /// Graph-owner apply latency per op (ns).
     pub apply_latency: Histogram,
-    /// Live IDG shards (1 = the classic single-owner path).
-    pub shards: Gauge,
-    /// Cross-shard merges performed by the router.
-    pub shard_merges: Counter,
-    /// Ops in flight per shard ring (router sent, shard not yet applied).
-    pub shard_depth: [Gauge; MAX_SHARDS],
-    /// Busy nanoseconds (apply + SCC detection) per shard owner, recorded
-    /// only at [`ObsLevel::Full`]. The single-owner path records into
-    /// index 0 so shard-scaling comparisons read one schema.
-    pub shard_busy: [Counter; MAX_SHARDS],
 }
 
 /// PCD replay metrics (pool workers in pipelined mode, inline replay in
@@ -277,10 +263,6 @@ impl PipelineObs {
                 collect_latency: self.graph.collect_latency.summary(),
                 enqueue_latency: self.graph.enqueue_latency.summary(),
                 apply_latency: self.graph.apply_latency.summary(),
-                shards: self.graph.shards.summary(),
-                shard_merges: self.graph.shard_merges.get(),
-                shard_depth: std::array::from_fn(|i| self.graph.shard_depth[i].summary()),
-                shard_busy: std::array::from_fn(|i| self.graph.shard_busy[i].get()),
             },
             replay: ReplayReport {
                 submitted: self.replay.submitted.get(),
@@ -349,14 +331,6 @@ pub struct GraphReport {
     pub enqueue_latency: HistogramSummary,
     /// Graph-owner apply latency.
     pub apply_latency: HistogramSummary,
-    /// Live IDG shards.
-    pub shards: GaugeSummary,
-    /// Cross-shard merges.
-    pub shard_merges: u64,
-    /// Per-shard in-flight ops.
-    pub shard_depth: [GaugeSummary; MAX_SHARDS],
-    /// Per-shard busy nanoseconds (apply + SCC detection).
-    pub shard_busy: [u64; MAX_SHARDS],
 }
 
 /// Replay section of a [`PipelineReport`].

@@ -66,9 +66,6 @@ pub enum EventKind {
     /// The checker's run ended and the pipeline fully drained
     /// (value = drain nanoseconds).
     RunEnd = 7,
-    /// The router merged one IDG shard into another
-    /// (value = `source_shard << 8 | target_shard`).
-    ShardMerge = 8,
 }
 
 impl EventKind {
@@ -83,7 +80,6 @@ impl EventKind {
             EventKind::ReplayDone => "replay_done",
             EventKind::RunBegin => "run_begin",
             EventKind::RunEnd => "run_end",
-            EventKind::ShardMerge => "shard_merge",
         }
     }
 
@@ -96,7 +92,6 @@ impl EventKind {
             4 => EventKind::ReplaySubmit,
             5 => EventKind::ReplayDone,
             6 => EventKind::RunBegin,
-            8 => EventKind::ShardMerge,
             _ => EventKind::RunEnd,
         }
     }

@@ -64,8 +64,8 @@ proptest! {
     }
 
     /// The asynchronous pipeline is a pure performance change: same
-    /// deduplicated violations and static transaction info as the
-    /// synchronous path on any generated program and schedule.
+    /// deduplicated violations, static transaction info and statistics as
+    /// the synchronous reference on any generated program and schedule.
     #[test]
     fn pipelined_matches_synchronous(p in ProgramStrategy, seed in 0u64..1000) {
         use dc_core::{run_doublechecker, DcConfig};
@@ -79,13 +79,11 @@ proptest! {
             &plan,
         )
         .expect("pipelined run");
-        prop_assert_eq!(
-            common::violation_keys(&sync),
-            common::violation_keys(&piped),
-            "violation sets diverge"
+        common::assert_pipelined_matches_sync(
+            &format!("generated program (seed {seed})"),
+            &sync,
+            &piped,
         );
-        prop_assert_eq!(sync.static_info, piped.static_info, "static info diverges");
-        prop_assert_eq!(piped.stats.graph_locks, 0u64, "app threads locked the graph");
     }
 
     /// The Octet ownership inline cache is a pure performance change: on
@@ -118,35 +116,6 @@ proptest! {
         prop_assert_eq!(&on.violations, &off.violations, "violations diverge");
         prop_assert_eq!(&on.static_info, &off.static_info, "static info diverges");
         prop_assert_eq!(on.stats, off.stats, "stats diverge");
-    }
-
-    /// Sharding the pipelined IDG by connected component is a pure
-    /// performance change: on any generated program and schedule, the
-    /// sharded configuration produces the same deduplicated violations,
-    /// static transaction info, and statistics (modulo the per-shard
-    /// collector's reclaim timing) as the single-owner pipeline.
-    #[test]
-    fn sharded_matches_single_owner(p in ProgramStrategy, seed in 0u64..1000) {
-        use dc_core::{run_doublechecker, DcConfig};
-        let (program, spec) = p.build();
-        let plan = ExecPlan::Det(Schedule::random(seed));
-        let base = DcConfig::single_run(plan.coordination()).with_pipelined(true);
-        let single = run_doublechecker(&program, &spec, base.clone().with_shards(1), &plan)
-            .expect("single-owner run");
-        let sharded = run_doublechecker(&program, &spec, base.with_shards(4), &plan)
-            .expect("sharded run");
-        prop_assert_eq!(
-            common::violation_keys(&single),
-            common::violation_keys(&sharded),
-            "violation sets diverge"
-        );
-        prop_assert_eq!(single.static_info, sharded.static_info, "static info diverges");
-        prop_assert_eq!(
-            common::scrub_collected(single.stats),
-            common::scrub_collected(sharded.stats),
-            "stats diverge"
-        );
-        prop_assert_eq!(sharded.pipeline_error, None, "healthy run reported an error");
     }
 
     /// Full observability is invisible to the analysis: on any generated
