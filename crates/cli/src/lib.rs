@@ -779,9 +779,10 @@ mod tests {
     #[test]
     fn check_pipelined_reports_zero_graph_locks() {
         let out = run(&argv("check --workload tsp --seed 3 --pipelined on")).unwrap();
-        assert!(out.contains("0 app-thread graph locks"), "{out}");
+        assert!(out.contains(", 0 app-thread graph locks"), "{out}");
         let sync = run(&argv("check --workload tsp --seed 3 --pipelined off")).unwrap();
-        assert!(!sync.contains("0 app-thread graph locks"), "{sync}");
+        // With the separator: a sync count may itself end in 0.
+        assert!(!sync.contains(", 0 app-thread graph locks"), "{sync}");
         assert!(matches!(
             run(&argv("check --workload tsp --pipelined maybe")),
             Err(CliError::Usage(_))

@@ -274,7 +274,7 @@ mod tests {
                     thread: ThreadId(i as u16),
                     kind,
                     seq: 1,
-                    log: Arc::new(vec![]),
+                    log: Arc::default(),
                 })
                 .collect(),
             edges: vec![],

@@ -21,8 +21,9 @@
 //! Nodes live in a slab (`Vec<TxNode>`) addressed by a dense `u32` slot
 //! index; a free list, refilled by [`Graph::collect`], recycles slots. Each
 //! out-edge stores its destination's slot alongside the [`Edge`], so Tarjan
-//! and the collector's mark phase never hash — the `TxId → slot` map is
-//! consulted only at the graph's boundary (insert/finish/edge creation).
+//! and the collector's mark phase never hash — the `TxId → slot` map (on
+//! the multiplicative [`IdHasher`](crate::types::IdHasher)) is consulted
+//! only at the graph's boundary (insert/finish/edge creation).
 //! Slot indices held by live edges never dangle: the collector retains
 //! exactly the forward closure of the roots, so every out-edge of a
 //! surviving node targets a surviving node, and a freed slot has no live
@@ -36,11 +37,12 @@
 //! state (slab not growing) [`Graph::scc_from`] and the collector's mark
 //! phase therefore perform no heap allocation.
 
+use crate::icd::{debug_collect, IcdStats, Registers};
 use crate::types::{
-    Edge, EdgeKind, LogEntry, ReplayConstraint, SccReport, TxId, TxKind, TxSnapshot,
+    Edge, EdgeKind, IdMap, LogEntry, ReplayConstraint, SccReport, TxId, TxKind, TxSnapshot,
 };
+use dc_obs::{EventKind, PipelineObs, Stage};
 use dc_runtime::ids::ThreadId;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -78,8 +80,9 @@ pub struct TxNode {
     /// Incoming cross-thread edges, self-contained for replay constraints
     /// (the source may be collected later).
     pub in_cross: Vec<ReplayConstraint>,
-    /// Final read/write log (set when the transaction finishes).
-    pub log: Arc<Vec<LogEntry>>,
+    /// Final read/write log (set when the transaction finishes), at its
+    /// exact size.
+    pub log: Arc<[LogEntry]>,
     /// Final log length (valid once finished).
     pub final_len: u32,
     /// Incoming edges added while the node has been live (intra + cross).
@@ -197,12 +200,12 @@ pub struct Graph {
     /// Slots holding no live transaction, refilled by [`Graph::collect`].
     free: Vec<u32>,
     /// Boundary map from transaction id to slab slot.
-    index: HashMap<TxId, u32>,
+    index: IdMap<TxId, u32>,
     /// Last transaction (across all threads) to move an object to RdSh.
     pub g_last_rd_sh: TxId,
     counters: Arc<GraphCounters>,
     /// Shared empty log, cloned into fresh/freed slots without allocating.
-    empty_log: Arc<Vec<LogEntry>>,
+    empty_log: Arc<[LogEntry]>,
     tarjan: TarjanScratch,
     mark: MarkScratch,
 }
@@ -326,10 +329,44 @@ impl Graph {
         }
     }
 
+    /// Inserts `id` as `thread`'s next transaction: the node plus the
+    /// program-order edge from the thread's previous transaction `prev`
+    /// (finished by then; [`TxId::NONE`] for a thread's first).
+    pub(crate) fn insert_after(
+        &mut self,
+        id: TxId,
+        thread: ThreadId,
+        kind: TxKind,
+        seq: u64,
+        prev: TxId,
+    ) {
+        self.insert(id, thread, kind, seq);
+        if prev.is_some() {
+            let src_pos = self.node(prev).map_or(0, |n| n.final_len);
+            self.add_edge(Edge {
+                src: prev,
+                src_pos,
+                dst: id,
+                dst_pos: 0,
+                kind: EdgeKind::Intra,
+            });
+        }
+    }
+
     /// Marks `id` finished and stores its final log. A finish naming an
     /// unknown or already-finished transaction is a malformed op stream,
     /// reported as a checked error rather than a panic.
     pub fn finish(&mut self, id: TxId, log: Vec<LogEntry>) -> Result<(), FinishError> {
+        self.finish_shared(id, (!log.is_empty()).then(|| log.into()))
+    }
+
+    /// [`Graph::finish`] with the log already in its retained form (`None`
+    /// for an empty one), so the copy is made before the graph is locked.
+    pub(crate) fn finish_shared(
+        &mut self,
+        id: TxId,
+        log: Option<Arc<[LogEntry]>>,
+    ) -> Result<(), FinishError> {
         let Some(&slot) = self.index.get(&id) else {
             return Err(FinishError::UnknownTx(id));
         };
@@ -338,16 +375,46 @@ impl Graph {
             return Err(FinishError::AlreadyFinished(id));
         }
         node.finished = true;
-        node.final_len = u32::try_from(log.len()).expect("log too long");
-        // Share the one empty log instead of allocating an `Arc` per finish:
-        // with logging off (first run of multi-run mode) every finish takes
-        // this path, keeping the pipelined apply path allocation-free.
-        node.log = if log.is_empty() {
-            Arc::clone(&self.empty_log)
-        } else {
-            Arc::new(log)
-        };
+        // Empty logs share the one empty slice instead of allocating an
+        // `Arc` per finish: with logging off (first run of multi-run mode)
+        // every finish takes this path.
+        node.log = log.unwrap_or_else(|| Arc::clone(&self.empty_log));
+        node.final_len = u32::try_from(node.log.len()).expect("log too long");
         Ok(())
+    }
+
+    /// [`Graph::finish_shared`] followed, when `detect_sccs`, by the cycle
+    /// probe from the finished transaction (§3.2.3), with the probe's
+    /// observability accounting: what a transaction end does to the graph,
+    /// in either executor.
+    pub(crate) fn finish_and_probe(
+        &mut self,
+        id: TxId,
+        log: Option<Arc<[LogEntry]>>,
+        detect_sccs: bool,
+        obs: Option<&PipelineObs>,
+    ) -> Result<Option<SccReport>, FinishError> {
+        self.finish_shared(id, log)?;
+        if !detect_sccs {
+            return Ok(None);
+        }
+        let t0 = obs.and_then(|o| o.clock());
+        let probe = self.scc_probe(id);
+        if let Some(obs) = obs {
+            obs.graph.scc_latency.record_elapsed(t0);
+            match &probe {
+                SccProbe::Skipped => obs.graph.sccs_skipped_trivial.inc(),
+                SccProbe::NoCycle => {}
+                SccProbe::Cycle(r) => {
+                    obs.graph.sccs_detected.inc();
+                    obs.trace(Stage::Graph, EventKind::SccDetected, r.len() as u64);
+                }
+            }
+        }
+        Ok(match probe {
+            SccProbe::Cycle(report) => Some(report),
+            SccProbe::Skipped | SccProbe::NoCycle => None,
+        })
     }
 
     /// Computes the maximal SCC containing `root`, exploring finished
@@ -570,6 +637,97 @@ impl Graph {
         }
         self.mark = m;
         collected
+    }
+}
+
+/// The transaction collector's pacing and its register-rooted pass — one
+/// implementation for both executors: the synchronous one runs it inside
+/// the transaction boundary's critical section, the pipeline's graph owner
+/// between contiguous op runs.
+///
+/// Pacing counts transaction ends toward an adaptive threshold. With
+/// collection disabled (`every == 0`) it counts nothing — an unconditional
+/// count overflows `u32` on long soak runs (debug builds panicked after 2³²
+/// ends).
+#[derive(Debug)]
+pub(crate) struct Collector {
+    every: u32,
+    ends: u32,
+    threshold: u32,
+    /// Root scratch, retained across passes.
+    roots: Vec<TxId>,
+}
+
+impl Collector {
+    pub(crate) fn new(every: u32) -> Self {
+        Collector {
+            every,
+            ends: 0,
+            threshold: every.max(1),
+            roots: Vec::new(),
+        }
+    }
+
+    /// Counts one transaction end (saturating: a threshold of `u32::MAX`
+    /// must still trigger rather than wrap).
+    pub(crate) fn on_finish(&mut self) {
+        if self.every > 0 {
+            self.ends = self.ends.saturating_add(1);
+        }
+    }
+
+    /// True when enough ends accumulated for a collection pass.
+    pub(crate) fn due(&self) -> bool {
+        self.every > 0 && self.ends >= self.threshold
+    }
+
+    /// Resets after a pass: next threshold is the configured cadence or
+    /// half the survivor count, whichever is larger (collecting a mostly
+    /// live graph is wasted work), so scan cost stays amortized-linear even
+    /// when nothing is collectable.
+    fn after_collect(&mut self, survivors: usize) {
+        self.ends = 0;
+        self.threshold = self
+            .every
+            .max(u32::try_from(survivors / 2).unwrap_or(u32::MAX));
+    }
+
+    /// One pass: roots are every thread's `currTX` and `lastRdEx`, the
+    /// graph's `gLastRdSh`, and `extra_roots` (the pipeline's received but
+    /// unapplied ops); [`Graph::collect`] adds the unfinished transactions.
+    pub(crate) fn collect(
+        &mut self,
+        graph: &mut Graph,
+        regs: &Registers,
+        extra_roots: impl IntoIterator<Item = TxId>,
+        stats: &IcdStats,
+        obs: Option<&PipelineObs>,
+    ) {
+        let t_dbg = debug_collect().then(std::time::Instant::now);
+        let t_obs = obs.and_then(|o| o.clock());
+        self.roots.clear();
+        for tr in regs.threads.iter() {
+            self.roots.push(TxId(tr.current_tx.load(Ordering::Acquire)));
+            self.roots.push(TxId(tr.last_rd_ex.load(Ordering::Acquire)));
+        }
+        self.roots.push(graph.g_last_rd_sh);
+        self.roots.extend(extra_roots);
+        let live = graph.len();
+        let collected = graph.collect(self.roots.iter().copied());
+        self.after_collect(graph.len());
+        if let Some(t0) = t_dbg {
+            eprintln!(
+                "[collector] live {live} collected {collected} in {:?}",
+                t0.elapsed()
+            );
+        }
+        stats
+            .collected_txs
+            .fetch_add(collected as u64, Ordering::Relaxed);
+        if let Some(obs) = obs {
+            obs.graph.collect_latency.record_elapsed(t_obs);
+            obs.trace(Stage::Graph, EventKind::CollectRun, collected as u64);
+        }
     }
 }
 
@@ -833,5 +991,45 @@ mod tests {
         // Mark epoch: wrap→1 (first snapshot), 2 (second snapshot), 3
         // (collect pass).
         assert_eq!(g.mark.epoch, 3, "mark epoch advanced past the wrap");
+    }
+
+    #[test]
+    fn pacer_with_collection_disabled_never_counts_or_wraps() {
+        let mut p = Collector::new(0);
+        // Regression for an unconditional `ends += 1`: force the counter to
+        // the wrap boundary and drive more ends through it.
+        p.ends = u32::MAX - 1;
+        for _ in 0..8 {
+            p.on_finish(); // old code: debug overflow panic on the 2nd call
+            assert!(!p.due());
+        }
+        assert_eq!(p.ends, u32::MAX - 1, "disabled pacer must not count");
+    }
+
+    #[test]
+    fn pacer_saturates_at_a_maximal_threshold_instead_of_wrapping() {
+        let mut p = Collector::new(1);
+        p.threshold = u32::MAX;
+        p.ends = u32::MAX - 1;
+        assert!(!p.due());
+        p.on_finish();
+        assert!(p.due());
+        p.on_finish(); // would wrap (and panic in debug) without saturation
+        assert_eq!(p.ends, u32::MAX);
+        assert!(p.due());
+    }
+
+    #[test]
+    fn pacer_threshold_adapts_to_survivors() {
+        let mut p = Collector::new(4);
+        for _ in 0..4 {
+            p.on_finish();
+        }
+        assert!(p.due());
+        p.after_collect(100);
+        assert_eq!(p.threshold, 50);
+        assert!(!p.due());
+        p.after_collect(0);
+        assert_eq!(p.threshold, 4);
     }
 }

@@ -15,18 +15,19 @@
 //!
 //! Graph maintenance has two modes ([`PipelineMode`]): in `Sync` mode
 //! application threads mutate the IDG under a global mutex (rare relative to
-//! accesses — Table 3: edges ≪ accesses — which is what makes ICD cheap);
-//! in `Pipelined` mode they only enqueue ticketed operations and a dedicated
-//! graph-owner thread (see [`crate::pipeline`]) applies them, so SCC
-//! detection and the collector leave the application hot path entirely. The
-//! [`IcdStats::graph_locks`] counter proves the difference: it counts every
-//! hot-path graph-mutex acquisition by an application thread and stays at
-//! zero in pipelined mode.
+//! accesses — Table 3: edges ≪ accesses — which is what makes ICD cheap),
+//! one critical section per transaction boundary and one per edge
+//! procedure; in `Pipelined` mode they only enqueue ticketed operations and
+//! a dedicated graph-owner thread (see [`crate::pipeline`]) applies them, so
+//! SCC detection and the collector leave the application hot path entirely.
+//! The [`IcdStats::graph_locks`] counter proves the difference: it counts
+//! every hot-path graph-mutex acquisition by an application thread and stays
+//! at zero in pipelined mode.
 
-use crate::graph::{Graph, GraphCounters, SccProbe};
+use crate::graph::{Collector, Graph, GraphCounters};
 use crate::pipeline::{GraphOp, PipelineError, PipelineHandle, PipelineMode, PosSnapshot, SccSink};
 use crate::types::{Edge, EdgeKind, LogEntry, SccReport, TxId, TxKind};
-use dc_obs::{EventKind, PipelineObs, Stage};
+use dc_obs::PipelineObs;
 use dc_runtime::heap::CellLayout;
 use dc_runtime::ids::{CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
 use parking_lot::{Mutex, MutexGuard};
@@ -64,12 +65,15 @@ impl Default for IcdConfig {
     }
 }
 
-/// Aggregated run statistics (Table 3 columns).
+/// Aggregated run statistics (Table 3 columns). The per-thread tallies —
+/// transactions, accesses, log entries — are kept thread-locally and fold in
+/// at [`Icd::thread_end`]; the rest is written under the graph lock or by
+/// the graph owner.
 #[derive(Debug, Default)]
 pub struct IcdStats {
-    /// Regular (non-unary) transactions started.
+    /// Regular (non-unary) transactions started (folded at thread end).
     pub regular_txs: AtomicU64,
-    /// Unary (merged) transactions started.
+    /// Unary (merged) transactions started (folded at thread end).
     pub unary_txs: AtomicU64,
     /// Instrumented accesses inside regular transactions.
     pub regular_accesses: AtomicU64,
@@ -80,8 +84,9 @@ pub struct IcdStats {
     pub log_entries: AtomicU64,
     /// Transactions reclaimed by the collector.
     pub collected_txs: AtomicU64,
-    /// Hot-path graph-mutex acquisitions by application threads (transaction
-    /// lifecycle, edge procedures, the collector). Zero in
+    /// Hot-path graph-mutex acquisitions by application threads, each one
+    /// counted while it is held: one per transaction boundary (the
+    /// collector runs inside it) and one per edge procedure. Zero in
     /// [`PipelineMode::Pipelined`] — the pipeline's acceptance counter.
     pub graph_locks: AtomicU64,
 }
@@ -155,6 +160,9 @@ struct Local {
     regular_accesses: u64,
     unary_accesses: u64,
     log_entries: u64,
+    /// Transactions started, by kind.
+    regular_txs: u64,
+    unary_txs: u64,
 }
 
 impl Local {
@@ -173,6 +181,28 @@ impl Local {
             self.elision.insert((obj, cell), (epoch, is_write));
         }
         covered
+    }
+
+    /// The thread-local half of opening a transaction of `kind`: sequence
+    /// number, access tallies, a fresh elision epoch.
+    fn open(&mut self, kind: TxKind) {
+        self.seq += 1;
+        self.fold_accesses();
+        self.kind = kind;
+        self.bump_epoch();
+        match kind {
+            TxKind::Regular(_) => self.regular_txs += 1,
+            TxKind::Unary => self.unary_txs += 1,
+        }
+        debug_assert!(self.log.is_empty(), "log must be drained at tx end");
+    }
+
+    /// Makes `id` the thread's current transaction, starting from the edge
+    /// events seen so far and an empty published log.
+    fn publish(&mut self, id: TxId) {
+        self.seen_edge_events = self.regs.edge_events.load(Ordering::Acquire);
+        self.regs.log_len.store(0, Ordering::Release);
+        self.regs.current_tx.store(id.0, Ordering::Release);
     }
 
     /// Folds the current transaction's access count into its kind's total.
@@ -231,6 +261,8 @@ impl Slot {
                 regular_accesses: 0,
                 unary_accesses: 0,
                 log_entries: 0,
+                regular_txs: 0,
+                unary_txs: 0,
             }),
         }
     }
@@ -336,23 +368,29 @@ impl std::fmt::Debug for ThreadHandle {
     }
 }
 
+/// What the graph mutex guards in `Sync` mode: the IDG and the collector
+/// that paces itself on its transaction ends.
+#[derive(Debug)]
+struct Owned {
+    graph: Graph,
+    collector: Collector,
+}
+
 /// The imprecise-cycle-detection analysis.
 pub struct Icd {
     slots: Box<[Arc<Slot>]>,
     regs: Arc<Registers>,
     layout: OnceLock<CellLayout>,
-    /// The IDG in `Sync` mode. In `Pipelined` mode this holds a placeholder
-    /// until [`Icd::drain_pipeline`] moves the real graph back in.
-    graph: Mutex<Graph>,
+    /// The IDG and its collector in `Sync` mode. In `Pipelined` mode this
+    /// holds a placeholder until [`Icd::drain_pipeline`] moves the real
+    /// graph back in.
+    graph: Mutex<Owned>,
     /// Lock-free Table-3 counters shared with the graph (wherever it lives).
     counters: Arc<GraphCounters>,
     pipeline: Option<PipelineHandle>,
+    /// Next transaction id. `Sync` mode draws from it inside the boundary's
+    /// critical section, so the line stays with the lock holder.
     next_tx: AtomicU64,
-    ends_since_collect: AtomicU32,
-    /// Adaptive collection threshold: at least `config.collect_every`, and
-    /// at least half the live-graph size after the last collection, so scan
-    /// cost stays amortized-linear even when nothing is collectable.
-    collect_threshold: AtomicU32,
     config: IcdConfig,
     stats: Arc<IcdStats>,
     obs: Option<Arc<PipelineObs>>,
@@ -430,26 +468,27 @@ impl Icd {
                 .collect(),
             regs,
             layout: OnceLock::new(),
-            graph: Mutex::new(graph),
+            graph: Mutex::new(Owned {
+                graph,
+                collector: Collector::new(config.collect_every),
+            }),
             counters,
             pipeline,
             next_tx: AtomicU64::new(1),
-            ends_since_collect: AtomicU32::new(0),
-            collect_threshold: AtomicU32::new(config.collect_every.max(1)),
             config,
             stats,
             obs,
         }
     }
 
-    /// Counts one graph op that the synchronous path creates and applies at
-    /// the same program point, keeping `ops_enqueued == ops_applied`
+    /// Counts `n` graph ops that the synchronous path creates and applies
+    /// at the same program point, keeping `ops_enqueued == ops_applied`
     /// invariant across both pipeline modes.
     #[inline]
-    fn observe_sync_op(&self) {
+    fn observe_sync_ops(&self, n: u64) {
         if let Some(obs) = &self.obs {
-            obs.graph.ops_enqueued.inc();
-            obs.graph.ops_applied.inc();
+            obs.graph.ops_enqueued.add(n);
+            obs.graph.ops_applied.add(n);
         }
     }
 
@@ -506,11 +545,9 @@ impl Icd {
     /// application thread has finished its last hook (joined). Returns the
     /// first structural op-stream error the owner hit, if any.
     pub fn drain_pipeline(&self) -> Option<PipelineError> {
-        if let Some(p) = &self.pipeline {
-            p.shutdown_into(&self.graph)
-        } else {
-            None
-        }
+        let (graph, error) = self.pipeline.as_ref()?.shutdown()?;
+        self.graph.lock().graph = graph;
+        error
     }
 
     /// Snapshot of every finished transaction with its log and the edges
@@ -518,29 +555,16 @@ impl Icd {
     /// have ended (and, in pipelined mode, after [`Icd::drain_pipeline`]);
     /// requires `collect_every == 0` so nothing was reclaimed.
     pub fn snapshot_all_finished(&self) -> SccReport {
-        self.graph.lock().snapshot_all_finished()
+        self.graph.lock().graph.snapshot_all_finished()
     }
 
     /// Acquires the graph mutex on an application-thread hot path, counting
-    /// the acquisition (the pipelined configuration exists to keep this at
-    /// zero).
-    fn lock_graph(&self) -> MutexGuard<'_, Graph> {
+    /// the acquisition once it is held (the pipelined configuration exists
+    /// to keep this at zero).
+    fn lock_graph(&self) -> MutexGuard<'_, Owned> {
+        let guard = self.graph.lock();
         self.stats.graph_locks.fetch_add(1, Ordering::Relaxed);
-        self.graph.lock()
-    }
-
-    /// Flushes the thread's buffered graph ops to the owner (pipelined
-    /// mode). Every public hook that can create ops calls this before
-    /// returning, so tickets never linger in a private buffer.
-    #[inline]
-    fn flush(&self, local: &mut Local) {
-        if let Some(p) = &self.pipeline {
-            if !local.pending.is_empty() {
-                // Swaps in a pooled buffer (capacity intact), so steady-state
-                // flushes never reallocate the pending batch.
-                p.send_batch(&mut local.pending);
-            }
-        }
+        guard
     }
 
     /// Per-thread `(currTX, published log length)` snapshot for rare ops
@@ -564,8 +588,7 @@ impl Icd {
     pub fn thread_begin(&self, t: ThreadId) -> Option<SccReport> {
         // SAFETY: called on thread t.
         let local = unsafe { self.slots[t.index()].local() };
-        let report = self.begin_tx(t, local, TxKind::Unary);
-        self.flush(local);
+        let report = self.boundary(t, local, Some(TxKind::Unary));
         // Bind the attached layout and allocate the flat elision table off
         // the record_access hot loop: in the checker flow the layout is
         // attached before any thread begins, and this runs on the owner
@@ -585,193 +608,111 @@ impl Icd {
     pub fn thread_end(&self, t: ThreadId) -> Option<SccReport> {
         // SAFETY: called on thread t.
         let local = unsafe { self.slots[t.index()].local() };
-        let report = self.end_current_tx(t, local);
-        self.flush(local);
+        let report = self.boundary(t, local, None);
         local.fold_accesses();
-        self.stats
-            .regular_accesses
-            .fetch_add(local.regular_accesses, Ordering::Relaxed);
-        self.stats
-            .unary_accesses
-            .fetch_add(local.unary_accesses, Ordering::Relaxed);
-        self.stats
-            .log_entries
-            .fetch_add(local.log_entries, Ordering::Relaxed);
-        local.regular_accesses = 0;
-        local.unary_accesses = 0;
-        local.log_entries = 0;
+        for (total, tally) in [
+            (&self.stats.regular_txs, &mut local.regular_txs),
+            (&self.stats.unary_txs, &mut local.unary_txs),
+            (&self.stats.regular_accesses, &mut local.regular_accesses),
+            (&self.stats.unary_accesses, &mut local.unary_accesses),
+            (&self.stats.log_entries, &mut local.log_entries),
+        ] {
+            total.fetch_add(std::mem::take(tally), Ordering::Relaxed);
+        }
         report
     }
 
     /// A regular transaction rooted at `method` begins (atomic method
     /// entered from non-transactional context).
     pub fn begin_regular(&self, t: ThreadId, method: MethodId) -> Option<SccReport> {
-        // SAFETY: called on thread t.
-        let local = unsafe { self.slots[t.index()].local() };
-        self.restart_tx(t, local, TxKind::Regular(method))
+        self.restart_tx(t, TxKind::Regular(method))
     }
 
     /// The regular transaction ends; a fresh unary transaction opens
     /// immediately (paper §4: "At method end, it creates a new unary
     /// transaction").
     pub fn end_regular(&self, t: ThreadId) -> Option<SccReport> {
-        // SAFETY: called on thread t.
-        let local = unsafe { self.slots[t.index()].local() };
-        self.restart_tx(t, local, TxKind::Unary)
+        self.restart_tx(t, TxKind::Unary)
     }
 
     /// Ends the current transaction and opens one of `kind` in its place.
-    fn restart_tx(&self, t: ThreadId, local: &mut Local, kind: TxKind) -> Option<SccReport> {
-        let report = self.end_current_tx(t, local);
-        let r2 = self.begin_tx(t, local, kind);
-        debug_assert!(r2.is_none(), "begin_tx after end cannot detect an SCC");
-        self.flush(local);
-        report
+    fn restart_tx(&self, t: ThreadId, kind: TxKind) -> Option<SccReport> {
+        // SAFETY: called on thread t.
+        let local = unsafe { self.slots[t.index()].local() };
+        self.boundary(t, local, Some(kind))
     }
 
-    fn begin_tx(&self, t: ThreadId, local: &mut Local, kind: TxKind) -> Option<SccReport> {
-        let regs = &self.regs.threads[t.index()];
-        let id = TxId(self.next_tx.fetch_add(1, Ordering::Relaxed));
-        local.seq += 1;
-        local.fold_accesses();
-        local.kind = kind;
-        local.bump_epoch();
-        local.seen_edge_events = regs.edge_events.load(Ordering::Acquire);
-        debug_assert!(local.log.is_empty(), "log must be drained at tx end");
-        match kind {
-            TxKind::Regular(_) => {
-                self.stats.regular_txs.fetch_add(1, Ordering::Relaxed);
-            }
-            TxKind::Unary => {
-                self.stats.unary_txs.fetch_add(1, Ordering::Relaxed);
-            }
+    /// One transaction boundary of thread `t`: ends its current transaction
+    /// (none before the thread's first) and opens one of kind `next` (none
+    /// at thread exit).
+    ///
+    /// `Sync` mode does all of it in **one** critical section, in this
+    /// order: move the finished log into the graph, run SCC detection from
+    /// it (§3.2.3), count the end toward the collector and run a due pass
+    /// (the ended transaction is still `currTX(t)`, hence a root), draw the
+    /// next id, insert its node with the program-order edge, publish it as
+    /// `currTX(t)`. `Pipelined` mode enqueues the same two operations for
+    /// the graph owner and returns `None`; reports reach the sink instead.
+    fn boundary(&self, t: ThreadId, local: &mut Local, next: Option<TxKind>) -> Option<SccReport> {
+        let old = TxId(local.regs.current_tx.load(Ordering::Acquire));
+        // The retained log is one exact-size copy, made before the lock is
+        // taken; the thread's buffer keeps its capacity for the next
+        // transaction.
+        let log: Option<Arc<[LogEntry]>> = (!local.log.is_empty()).then(|| local.log[..].into());
+        local.log.clear();
+        if let Some(kind) = next {
+            local.open(kind);
         }
-        let prev = TxId(regs.current_tx.load(Ordering::Acquire));
         if let Some(p) = &self.pipeline {
-            let ticket = p.ticket();
-            local.pending.push((
-                ticket,
-                GraphOp::Insert {
-                    id,
-                    thread: t,
-                    kind,
-                    seq: local.seq,
-                    prev,
-                },
-            ));
-        } else {
-            self.observe_sync_op();
-            let mut graph = self.lock_graph();
-            graph.insert(id, t, kind, local.seq);
-            if prev.is_some() {
-                let src_pos = graph.node(prev).map_or(0, |n| n.final_len);
-                graph.add_edge(Edge {
-                    src: prev,
-                    src_pos,
-                    dst: id,
-                    dst_pos: 0,
-                    kind: EdgeKind::Intra,
-                });
+            if old.is_some() {
+                local
+                    .pending
+                    .push((p.ticket(), GraphOp::Finish { id: old, log }));
             }
-        }
-        regs.log_len.store(0, Ordering::Release);
-        regs.current_tx.store(id.0, Ordering::Release);
-        None
-    }
-
-    /// Ends the current transaction: moves its log into the graph, runs SCC
-    /// detection from it (§3.2.3), and periodically runs the collector. In
-    /// pipelined mode both happen on the graph owner and this returns
-    /// `None`; reports reach the sink instead.
-    fn end_current_tx(&self, t: ThreadId, local: &mut Local) -> Option<SccReport> {
-        let id = TxId(
-            self.regs.threads[t.index()]
-                .current_tx
-                .load(Ordering::Acquire),
-        );
-        if !id.is_some() {
+            if let Some(kind) = next {
+                let id = TxId(self.next_tx.fetch_add(1, Ordering::Relaxed));
+                local.pending.push((
+                    p.ticket(),
+                    GraphOp::Insert {
+                        id,
+                        thread: t,
+                        kind,
+                        seq: local.seq,
+                        prev: old,
+                    },
+                ));
+                local.publish(id);
+            }
+            // Tickets never linger in a private buffer past the hook that
+            // drew them. The send swaps in a pooled buffer (capacity
+            // intact), so steady-state flushes never reallocate the batch.
+            if !local.pending.is_empty() {
+                p.send_batch(&mut local.pending);
+            }
             return None;
         }
-        let log = std::mem::take(&mut local.log);
-        if let Some(p) = &self.pipeline {
-            let ticket = p.ticket();
-            local.pending.push((ticket, GraphOp::Finish { id, log }));
-            return None;
+        self.observe_sync_ops(u64::from(old.is_some()) + u64::from(next.is_some()));
+        let mut guard = self.lock_graph();
+        let Owned { graph, collector } = &mut *guard;
+        let mut report = None;
+        if old.is_some() {
+            // Sync mode runs in-process with the hooks, so a malformed
+            // finish here is a checker bug, not a recoverable op-stream
+            // failure.
+            report = graph
+                .finish_and_probe(old, log, self.config.detect_sccs, self.obs.as_deref())
+                .expect("finishing unknown tx");
+            collector.on_finish();
+            if collector.due() {
+                collector.collect(graph, &self.regs, [], &self.stats, self.obs.as_deref());
+            }
         }
-        self.observe_sync_op();
-        let mut graph = self.lock_graph();
-        // Sync mode runs in-process with the hooks, so a malformed finish
-        // here is a checker bug, not a recoverable op-stream failure.
-        graph.finish(id, log).expect("finishing unknown tx");
-        let report = if self.config.detect_sccs {
-            let t0 = self.obs.as_ref().and_then(|o| o.clock());
-            let probe = graph.scc_probe(id);
-            if let Some(obs) = &self.obs {
-                obs.graph.scc_latency.record_elapsed(t0);
-                match &probe {
-                    SccProbe::Skipped => obs.graph.sccs_skipped_trivial.inc(),
-                    SccProbe::NoCycle => {}
-                    SccProbe::Cycle(r) => {
-                        obs.graph.sccs_detected.inc();
-                        obs.trace(Stage::Graph, EventKind::SccDetected, r.len() as u64);
-                    }
-                }
-            }
-            match probe {
-                SccProbe::Cycle(report) => Some(report),
-                SccProbe::Skipped | SccProbe::NoCycle => None,
-            }
-        } else {
-            None
-        };
-        drop(graph);
-        if self.config.collect_every > 0 {
-            let n = self.ends_since_collect.fetch_add(1, Ordering::Relaxed) + 1;
-            if n >= self.collect_threshold.load(Ordering::Relaxed)
-                && self
-                    .ends_since_collect
-                    .compare_exchange(n, 0, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            {
-                self.run_collector();
-            }
+        if let Some(kind) = next {
+            let id = TxId(self.next_tx.fetch_add(1, Ordering::Relaxed));
+            graph.insert_after(id, t, kind, local.seq, old);
+            local.publish(id);
         }
         report
-    }
-
-    fn run_collector(&self) {
-        let t_dbg = debug_collect().then(std::time::Instant::now);
-        let t_obs = self.obs.as_ref().and_then(|o| o.clock());
-        let mut roots: Vec<TxId> = Vec::with_capacity(self.regs.threads.len() * 2 + 1);
-        for regs in self.regs.threads.iter() {
-            roots.push(TxId(regs.current_tx.load(Ordering::Acquire)));
-            roots.push(TxId(regs.last_rd_ex.load(Ordering::Acquire)));
-        }
-        let mut graph = self.lock_graph();
-        let g = graph.g_last_rd_sh;
-        roots.push(g);
-        let live = graph.len();
-        let collected = graph.collect(roots);
-        let survivors = graph.len();
-        drop(graph);
-        let next = self
-            .config
-            .collect_every
-            .max(u32::try_from(survivors / 2).unwrap_or(u32::MAX));
-        self.collect_threshold.store(next, Ordering::Relaxed);
-        if let Some(t0) = t_dbg {
-            eprintln!(
-                "[collector] live {live} collected {collected} in {:?}",
-                t0.elapsed()
-            );
-        }
-        self.stats
-            .collected_txs
-            .fetch_add(collected as u64, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.graph.collect_latency.record_elapsed(t_obs);
-            obs.trace(Stage::Graph, EventKind::CollectRun, collected as u64);
-        }
     }
 
     // ----- access instrumentation ------------------------------------------
@@ -801,7 +742,7 @@ impl Icd {
         local.seen_edge_events = events;
         local.bump_epoch();
         if local.kind == TxKind::Unary {
-            self.restart_tx(t, local, TxKind::Unary)
+            self.boundary(t, local, Some(TxKind::Unary))
         } else {
             None
         }
@@ -854,8 +795,8 @@ impl Icd {
                 dst_pos,
             });
         } else {
-            self.observe_sync_op();
-            self.lock_graph().add_edge(Edge {
+            self.observe_sync_ops(1);
+            self.lock_graph().graph.add_edge(Edge {
                 src,
                 src_pos,
                 dst,
@@ -933,10 +874,11 @@ impl Icd {
                 snap: self.pos_snapshot(),
             });
         } else {
-            self.observe_sync_op();
-            let mut graph = self.lock_graph();
+            self.observe_sync_ops(1);
+            let mut guard = self.lock_graph();
+            let graph = &mut guard.graph;
             if last_rd_ex.is_some() && last_rd_ex != cur {
-                let src_pos = self.edge_src_pos(&graph, prev_owner, last_rd_ex);
+                let src_pos = self.edge_src_pos(graph, prev_owner, last_rd_ex);
                 graph.add_edge(Edge {
                     src: last_rd_ex,
                     src_pos,
@@ -947,7 +889,7 @@ impl Icd {
             }
             let g = graph.g_last_rd_sh;
             if g.is_some() && g != cur {
-                let src_pos = self.any_src_pos(&graph, g);
+                let src_pos = self.any_src_pos(graph, g);
                 graph.add_edge(Edge {
                     src: g,
                     src_pos,
@@ -978,11 +920,12 @@ impl Icd {
                 snap: self.pos_snapshot(),
             });
         } else {
-            self.observe_sync_op();
-            let mut graph = self.lock_graph();
+            self.observe_sync_ops(1);
+            let mut guard = self.lock_graph();
+            let graph = &mut guard.graph;
             let g = graph.g_last_rd_sh;
             if g.is_some() && g != cur {
-                let src_pos = self.any_src_pos(&graph, g);
+                let src_pos = self.any_src_pos(graph, g);
                 graph.add_edge(Edge {
                     src: g,
                     src_pos,
@@ -1051,11 +994,26 @@ mod tests {
         icd
     }
 
+    /// Ends every thread, folding the per-thread tallies into the stats.
+    fn end_all(icd: &Icd, n: usize) {
+        for i in 0..n {
+            icd.thread_end(ThreadId::from_index(i));
+        }
+    }
+
+    /// Thread 0's owner-only state.
+    #[allow(clippy::mut_from_ref)]
+    fn local0(icd: &Icd) -> &mut Local {
+        // SAFETY: every test runs on the one thread that drives slot 0.
+        unsafe { icd.slots[0].local() }
+    }
+
     #[test]
     fn threads_open_unary_transactions_at_start() {
         let icd = icd(2);
         assert!(icd.current_tx(T0).is_some());
         assert_ne!(icd.current_tx(T0), icd.current_tx(T1));
+        end_all(&icd, 2);
         assert_eq!(icd.stats().unary_txs.load(Ordering::Relaxed), 2);
     }
 
@@ -1069,6 +1027,9 @@ mod tests {
         icd.end_regular(T0);
         let unary2 = icd.current_tx(T0);
         assert_ne!(reg, unary2);
+        // The per-thread tallies fold in at thread end, not before.
+        assert_eq!(icd.stats().regular_txs.load(Ordering::Relaxed), 0);
+        end_all(&icd, 1);
         assert_eq!(icd.stats().regular_txs.load(Ordering::Relaxed), 1);
         assert_eq!(icd.stats().unary_txs.load(Ordering::Relaxed), 2);
     }
@@ -1081,9 +1042,10 @@ mod tests {
         icd.record_access(T0, O, 0, true, false, false); // write after read: logged
         icd.record_access(T0, O, 0, false, false, false); // read after write: elided
         icd.record_access(T0, O, 1, false, false, false); // different cell: logged
-        assert_eq!(icd.stats().unary_txs.load(Ordering::Relaxed), 1);
-        // Log length published: 3 entries.
+                                                          // Log length published: 3 entries.
         assert_eq!(icd.regs.threads[0].log_len.load(Ordering::Relaxed), 3);
+        end_all(&icd, 1);
+        assert_eq!(icd.stats().unary_txs.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1108,9 +1070,8 @@ mod tests {
     /// handling in `Local::bump_epoch` that entry would spuriously elide the
     /// next access to its cell and silently drop a log entry.
     fn wrap_epoch_back_to(icd: &Icd, stale: u32) {
-        // SAFETY: the test runs on the thread owning slot 0.
-        unsafe { icd.slots[0].local() }.epoch = u32::MAX;
-        while unsafe { icd.slots[0].local() }.epoch != stale {
+        local0(icd).epoch = u32::MAX;
+        while local0(icd).epoch != stale {
             icd.begin_regular(T0, M); // one epoch bump per begin
         }
     }
@@ -1119,10 +1080,10 @@ mod tests {
     fn epoch_wrap_clears_hash_elision_table() {
         let icd = icd(1);
         icd.record_access(T0, O, 0, false, false, false);
-        let stale = unsafe { icd.slots[0].local() }.epoch;
+        let stale = local0(&icd).epoch;
         wrap_epoch_back_to(&icd, stale);
         assert!(
-            unsafe { icd.slots[0].local() }.elision.is_empty(),
+            local0(&icd).elision.is_empty(),
             "wrap must clear the hash elision table"
         );
         icd.record_access(T0, O, 0, false, false, false);
@@ -1141,7 +1102,7 @@ mod tests {
         icd.attach_layout(CellLayout::new(&heap));
         icd.thread_begin(T0); // binds the layout: the flat table is live
         icd.record_access(T0, O, 0, false, false, false);
-        let stale = unsafe { icd.slots[0].local() }.epoch;
+        let stale = local0(&icd).epoch;
         wrap_epoch_back_to(&icd, stale);
         icd.record_access(T0, O, 0, false, false, false);
         assert_eq!(
@@ -1220,7 +1181,7 @@ mod tests {
         icd.handle_upgrading(T1, T0);
         let t1_tx = icd.current_tx(T1);
         {
-            let g = icd.graph.lock();
+            let g = &icd.graph.lock().graph;
             let out: Vec<_> = g.node(t0_tx).unwrap().out.iter().map(|e| e.dst).collect();
             assert!(out.contains(&t1_tx));
             assert_eq!(g.g_last_rd_sh, t1_tx);
@@ -1228,7 +1189,7 @@ mod tests {
         // T2 takes a fence: edge gLastRdSh (= T1's tx) → currTX(T2).
         icd.handle_fence(T2_ID);
         let t2_tx = icd.current_tx(T2_ID);
-        let g = icd.graph.lock();
+        let g = &icd.graph.lock().graph;
         let out: Vec<_> = g.node(t1_tx).unwrap().out.iter().map(|e| e.dst).collect();
         assert!(out.contains(&t2_tx));
     }
@@ -1241,7 +1202,7 @@ mod tests {
         icd.record_access(T0, O, 0, true, false, false);
         icd.record_access(T0, ObjId(1), 0, true, false, false);
         icd.handle_conflicting(T0, T1);
-        let g = icd.graph.lock();
+        let g = &icd.graph.lock().graph;
         let t0_tx = TxId(icd.regs.threads[0].current_tx.load(Ordering::Relaxed));
         let e = g.node(t0_tx).unwrap().out[0];
         assert_eq!(e.src_pos, 2, "source logged two entries before the edge");
@@ -1330,12 +1291,39 @@ mod tests {
         );
     }
 
+    /// One critical section per transaction boundary — the collector runs
+    /// inside it — and one per edge procedure: an atomic-method call is two
+    /// boundaries, so two acquisitions (it used to be four, plus one per
+    /// collector pass).
     #[test]
-    fn sync_mode_counts_app_thread_graph_locks() {
-        let icd = icd(1);
-        icd.begin_regular(T0, M);
-        icd.end_regular(T0);
-        assert!(icd.stats().graph_locks.load(Ordering::Relaxed) > 0);
+    fn sync_mode_takes_the_graph_lock_once_per_boundary_and_edge() {
+        let icd = Icd::new(
+            2,
+            IcdConfig {
+                collect_every: 4, // several passes inside the boundaries below
+                ..IcdConfig::default()
+            },
+        );
+        let locks = || icd.stats().graph_locks.load(Ordering::Relaxed);
+        icd.thread_begin(T0);
+        icd.thread_begin(T1);
+        assert_eq!(locks(), 2, "one per thread begin");
+        const CALLS: u64 = 100;
+        for i in 0..CALLS {
+            icd.begin_regular(T0, M);
+            icd.record_access(T0, O, i as u32, true, false, false);
+            icd.end_regular(T0);
+        }
+        assert_eq!(locks(), 2 + 2 * CALLS, "two per atomic-method call");
+        assert!(icd.stats().collected_txs.load(Ordering::Relaxed) > 0);
+        icd.handle_conflicting(T0, T1);
+        icd.handle_fence(T1);
+        icd.handle_upgrading(T1, T0);
+        assert_eq!(locks(), 2 + 2 * CALLS + 3, "one per edge procedure");
+        icd.record_access(T0, O, 0, true, false, false);
+        assert_eq!(locks(), 2 + 2 * CALLS + 3, "accesses take none");
+        end_all(&icd, 2);
+        assert_eq!(locks(), 2 + 2 * CALLS + 3 + 2, "one per thread end");
     }
 
     #[test]
@@ -1380,7 +1368,7 @@ mod tests {
             icd.thread_end(ThreadId::from_index(i));
         }
         let _ = icd.drain_pipeline();
-        let g = icd.graph.lock();
+        let g = &icd.graph.lock().graph;
         let t0_out: Vec<_> = g.node(t0_tx).unwrap().out.iter().map(|e| e.dst).collect();
         assert!(t0_out.contains(&t1_tx), "lastRdEx edge applied by owner");
         let t1_out: Vec<_> = g.node(t1_tx).unwrap().out.iter().map(|e| e.dst).collect();
@@ -1420,7 +1408,7 @@ mod tests {
             icd.thread_end(ThreadId::from_index(i));
         }
         let _ = icd.drain_pipeline();
-        let g = icd.graph.lock();
+        let g = &icd.graph.lock().graph;
         assert_eq!(g.node(t2_tx).unwrap().final_len, 3);
         let edge = g
             .node(t2_tx)
@@ -1457,7 +1445,7 @@ mod tests {
                 icd.thread_end(ThreadId::from_index(i));
             }
             let _ = icd.drain_pipeline();
-            let g = icd.graph.lock();
+            let g = &icd.graph.lock().graph;
             let out: Vec<_> = g
                 .node(t0_tx)
                 .unwrap()

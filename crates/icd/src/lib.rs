@@ -28,4 +28,7 @@ pub mod types;
 
 pub use icd::{Icd, IcdConfig, IcdStats, ThreadHandle};
 pub use pipeline::{PipelineError, PipelineMode, SccSink};
-pub use types::{Edge, EdgeKind, LogEntry, ReplayConstraint, SccReport, TxId, TxKind, TxSnapshot};
+pub use types::{
+    Edge, EdgeKind, IdHasher, IdMap, LogEntry, ReplayConstraint, SccReport, TxId, TxKind,
+    TxSnapshot,
+};

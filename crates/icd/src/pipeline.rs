@@ -35,7 +35,7 @@
 //! Progress: tickets are only held in a thread's private buffer for the
 //! duration of one instrumentation hook — every hook flushes its batch
 //! before returning — so the scoreboard's gaps resolve promptly and
-//! [`PipelineHandle::shutdown_into`] (called once all application threads
+//! [`PipelineHandle::shutdown`] (called once all application threads
 //! have joined) observes every ticket below its own.
 //!
 //! # Transport
@@ -46,7 +46,7 @@
 //! `graph.ring_full_waits`). Batch buffers are pooled and round-trip
 //! owner→app, so a steady-state enqueue performs no allocation.
 
-use crate::graph::{Graph, SccProbe};
+use crate::graph::{Collector, Graph};
 use crate::icd::{IcdConfig, IcdStats, Registers};
 use crate::ring::OpRing;
 use crate::types::{Edge, EdgeKind, LogEntry, SccReport, TxId, TxKind};
@@ -96,7 +96,7 @@ pub type SccSink = Box<dyn Fn(SccReport) + Send + 'static>;
 /// thread. Instead of panicking — which poisons the owner
 /// thread and aborts the whole multi-run process at join — the pipeline
 /// stops applying, drains, and surfaces the first error through
-/// [`PipelineHandle::shutdown_into`] into the final report.
+/// [`PipelineHandle::shutdown`] into the final report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PipelineError {
     /// A ticket at or below the applied frontier arrived again.
@@ -178,9 +178,13 @@ pub(crate) enum GraphOp {
         seq: u64,
         prev: TxId,
     },
-    /// A transaction ends with its final read/write log; triggers SCC
-    /// detection and (periodically) the collector on the owner.
-    Finish { id: TxId, log: Vec<LogEntry> },
+    /// A transaction ends with its final read/write log (`None` when
+    /// empty); triggers SCC detection and (periodically) the collector on
+    /// the owner.
+    Finish {
+        id: TxId,
+        log: Option<Arc<[LogEntry]>>,
+    },
     /// `handleConflictingTransition`: one cross-thread edge, positions
     /// snapshotted at creation.
     Cross {
@@ -205,6 +209,32 @@ pub(crate) enum GraphOp {
     },
 }
 
+impl GraphOp {
+    /// The transactions this op names. While the op sits in the reorder
+    /// scoreboard (received, unapplied) they are extra collector roots, so
+    /// nothing a buffered op still needs is reclaimed.
+    ///
+    /// Ops still in flight (unreceived) stay safe without extra roots:
+    /// every op's *destination* was its thread's current transaction at
+    /// creation, so its `Finish` carries a later ticket and the node is
+    /// still unfinished in the applied graph — and `Graph::collect` roots
+    /// unfinished transactions itself. An in-flight op's *source* can be
+    /// collected, but only when it is finished, unreachable, and has its
+    /// full (final) in-edge set applied — i.e. provably never part of a
+    /// future cycle — so dropping an edge out of it loses nothing.
+    fn referenced(&self) -> [TxId; 2] {
+        match *self {
+            GraphOp::Insert { id, prev, .. } => [id, prev],
+            GraphOp::Finish { id, .. } => [id, TxId::NONE],
+            GraphOp::Cross { src, dst, .. } => [src, dst],
+            GraphOp::Upgrade {
+                cur, last_rd_ex, ..
+            } => [cur, last_rd_ex],
+            GraphOp::Fence { cur, .. } => [cur, TxId::NONE],
+        }
+    }
+}
+
 /// One thread's batch of ticketed operations.
 pub(crate) type OpBatch = Vec<(u64, GraphOp)>;
 
@@ -213,7 +243,7 @@ enum Msg {
     /// A batch of ticketed operations from one thread's buffer.
     Ops(OpBatch),
     /// Drain marker carrying the final ticket; sent by
-    /// [`PipelineHandle::shutdown_into`] after all application threads
+    /// [`PipelineHandle::shutdown`] after all application threads
     /// joined, so every lower ticket is already in flight.
     Shutdown(u64),
 }
@@ -261,7 +291,7 @@ impl BatchPool {
 
 /// What the owner thread returns at join: the drained graph plus the first
 /// structural error it hit.
-type OwnerExit = (Graph, Option<PipelineError>);
+pub(crate) type OwnerExit = (Graph, Option<PipelineError>);
 
 /// Application-side handle: the op transport, the batch pool, the ticket
 /// counter, and the owner thread's join handle.
@@ -405,11 +435,10 @@ impl PipelineHandle {
         }
     }
 
-    /// Drains the pipeline and moves the graph back into `slot`, returning
-    /// the first structural error the owner hit (if any). Must be called
-    /// after all application threads have flushed (joined); no-op on
-    /// repeated calls.
-    pub(crate) fn shutdown_into(&self, slot: &Mutex<Graph>) -> Option<PipelineError> {
+    /// Drains the pipeline and hands the graph back with the first
+    /// structural error the owner hit (if any). Must be called after all
+    /// application threads have flushed (joined); `None` on repeated calls.
+    pub(crate) fn shutdown(&self) -> Option<OwnerExit> {
         let handle = self.owner.lock().take()?;
         let ticket = self.ticket();
         self.ring.send(Msg::Shutdown(ticket));
@@ -418,14 +447,12 @@ impl PipelineHandle {
         // this unconditional wake, drain latency is clamped to the ring
         // park timeout.
         self.ring.wake();
-        let (graph, error) = handle.join().expect("graph-owner thread panicked");
-        *slot.lock() = graph;
-        error
+        Some(handle.join().expect("graph-owner thread panicked"))
     }
 }
 
 impl Drop for PipelineHandle {
-    /// Backstop for handles dropped without [`PipelineHandle::shutdown_into`]:
+    /// Backstop for handles dropped without [`PipelineHandle::shutdown`]:
     /// the ring has no disconnect signal, so the owner thread must be told
     /// to stop or it would block forever.
     fn drop(&mut self) {
@@ -435,50 +462,6 @@ impl Drop for PipelineHandle {
             self.ring.wake();
             let _ = handle.join();
         }
-    }
-}
-
-/// Collection pacing for the graph owner: counts transaction ends toward an
-/// adaptive threshold. With collection disabled (`every == 0`) it counts
-/// nothing — the counter used to increment unconditionally and overflow
-/// `u32` on long soak runs (debug builds panicked after 2³² ends).
-struct CollectPacer {
-    every: u32,
-    ends: u32,
-    threshold: u32,
-}
-
-impl CollectPacer {
-    fn new(every: u32) -> Self {
-        CollectPacer {
-            every,
-            ends: 0,
-            threshold: every.max(1),
-        }
-    }
-
-    /// Counts one transaction end (saturating: a threshold of `u32::MAX`
-    /// must still trigger rather than wrap).
-    fn on_finish(&mut self) {
-        if self.every == 0 {
-            return;
-        }
-        self.ends = self.ends.saturating_add(1);
-    }
-
-    /// True when enough ends accumulated for a collection pass.
-    fn due(&self) -> bool {
-        self.every > 0 && self.ends >= self.threshold
-    }
-
-    /// Resets after a pass: next threshold is the configured cadence or
-    /// half the survivor count, whichever is larger (collecting a mostly
-    /// live graph is wasted work).
-    fn after_collect(&mut self, survivors: usize) {
-        self.ends = 0;
-        self.threshold = self
-            .every
-            .max(u32::try_from(survivors / 2).unwrap_or(u32::MAX));
     }
 }
 
@@ -588,9 +571,7 @@ fn owner_loop(
     let mut reorder = Reorder::with_capacity(REORDER_CAPACITY);
     let mut shutdown_at: Option<u64> = None;
     let mut error: Option<PipelineError> = None;
-    let mut pacer = CollectPacer::new(config.collect_every);
-    // Collector root scratch, retained across passes.
-    let mut roots: Vec<TxId> = Vec::new();
+    let mut collector = Collector::new(config.collect_every);
     'recv: loop {
         match ring.recv() {
             Msg::Ops(mut batch) => {
@@ -619,7 +600,7 @@ fn owner_loop(
                 break;
             };
             if matches!(op, GraphOp::Finish { .. }) {
-                pacer.on_finish();
+                collector.on_finish();
             }
             let t0 = obs.as_ref().and_then(|o| o.clock());
             let applied = apply(&mut graph, &config, sink.as_ref(), obs.as_deref(), op);
@@ -642,14 +623,12 @@ fn owner_loop(
         // Collect only between contiguous runs, when the scoreboard is
         // exactly the out-of-order tail: its referenced transactions become
         // extra roots, so nothing a buffered op still needs is reclaimed.
-        if error.is_none() && pacer.due() {
-            run_collect(
+        if error.is_none() && collector.due() {
+            collector.collect(
                 &mut graph,
                 &regs,
+                reorder.iter().flat_map(GraphOp::referenced),
                 &stats,
-                &mut pacer,
-                &reorder,
-                &mut roots,
                 obs.as_deref(),
             );
         }
@@ -680,40 +659,11 @@ fn apply(
             kind,
             seq,
             prev,
-        } => {
-            graph.insert(id, thread, kind, seq);
-            if prev.is_some() {
-                let src_pos = graph.node(prev).map_or(0, |n| n.final_len);
-                graph.add_edge(Edge {
-                    src: prev,
-                    src_pos,
-                    dst: id,
-                    dst_pos: 0,
-                    kind: EdgeKind::Intra,
-                });
-            }
-        }
+        } => graph.insert_after(id, thread, kind, seq, prev),
         GraphOp::Finish { id, log } => {
-            graph.finish(id, log)?;
-            if config.detect_sccs {
-                let t0 = obs.and_then(|o| o.clock());
-                let probe = graph.scc_probe(id);
-                if let Some(obs) = obs {
-                    obs.graph.scc_latency.record_elapsed(t0);
-                    match &probe {
-                        SccProbe::Skipped => obs.graph.sccs_skipped_trivial.inc(),
-                        SccProbe::NoCycle => {}
-                        SccProbe::Cycle(r) => {
-                            obs.graph.sccs_detected.inc();
-                            obs.trace(Stage::Graph, EventKind::SccDetected, r.len() as u64);
-                        }
-                    }
-                }
-                if let SccProbe::Cycle(report) = probe {
-                    if let Some(sink) = sink {
-                        sink(report);
-                    }
-                }
+            let report = graph.finish_and_probe(id, log, config.detect_sccs, obs)?;
+            if let (Some(report), Some(sink)) = (report, sink) {
+                sink(report);
             }
         }
         GraphOp::Cross {
@@ -799,73 +749,6 @@ fn resolve_src_pos(graph: &Graph, snap: &PosSnapshot, tx: TxId) -> Option<u32> {
     Some(if current == tx.0 { len } else { node.final_len })
 }
 
-/// The owner-side collector: same register roots and adaptive threshold as
-/// the synchronous [`crate::Icd`] collector, minus the lock — plus every
-/// transaction referenced by a scoreboard-buffered (received, unapplied) op.
-///
-/// Ops still in flight (unreceived) stay safe without extra roots: every
-/// op's *destination* was its thread's current transaction at creation, so
-/// its `Finish` carries a later ticket and the node is still unfinished in
-/// the applied graph — and `Graph::collect` roots unfinished transactions
-/// itself. An in-flight op's *source* can be collected, but only when it is
-/// finished, unreachable, and has its full (final) in-edge set applied —
-/// i.e. provably never part of a future cycle — so dropping an edge out of
-/// it loses nothing.
-fn run_collect(
-    graph: &mut Graph,
-    regs: &Registers,
-    stats: &IcdStats,
-    pacer: &mut CollectPacer,
-    reorder: &Reorder,
-    roots: &mut Vec<TxId>,
-    obs: Option<&PipelineObs>,
-) {
-    let t_dbg = crate::icd::debug_collect().then(std::time::Instant::now);
-    let t_obs = obs.and_then(|o| o.clock());
-    roots.clear();
-    for tr in regs.threads.iter() {
-        roots.push(TxId(tr.current_tx.load(Ordering::Acquire)));
-        roots.push(TxId(tr.last_rd_ex.load(Ordering::Acquire)));
-    }
-    roots.push(graph.g_last_rd_sh);
-    for op in reorder.iter() {
-        match *op {
-            GraphOp::Insert { id, prev, .. } => {
-                roots.push(id);
-                roots.push(prev);
-            }
-            GraphOp::Finish { id, .. } => roots.push(id),
-            GraphOp::Cross { src, dst, .. } => {
-                roots.push(src);
-                roots.push(dst);
-            }
-            GraphOp::Upgrade {
-                cur, last_rd_ex, ..
-            } => {
-                roots.push(cur);
-                roots.push(last_rd_ex);
-            }
-            GraphOp::Fence { cur, .. } => roots.push(cur),
-        }
-    }
-    let live = graph.len();
-    let collected = graph.collect(roots.iter().copied());
-    pacer.after_collect(graph.len());
-    if let Some(t0) = t_dbg {
-        eprintln!(
-            "[collector:pipeline] live {live} collected {collected} in {:?}",
-            t0.elapsed()
-        );
-    }
-    stats
-        .collected_txs
-        .fetch_add(collected as u64, Ordering::Relaxed);
-    if let Some(obs) = obs {
-        obs.graph.collect_latency.record_elapsed(t_obs);
-        obs.trace(Stage::Graph, EventKind::CollectRun, collected as u64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -882,46 +765,6 @@ mod tests {
             dst: TxId(2),
             dst_pos: 0,
         }
-    }
-
-    #[test]
-    fn pacer_with_collection_disabled_never_counts_or_wraps() {
-        let mut p = CollectPacer::new(0);
-        // Regression for the unconditional `ends_since_collect += 1`: force
-        // the counter to the wrap boundary and drive more ends through it.
-        p.ends = u32::MAX - 1;
-        for _ in 0..8 {
-            p.on_finish(); // old code: debug overflow panic on the 2nd call
-            assert!(!p.due());
-        }
-        assert_eq!(p.ends, u32::MAX - 1, "disabled pacer must not count");
-    }
-
-    #[test]
-    fn pacer_saturates_at_a_maximal_threshold_instead_of_wrapping() {
-        let mut p = CollectPacer::new(1);
-        p.threshold = u32::MAX;
-        p.ends = u32::MAX - 1;
-        assert!(!p.due());
-        p.on_finish();
-        assert!(p.due());
-        p.on_finish(); // would wrap (and panic in debug) without saturation
-        assert_eq!(p.ends, u32::MAX);
-        assert!(p.due());
-    }
-
-    #[test]
-    fn pacer_threshold_adapts_to_survivors() {
-        let mut p = CollectPacer::new(4);
-        for _ in 0..4 {
-            p.on_finish();
-        }
-        assert!(p.due());
-        p.after_collect(100);
-        assert_eq!(p.threshold, 50);
-        assert!(!p.due());
-        p.after_collect(0);
-        assert_eq!(p.threshold, 4);
     }
 
     #[test]
@@ -1008,8 +851,8 @@ mod tests {
         // Let the owner drain the (empty) ring and park.
         std::thread::sleep(std::time::Duration::from_millis(100));
         let t0 = std::time::Instant::now();
-        let slot = Mutex::new(Graph::default());
-        assert!(h.shutdown_into(&slot).is_none());
+        let (_, error) = h.shutdown().expect("first shutdown");
+        assert!(error.is_none());
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(5),
             "drain latency was park-timeout bound: {:?}",
@@ -1031,11 +874,11 @@ mod tests {
         // to panic (poisoning the join), now it drains and reports.
         h.send_one(GraphOp::Finish {
             id: TxId(42),
-            log: vec![],
+            log: None,
         });
-        let slot = Mutex::new(Graph::default());
+        let (_, error) = h.shutdown().expect("first shutdown");
         assert_eq!(
-            h.shutdown_into(&slot),
+            error,
             Some(PipelineError::MalformedFinish {
                 id: TxId(42),
                 already_finished: false,

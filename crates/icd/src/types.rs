@@ -1,8 +1,55 @@
 //! Transaction, log, and graph edge types shared with PCD.
 
 use dc_runtime::ids::{CellId, ObjId, ThreadId, SYNC_CELL};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// Multiplicative (Fx-style) hasher for maps keyed by the analyses' own
+/// dense ids — [`TxId`], `(ObjId, CellId)`. One rotate, xor and multiply
+/// per word instead of SipHash's rounds. It offers no resistance to
+/// crafted collisions, which these keys do not need: the checker numbers
+/// transactions, objects and cells itself (imported histories are lowered
+/// to dense ids before any checker sees them).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    /// 2⁶⁴ / φ, odd: the Fibonacci-hashing multiplier.
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(Self::K);
+    }
+
+    /// The product's high bits are the well-mixed ones; the map takes its
+    /// bucket index from the low bits, so hand them over rotated down.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` on [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// A dynamic transaction id, unique within a run. `TxId(0)` is reserved as
 /// "none".
@@ -155,8 +202,9 @@ pub struct TxSnapshot {
     pub kind: TxKind,
     /// Per-thread sequence number (program order of transactions).
     pub seq: u64,
-    /// The read/write log ([`LogEntry`] list); empty when logging is off.
-    pub log: Arc<Vec<LogEntry>>,
+    /// The read/write log ([`LogEntry`] list), at its exact size; empty
+    /// when logging is off.
+    pub log: Arc<[LogEntry]>,
 }
 
 /// A replay-ordering constraint derived from one cross-thread IDG edge into
@@ -256,6 +304,34 @@ mod tests {
         }
     }
 
+    /// Dense sequential ids — the only keys these maps see — must not pile
+    /// into a few buckets or share one control tag: over a window of 4096
+    /// consecutive ids the low 12 bits (bucket index) never collide more
+    /// than a handful of times and the top 7 bits (hashbrown's tag) take
+    /// every value.
+    #[test]
+    fn id_hasher_spreads_sequential_ids() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let mut buckets = vec![0u32; 4096];
+        let mut tags = [false; 128];
+        for id in 1_000_000u64..1_004_096 {
+            let h = build.hash_one(TxId(id));
+            buckets[(h & 4095) as usize] += 1;
+            tags[(h >> 57) as usize] = true;
+        }
+        assert!(
+            buckets.iter().all(|&n| n <= 4),
+            "{:?}",
+            buckets.iter().max()
+        );
+        assert!(tags.iter().all(|&t| t));
+        // Tuple keys hash both halves.
+        let f = |o: u32, c: u32| build.hash_one((ObjId(o), c));
+        assert_ne!(f(1, 2), f(2, 1));
+        assert_ne!(f(1, 2), f(1, 3));
+    }
+
     #[test]
     fn tx_kind_accessors() {
         assert!(TxKind::Regular(MethodId(3)).is_regular());
@@ -272,7 +348,7 @@ mod tests {
                 thread: ThreadId(0),
                 kind: TxKind::Unary,
                 seq: 0,
-                log: Arc::new(vec![]),
+                log: Arc::default(),
             }],
             edges: vec![],
             constraints: vec![],

@@ -4,12 +4,14 @@
 //! *does* find a cycle necessarily allocates its `SccReport`.) The same
 //! holds for the whole pipelined enqueue→apply path: pooled batches over
 //! the fixed-capacity ring, the reorder scoreboard, and the graph-owner
-//! apply loop.
+//! apply loop. And a warm synchronous transaction boundary allocates
+//! exactly what it retains: nothing for an empty log, one exact-size
+//! `Arc<[LogEntry]>` for a non-empty one.
 
 use dc_icd::graph::Graph;
 use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, PipelineMode, TxId, TxKind};
 use dc_obs::{ObsLevel, PipelineObs};
-use dc_runtime::ids::{MethodId, ThreadId};
+use dc_runtime::ids::{MethodId, ObjId, ThreadId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,4 +192,60 @@ fn warm_scc_probe_and_collect_do_not_allocate() {
         before,
         "a collector run reclaiming nothing must be allocation-free"
     );
+}
+
+#[test]
+fn warm_sync_boundary_allocates_only_the_retained_log() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const ENTRIES: u32 = 48;
+    let icd = Icd::new(
+        1,
+        IcdConfig {
+            collect_every: 8, // slots recycle, so the slab stops growing
+            ..IcdConfig::default()
+        },
+    );
+    let t = ThreadId(0);
+    icd.thread_begin(t);
+    // One atomic-method call: the first boundary ends an empty unary
+    // transaction, the second one the regular transaction and its log.
+    let call = |entries: u32| {
+        icd.begin_regular(t, MethodId(0));
+        let at_begin = allocations();
+        for cell in 0..entries {
+            icd.record_access(t, ObjId(0), cell, true, false, false);
+        }
+        let logged = allocations();
+        icd.end_regular(t);
+        (at_begin, logged, allocations())
+    };
+    // Warm-up: the slab, the id map, the collector's scratch, the elision
+    // table and the thread's log buffer reach their steady-state sizes.
+    for _ in 0..256 {
+        call(ENTRIES);
+    }
+    for round in 0..64 {
+        let before = allocations();
+        let (at_begin, logged, at_end) = call(ENTRIES);
+        assert_eq!(
+            at_begin, before,
+            "round {round}: a boundary ending an empty log must not allocate"
+        );
+        assert_eq!(
+            logged, at_begin,
+            "round {round}: the log buffer kept its capacity across the boundary"
+        );
+        assert_eq!(
+            at_end - logged,
+            1,
+            "round {round}: ending a {ENTRIES}-entry log allocates its exact-size copy only"
+        );
+        let before = allocations();
+        let (.., at_end) = call(0);
+        assert_eq!(
+            at_end, before,
+            "round {round}: an empty call allocates nothing"
+        );
+    }
+    icd.thread_end(t);
 }

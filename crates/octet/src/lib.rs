@@ -10,7 +10,7 @@
 //!   same-state / upgrading / fence / conflicting classification),
 //! * [`word`] — the packed per-object atomic state word with the
 //!   intermediate state used during conflicting transitions,
-//! * [`registry`] — per-thread status words and request mailboxes backing
+//! * [`registry`] — per-thread status words and request words backing
 //!   the explicit/implicit coordination protocol,
 //! * [`protocol`] — the barrier bodies, coordination, the global
 //!   read-shared counter `gRdShCnt`, and per-thread `rdShCnt` views,

@@ -13,15 +13,16 @@
 //! Conflicting transitions run the coordination protocol of §3.2.1:
 //! the requester first CASes the object into an *intermediate* state (one
 //! in-flight change per object), then coordinates with each responding
-//! thread either *explicitly* (mailbox request answered at the responder's
-//! next safe point) or *implicitly* (hold placed on a blocked responder;
-//! the requester runs the hook itself). While spin-waiting for a response
-//! the requester marks itself blocked, so coordination can never deadlock.
+//! thread either *explicitly* (a request word the responder claims and
+//! answers at its next safe point, running the hook in between — see
+//! [`crate::registry`]) or *implicitly* (hold placed on a blocked
+//! responder; the requester runs the hook itself). Either way the hook has
+//! returned before the requester proceeds. While spin-waiting for a
+//! response the requester marks itself blocked, so coordination can never
+//! deadlock.
 
 use crate::cache::{CacheSlot, OwnershipCache};
-use crate::registry::{
-    Request, ThreadRegistry, ThreadSlot, BLOCKED, BLOCKED_HELD, REQ_CANCELLED, REQ_PENDING, RUNNING,
-};
+use crate::registry::{ThreadRegistry, ThreadSlot, BLOCKED, BLOCKED_HELD, RUNNING};
 use crate::state::{classify, OctetState, Responders, TransitionKind};
 use crate::word::{decode, encode, encode_intermediate, rd_sh_counter, DecodedState, StateTable};
 use dc_obs::{EventKind, PipelineObs, Stage};
@@ -33,18 +34,21 @@ use std::sync::Arc;
 ///
 /// The hook runs exactly when the happens-before relationship with the
 /// responding thread is established: on the responder at its safe point
-/// (explicit protocol) or on the requester while holding the blocked
-/// responder (implicit protocol). ICD's `handleConflictingTransition`
-/// (Figure 4) is the intended implementation.
+/// while the requester is still waiting for the answer (explicit protocol)
+/// or on the requester while holding the blocked responder (implicit
+/// protocol). Both threads are therefore stopped at a known point for the
+/// whole hook. ICD's `handleConflictingTransition` (Figure 4) is the
+/// intended implementation.
 pub trait TransitionSink: Sync {
     /// A conflicting transition requested by `req` has been coordinated with
     /// responder `resp`. Called once per responding thread.
     fn conflicting(&self, resp: ThreadId, req: ThreadId);
 
-    /// `resp` answered several queued requesters at one safe point. Sinks
+    /// `resp` answers several waiting requesters at one safe point. Sinks
     /// that pay a per-notification cost (e.g. ICD's pipelined op transport)
-    /// can override this to process the whole drain at once; the default
-    /// simply replays [`TransitionSink::conflicting`] in request order.
+    /// can override this to process them at once; the default simply
+    /// replays [`TransitionSink::conflicting`] in the given (requester
+    /// index) order.
     fn conflicting_all(&self, resp: ThreadId, reqs: &[ThreadId]) {
         for &req in reqs {
             self.conflicting(resp, req);
@@ -319,7 +323,7 @@ impl<S: TransitionSink> Protocol<S> {
     }
 
     /// `t` resumed: wait out any hold, flip to running, answer anything
-    /// that raced into the mailbox. The inline-cache flush here is
+    /// that was posted meanwhile. The inline-cache flush here is
     /// belt-and-braces with the one in [`Protocol::before_block`] (the
     /// cache is empty while blocked, so this is a free no-op unless a
     /// protocol client skipped `before_block`).
@@ -332,16 +336,13 @@ impl<S: TransitionSink> Protocol<S> {
     }
 
     fn respond_pending(&self, t: ThreadId) {
-        // Collect the whole mailbox first and notify the sink once, so a
-        // burst of requesters queued behind the same responder costs one
-        // coalesced drain instead of a sink round-trip per request.
-        let mut requesters: Vec<ThreadId> = Vec::new();
-        self.threads.drain_requests(t, |requester| {
-            requesters.push(requester);
-        });
+        // Claim every pending request first and notify the sink once, so a
+        // burst of requesters waiting on the same responder costs one
+        // coalesced hook instead of a sink round-trip per request.
+        let requesters = self.threads.claim_requests(t);
         let responded = !requesters.is_empty();
         if responded {
-            // We just granted ownership away; anything cached is suspect.
+            // We are granting ownership away; anything cached is suspect.
             // The flush happens on our own thread before our next probe,
             // so no stale hit can slip in between.
             if let Some(cache) = &self.cache {
@@ -352,8 +353,12 @@ impl<S: TransitionSink> Protocol<S> {
                     obs.octet.coalesced.add(requesters.len() as u64 - 1);
                 }
             }
+            // The claimed requesters are still spinning: the hook reads
+            // their state (ICD: current transaction and log length) exactly
+            // as it was when they asked.
             self.sink.conflicting_all(t, &requesters);
         }
+        self.threads.respond_requests(t, requesters);
         if responded {
             // Hand the core back so the (yielded) requester can finish its
             // transition promptly; otherwise its in-flight transaction
@@ -634,39 +639,24 @@ impl<S: TransitionSink> Protocol<S> {
     }
 
     /// Explicit protocol: request and spin for a response. Returns false if
-    /// the responder blocked before answering (caller retries implicitly).
+    /// the responder blocked before taking the request (caller retries
+    /// implicitly).
     fn explicit_protocol(&self, req: ThreadId, resp: ThreadId) -> bool {
-        let flag = std::sync::Arc::new(AtomicU32::new(REQ_PENDING));
-        self.threads.enqueue_request(
-            resp,
-            Request {
-                requester: req,
-                flag: std::sync::Arc::clone(&flag),
-            },
-        );
-        // While we spin-wait we are logically blocked: drain our own mailbox
-        // first and let requesters treat us implicitly (deadlock freedom).
+        self.threads.request(resp, req);
+        // While we spin-wait we are logically blocked: answer our own
+        // requests first and let requesters treat us implicitly (deadlock
+        // freedom).
         self.before_block(req);
         let mut spins = 0u32;
         let answered = loop {
-            if flag.load(Ordering::Acquire) == crate::registry::REQ_RESPONDED {
+            if self.threads.take_response(resp, req) {
                 break true;
             }
-            if self.threads.status(resp) != RUNNING {
-                // Responder blocked; try to withdraw the request.
-                if flag
-                    .compare_exchange(
-                        REQ_PENDING,
-                        REQ_CANCELLED,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
-                {
-                    break false;
-                }
-                // Lost the race: the responder answered after all.
-                break true;
+            // Responder blocked: withdraw the request. Losing the withdraw
+            // means the responder claimed it after all and is running the
+            // hook against us right now — keep waiting for the answer.
+            if self.threads.status(resp) != RUNNING && self.threads.withdraw(resp, req) {
+                break false;
             }
             spins += 1;
             if spins > 64 {
@@ -863,8 +853,8 @@ mod tests {
                 break;
             }
         }
-        // Either the explicit protocol delivered at our safe point, or T0's
-        // mailbox raced and the requester retried implicitly after we end.
+        // Either the explicit protocol delivered at our safe point, or the
+        // request raced our exit and the requester retried implicitly.
         p.thread_end(T0);
         writer.join().unwrap();
         assert_eq!(p.sink().0.load(Ordering::SeqCst), 1);

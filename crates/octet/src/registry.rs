@@ -1,14 +1,34 @@
-//! Per-thread coordination state: status words, request mailboxes, and the
+//! Per-thread coordination state: status words, request words, and the
 //! thread-local view of the global read-shared counter.
 //!
 //! A thread's *status word* makes the explicit/implicit protocol choice
-//! possible (paper §3.2.1): requesters send mailbox requests to `Running`
-//! threads (the responder answers at its next safe point) and place a *hold*
-//! on `Blocked` threads (the requester runs the hook itself; the hold keeps
+//! possible (paper §3.2.1): requesters post a request to `Running` threads
+//! (the responder answers at its next safe point) and place a *hold* on
+//! `Blocked` threads (the requester runs the hook itself; the hold keeps
 //! the responder from unblocking mid-hook).
+//!
+//! An explicit request is one `AtomicU32` *request word* per (responder,
+//! requester) pair. A requester spins on its single outstanding request —
+//! it coordinates with one responder at a time — so one word per pair
+//! holds everything there is to say, and posting, answering and
+//! withdrawing a request allocate nothing and take no lock:
+//!
+//! ```text
+//!            requester                responder                requester
+//!   IDLE ───────────────▶ PENDING ───────────────▶ CLAIMED ─────────▶ RESPONDED ──▶ IDLE
+//!          request()         │     claim_requests()     respond_requests()   take_response()
+//!                            └──▶ IDLE   withdraw(): only from PENDING
+//! ```
+//!
+//! The responder *claims* every pending word, runs the coordination hook
+//! while those requesters are still spinning, and only then answers
+//! (§3.2.1 / Figure 4: the edge is recorded while the requester waits). A
+//! requester that sees its responder block may withdraw a request only
+//! while it is still `PENDING`; once claimed, the hook is running against
+//! it and it keeps waiting for the answer.
 
 use dc_runtime::ids::ThreadId;
-use parking_lot::Mutex;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -19,46 +39,50 @@ pub const BLOCKED: u32 = 1;
 /// Thread is blocked and a requester currently holds it.
 pub const BLOCKED_HELD: u32 = 2;
 
-/// Lifecycle of one explicit-protocol request.
-pub const REQ_PENDING: u32 = 0;
-/// Responder ran the hook and answered.
-pub const REQ_RESPONDED: u32 = 1;
-/// Requester abandoned the request (responder blocked); it must be skipped.
-pub const REQ_CANCELLED: u32 = 2;
-
-/// An explicit-protocol request parked in a responder's mailbox.
-#[derive(Debug)]
-pub struct Request {
-    /// The thread asking for the state change.
-    pub requester: ThreadId,
-    /// One of [`REQ_PENDING`], [`REQ_RESPONDED`], [`REQ_CANCELLED`].
-    pub flag: Arc<AtomicU32>,
-}
+/// Request word: no request outstanding.
+const IDLE: u32 = 0;
+/// The requester posted a request and spins.
+const PENDING: u32 = 1;
+/// The responder took the request at a safe point; its hook is running.
+const CLAIMED: u32 = 2;
+/// The hook ran; the requester may proceed.
+const RESPONDED: u32 = 3;
 
 #[repr(align(128))]
 pub(crate) struct ThreadSlot {
     status: AtomicU32,
     has_requests: AtomicBool,
-    mailbox: Mutex<Vec<Request>>,
+    /// One request word per requester, indexed by the requester's id.
+    requests: Box<[AtomicU32]>,
     /// `T.rdShCnt` — the thread's view of the global read-shared counter.
     rd_sh_cnt: AtomicU32,
+    /// The requesters this thread claimed at its current safe point. The
+    /// buffer is moved out while in use and handed back cleared, so it is
+    /// allocated once (with room for every other thread).
+    claimed: Cell<Vec<ThreadId>>,
 }
 
+// SAFETY: `claimed` is only ever accessed by the slot's owner thread
+// (`claim_requests(t)` / `respond_requests(t, ..)` run on `t`, like every
+// `ThreadId`-taking hook); every other field is an atomic.
+unsafe impl Sync for ThreadSlot {}
+
 impl ThreadSlot {
-    fn new() -> Self {
+    fn new(n_threads: usize) -> Self {
         ThreadSlot {
             // Threads are "blocked" until thread_begin: not-yet-started
             // threads are coordinated with implicitly.
             status: AtomicU32::new(BLOCKED),
             has_requests: AtomicBool::new(false),
-            mailbox: Mutex::new(Vec::new()),
+            requests: (0..n_threads).map(|_| AtomicU32::new(IDLE)).collect(),
             rd_sh_cnt: AtomicU32::new(0),
+            claimed: Cell::new(Vec::with_capacity(n_threads)),
         }
     }
 
-    /// Cheap check whether the thread has pending requests (safe-point
-    /// fast path). Acquire pairs with [`ThreadRegistry::enqueue_request`]'s
-    /// release store after the mailbox push.
+    /// Cheap check whether the thread may have pending requests (safe-point
+    /// fast path). Acquire pairs with [`ThreadRegistry::request`]'s release
+    /// store after the request word is posted.
     #[inline]
     pub(crate) fn has_requests(&self) -> bool {
         self.has_requests.load(Ordering::Acquire)
@@ -75,7 +99,7 @@ impl ThreadRegistry {
     /// Creates a registry for `n` threads, all initially blocked.
     pub fn new(n: usize) -> Self {
         ThreadRegistry {
-            slots: (0..n).map(|_| Arc::new(ThreadSlot::new())).collect(),
+            slots: (0..n).map(|_| Arc::new(ThreadSlot::new(n))).collect(),
         }
     }
 
@@ -140,42 +164,98 @@ impl ThreadRegistry {
         debug_assert_eq!(prev, BLOCKED_HELD, "hold released without being held");
     }
 
-    /// Enqueues an explicit-protocol request for responder `r`.
-    pub fn enqueue_request(&self, r: ThreadId, request: Request) {
-        let slot = &self.slots[r.index()];
-        slot.mailbox.lock().push(request);
-        slot.has_requests.store(true, Ordering::Release);
+    /// `req`'s request word in `resp`'s slot.
+    #[inline]
+    fn word(&self, resp: ThreadId, req: ThreadId) -> &AtomicU32 {
+        &self.slots[resp.index()].requests[req.index()]
     }
 
-    /// Cheap check whether `t` has pending requests (safe-point fast path).
+    /// Posts `req`'s explicit-protocol request to responder `resp`. `req`
+    /// must have no request outstanding with `resp`.
+    pub fn request(&self, resp: ThreadId, req: ThreadId) {
+        let word = self.word(resp, req);
+        debug_assert_eq!(
+            word.load(Ordering::Relaxed),
+            IDLE,
+            "one outstanding request per pair"
+        );
+        word.store(PENDING, Ordering::Release);
+        // Raised after the word: a responder that sees the flag (acquire)
+        // sees the word. A responder that clears the flag first either
+        // claims the word in the same scan or leaves the flag raised by
+        // this store for its next safe point — never a lost request, at
+        // worst one empty scan.
+        self.slots[resp.index()]
+            .has_requests
+            .store(true, Ordering::Release);
+    }
+
+    /// Requester side: true once `resp` answered `req`'s request, which
+    /// returns the word to idle. Acquire pairs with the release store in
+    /// [`Self::respond_requests`]: everything the responder's hook did is
+    /// visible to the requester that proceeds.
+    #[inline]
+    pub fn take_response(&self, resp: ThreadId, req: ThreadId) -> bool {
+        let word = self.word(resp, req);
+        let answered = word.load(Ordering::Acquire) == RESPONDED;
+        if answered {
+            word.store(IDLE, Ordering::Relaxed);
+        }
+        answered
+    }
+
+    /// Requester side: withdraws `req`'s request to `resp` (the responder
+    /// blocked; the caller retries implicitly). Succeeds only while the
+    /// request is still pending: a claimed request is being answered, and
+    /// its requester must keep waiting.
+    pub fn withdraw(&self, resp: ThreadId, req: ThreadId) -> bool {
+        self.word(resp, req)
+            .compare_exchange(PENDING, IDLE, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+
+    /// Cheap check whether `t` may have pending requests (safe-point fast
+    /// path).
     #[inline]
     pub fn has_requests(&self, t: ThreadId) -> bool {
         self.slots[t.index()].has_requests()
     }
 
-    /// Drains `t`'s mailbox, invoking `respond` for each still-pending
-    /// request (cancelled requests are skipped). Called by `t` itself at
-    /// safe points and around blocking.
-    pub fn drain_requests(&self, t: ThreadId, mut respond: impl FnMut(ThreadId)) {
+    /// Responder side, called by `t` itself at safe points and around
+    /// blocking: claims every pending request and returns the requesters in
+    /// index order. They keep spinning until the list is handed back to
+    /// [`Self::respond_requests`], which the caller must do — also when it
+    /// is empty, so the buffer is reused.
+    pub fn claim_requests(&self, t: ThreadId) -> Vec<ThreadId> {
         let slot = &self.slots[t.index()];
-        if !slot.has_requests.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        let requests: Vec<Request> = std::mem::take(&mut *slot.mailbox.lock());
-        for request in requests {
-            if request
-                .flag
-                .compare_exchange(
-                    REQ_PENDING,
-                    REQ_RESPONDED,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                respond(request.requester);
+        let mut claimed = slot.claimed.take();
+        if slot.has_requests.swap(false, Ordering::AcqRel) {
+            for (i, word) in slot.requests.iter().enumerate() {
+                if word
+                    .compare_exchange(PENDING, CLAIMED, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    claimed.push(ThreadId::from_index(i));
+                }
             }
         }
+        claimed
+    }
+
+    /// Answers the requests [`Self::claim_requests`] claimed, releasing
+    /// their requesters, and takes the buffer back.
+    pub fn respond_requests(&self, t: ThreadId, mut claimed: Vec<ThreadId>) {
+        let slot = &self.slots[t.index()];
+        for req in claimed.drain(..) {
+            let word = &slot.requests[req.index()];
+            debug_assert_eq!(
+                word.load(Ordering::Relaxed),
+                CLAIMED,
+                "only the responder moves a claimed word"
+            );
+            word.store(RESPONDED, Ordering::Release);
+        }
+        slot.claimed.set(claimed);
     }
 
     /// `t.rdShCnt`.
@@ -207,6 +287,7 @@ mod tests {
 
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
+    const T2: ThreadId = ThreadId(2);
 
     #[test]
     fn threads_start_blocked_and_can_run() {
@@ -237,33 +318,110 @@ mod tests {
         assert!(!reg.try_hold(T0));
     }
 
+    /// Requester word of `req` in `resp`'s slot, as the tests observe it.
+    fn word(reg: &ThreadRegistry, resp: ThreadId, req: ThreadId) -> u32 {
+        reg.word(resp, req).load(Ordering::Acquire)
+    }
+
     #[test]
-    fn drain_responds_to_pending_and_skips_cancelled() {
-        let reg = ThreadRegistry::new(2);
-        let pending = Arc::new(AtomicU32::new(REQ_PENDING));
-        let cancelled = Arc::new(AtomicU32::new(REQ_CANCELLED));
-        reg.enqueue_request(
-            T0,
-            Request {
-                requester: T1,
-                flag: Arc::clone(&pending),
-            },
-        );
-        reg.enqueue_request(
-            T0,
-            Request {
-                requester: T1,
-                flag: Arc::clone(&cancelled),
-            },
-        );
+    fn request_round_trip_walks_the_four_states() {
+        let reg = ThreadRegistry::new(3);
+        reg.request(T0, T1);
+        reg.request(T0, T2);
         assert!(reg.has_requests(T0));
-        let mut responded = Vec::new();
-        reg.drain_requests(T0, |req| responded.push(req));
-        assert_eq!(responded, vec![T1]);
-        assert_eq!(pending.load(Ordering::Acquire), REQ_RESPONDED);
+        assert_eq!(word(&reg, T0, T1), PENDING);
+        let claimed = reg.claim_requests(T0);
+        assert_eq!(claimed, vec![T1, T2], "requesters in index order");
         assert!(!reg.has_requests(T0));
-        // Second drain is a no-op.
-        reg.drain_requests(T0, |_| panic!("nothing left to respond to"));
+        assert_eq!(word(&reg, T0, T1), CLAIMED);
+        assert!(!reg.take_response(T0, T1), "claimed is not answered");
+        reg.respond_requests(T0, claimed);
+        assert_eq!(word(&reg, T0, T2), RESPONDED);
+        assert!(reg.take_response(T0, T1));
+        assert!(reg.take_response(T0, T2));
+        assert_eq!(word(&reg, T0, T1), IDLE);
+        // A second scan is a no-op on the reused buffer.
+        let again = reg.claim_requests(T0);
+        assert!(again.is_empty());
+        assert!(again.capacity() >= 3, "the claim buffer is reused");
+        reg.respond_requests(T0, again);
+    }
+
+    #[test]
+    fn claimed_word_cannot_be_withdrawn() {
+        let reg = ThreadRegistry::new(2);
+        reg.request(T0, T1);
+        let claimed = reg.claim_requests(T0);
+        assert!(
+            !reg.withdraw(T0, T1),
+            "the hook is running against a claimed requester: it must wait"
+        );
+        assert_eq!(word(&reg, T0, T1), CLAIMED);
+        reg.respond_requests(T0, claimed);
+        assert!(reg.take_response(T0, T1));
+    }
+
+    #[test]
+    fn pending_word_behind_a_blocking_responder_is_withdrawn_and_reposted() {
+        let reg = ThreadRegistry::new(2);
+        reg.set_running(T0);
+        reg.request(T0, T1);
+        // The responder blocks without reaching another safe point.
+        reg.set_blocked(T0);
+        assert!(reg.withdraw(T0, T1), "pending requests can be withdrawn");
+        assert_eq!(word(&reg, T0, T1), IDLE);
+        // The stale flag costs the responder one empty scan, nothing else.
+        reg.set_running(T0);
+        assert!(reg.has_requests(T0));
+        let claimed = reg.claim_requests(T0);
+        assert!(claimed.is_empty());
+        reg.respond_requests(T0, claimed);
+        // The same pair can post again.
+        reg.request(T0, T1);
+        let claimed = reg.claim_requests(T0);
+        assert_eq!(claimed, vec![T1]);
+        reg.respond_requests(T0, claimed);
+        assert!(reg.take_response(T0, T1));
+    }
+
+    /// `request` is two stores (word, then flag) and `claim_requests` a
+    /// flag clear followed by a scan; drive every order they can interleave
+    /// in by hand.
+    #[test]
+    fn flag_raised_around_a_scan_is_not_lost() {
+        let reg = ThreadRegistry::new(3);
+        let slot = reg.slot(T0);
+        // Word posted, flag not raised yet: the safe point skips the scan;
+        // the request is found once the flag lands.
+        slot.requests[T1.index()].store(PENDING, Ordering::Release);
+        let claimed = reg.claim_requests(T0);
+        assert!(claimed.is_empty());
+        reg.respond_requests(T0, claimed);
+        slot.has_requests.store(true, Ordering::Release);
+        let claimed = reg.claim_requests(T0);
+        assert_eq!(claimed, vec![T1]);
+        // A requester posts while T1 is still claimed (the responder is in
+        // its hook): the flag stays raised for the next safe point, and the
+        // claimed word is not claimed twice.
+        reg.request(T0, T2);
+        assert!(reg.has_requests(T0));
+        reg.respond_requests(T0, claimed);
+        let claimed = reg.claim_requests(T0);
+        assert_eq!(claimed, vec![T2]);
+        reg.respond_requests(T0, claimed);
+        // The scan claimed a word whose flag store lands afterwards: one
+        // spurious empty scan.
+        assert!(reg.take_response(T0, T1));
+        slot.requests[T1.index()].store(PENDING, Ordering::Release);
+        slot.has_requests.store(true, Ordering::Release); // raised by T2, say
+        let claimed = reg.claim_requests(T0);
+        assert_eq!(claimed, vec![T1]);
+        slot.has_requests.store(true, Ordering::Release); // T1's late store
+        reg.respond_requests(T0, claimed);
+        let claimed = reg.claim_requests(T0);
+        assert!(claimed.is_empty());
+        reg.respond_requests(T0, claimed);
+        assert!(!reg.has_requests(T0));
     }
 
     #[test]

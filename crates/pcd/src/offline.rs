@@ -61,6 +61,7 @@ pub fn analyze_trace(
     let mut pdg = Pdg::new(std::iter::empty());
     let mut transactions = 0u64;
     let mut raw_violations: Vec<Violation> = Vec::new();
+    let mut new_edges = Vec::new();
 
     let begin_tx = |pdg: &mut Pdg,
                     threads: &mut HashMap<ThreadId, ThreadState>,
@@ -145,15 +146,16 @@ pub fn analyze_trace(
                         TxKind::Unary,
                     )
                 };
-                let new_edges = if is_write {
-                    pdg.write((obj, cell), tx)
+                new_edges.clear();
+                if is_write {
+                    pdg.write((obj, cell), tx, &mut new_edges);
                 } else {
-                    pdg.read((obj, cell), tx).into_iter().collect()
-                };
+                    new_edges.extend(pdg.read((obj, cell), tx));
+                }
                 // Offline: still record cycles per edge so blame order is
                 // meaningful, but detection could equally run once at the
                 // end.
-                for edge in new_edges {
+                for &edge in &new_edges {
                     if let Some(cycle) = pdg.cycle_through(edge) {
                         raw_violations.push(Violation::from_cycle(&pdg, &cycle));
                     }

@@ -155,7 +155,6 @@ mod tests {
     use super::*;
     use dc_icd::{LogEntry, ReplayConstraint, TxId, TxKind, TxSnapshot};
     use dc_runtime::ids::{MethodId, ObjId, ThreadId};
-    use std::sync::Arc;
 
     /// The classic two-transaction cycle as an SCC report.
     fn racy_scc(base: u64) -> SccReport {
@@ -165,7 +164,7 @@ mod tests {
             thread: ThreadId(thread),
             kind: TxKind::Regular(MethodId(id as u32)),
             seq: 1,
-            log: Arc::new(log),
+            log: log.into(),
         };
         let constraint =
             |src: u64, src_thread: u16, src_pos: u32, dst: u64, dst_pos: u32| ReplayConstraint {

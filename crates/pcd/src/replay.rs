@@ -12,12 +12,19 @@
 //! 2. if the source itself is a member, it has replayed `src_pos` entries.
 //!
 //! Same-thread members always replay in program (sequence) order.
+//!
+//! Most SCCs never get that far. ICD works at object granularity and PCD at
+//! field granularity (§5.4 names this as the imprecision source), so an SCC
+//! often has no field that two of its threads both touch with a write
+//! between them. [`replay_scc`] first makes one pass over the members' logs
+//! looking for such a field (`shares_a_written_field`) and refutes the
+//! SCC without building a PDG when there is none.
 
-use crate::rules::Pdg;
+use crate::rules::{Pdg, PdgEdge};
 use crate::violation::Violation;
-use dc_icd::{SccReport, TxId};
+use dc_icd::{IdHasher, IdMap, SccReport, TxId};
 use dc_runtime::ids::ThreadId;
-use std::collections::HashMap;
+use std::hash::Hasher;
 
 /// Statistics for one PCD invocation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -92,9 +99,9 @@ impl<'a> Replayer<'a> {
         for chain in &mut chains {
             chain.sort_by_key(|&i| scc.txs[i].seq);
         }
-        // The only hashing in PCD: one id → dense-index map, built once and
-        // consulted only while prepping constraints.
-        let member_of: HashMap<TxId, u32> = scc
+        // One id → dense-index map, built once and consulted only while
+        // prepping constraints.
+        let member_of: IdMap<TxId, u32> = scc
             .txs
             .iter()
             .enumerate()
@@ -179,8 +186,72 @@ impl<'a> Replayer<'a> {
     }
 }
 
+/// The summary pass: true if some `(obj, cell)` — sync cells included — is
+/// touched by two different member threads with at least one write among
+/// the accesses. Only such a field can carry a cross-thread PDG edge (the
+/// Figure-5 rules add one only between accesses of different threads to the
+/// same field, one of them a write), and the intra-thread edges alone are
+/// program-order chains, which are acyclic — so an SCC without one has no
+/// PDG cycle, whatever order its logs replay in.
+///
+/// One probe of a small open-addressing table per entry, and it stops at
+/// the first shared written field.
+fn shares_a_written_field(scc: &SccReport) -> bool {
+    /// Key of an unused slot; no field has it (object ids are 31 bits).
+    const FREE: u64 = u64::MAX;
+    const WROTE: u32 = 1 << 16;
+    const SHARED: u32 = 1 << 17;
+    let entries: usize = scc.txs.iter().map(|t| t.log.len()).sum();
+    // At most half full, so probe runs stay short.
+    let mask = (entries * 2).next_power_of_two() - 1;
+    // Per slot: the field, and the first thread seen (low 16 bits) with the
+    // two flags.
+    let mut table = vec![(FREE, 0u32); mask + 1];
+    for tx in &scc.txs {
+        let thread = u32::from(tx.thread.0);
+        for entry in tx.log.iter() {
+            let key = (u64::from(entry.obj().0) << 32) | u64::from(entry.cell());
+            let mut hasher = IdHasher::default();
+            hasher.write_u64(key);
+            let mut i = hasher.finish() as usize & mask;
+            while table[i].0 != key && table[i].0 != FREE {
+                i = (i + 1) & mask;
+            }
+            let (slot_key, state) = &mut table[i];
+            if *slot_key == FREE {
+                *slot_key = key;
+                *state = thread;
+            } else if *state & 0xffff != thread {
+                *state |= SHARED;
+            }
+            if entry.is_write() {
+                *state |= WROTE;
+            }
+            if *state & (SHARED | WROTE) == SHARED | WROTE {
+                return true;
+            }
+        }
+    }
+    false
+}
+
 /// Replays one SCC and returns the precise violations found, with stats.
+/// An SCC whose members share no written field is refuted by the summary
+/// pass alone: no violation, no entry replayed.
 pub fn replay_scc(scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
+    if shares_a_written_field(scc) {
+        replay_unfiltered(scc)
+    } else {
+        let stats = ReplayStats {
+            txs: scc.txs.len() as u64,
+            ..ReplayStats::default()
+        };
+        (Vec::new(), stats)
+    }
+}
+
+/// The edge-constrained replay itself, run on whatever SCC it is given.
+fn replay_unfiltered(scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
     let mut stats = ReplayStats {
         txs: scc.txs.len() as u64,
         ..ReplayStats::default()
@@ -199,6 +270,8 @@ pub fn replay_scc(scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
         }
     }
     let mut violations = Vec::new();
+    // The edges one replayed entry adds, reused across entries.
+    let mut new_edges: Vec<PdgEdge> = Vec::new();
 
     loop {
         let mut advanced = false;
@@ -240,12 +313,13 @@ pub fn replay_scc(scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
                 // Replay entry i.
                 let entry = tx.log[i as usize];
                 let field = (entry.obj(), entry.cell());
-                let new_edges = if entry.is_write() {
-                    pdg.write(field, tx.id)
+                new_edges.clear();
+                if entry.is_write() {
+                    pdg.write(field, tx.id, &mut new_edges);
                 } else {
-                    pdg.read(field, tx.id).into_iter().collect()
-                };
-                for edge in new_edges {
+                    new_edges.extend(pdg.read(field, tx.id));
+                }
+                for &edge in &new_edges {
                     if let Some(cycle) = pdg.cycle_through(edge) {
                         stats.cycles += 1;
                         if debug_scc() {
@@ -314,8 +388,8 @@ pub fn replay_scc(scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
 mod tests {
     use super::*;
     use dc_icd::{Edge, EdgeKind, LogEntry, ReplayConstraint, TxKind, TxSnapshot};
-    use dc_runtime::ids::{MethodId, ObjId};
-    use std::sync::Arc;
+    use dc_runtime::ids::{MethodId, ObjId, SYNC_CELL};
+    use std::collections::HashMap;
 
     fn tx(id: u64, thread: u16, seq: u64, log: Vec<LogEntry>) -> TxSnapshot {
         TxSnapshot {
@@ -323,7 +397,7 @@ mod tests {
             thread: ThreadId(thread),
             kind: TxKind::Regular(MethodId(id as u32)),
             seq,
-            log: Arc::new(log),
+            log: log.into(),
         }
     }
 
@@ -557,5 +631,157 @@ mod tests {
             stats.entries, 4,
             "tie-break must force progress through the circular wait"
         );
+    }
+
+    // ----- the summary pass -------------------------------------------------
+
+    /// Two transactions on two threads in an ICD cycle, with the given logs.
+    fn pair(log0: Vec<LogEntry>, log1: Vec<LogEntry>) -> SccReport {
+        let (n0, n1) = (log0.len() as u32, log1.len() as u32);
+        report(
+            vec![tx(1, 0, 1, log0), tx(2, 1, 1, log1)],
+            vec![cross(1, n0, 2, 0), cross(2, n1, 1, n0)],
+        )
+    }
+
+    /// The summary's verdict, checked against the replay it stands in for:
+    /// a refuted SCC must be one the unfiltered replay finds nothing in,
+    /// and `replay_scc` must return what the unfiltered replay returns.
+    fn summary_says_replay(scc: &SccReport) -> bool {
+        let needs_replay = shares_a_written_field(scc);
+        let (unfiltered, unfiltered_stats) = replay_unfiltered(scc);
+        let (violations, stats) = replay_scc(scc);
+        assert_eq!(violations, unfiltered);
+        assert_eq!(stats.cycles, unfiltered_stats.cycles);
+        assert_eq!(stats.txs, unfiltered_stats.txs);
+        if needs_replay {
+            assert_eq!(stats, unfiltered_stats);
+        } else {
+            assert!(unfiltered.is_empty(), "summary refuted a real cycle");
+            assert_eq!(stats.entries, 0, "a refuted SCC replays nothing");
+        }
+        needs_replay
+    }
+
+    #[test]
+    fn fields_only_read_by_both_threads_are_refuted() {
+        let scc = pair(vec![rd(0, 0), rd(0, 1)], vec![rd(0, 0), rd(0, 1)]);
+        assert!(!summary_says_replay(&scc));
+    }
+
+    #[test]
+    fn a_write_read_pair_across_threads_is_replayed() {
+        let scc = pair(vec![wr(0, 0)], vec![rd(0, 0)]);
+        assert!(summary_says_replay(&scc));
+        // The write may come after the other thread's read in scan order.
+        let scc = pair(vec![rd(0, 0)], vec![rd(0, 0), wr(0, 0)]);
+        assert!(summary_says_replay(&scc));
+        // … or from the thread that touched the field first.
+        let scc = pair(vec![rd(0, 0), rd(0, 1), wr(0, 1)], vec![rd(0, 1)]);
+        assert!(summary_says_replay(&scc));
+    }
+
+    /// The object-granular conflict ICD saw, on disjoint fields: each
+    /// thread writes only its own cells of the shared object.
+    #[test]
+    fn writes_to_disjoint_fields_of_one_object_are_refuted() {
+        let scc = pair(vec![wr(0, 0), rd(0, 0)], vec![wr(0, 1), wr(1, 0)]);
+        assert!(!summary_says_replay(&scc));
+    }
+
+    #[test]
+    fn same_thread_only_sharing_is_refuted() {
+        // Thread 0's two members write and read one field; thread 1's
+        // member touches another.
+        let scc = report(
+            vec![
+                tx(1, 0, 1, vec![wr(0, 0)]),
+                tx(3, 0, 2, vec![rd(0, 0), wr(0, 0)]),
+                tx(2, 1, 1, vec![wr(0, 1)]),
+            ],
+            vec![cross(1, 1, 2, 0), cross(2, 1, 3, 0)],
+        );
+        assert!(!summary_says_replay(&scc));
+    }
+
+    #[test]
+    fn a_shared_sync_cell_is_replayed() {
+        let acquire = LogEntry::new(ObjId(5), SYNC_CELL, false, true);
+        let release = LogEntry::new(ObjId(5), SYNC_CELL, true, true);
+        let scc = pair(vec![acquire, wr(0, 0), release], vec![acquire, release]);
+        assert!(summary_says_replay(&scc));
+        // The same monitor used by one thread only shares nothing.
+        let scc = pair(vec![acquire, wr(0, 0), release], vec![wr(0, 1)]);
+        assert!(!summary_says_replay(&scc));
+    }
+
+    mod summary_vs_unfiltered_replay {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `(thread, log)` per member, then `(src, dst, src_pos, dst_pos)`
+        /// per cross edge (indices and positions taken modulo what exists).
+        type Shape = (
+            Vec<(u16, Vec<(u32, u32, bool)>)>,
+            Vec<(usize, usize, u32, u32)>,
+        );
+
+        fn shapes() -> impl Strategy<Value = Shape> {
+            // Few objects and cells, so sharing — and its absence — are
+            // both common; cell 2 stands for the sync cell.
+            let entry = (0u32..2, 0u32..3, any::<bool>());
+            let member = (0u16..3, prop::collection::vec(entry, 0..6));
+            let edge = (0usize..6, 0usize..6, 0u32..7, 0u32..7);
+            (
+                prop::collection::vec(member, 2..6),
+                prop::collection::vec(edge, 0..8),
+            )
+        }
+
+        fn build((members, edges): Shape) -> SccReport {
+            let mut seqs = [0u64; 3];
+            let txs: Vec<TxSnapshot> = members
+                .into_iter()
+                .enumerate()
+                .map(|(i, (thread, log))| {
+                    seqs[thread as usize] += 1;
+                    let log = log
+                        .into_iter()
+                        .map(|(obj, cell, write)| {
+                            let cell = if cell == 2 { SYNC_CELL } else { cell };
+                            LogEntry::new(ObjId(obj), cell, write, cell == SYNC_CELL)
+                        })
+                        .collect();
+                    tx(i as u64 + 1, thread, seqs[thread as usize], log)
+                })
+                .collect();
+            let edges = edges
+                .into_iter()
+                .filter_map(|(src, dst, src_pos, dst_pos)| {
+                    let (s, d) = (&txs[src % txs.len()], &txs[dst % txs.len()]);
+                    (s.thread != d.thread).then(|| {
+                        cross(
+                            s.id.0,
+                            src_pos % (s.log.len() as u32 + 1),
+                            d.id.0,
+                            dst_pos % (d.log.len() as u32 + 1),
+                        )
+                    })
+                })
+                .collect();
+            report(txs, edges)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Summary refutes ⇒ the unfiltered replay finds no cycle, on
+            /// arbitrary member logs under arbitrary (even contradictory)
+            /// replay constraints.
+            #[test]
+            fn summary_refutes_only_what_replay_refutes(shape in shapes()) {
+                summary_says_replay(&build(shape));
+            }
+        }
     }
 }

@@ -5,9 +5,10 @@
 //! replayed access adds precise cross-thread PDG edges and updates the
 //! tables; a PDG cycle is a precise conflict-serializability violation.
 
-use dc_icd::{TxId, TxKind};
+use dc_icd::{IdHasher, IdMap, TxId, TxKind};
 use dc_runtime::ids::{CellId, ObjId, ThreadId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
 /// A field identity: object plus cell (arrays are conflated by the caller).
 pub type Field = (ObjId, CellId);
@@ -24,22 +25,24 @@ pub struct PdgEdge {
     pub order: u32,
 }
 
-/// The PDG under construction plus the last-access tables.
+/// The PDG under construction plus the last-access tables. The tables are
+/// keyed by fields and transaction ids the checker numbered itself, so they
+/// hash with the IDG's [`IdHasher`].
 #[derive(Debug, Default)]
 pub struct Pdg {
     /// `W(f)`: last transaction to write each field.
-    last_write: HashMap<Field, TxId>,
+    last_write: IdMap<Field, TxId>,
     /// `R(T,f)`: per field, each thread's last read transaction since the
     /// last write.
-    last_reads: HashMap<Field, Vec<(ThreadId, TxId)>>,
+    last_reads: IdMap<Field, Vec<(ThreadId, TxId)>>,
     /// Adjacency (deduplicated).
-    out: HashMap<TxId, Vec<TxId>>,
+    out: IdMap<TxId, Vec<TxId>>,
     /// All edges in creation order.
     edges: Vec<PdgEdge>,
     /// Executing thread of each transaction.
-    thread_of: HashMap<TxId, ThreadId>,
+    thread_of: IdMap<TxId, ThreadId>,
     /// Kind of each transaction (for reporting).
-    kind_of: HashMap<TxId, TxKind>,
+    kind_of: IdMap<TxId, TxKind>,
 }
 
 impl Pdg {
@@ -93,29 +96,22 @@ impl Pdg {
         added
     }
 
-    /// Replays a write of `f` by `tx` (Figure 5, `WRITE`). Returns the new
-    /// cross-thread edges.
-    pub fn write(&mut self, f: Field, tx: TxId) -> Vec<PdgEdge> {
+    /// Replays a write of `f` by `tx` (Figure 5, `WRITE`), appending the
+    /// new cross-thread edges to `added` (the caller's buffer, so a replay
+    /// loop allocates none per write).
+    pub fn write(&mut self, f: Field, tx: TxId, added: &mut Vec<PdgEdge>) {
         let t = self.thread(tx);
-        let mut added = Vec::new();
-        if let Some(&w) = self.last_write.get(&f) {
+        if let Some(w) = self.last_write.insert(f, tx) {
             if self.thread(w) != t {
                 added.extend(self.add_edge(w, tx));
             }
         }
-        if let Some(readers) = self.last_reads.get(&f) {
-            let edges: Vec<TxId> = readers
-                .iter()
-                .filter(|&&(rt, _)| rt != t)
-                .map(|&(_, rtx)| rtx)
-                .collect();
-            for rtx in edges {
+        // ∀T, R(T,f) := null
+        for (rt, rtx) in self.last_reads.remove(&f).unwrap_or_default() {
+            if rt != t {
                 added.extend(self.add_edge(rtx, tx));
             }
         }
-        self.last_write.insert(f, tx);
-        self.last_reads.remove(&f); // ∀T, R(T,f) := null
-        added
     }
 
     /// Adds an intra-thread program-order edge: it participates in cycle
@@ -156,8 +152,9 @@ impl Pdg {
     pub fn cycle_through(&self, edge: PdgEdge) -> Option<Vec<TxId>> {
         // DFS from dst searching for src.
         let mut stack = vec![edge.dst];
-        let mut parent: HashMap<TxId, TxId> = HashMap::new();
-        let mut visited: std::collections::HashSet<TxId> = [edge.dst].into_iter().collect();
+        let mut parent: IdMap<TxId, TxId> = IdMap::default();
+        let mut visited: HashSet<TxId, BuildHasherDefault<IdHasher>> = HashSet::default();
+        visited.insert(edge.dst);
         while let Some(v) = stack.pop() {
             if v == edge.src {
                 // Reconstruct dst → … → src, then prepend the edge.
@@ -189,7 +186,7 @@ impl Pdg {
     /// — it "completed" the cycle. Falls back to the sink of the newest
     /// edge if the heuristic selects nobody.
     pub fn blame(&self, cycle: &[TxId]) -> Vec<TxId> {
-        let members: std::collections::HashSet<TxId> = cycle.iter().copied().collect();
+        let members: HashSet<TxId> = cycle.iter().copied().collect();
         let mut first_out: HashMap<TxId, u32> = HashMap::new();
         let mut first_in: HashMap<TxId, u32> = HashMap::new();
         for e in &self.edges {
@@ -230,6 +227,13 @@ mod tests {
     const F: Field = (ObjId(0), 0);
     const G: Field = (ObjId(0), 1);
 
+    /// One write's new edges.
+    fn write(pdg: &mut Pdg, f: Field, tx: TxId) -> Vec<PdgEdge> {
+        let mut added = Vec::new();
+        pdg.write(f, tx, &mut added);
+        added
+    }
+
     fn pdg2() -> Pdg {
         Pdg::new([
             (TxId(1), T0, TxKind::Regular(MethodId(0))),
@@ -241,7 +245,7 @@ mod tests {
     #[test]
     fn write_read_dependence() {
         let mut pdg = pdg2();
-        assert!(pdg.write(F, TxId(1)).is_empty());
+        assert!(write(&mut pdg, F, TxId(1)).is_empty());
         let e = pdg.read(F, TxId(2)).expect("W→R edge");
         assert_eq!((e.src, e.dst), (TxId(1), TxId(2)));
     }
@@ -250,7 +254,7 @@ mod tests {
     fn read_write_dependence() {
         let mut pdg = pdg2();
         pdg.read(F, TxId(1));
-        let es = pdg.write(F, TxId(2));
+        let es = write(&mut pdg, F, TxId(2));
         assert_eq!(es.len(), 1);
         assert_eq!((es[0].src, es[0].dst), (TxId(1), TxId(2)));
     }
@@ -258,8 +262,8 @@ mod tests {
     #[test]
     fn write_write_dependence() {
         let mut pdg = pdg2();
-        pdg.write(F, TxId(1));
-        let es = pdg.write(F, TxId(2));
+        write(&mut pdg, F, TxId(1));
+        let es = write(&mut pdg, F, TxId(2));
         assert_eq!(es.len(), 1);
         assert_eq!((es[0].src, es[0].dst), (TxId(1), TxId(2)));
     }
@@ -267,25 +271,25 @@ mod tests {
     #[test]
     fn same_thread_accesses_add_no_edges() {
         let mut pdg = pdg2();
-        pdg.write(F, TxId(1));
+        write(&mut pdg, F, TxId(1));
         assert!(pdg.read(F, TxId(3)).is_none(), "same thread: intra");
-        assert!(pdg.write(F, TxId(3)).is_empty());
+        assert!(write(&mut pdg, F, TxId(3)).is_empty());
     }
 
     #[test]
     fn write_clears_reader_table() {
         let mut pdg = pdg2();
         pdg.read(F, TxId(1));
-        pdg.write(F, TxId(2)); // clears R(·, F)
-                               // A later write by T1's tx again: no stale read→write edge to Tx1.
-        let es = pdg.write(F, TxId(2));
+        write(&mut pdg, F, TxId(2)); // clears R(·, F)
+                                     // A later write by T1's tx again: no stale read→write edge to Tx1.
+        let es = write(&mut pdg, F, TxId(2));
         assert!(es.is_empty(), "duplicate edge and cleared readers");
     }
 
     #[test]
     fn distinct_fields_are_independent() {
         let mut pdg = pdg2();
-        pdg.write(F, TxId(1));
+        write(&mut pdg, F, TxId(1));
         assert!(
             pdg.read(G, TxId(2)).is_none(),
             "no dependence across fields"
@@ -295,10 +299,10 @@ mod tests {
     #[test]
     fn edges_are_deduplicated_but_ordered() {
         let mut pdg = pdg2();
-        pdg.write(F, TxId(1));
+        write(&mut pdg, F, TxId(1));
         pdg.read(F, TxId(2));
         pdg.read(F, TxId(2)); // duplicate read: no new edge
-        pdg.write(G, TxId(2));
+        write(&mut pdg, G, TxId(2));
         pdg.read(G, TxId(1)); // second distinct edge
         assert_eq!(pdg.edges().len(), 2);
         assert!(pdg.edges()[0].order < pdg.edges()[1].order);
@@ -307,9 +311,9 @@ mod tests {
     #[test]
     fn cycle_detection_finds_two_cycle() {
         let mut pdg = pdg2();
-        pdg.write(F, TxId(1));
+        write(&mut pdg, F, TxId(1));
         pdg.read(F, TxId(2)); // 1→2
-        pdg.write(G, TxId(2));
+        write(&mut pdg, G, TxId(2));
         let e = pdg.read(G, TxId(1)).unwrap(); // 2→1 closes the cycle
         let cycle = pdg.cycle_through(e).expect("cycle");
         assert_eq!(cycle.len(), 2);
@@ -319,7 +323,7 @@ mod tests {
     #[test]
     fn no_cycle_on_dag() {
         let mut pdg = pdg2();
-        pdg.write(F, TxId(1));
+        write(&mut pdg, F, TxId(1));
         let e = pdg.read(F, TxId(2)).unwrap();
         assert!(pdg.cycle_through(e).is_none());
     }
@@ -329,9 +333,9 @@ mod tests {
         let mut pdg = pdg2();
         // Tx1's outgoing edge (order 0) precedes its incoming (order 1):
         // Tx1 completes the cycle and is blamed — the Figure 3 situation.
-        pdg.write(F, TxId(1));
+        write(&mut pdg, F, TxId(1));
         pdg.read(F, TxId(2)); // edge 1→2, order 0
-        pdg.write(G, TxId(2));
+        write(&mut pdg, G, TxId(2));
         let e = pdg.read(G, TxId(1)).unwrap(); // edge 2→1, order 1
         let cycle = pdg.cycle_through(e).unwrap();
         assert_eq!(pdg.blame(&cycle), vec![TxId(1)]);

@@ -78,7 +78,7 @@ proptest! {
         for s in &seq {
             let field = (ObjId(0), s.field);
             if s.write {
-                pdg.write(field, TxId(s.tx));
+                pdg.write(field, TxId(s.tx), &mut Vec::new());
             } else {
                 pdg.read(field, TxId(s.tx));
             }
@@ -98,11 +98,12 @@ proptest! {
         let mut edges_so_far: Vec<(u64, u64)> = Vec::new();
         for s in &seq {
             let field = (ObjId(0), s.field);
-            let new = if s.write {
-                pdg.write(field, TxId(s.tx))
+            let mut new = Vec::new();
+            if s.write {
+                pdg.write(field, TxId(s.tx), &mut new);
             } else {
-                pdg.read(field, TxId(s.tx)).into_iter().collect()
-            };
+                new.extend(pdg.read(field, TxId(s.tx)));
+            }
             for e in new {
                 edges_so_far.push((e.src.0, e.dst.0));
                 // Reference: is src reachable from dst over current edges?
