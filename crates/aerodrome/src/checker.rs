@@ -12,7 +12,6 @@
 //! bit-comparable with the Velodrome baseline.
 
 use crate::clocks::ClockGraph;
-use dc_obs::Histogram;
 use dc_runtime::checker::Checker;
 use dc_runtime::heap::Heap;
 use dc_runtime::ids::{CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
@@ -24,35 +23,24 @@ use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// AeroDrome configuration.
 #[derive(Clone, Debug)]
 pub struct AeroConfig {
     /// Instrument array accesses (off by default, matching the baselines).
     pub instrument_arrays: bool,
-    /// Detect cycles (clocks are still joined when off, preserving the
-    /// invariant, so this isolates detection cost like Velodrome's §5.4
-    /// switch).
-    pub detect_cycles: bool,
     /// Which transactions to instrument.
     pub filter: TxFilter,
     /// Graph-collector cadence in transaction begins (0 disables).
     pub collect_every: u32,
-    /// Record per-join wall-clock latency into
-    /// [`AeroStats::clock_join_latency`] (off by default: reading the
-    /// clock on the hot path is itself a cost).
-    pub time_joins: bool,
 }
 
 impl Default for AeroConfig {
     fn default() -> Self {
         AeroConfig {
             instrument_arrays: false,
-            detect_cycles: true,
             filter: TxFilter::all(),
             collect_every: 256,
-            time_joins: false,
         }
     }
 }
@@ -66,9 +54,6 @@ pub struct AeroStats {
     pub instrumented: AtomicU64,
     /// Transactions reclaimed.
     pub collected_txs: AtomicU64,
-    /// Latency of each edge's clock join (including its transitive
-    /// propagation), recorded only when [`AeroConfig::time_joins`] is set.
-    pub clock_join_latency: Histogram,
 }
 
 struct Local {
@@ -289,12 +274,7 @@ impl AeroDrome {
     }
 
     fn edge(&self, src: VTxId, dst: VTxId) -> Option<VViolation> {
-        let start = self.config.time_joins.then(Instant::now);
-        let v = self
-            .clocks
-            .lock()
-            .add_cross_edge(src, dst, self.config.detect_cycles);
-        self.stats.clock_join_latency.record_elapsed(start);
+        let v = self.clocks.lock().add_cross_edge(src, dst);
         self.note_edge_event(src);
         self.note_edge_event(dst);
         v
@@ -303,7 +283,10 @@ impl AeroDrome {
 
 impl Checker for AeroDrome {
     fn run_begin(&self, heap: &Heap) {
-        let _ = self.meta.set(MetaTable::new(heap));
+        assert!(
+            self.meta.set(MetaTable::new(heap)).is_ok(),
+            "AeroDrome is single-run: run_begin called twice"
+        );
     }
 
     fn thread_begin(&self, t: ThreadId) {
@@ -521,31 +504,15 @@ mod tests {
         assert_eq!(a2.stats().instrumented.load(Ordering::Relaxed), 3);
     }
 
+    /// The `MetaTable` is laid out for one heap: a second `run_begin` must
+    /// not silently keep the first run's table, clocks and violations.
     #[test]
-    fn time_joins_records_latency_histogram() {
-        let p = racy_program();
-        let a = AeroDrome::new(
-            2,
-            spec_for(&p),
-            AeroConfig {
-                time_joins: true,
-                ..AeroConfig::default()
-            },
-        );
-        // The scripted interleaving from detects_interleaved_atomicity_violation
-        // guarantees cross edges exist.
-        let script: Vec<_> = [0u16, 0, 0, 1, 1, 1, 1, 0]
-            .iter()
-            .map(|&t| dc_runtime::ids::ThreadId(t))
-            .collect();
-        run_det(&p, &a, &Schedule::Scripted(script)).unwrap();
-        let joins = a.stats().clock_join_latency.count();
-        assert!(
-            joins >= a.cross_edges() && joins > 0,
-            "every edge attempt records one latency sample (joins {joins}, edges {})",
-            a.cross_edges()
-        );
-        assert_eq!(a.stats().clock_join_latency.summary().count, joins);
+    #[should_panic(expected = "AeroDrome is single-run: run_begin called twice")]
+    fn second_run_begin_panics_instead_of_keeping_the_first_runs_tables() {
+        let a = AeroDrome::new(1, AtomicitySpec::all_atomic(), AeroConfig::default());
+        let heap = Heap::new(&[ObjKind::Plain { fields: 2 }], 1);
+        a.run_begin(&heap);
+        a.run_begin(&heap);
     }
 
     /// The load-bearing differential property at crate level: on the same

@@ -153,12 +153,7 @@ impl ClockGraph {
     /// check, and joins + propagates clocks. Returns the violation if the
     /// edge closed a cycle. Edges to/from collected transactions are
     /// ignored (they cannot be in a future cycle).
-    pub fn add_cross_edge(
-        &mut self,
-        src: VTxId,
-        dst: VTxId,
-        detect_cycles: bool,
-    ) -> Option<VViolation> {
+    pub fn add_cross_edge(&mut self, src: VTxId, dst: VTxId) -> Option<VViolation> {
         if src == dst || !src.is_some() || !dst.is_some() {
             return None;
         }
@@ -191,7 +186,7 @@ impl ClockGraph {
             dt < s.clock.len() && s.clock[dt] >= seq_of(dst)
         };
         self.join_and_propagate(src, dst);
-        if !(detect_cycles && cyclic) {
+        if !cyclic {
             return None;
         }
         self.cycles += 1;
@@ -363,8 +358,8 @@ mod tests {
         let b = VTxId::new(T1, 1);
         g.begin(a, reg(0), VTxId::NONE);
         g.begin(b, reg(1), VTxId::NONE);
-        assert!(g.add_cross_edge(a, b, true).is_none());
-        let v = g.add_cross_edge(b, a, true).expect("cycle");
+        assert!(g.add_cross_edge(a, b).is_none());
+        let v = g.add_cross_edge(b, a).expect("cycle");
         assert_eq!(v.cycle.len(), 2);
         assert_eq!(v.blamed_methods, vec![MethodId(0)]);
         assert_eq!(g.cycles, 1);
@@ -378,9 +373,9 @@ mod tests {
         let b = VTxId::new(T1, 1);
         g.begin(a, reg(0), VTxId::NONE);
         g.begin(b, reg(1), VTxId::NONE);
-        g.add_cross_edge(a, b, true);
-        g.add_cross_edge(b, a, true);
-        assert!(g.add_cross_edge(b, a, true).is_none(), "duplicate");
+        g.add_cross_edge(a, b);
+        g.add_cross_edge(b, a);
+        assert!(g.add_cross_edge(b, a).is_none(), "duplicate");
         assert_eq!(g.cross_edges, 2);
     }
 
@@ -393,9 +388,9 @@ mod tests {
         let b = VTxId::new(T1, 1);
         g.begin(a1, reg(0), VTxId::NONE);
         g.begin(b, reg(2), VTxId::NONE);
-        g.add_cross_edge(b, a1, true); // b → a1 first
+        g.add_cross_edge(b, a1); // b → a1 first
         g.begin(a2, reg(1), a1); // intra a1 → a2
-        let v = g.add_cross_edge(a2, b, true).expect("cycle via intra edge");
+        let v = g.add_cross_edge(a2, b).expect("cycle via intra edge");
         assert_eq!(v.cycle.len(), 3);
     }
 
@@ -411,24 +406,11 @@ mod tests {
         g.begin(a, reg(0), VTxId::NONE);
         g.begin(b, reg(1), VTxId::NONE);
         g.begin(c, reg(2), VTxId::NONE);
-        assert!(g.add_cross_edge(a, b, true).is_none()); // b learns a
-        assert!(g.add_cross_edge(c, a, true).is_none()); // a learns c; must flow on to b
-        let v = g.add_cross_edge(b, c, true).expect("cycle b→c→a→b");
+        assert!(g.add_cross_edge(a, b).is_none()); // b learns a
+        assert!(g.add_cross_edge(c, a).is_none()); // a learns c; must flow on to b
+        let v = g.add_cross_edge(b, c).expect("cycle b→c→a→b");
         assert_eq!(v.cycle.len(), 3);
         assert!(g.propagated > 0, "the c→a join must propagate a→b");
-    }
-
-    #[test]
-    fn detection_can_be_disabled() {
-        let mut g = ClockGraph::new(2);
-        let a = VTxId::new(T0, 1);
-        let b = VTxId::new(T1, 1);
-        g.begin(a, reg(0), VTxId::NONE);
-        g.begin(b, reg(1), VTxId::NONE);
-        g.add_cross_edge(a, b, false);
-        assert!(g.add_cross_edge(b, a, false).is_none());
-        assert_eq!(g.cycles, 0);
-        assert_eq!(g.cross_edges, 2, "edges still tracked");
     }
 
     #[test]
@@ -440,7 +422,7 @@ mod tests {
         g.begin(a2, reg(0), a1);
         assert_eq!(g.collect([a2]), 1);
         assert_eq!(g.len(), 1);
-        assert!(g.add_cross_edge(a1, a2, true).is_none());
+        assert!(g.add_cross_edge(a1, a2).is_none());
     }
 
     #[test]
@@ -450,8 +432,8 @@ mod tests {
         let b = VTxId::new(T1, 1);
         g.begin(a, TxKind::Unary, VTxId::NONE);
         g.begin(b, TxKind::Unary, VTxId::NONE);
-        g.add_cross_edge(a, b, true);
-        let v = g.add_cross_edge(b, a, true).expect("cycle");
+        g.add_cross_edge(a, b);
+        let v = g.add_cross_edge(b, a).expect("cycle");
         assert!(v.blamed_methods.is_empty());
         assert_eq!(v.static_key(), vec![None, None]);
     }
@@ -466,11 +448,11 @@ mod tests {
         g.begin(a, reg(0), VTxId::NONE);
         g.begin(b, reg(1), VTxId::NONE);
         g.begin(c, reg(2), VTxId::NONE);
-        g.add_cross_edge(a, b, true);
-        g.add_cross_edge(b, c, true);
+        g.add_cross_edge(a, b);
+        g.add_cross_edge(b, c);
         // Closing c→a must be an O(1) positive without any propagation
         // having been necessary (the join at b→c carried a along).
-        let v = g.add_cross_edge(c, a, true).expect("cycle");
+        let v = g.add_cross_edge(c, a).expect("cycle");
         assert_eq!(v.cycle.len(), 3);
     }
 }

@@ -64,7 +64,7 @@ fn round(g: &mut ClockGraph, seq: u64) -> [VTxId; THREADS] {
         *slot = id;
     }
     assert!(
-        g.add_cross_edge(cur[0], cur[1], true).is_none(),
+        g.add_cross_edge(cur[0], cur[1]).is_none(),
         "a forward edge between fresh transactions never closes a cycle"
     );
     g.collect(cur);

@@ -258,8 +258,8 @@ impl ObsFlags {
 
     /// The effective level: `--trace-out` needs the trace ring (`full`);
     /// `--stats-json` needs at least counters to have anything to report.
-    fn effective(&self, default: ObsLevel) -> ObsLevel {
-        let level = self.level.unwrap_or(default);
+    fn effective(&self) -> ObsLevel {
+        let level = self.level.unwrap_or(ObsLevel::Off);
         if self.trace_out.is_some() {
             ObsLevel::Full
         } else if self.stats_json.is_some() && level == ObsLevel::Off {
@@ -463,8 +463,7 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
                     )))
                 }
             };
-            let level = obs_flags.effective(config.observability);
-            let config = config.with_observability(level);
+            let config = config.with_observability(obs_flags.effective());
             let report = run_doublechecker(&program, &spec, config, &plan)
                 .map_err(|e| CliError::Failed(e.to_string()))?;
             found_violation = !report.violations.is_empty();
@@ -810,28 +809,22 @@ mod tests {
             trace_out: trace_out.then(|| "t.jsonl".into()),
         };
         // --stats-json lifts Off to Counters, leaves higher levels alone.
+        assert_eq!(flags(None, true, false).effective(), ObsLevel::Counters);
         assert_eq!(
-            flags(None, true, false).effective(ObsLevel::Off),
-            ObsLevel::Counters
-        );
-        assert_eq!(
-            flags(None, true, false).effective(ObsLevel::Full),
+            flags(Some(ObsLevel::Full), true, false).effective(),
             ObsLevel::Full
         );
         // --trace-out always needs the trace ring.
         assert_eq!(
-            flags(Some(ObsLevel::Off), false, true).effective(ObsLevel::Off),
+            flags(Some(ObsLevel::Off), false, true).effective(),
             ObsLevel::Full
         );
-        // An explicit --obs wins over the default.
+        // Without an output flag the level is --obs, else off.
         assert_eq!(
-            flags(Some(ObsLevel::Counters), false, false).effective(ObsLevel::Full),
+            flags(Some(ObsLevel::Counters), false, false).effective(),
             ObsLevel::Counters
         );
-        assert_eq!(
-            flags(None, false, false).effective(ObsLevel::Off),
-            ObsLevel::Off
-        );
+        assert_eq!(flags(None, false, false).effective(), ObsLevel::Off);
     }
 
     /// Runs `check <args> --stats-json <tmp>` and returns the command output
@@ -957,12 +950,10 @@ mod tests {
                     "pipeline_error" => {
                         assert!(matches!(value, serde_json::Value::Null), "{what}: {value}")
                     }
-                    // --stats-json implies at least counters (a DC_OBS
-                    // environment default may raise it to full).
-                    "pipeline.level" => assert!(
-                        matches!(value.as_str(), Some("counters" | "full")),
-                        "{what}: {value}"
-                    ),
+                    // --stats-json alone lifts the level from off to counters.
+                    "pipeline.level" => {
+                        assert_eq!(value.as_str(), Some("counters"), "{what}")
+                    }
                     _ => assert!(
                         value.as_f64().is_some_and(|n| n.fract() == 0.0),
                         "{what}: {path} must be an integer, got {value}"

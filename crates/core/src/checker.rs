@@ -39,8 +39,8 @@ pub struct DcConfig {
     pub filter: TxFilter,
     /// Instrument array accesses (off by default, matching the paper).
     pub instrument_arrays: bool,
-    /// Detect SCCs in the IDG (disabled only for the §5.4 array-overhead
-    /// comparison).
+    /// Detect SCCs in the IDG (off only in the benchmark's ablation ladder,
+    /// to price SCC detection as a difference of two runs).
     pub detect_cycles: bool,
     /// Transaction-collector cadence (0 disables).
     pub collect_every: u32,
@@ -55,24 +55,13 @@ pub struct DcConfig {
     pub pipelined: bool,
     /// How much the pipeline observability layer records. `Off` compiles to
     /// a single pointer test per instrumentation site; no level changes
-    /// checker results. Defaults to the `DC_OBS` environment variable
-    /// (`off`/`counters`/`full`), read once.
+    /// checker results. `Off` unless the caller asks
+    /// ([`DcConfig::with_observability`], the CLI's `--obs`).
     pub observability: ObsLevel,
     /// Octet's per-thread ownership inline cache (hit = no state-word
     /// load). `false` restores the exact uncached barrier — the
     /// differential baseline for `--barrier-cache off`. On by default.
     pub barrier_cache: bool,
-}
-
-/// The process-wide default observability level: `DC_OBS` if set and valid,
-/// else off. Read once.
-fn default_obs_level() -> ObsLevel {
-    static LEVEL: OnceLock<ObsLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        std::env::var_os("DC_OBS")
-            .and_then(|v| v.to_str().and_then(ObsLevel::parse))
-            .unwrap_or(ObsLevel::Off)
-    })
 }
 
 /// Compatibility stub: the frozen benchmark names the one transport left
@@ -97,7 +86,7 @@ impl DcConfig {
             collect_every: 128,
             coordination,
             pipelined: false,
-            observability: default_obs_level(),
+            observability: ObsLevel::Off,
             barrier_cache: true,
         }
     }
@@ -109,8 +98,7 @@ impl DcConfig {
         self
     }
 
-    /// Returns this configuration with the given observability level
-    /// (overriding the `DC_OBS` environment default).
+    /// Returns this configuration with the given observability level.
     pub fn with_observability(mut self, level: ObsLevel) -> Self {
         self.observability = level;
         self
@@ -248,30 +236,6 @@ pub struct DoubleChecker {
     n_threads: usize,
 }
 
-/// `DC_DEBUG_SCC_SIZE` diagnostic for one detected SCC. The env var is read
-/// once (not per SCC).
-fn debug_scc_size(scc: &SccReport) {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    if !*FLAG.get_or_init(|| std::env::var_os("DC_DEBUG_SCC_SIZE").is_some()) {
-        return;
-    }
-    let regular = scc.txs.iter().filter(|t| t.kind.is_regular()).count();
-    let mut methods: Vec<_> = scc
-        .txs
-        .iter()
-        .filter_map(|t| t.kind.method())
-        .map(|m| m.0)
-        .collect();
-    methods.sort_unstable();
-    methods.dedup();
-    eprintln!(
-        "[scc] size {} regular {} methods {:?}",
-        scc.len(),
-        regular,
-        &methods[..methods.len().min(12)]
-    );
-}
-
 impl std::fmt::Debug for DoubleChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DoubleChecker")
@@ -310,7 +274,6 @@ impl DoubleChecker {
             let info = Arc::clone(&static_info);
             let counter = Arc::clone(&sccs_to_pcd);
             let sink: SccSink = Box::new(move |scc: SccReport| {
-                debug_scc_size(&scc);
                 info.lock().absorb_scc(&scc);
                 if let Some(handle) = &handle {
                     counter.fetch_add(1, Ordering::Relaxed);
@@ -423,7 +386,6 @@ impl DoubleChecker {
     /// (single-run / second run).
     fn process_scc(&self, scc: Option<SccReport>) {
         let Some(scc) = scc else { return };
-        debug_scc_size(&scc);
         {
             let mut info = self.static_info.lock();
             info.absorb_scc(&scc);

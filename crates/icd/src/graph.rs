@@ -37,7 +37,7 @@
 //! state (slab not growing) [`Graph::scc_from`] and the collector's mark
 //! phase therefore perform no heap allocation.
 
-use crate::icd::{debug_collect, IcdStats, Registers};
+use crate::icd::{IcdStats, Registers};
 use crate::types::{
     Edge, EdgeKind, IdMap, LogEntry, ReplayConstraint, SccReport, TxId, TxKind, TxSnapshot,
 };
@@ -703,7 +703,6 @@ impl Collector {
         stats: &IcdStats,
         obs: Option<&PipelineObs>,
     ) {
-        let t_dbg = debug_collect().then(std::time::Instant::now);
         let t_obs = obs.and_then(|o| o.clock());
         self.roots.clear();
         for tr in regs.threads.iter() {
@@ -712,15 +711,8 @@ impl Collector {
         }
         self.roots.push(graph.g_last_rd_sh);
         self.roots.extend(extra_roots);
-        let live = graph.len();
         let collected = graph.collect(self.roots.iter().copied());
         self.after_collect(graph.len());
-        if let Some(t0) = t_dbg {
-            eprintln!(
-                "[collector] live {live} collected {collected} in {:?}",
-                t0.elapsed()
-            );
-        }
         stats
             .collected_txs
             .fetch_add(collected as u64, Ordering::Relaxed);

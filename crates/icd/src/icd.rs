@@ -91,13 +91,6 @@ pub struct IcdStats {
     pub graph_locks: AtomicU64,
 }
 
-/// True when `DC_DEBUG_COLLECT` was set at first use (read once, not per
-/// collection pass).
-pub(crate) fn debug_collect() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("DC_DEBUG_COLLECT").is_some())
-}
-
 /// One thread's cross-thread-visible registers. Padded so coordination
 /// traffic on one thread's registers does not false-share with another's.
 #[derive(Debug, Default)]

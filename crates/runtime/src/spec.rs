@@ -49,11 +49,6 @@ impl AtomicitySpec {
         self.excluded.iter().copied()
     }
 
-    /// Number of excluded methods.
-    pub fn excluded_len(&self) -> usize {
-        self.excluded.len()
-    }
-
     /// Intersection of two specifications' *atomic* sets — i.e. the union of
     /// their exclusions. Used to prepare final performance specifications
     /// without bias toward one checker (paper §5.1).
@@ -237,7 +232,7 @@ mod tests {
         let spec = AtomicitySpec::all_atomic();
         assert!(spec.is_atomic(A));
         assert!(spec.is_atomic(MethodId(999)));
-        assert_eq!(spec.excluded_len(), 0);
+        assert_eq!(spec.excluded().count(), 0);
     }
 
     #[test]

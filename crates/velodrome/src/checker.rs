@@ -41,8 +41,6 @@ pub struct VelodromeConfig {
     pub variant: Variant,
     /// Instrument array accesses (off by default, matching the paper).
     pub instrument_arrays: bool,
-    /// Detect cycles (disabled for the §5.4 array-overhead experiment).
-    pub detect_cycles: bool,
     /// Which transactions to instrument (all in normal operation; a method
     /// subset when used as the second run of multi-run mode).
     pub filter: TxFilter,
@@ -55,7 +53,6 @@ impl Default for VelodromeConfig {
         VelodromeConfig {
             variant: Variant::Sound,
             instrument_arrays: false,
-            detect_cycles: true,
             filter: TxFilter::all(),
             collect_every: 256,
         }
@@ -300,10 +297,7 @@ impl Velodrome {
     }
 
     fn edge(&self, src: VTxId, dst: VTxId) -> Option<VViolation> {
-        let v = self
-            .graph
-            .lock()
-            .add_cross_edge(src, dst, self.config.detect_cycles);
+        let v = self.graph.lock().add_cross_edge(src, dst);
         self.note_edge_event(src);
         self.note_edge_event(dst);
         v
@@ -312,7 +306,10 @@ impl Velodrome {
 
 impl Checker for Velodrome {
     fn run_begin(&self, heap: &Heap) {
-        let _ = self.meta.set(MetaTable::new(heap));
+        assert!(
+            self.meta.set(MetaTable::new(heap)).is_ok(),
+            "Velodrome is single-run: run_begin called twice"
+        );
     }
 
     fn thread_begin(&self, t: ThreadId) {
@@ -536,6 +533,17 @@ mod tests {
         run_det(&p, &v2, &Schedule::random(0)).unwrap();
         // Two array accesses + the thread-exit sync access.
         assert_eq!(v2.stats().instrumented.load(Ordering::Relaxed), 3);
+    }
+
+    /// The `MetaTable` is laid out for one heap: a second `run_begin` must
+    /// not silently keep the first run's table, graph and violations.
+    #[test]
+    #[should_panic(expected = "Velodrome is single-run: run_begin called twice")]
+    fn second_run_begin_panics_instead_of_keeping_the_first_runs_tables() {
+        let v = Velodrome::new(1, AtomicitySpec::all_atomic(), VelodromeConfig::default());
+        let heap = Heap::new(&[ObjKind::Plain { fields: 2 }], 1);
+        v.run_begin(&heap);
+        v.run_begin(&heap);
     }
 
     #[test]

@@ -132,12 +132,7 @@ impl VGraph {
     /// Adds a cross-thread dependence edge and checks for a cycle through
     /// it. Returns the violation if one is found. Edges to/from collected
     /// transactions are ignored (they cannot be in a future cycle).
-    pub fn add_cross_edge(
-        &mut self,
-        src: VTxId,
-        dst: VTxId,
-        detect_cycles: bool,
-    ) -> Option<VViolation> {
+    pub fn add_cross_edge(&mut self, src: VTxId, dst: VTxId) -> Option<VViolation> {
         if src == dst || !src.is_some() || !dst.is_some() {
             return None;
         }
@@ -160,9 +155,6 @@ impl VGraph {
             .first_in
             .get_or_insert(order);
         self.cross_edges += 1;
-        if !detect_cycles {
-            return None;
-        }
         let cycle = self.find_cycle(src, dst)?;
         self.cycles += 1;
         Some(self.report(cycle))
@@ -271,8 +263,8 @@ mod tests {
         let b = VTxId::new(T1, 1);
         g.begin(a, reg(0), VTxId::NONE);
         g.begin(b, reg(1), VTxId::NONE);
-        assert!(g.add_cross_edge(a, b, true).is_none());
-        let v = g.add_cross_edge(b, a, true).expect("cycle");
+        assert!(g.add_cross_edge(a, b).is_none());
+        let v = g.add_cross_edge(b, a).expect("cycle");
         assert_eq!(v.cycle.len(), 2);
         // a's out-edge (order 0) precedes its in-edge (order 1): a blamed.
         assert_eq!(v.blamed_methods, vec![MethodId(0)]);
@@ -287,9 +279,9 @@ mod tests {
         let b = VTxId::new(T1, 1);
         g.begin(a, reg(0), VTxId::NONE);
         g.begin(b, reg(1), VTxId::NONE);
-        g.add_cross_edge(a, b, true);
-        g.add_cross_edge(b, a, true);
-        assert!(g.add_cross_edge(b, a, true).is_none(), "duplicate");
+        g.add_cross_edge(a, b);
+        g.add_cross_edge(b, a);
+        assert!(g.add_cross_edge(b, a).is_none(), "duplicate");
         assert_eq!(g.cross_edges, 2);
     }
 
@@ -302,23 +294,10 @@ mod tests {
         let b = VTxId::new(T1, 1);
         g.begin(a1, reg(0), VTxId::NONE);
         g.begin(b, reg(2), VTxId::NONE);
-        g.add_cross_edge(b, a1, true); // b → a1 first
+        g.add_cross_edge(b, a1); // b → a1 first
         g.begin(a2, reg(1), a1); // intra a1 → a2
-        let v = g.add_cross_edge(a2, b, true).expect("cycle via intra edge");
+        let v = g.add_cross_edge(a2, b).expect("cycle via intra edge");
         assert_eq!(v.cycle.len(), 3);
-    }
-
-    #[test]
-    fn detection_can_be_disabled() {
-        let mut g = VGraph::new();
-        let a = VTxId::new(T0, 1);
-        let b = VTxId::new(T1, 1);
-        g.begin(a, reg(0), VTxId::NONE);
-        g.begin(b, reg(1), VTxId::NONE);
-        g.add_cross_edge(a, b, false);
-        assert!(g.add_cross_edge(b, a, false).is_none());
-        assert_eq!(g.cycles, 0);
-        assert_eq!(g.cross_edges, 2, "edges still tracked");
     }
 
     #[test]
@@ -333,7 +312,7 @@ mod tests {
         assert_eq!(g.collect([a2]), 1);
         assert_eq!(g.len(), 1);
         // Edges naming a1 are now ignored.
-        assert!(g.add_cross_edge(a1, a2, true).is_none());
+        assert!(g.add_cross_edge(a1, a2).is_none());
     }
 
     #[test]
@@ -343,8 +322,8 @@ mod tests {
         let b = VTxId::new(T1, 1);
         g.begin(a, TxKind::Unary, VTxId::NONE);
         g.begin(b, TxKind::Unary, VTxId::NONE);
-        g.add_cross_edge(a, b, true);
-        let v = g.add_cross_edge(b, a, true).expect("cycle");
+        g.add_cross_edge(a, b);
+        let v = g.add_cross_edge(b, a).expect("cycle");
         assert!(v.blamed_methods.is_empty());
         assert_eq!(v.static_key(), vec![None, None]);
     }

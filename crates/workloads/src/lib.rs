@@ -9,8 +9,8 @@
 //! SCCs, and real violations). See `DESIGN.md` §2 for the substitution
 //! rationale and each generator's docs for what it mimics.
 //!
-//! Entry points: [`suite::all`], [`suite::performance_suite`],
-//! [`suite::by_name`], and [`builder::Scale`].
+//! Entry points: [`suite::all`], [`suite::by_name`], and
+//! [`builder::Scale`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -22,4 +22,4 @@ pub mod micro;
 pub mod suite;
 
 pub use builder::{Scale, Workload, WorkloadBuilder};
-pub use suite::{all, by_name, performance_suite};
+pub use suite::{all, by_name};

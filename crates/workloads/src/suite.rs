@@ -29,12 +29,6 @@ pub fn all(scale: Scale) -> Vec<Workload> {
     ]
 }
 
-/// The compute-bound subset used for performance experiments (the paper
-/// excludes elevator, hedc, and philo from Figure 7, §5.3).
-pub fn performance_suite(scale: Scale) -> Vec<Workload> {
-    all(scale).into_iter().filter(|w| w.compute_bound).collect()
-}
-
 /// Builds one benchmark by its paper name.
 pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {
     all(scale).into_iter().find(|w| w.name == name)
@@ -52,16 +46,6 @@ mod tests {
         assert_eq!(suite[18].name, "raytracer");
         let names: std::collections::HashSet<_> = suite.iter().map(|w| w.name).collect();
         assert_eq!(names.len(), 19, "names are unique");
-    }
-
-    #[test]
-    fn performance_suite_drops_non_compute_bound() {
-        let perf = performance_suite(Scale::Tiny);
-        assert_eq!(perf.len(), 16);
-        assert!(perf.iter().all(|w| w.compute_bound));
-        assert!(!perf.iter().any(|w| w.name == "elevator"));
-        assert!(!perf.iter().any(|w| w.name == "hedc"));
-        assert!(!perf.iter().any(|w| w.name == "philo"));
     }
 
     #[test]

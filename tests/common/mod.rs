@@ -13,6 +13,7 @@
 #![allow(dead_code)]
 
 pub mod gen;
+pub mod refine;
 
 use std::collections::BTreeSet;
 
