@@ -17,7 +17,7 @@
 
 use dc_aerodrome::{AeroConfig, AeroDrome};
 use dc_core::{
-    run_doublechecker, stats_to_json, trace_event_to_json, DcConfig, DcReport, ExecPlan, ObsLevel,
+    run_doublechecker, stats_to_json, trace_event_to_json, DcConfig, ExecPlan, ObsLevel,
     ReportedViolation, StaticTxInfo,
 };
 use dc_octet::CoordinationMode;
@@ -137,11 +137,10 @@ pub fn usage() -> &'static str {
                [--checker dc|single|first-run|second-run|pcd-only|\n\
                           velodrome|velodrome-unsound|aerodrome]\n\
                [--seed N] [--scale tiny|small|full] [--engine det|real]\n\
-               [--pipelined on|off]  async graph/SCC/PCD pipeline (DoubleChecker modes)\n\
                [--barrier-cache on|off]  Octet ownership inline cache (default on)\n\
-               [--obs off|counters|full]  pipeline observability level\n\
-               [--stats-json <path>] write stats + pipeline metrics as JSON\n\
-               [--trace-out <path>]  write the pipeline trace as JSON lines (implies --obs full)\n\
+               [--obs off|counters|full]  observability level\n\
+               [--stats-json <path>] write stats + observability metrics as JSON\n\
+               [--trace-out <path>]  write the analysis trace as JSON lines (implies --obs full)\n\
        refine  --workload <name>    iterative refinement (Figure 6)\n\
                [--window N] [--scale tiny|small|full]\n\
        trace   --workload <name>    record a trace; offline-oracle verdict\n\
@@ -179,13 +178,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 
 /// `check` flags that configure the DoubleChecker analysis and mean nothing
 /// to the online checkers (Velodrome, AeroDrome).
-const DC_ONLY_FLAGS: &[&str] = &[
-    "pipelined",
-    "barrier-cache",
-    "obs",
-    "stats-json",
-    "trace-out",
-];
+const DC_ONLY_FLAGS: &[&str] = &["barrier-cache", "obs", "stats-json", "trace-out"];
 
 /// `check` flags that pick the checker and what it runs on; with
 /// [`DC_ONLY_FLAGS`], every flag `check` accepts.
@@ -444,15 +437,6 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
                 "pcd-only" => DcConfig::pcd_only(coordination),
                 other => return Err(CliError::Usage(format!("unknown --checker {other:?}"))),
             };
-            let config = match flags.get("pipelined") {
-                None | Some("off") => config,
-                Some("on") => config.with_pipelined(true),
-                Some(other) => {
-                    return Err(CliError::Usage(format!(
-                        "--pipelined must be on|off, got {other:?}"
-                    )))
-                }
-            };
             let config = match flags.get("barrier-cache") {
                 None => config,
                 Some("on") => config.with_barrier_cache(true),
@@ -467,7 +451,63 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
             let report = run_doublechecker(&program, &spec, config, &plan)
                 .map_err(|e| CliError::Failed(e.to_string()))?;
             found_violation = !report.violations.is_empty();
-            out.push_str(&finish_check(checker, &program, &report, &obs_flags)?);
+            if let Some(path) = &obs_flags.stats_json {
+                let doc = stats_to_json(report.stats, report.pipeline.as_ref());
+                std::fs::write(path, format!("{doc}\n"))
+                    .map_err(|e| CliError::Failed(format!("writing {path:?}: {e}")))?;
+            }
+            if let Some(path) = &obs_flags.trace_out {
+                let mut lines = String::new();
+                for event in &report.trace {
+                    writeln!(lines, "{}", trace_event_to_json(event)).ok();
+                }
+                std::fs::write(path, lines)
+                    .map_err(|e| CliError::Failed(format!("writing {path:?}: {e}")))?;
+            }
+            if let Some(p) = &report.pipeline {
+                writeln!(
+                    out,
+                    "obs: level {}, {} SCCs detected ({} probes skipped as trivial), \
+                     {} replays, {} violations, {} trace events",
+                    p.level.as_str(),
+                    p.graph.sccs_detected,
+                    p.graph.sccs_skipped_trivial,
+                    p.replay.completed,
+                    p.replay.violations,
+                    p.trace_recorded,
+                )
+                .ok();
+            }
+            for violation in &report.violations {
+                let methods: Vec<String> = violation
+                    .cycle
+                    .iter()
+                    .map(|m| method_name(&program, m.kind.method()))
+                    .collect();
+                let blamed: Vec<String> = violation
+                    .blamed_methods()
+                    .iter()
+                    .map(|m| program.method_name(*m).to_string())
+                    .collect();
+                describe_violation(&mut out, &methods, &blamed);
+            }
+            let s = &report.stats;
+            writeln!(
+                out,
+                "{}: {} violation(s); {} regular tx, {} unary tx, {} accesses, \
+                 {} IDG edges, {} SCCs ({} to PCD), {} log entries, {} graph locks",
+                checker,
+                report.violations.len(),
+                s.regular_txs,
+                s.unary_txs,
+                s.regular_accesses + s.unary_accesses,
+                s.idg_cross_edges,
+                s.icd_sccs,
+                s.sccs_to_pcd,
+                s.log_entries,
+                s.graph_locks,
+            )
+            .ok();
         }
     }
     // `first-run` never reports violations and `velodrome-unsound` may
@@ -511,102 +551,6 @@ fn run_plan(
             .map(|_| ())
             .map_err(|e| CliError::Failed(e.to_string())),
     }
-}
-
-/// Writes the `check` artifacts and renders the report for a DoubleChecker
-/// run. Split from [`cmd_check`] so a synthetic [`DcReport`] — e.g. one
-/// carrying a pipeline error, which no healthy run produces — can exercise
-/// the full reporting path.
-///
-/// A drained pipeline error fails the command *after* the artifacts are
-/// written: `--stats-json` carries the error (never a clean-looking
-/// document), and the process exit code is nonzero.
-fn finish_check(
-    checker: &str,
-    program: &Program,
-    report: &DcReport,
-    obs_flags: &ObsFlags,
-) -> Result<String, CliError> {
-    let mut out = String::new();
-    if let Some(path) = &obs_flags.stats_json {
-        let doc = stats_to_json(
-            report.stats,
-            report.pipeline.as_ref(),
-            report.pipeline_error.as_ref(),
-        );
-        std::fs::write(path, format!("{doc}\n"))
-            .map_err(|e| CliError::Failed(format!("writing {path:?}: {e}")))?;
-    }
-    if let Some(path) = &obs_flags.trace_out {
-        let mut lines = String::new();
-        for event in &report.trace {
-            writeln!(lines, "{}", trace_event_to_json(event)).ok();
-        }
-        std::fs::write(path, lines)
-            .map_err(|e| CliError::Failed(format!("writing {path:?}: {e}")))?;
-    }
-    if let Some(err) = &report.pipeline_error {
-        return Err(CliError::Failed(format!(
-            "analysis pipeline failed: {err}; results are a prefix of the run"
-        )));
-    }
-    if let Some(p) = &report.pipeline {
-        writeln!(
-            out,
-            "pipeline: level {}, graph ops {}/{} (queue hwm {}, {} ring-full waits), \
-             {} SCCs detected, replay {}/{} (queue hwm {}), {} trace events",
-            p.level.as_str(),
-            p.graph.ops_applied,
-            p.graph.ops_enqueued,
-            p.graph.queue_depth.high_watermark,
-            p.graph.ring_full_waits,
-            p.graph.sccs_detected,
-            p.replay.completed,
-            p.replay.submitted,
-            p.replay.queue_depth.high_watermark,
-            p.trace_recorded,
-        )
-        .ok();
-    }
-    for violation in &report.violations {
-        let methods: Vec<String> = violation
-            .cycle
-            .iter()
-            .map(|m| method_name(program, m.kind.method()))
-            .collect();
-        let blamed: Vec<String> = violation
-            .blamed_methods()
-            .iter()
-            .map(|m| program.method_name(*m).to_string())
-            .collect();
-        let mut line = String::new();
-        writeln!(
-            line,
-            "violation: cycle through [{}], blamed [{}]",
-            methods.join(", "),
-            blamed.join(", ")
-        )
-        .ok();
-        out.push_str(&line);
-    }
-    let s = &report.stats;
-    writeln!(
-        out,
-        "{}: {} violation(s); {} regular tx, {} unary tx, {} accesses, \
-         {} IDG edges, {} SCCs ({} to PCD), {} log entries, {} app-thread graph locks",
-        checker,
-        report.violations.len(),
-        s.regular_txs,
-        s.unary_txs,
-        s.regular_accesses + s.unary_accesses,
-        s.idg_cross_edges,
-        s.icd_sccs,
-        s.sccs_to_pcd,
-        s.log_entries,
-        s.graph_locks,
-    )
-    .ok();
-    Ok(out)
 }
 
 fn method_name(program: &Program, m: Option<dc_runtime::ids::MethodId>) -> String {
@@ -731,13 +675,12 @@ mod tests {
             ("list --workload tsp", "--workload"),
             ("refine --workload elevator --seed 1", "--seed"),
             ("trace --workload philo --checker single", "--checker"),
-            // Removed with the sharded IDG and the channel transport.
-            ("check --workload tsp --pipelined on --shards 1", "--shards"),
-            ("check --workload tsp --pipelined on --shards 2", "--shards"),
-            (
-                "check --workload tsp --pipelined on --transport ring",
-                "--transport",
-            ),
+            // Removed with the sharded IDG, the channel transport and the
+            // asynchronous pipeline.
+            ("check --workload tsp --shards 1", "--shards"),
+            ("check --workload tsp --transport ring", "--transport"),
+            ("check --workload tsp --pipelined on", "--pipelined"),
+            ("check --workload tsp --pipelined off", "--pipelined"),
         ] {
             let err = run(&argv(cmd)).unwrap_err();
             assert!(
@@ -745,7 +688,9 @@ mod tests {
                 "{cmd}: {err:?}"
             );
         }
-        assert!(!usage().contains("--shards") && !usage().contains("--transport"));
+        for removed in ["--shards", "--transport", "--pipelined"] {
+            assert!(!usage().contains(removed), "usage still lists {removed}");
+        }
     }
 
     #[test]
@@ -776,25 +721,12 @@ mod tests {
     }
 
     #[test]
-    fn check_pipelined_reports_zero_graph_locks() {
-        let out = run(&argv("check --workload tsp --seed 3 --pipelined on")).unwrap();
-        assert!(out.contains(", 0 app-thread graph locks"), "{out}");
-        let sync = run(&argv("check --workload tsp --seed 3 --pipelined off")).unwrap();
-        // With the separator: a sync count may itself end in 0.
-        assert!(!sync.contains(", 0 app-thread graph locks"), "{sync}");
-        assert!(matches!(
-            run(&argv("check --workload tsp --pipelined maybe")),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn check_obs_flag_prints_pipeline_summary() {
+    fn check_obs_flag_prints_obs_summary() {
         let out = run(&argv("check --workload tsp --seed 3 --obs full")).unwrap();
-        assert!(out.contains("pipeline: level full"), "{out}");
+        assert!(out.contains("obs: level full"), "{out}");
         assert!(out.contains("trace events"), "{out}");
         let off = run(&argv("check --workload tsp --seed 3 --obs off")).unwrap();
-        assert!(!off.contains("pipeline: level"), "{off}");
+        assert!(!off.contains("obs: level"), "{off}");
         assert!(matches!(
             run(&argv("check --workload tsp --obs verbose")),
             Err(CliError::Usage(_))
@@ -870,7 +802,6 @@ mod tests {
     /// together.
     #[test]
     fn stats_json_schema_is_golden() {
-        const GAUGE: &[&str] = &["current", "high_watermark"];
         const HISTOGRAM: &[&str] = &["count", "max_ns", "p50_ns", "p90_ns", "p99_ns", "sum_ns"];
         const SCALAR: &[&str] = &[""];
         let golden: &[(&str, &[&str])] = &[
@@ -879,23 +810,12 @@ mod tests {
             ("icd_sccs", SCALAR),
             ("idg_cross_edges", SCALAR),
             ("log_entries", SCALAR),
-            ("pipeline.checker.drain_latency", HISTOGRAM),
             ("pipeline.checker.runs_begun", SCALAR),
             ("pipeline.checker.runs_ended", SCALAR),
-            ("pipeline.graph.apply_latency", HISTOGRAM),
-            ("pipeline.graph.batches", SCALAR),
             ("pipeline.graph.collect_latency", HISTOGRAM),
-            ("pipeline.graph.enqueue_latency", HISTOGRAM),
-            ("pipeline.graph.ops_applied", SCALAR),
-            ("pipeline.graph.ops_enqueued", SCALAR),
-            ("pipeline.graph.pooled_buffers", GAUGE),
-            ("pipeline.graph.queue_depth", GAUGE),
-            ("pipeline.graph.reorder_depth", GAUGE),
-            ("pipeline.graph.ring_full_waits", SCALAR),
             ("pipeline.graph.scc_latency", HISTOGRAM),
             ("pipeline.graph.sccs_detected", SCALAR),
             ("pipeline.graph.sccs_skipped_trivial", SCALAR),
-            ("pipeline.graph.singles", SCALAR),
             ("pipeline.level", SCALAR),
             ("pipeline.octet.cache_flushes", SCALAR),
             ("pipeline.octet.cache_hits", SCALAR),
@@ -906,11 +826,8 @@ mod tests {
             ("pipeline.octet.upgrades", SCALAR),
             ("pipeline.replay.completed", SCALAR),
             ("pipeline.replay.latency", HISTOGRAM),
-            ("pipeline.replay.queue_depth", GAUGE),
-            ("pipeline.replay.submitted", SCALAR),
             ("pipeline.replay.violations", SCALAR),
             ("pipeline.trace_recorded", SCALAR),
-            ("pipeline_error", SCALAR),
             ("regular_accesses", SCALAR),
             ("regular_txs", SCALAR),
             ("schema_version", SCALAR),
@@ -930,11 +847,9 @@ mod tests {
         golden.sort();
 
         let history = history_file("lost-update-stats.json", &lost_update_history());
-        let (_, workload_doc) = check_with_stats("workload.json", "--workload tsp --pipelined on");
-        let (history_out, history_doc) = check_with_stats(
-            "history.json",
-            &format!("--history {history} --pipelined on"),
-        );
+        let (_, workload_doc) = check_with_stats("workload.json", "--workload tsp");
+        let (history_out, history_doc) =
+            check_with_stats("history.json", &format!("--history {history}"));
         assert!(
             history_out.contains("expected verdict: violation — matched"),
             "{history_out}"
@@ -946,10 +861,6 @@ mod tests {
             assert_eq!(paths, golden, "{what}: key paths drifted from the golden");
             for (path, value) in &leaves {
                 match path.as_str() {
-                    // A healthy run: the member is present and null.
-                    "pipeline_error" => {
-                        assert!(matches!(value, serde_json::Value::Null), "{what}: {value}")
-                    }
                     // --stats-json alone lifts the level from off to counters.
                     "pipeline.level" => {
                         assert_eq!(value.as_str(), Some("counters"), "{what}")
@@ -966,15 +877,11 @@ mod tests {
             };
             assert_eq!(uint("schema_version"), dc_core::STATS_SCHEMA_VERSION);
             assert_eq!(
-                uint("pipeline.graph.ops_enqueued"),
-                uint("pipeline.graph.ops_applied"),
-                "{what}: pipeline failed to drain"
+                uint("pipeline.replay.completed"),
+                uint("sccs_to_pcd"),
+                "{what}: every SCC handed to PCD is replayed"
             );
             assert!(uint("regular_txs") > 0, "{what}: replayed no transactions");
-            assert!(
-                uint("pipeline.graph.pooled_buffers.high_watermark") > 0,
-                "{what}: batch pool never used"
-            );
             // The default configuration has the ownership cache on, so a
             // loopy workload must record hits.
             assert!(
@@ -991,10 +898,10 @@ mod tests {
         let path = dir.join("trace.jsonl");
         let path_str = path.to_str().unwrap();
         let out = run(&argv(&format!(
-            "check --workload tsp --seed 3 --pipelined on --trace-out {path_str}"
+            "check --workload tsp --seed 3 --trace-out {path_str}"
         )))
         .unwrap();
-        assert!(out.contains("pipeline: level full"), "{out}");
+        assert!(out.contains("obs: level full"), "{out}");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(!text.is_empty(), "trace must contain events");
         for line in text.lines() {
@@ -1013,7 +920,6 @@ mod tests {
                 "--obs full",
                 "--stats-json /tmp/x",
                 "--trace-out /tmp/y",
-                "--pipelined on",
                 "--barrier-cache off",
             ] {
                 let name = flag.split(' ').next().unwrap();
@@ -1077,48 +983,6 @@ mod tests {
             single.replace("single:", "checker:"),
             dc.replace("dc:", "checker:")
         );
-    }
-
-    #[test]
-    fn pipeline_error_fails_the_command_with_the_error_in_stats_json() {
-        use dc_core::{DcStats, PipelineError};
-        let dir = std::env::temp_dir().join("dc-cli-test-pipeline-error");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stats.json");
-        let wl = dc_workloads::by_name("tsp", Scale::Tiny).unwrap();
-        // No healthy run produces a malformed op stream, so drive the
-        // reporting path with a synthetic report carrying the drained
-        // error — the same shape `run_doublechecker` returns when the
-        // pipeline hits one.
-        let report = DcReport {
-            violations: Vec::new(),
-            static_info: StaticTxInfo::default(),
-            stats: DcStats::default(),
-            run: dc_runtime::engine::RunStats::default(),
-            pipeline: None,
-            trace: Vec::new(),
-            pipeline_error: Some(PipelineError::DuplicateTicket { ticket: 7 }),
-        };
-        let obs = ObsFlags {
-            level: None,
-            stats_json: Some(path.to_str().unwrap().into()),
-            trace_out: None,
-        };
-        let err = finish_check("single", &wl.program, &report, &obs).unwrap_err();
-        assert!(
-            matches!(err, CliError::Failed(ref m) if m.contains("duplicate op ticket 7")),
-            "{err:?}"
-        );
-        // The artifact was still written, and it carries the error rather
-        // than looking like a clean run.
-        let doc: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(
-            doc.get("pipeline_error").and_then(|v| v.as_str()),
-            Some("duplicate op ticket 7"),
-            "{doc}"
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1256,12 +1120,22 @@ mod tests {
     #[test]
     fn check_history_truncated_json_is_a_usage_error() {
         let text = lost_update_history();
-        let path = history_file("truncated.json", &text[..text.len() / 2]);
-        let err = run(&argv(&format!("check --history {path}"))).unwrap_err();
-        assert!(
-            matches!(err, CliError::Usage(ref m) if m.contains("invalid JSON")),
-            "{err:?}"
-        );
+        // The second input used to overflow the parser's stack (exit 134).
+        for (name, text, detail) in [
+            ("truncated.json", &text[..text.len() / 2], "invalid JSON"),
+            (
+                "deep.json",
+                &"[".repeat(200_000)[..],
+                "byte 128: nesting deeper than 128 levels",
+            ),
+        ] {
+            let path = history_file(name, text);
+            let err = run(&argv(&format!("check --history {path}"))).unwrap_err();
+            assert!(
+                matches!(err, CliError::Usage(ref m) if m.contains("invalid JSON") && m.contains(detail)),
+                "{name}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //!   filter: PCD processes every executed transaction at run end.
 
 use crate::report::{DcStats, StaticTxInfo};
-use dc_icd::{Icd, IcdConfig, PipelineError, PipelineMode, SccReport, SccSink};
+use dc_icd::{Icd, IcdConfig, SccReport};
 use dc_obs::{EventKind, ObsLevel, PipelineObs, PipelineReport, Stage, TraceEvent};
 use dc_octet::{BarrierOutcome, CoordinationMode, OctetState, Protocol, TransitionSink};
-use dc_pcd::{replay_scc, ReplayPool, ReplayStats, Violation};
+use dc_pcd::{replay_scc, ReplayStats, Violation};
 use dc_runtime::checker::Checker;
 use dc_runtime::heap::Heap;
 use dc_runtime::ids::{AccessKind, CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
@@ -47,13 +47,7 @@ pub struct DcConfig {
     /// Octet coordination mode: `Threaded` under the real engine,
     /// `Immediate` under the deterministic engine.
     pub coordination: CoordinationMode,
-    /// Run graph maintenance, SCC detection, and PCD replay asynchronously:
-    /// application threads enqueue graph operations for a dedicated
-    /// graph-owner thread, and SCC reports go to a small PCD replay pool.
-    /// Off by default (the deterministic engine and the interleaving tests
-    /// use the synchronous path).
-    pub pipelined: bool,
-    /// How much the pipeline observability layer records. `Off` compiles to
+    /// How much the observability layer records. `Off` compiles to
     /// a single pointer test per instrumentation site; no level changes
     /// checker results. `Off` unless the caller asks
     /// ([`DcConfig::with_observability`], the CLI's `--obs`).
@@ -64,12 +58,12 @@ pub struct DcConfig {
     pub barrier_cache: bool,
 }
 
-/// Compatibility stub: the frozen benchmark names the one transport left
-/// (`dc-benchmark/src/subject.rs:131`). Remove with ROADMAP 2(c).
+/// Compatibility stub: the frozen benchmark names a transport
+/// (`dc-benchmark/src/subject.rs:131`). Remove with ROADMAP 1(a).
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug)]
 pub enum OpTransport {
-    /// The MPSC op ring.
+    /// The (deleted) MPSC op ring.
     Ring,
 }
 
@@ -85,16 +79,16 @@ impl DcConfig {
             detect_cycles: true,
             collect_every: 128,
             coordination,
-            pipelined: false,
             observability: ObsLevel::Off,
             barrier_cache: true,
         }
     }
 
-    /// Returns this configuration with the asynchronous analysis pipeline
-    /// switched on or off.
-    pub fn with_pipelined(mut self, pipelined: bool) -> Self {
-        self.pipelined = pipelined;
+    /// Compatibility no-op for `dc-benchmark/src/subject.rs:129` (and
+    /// `tests/driver.rs:84`): the asynchronous pipeline is deleted, every
+    /// run is synchronous. Remove with ROADMAP 1(a).
+    #[doc(hidden)]
+    pub fn with_pipelined(self, _pipelined: bool) -> Self {
         self
     }
 
@@ -105,19 +99,19 @@ impl DcConfig {
     }
 
     /// Compatibility no-op for `dc-benchmark/src/subject.rs:131`. Remove
-    /// with ROADMAP 2(c).
+    /// with ROADMAP 1(a).
     #[doc(hidden)]
     pub fn with_op_transport(self, _transport: OpTransport) -> Self {
         self
     }
 
     /// Compatibility no-op for `dc-benchmark/src/subject.rs:132`: there is
-    /// one graph owner. Remove with ROADMAP 2(c).
+    /// one graph. Remove with ROADMAP 1(a).
     #[doc(hidden)]
     pub fn with_shards(self, shards: u32) -> Self {
         assert_eq!(
             shards, 1,
-            "the sharded IDG is deleted; this stub goes with ROADMAP 2(c)"
+            "the sharded IDG is deleted; this stub goes with ROADMAP 1(a)"
         );
         self
     }
@@ -168,10 +162,6 @@ impl TransitionSink for IcdSink {
     fn conflicting(&self, resp: ThreadId, req: ThreadId) {
         self.0.handle_conflicting(resp, req);
     }
-
-    fn conflicting_all(&self, resp: ThreadId, reqs: &[ThreadId]) {
-        self.0.handle_conflicting_all(resp, reqs);
-    }
 }
 
 /// Per-thread instrumentation context.
@@ -220,19 +210,11 @@ pub struct DoubleChecker {
     slots: Box<[Slot]>,
     violations: Mutex<Vec<Violation>>,
     pcd_stats: Mutex<ReplayStats>,
-    /// Shared with the pipelined SCC sink (graph-owner thread), hence `Arc`.
-    static_info: Arc<Mutex<StaticTxInfo>>,
-    /// Shared with the pipelined SCC sink, hence `Arc`.
-    sccs_to_pcd: Arc<AtomicU64>,
-    /// The PCD replay pool (pipelined mode with `run_pcd`); taken at
-    /// `run_end`.
-    pool: Mutex<Option<ReplayPool>>,
-    /// Observability registry shared with Octet, the ICD pipeline, and the
-    /// replay pool; `None` when the level is `Off`.
+    static_info: Mutex<StaticTxInfo>,
+    sccs_to_pcd: AtomicU64,
+    /// Observability registry shared with Octet and ICD; `None` when the
+    /// level is `Off`.
     obs: Option<Arc<PipelineObs>>,
-    /// First structural op-stream error the pipeline hit (pipelined mode
-    /// only); captured at `run_end`'s drain.
-    pipeline_error: Mutex<Option<PipelineError>>,
     n_threads: usize,
 }
 
@@ -256,41 +238,9 @@ impl DoubleChecker {
                 config.collect_every
             },
             detect_sccs: config.detect_cycles && !config.pcd_only,
-            pipeline: if config.pipelined {
-                PipelineMode::Pipelined
-            } else {
-                PipelineMode::Sync
-            },
         };
-        let static_info = Arc::new(Mutex::new(StaticTxInfo::default()));
-        let sccs_to_pcd = Arc::new(AtomicU64::new(0));
         let obs = PipelineObs::new(config.observability);
-        let (icd, pool) = if config.pipelined {
-            // SCCs are detected on the graph-owner thread; the sink absorbs
-            // static transaction info there and forwards the report to the
-            // PCD replay pool (when this run executes PCD at all).
-            let pool = config.run_pcd.then(|| ReplayPool::with_obs(2, obs.clone()));
-            let handle = pool.as_ref().map(ReplayPool::handle);
-            let info = Arc::clone(&static_info);
-            let counter = Arc::clone(&sccs_to_pcd);
-            let sink: SccSink = Box::new(move |scc: SccReport| {
-                info.lock().absorb_scc(&scc);
-                if let Some(handle) = &handle {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    handle.submit(scc);
-                }
-            });
-            (
-                Icd::with_observability(n_threads, icd_config, Some(sink), obs.clone()),
-                pool,
-            )
-        } else {
-            (
-                Icd::with_observability(n_threads, icd_config, None, obs.clone()),
-                None,
-            )
-        };
-        let icd = Arc::new(icd);
+        let icd = Arc::new(Icd::with_observability(n_threads, icd_config, obs.clone()));
         DoubleChecker {
             config,
             spec,
@@ -307,25 +257,23 @@ impl DoubleChecker {
                 .collect(),
             violations: Mutex::new(Vec::new()),
             pcd_stats: Mutex::new(ReplayStats::default()),
-            static_info,
-            sccs_to_pcd,
-            pool: Mutex::new(pool),
+            static_info: Mutex::default(),
+            sccs_to_pcd: AtomicU64::new(0),
             obs,
-            pipeline_error: Mutex::new(None),
             n_threads,
         }
     }
 
-    /// The first structural op-stream error the pipeline hit, if any.
-    /// `None` until `run_end` has drained the pipeline, and always `None`
-    /// in synchronous mode. A `Some` means the analysis results cover only
-    /// the prefix applied before the error — incomplete, not wrong.
-    pub fn pipeline_error(&self) -> Option<PipelineError> {
-        *self.pipeline_error.lock()
+    /// Compatibility stub for `dc-benchmark/src/subject.rs:331`, which
+    /// calls `.is_some()` on it: there is no pipeline left to fail. Remove
+    /// with ROADMAP 1(a).
+    #[doc(hidden)]
+    pub fn pipeline_error(&self) -> Option<std::convert::Infallible> {
+        None
     }
 
-    /// The pipeline observability report, or `None` when observability is
-    /// off. Complete once `run_end` returned (the pipeline has drained).
+    /// The observability report, or `None` when observability is off.
+    /// Complete once `run_end` returned.
     pub fn pipeline_report(&self) -> Option<PipelineReport> {
         self.obs.as_ref().map(|o| o.report())
     }
@@ -400,13 +348,10 @@ impl DoubleChecker {
         }
     }
 
-    /// Inline (synchronous-path) replay of one SCC with the same replay
-    /// metrics the pool's workers record, so `submitted == completed` holds
-    /// in every mode.
+    /// Replay of one SCC with its observability accounting.
     fn replay_observed(&self, scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
         let t0 = self.obs.as_ref().and_then(|o| o.clock());
         if let Some(obs) = &self.obs {
-            obs.replay.submitted.inc();
             obs.trace(Stage::Replay, EventKind::ReplaySubmit, scc.len() as u64);
         }
         let (violations, stats) = replay_scc(scc);
@@ -555,21 +500,6 @@ impl Checker for DoubleChecker {
     }
 
     fn run_end(&self) {
-        // Pipelined mode: stop the graph owner first (applying every queued
-        // graph op and emitting the remaining SCCs, which drops the sink's
-        // replay handle), then drain the PCD pool. After this, violations,
-        // static info, and stats are as complete as in synchronous mode.
-        let t0 = self.obs.as_ref().and_then(|o| o.clock());
-        if let Some(e) = self.icd.drain_pipeline() {
-            self.pipeline_error.lock().get_or_insert(e);
-        }
-        if let Some(pool) = self.pool.lock().take() {
-            let (violations, stats) = pool.drain();
-            if !violations.is_empty() {
-                self.violations.lock().extend(violations);
-            }
-            self.pcd_stats.lock().merge(stats);
-        }
         if self.config.pcd_only {
             // Straw-man variant: replay every executed transaction.
             let all = self.icd.snapshot_all_finished();
@@ -582,11 +512,7 @@ impl Checker for DoubleChecker {
         }
         if let Some(obs) = &self.obs {
             obs.checker.runs_ended.inc();
-            let drain_ns = t0.map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            if let Some(ns) = drain_ns {
-                obs.checker.drain_latency.record(ns);
-            }
-            obs.trace(Stage::Checker, EventKind::RunEnd, drain_ns.unwrap_or(0));
+            obs.trace(Stage::Checker, EventKind::RunEnd, self.n_threads as u64);
         }
     }
 
@@ -713,17 +639,6 @@ mod tests {
         let c = checker();
         c.run_begin(&heap());
         c.run_begin(&heap());
-    }
-
-    /// The frozen benchmark's `.with_op_transport(Ring).with_shards(1)` is
-    /// accepted; any other shard count names a design that no longer exists.
-    #[test]
-    #[should_panic(expected = "ROADMAP 2(c)")]
-    fn with_shards_accepts_only_the_single_owner() {
-        let config = DcConfig::single_run(CoordinationMode::Immediate)
-            .with_op_transport(OpTransport::Ring)
-            .with_shards(1);
-        config.with_shards(2);
     }
 
     /// Per-thread handles are resolved at `thread_begin`; a hook that runs

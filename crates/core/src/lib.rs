@@ -55,7 +55,6 @@ pub mod report;
 #[doc(hidden)]
 pub use checker::OpTransport;
 pub use checker::{DcConfig, DoubleChecker};
-pub use dc_icd::PipelineError;
 pub use dc_obs::{ObsLevel, PipelineReport, TraceEvent};
 pub use modes::{run_doublechecker, run_multi, run_single, DcReport, ExecPlan, MultiRunReport};
 pub use refine::{initial_spec, iterative_refinement, RefinementResult, ReportedViolation};

@@ -1,9 +1,9 @@
 //! Run reports: statistics (Table 3 columns), the static transaction
 //! information passed between multi-run mode's two runs, and the JSON
-//! encodings of both plus the pipeline observability report.
+//! encodings of both plus the observability report.
 
-use dc_icd::{PipelineError, SccReport};
-use dc_obs::{GaugeSummary, HistogramSummary, PipelineReport, TraceEvent};
+use dc_icd::SccReport;
+use dc_obs::{HistogramSummary, PipelineReport, TraceEvent};
 use dc_pcd::ReplayStats;
 use dc_runtime::ids::MethodId;
 use dc_runtime::spec::TxFilter;
@@ -32,8 +32,8 @@ pub struct DcStats {
     pub icd_sccs: u64,
     /// SCC reports handed to PCD.
     pub sccs_to_pcd: u64,
-    /// Hot-path graph-mutex acquisitions by application threads (zero when
-    /// the asynchronous analysis pipeline is enabled).
+    /// Hot-path graph-mutex acquisitions: one per transaction boundary and
+    /// one per edge procedure.
     pub graph_locks: u64,
     /// PCD replay statistics (not part of the JSON representation).
     pub pcd: ReplayStats,
@@ -54,13 +54,6 @@ impl From<DcStats> for Value {
             "graph_locks": s.graph_locks,
         })
     }
-}
-
-fn gauge_json(g: GaugeSummary) -> Value {
-    serde_json::json!({
-        "current": g.current,
-        "high_watermark": g.high_watermark,
-    })
 }
 
 fn histogram_json(h: HistogramSummary) -> Value {
@@ -90,32 +83,19 @@ pub fn pipeline_report_to_json(r: &PipelineReport) -> Value {
             "cache_flushes": r.octet.cache_flushes,
         }),
         "graph": serde_json::json!({
-            "ops_enqueued": r.graph.ops_enqueued,
-            "ops_applied": r.graph.ops_applied,
-            "batches": r.graph.batches,
-            "singles": r.graph.singles,
-            "ring_full_waits": r.graph.ring_full_waits,
-            "pooled_buffers": gauge_json(r.graph.pooled_buffers),
-            "queue_depth": gauge_json(r.graph.queue_depth),
-            "reorder_depth": gauge_json(r.graph.reorder_depth),
             "sccs_detected": r.graph.sccs_detected,
             "sccs_skipped_trivial": r.graph.sccs_skipped_trivial,
             "scc_latency": histogram_json(r.graph.scc_latency),
             "collect_latency": histogram_json(r.graph.collect_latency),
-            "enqueue_latency": histogram_json(r.graph.enqueue_latency),
-            "apply_latency": histogram_json(r.graph.apply_latency),
         }),
         "replay": serde_json::json!({
-            "submitted": r.replay.submitted,
             "completed": r.replay.completed,
-            "queue_depth": gauge_json(r.replay.queue_depth),
             "latency": histogram_json(r.replay.latency),
             "violations": r.replay.violations,
         }),
         "checker": serde_json::json!({
             "runs_begun": r.checker.runs_begun,
             "runs_ended": r.checker.runs_ended,
-            "drain_latency": histogram_json(r.checker.drain_latency),
         }),
         "trace_recorded": r.trace_recorded,
     })
@@ -124,19 +104,14 @@ pub fn pipeline_report_to_json(r: &PipelineReport) -> Value {
 /// Version of the `--stats-json` document, written as its top-level
 /// `schema_version`. Bump it whenever a key is added, removed, renamed or
 /// retyped; `dc-cli`'s golden key-path test fails until both agree.
-pub const STATS_SCHEMA_VERSION: u64 = 1;
+pub const STATS_SCHEMA_VERSION: u64 = 2;
 
 /// The `--stats-json` document: `schema_version`
 /// ([`STATS_SCHEMA_VERSION`]) and the [`DcStats`] fields at the top level,
 /// plus a `pipeline` member (the [`PipelineReport`] schema) when
-/// observability was on and `null` otherwise, plus a `pipeline_error`
-/// member (the drained [`PipelineError`]'s message, `null` on a healthy
-/// run) — so the schema is stable across levels and outcomes.
-pub fn stats_to_json(
-    stats: DcStats,
-    pipeline: Option<&PipelineReport>,
-    pipeline_error: Option<&PipelineError>,
-) -> Value {
+/// observability was on and `null` otherwise — so the schema is stable
+/// across levels.
+pub fn stats_to_json(stats: DcStats, pipeline: Option<&PipelineReport>) -> Value {
     let mut value = Value::from(stats);
     if let Value::Object(map) = &mut value {
         map.insert(
@@ -147,13 +122,6 @@ pub fn stats_to_json(
             "pipeline".to_string(),
             match pipeline {
                 Some(r) => pipeline_report_to_json(r),
-                None => Value::Null,
-            },
-        );
-        map.insert(
-            "pipeline_error".to_string(),
-            match pipeline_error {
-                Some(e) => Value::from(e.to_string()),
                 None => Value::Null,
             },
         );

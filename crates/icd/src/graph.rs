@@ -48,8 +48,7 @@ use std::sync::Arc;
 
 /// Table-3 counters the graph maintains. They live behind an `Arc` of
 /// atomics so readers ([`crate::Icd::cross_edges`], [`crate::Icd::scc_count`])
-/// never need the graph lock — the graph may be owned by the pipeline's
-/// dedicated apply thread while application threads poll the counters.
+/// never need the graph lock.
 #[derive(Debug, Default)]
 pub struct GraphCounters {
     /// Cross-thread edges added (Table 3 column).
@@ -92,14 +91,11 @@ pub struct TxNode {
     in_count: u32,
 }
 
-/// A structurally invalid finish: the op stream named a transaction the
-/// graph does not know, or one that already finished. Surfaced as a checked
-/// error so a malformed op stream degrades into a reported failure instead
-/// of a panic on the graph-owner thread.
+/// A structurally invalid finish: the caller named a transaction the graph
+/// does not know, or one that already finished.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FinishError {
-    /// No live node carries this id (never inserted, or already collected
-    /// while unfinished — impossible for well-formed streams).
+    /// No live node carries this id (never inserted, or already collected).
     UnknownTx(TxId),
     /// The node was already marked finished.
     AlreadyFinished(TxId),
@@ -354,8 +350,7 @@ impl Graph {
     }
 
     /// Marks `id` finished and stores its final log. A finish naming an
-    /// unknown or already-finished transaction is a malformed op stream,
-    /// reported as a checked error rather than a panic.
+    /// unknown or already-finished transaction is a checked error.
     pub fn finish(&mut self, id: TxId, log: Vec<LogEntry>) -> Result<(), FinishError> {
         self.finish_shared(id, (!log.is_empty()).then(|| log.into()))
     }
@@ -385,8 +380,7 @@ impl Graph {
 
     /// [`Graph::finish_shared`] followed, when `detect_sccs`, by the cycle
     /// probe from the finished transaction (§3.2.3), with the probe's
-    /// observability accounting: what a transaction end does to the graph,
-    /// in either executor.
+    /// observability accounting: what a transaction end does to the graph.
     pub(crate) fn finish_and_probe(
         &mut self,
         id: TxId,
@@ -640,10 +634,8 @@ impl Graph {
     }
 }
 
-/// The transaction collector's pacing and its register-rooted pass — one
-/// implementation for both executors: the synchronous one runs it inside
-/// the transaction boundary's critical section, the pipeline's graph owner
-/// between contiguous op runs.
+/// The transaction collector's pacing and its register-rooted pass, run
+/// inside the transaction boundary's critical section.
 ///
 /// Pacing counts transaction ends toward an adaptive threshold. With
 /// collection disabled (`every == 0`) it counts nothing — an unconditional
@@ -692,14 +684,13 @@ impl Collector {
             .max(u32::try_from(survivors / 2).unwrap_or(u32::MAX));
     }
 
-    /// One pass: roots are every thread's `currTX` and `lastRdEx`, the
-    /// graph's `gLastRdSh`, and `extra_roots` (the pipeline's received but
-    /// unapplied ops); [`Graph::collect`] adds the unfinished transactions.
+    /// One pass: roots are every thread's `currTX` and `lastRdEx` and the
+    /// graph's `gLastRdSh`; [`Graph::collect`] adds the unfinished
+    /// transactions.
     pub(crate) fn collect(
         &mut self,
         graph: &mut Graph,
         regs: &Registers,
-        extra_roots: impl IntoIterator<Item = TxId>,
         stats: &IcdStats,
         obs: Option<&PipelineObs>,
     ) {
@@ -710,7 +701,6 @@ impl Collector {
             self.roots.push(TxId(tr.last_rd_ex.load(Ordering::Acquire)));
         }
         self.roots.push(graph.g_last_rd_sh);
-        self.roots.extend(extra_roots);
         let collected = graph.collect(self.roots.iter().copied());
         self.after_collect(graph.len());
         stats

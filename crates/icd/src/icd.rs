@@ -13,19 +13,12 @@
 //! to the `Icd`; the `ThreadId`-taking hooks resolve the slot and run the
 //! same code.
 //!
-//! Graph maintenance has two modes ([`PipelineMode`]): in `Sync` mode
-//! application threads mutate the IDG under a global mutex (rare relative to
-//! accesses — Table 3: edges ≪ accesses — which is what makes ICD cheap),
-//! one critical section per transaction boundary and one per edge
-//! procedure; in `Pipelined` mode they only enqueue ticketed operations and
-//! a dedicated graph-owner thread (see [`crate::pipeline`]) applies them, so
-//! SCC detection and the collector leave the application hot path entirely.
-//! The [`IcdStats::graph_locks`] counter proves the difference: it counts
-//! every hot-path graph-mutex acquisition by an application thread and stays
-//! at zero in pipelined mode.
+//! Application threads mutate the IDG under a global mutex (rare relative
+//! to accesses — Table 3: edges ≪ accesses — which is what makes ICD cheap):
+//! one critical section per transaction boundary and one per edge procedure,
+//! each counted by [`IcdStats::graph_locks`].
 
 use crate::graph::{Collector, Graph, GraphCounters};
-use crate::pipeline::{GraphOp, PipelineError, PipelineHandle, PipelineMode, PosSnapshot, SccSink};
 use crate::types::{Edge, EdgeKind, LogEntry, SccReport, TxId, TxKind};
 use dc_obs::PipelineObs;
 use dc_runtime::heap::CellLayout;
@@ -49,9 +42,6 @@ pub struct IcdConfig {
     /// Detect SCCs when transactions end. Disabled for the §5.4
     /// array-overhead comparison and the PCD-only variant.
     pub detect_sccs: bool,
-    /// Where graph maintenance runs: on the application threads under a
-    /// mutex (`Sync`) or on a dedicated graph-owner thread (`Pipelined`).
-    pub pipeline: PipelineMode,
 }
 
 impl Default for IcdConfig {
@@ -60,15 +50,13 @@ impl Default for IcdConfig {
             logging: true,
             collect_every: 128,
             detect_sccs: true,
-            pipeline: PipelineMode::Sync,
         }
     }
 }
 
 /// Aggregated run statistics (Table 3 columns). The per-thread tallies —
 /// transactions, accesses, log entries — are kept thread-locally and fold in
-/// at [`Icd::thread_end`]; the rest is written under the graph lock or by
-/// the graph owner.
+/// at [`Icd::thread_end`]; the rest is written under the graph lock.
 #[derive(Debug, Default)]
 pub struct IcdStats {
     /// Regular (non-unary) transactions started (folded at thread end).
@@ -84,10 +72,9 @@ pub struct IcdStats {
     pub log_entries: AtomicU64,
     /// Transactions reclaimed by the collector.
     pub collected_txs: AtomicU64,
-    /// Hot-path graph-mutex acquisitions by application threads, each one
-    /// counted while it is held: one per transaction boundary (the
-    /// collector runs inside it) and one per edge procedure. Zero in
-    /// [`PipelineMode::Pipelined`] — the pipeline's acceptance counter.
+    /// Hot-path graph-mutex acquisitions, each one counted while it is
+    /// held: one per transaction boundary (the collector runs inside it)
+    /// and one per edge procedure.
     pub graph_locks: AtomicU64,
 }
 
@@ -108,8 +95,7 @@ pub(crate) struct ThreadRegs {
     pub(crate) log_len: AtomicU32,
 }
 
-/// All threads' registers, shared with the pipeline's graph-owner thread
-/// (which reads them as collector roots).
+/// All threads' registers (the collector reads them as roots).
 #[derive(Debug)]
 pub(crate) struct Registers {
     pub(crate) threads: Box<[Arc<ThreadRegs>]>,
@@ -143,9 +129,6 @@ struct Local {
     kind: TxKind,
     /// Per-thread transaction sequence number.
     seq: u64,
-    /// Pipelined mode: ticketed graph ops buffered during the current hook,
-    /// flushed as one batch before the hook returns.
-    pending: Vec<(u64, GraphOp)>,
     /// Instrumented accesses of the current transaction; folded into the
     /// per-kind totals when the transaction's kind is about to change, so
     /// the per-access hook bumps one counter without testing `kind`.
@@ -249,7 +232,6 @@ impl Slot {
                 seen_edge_events: 0,
                 kind: TxKind::Unary,
                 seq: 0,
-                pending: Vec::new(),
                 accesses: 0,
                 regular_accesses: 0,
                 unary_accesses: 0,
@@ -361,8 +343,8 @@ impl std::fmt::Debug for ThreadHandle {
     }
 }
 
-/// What the graph mutex guards in `Sync` mode: the IDG and the collector
-/// that paces itself on its transaction ends.
+/// What the graph mutex guards: the IDG and the collector that paces itself
+/// on its transaction ends.
 #[derive(Debug)]
 struct Owned {
     graph: Graph,
@@ -372,20 +354,16 @@ struct Owned {
 /// The imprecise-cycle-detection analysis.
 pub struct Icd {
     slots: Box<[Arc<Slot>]>,
-    regs: Arc<Registers>,
+    regs: Registers,
     layout: OnceLock<CellLayout>,
-    /// The IDG and its collector in `Sync` mode. In `Pipelined` mode this
-    /// holds a placeholder until [`Icd::drain_pipeline`] moves the real
-    /// graph back in.
     graph: Mutex<Owned>,
-    /// Lock-free Table-3 counters shared with the graph (wherever it lives).
+    /// Lock-free Table-3 counters shared with the graph.
     counters: Arc<GraphCounters>,
-    pipeline: Option<PipelineHandle>,
-    /// Next transaction id. `Sync` mode draws from it inside the boundary's
-    /// critical section, so the line stays with the lock holder.
+    /// Next transaction id, drawn inside the boundary's critical section,
+    /// so the line stays with the lock holder.
     next_tx: AtomicU64,
     config: IcdConfig,
-    stats: Arc<IcdStats>,
+    stats: IcdStats,
     obs: Option<Arc<PipelineObs>>,
 }
 
@@ -400,59 +378,23 @@ impl std::fmt::Debug for Icd {
 
 impl Icd {
     /// Creates an ICD instance for `n_threads` threads.
-    ///
-    /// In [`PipelineMode::Pipelined`] without a sink, detected SCCs are
-    /// dropped (useful for overhead measurement only); use
-    /// [`Icd::with_scc_sink`] to receive them.
     pub fn new(n_threads: usize, config: IcdConfig) -> Self {
-        Self::build(n_threads, config, None, None)
+        Self::with_observability(n_threads, config, None)
     }
 
-    /// Creates an ICD instance whose detected SCCs are delivered to `sink`
-    /// on the graph-owner thread ([`PipelineMode::Pipelined`] only — in
-    /// `Sync` mode the hooks return reports directly and `sink` is unused).
-    pub fn with_scc_sink(n_threads: usize, config: IcdConfig, sink: SccSink) -> Self {
-        Self::build(n_threads, config, Some(sink), None)
-    }
-
-    /// Like [`Icd::with_scc_sink`] with an optional observability registry
-    /// shared with the rest of the checker; `None` means observability is
-    /// off and the analysis runs exactly the uninstrumented code.
+    /// Like [`Icd::new`] with an optional observability registry shared
+    /// with the rest of the checker; `None` means observability is off and
+    /// the analysis runs exactly the uninstrumented code.
     pub fn with_observability(
         n_threads: usize,
         config: IcdConfig,
-        sink: Option<SccSink>,
         obs: Option<Arc<PipelineObs>>,
     ) -> Self {
-        Self::build(n_threads, config, sink, obs)
-    }
-
-    fn build(
-        n_threads: usize,
-        config: IcdConfig,
-        sink: Option<SccSink>,
-        obs: Option<Arc<PipelineObs>>,
-    ) -> Self {
-        let regs = Arc::new(Registers {
+        let regs = Registers {
             threads: (0..n_threads).map(|_| Arc::default()).collect(),
-        });
-        let stats = Arc::new(IcdStats::default());
+        };
         let graph = Graph::new();
         let counters = graph.counters();
-        let (graph, pipeline) = match config.pipeline {
-            PipelineMode::Sync => (graph, None),
-            PipelineMode::Pipelined => (
-                Graph::new(),
-                Some(PipelineHandle::spawn(
-                    graph,
-                    Arc::clone(&regs),
-                    Arc::clone(&stats),
-                    config,
-                    sink,
-                    obs.clone(),
-                )),
-            ),
-        };
         Icd {
             slots: regs
                 .threads
@@ -466,22 +408,10 @@ impl Icd {
                 collector: Collector::new(config.collect_every),
             }),
             counters,
-            pipeline,
             next_tx: AtomicU64::new(1),
             config,
-            stats,
+            stats: IcdStats::default(),
             obs,
-        }
-    }
-
-    /// Counts `n` graph ops that the synchronous path creates and applies
-    /// at the same program point, keeping `ops_enqueued == ops_applied`
-    /// invariant across both pipeline modes.
-    #[inline]
-    fn observe_sync_ops(&self, n: u64) {
-        if let Some(obs) = &self.obs {
-            obs.graph.ops_enqueued.add(n);
-            obs.graph.ops_applied.add(n);
         }
     }
 
@@ -531,48 +461,19 @@ impl Icd {
         )
     }
 
-    /// Drains the asynchronous pipeline (no-op in `Sync` mode): waits until
-    /// every enqueued operation is applied, stops the graph-owner thread
-    /// (dropping the SCC sink), and moves the final graph back under this
-    /// instance's mutex for post-run readers. Call only after every
-    /// application thread has finished its last hook (joined). Returns the
-    /// first structural op-stream error the owner hit, if any.
-    pub fn drain_pipeline(&self) -> Option<PipelineError> {
-        let (graph, error) = self.pipeline.as_ref()?.shutdown()?;
-        self.graph.lock().graph = graph;
-        error
-    }
-
     /// Snapshot of every finished transaction with its log and the edges
     /// among them (the §5.4 "PCD-only" variant). Call after all threads
-    /// have ended (and, in pipelined mode, after [`Icd::drain_pipeline`]);
-    /// requires `collect_every == 0` so nothing was reclaimed.
+    /// have ended; requires `collect_every == 0` so nothing was reclaimed.
     pub fn snapshot_all_finished(&self) -> SccReport {
         self.graph.lock().graph.snapshot_all_finished()
     }
 
     /// Acquires the graph mutex on an application-thread hot path, counting
-    /// the acquisition once it is held (the pipelined configuration exists
-    /// to keep this at zero).
+    /// the acquisition once it is held.
     fn lock_graph(&self) -> MutexGuard<'_, Owned> {
         let guard = self.graph.lock();
         self.stats.graph_locks.fetch_add(1, Ordering::Relaxed);
         guard
-    }
-
-    /// Per-thread `(currTX, published log length)` snapshot for rare ops
-    /// whose edge source is resolved by the graph owner at apply time.
-    fn pos_snapshot(&self) -> PosSnapshot {
-        self.regs
-            .threads
-            .iter()
-            .map(|r| {
-                (
-                    r.current_tx.load(Ordering::Acquire),
-                    r.log_len.load(Ordering::Acquire),
-                )
-            })
-            .collect()
     }
 
     // ----- transaction lifecycle -------------------------------------------
@@ -639,13 +540,12 @@ impl Icd {
     /// (none before the thread's first) and opens one of kind `next` (none
     /// at thread exit).
     ///
-    /// `Sync` mode does all of it in **one** critical section, in this
-    /// order: move the finished log into the graph, run SCC detection from
-    /// it (§3.2.3), count the end toward the collector and run a due pass
-    /// (the ended transaction is still `currTX(t)`, hence a root), draw the
-    /// next id, insert its node with the program-order edge, publish it as
-    /// `currTX(t)`. `Pipelined` mode enqueues the same two operations for
-    /// the graph owner and returns `None`; reports reach the sink instead.
+    /// All of it happens in **one** critical section, in this order: move
+    /// the finished log into the graph, run SCC detection from it (§3.2.3),
+    /// count the end toward the collector and run a due pass (the ended
+    /// transaction is still `currTX(t)`, hence a root), draw the next id,
+    /// insert its node with the program-order edge, publish it as
+    /// `currTX(t)`.
     fn boundary(&self, t: ThreadId, local: &mut Local, next: Option<TxKind>) -> Option<SccReport> {
         let old = TxId(local.regs.current_tx.load(Ordering::Acquire));
         // The retained log is one exact-size copy, made before the lock is
@@ -656,48 +556,18 @@ impl Icd {
         if let Some(kind) = next {
             local.open(kind);
         }
-        if let Some(p) = &self.pipeline {
-            if old.is_some() {
-                local
-                    .pending
-                    .push((p.ticket(), GraphOp::Finish { id: old, log }));
-            }
-            if let Some(kind) = next {
-                let id = TxId(self.next_tx.fetch_add(1, Ordering::Relaxed));
-                local.pending.push((
-                    p.ticket(),
-                    GraphOp::Insert {
-                        id,
-                        thread: t,
-                        kind,
-                        seq: local.seq,
-                        prev: old,
-                    },
-                ));
-                local.publish(id);
-            }
-            // Tickets never linger in a private buffer past the hook that
-            // drew them. The send swaps in a pooled buffer (capacity
-            // intact), so steady-state flushes never reallocate the batch.
-            if !local.pending.is_empty() {
-                p.send_batch(&mut local.pending);
-            }
-            return None;
-        }
-        self.observe_sync_ops(u64::from(old.is_some()) + u64::from(next.is_some()));
         let mut guard = self.lock_graph();
         let Owned { graph, collector } = &mut *guard;
         let mut report = None;
         if old.is_some() {
-            // Sync mode runs in-process with the hooks, so a malformed
-            // finish here is a checker bug, not a recoverable op-stream
-            // failure.
+            // The hooks name only transactions they inserted, so a
+            // malformed finish here is a checker bug.
             report = graph
                 .finish_and_probe(old, log, self.config.detect_sccs, self.obs.as_deref())
                 .expect("finishing unknown tx");
             collector.on_finish();
             if collector.due() {
-                collector.collect(graph, &self.regs, [], &self.stats, self.obs.as_deref());
+                collector.collect(graph, &self.regs, &self.stats, self.obs.as_deref());
             }
         }
         if let Some(kind) = next {
@@ -778,71 +648,15 @@ impl Icd {
         let dst_pos = self.regs.threads[req.index()]
             .log_len
             .load(Ordering::Acquire);
-        if let Some(p) = &self.pipeline {
-            // Direct send: this may run on either coordination participant,
-            // so it must not touch a thread-local buffer.
-            p.send_one(GraphOp::Cross {
-                src,
-                src_pos,
-                dst,
-                dst_pos,
-            });
-        } else {
-            self.observe_sync_ops(1);
-            self.lock_graph().graph.add_edge(Edge {
-                src,
-                src_pos,
-                dst,
-                dst_pos,
-                kind: EdgeKind::Cross,
-            });
-        }
+        self.lock_graph().graph.add_edge(Edge {
+            src,
+            src_pos,
+            dst,
+            dst_pos,
+            kind: EdgeKind::Cross,
+        });
         self.note_edge_event(resp, src);
         self.note_edge_event(req, dst);
-    }
-
-    /// [`Icd::handle_conflicting`] for a coalesced run of slow-path requests
-    /// answered at one Octet safe point: the same per-request semantics
-    /// (tickets drawn in request order, edge events noted per request), but
-    /// all Cross ops ride in one pooled batch over one transport send
-    /// instead of one send per request.
-    pub fn handle_conflicting_all(&self, resp: ThreadId, reqs: &[ThreadId]) {
-        let Some(p) = &self.pipeline else {
-            for &req in reqs {
-                self.handle_conflicting(resp, req);
-            }
-            return;
-        };
-        if let [req] = reqs {
-            self.handle_conflicting(resp, *req);
-            return;
-        }
-        let mut batch = p.take_batch();
-        for &req in reqs {
-            let src = self.current_tx(resp);
-            let dst = self.current_tx(req);
-            if !src.is_some() || !dst.is_some() || src == dst {
-                continue;
-            }
-            let src_pos = self.regs.threads[resp.index()]
-                .log_len
-                .load(Ordering::Acquire);
-            let dst_pos = self.regs.threads[req.index()]
-                .log_len
-                .load(Ordering::Acquire);
-            batch.push((
-                p.ticket(),
-                GraphOp::Cross {
-                    src,
-                    src_pos,
-                    dst,
-                    dst_pos,
-                },
-            ));
-            self.note_edge_event(resp, src);
-            self.note_edge_event(req, dst);
-        }
-        p.send_taken(batch);
     }
 
     /// `handleUpgradingTransition` (Figure 4): on `RdEx T1 → RdSh`, adds
@@ -859,15 +673,7 @@ impl Icd {
                 .last_rd_ex
                 .load(Ordering::Acquire),
         );
-        if let Some(p) = &self.pipeline {
-            p.send_one(GraphOp::Upgrade {
-                cur,
-                dst_pos,
-                last_rd_ex,
-                snap: self.pos_snapshot(),
-            });
-        } else {
-            self.observe_sync_ops(1);
+        {
             let mut guard = self.lock_graph();
             let graph = &mut guard.graph;
             if last_rd_ex.is_some() && last_rd_ex != cur {
@@ -906,14 +712,7 @@ impl Icd {
             return;
         }
         let dst_pos = self.regs.threads[t.index()].log_len.load(Ordering::Acquire);
-        if let Some(p) = &self.pipeline {
-            p.send_one(GraphOp::Fence {
-                cur,
-                dst_pos,
-                snap: self.pos_snapshot(),
-            });
-        } else {
-            self.observe_sync_ops(1);
+        {
             let mut guard = self.lock_graph();
             let graph = &mut guard.graph;
             let g = graph.g_last_rd_sh;
@@ -1240,48 +1039,41 @@ mod tests {
         assert_eq!(icd.stats().log_entries.load(Ordering::Relaxed), 0);
     }
 
-    // ----- pipelined mode ---------------------------------------------------
-
-    fn pipelined_config() -> IcdConfig {
-        IcdConfig {
-            pipeline: PipelineMode::Pipelined,
-            ..IcdConfig::default()
-        }
-    }
-
+    /// An upgrade edge out of a source that is still its thread's current
+    /// transaction carries the source's live log length — not the final
+    /// length it reaches later.
     #[test]
-    fn pipelined_delivers_sccs_via_sink_without_app_thread_graph_locks() {
-        let reports: Arc<Mutex<Vec<SccReport>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink_reports = Arc::clone(&reports);
-        let icd = Icd::with_scc_sink(
-            2,
-            pipelined_config(),
-            Box::new(move |r| sink_reports.lock().push(r)),
+    fn upgrade_edge_out_of_a_live_source_uses_its_live_position() {
+        let icd = Icd::new(
+            3,
+            IcdConfig {
+                collect_every: 0,
+                ..IcdConfig::default()
+            },
         );
-        icd.thread_begin(T0);
-        icd.thread_begin(T1);
-        icd.begin_regular(T0, M);
-        icd.begin_regular(T1, MethodId(1));
-        icd.record_access(T0, O, 0, true, false, false);
-        icd.handle_conflicting(T0, T1);
-        icd.record_access(T1, O, 0, true, false, true);
-        icd.handle_conflicting(T1, T0);
-        icd.record_access(T0, O, 0, false, false, true);
-        assert!(icd.end_regular(T0).is_none(), "reports go to the sink");
-        assert!(icd.end_regular(T1).is_none(), "reports go to the sink");
-        icd.thread_end(T0);
-        icd.thread_end(T1);
-        let _ = icd.drain_pipeline();
-        let reports = reports.lock();
-        assert_eq!(reports.len(), 1, "one SCC, reported once");
-        assert_eq!(reports[0].len(), 2);
-        assert_eq!(icd.scc_count(), 1);
-        assert_eq!(icd.cross_edges(), 2);
-        assert_eq!(
-            icd.stats().graph_locks.load(Ordering::Relaxed),
-            0,
-            "pipelined application threads must never take the graph lock"
-        );
+        for i in 0..3 {
+            icd.thread_begin(ThreadId::from_index(i));
+        }
+        // T2 logs two entries and claims RdEx in its still-live transaction.
+        icd.record_access(T2_ID, O, 0, true, false, false);
+        icd.record_access(T2_ID, O, 1, true, false, false);
+        icd.note_rdex_claim(T2_ID);
+        let t2_tx = icd.current_tx(T2_ID);
+        icd.handle_upgrading(T0, T2_ID);
+        let t0_tx = icd.current_tx(T0);
+        // T2 keeps logging before it ends.
+        icd.record_access(T2_ID, O, 2, true, false, false);
+        end_all(&icd, 3);
+        let g = &icd.graph.lock().graph;
+        assert_eq!(g.node(t2_tx).unwrap().final_len, 3);
+        let edge = g
+            .node(t2_tx)
+            .unwrap()
+            .out
+            .iter()
+            .find(|e| e.dst == t0_tx)
+            .expect("upgrade edge added");
+        assert_eq!(edge.src_pos, 2);
     }
 
     /// One critical section per transaction boundary — the collector runs
@@ -1289,7 +1081,7 @@ mod tests {
     /// boundaries, so two acquisitions (it used to be four, plus one per
     /// collector pass).
     #[test]
-    fn sync_mode_takes_the_graph_lock_once_per_boundary_and_edge() {
+    fn graph_lock_is_taken_once_per_boundary_and_edge() {
         let icd = Icd::new(
             2,
             IcdConfig {
@@ -1317,142 +1109,5 @@ mod tests {
         assert_eq!(locks(), 2 + 2 * CALLS + 3, "accesses take none");
         end_all(&icd, 2);
         assert_eq!(locks(), 2 + 2 * CALLS + 3 + 2, "one per thread end");
-    }
-
-    #[test]
-    fn drained_graph_is_visible_to_post_run_readers() {
-        let icd = Icd::new(
-            1,
-            IcdConfig {
-                collect_every: 0,
-                ..pipelined_config()
-            },
-        );
-        icd.thread_begin(T0);
-        icd.begin_regular(T0, M);
-        icd.record_access(T0, O, 0, true, false, false);
-        icd.end_regular(T0);
-        icd.thread_end(T0);
-        let _ = icd.drain_pipeline();
-        let snap = icd.snapshot_all_finished();
-        assert!(
-            snap.txs
-                .iter()
-                .any(|t| t.kind.is_regular() && t.log.len() == 1),
-            "the drained graph holds the finished regular tx and its log"
-        );
-        // Repeated drains are a no-op.
-        let _ = icd.drain_pipeline();
-    }
-
-    #[test]
-    fn pipelined_upgrade_and_fence_resolve_on_the_owner() {
-        let icd = Icd::new(3, pipelined_config());
-        for i in 0..3 {
-            icd.thread_begin(ThreadId::from_index(i));
-        }
-        icd.note_rdex_claim(T0);
-        let t0_tx = icd.current_tx(T0);
-        icd.handle_upgrading(T1, T0);
-        let t1_tx = icd.current_tx(T1);
-        icd.handle_fence(T2_ID);
-        let t2_tx = icd.current_tx(T2_ID);
-        for i in 0..3 {
-            icd.thread_end(ThreadId::from_index(i));
-        }
-        let _ = icd.drain_pipeline();
-        let g = &icd.graph.lock().graph;
-        let t0_out: Vec<_> = g.node(t0_tx).unwrap().out.iter().map(|e| e.dst).collect();
-        assert!(t0_out.contains(&t1_tx), "lastRdEx edge applied by owner");
-        let t1_out: Vec<_> = g.node(t1_tx).unwrap().out.iter().map(|e| e.dst).collect();
-        assert!(t1_out.contains(&t2_tx), "gLastRdSh fence edge applied");
-        assert_eq!(g.g_last_rd_sh, t1_tx);
-    }
-
-    /// Regression for `resolve_src_pos`: an Upgrade whose source thread sits
-    /// at the *highest* register index must resolve the source's live
-    /// (snapshot) log length, not a short-snapshot fallback and not the
-    /// final length the source reaches later.
-    #[test]
-    fn pipelined_upgrade_resolves_live_source_at_highest_thread_index() {
-        let icd = Icd::new(
-            3,
-            IcdConfig {
-                collect_every: 0,
-                ..pipelined_config()
-            },
-        );
-        for i in 0..3 {
-            icd.thread_begin(ThreadId::from_index(i));
-        }
-        // T2 (highest index) logs two entries and claims RdEx in its
-        // still-live current transaction.
-        icd.record_access(T2_ID, O, 0, true, false, false);
-        icd.record_access(T2_ID, O, 1, true, false, false);
-        icd.note_rdex_claim(T2_ID);
-        let t2_tx = icd.current_tx(T2_ID);
-        // T0 upgrades: snapshot sees T2 live at length 2.
-        icd.handle_upgrading(T0, T2_ID);
-        let t0_tx = icd.current_tx(T0);
-        // T2 keeps logging before it ends, so its final length differs from
-        // the snapshot length.
-        icd.record_access(T2_ID, O, 2, true, false, false);
-        for i in 0..3 {
-            icd.thread_end(ThreadId::from_index(i));
-        }
-        let _ = icd.drain_pipeline();
-        let g = &icd.graph.lock().graph;
-        assert_eq!(g.node(t2_tx).unwrap().final_len, 3);
-        let edge = g
-            .node(t2_tx)
-            .unwrap()
-            .out
-            .iter()
-            .find(|e| e.dst == t0_tx)
-            .expect("upgrade edge applied");
-        assert_eq!(
-            edge.src_pos, 2,
-            "edge out of a live source uses its snapshot position"
-        );
-    }
-
-    /// A coalesced safe-point drain produces exactly the edges the
-    /// per-request path would, in the same request order.
-    #[test]
-    fn coalesced_conflicting_run_matches_individual_sends() {
-        let run = |coalesced: bool| {
-            let icd = Icd::new(3, pipelined_config());
-            for i in 0..3 {
-                icd.thread_begin(ThreadId::from_index(i));
-            }
-            icd.record_access(T0, O, 0, true, false, false);
-            if coalesced {
-                icd.handle_conflicting_all(T0, &[T1, T2_ID]);
-            } else {
-                icd.handle_conflicting(T0, T1);
-                icd.handle_conflicting(T0, T2_ID);
-            }
-            let t0_tx = icd.current_tx(T0);
-            let dsts = [icd.current_tx(T1), icd.current_tx(T2_ID)];
-            for i in 0..3 {
-                icd.thread_end(ThreadId::from_index(i));
-            }
-            let _ = icd.drain_pipeline();
-            let g = &icd.graph.lock().graph;
-            let out: Vec<_> = g
-                .node(t0_tx)
-                .unwrap()
-                .out
-                .iter()
-                .map(|e| (e.dst, e.src_pos, e.dst_pos))
-                .collect();
-            (out, dsts, icd.cross_edges())
-        };
-        let (solo_edges, solo_dsts, solo_cross) = run(false);
-        let (batch_edges, batch_dsts, batch_cross) = run(true);
-        assert_eq!(solo_dsts, batch_dsts);
-        assert_eq!(solo_edges, batch_edges, "same edges in the same order");
-        assert_eq!(solo_cross, batch_cross);
-        assert_eq!(batch_cross, 2);
     }
 }

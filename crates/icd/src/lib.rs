@@ -22,12 +22,9 @@
 
 pub mod graph;
 mod icd;
-mod pipeline;
-mod ring;
 pub mod types;
 
 pub use icd::{Icd, IcdConfig, IcdStats, ThreadHandle};
-pub use pipeline::{PipelineError, PipelineMode, SccSink};
 pub use types::{
     Edge, EdgeKind, IdHasher, IdMap, LogEntry, ReplayConstraint, SccReport, TxId, TxKind,
     TxSnapshot,

@@ -1,21 +1,15 @@
 //! Steady-state allocation freedom: once the slab and the epoch-stamped
 //! scratch arrays are warm, cycle probes that find no cycle and collector
 //! runs that reclaim nothing must not touch the heap at all. (A probe that
-//! *does* find a cycle necessarily allocates its `SccReport`.) The same
-//! holds for the whole pipelined enqueue→apply path: pooled batches over
-//! the fixed-capacity ring, the reorder scoreboard, and the graph-owner
-//! apply loop. And a warm synchronous transaction boundary allocates
-//! exactly what it retains: nothing for an empty log, one exact-size
-//! `Arc<[LogEntry]>` for a non-empty one.
+//! *does* find a cycle necessarily allocates its `SccReport`.) And a warm
+//! transaction boundary allocates exactly what it retains: nothing for an
+//! empty log, one exact-size `Arc<[LogEntry]>` for a non-empty one.
 
 use dc_icd::graph::Graph;
-use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, PipelineMode, TxId, TxKind};
-use dc_obs::{ObsLevel, PipelineObs};
+use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, TxId, TxKind};
 use dc_runtime::ids::{MethodId, ObjId, ThreadId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -25,18 +19,9 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Process-wide allocation count: the pipelined test must also see the
-/// graph-owner thread's allocations, which a thread-local cannot.
-static GLOBAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// Serializes the tests in this file: the global counter would otherwise
-/// pick up a concurrently running sibling's allocations.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
-        GLOBAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -46,7 +31,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
-        GLOBAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -56,10 +40,6 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCS.with(|c| c.get())
-}
-
-fn global_allocations() -> u64 {
-    GLOBAL_ALLOCS.load(Ordering::Relaxed)
 }
 
 fn cross(src: u64, dst: u64) -> Edge {
@@ -72,84 +52,8 @@ fn cross(src: u64, dst: u64) -> Edge {
     }
 }
 
-/// One round of pipelined work: two threads each run a regular transaction,
-/// with one cross-thread coordination event between them. Every hook flushes
-/// through the op ring; both transactions finish, so the collector keeps the
-/// graph bounded.
-fn pipelined_round(icd: &Icd, t0: ThreadId, t1: ThreadId) {
-    icd.begin_regular(t0, MethodId(0));
-    icd.begin_regular(t1, MethodId(1));
-    icd.handle_conflicting(t0, t1);
-    icd.end_regular(t0);
-    icd.end_regular(t1);
-}
-
-/// Spins until the graph owner has applied everything enqueued so far.
-fn await_drain(obs: &PipelineObs) {
-    let target = obs.graph.ops_enqueued.get();
-    while obs.graph.ops_applied.get() < target {
-        std::hint::spin_loop();
-    }
-}
-
-#[test]
-fn warm_pipelined_enqueue_apply_path_does_not_allocate() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let obs = PipelineObs::new(ObsLevel::Counters).expect("counters level");
-    // Logging off (the first-run configuration): op payloads are empty logs,
-    // so the steady state exercises the transport, the reorder scoreboard,
-    // slab reuse, SCC probes, and the collector — and none of it may touch
-    // the heap once warm.
-    let icd = Icd::with_observability(
-        2,
-        IcdConfig {
-            logging: false,
-            collect_every: 8,
-            pipeline: PipelineMode::Pipelined,
-            ..IcdConfig::default()
-        },
-        None,
-        Some(std::sync::Arc::clone(&obs)),
-    );
-    let (t0, t1) = (ThreadId(0), ThreadId(1));
-    icd.thread_begin(t0);
-    icd.thread_begin(t1);
-
-    // Warm-up: fill the batch pool, size the ring/reorder/slab/scratch, and
-    // reach the collector's steady state.
-    for _ in 0..512 {
-        pipelined_round(&icd, t0, t1);
-    }
-    await_drain(&obs);
-
-    // The apply loop runs on the owner thread concurrently with our sends,
-    // so measure whole enqueue→apply windows; allow a couple of retries for
-    // one-off lazy initialization that the warm-up happened not to reach.
-    let mut best = u64::MAX;
-    for _ in 0..3 {
-        let before = global_allocations();
-        for _ in 0..256 {
-            pipelined_round(&icd, t0, t1);
-        }
-        await_drain(&obs);
-        best = best.min(global_allocations() - before);
-        if best == 0 {
-            break;
-        }
-    }
-    assert_eq!(
-        best, 0,
-        "steady-state pipelined enqueue→apply must be allocation-free"
-    );
-
-    icd.thread_end(t0);
-    icd.thread_end(t1);
-    let _ = icd.drain_pipeline();
-}
-
 #[test]
 fn warm_scc_probe_and_collect_do_not_allocate() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let n = 64u64;
     let mut g = Graph::new();
     for i in 1..=n {
@@ -196,7 +100,6 @@ fn warm_scc_probe_and_collect_do_not_allocate() {
 
 #[test]
 fn warm_sync_boundary_allocates_only_the_retained_log() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const ENTRIES: u32 = 48;
     let icd = Icd::new(
         1,

@@ -1,11 +1,9 @@
-//! Differential test: for one hook sequence, the asynchronous pipeline must
-//! build exactly the IDG the synchronous mode builds — same edge endpoints
-//! *and* same snapshotted log positions. Log positions come from the shared
+//! The log positions IDG edges snapshot. They come from the shared
 //! per-thread `log_len` atomic, which `record_access` updates only when the
 //! log actually grows (elided accesses never touch it), so the sequence
 //! deliberately mixes elided duplicates in around the edge-creating hooks.
 
-use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, LogEntry, PipelineMode, SccReport};
+use dc_icd::{EdgeKind, Icd, IcdConfig, LogEntry, SccReport};
 use dc_runtime::heap::{CellLayout, Heap, ObjKind};
 use dc_runtime::ids::{MethodId, ObjId, ThreadId, SYNC_CELL};
 
@@ -31,59 +29,20 @@ fn drive(icd: &Icd) -> SccReport {
     icd.record_access(T1, ObjId(2), 3, true, false, false);
     icd.thread_end(T0);
     icd.thread_end(T1);
-    icd.drain_pipeline();
     icd.snapshot_all_finished()
 }
 
-/// Edges as comparable tuples, kind encoded for ordering.
-fn edge_set(r: &SccReport) -> Vec<(u64, u32, u64, u32, u8)> {
-    let mut edges: Vec<_> = r
-        .edges
-        .iter()
-        .map(|e: &Edge| {
-            (
-                e.src.0,
-                e.src_pos,
-                e.dst.0,
-                e.dst_pos,
-                u8::from(e.kind == EdgeKind::Cross),
-            )
-        })
-        .collect();
-    edges.sort_unstable();
-    edges
-}
-
 #[test]
-fn pipelined_edge_positions_match_sync() {
-    let config = |mode| IcdConfig {
-        pipeline: mode,
-        collect_every: 0,
-        ..IcdConfig::default()
-    };
-    let sync = Icd::new(2, config(PipelineMode::Sync));
-    let piped = Icd::new(2, config(PipelineMode::Pipelined));
-    let a = drive(&sync);
-    let b = drive(&piped);
-
-    // Same transactions (both modes allocate ids in hook-call order)...
-    let ids = |r: &SccReport| {
-        let mut v: Vec<_> = r.txs.iter().map(|t| (t.id.0, t.thread, t.seq)).collect();
-        v.sort_unstable();
-        v
-    };
-    assert_eq!(ids(&a), ids(&b));
-    // ... with identical logs ...
-    for (ta, tb) in a.txs.iter().zip(&b.txs) {
-        assert_eq!(ta.id, tb.id);
-        assert_eq!(*ta.log, *tb.log, "log of {:?} differs", ta.id);
-    }
-    // ... and identical edges, positions included.
-    assert_eq!(edge_set(&a), edge_set(&b));
-    assert_eq!(a.constraints, b.constraints);
-
-    // The positions themselves: elided duplicates must not have advanced the
-    // published log length the edges snapshot.
+fn edge_positions_skip_elided_duplicates() {
+    let a = drive(&Icd::new(
+        2,
+        IcdConfig {
+            collect_every: 0,
+            ..IcdConfig::default()
+        },
+    ));
+    // Elided duplicates must not have advanced the published log length
+    // the edges snapshot.
     let cross: Vec<_> = a
         .edges
         .iter()

@@ -138,7 +138,6 @@ fn snapshot_all_finished_reflects_history() {
             logging: true,
             collect_every: 0,
             detect_sccs: false,
-            ..IcdConfig::default()
         },
     );
     icd.thread_begin(T0);

@@ -1,14 +1,13 @@
-//! `dc-obs` — the pipeline observability layer of the DoubleChecker
-//! reproduction.
+//! `dc-obs` — the observability layer of the DoubleChecker reproduction.
 //!
-//! PR 1 moved SCC detection and PCD replay onto an asynchronous pipeline;
-//! this crate makes that pipeline auditable (in the spirit of the per-stage
-//! accounting that Fast Atomicity Monitoring and RegionTrack use to back
-//! their overhead claims): events observed vs. events analyzed per stage,
-//! queue depths with high-watermarks, stage latency distributions, and a
-//! bounded trace of pipeline events. It is entirely self-contained (no
-//! dependencies, not even the workspace shims) so every analysis crate can
-//! use it without widening the dependency policy.
+//! It makes one checker run auditable stage by stage (in the spirit of the
+//! per-stage accounting that Fast Atomicity Monitoring and RegionTrack use
+//! to back their overhead claims): Octet transitions by kind, SCC probes
+//! skipped vs. run vs. reported, SCCs replayed and violations found, stage
+//! latency distributions, and a bounded trace of analysis events. It is
+//! entirely self-contained (no dependencies, not even the workspace shims)
+//! so every analysis crate can use it without widening the dependency
+//! policy.
 //!
 //! # Levels
 //!
@@ -16,8 +15,8 @@
 //!   `None` and every call site holding an `Option<Arc<PipelineObs>>`
 //!   short-circuits on `None`. The hot path is exactly the uninstrumented
 //!   code.
-//! * [`ObsLevel::Counters`] — counters and gauges (relaxed atomic RMWs, no
-//!   clock reads). Histograms and the trace ring stay inert.
+//! * [`ObsLevel::Counters`] — counters (relaxed atomic RMWs, no clock
+//!   reads). Histograms and the trace ring stay inert.
 //! * [`ObsLevel::Full`] — everything: stage latency histograms (which cost
 //!   two `Instant::now` reads per timed operation) and the trace ring.
 //!
@@ -31,7 +30,7 @@
 mod metrics;
 mod ring;
 
-pub use metrics::{Counter, Gauge, GaugeSummary, Histogram, HistogramSummary};
+pub use metrics::{Counter, Histogram, HistogramSummary};
 pub use ring::{EventKind, Stage, TraceEvent, TraceRing};
 
 use std::sync::Arc;
@@ -43,9 +42,9 @@ pub enum ObsLevel {
     /// No-op: no registry is allocated at all.
     #[default]
     Off,
-    /// Counters and queue gauges only (no clock reads).
+    /// Counters only (no clock reads).
     Counters,
-    /// Counters, gauges, stage latency histograms, and the trace ring.
+    /// Counters, stage latency histograms, and the trace ring.
     Full,
 }
 
@@ -95,27 +94,9 @@ pub struct OctetMetrics {
     pub cache_flushes: Counter,
 }
 
-/// ICD graph-pipeline metrics, covering both the synchronous path (ops
-/// "enqueue" and apply at the same program point) and the pipelined path
-/// (application threads enqueue, the graph-owner thread applies).
+/// ICD dependence-graph metrics.
 #[derive(Debug, Default)]
 pub struct GraphMetrics {
-    /// Graph operations created (insert/finish/cross/upgrade/fence).
-    pub ops_enqueued: Counter,
-    /// Graph operations applied to the IDG.
-    pub ops_applied: Counter,
-    /// Batches flushed from application threads (pipelined mode).
-    pub batches: Counter,
-    /// Single ops sent outside a batch (pipelined mode).
-    pub singles: Counter,
-    /// Sends that found the op ring full and had to spin/yield.
-    pub ring_full_waits: Counter,
-    /// Batch buffers parked in the reuse pool.
-    pub pooled_buffers: Gauge,
-    /// Ops in flight: enqueued but not yet applied.
-    pub queue_depth: Gauge,
-    /// Graph-owner reorder-buffer size (out-of-ticket-order arrivals).
-    pub reorder_depth: Gauge,
     /// SCCs (≥ 2 transactions) detected by Tarjan.
     pub sccs_detected: Counter,
     /// Transaction finishes where the trivial pre-filter (no incoming or no
@@ -125,22 +106,13 @@ pub struct GraphMetrics {
     pub scc_latency: Histogram,
     /// Transaction-collector pass latency (ns).
     pub collect_latency: Histogram,
-    /// Transport send latency per batch/single (ns).
-    pub enqueue_latency: Histogram,
-    /// Graph-owner apply latency per op (ns).
-    pub apply_latency: Histogram,
 }
 
-/// PCD replay metrics (pool workers in pipelined mode, inline replay in
-/// synchronous mode).
+/// PCD replay metrics.
 #[derive(Debug, Default)]
 pub struct ReplayMetrics {
-    /// SCC reports submitted for replay.
-    pub submitted: Counter,
-    /// SCC reports whose replay completed.
+    /// SCC reports replayed.
     pub completed: Counter,
-    /// Replay-pool queue depth (submitted, not yet picked up).
-    pub queue_depth: Gauge,
     /// Per-SCC replay latency (ns).
     pub latency: Histogram,
     /// Precise violations found by replay.
@@ -152,21 +124,18 @@ pub struct ReplayMetrics {
 pub struct CheckerMetrics {
     /// `run_begin` invocations.
     pub runs_begun: Counter,
-    /// `run_end` invocations (pipeline fully drained).
+    /// `run_end` invocations.
     pub runs_ended: Counter,
-    /// `run_end` drain latency: stopping the graph owner + draining the
-    /// replay pool (ns).
-    pub drain_latency: Histogram,
 }
 
 /// The observability registry one checker instance threads through Octet,
-/// the ICD pipeline, the PCD replay pool, and its own lifecycle hooks.
+/// ICD, PCD replay, and its own lifecycle hooks.
 #[derive(Debug)]
 pub struct PipelineObs {
     level: ObsLevel,
     /// Octet state transitions.
     pub octet: OctetMetrics,
-    /// ICD graph pipeline.
+    /// ICD dependence graph.
     pub graph: GraphMetrics,
     /// PCD replay.
     pub replay: ReplayMetrics,
@@ -175,19 +144,14 @@ pub struct PipelineObs {
     trace: TraceRing,
 }
 
-/// Default trace-ring capacity (slots).
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
+/// Trace-ring capacity (slots).
+const TRACE_CAPACITY: usize = 4096;
 
 impl PipelineObs {
     /// Creates a registry for `level`, or `None` for [`ObsLevel::Off`] —
     /// callers hold an `Option<Arc<PipelineObs>>`, so `off` costs exactly
     /// one pointer test at each instrumentation site.
     pub fn new(level: ObsLevel) -> Option<Arc<PipelineObs>> {
-        Self::with_trace_capacity(level, DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// Like [`PipelineObs::new`] with an explicit trace-ring capacity.
-    pub fn with_trace_capacity(level: ObsLevel, capacity: usize) -> Option<Arc<PipelineObs>> {
         match level {
             ObsLevel::Off => None,
             _ => Some(Arc::new(PipelineObs {
@@ -196,14 +160,9 @@ impl PipelineObs {
                 graph: GraphMetrics::default(),
                 replay: ReplayMetrics::default(),
                 checker: CheckerMetrics::default(),
-                trace: TraceRing::new(capacity),
+                trace: TraceRing::new(TRACE_CAPACITY),
             })),
         }
-    }
-
-    /// The registry's level (never [`ObsLevel::Off`]).
-    pub fn level(&self) -> ObsLevel {
-        self.level
     }
 
     /// A timing origin for a latency histogram — `Some` only at
@@ -230,11 +189,6 @@ impl PipelineObs {
         self.trace.snapshot()
     }
 
-    /// Total trace events ever recorded (may exceed the ring's capacity).
-    pub fn trace_recorded(&self) -> u64 {
-        self.trace.recorded()
-    }
-
     /// Snapshots every metric into a plain-data [`PipelineReport`].
     pub fn report(&self) -> PipelineReport {
         PipelineReport {
@@ -249,32 +203,19 @@ impl PipelineObs {
                 cache_flushes: self.octet.cache_flushes.get(),
             },
             graph: GraphReport {
-                ops_enqueued: self.graph.ops_enqueued.get(),
-                ops_applied: self.graph.ops_applied.get(),
-                batches: self.graph.batches.get(),
-                singles: self.graph.singles.get(),
-                ring_full_waits: self.graph.ring_full_waits.get(),
-                pooled_buffers: self.graph.pooled_buffers.summary(),
-                queue_depth: self.graph.queue_depth.summary(),
-                reorder_depth: self.graph.reorder_depth.summary(),
                 sccs_detected: self.graph.sccs_detected.get(),
                 sccs_skipped_trivial: self.graph.sccs_skipped_trivial.get(),
                 scc_latency: self.graph.scc_latency.summary(),
                 collect_latency: self.graph.collect_latency.summary(),
-                enqueue_latency: self.graph.enqueue_latency.summary(),
-                apply_latency: self.graph.apply_latency.summary(),
             },
             replay: ReplayReport {
-                submitted: self.replay.submitted.get(),
                 completed: self.replay.completed.get(),
-                queue_depth: self.replay.queue_depth.summary(),
                 latency: self.replay.latency.summary(),
                 violations: self.replay.violations.get(),
             },
             checker: CheckerReport {
                 runs_begun: self.checker.runs_begun.get(),
                 runs_ended: self.checker.runs_ended.get(),
-                drain_latency: self.checker.drain_latency.summary(),
             },
             trace_recorded: self.trace.recorded(),
         }
@@ -300,25 +241,9 @@ pub struct OctetReport {
     pub cache_flushes: u64,
 }
 
-/// Graph-pipeline section of a [`PipelineReport`].
+/// Graph section of a [`PipelineReport`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GraphReport {
-    /// Graph ops created.
-    pub ops_enqueued: u64,
-    /// Graph ops applied.
-    pub ops_applied: u64,
-    /// Batches flushed.
-    pub batches: u64,
-    /// Single ops sent outside a batch.
-    pub singles: u64,
-    /// Full-ring backpressure waits.
-    pub ring_full_waits: u64,
-    /// Pooled batch buffers.
-    pub pooled_buffers: GaugeSummary,
-    /// Ops in flight.
-    pub queue_depth: GaugeSummary,
-    /// Reorder-buffer depth.
-    pub reorder_depth: GaugeSummary,
     /// SCCs detected.
     pub sccs_detected: u64,
     /// Tarjan traversals skipped by the trivial pre-filter.
@@ -327,21 +252,13 @@ pub struct GraphReport {
     pub scc_latency: HistogramSummary,
     /// Collector-pass latency.
     pub collect_latency: HistogramSummary,
-    /// Transport send latency.
-    pub enqueue_latency: HistogramSummary,
-    /// Graph-owner apply latency.
-    pub apply_latency: HistogramSummary,
 }
 
 /// Replay section of a [`PipelineReport`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayReport {
-    /// SCCs submitted.
-    pub submitted: u64,
-    /// Replays completed.
+    /// SCCs replayed.
     pub completed: u64,
-    /// Replay queue depth.
-    pub queue_depth: GaugeSummary,
     /// Per-SCC replay latency.
     pub latency: HistogramSummary,
     /// Violations found.
@@ -355,20 +272,17 @@ pub struct CheckerReport {
     pub runs_begun: u64,
     /// Runs ended.
     pub runs_ended: u64,
-    /// Drain latency at `run_end`.
-    pub drain_latency: HistogramSummary,
 }
 
-/// A plain-data, stable-schema snapshot of every pipeline metric —
-/// everything is `u64`/`i64`, so reports are `Eq`-comparable in tests and
-/// serialize without floating-point noise.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A plain-data, stable-schema snapshot of every metric — all `u64`, so
+/// reports are `Eq`-comparable and serialize without floating-point noise.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineReport {
     /// The level the registry ran at.
     pub level: ObsLevel,
     /// Octet state transitions.
     pub octet: OctetReport,
-    /// Graph pipeline.
+    /// Dependence graph.
     pub graph: GraphReport,
     /// PCD replay.
     pub replay: ReplayReport,
@@ -376,19 +290,6 @@ pub struct PipelineReport {
     pub checker: CheckerReport,
     /// Total trace events recorded.
     pub trace_recorded: u64,
-}
-
-impl Default for PipelineReport {
-    fn default() -> Self {
-        PipelineReport {
-            level: ObsLevel::Off,
-            octet: OctetReport::default(),
-            graph: GraphReport::default(),
-            replay: ReplayReport::default(),
-            checker: CheckerReport::default(),
-            trace_recorded: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -404,10 +305,10 @@ mod tests {
     fn counters_level_disables_clock_and_trace() {
         let obs = PipelineObs::new(ObsLevel::Counters).unwrap();
         assert!(obs.clock().is_none());
-        obs.trace(Stage::Graph, EventKind::BatchSent, 1);
-        assert_eq!(obs.trace_recorded(), 0);
-        obs.graph.ops_enqueued.inc();
-        assert_eq!(obs.report().graph.ops_enqueued, 1);
+        obs.trace(Stage::Graph, EventKind::SccDetected, 2);
+        assert_eq!(obs.report().trace_recorded, 0);
+        obs.graph.sccs_detected.inc();
+        assert_eq!(obs.report().graph.sccs_detected, 1);
     }
 
     #[test]
@@ -415,7 +316,7 @@ mod tests {
         let obs = PipelineObs::new(ObsLevel::Full).unwrap();
         assert!(obs.clock().is_some());
         obs.trace(Stage::Replay, EventKind::ReplaySubmit, 2);
-        assert_eq!(obs.trace_recorded(), 1);
+        assert_eq!(obs.report().trace_recorded, 1);
         assert_eq!(obs.trace_events()[0].value, 2);
     }
 
@@ -423,17 +324,15 @@ mod tests {
     fn report_snapshots_all_sections() {
         let obs = PipelineObs::new(ObsLevel::Full).unwrap();
         obs.octet.conflicts.add(3);
-        obs.graph.queue_depth.add(5);
-        obs.graph.queue_depth.dec();
-        obs.replay.submitted.inc();
+        obs.graph.sccs_skipped_trivial.add(5);
+        obs.replay.completed.inc();
         obs.replay.latency.record(1000);
         obs.checker.runs_begun.inc();
         let r = obs.report();
         assert_eq!(r.level, ObsLevel::Full);
         assert_eq!(r.octet.conflicts, 3);
-        assert_eq!(r.graph.queue_depth.current, 4);
-        assert_eq!(r.graph.queue_depth.high_watermark, 5);
-        assert_eq!(r.replay.submitted, 1);
+        assert_eq!(r.graph.sccs_skipped_trivial, 5);
+        assert_eq!(r.replay.completed, 1);
         assert_eq!(r.replay.latency.count, 1);
         assert_eq!(r.checker.runs_begun, 1);
     }

@@ -1,9 +1,8 @@
-//! Metric primitives: atomic counters, gauges with high-watermarks, and
-//! log-bucketed latency histograms. All of them are wait-free on the
-//! recording side (a handful of relaxed atomic RMWs) and safe to share
-//! across threads behind an `Arc`.
+//! Metric primitives: atomic counters and log-bucketed latency histograms,
+//! wait-free on the recording side (a handful of relaxed atomic RMWs) and
+//! safe to share across threads behind an `Arc`.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A monotonically increasing event counter.
@@ -29,72 +28,6 @@ impl Counter {
     }
 }
 
-/// An instantaneous level (queue depth, buffer size) that remembers the
-/// highest value it ever reached. Signed so a decrement observed before the
-/// matching increment (possible under relaxed cross-thread interleavings)
-/// cannot wrap.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-    high: AtomicI64,
-}
-
-impl Gauge {
-    /// Raises the level by `n` and folds the new value into the watermark.
-    #[inline]
-    pub fn add(&self, n: i64) {
-        let now = self.value.fetch_add(n, Ordering::Relaxed) + n;
-        self.high.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Raises the level by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Lowers the level by one.
-    #[inline]
-    pub fn dec(&self) {
-        self.value.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Sets the level outright (single-writer gauges like the reorder
-    /// buffer, owned by one thread).
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-        self.high.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn current(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Highest level ever observed at an update.
-    pub fn high_watermark(&self) -> i64 {
-        self.high.load(Ordering::Relaxed)
-    }
-
-    /// Point-in-time summary.
-    pub fn summary(&self) -> GaugeSummary {
-        GaugeSummary {
-            current: self.current(),
-            high_watermark: self.high_watermark(),
-        }
-    }
-}
-
-/// Snapshot of a [`Gauge`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GaugeSummary {
-    /// Level at snapshot time.
-    pub current: i64,
-    /// Highest level observed over the run.
-    pub high_watermark: i64,
-}
-
 /// Number of power-of-two buckets: bucket `i` covers values in
 /// `[2^i, 2^(i+1))` (bucket 0 also covers 0), so 64 buckets span the full
 /// `u64` range — plenty for nanosecond latencies.
@@ -102,12 +35,11 @@ const BUCKETS: usize = 64;
 
 /// A log-bucketed histogram of `u64` samples (latencies in nanoseconds).
 /// Recording is one relaxed `fetch_add` into the sample's power-of-two
-/// bucket plus count/sum/max updates; percentiles are estimated at snapshot
+/// bucket plus sum/max updates; percentiles are estimated at snapshot
 /// time as the upper bound of the bucket holding the requested rank.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -116,7 +48,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -128,7 +59,6 @@ impl Histogram {
     pub fn record(&self, value: u64) {
         let bucket = (u64::BITS - value.max(1).leading_zeros() - 1) as usize;
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
     }
@@ -139,11 +69,6 @@ impl Histogram {
         if let Some(t0) = start {
             self.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Upper bound of the bucket containing the `q`-quantile sample
@@ -216,29 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_tracks_high_watermark() {
-        let g = Gauge::default();
-        g.add(3);
-        g.dec();
-        g.inc();
-        assert_eq!(g.current(), 3);
-        assert_eq!(g.high_watermark(), 3);
-        g.set(7);
-        g.set(1);
-        assert_eq!(g.current(), 1);
-        assert_eq!(g.high_watermark(), 7);
-        assert!(g.summary().high_watermark >= g.summary().current);
-    }
-
-    #[test]
-    fn gauge_survives_out_of_order_decrement() {
-        let g = Gauge::default();
-        g.dec(); // decrement observed before the matching increment
-        g.inc();
-        assert_eq!(g.current(), 0);
-    }
-
-    #[test]
     fn histogram_percentiles_bound_the_samples() {
         let h = Histogram::default();
         for v in [1u64, 2, 3, 100, 1000, 10_000] {
@@ -273,8 +175,8 @@ mod tests {
     fn record_elapsed_none_is_a_noop() {
         let h = Histogram::default();
         h.record_elapsed(None);
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.summary().count, 0);
         h.record_elapsed(Some(Instant::now()));
-        assert_eq!(h.count(), 1);
+        assert_eq!(h.summary().count, 1);
     }
 }

@@ -1,4 +1,4 @@
-//! A fixed-size lock-free ring of pipeline trace events.
+//! A fixed-size lock-free ring of analysis trace events.
 //!
 //! Writers claim a slot with one `fetch_add` on the global sequence counter
 //! and publish the slot's fields individually; the slot's own sequence word
@@ -10,17 +10,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Which pipeline component emitted an event.
+/// Which analysis component emitted an event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Stage {
     /// Octet barrier / coordination layer.
     Octet = 0,
-    /// ICD graph pipeline (app-side batching + graph-owner thread).
+    /// ICD's dependence graph (SCC detection, the collector).
     Graph = 1,
-    /// PCD replay pool.
+    /// PCD replay.
     Replay = 2,
-    /// Checker lifecycle (run begin/end, drain).
+    /// Checker lifecycle (run begin/end).
     Checker = 3,
 }
 
@@ -51,21 +51,18 @@ impl Stage {
 pub enum EventKind {
     /// An Octet slow-path transition (value = transition discriminant).
     Transition = 0,
-    /// A batch of graph ops left an application thread (value = batch len).
-    BatchSent = 1,
-    /// The graph owner detected an SCC (value = member count).
-    SccDetected = 2,
-    /// The graph owner ran the collector (value = transactions reclaimed).
-    CollectRun = 3,
-    /// An SCC was submitted to the replay pool (value = member count).
-    ReplaySubmit = 4,
+    /// A transaction end detected an SCC (value = member count).
+    SccDetected = 1,
+    /// The collector ran (value = transactions reclaimed).
+    CollectRun = 2,
+    /// An SCC was handed to PCD replay (value = member count).
+    ReplaySubmit = 3,
     /// A replay finished (value = violations found).
-    ReplayDone = 5,
+    ReplayDone = 4,
     /// The checker's run began (value = thread count).
-    RunBegin = 6,
-    /// The checker's run ended and the pipeline fully drained
-    /// (value = drain nanoseconds).
-    RunEnd = 7,
+    RunBegin = 5,
+    /// The checker's run ended (value = thread count).
+    RunEnd = 6,
 }
 
 impl EventKind {
@@ -73,7 +70,6 @@ impl EventKind {
     pub fn as_str(self) -> &'static str {
         match self {
             EventKind::Transition => "transition",
-            EventKind::BatchSent => "batch_sent",
             EventKind::SccDetected => "scc_detected",
             EventKind::CollectRun => "collect_run",
             EventKind::ReplaySubmit => "replay_submit",
@@ -86,12 +82,11 @@ impl EventKind {
     fn from_u8(v: u8) -> EventKind {
         match v {
             0 => EventKind::Transition,
-            1 => EventKind::BatchSent,
-            2 => EventKind::SccDetected,
-            3 => EventKind::CollectRun,
-            4 => EventKind::ReplaySubmit,
-            5 => EventKind::ReplayDone,
-            6 => EventKind::RunBegin,
+            1 => EventKind::SccDetected,
+            2 => EventKind::CollectRun,
+            3 => EventKind::ReplaySubmit,
+            4 => EventKind::ReplayDone,
+            5 => EventKind::RunBegin,
             _ => EventKind::RunEnd,
         }
     }
@@ -152,11 +147,6 @@ impl TraceRing {
         }
     }
 
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Total events ever recorded (≥ the number still in the ring).
     pub fn recorded(&self) -> u64 {
         self.next.load(Ordering::Relaxed)
@@ -215,12 +205,12 @@ mod tests {
     #[test]
     fn records_and_snapshots_in_order() {
         let ring = TraceRing::new(8);
-        ring.record(Stage::Graph, EventKind::BatchSent, 3);
+        ring.record(Stage::Graph, EventKind::CollectRun, 3);
         ring.record(Stage::Replay, EventKind::ReplaySubmit, 2);
         let events = ring.snapshot();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].stage, Stage::Graph);
-        assert_eq!(events[0].kind, EventKind::BatchSent);
+        assert_eq!(events[0].kind, EventKind::CollectRun);
         assert_eq!(events[0].value, 3);
         assert_eq!(events[1].seq, 1);
         assert!(events[0].t_ns <= events[1].t_ns);
@@ -250,7 +240,7 @@ mod tests {
                 for i in 0..5_000u64 {
                     // Stage/kind/value correlated so tearing is detectable.
                     let kind = if t % 2 == 0 {
-                        EventKind::BatchSent
+                        EventKind::CollectRun
                     } else {
                         EventKind::ReplayDone
                     };
@@ -268,7 +258,7 @@ mod tests {
             assert!(e.value < 5_000);
             assert!(matches!(
                 e.kind,
-                EventKind::BatchSent | EventKind::ReplayDone
+                EventKind::CollectRun | EventKind::ReplayDone
             ));
         }
         assert_eq!(ring.recorded(), 20_000);

@@ -43,17 +43,6 @@ pub trait TransitionSink: Sync {
     /// A conflicting transition requested by `req` has been coordinated with
     /// responder `resp`. Called once per responding thread.
     fn conflicting(&self, resp: ThreadId, req: ThreadId);
-
-    /// `resp` answers several waiting requesters at one safe point. Sinks
-    /// that pay a per-notification cost (e.g. ICD's pipelined op transport)
-    /// can override this to process them at once; the default simply
-    /// replays [`TransitionSink::conflicting`] in the given (requester
-    /// index) order.
-    fn conflicting_all(&self, resp: ThreadId, reqs: &[ThreadId]) {
-        for &req in reqs {
-            self.conflicting(resp, req);
-        }
-    }
 }
 
 /// A sink that ignores all events (plain Octet with no client analysis).
@@ -336,9 +325,8 @@ impl<S: TransitionSink> Protocol<S> {
     }
 
     fn respond_pending(&self, t: ThreadId) {
-        // Claim every pending request first and notify the sink once, so a
-        // burst of requesters waiting on the same responder costs one
-        // coalesced hook instead of a sink round-trip per request.
+        // Claim every pending request first, then notify the sink for each
+        // in requester-index order.
         let requesters = self.threads.claim_requests(t);
         let responded = !requesters.is_empty();
         if responded {
@@ -356,7 +344,9 @@ impl<S: TransitionSink> Protocol<S> {
             // The claimed requesters are still spinning: the hook reads
             // their state (ICD: current transaction and log length) exactly
             // as it was when they asked.
-            self.sink.conflicting_all(t, &requesters);
+            for &req in &requesters {
+                self.sink.conflicting(t, req);
+            }
         }
         self.threads.respond_requests(t, requesters);
         if responded {

@@ -15,13 +15,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod offline;
-pub mod pool;
 pub mod replay;
 pub mod rules;
 pub mod violation;
 
 pub use offline::{analyze_trace, OfflineConfig, OfflineReport};
-pub use pool::{ReplayHandle, ReplayPool};
 pub use replay::{replay_scc, ReplayStats};
 pub use rules::{Field, Pdg, PdgEdge};
 pub use violation::{CycleMember, Violation};

@@ -255,8 +255,7 @@ fn replay_unfiltered(scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
     // may pass through them (Velodrome's intra-thread edges, §2). Chains
     // are in sorted-thread order by construction, so the scan order — and
     // hence which of several equivalent cycles `cycle_through` reports —
-    // depends only on the SCC report, never on map iteration order (which
-    // would make sync and pipelined runs diverge).
+    // depends only on the SCC report, never on map iteration order.
     for chain in &r.chains {
         for pair in chain.windows(2) {
             pdg.add_intra_edge(scc.txs[pair[0]].id, scc.txs[pair[1]].id);

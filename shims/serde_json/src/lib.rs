@@ -214,11 +214,18 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Parses a JSON document into a [`Value`].
+/// Deepest array/object nesting [`from_str`] accepts. The parser recurses
+/// once per level, so untrusted input must not choose the depth; imported
+/// histories nest 6 deep and `--stats-json` documents 5.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document into a [`Value`]. Nesting deeper than
+/// [`MAX_DEPTH`] is an [`Error`] at the offending bracket's offset.
 pub fn from_str(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -240,6 +247,8 @@ where
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -276,10 +285,21 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(_) => self.number(),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, Error> {
@@ -450,6 +470,41 @@ mod tests {
         let v = Value::String("a\"b\\c\nd".to_string());
         let text = v.to_string();
         assert_eq!(from_str(&text).unwrap(), v);
+    }
+
+    /// `depth` levels of nesting around a `0`, bracket kind chosen per level.
+    fn nested_doc(depth: usize, open: impl Fn(usize) -> &'static str) -> String {
+        let opens: Vec<&str> = (0..depth).map(&open).collect();
+        let closes: String = opens
+            .iter()
+            .rev()
+            .map(|o| if *o == "[" { "]" } else { "}" })
+            .collect();
+        format!("{}0{closes}", opens.concat())
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses_and_one_deeper_is_an_error() {
+        let shapes: [(&str, fn(usize) -> &'static str); 3] = [
+            ("arrays", |_| "["),
+            ("objects", |_| "{\"k\":"),
+            ("mixed", |i| if i % 2 == 0 { "[" } else { "{\"k\":" }),
+        ];
+        for (what, open) in shapes {
+            assert!(from_str(&nested_doc(MAX_DEPTH, open)).is_ok(), "{what}");
+            let too_deep = nested_doc(MAX_DEPTH + 1, open);
+            let err = from_str(&too_deep).unwrap_err();
+            assert!(
+                err.message.contains(&MAX_DEPTH.to_string()),
+                "{what}: {err}"
+            );
+            // The offset is the bracket that opens level MAX_DEPTH + 1.
+            let prefix: usize = (0..MAX_DEPTH).map(|i| open(i).len()).sum();
+            assert_eq!(err.offset, prefix, "{what}");
+        }
+        // The input that used to overflow the stack fails at the same place.
+        let err = from_str(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! The transaction collector vs. in-flight operations.
+//! The transaction collector vs. the analysis it cleans up after.
 //!
-//! In pipelined mode the collector runs on the graph-owner thread while
-//! application threads still have Cross/Upgrade/Fence ops in flight (in
-//! pending batches, in the op ring, or parked in the reorder scoreboard).
-//! A collector pass must never reclaim a transaction such an op still
-//! references in a way that changes the analysis: with the collection
-//! cadence forced to its most aggressive setting, the pipelined run must
-//! still match the synchronous run bit for bit.
+//! The collector runs inside the transaction boundary's critical section
+//! while other threads' edge procedures queue for the same lock. A pass
+//! must never reclaim a transaction in a way that changes the analysis:
+//! with the collection cadence forced to its most aggressive setting, the
+//! run must still match a run that never collects.
 
 use dc_core::{run_doublechecker, DcConfig, ExecPlan, ObsLevel};
 use dc_runtime::engine::det::Schedule;
@@ -18,21 +16,19 @@ use doublechecker_repro as _;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-/// A `DcConfig` that collects after every transaction finish — the collector
-/// runs constantly, maximizing windows where it races in-flight ops.
-fn aggressive(plan: &ExecPlan, pipelined: bool) -> DcConfig {
-    let mut config = DcConfig::single_run(plan.coordination()).with_pipelined(pipelined);
-    config.collect_every = 1;
+/// A `DcConfig` that runs the collector every `collect_every` transaction
+/// ends: 1 is a pass at every boundary, 0 never collects.
+fn cadence(plan: &ExecPlan, collect_every: u32) -> DcConfig {
+    let mut config = DcConfig::single_run(plan.coordination());
+    config.collect_every = collect_every;
     config
 }
 
-/// Real OS threads, collector on every finish: Octet coordination keeps
-/// Cross/Upgrade ops in flight from arbitrary threads while the owner
-/// collects. The run must stay off the app-side graph mutex, drain fully
-/// with no structural op-stream error, and actually exercise both
-/// collection and cross-thread edges — unobserved, and at `Full`, whose
-/// clocks and trace events sit on the same paths and whose report shows
-/// the drain.
+/// Real OS threads, collector on every finish: Octet coordination adds
+/// cross edges from arbitrary threads between collector passes. The run
+/// must actually exercise collection and replay every SCC it hands to PCD
+/// — unobserved, and at `Full`, whose clocks and trace events sit on the
+/// same paths.
 #[test]
 fn aggressive_collection_is_stable_under_real_threads() {
     let wl = by_name("tsp", Scale::Tiny).unwrap();
@@ -42,20 +38,17 @@ fn aggressive_collection_is_stable_under_real_threads() {
         let report = run_doublechecker(
             &wl.program,
             &spec,
-            aggressive(&ExecPlan::Real, true).with_observability(level),
+            cadence(&ExecPlan::Real, 1).with_observability(level),
             &ExecPlan::Real,
         )
         .unwrap();
-        assert_eq!(report.stats.graph_locks, 0, "round {round}");
         assert!(report.stats.collected_txs > 0, "collector never ran");
-        assert_eq!(report.pipeline_error, None, "round {round}");
         assert_eq!(report.pipeline.is_some(), level == ObsLevel::Full);
         if let Some(p) = report.pipeline {
             assert_eq!(
-                p.graph.ops_enqueued, p.graph.ops_applied,
-                "pipeline failed to drain (round {round})"
+                p.replay.completed, report.stats.sccs_to_pcd,
+                "an SCC handed to PCD was not replayed (round {round})"
             );
-            assert_eq!(p.replay.submitted, p.replay.completed);
         }
     }
 }
@@ -144,33 +137,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// On any generated program and schedule, collecting after *every*
-    /// finish while ops are in flight changes nothing: the pipelined run
-    /// matches the synchronous run at the same cadence — violations, static
-    /// transaction info, and every stat except thread-timing noise.
+    /// finish changes nothing: the run matches one that never collects —
+    /// violations, static transaction info, SCCs.
     #[test]
     fn racing_collector_matches_synchronous((methods, threads, iters) in gen_program(), seed in 0u64..1000) {
         let (program, spec) = build(&methods, threads, iters);
         let plan = ExecPlan::Det(Schedule::random(seed));
-        let sync = run_doublechecker(&program, &spec, aggressive(&plan, false), &plan)
-            .expect("sync run");
-        let piped = run_doublechecker(&program, &spec, aggressive(&plan, true), &plan)
-            .expect("pipelined run");
-        let sync_keys: HashSet<_> = sync.violations.iter().map(|v| v.static_key()).collect();
-        let piped_keys: HashSet<_> = piped.violations.iter().map(|v| v.static_key()).collect();
-        prop_assert_eq!(sync_keys, piped_keys, "violation sets diverge");
-        prop_assert_eq!(&sync.static_info, &piped.static_info, "static info diverges");
-        prop_assert_eq!(piped.stats.graph_locks, 0u64, "app threads locked the graph");
+        let never = run_doublechecker(&program, &spec, cadence(&plan, 0), &plan)
+            .expect("run without collection");
+        let every = run_doublechecker(&program, &spec, cadence(&plan, 1), &plan)
+            .expect("run collecting at every finish");
+        let never_keys: HashSet<_> = never.violations.iter().map(|v| v.static_key()).collect();
+        let every_keys: HashSet<_> = every.violations.iter().map(|v| v.static_key()).collect();
+        prop_assert_eq!(never_keys, every_keys, "violation sets diverge");
+        prop_assert_eq!(&never.static_info, &every.static_info, "static info diverges");
+        prop_assert_eq!(never.stats.collected_txs, 0u64, "cadence 0 collected");
         // Cycle-relevant state must be identical (SCCs cannot be lost), but
-        // the raw cross-edge count may run slightly lower pipelined: an
-        // in-flight edge whose source was already collected — possible only
-        // once that source is finished, unreachable, and provably outside
-        // any future cycle — is dropped at apply time.
-        prop_assert_eq!(sync.stats.icd_sccs, piped.stats.icd_sccs, "SCCs lost or invented");
+        // the raw cross-edge count may run lower when collecting: an edge
+        // whose source was already collected — possible only once that
+        // source is finished, unreachable, and provably outside any future
+        // cycle — is dropped.
+        prop_assert_eq!(never.stats.icd_sccs, every.stats.icd_sccs, "SCCs lost or invented");
         prop_assert!(
-            piped.stats.idg_cross_edges <= sync.stats.idg_cross_edges,
-            "pipelined mode invented cross edges ({} > {})",
-            piped.stats.idg_cross_edges,
-            sync.stats.idg_cross_edges
+            every.stats.idg_cross_edges <= never.stats.idg_cross_edges,
+            "collection invented cross edges ({} > {})",
+            every.stats.idg_cross_edges,
+            never.stats.idg_cross_edges
         );
     }
 }

@@ -18,8 +18,7 @@ pub mod refine;
 use std::collections::BTreeSet;
 
 use dc_aerodrome::{AeroConfig, AeroDrome};
-use dc_core::{run_doublechecker, run_single, DcConfig, DcReport, DcStats, ExecPlan};
-use dc_octet::CoordinationMode;
+use dc_core::{run_single, DcReport, DcStats, ExecPlan};
 use dc_pcd::{analyze_trace, OfflineConfig};
 use dc_runtime::engine::det::{run_det, Schedule};
 use dc_runtime::ids::MethodId;
@@ -114,7 +113,7 @@ pub fn scrub_collected(mut stats: DcStats) -> DcStats {
 /// Two DoubleChecker configurations that differ by a pure performance
 /// change must be the same analysis on one deterministic schedule: the same
 /// deduplicated violation set, static transaction information and
-/// statistics (modulo the collector's reclaim count), both runs healthy.
+/// statistics (modulo the collector's reclaim count).
 pub fn assert_same_analysis(ctx: &str, a: &DcReport, b: &DcReport) {
     assert_eq!(violation_keys(a), violation_keys(b), "{ctx}: violations");
     assert_eq!(
@@ -126,24 +125,6 @@ pub fn assert_same_analysis(ctx: &str, a: &DcReport, b: &DcReport) {
         scrub_collected(b.stats),
         "{ctx}: stats"
     );
-    assert_eq!(
-        (a.pipeline_error, b.pipeline_error),
-        (None, None),
-        "{ctx}: healthy runs must not report a pipeline error"
-    );
-}
-
-/// The pipelined ≡ synchronous oracle: [`assert_same_analysis`] against the
-/// synchronous reference, except for the application-thread graph locks the
-/// pipeline exists to remove — those must be zero.
-pub fn assert_pipelined_matches_sync(ctx: &str, sync: &DcReport, piped: &DcReport) {
-    assert_eq!(
-        piped.stats.graph_locks, 0,
-        "{ctx}: pipelined application threads must not lock the graph"
-    );
-    let mut sync = sync.clone();
-    sync.stats.graph_locks = 0;
-    assert_same_analysis(&format!("{ctx}: sync vs pipelined"), &sync, piped);
 }
 
 /// The central three-way differential assertion (see module docs).
@@ -176,9 +157,7 @@ pub fn assert_three_way(ctx: &str, program: &Program, spec: &AtomicitySpec, sche
 }
 
 /// History-import oracle: the full three-way assertion on the lowered
-/// program (which runs synchronous DoubleChecker), the expected
-/// violation-existence verdict from every checker, and the pipelined
-/// DoubleChecker run healthy (no pipeline error) and agreeing on existence.
+/// program and the expected violation-existence verdict from every checker.
 pub fn assert_history_verdict(ctx: &str, lowered: &dc_histories::Lowered, expect_violation: bool) {
     let program = &lowered.program;
     let spec = &lowered.spec;
@@ -189,14 +168,5 @@ pub fn assert_history_verdict(ctx: &str, lowered: &dc_histories::Lowered, expect
         velo.found(),
         expect_violation,
         "{ctx}: expected verdict vs the (already three-way-agreed) checkers"
-    );
-    let config = DcConfig::single_run(CoordinationMode::Immediate).with_pipelined(true);
-    let report = run_doublechecker(program, spec, config, &ExecPlan::Det(schedule.clone()))
-        .unwrap_or_else(|e| panic!("{ctx}: pipelined: {e}"));
-    assert_eq!(report.pipeline_error, None, "{ctx}: pipelined");
-    assert_eq!(
-        !report.violations.is_empty(),
-        expect_violation,
-        "{ctx}: pipelined (existence)"
     );
 }

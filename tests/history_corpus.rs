@@ -1,6 +1,5 @@
 //! Replays every committed anomaly history under `tests/histories/` and
-//! asserts all three checkers agree with the verdict recorded in the file,
-//! DoubleChecker both synchronous and pipelined.
+//! asserts all three checkers agree with the verdict recorded in the file.
 //!
 //! These are the repo's strongest differential tests: the expected verdict
 //! of a lost update or a write skew is database folklore, independent of

@@ -1,7 +1,7 @@
 //! Observability-layer integration tests: accounting invariants that must
-//! hold after every drained run, a stress test that hammers `run_end`
-//! against the draining replay pool, and the multi-run end-to-end flow with
-//! the pipeline and full observability enabled on the second run.
+//! hold after every run, a stress test of back-to-back real-thread runs
+//! under a hang guard, and the multi-run end-to-end flow with full
+//! observability enabled on the second run.
 //!
 //! The companion *differential* guarantees — no observability level may
 //! change violations, static transaction info, or statistics — live in
@@ -57,41 +57,17 @@ fn racy_program(iters: u32, pairs: u32) -> (Program, AtomicitySpec) {
     (p, spec)
 }
 
-/// The accounting invariants every drained run must satisfy, whatever the
-/// mode: nothing enqueued is lost, nothing submitted goes unreplayed, and
-/// the histograms agree with the counters they time.
+/// The accounting invariants every run must satisfy: every SCC handed to
+/// PCD is replayed, the run begins and ends once, and the histograms agree
+/// with the counters they time.
 fn assert_accounting(report: &DcReport, ctx: &str) {
     let p = report
         .pipeline
         .as_ref()
         .unwrap_or_else(|| panic!("{ctx}: expected a pipeline report"));
     assert_eq!(
-        p.graph.ops_enqueued, p.graph.ops_applied,
-        "{ctx}: graph ops lost in flight"
-    );
-    assert_eq!(
-        p.graph.queue_depth.current, 0,
-        "{ctx}: graph queue not drained"
-    );
-    assert!(
-        p.graph.queue_depth.high_watermark >= p.graph.queue_depth.current,
-        "{ctx}: queue high-watermark below final depth"
-    );
-    assert_eq!(
-        p.replay.submitted, p.replay.completed,
-        "{ctx}: SCC reports lost between submit and replay"
-    );
-    assert_eq!(
-        p.replay.submitted, report.stats.sccs_to_pcd,
-        "{ctx}: obs submit counter disagrees with analysis stats"
-    );
-    assert_eq!(
-        p.replay.queue_depth.current, 0,
-        "{ctx}: replay queue not drained"
-    );
-    assert!(
-        p.replay.queue_depth.high_watermark >= p.replay.queue_depth.current,
-        "{ctx}: replay high-watermark below final depth"
+        p.replay.completed, report.stats.sccs_to_pcd,
+        "{ctx}: obs replay counter disagrees with analysis stats"
     );
     assert_eq!(p.checker.runs_begun, 1, "{ctx}: one run begins once");
     assert_eq!(p.checker.runs_ended, 1, "{ctx}: one run ends once");
@@ -103,10 +79,6 @@ fn assert_accounting(report: &DcReport, ctx: &str) {
         assert!(
             p.graph.scc_latency.count >= p.graph.sccs_detected,
             "{ctx}: SCC latency histogram missed detections"
-        );
-        assert_eq!(
-            p.checker.drain_latency.count, p.checker.runs_ended,
-            "{ctx}: drain latency histogram disagrees with run counter"
         );
     }
 }
@@ -125,7 +97,6 @@ fn sync_run_balances_its_books_at_full() {
     assert!(!report.violations.is_empty(), "schedule must interleave");
     assert_accounting(&report, "sync/full");
     let obs = report.pipeline.as_ref().unwrap();
-    assert!(obs.graph.ops_enqueued > 0, "graph ops were observed");
     assert!(obs.graph.sccs_detected > 0, "SCCs were observed");
     assert!(
         obs.octet.first_touch + obs.octet.upgrades + obs.octet.fences + obs.octet.conflicts > 0,
@@ -134,29 +105,6 @@ fn sync_run_balances_its_books_at_full() {
     assert_eq!(
         obs.replay.violations, report.stats.pcd.cycles,
         "obs violation counter tracks PCD cycles"
-    );
-}
-
-#[test]
-fn pipelined_run_balances_its_books_at_full() {
-    let (p, spec) = racy_program(10, 1);
-    let plan = ExecPlan::Det(Schedule::random(3));
-    let report = run_doublechecker(
-        &p,
-        &spec,
-        DcConfig::single_run(plan.coordination())
-            .with_pipelined(true)
-            .with_observability(ObsLevel::Full),
-        &plan,
-    )
-    .unwrap();
-    assert!(!report.violations.is_empty(), "schedule must interleave");
-    assert_accounting(&report, "pipelined/full");
-    let obs = report.pipeline.as_ref().unwrap();
-    assert!(obs.graph.batches > 0, "batches flow in pipelined mode");
-    assert!(
-        obs.graph.queue_depth.high_watermark > 0,
-        "ops were in flight at some point"
     );
 }
 
@@ -174,10 +122,9 @@ fn counters_level_counts_without_clocks_or_trace() {
     assert_accounting(&report, "sync/counters");
     let obs = report.pipeline.as_ref().unwrap();
     assert_eq!(obs.level, ObsLevel::Counters);
-    assert!(obs.graph.ops_enqueued > 0, "counters are live");
+    assert!(obs.graph.sccs_detected > 0, "counters are live");
     assert_eq!(obs.graph.scc_latency.count, 0, "no clock reads at counters");
     assert_eq!(obs.replay.latency.count, 0, "no clock reads at counters");
-    assert_eq!(obs.checker.drain_latency.count, 0);
     assert_eq!(obs.trace_recorded, 0, "no trace at counters");
     assert!(report.trace.is_empty());
 }
@@ -223,12 +170,11 @@ fn full_level_traces_the_run_lifecycle_in_order() {
     );
 }
 
-/// Stress: four application threads on the real engine, pipelined analysis
-/// with the replay pool behind it, a hundred back-to-back runs — every
-/// `run_end` must drain completely (no lost SCC reports, queues back to
-/// zero) and the whole thing must not hang. The run is wrapped in a thread
-/// and a `recv_timeout` so a deadlock fails the test instead of wedging the
-/// suite.
+/// Stress: four application threads on the real engine, a hundred
+/// back-to-back runs at `Full` — every run must balance its books and the
+/// whole thing must not hang. The run is wrapped in a thread and a
+/// `recv_timeout` so a wedged Octet round trip fails the test instead of
+/// wedging the suite.
 #[test]
 fn stress_run_end_drains_under_real_thread_hammering() {
     let (done_tx, done_rx) = mpsc::channel();
@@ -239,28 +185,22 @@ fn stress_run_end_drains_under_real_thread_hammering() {
             let report = run_doublechecker(
                 &p,
                 &spec,
-                DcConfig::single_run(plan.coordination())
-                    .with_pipelined(true)
-                    .with_observability(ObsLevel::Full),
+                DcConfig::single_run(plan.coordination()).with_observability(ObsLevel::Full),
                 &plan,
             )
             .unwrap();
-            assert_eq!(
-                report.stats.graph_locks, 0,
-                "round {round}: app threads locked the graph"
-            );
             assert_accounting(&report, &format!("stress round {round}"));
         }
         let _ = done_tx.send(());
     });
     done_rx
         .recv_timeout(Duration::from_secs(120))
-        .expect("stress run hung: pipeline failed to drain within 120s");
+        .expect("stress run hung: 100 real-thread runs did not finish within 120s");
 }
 
 /// Multi-run end-to-end with observability: the first run (ICD only) emits
-/// static transaction information; the second run consumes it with the
-/// asynchronous pipeline and full observability on. Methods never in an
+/// static transaction information; the second run consumes it with full
+/// observability on. Methods never in an
 /// imprecise cycle (the `gamma` below runs on its own thread against a
 /// private object) are excluded from the second run's instrumentation, so
 /// its instrumented-access counters shrink.
@@ -329,15 +269,13 @@ fn multi_run_second_run_shrinks_instrumented_accesses_under_pipeline_and_obs() {
         "gamma never conflicts, so it must stay out of the static info"
     );
 
-    // Run 2: instrument only the implicated transactions, analysis
-    // pipelined, observability full.
+    // Run 2: instrument only the implicated transactions, observability
+    // full.
     let plan = ExecPlan::Det(Schedule::random(3));
     let second = run_doublechecker(
         &p,
         &spec,
-        DcConfig::second_run(&info, plan.coordination())
-            .with_pipelined(true)
-            .with_observability(ObsLevel::Full),
+        DcConfig::second_run(&info, plan.coordination()).with_observability(ObsLevel::Full),
         &plan,
     )
     .unwrap();
@@ -352,7 +290,6 @@ fn multi_run_second_run_shrinks_instrumented_accesses_under_pipeline_and_obs() {
     );
     assert_accounting(&second, "multi-run second run");
     let obs = second.pipeline.as_ref().unwrap();
-    assert!(obs.graph.batches > 0, "second run ran pipelined");
     assert!(
         obs.graph.sccs_detected > 0,
         "the second run's cycles were observed"

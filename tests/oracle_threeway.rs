@@ -5,16 +5,13 @@
 //! the *same run* as Velodrome. The two online checkers must agree bit
 //! for bit on violation keys and blame; all of them must agree on
 //! violation existence. The suite also pins the pure-performance-change
-//! equivalences (pipelining, barrier cache, observability) of the
+//! equivalences (barrier cache, observability) of the
 //! DoubleChecker configuration space.
 
 mod common;
 
-use common::{
-    aerodrome_verdict, assert_pipelined_matches_sync, assert_same_analysis, assert_three_way,
-    velodrome_verdict_with_trace,
-};
-use dc_core::{run_doublechecker, run_single, DcConfig, ExecPlan};
+use common::{assert_same_analysis, assert_three_way};
+use dc_core::{run_doublechecker, DcConfig, ExecPlan};
 use dc_pcd::{analyze_trace, OfflineConfig};
 use dc_runtime::engine::det::Schedule;
 use dc_workloads::{all, Scale};
@@ -32,47 +29,10 @@ fn all_three_checkers_agree_across_the_suite() {
     }
 }
 
-/// The asynchronous analysis pipeline must be a pure performance change.
-/// The synchronous single-run is the one reference: on the same
-/// deterministic schedule the pipelined configuration must match it on
-/// everything [`assert_pipelined_matches_sync`] compares, and — like the
-/// synchronous leg of [`assert_three_way`] — agree with the (bit-identical)
-/// online checkers on violation existence.
-#[test]
-fn pipelined_single_run_matches_synchronous_across_the_suite() {
-    for wl in all(Scale::Tiny) {
-        let spec = dc_core::initial_spec(&wl.program, &wl.extra_exclusions);
-        for seed in 0..2u64 {
-            let schedule = Schedule::random(seed);
-            let ctx = format!("{} seed {seed}", wl.name);
-            let (velo, _) = velodrome_verdict_with_trace(&wl.program, &spec, &schedule);
-            let aero = aerodrome_verdict(&wl.program, &spec, &schedule);
-            assert_eq!(velo, aero, "{ctx}: velodrome vs aerodrome");
-
-            let plan = ExecPlan::Det(schedule);
-            let sync = run_single(&wl.program, &spec, &plan).unwrap();
-            let piped = run_doublechecker(
-                &wl.program,
-                &spec,
-                DcConfig::single_run(plan.coordination()).with_pipelined(true),
-                &plan,
-            )
-            .unwrap();
-            assert_pipelined_matches_sync(&ctx, &sync, &piped);
-            assert_eq!(
-                velo.found(),
-                !piped.violations.is_empty(),
-                "{ctx}: online checkers vs pipelined doublechecker (existence)"
-            );
-        }
-    }
-}
-
 /// The Octet ownership inline cache is a pure performance change: a cache
 /// hit must classify exactly the accesses the metadata word would classify
 /// as same-state, so disabling the cache on the same deterministic schedule
-/// — in the synchronous and the pipelined configuration — must reproduce
-/// the violation set, static transaction information, and statistics bit
+/// must reproduce the violation set, static transaction information, and statistics bit
 /// for bit (modulo the collector's timing-dependent reclaim count). Both
 /// legs run the one fused access kernel: cache-off is the leg whose
 /// per-thread Octet handle carries no ownership-table slot, so every probe
@@ -83,27 +43,21 @@ fn barrier_cache_on_and_off_are_bit_identical_across_the_suite() {
         let spec = dc_core::initial_spec(&wl.program, &wl.extra_exclusions);
         for seed in 0..2u64 {
             let plan = ExecPlan::Det(Schedule::random(seed));
-            for pipelined in [false, true] {
-                let base = DcConfig::single_run(plan.coordination()).with_pipelined(pipelined);
-                let on = run_doublechecker(
-                    &wl.program,
-                    &spec,
-                    base.clone().with_barrier_cache(true),
-                    &plan,
-                )
+            let base = DcConfig::single_run(plan.coordination());
+            let on = run_doublechecker(
+                &wl.program,
+                &spec,
+                base.clone().with_barrier_cache(true),
+                &plan,
+            )
+            .unwrap();
+            let off = run_doublechecker(&wl.program, &spec, base.with_barrier_cache(false), &plan)
                 .unwrap();
-                let off =
-                    run_doublechecker(&wl.program, &spec, base.with_barrier_cache(false), &plan)
-                        .unwrap();
-                assert_same_analysis(
-                    &format!(
-                        "{} seed {seed} pipelined {pipelined}: cache-on vs cache-off",
-                        wl.name
-                    ),
-                    &on,
-                    &off,
-                );
-            }
+            assert_same_analysis(
+                &format!("{} seed {seed}: cache-on vs cache-off", wl.name),
+                &on,
+                &off,
+            );
         }
     }
 }
@@ -111,47 +65,35 @@ fn barrier_cache_on_and_off_are_bit_identical_across_the_suite() {
 /// Observability is a pure observer: with every instrumentation site live
 /// (`ObsLevel::Full`) the analysis artefacts — violations, static
 /// transaction information, statistics — are identical to the
-/// uninstrumented (`ObsLevel::Off`) run on the same deterministic schedule,
-/// in both the synchronous and the pipelined configuration.
+/// uninstrumented (`ObsLevel::Off`) run on the same deterministic schedule.
 #[test]
 fn observability_full_vs_off_is_bit_identical_across_the_suite() {
     use dc_core::ObsLevel;
     for wl in all(Scale::Tiny) {
         let spec = dc_core::initial_spec(&wl.program, &wl.extra_exclusions);
         for seed in 0..2u64 {
-            for pipelined in [false, true] {
-                let plan = ExecPlan::Det(Schedule::random(seed));
-                let base = DcConfig::single_run(plan.coordination()).with_pipelined(pipelined);
-                let off = run_doublechecker(
-                    &wl.program,
-                    &spec,
-                    base.clone().with_observability(ObsLevel::Off),
-                    &plan,
-                )
-                .unwrap();
-                let full = run_doublechecker(
-                    &wl.program,
-                    &spec,
-                    base.with_observability(ObsLevel::Full),
-                    &plan,
-                )
-                .unwrap();
-                let ctx = format!("{} seed {seed} pipelined {pipelined}", wl.name);
-                assert!(off.pipeline.is_none(), "{ctx}: off must report nothing");
-                assert!(full.pipeline.is_some(), "{ctx}: full must report");
-                if pipelined {
-                    // Replay-pool workers race for SCCs, so which dynamic
-                    // instance represents each deduplicated violation — and
-                    // the collector's timing-dependent reclaim count — may
-                    // differ between runs; the violation *set* (by static
-                    // key) and everything else must match bit for bit.
-                    assert_same_analysis(&ctx, &off, &full);
-                } else {
-                    assert_eq!(off.violations, full.violations, "{ctx}: violations");
-                    assert_eq!(off.stats, full.stats, "{ctx}: stats");
-                    assert_eq!(off.static_info, full.static_info, "{ctx}: static info");
-                }
-            }
+            let plan = ExecPlan::Det(Schedule::random(seed));
+            let base = DcConfig::single_run(plan.coordination());
+            let off = run_doublechecker(
+                &wl.program,
+                &spec,
+                base.clone().with_observability(ObsLevel::Off),
+                &plan,
+            )
+            .unwrap();
+            let full = run_doublechecker(
+                &wl.program,
+                &spec,
+                base.with_observability(ObsLevel::Full),
+                &plan,
+            )
+            .unwrap();
+            let ctx = format!("{} seed {seed}", wl.name);
+            assert!(off.pipeline.is_none(), "{ctx}: off must report nothing");
+            assert!(full.pipeline.is_some(), "{ctx}: full must report");
+            assert_eq!(off.violations, full.violations, "{ctx}: violations");
+            assert_eq!(off.stats, full.stats, "{ctx}: stats");
+            assert_eq!(off.static_info, full.static_info, "{ctx}: static info");
         }
     }
 }

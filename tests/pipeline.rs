@@ -1,4 +1,4 @@
-//! End-to-end pipeline tests spanning all crates: workloads → engines →
+//! End-to-end checker tests spanning all crates: workloads → engines →
 //! checkers → violations.
 
 use dc_core::{run_doublechecker, run_multi, run_single, DcConfig, ExecPlan, ObsLevel};
@@ -157,63 +157,6 @@ fn streaming_over_owned_objects_hits_the_ownership_cache() {
         hits * 100 >= accesses * 99,
         "{hits} cache hits over {accesses} instrumented accesses"
     );
-}
-
-/// The acceptance counter for the asynchronous pipeline: in pipelined mode
-/// application threads enqueue graph operations instead of locking the
-/// graph, so `graph_locks` (hot-path graph-mutex acquisitions by app
-/// threads) is zero; the synchronous path takes the lock on every edge
-/// event and transaction boundary.
-#[test]
-fn pipelined_mode_removes_graph_locks_from_application_threads() {
-    let wl = by_name("tsp", Scale::Tiny).unwrap();
-    let spec = spec_of(&wl);
-    let plan = ExecPlan::Det(Schedule::random(1));
-    let sync = run_doublechecker(
-        &wl.program,
-        &spec,
-        DcConfig::single_run(plan.coordination()),
-        &plan,
-    )
-    .unwrap();
-    let piped = run_doublechecker(
-        &wl.program,
-        &spec,
-        DcConfig::single_run(plan.coordination()).with_pipelined(true),
-        &plan,
-    )
-    .unwrap();
-    assert!(
-        sync.stats.graph_locks > 0,
-        "synchronous mode locks the graph on the hot path"
-    );
-    assert_eq!(
-        piped.stats.graph_locks, 0,
-        "pipelined mode must keep app threads off the graph mutex"
-    );
-    // Same analysis results either way.
-    assert_eq!(sync.stats.regular_txs, piped.stats.regular_txs);
-    assert_eq!(sync.stats.idg_cross_edges, piped.stats.idg_cross_edges);
-    assert_eq!(sync.stats.icd_sccs, piped.stats.icd_sccs);
-}
-
-/// Pipelined single-run under real OS threads: the full pipeline (app
-/// threads → graph owner → PCD pool) shuts down cleanly and produces a
-/// complete report.
-#[test]
-fn pipelined_mode_is_stable_on_real_threads() {
-    let wl = by_name("tsp", Scale::Tiny).unwrap();
-    let spec = spec_of(&wl);
-    let report = run_doublechecker(
-        &wl.program,
-        &spec,
-        DcConfig::single_run(ExecPlan::Real.coordination()).with_pipelined(true),
-        &ExecPlan::Real,
-    )
-    .unwrap();
-    assert!(report.stats.regular_txs > 0);
-    assert!(report.stats.log_entries > 0);
-    assert_eq!(report.stats.graph_locks, 0);
 }
 
 /// xalan6's signature behaviour (§5.3): many imprecise SCCs whose precise

@@ -63,29 +63,6 @@ proptest! {
         });
     }
 
-    /// The asynchronous pipeline is a pure performance change: same
-    /// deduplicated violations, static transaction info and statistics as
-    /// the synchronous reference on any generated program and schedule.
-    #[test]
-    fn pipelined_matches_synchronous(p in ProgramStrategy, seed in 0u64..1000) {
-        use dc_core::{run_doublechecker, DcConfig};
-        let (program, spec) = p.build();
-        let plan = ExecPlan::Det(Schedule::random(seed));
-        let sync = run_single(&program, &spec, &plan).expect("sync run");
-        let piped = run_doublechecker(
-            &program,
-            &spec,
-            DcConfig::single_run(plan.coordination()).with_pipelined(true),
-            &plan,
-        )
-        .expect("pipelined run");
-        common::assert_pipelined_matches_sync(
-            &format!("generated program (seed {seed})"),
-            &sync,
-            &piped,
-        );
-    }
-
     /// The Octet ownership inline cache is a pure performance change: on
     /// any generated program and schedule, disabling the cache reproduces
     /// the cache-on run's deduplicated violations, static transaction
@@ -119,10 +96,10 @@ proptest! {
     }
 
     /// Full observability is invisible to the analysis: on any generated
-    /// program and schedule, the synchronous run with every counter,
-    /// histogram, and trace site live is bit-identical — violations, static
-    /// transaction info, and statistics — to the uninstrumented run, while
-    /// its own bookkeeping balances (`ops_enqueued == ops_applied`).
+    /// program and schedule, the run with every counter, histogram, and
+    /// trace site live is bit-identical — violations, static transaction
+    /// info, and statistics — to the uninstrumented run, while its own
+    /// bookkeeping balances (one replay per SCC handed to PCD).
     #[test]
     fn observability_is_a_pure_observer(p in ProgramStrategy, seed in 0u64..1000) {
         use dc_core::{run_doublechecker, DcConfig, ObsLevel};
@@ -148,9 +125,8 @@ proptest! {
         prop_assert_eq!(off.stats, full.stats, "stats diverge");
         prop_assert!(off.pipeline.is_none(), "off must not report");
         let report = full.pipeline.expect("full level reports");
-        prop_assert_eq!(report.graph.ops_enqueued, report.graph.ops_applied);
-        prop_assert_eq!(report.replay.submitted, report.replay.completed);
-        prop_assert_eq!(report.replay.submitted, full.stats.sccs_to_pcd);
+        prop_assert_eq!(report.replay.completed, full.stats.sccs_to_pcd);
+        prop_assert_eq!(report.graph.sccs_detected, full.stats.icd_sccs);
     }
 
     /// Serial execution (one giant quantum) is always violation-free:
