@@ -29,6 +29,7 @@ use dc_runtime::trace::TraceChecker;
 use dc_velodrome::{Variant, Velodrome, VelodromeConfig};
 use dc_workloads::{by_name, Scale, Workload};
 use std::fmt::Write as _;
+use std::io::Read as _;
 
 /// Everything that can go wrong while handling a command.
 #[derive(Debug, PartialEq, Eq)]
@@ -301,7 +302,15 @@ fn check_target(flags: &Flags) -> Result<CheckTarget, CliError> {
             "--engine real cannot replay a history: the interleaving is fixed by the file".into(),
         ));
     }
-    let text = std::fs::read_to_string(path)
+    // Read at most one byte past the limit: the importer rejects the text
+    // on its length (reported as limit + 1 however long the file is), and
+    // an oversized file is never held in memory.
+    let mut text = String::new();
+    std::fs::File::open(path)
+        .and_then(|f| {
+            let bound = dc_histories::schema::MAX_INPUT_BYTES as u64 + 1;
+            f.take(bound).read_to_string(&mut text)
+        })
         .map_err(|e| CliError::Failed(format!("reading {path:?}: {e}")))?;
     let (history, lowered) = dc_histories::import(&text)
         .map_err(|e| CliError::Usage(format!("invalid history {path:?}: {e}")))?;
@@ -1133,6 +1142,64 @@ mod tests {
             let err = run(&argv(&format!("check --history {path}"))).unwrap_err();
             assert!(
                 matches!(err, CliError::Usage(ref m) if m.contains("invalid JSON") && m.contains(detail)),
+                "{name}: {err:?}"
+            );
+        }
+    }
+
+    /// Each of the four input limits is a usage error naming the limit.
+    #[test]
+    fn check_history_over_a_limit_is_a_usage_error() {
+        use dc_histories::schema::{
+            MAX_EVENTS_PER_TX, MAX_INPUT_BYTES, MAX_KEYS, MAX_TXS_PER_SESSION,
+        };
+        // One session of `txs` transactions of `events` writes each, all to
+        // one key or each to a key of its own.
+        let doc = |txs: usize, events: usize, distinct_keys: bool| {
+            let txs: Vec<String> = (0..txs)
+                .map(|id| {
+                    let events: Vec<String> = (0..events)
+                        .map(|e| {
+                            let value = id * events + e + 1;
+                            let key = if distinct_keys { value } else { 0 };
+                            format!(r#"{{"op":"w","key":{key},"value":{value}}}"#)
+                        })
+                        .collect();
+                    format!(r#"{{"id":{id},"events":[{}]}}"#, events.join(","))
+                })
+                .collect();
+            format!(
+                r#"{{"format":"dc-history","version":1,"sessions":[[{}]]}}"#,
+                txs.join(",")
+            )
+        };
+        let per_tx = MAX_EVENTS_PER_TX;
+        for (name, text, detail) in [
+            (
+                "over-bytes.json",
+                " ".repeat(MAX_INPUT_BYTES + 1),
+                format!("exceeds the limit of {MAX_INPUT_BYTES}"),
+            ),
+            (
+                "over-txs.json",
+                doc(MAX_TXS_PER_SESSION + 1, 1, false),
+                format!("exceeds the limit of {MAX_TXS_PER_SESSION}"),
+            ),
+            (
+                "over-events.json",
+                doc(1, MAX_EVENTS_PER_TX + 1, false),
+                format!("exceeds the limit of {MAX_EVENTS_PER_TX}"),
+            ),
+            (
+                "over-keys.json",
+                doc(MAX_KEYS / per_tx + 1, per_tx, true),
+                format!("exceeds the limit of {MAX_KEYS}"),
+            ),
+        ] {
+            let path = history_file(name, &text);
+            let err = run(&argv(&format!("check --history {path}"))).unwrap_err();
+            assert!(
+                matches!(err, CliError::Usage(ref m) if m.contains(&detail)),
                 "{name}: {err:?}"
             );
         }

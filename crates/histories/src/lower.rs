@@ -43,7 +43,7 @@
 //! and replay fine; see DESIGN.md "History import" for the argument and the
 //! limits).
 
-use crate::schema::{Event, History, HistoryError};
+use crate::schema::{Event, History, HistoryError, MAX_KEYS};
 use dc_runtime::engine::det::Schedule;
 use dc_runtime::heap::ObjKind;
 use dc_runtime::ids::{MethodId, ObjId, ThreadId};
@@ -230,7 +230,8 @@ fn build_script(history: &History, order: &[usize]) -> Vec<ThreadId> {
 /// Returns [`HistoryError::EmptyHistory`],
 /// [`HistoryError::DuplicateWriteValue`], [`HistoryError::ReadOfUnwritten`],
 /// or [`HistoryError::Unrealizable`] when the history's values cannot be
-/// explained; a structurally valid history with explainable values always
+/// explained, and [`HistoryError::TooManyKeys`] past [`MAX_KEYS`] distinct
+/// keys; any other structurally valid history with explainable values
 /// lowers to a valid program.
 pub fn lower(history: &History) -> Result<Lowered, HistoryError> {
     validate_values(history)?;
@@ -252,6 +253,9 @@ pub fn lower(history: &History) -> Result<Lowered, HistoryError> {
             key_ids.insert(ev.key(), id);
             keys.push(ev.key().to_string());
         }
+    }
+    if keys.len() > MAX_KEYS {
+        return Err(HistoryError::TooManyKeys { keys: keys.len() });
     }
     let mut tx_methods = Vec::with_capacity(history.sessions.len());
     let mut entries = Vec::with_capacity(history.sessions.len());
@@ -455,6 +459,34 @@ mod tests {
             lower(&h).unwrap_err(),
             HistoryError::Unrealizable { .. }
         ));
+    }
+
+    #[test]
+    fn distinct_keys_are_limited() {
+        use crate::schema::MAX_EVENTS_PER_TX;
+        // One write per key, in transactions that respect the event limit.
+        let with_keys = |n: usize| History {
+            sessions: vec![(0..n)
+                .collect::<Vec<_>>()
+                .chunks(MAX_EVENTS_PER_TX)
+                .map(|chunk| Transaction {
+                    id: chunk[0] as u64,
+                    events: chunk
+                        .iter()
+                        .map(|k| Event::Write {
+                            key: format!("k{k}"),
+                            value: 1,
+                        })
+                        .collect(),
+                })
+                .collect()],
+            ..History::default()
+        };
+        assert_eq!(lower(&with_keys(MAX_KEYS)).unwrap().keys.len(), MAX_KEYS);
+        assert_eq!(
+            lower(&with_keys(MAX_KEYS + 1)).unwrap_err(),
+            HistoryError::TooManyKeys { keys: MAX_KEYS + 1 }
+        );
     }
 
     #[test]

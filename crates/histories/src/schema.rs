@@ -43,6 +43,24 @@ use std::fmt;
 /// of threads.
 pub const MAX_SESSIONS: usize = 64;
 
+/// Maximum size of a history document, checked before any of it is parsed:
+/// it bounds everything the parser and the importer allocate. (The corpus
+/// files are under 1 kB, a benchmark document about 15 kB.)
+pub const MAX_INPUT_BYTES: usize = 16 << 20;
+
+/// Maximum number of transactions in one session (the benchmark generator
+/// makes about 66 over all four sessions).
+pub const MAX_TXS_PER_SESSION: usize = 16_384;
+
+/// Maximum number of events in one transaction (the generator makes ≤ 6).
+/// A transaction's events become one method body and one retained log.
+pub const MAX_EVENTS_PER_TX: usize = 4_096;
+
+/// Maximum number of distinct keys (the generator uses 17). Every key
+/// becomes a heap object of the lowered program, so [`crate::lower::lower`]
+/// — where keys are interned — is what enforces it.
+pub const MAX_KEYS: usize = 65_536;
+
 /// The format tag every history file must carry.
 pub const FORMAT_TAG: &str = "dc-history";
 
@@ -209,6 +227,9 @@ impl History {
     /// (reads-from resolution) happens in [`crate::lower::lower`], which
     /// sees generated histories too.
     pub fn parse(text: &str) -> Result<History, HistoryError> {
+        if text.len() > MAX_INPUT_BYTES {
+            return Err(HistoryError::InputTooLarge { bytes: text.len() });
+        }
         let doc = serde_json::from_str(text).map_err(|e| HistoryError::Json {
             message: e.message,
             offset: e.offset,
@@ -268,6 +289,12 @@ impl History {
             let txs_doc = session_doc.as_array().ok_or_else(|| {
                 HistoryError::schema(format!("session {si} must be an array of transactions"))
             })?;
+            if txs_doc.len() > MAX_TXS_PER_SESSION {
+                return Err(HistoryError::TooManyTransactions {
+                    session: si,
+                    transactions: txs_doc.len(),
+                });
+            }
             let mut session = Vec::with_capacity(txs_doc.len());
             for (ti, tx_doc) in txs_doc.iter().enumerate() {
                 let at = format!("session {si}, transaction {ti}");
@@ -285,6 +312,12 @@ impl History {
                     .get("events")
                     .and_then(|v| v.as_array())
                     .ok_or_else(|| HistoryError::schema(format!("{at}: missing array 'events'")))?;
+                if events_doc.len() > MAX_EVENTS_PER_TX {
+                    return Err(HistoryError::TooManyEvents {
+                        id,
+                        events: events_doc.len(),
+                    });
+                }
                 let mut events = Vec::with_capacity(events_doc.len());
                 for (ei, ev_doc) in events_doc.iter().enumerate() {
                     let at = format!("{at}, event {ei}");
@@ -358,6 +391,30 @@ pub enum HistoryError {
         /// Declared session count.
         sessions: usize,
     },
+    /// The document is longer than [`MAX_INPUT_BYTES`].
+    InputTooLarge {
+        /// Its length in bytes.
+        bytes: usize,
+    },
+    /// A session has more than [`MAX_TXS_PER_SESSION`] transactions.
+    TooManyTransactions {
+        /// Index of the session.
+        session: usize,
+        /// Its transaction count.
+        transactions: usize,
+    },
+    /// A transaction has more than [`MAX_EVENTS_PER_TX`] events.
+    TooManyEvents {
+        /// The transaction's id.
+        id: u64,
+        /// Its event count.
+        events: usize,
+    },
+    /// The history touches more than [`MAX_KEYS`] distinct keys.
+    TooManyKeys {
+        /// Distinct keys found.
+        keys: usize,
+    },
     /// The history has no events at all.
     EmptyHistory,
     /// A write repeats a value on the same key (or writes the reserved
@@ -406,6 +463,23 @@ impl fmt::Display for HistoryError {
             HistoryError::DuplicateTxId { id } => write!(f, "duplicate transaction id {id}"),
             HistoryError::TooManySessions { sessions } => {
                 write!(f, "{sessions} sessions exceeds the limit of {MAX_SESSIONS}")
+            }
+            HistoryError::InputTooLarge { bytes } => {
+                write!(f, "{bytes} bytes of input exceeds the limit of {MAX_INPUT_BYTES}")
+            }
+            HistoryError::TooManyTransactions {
+                session,
+                transactions,
+            } => write!(
+                f,
+                "{transactions} transactions in session {session} exceeds the limit of {MAX_TXS_PER_SESSION}"
+            ),
+            HistoryError::TooManyEvents { id, events } => write!(
+                f,
+                "{events} events in transaction {id} exceeds the limit of {MAX_EVENTS_PER_TX}"
+            ),
+            HistoryError::TooManyKeys { keys } => {
+                write!(f, "{keys} distinct keys exceeds the limit of {MAX_KEYS}")
             }
             HistoryError::EmptyHistory => write!(f, "history contains no events"),
             HistoryError::DuplicateWriteValue { key, value } => {
@@ -535,6 +609,71 @@ mod tests {
         );
     }
 
+    /// One session of `txs` transactions of `events` writes each, padded
+    /// with trailing spaces to `bytes` bytes (0 = no padding).
+    fn sized_json(txs: usize, events: usize, bytes: usize) -> String {
+        let mut value = 0;
+        let txs: Vec<String> = (1..=txs)
+            .map(|id| {
+                let events: Vec<String> = (0..events)
+                    .map(|_| {
+                        value += 1;
+                        format!(r#"{{"op":"w","key":"x","value":{value}}}"#)
+                    })
+                    .collect();
+                format!(r#"{{"id":{id},"events":[{}]}}"#, events.join(","))
+            })
+            .collect();
+        let text = format!(
+            r#"{{"format":"dc-history","version":1,"sessions":[[{}]]}}"#,
+            txs.join(",")
+        );
+        let padding = " ".repeat(bytes.saturating_sub(text.len()));
+        text + &padding
+    }
+
+    #[test]
+    fn input_bytes_are_limited_before_parsing() {
+        let at = sized_json(1, 1, MAX_INPUT_BYTES);
+        assert_eq!(at.len(), MAX_INPUT_BYTES);
+        assert_eq!(History::parse(&at).unwrap().event_count(), 1);
+        // One byte more is rejected on its length alone: the text is not
+        // even JSON.
+        let over = "[".repeat(MAX_INPUT_BYTES + 1);
+        assert_eq!(
+            History::parse(&over),
+            Err(HistoryError::InputTooLarge {
+                bytes: MAX_INPUT_BYTES + 1
+            })
+        );
+    }
+
+    #[test]
+    fn transactions_per_session_are_limited() {
+        let at = History::parse(&sized_json(MAX_TXS_PER_SESSION, 1, 0)).unwrap();
+        assert_eq!(at.transaction_count(), MAX_TXS_PER_SESSION);
+        assert_eq!(
+            History::parse(&sized_json(MAX_TXS_PER_SESSION + 1, 1, 0)),
+            Err(HistoryError::TooManyTransactions {
+                session: 0,
+                transactions: MAX_TXS_PER_SESSION + 1
+            })
+        );
+    }
+
+    #[test]
+    fn events_per_transaction_are_limited() {
+        let at = History::parse(&sized_json(1, MAX_EVENTS_PER_TX, 0)).unwrap();
+        assert_eq!(at.event_count(), MAX_EVENTS_PER_TX);
+        assert_eq!(
+            History::parse(&sized_json(1, MAX_EVENTS_PER_TX + 1, 0)),
+            Err(HistoryError::TooManyEvents {
+                id: 1,
+                events: MAX_EVENTS_PER_TX + 1
+            })
+        );
+    }
+
     #[test]
     fn integer_keys_are_accepted_like_dbcop() {
         let text = r#"{
@@ -557,5 +696,37 @@ mod tests {
         );
         assert!(shown.contains("never-written"), "{shown}");
         assert!(format!("{}", HistoryError::UnknownVersion { found: 3 }).contains("version 3"),);
+        // Every limit names the offending number and the limit.
+        for (err, number, limit) in [
+            (
+                HistoryError::InputTooLarge { bytes: 7 },
+                "7 bytes",
+                MAX_INPUT_BYTES,
+            ),
+            (
+                HistoryError::TooManyTransactions {
+                    session: 2,
+                    transactions: 7,
+                },
+                "7 transactions in session 2",
+                MAX_TXS_PER_SESSION,
+            ),
+            (
+                HistoryError::TooManyEvents { id: 5, events: 7 },
+                "7 events in transaction 5",
+                MAX_EVENTS_PER_TX,
+            ),
+            (
+                HistoryError::TooManyKeys { keys: 7 },
+                "7 distinct keys",
+                MAX_KEYS,
+            ),
+        ] {
+            let shown = err.to_string();
+            assert!(
+                shown.contains(number) && shown.contains(&limit.to_string()),
+                "{shown}"
+            );
+        }
     }
 }

@@ -19,25 +19,41 @@
 //! # Storage
 //!
 //! Nodes live in a slab (`Vec<TxNode>`) addressed by a dense `u32` slot
-//! index; a free list, refilled by [`Graph::collect`], recycles slots. Each
-//! out-edge stores its destination's slot alongside the [`Edge`], so Tarjan
-//! and the collector's mark phase never hash — the `TxId → slot` map (on
-//! the multiplicative [`IdHasher`](crate::types::IdHasher)) is consulted
-//! only at the graph's boundary (insert/finish/edge creation).
-//! Slot indices held by live edges never dangle: the collector retains
-//! exactly the forward closure of the roots, so every out-edge of a
-//! surviving node targets a surviving node, and a freed slot has no live
-//! referrers when it is reused.
+//! index; a free list, refilled by [`Graph::collect`], recycles slots.
+//! Edges live in **one arena owned by the graph** (`Vec<EdgeRec>`), not in
+//! per-node vectors: a record holds the [`Edge`], the destination's slot,
+//! the source's thread and sequence number (what a [`ReplayConstraint`]
+//! needs once the source is gone) and two `u32` links threading it into its
+//! source's *out-list* and its destination's *in-list*. A node holds the
+//! four list ends. Both lists are appended at the tail, so traversals, and
+//! with them [`SccReport::edges`] and [`SccReport::constraints`], see a
+//! node's edges in insertion order. Intra-thread edges sit in the in-list
+//! too (constraints are its `Cross` records).
+//!
+//! **An edge record lives exactly as long as its destination**: the
+//! collector returns a freed node's in-list to the edge free list in one
+//! splice (the argument that no out-list can still reach such a record is
+//! written next to the sweep in [`Graph::collect`]). Freed records are
+//! reused before the arena grows, so neither a warm nor a *cold* graph
+//! allocates per node or per edge: the only allocator calls are the
+//! amortized doublings of the slab, the arena, the map and the scratch
+//! (`tests/alloc_free.rs` pins ≤ 64 calls for 1 000 nodes and 5 000 edges).
+//!
+//! Tarjan and the collector's mark phase follow slots and links and never
+//! hash. The `TxId → slot` map (on the multiplicative
+//! [`IdHasher`](crate::types::IdHasher)) is consulted once per node by ICD
+//! — [`Graph::insert`] returns the slot, the owning thread keeps it, and
+//! its transaction boundary passes it back as a hint validated against the
+//! slot's occupant — and otherwise only by the by-id API (cross-edge
+//! endpoints, tests, diagnostics).
 //!
 //! Tarjan's per-node state (visit index, lowlink, on-stack bit) and the
 //! collector's mark set live in epoch-stamped scratch arrays owned by the
 //! graph: a slot's entry is valid only when its stamp equals the current
 //! visit epoch, so "clearing" between passes is one counter bump. The DFS
-//! stack, frame, and component buffers are retained across calls. In steady
-//! state (slab not growing) [`Graph::scc_from`] and the collector's mark
-//! phase therefore perform no heap allocation.
+//! stack, frame, and component buffers are retained across calls.
 
-use crate::icd::{IcdStats, Registers};
+use crate::icd::{IcdStats, ThreadRegs};
 use crate::types::{
     Edge, EdgeKind, IdMap, LogEntry, ReplayConstraint, SccReport, TxId, TxKind, TxSnapshot,
 };
@@ -57,8 +73,47 @@ pub struct GraphCounters {
     pub scc_count: AtomicU64,
 }
 
+/// "No record": the end of an edge list, or an empty one. The arena never
+/// grows to this index.
+const NIL: u32 = u32::MAX;
+
+/// One IDG edge in the graph's arena, a member of two intrusive lists: its
+/// source's out-list and its destination's in-list.
+#[derive(Clone, Copy, Debug)]
+struct EdgeRec {
+    edge: Edge,
+    /// Slab slot of `edge.dst`, so traversals never hash.
+    dst_slot: u32,
+    /// Next record in the source's out-list.
+    next_out: u32,
+    /// Next record in the destination's in-list; the free-list link once
+    /// the record is freed.
+    next_in: u32,
+    /// The source's thread and sequence number, kept here so the record is
+    /// a self-contained [`ReplayConstraint`] after the source is collected.
+    src_thread: ThreadId,
+    src_seq: u64,
+}
+
+// One record per edge, within a cache line.
+const _: () = assert!(std::mem::size_of::<EdgeRec>() <= 64);
+
+impl EdgeRec {
+    fn constraint(&self) -> ReplayConstraint {
+        ReplayConstraint {
+            dst: self.edge.dst,
+            dst_pos: self.edge.dst_pos,
+            src: self.edge.src,
+            src_thread: self.src_thread,
+            src_seq: self.src_seq,
+            src_pos: self.edge.src_pos,
+        }
+    }
+}
+
 /// One IDG node, stored in a slab slot. A free slot is recognizable by
-/// `id == TxId::NONE`.
+/// `id == TxId::NONE`. Its edges are records in the graph's arena; the node
+/// holds only the ends of its two lists.
 #[derive(Debug)]
 pub struct TxNode {
     /// The transaction occupying this slot ([`TxId::NONE`] when free).
@@ -71,23 +126,20 @@ pub struct TxNode {
     pub seq: u64,
     /// True once the transaction has ended.
     pub finished: bool,
-    /// Outgoing edges.
-    pub out: Vec<Edge>,
-    /// Slab slot of each out-edge's destination, parallel to `out`, so
-    /// traversals never hash.
-    out_dst: Vec<u32>,
-    /// Incoming cross-thread edges, self-contained for replay constraints
-    /// (the source may be collected later).
-    pub in_cross: Vec<ReplayConstraint>,
+    /// First and last record of the outgoing-edge list ([`NIL`] if empty).
+    out_head: u32,
+    out_tail: u32,
+    /// First and last record of the incoming-edge list, intra and cross.
+    in_head: u32,
+    in_tail: u32,
     /// Final read/write log (set when the transaction finishes), at its
     /// exact size.
     pub log: Arc<[LogEntry]>,
     /// Final log length (valid once finished).
     pub final_len: u32,
-    /// Incoming edges added while the node has been live (intra + cross).
-    /// Never decremented, so after a collection it may overcount — it is
-    /// only ever used to *skip* cycle detection when zero, and a node with
-    /// zero recorded in-edges certainly has none.
+    /// Length of the in-list. An in-edge outlives its source, so the count
+    /// may include edges from collected transactions — it is only ever used
+    /// to *skip* cycle detection when zero and to size the free-list splice.
     in_count: u32,
 }
 
@@ -137,7 +189,7 @@ struct TarjanScratch {
     on_stack: Vec<bool>,
     /// Tarjan's component stack (slot indices).
     stack: Vec<u32>,
-    /// DFS frames: (slot, cursor into its out-edges).
+    /// DFS frames: (slot, next record of its out-list to follow).
     frames: Vec<(u32, u32)>,
     /// The root's component, reused across calls.
     component: Vec<u32>,
@@ -195,6 +247,12 @@ pub struct Graph {
     slab: Vec<TxNode>,
     /// Slots holding no live transaction, refilled by [`Graph::collect`].
     free: Vec<u32>,
+    /// Every live edge, plus freed records chained from `free_edge`.
+    edges: Vec<EdgeRec>,
+    /// Head of the edge free list (meaningful while `free_edges > 0`) and
+    /// its length.
+    free_edge: u32,
+    free_edges: u32,
     /// Boundary map from transaction id to slab slot.
     index: IdMap<TxId, u32>,
     /// Last transaction (across all threads) to move an object to RdSh.
@@ -248,19 +306,71 @@ impl Graph {
         self.free.len()
     }
 
+    /// Total edge records, live or free (tests/diagnostics: a stable arena
+    /// across edge/collect churn proves record reuse).
+    pub fn edge_arena_len(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Edge free-list length (tests/diagnostics).
+    pub fn free_edges(&self) -> usize {
+        self.free_edges as usize
+    }
+
     /// Access a node (tests/diagnostics).
     pub fn node(&self, id: TxId) -> Option<&TxNode> {
         self.index.get(&id).map(|&i| &self.slab[i as usize])
     }
 
+    /// `id`'s outgoing edges in insertion order; empty for an unknown id.
+    pub fn out_edges(&self, id: TxId) -> impl Iterator<Item = Edge> + '_ {
+        let slot = self.index.get(&id);
+        slot.into_iter()
+            .flat_map(|&s| self.out_list(s))
+            .map(|r| r.edge)
+    }
+
+    /// `id`'s incoming cross-thread edges in insertion order, as the replay
+    /// constraints an [`SccReport`] would carry; empty for an unknown id.
+    pub fn in_constraints(&self, id: TxId) -> impl Iterator<Item = ReplayConstraint> + '_ {
+        let slot = self.index.get(&id);
+        slot.into_iter()
+            .flat_map(|&s| self.in_list(s))
+            .filter(|r| r.edge.kind == EdgeKind::Cross)
+            .map(EdgeRec::constraint)
+    }
+
+    /// The records of `slot`'s out-list. ([`NIL`] is past the arena's end,
+    /// so `get` ends the walk.)
+    fn out_list(&self, slot: u32) -> impl Iterator<Item = &EdgeRec> {
+        let head = self.edges.get(self.slab[slot as usize].out_head as usize);
+        std::iter::successors(head, |r| self.edges.get(r.next_out as usize))
+    }
+
+    /// The records of `slot`'s in-list.
+    fn in_list(&self, slot: u32) -> impl Iterator<Item = &EdgeRec> {
+        let head = self.edges.get(self.slab[slot as usize].in_head as usize);
+        std::iter::successors(head, |r| self.edges.get(r.next_in as usize))
+    }
+
+    /// `id`'s slot: `hint` when that slot still holds `id` (the owning
+    /// thread kept what [`Graph::insert`] returned), else by the map.
+    /// [`TxId::NONE`] — what a free slot holds — names no node.
+    fn resolve(&self, hint: u32, id: TxId) -> Option<u32> {
+        match self.slab.get(hint as usize) {
+            Some(node) if node.id == id && id.is_some() => Some(hint),
+            _ => self.index.get(&id).copied(),
+        }
+    }
+
     /// Inserts a new, unfinished transaction node, reusing a free slot when
-    /// one exists.
-    pub fn insert(&mut self, id: TxId, thread: ThreadId, kind: TxKind, seq: u64) {
+    /// one exists, and returns its slot.
+    pub fn insert(&mut self, id: TxId, thread: ThreadId, kind: TxKind, seq: u64) -> u32 {
         let slot = match self.free.pop() {
             Some(slot) => {
                 let node = &mut self.slab[slot as usize];
                 debug_assert!(!node.id.is_some(), "free slot still occupied");
-                debug_assert!(node.out.is_empty() && node.in_cross.is_empty());
+                debug_assert!(node.out_head == NIL && node.in_head == NIL);
                 node.id = id;
                 node.thread = thread;
                 node.kind = kind;
@@ -278,9 +388,10 @@ impl Graph {
                     kind,
                     seq,
                     finished: false,
-                    out: Vec::new(),
-                    out_dst: Vec::new(),
-                    in_cross: Vec::new(),
+                    out_head: NIL,
+                    out_tail: NIL,
+                    in_head: NIL,
+                    in_tail: NIL,
                     log: Arc::clone(&self.empty_log),
                     final_len: 0,
                     in_count: 0,
@@ -290,6 +401,7 @@ impl Graph {
         };
         let prev = self.index.insert(id, slot);
         debug_assert!(prev.is_none(), "duplicate transaction id");
+        slot
     }
 
     /// Adds an edge. Self-edges are dropped (a transaction trivially
@@ -304,65 +416,92 @@ impl Graph {
         else {
             return;
         };
-        let (src_thread, src_seq) = {
-            let src = &mut self.slab[src_slot as usize];
-            src.out.push(edge);
-            src.out_dst.push(dst_slot);
-            (src.thread, src.seq)
+        self.link(src_slot, dst_slot, edge);
+    }
+
+    /// Stores `edge` in the arena — a freed record if there is one — and
+    /// appends it to the tails of `src_slot`'s out-list and `dst_slot`'s
+    /// in-list.
+    fn link(&mut self, src_slot: u32, dst_slot: u32, edge: Edge) {
+        let src = &mut self.slab[src_slot as usize];
+        let rec = EdgeRec {
+            edge,
+            dst_slot,
+            next_out: NIL,
+            next_in: NIL,
+            src_thread: src.thread,
+            src_seq: src.seq,
         };
+        let e = if self.free_edges > 0 {
+            let e = self.free_edge;
+            self.free_edge = self.edges[e as usize].next_in;
+            self.free_edges -= 1;
+            self.edges[e as usize] = rec;
+            e
+        } else {
+            assert!(self.edges.len() < NIL as usize, "edge arena overflow");
+            self.edges.push(rec);
+            (self.edges.len() - 1) as u32
+        };
+        match src.out_tail {
+            NIL => src.out_head = e,
+            tail => self.edges[tail as usize].next_out = e,
+        }
+        src.out_tail = e;
         let dst = &mut self.slab[dst_slot as usize];
+        match dst.in_tail {
+            NIL => dst.in_head = e,
+            tail => self.edges[tail as usize].next_in = e,
+        }
+        dst.in_tail = e;
         dst.in_count += 1;
         if edge.kind == EdgeKind::Cross {
             self.counters.cross_edges.fetch_add(1, Ordering::Relaxed);
-            dst.in_cross.push(ReplayConstraint {
-                dst: edge.dst,
-                dst_pos: edge.dst_pos,
-                src: edge.src,
-                src_thread,
-                src_seq,
-                src_pos: edge.src_pos,
-            });
         }
     }
 
     /// Inserts `id` as `thread`'s next transaction: the node plus the
     /// program-order edge from the thread's previous transaction `prev`
-    /// (finished by then; [`TxId::NONE`] for a thread's first).
+    /// (finished by then; [`TxId::NONE`] for a thread's first), which the
+    /// thread last saw in `prev_slot`. Returns the new node's slot.
     pub(crate) fn insert_after(
         &mut self,
         id: TxId,
         thread: ThreadId,
         kind: TxKind,
         seq: u64,
-        prev: TxId,
-    ) {
-        self.insert(id, thread, kind, seq);
-        if prev.is_some() {
-            let src_pos = self.node(prev).map_or(0, |n| n.final_len);
-            self.add_edge(Edge {
+        (prev_slot, prev): (u32, TxId),
+    ) -> u32 {
+        let slot = self.insert(id, thread, kind, seq);
+        if let Some(prev_slot) = self.resolve(prev_slot, prev) {
+            let edge = Edge {
                 src: prev,
-                src_pos,
+                src_pos: self.slab[prev_slot as usize].final_len,
                 dst: id,
                 dst_pos: 0,
                 kind: EdgeKind::Intra,
-            });
+            };
+            self.link(prev_slot, slot, edge);
         }
+        slot
     }
 
     /// Marks `id` finished and stores its final log. A finish naming an
     /// unknown or already-finished transaction is a checked error.
     pub fn finish(&mut self, id: TxId, log: Vec<LogEntry>) -> Result<(), FinishError> {
-        self.finish_shared(id, (!log.is_empty()).then(|| log.into()))
+        let log = (!log.is_empty()).then(|| log.into());
+        self.finish_shared((NIL, id), log).map(drop)
     }
 
     /// [`Graph::finish`] with the log already in its retained form (`None`
-    /// for an empty one), so the copy is made before the graph is locked.
-    pub(crate) fn finish_shared(
+    /// for an empty one), so the copy is made before the graph is locked,
+    /// and with the slot the caller last saw `id` in. Returns the slot.
+    fn finish_shared(
         &mut self,
-        id: TxId,
+        (hint, id): (u32, TxId),
         log: Option<Arc<[LogEntry]>>,
-    ) -> Result<(), FinishError> {
-        let Some(&slot) = self.index.get(&id) else {
+    ) -> Result<u32, FinishError> {
+        let Some(slot) = self.resolve(hint, id) else {
             return Err(FinishError::UnknownTx(id));
         };
         let node = &mut self.slab[slot as usize];
@@ -375,7 +514,7 @@ impl Graph {
         // every finish takes this path.
         node.log = log.unwrap_or_else(|| Arc::clone(&self.empty_log));
         node.final_len = u32::try_from(node.log.len()).expect("log too long");
-        Ok(())
+        Ok(slot)
     }
 
     /// [`Graph::finish_shared`] followed, when `detect_sccs`, by the cycle
@@ -383,17 +522,17 @@ impl Graph {
     /// observability accounting: what a transaction end does to the graph.
     pub(crate) fn finish_and_probe(
         &mut self,
-        id: TxId,
+        tx: (u32, TxId),
         log: Option<Arc<[LogEntry]>>,
         detect_sccs: bool,
         obs: Option<&PipelineObs>,
     ) -> Result<Option<SccReport>, FinishError> {
-        self.finish_shared(id, log)?;
+        let slot = self.finish_shared(tx, log)?;
         if !detect_sccs {
             return Ok(None);
         }
         let t0 = obs.and_then(|o| o.clock());
-        let probe = self.scc_probe(id);
+        let probe = self.probe_slot(slot);
         if let Some(obs) = obs {
             obs.graph.scc_latency.record_elapsed(t0);
             match &probe {
@@ -429,12 +568,17 @@ impl Graph {
     /// would have returned the root alone. (`in_count` may overcount after
     /// a collection, which only makes the filter more conservative.)
     pub fn scc_probe(&mut self, root: TxId) -> SccProbe {
-        let Some(&root_slot) = self.index.get(&root) else {
-            return SccProbe::Skipped;
-        };
+        match self.index.get(&root) {
+            Some(&root_slot) => self.probe_slot(root_slot),
+            None => SccProbe::Skipped,
+        }
+    }
+
+    /// [`Graph::scc_probe`] from the live node in `root_slot`.
+    fn probe_slot(&mut self, root_slot: u32) -> SccProbe {
         {
             let node = &self.slab[root_slot as usize];
-            if !node.finished || node.in_count == 0 || node.out.is_empty() {
+            if !node.finished || node.in_count == 0 || node.out_head == NIL {
                 return SccProbe::Skipped;
             }
         }
@@ -451,23 +595,22 @@ impl Graph {
         t.lowlink[root_slot as usize] = 0;
         t.on_stack[root_slot as usize] = true;
         t.stack.push(root_slot);
-        t.frames.push((root_slot, 0));
+        t.frames
+            .push((root_slot, self.slab[root_slot as usize].out_head));
 
         while let Some(&(v, cursor)) = t.frames.last() {
             let vi = v as usize;
             let next_child = {
-                let node = &self.slab[vi];
-                let mut cur = cursor as usize;
+                let mut cur = cursor;
                 let mut found = None;
-                while cur < node.out_dst.len() {
-                    let w = node.out_dst[cur];
-                    cur += 1;
-                    if self.slab[w as usize].finished {
-                        found = Some(w);
+                while let Some(rec) = self.edges.get(cur as usize) {
+                    cur = rec.next_out;
+                    if self.slab[rec.dst_slot as usize].finished {
+                        found = Some(rec.dst_slot);
                         break;
                     }
                 }
-                t.frames.last_mut().expect("frame exists").1 = cur as u32;
+                t.frames.last_mut().expect("frame exists").1 = cur;
                 found
             };
             match next_child {
@@ -485,7 +628,7 @@ impl Graph {
                         t.on_stack[wi] = true;
                         next_index += 1;
                         t.stack.push(w);
-                        t.frames.push((w, 0));
+                        t.frames.push((w, self.slab[wi].out_head));
                     }
                 }
                 None => {
@@ -563,13 +706,10 @@ impl Graph {
         let mut edges = Vec::new();
         let mut constraints = Vec::new();
         for &i in component {
-            let node = &self.slab[i as usize];
-            for (e, &d) in node.out.iter().zip(&node.out_dst) {
-                if self.mark.stamp[d as usize] == epoch {
-                    edges.push(*e);
-                }
-            }
-            constraints.extend(node.in_cross.iter().copied());
+            let internal = |r: &&EdgeRec| self.mark.stamp[r.dst_slot as usize] == epoch;
+            edges.extend(self.out_list(i).filter(internal).map(|r| r.edge));
+            let cross = |r: &&EdgeRec| r.edge.kind == EdgeKind::Cross;
+            constraints.extend(self.in_list(i).filter(cross).map(EdgeRec::constraint));
         }
         SccReport {
             txs,
@@ -604,24 +744,36 @@ impl Graph {
             }
         }
         while let Some(slot) = m.work.pop() {
-            for &d in &self.slab[slot as usize].out_dst {
-                let di = d as usize;
+            for rec in self.out_list(slot) {
+                let di = rec.dst_slot as usize;
                 if m.stamp[di] != epoch {
                     m.stamp[di] = epoch;
-                    m.work.push(d);
+                    m.work.push(rec.dst_slot);
                 }
             }
         }
+        // Sweep. A freed node takes its in-list — every record whose
+        // destination it is — to the edge free list in one splice; its
+        // out-list is simply forgotten (those records belong to their
+        // destinations). No surviving out-list can still reach a freed
+        // record: the marked set is closed under out-edges, so a source
+        // with an edge into a freed (unmarked) node is itself unmarked, and
+        // it is finished because every unfinished node was marked as a root
+        // above — it is freed in this very pass, or was in an earlier one.
         let mut collected = 0;
         for i in 0..self.slab.len() {
             let node = &mut self.slab[i];
             if node.id.is_some() && node.finished && m.stamp[i] != epoch {
                 self.index.remove(&node.id);
+                if node.in_head != NIL {
+                    self.edges[node.in_tail as usize].next_in = self.free_edge;
+                    self.free_edge = node.in_head;
+                    self.free_edges += node.in_count;
+                }
+                (node.in_head, node.in_tail) = (NIL, NIL);
+                (node.out_head, node.out_tail) = (NIL, NIL);
                 node.id = TxId::NONE;
                 node.finished = false;
-                node.out.clear();
-                node.out_dst.clear();
-                node.in_cross.clear();
                 node.log = Arc::clone(&self.empty_log);
                 node.final_len = 0;
                 node.in_count = 0;
@@ -690,13 +842,13 @@ impl Collector {
     pub(crate) fn collect(
         &mut self,
         graph: &mut Graph,
-        regs: &Registers,
+        regs: &[Arc<ThreadRegs>],
         stats: &IcdStats,
         obs: Option<&PipelineObs>,
     ) {
         let t_obs = obs.and_then(|o| o.clock());
         self.roots.clear();
-        for tr in regs.threads.iter() {
+        for tr in regs {
             self.roots.push(TxId(tr.current_tx.load(Ordering::Acquire)));
             self.roots.push(TxId(tr.last_rd_ex.load(Ordering::Acquire)));
         }
@@ -871,7 +1023,7 @@ mod tests {
         // Adding an edge naming the collected node is a no-op.
         g.add_edge(edge(1, 2));
         g.add_edge(edge(2, 1));
-        assert_eq!(g.node(TxId(2)).unwrap().out.len(), 0);
+        assert_eq!(g.out_edges(TxId(2)).count(), 0);
     }
 
     #[test]
@@ -925,8 +1077,8 @@ mod tests {
         assert_eq!(g.slab_len(), slab_before, "slots reused, slab not grown");
         assert_eq!(g.free_slots(), 0);
         // The recycled nodes carry no resurrected edges or logs…
-        assert_eq!(g.node(TxId(10)).unwrap().out.len(), 0);
-        assert_eq!(g.node(TxId(10)).unwrap().in_cross.len(), 0);
+        assert_eq!(g.out_edges(TxId(10)).count(), 0);
+        assert_eq!(g.in_constraints(TxId(10)).count(), 0);
         assert_eq!(g.node(TxId(10)).unwrap().log.len(), 0);
         // …no stale Tarjan stamps (a fresh chain is not mistaken for the
         // old cycle)…
@@ -940,6 +1092,22 @@ mod tests {
         assert_eq!(scc.len(), 2);
         let ids: Vec<TxId> = scc.tx_ids().collect();
         assert!(ids.contains(&TxId(10)) && ids.contains(&TxId(11)));
+    }
+
+    #[test]
+    fn a_stale_slot_hint_falls_back_to_the_id_map() {
+        let mut g = graph_with(2); // Tx1 in slot 0, Tx2 in slot 1
+        g.finish_and_probe((1, TxId(1)), None, true, None).unwrap();
+        assert!(g.node(TxId(1)).unwrap().finished && !g.node(TxId(2)).unwrap().finished);
+        // The program-order edge is not dropped either.
+        let slot = g.insert_after(TxId(3), ThreadId(1), TxKind::Unary, 2, (7, TxId(1)));
+        assert_eq!(slot, 2);
+        let out: Vec<_> = g.out_edges(TxId(1)).map(|e| (e.dst, e.kind)).collect();
+        assert_eq!(out, [(TxId(3), EdgeKind::Intra)]);
+        assert!(matches!(
+            g.finish_and_probe((0, TxId(9)), None, true, None),
+            Err(FinishError::UnknownTx(TxId(9)))
+        ));
     }
 
     #[test]

@@ -95,12 +95,6 @@ pub(crate) struct ThreadRegs {
     pub(crate) log_len: AtomicU32,
 }
 
-/// All threads' registers (the collector reads them as roots).
-#[derive(Debug)]
-pub(crate) struct Registers {
-    pub(crate) threads: Box<[Arc<ThreadRegs>]>,
-}
-
 /// Per-thread local (owner-only) state.
 struct Local {
     /// The thread's cross-thread registers (the same block `Icd::regs`
@@ -129,6 +123,9 @@ struct Local {
     kind: TxKind,
     /// Per-thread transaction sequence number.
     seq: u64,
+    /// IDG slot of the current transaction, as [`Graph::insert`] returned
+    /// it: the boundary finds its own node without hashing.
+    tx_slot: u32,
     /// Instrumented accesses of the current transaction; folded into the
     /// per-kind totals when the transaction's kind is about to change, so
     /// the per-access hook bumps one counter without testing `kind`.
@@ -232,6 +229,7 @@ impl Slot {
                 seen_edge_events: 0,
                 kind: TxKind::Unary,
                 seq: 0,
+                tx_slot: 0,
                 accesses: 0,
                 regular_accesses: 0,
                 unary_accesses: 0,
@@ -354,7 +352,8 @@ struct Owned {
 /// The imprecise-cycle-detection analysis.
 pub struct Icd {
     slots: Box<[Arc<Slot>]>,
-    regs: Registers,
+    /// All threads' registers (the collector reads them as roots).
+    regs: Box<[Arc<ThreadRegs>]>,
     layout: OnceLock<CellLayout>,
     graph: Mutex<Owned>,
     /// Lock-free Table-3 counters shared with the graph.
@@ -390,14 +389,11 @@ impl Icd {
         config: IcdConfig,
         obs: Option<Arc<PipelineObs>>,
     ) -> Self {
-        let regs = Registers {
-            threads: (0..n_threads).map(|_| Arc::default()).collect(),
-        };
+        let regs: Box<[Arc<ThreadRegs>]> = (0..n_threads).map(|_| Arc::default()).collect();
         let graph = Graph::new();
         let counters = graph.counters();
         Icd {
             slots: regs
-                .threads
                 .iter()
                 .map(|r| Arc::new(Slot::new(Arc::clone(r), config.logging)))
                 .collect(),
@@ -454,11 +450,7 @@ impl Icd {
 
     /// `currTX(T)`.
     pub fn current_tx(&self, t: ThreadId) -> TxId {
-        TxId(
-            self.regs.threads[t.index()]
-                .current_tx
-                .load(Ordering::Acquire),
-        )
+        TxId(self.regs[t.index()].current_tx.load(Ordering::Acquire))
     }
 
     /// Snapshot of every finished transaction with its log and the edges
@@ -545,9 +537,11 @@ impl Icd {
     /// count the end toward the collector and run a due pass (the ended
     /// transaction is still `currTX(t)`, hence a root), draw the next id,
     /// insert its node with the program-order edge, publish it as
-    /// `currTX(t)`.
+    /// `currTX(t)`. The thread names its own nodes by `(slot, id)`, so none
+    /// of this consults the graph's id map except the insert itself.
     fn boundary(&self, t: ThreadId, local: &mut Local, next: Option<TxKind>) -> Option<SccReport> {
         let old = TxId(local.regs.current_tx.load(Ordering::Acquire));
+        let old_node = (local.tx_slot, old);
         // The retained log is one exact-size copy, made before the lock is
         // taken; the thread's buffer keeps its capacity for the next
         // transaction.
@@ -563,7 +557,7 @@ impl Icd {
             // The hooks name only transactions they inserted, so a
             // malformed finish here is a checker bug.
             report = graph
-                .finish_and_probe(old, log, self.config.detect_sccs, self.obs.as_deref())
+                .finish_and_probe(old_node, log, self.config.detect_sccs, self.obs.as_deref())
                 .expect("finishing unknown tx");
             collector.on_finish();
             if collector.due() {
@@ -572,7 +566,7 @@ impl Icd {
         }
         if let Some(kind) = next {
             let id = TxId(self.next_tx.fetch_add(1, Ordering::Relaxed));
-            graph.insert_after(id, t, kind, local.seq, old);
+            local.tx_slot = graph.insert_after(id, t, kind, local.seq, old_node);
             local.publish(id);
         }
         report
@@ -642,12 +636,8 @@ impl Icd {
         if !src.is_some() || !dst.is_some() || src == dst {
             return;
         }
-        let src_pos = self.regs.threads[resp.index()]
-            .log_len
-            .load(Ordering::Acquire);
-        let dst_pos = self.regs.threads[req.index()]
-            .log_len
-            .load(Ordering::Acquire);
+        let src_pos = self.regs[resp.index()].log_len.load(Ordering::Acquire);
+        let dst_pos = self.regs[req.index()].log_len.load(Ordering::Acquire);
         self.lock_graph().graph.add_edge(Edge {
             src,
             src_pos,
@@ -667,9 +657,9 @@ impl Icd {
         if !cur.is_some() {
             return;
         }
-        let dst_pos = self.regs.threads[t.index()].log_len.load(Ordering::Acquire);
+        let dst_pos = self.regs[t.index()].log_len.load(Ordering::Acquire);
         let last_rd_ex = TxId(
-            self.regs.threads[prev_owner.index()]
+            self.regs[prev_owner.index()]
                 .last_rd_ex
                 .load(Ordering::Acquire),
         );
@@ -686,17 +676,7 @@ impl Icd {
                     kind: EdgeKind::Cross,
                 });
             }
-            let g = graph.g_last_rd_sh;
-            if g.is_some() && g != cur {
-                let src_pos = self.any_src_pos(graph, g);
-                graph.add_edge(Edge {
-                    src: g,
-                    src_pos,
-                    dst: cur,
-                    dst_pos,
-                    kind: EdgeKind::Cross,
-                });
-            }
+            self.add_rd_sh_edge(graph, cur, dst_pos);
             graph.g_last_rd_sh = cur;
         }
         if last_rd_ex.is_some() {
@@ -711,29 +691,31 @@ impl Icd {
         if !cur.is_some() {
             return;
         }
-        let dst_pos = self.regs.threads[t.index()].log_len.load(Ordering::Acquire);
-        {
-            let mut guard = self.lock_graph();
-            let graph = &mut guard.graph;
-            let g = graph.g_last_rd_sh;
-            if g.is_some() && g != cur {
-                let src_pos = self.any_src_pos(graph, g);
-                graph.add_edge(Edge {
-                    src: g,
-                    src_pos,
-                    dst: cur,
-                    dst_pos,
-                    kind: EdgeKind::Cross,
-                });
-            }
-        }
+        let dst_pos = self.regs[t.index()].log_len.load(Ordering::Acquire);
+        self.add_rd_sh_edge(&mut self.lock_graph().graph, cur, dst_pos);
         self.note_edge_event(t, cur);
+    }
+
+    /// The edge `gLastRdSh → cur` both RdSh procedures add, `cur` having
+    /// logged `dst_pos` entries.
+    fn add_rd_sh_edge(&self, graph: &mut Graph, cur: TxId, dst_pos: u32) {
+        let g = graph.g_last_rd_sh;
+        if g.is_some() && g != cur {
+            let src_pos = self.any_src_pos(graph, g);
+            graph.add_edge(Edge {
+                src: g,
+                src_pos,
+                dst: cur,
+                dst_pos,
+                kind: EdgeKind::Cross,
+            });
+        }
     }
 
     /// Records that `t`'s current transaction moved an object into
     /// RdEx-`t` (updates `t.lastRdEx`; Figure 4's conflicting handler).
     pub fn note_rdex_claim(&self, t: ThreadId) {
-        let regs = &self.regs.threads[t.index()];
+        let regs = &self.regs[t.index()];
         let cur = regs.current_tx.load(Ordering::Acquire);
         regs.last_rd_ex.store(cur, Ordering::Release);
     }
@@ -741,7 +723,7 @@ impl Icd {
     /// Bumps the thread's edge counter if `tx` is still its current
     /// transaction (drives unary cutting and elision epochs).
     fn note_edge_event(&self, t: ThreadId, tx: TxId) {
-        let regs = &self.regs.threads[t.index()];
+        let regs = &self.regs[t.index()];
         if regs.current_tx.load(Ordering::Acquire) == tx.0 {
             regs.edge_events.fetch_add(1, Ordering::AcqRel);
         }
@@ -751,7 +733,7 @@ impl Icd {
     /// the live published length if `tx` is still current, else its final
     /// length.
     fn edge_src_pos(&self, graph: &Graph, owner: ThreadId, tx: TxId) -> u32 {
-        let regs = &self.regs.threads[owner.index()];
+        let regs = &self.regs[owner.index()];
         if regs.current_tx.load(Ordering::Acquire) == tx.0 {
             regs.log_len.load(Ordering::Acquire)
         } else {
@@ -835,7 +817,7 @@ mod tests {
         icd.record_access(T0, O, 0, false, false, false); // read after write: elided
         icd.record_access(T0, O, 1, false, false, false); // different cell: logged
                                                           // Log length published: 3 entries.
-        assert_eq!(icd.regs.threads[0].log_len.load(Ordering::Relaxed), 3);
+        assert_eq!(icd.regs[0].log_len.load(Ordering::Relaxed), 3);
         end_all(&icd, 1);
         assert_eq!(icd.stats().unary_txs.load(Ordering::Relaxed), 1);
     }
@@ -845,7 +827,7 @@ mod tests {
         let icd = icd(1);
         icd.record_access(T0, O, 0, false, false, false);
         icd.record_access(T0, O, 0, false, false, true); // forced: logged again
-        assert_eq!(icd.regs.threads[0].log_len.load(Ordering::Relaxed), 2);
+        assert_eq!(icd.regs[0].log_len.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -854,7 +836,7 @@ mod tests {
         icd.record_access(T0, O, 0, false, false, false);
         icd.begin_regular(T0, M);
         icd.record_access(T0, O, 0, false, false, false); // new tx: logged
-        assert_eq!(icd.regs.threads[0].log_len.load(Ordering::Relaxed), 1);
+        assert_eq!(icd.regs[0].log_len.load(Ordering::Relaxed), 1);
     }
 
     /// Drives the elision epoch through a full u32 wrap and back to `stale`,
@@ -880,7 +862,7 @@ mod tests {
         );
         icd.record_access(T0, O, 0, false, false, false);
         assert_eq!(
-            icd.regs.threads[0].log_len.load(Ordering::Relaxed),
+            icd.regs[0].log_len.load(Ordering::Relaxed),
             1,
             "a stale pre-wrap elision entry must not elide this access"
         );
@@ -898,7 +880,7 @@ mod tests {
         wrap_epoch_back_to(&icd, stale);
         icd.record_access(T0, O, 0, false, false, false);
         assert_eq!(
-            icd.regs.threads[0].log_len.load(Ordering::Relaxed),
+            icd.regs[0].log_len.load(Ordering::Relaxed),
             1,
             "a stale pre-wrap flat slot must not elide this access"
         );
@@ -957,10 +939,10 @@ mod tests {
         let icd = icd(2);
         icd.note_rdex_claim(T1);
         assert_eq!(
-            TxId(icd.regs.threads[1].last_rd_ex.load(Ordering::Relaxed)),
+            TxId(icd.regs[1].last_rd_ex.load(Ordering::Relaxed)),
             icd.current_tx(T1)
         );
-        assert_eq!(icd.regs.threads[0].last_rd_ex.load(Ordering::Relaxed), 0);
+        assert_eq!(icd.regs[0].last_rd_ex.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -974,7 +956,7 @@ mod tests {
         let t1_tx = icd.current_tx(T1);
         {
             let g = &icd.graph.lock().graph;
-            let out: Vec<_> = g.node(t0_tx).unwrap().out.iter().map(|e| e.dst).collect();
+            let out: Vec<_> = g.out_edges(t0_tx).map(|e| e.dst).collect();
             assert!(out.contains(&t1_tx));
             assert_eq!(g.g_last_rd_sh, t1_tx);
         }
@@ -982,7 +964,7 @@ mod tests {
         icd.handle_fence(T2_ID);
         let t2_tx = icd.current_tx(T2_ID);
         let g = &icd.graph.lock().graph;
-        let out: Vec<_> = g.node(t1_tx).unwrap().out.iter().map(|e| e.dst).collect();
+        let out: Vec<_> = g.out_edges(t1_tx).map(|e| e.dst).collect();
         assert!(out.contains(&t2_tx));
     }
 
@@ -995,8 +977,8 @@ mod tests {
         icd.record_access(T0, ObjId(1), 0, true, false, false);
         icd.handle_conflicting(T0, T1);
         let g = &icd.graph.lock().graph;
-        let t0_tx = TxId(icd.regs.threads[0].current_tx.load(Ordering::Relaxed));
-        let e = g.node(t0_tx).unwrap().out[0];
+        let t0_tx = TxId(icd.regs[0].current_tx.load(Ordering::Relaxed));
+        let e = g.out_edges(t0_tx).next().unwrap();
         assert_eq!(e.src_pos, 2, "source logged two entries before the edge");
         assert_eq!(e.dst_pos, 0, "sink logged nothing yet");
     }
@@ -1067,10 +1049,7 @@ mod tests {
         let g = &icd.graph.lock().graph;
         assert_eq!(g.node(t2_tx).unwrap().final_len, 3);
         let edge = g
-            .node(t2_tx)
-            .unwrap()
-            .out
-            .iter()
+            .out_edges(t2_tx)
             .find(|e| e.dst == t0_tx)
             .expect("upgrade edge added");
         assert_eq!(edge.src_pos, 2);

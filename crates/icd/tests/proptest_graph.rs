@@ -20,18 +20,80 @@ fn build(n: usize, edges: &[(u64, u64)]) -> Graph {
         g.insert(TxId(i), ThreadId((i % 4) as u16), TxKind::Unary, i);
     }
     for &(s, d) in edges {
-        g.add_edge(Edge {
-            src: TxId(s),
-            src_pos: 0,
-            dst: TxId(d),
-            dst_pos: 0,
-            kind: EdgeKind::Cross,
-        });
+        g.add_edge(cross(s, d));
     }
     for i in 1..=n as u64 {
         g.finish(TxId(i), vec![]).unwrap();
     }
     g
+}
+
+fn cross(s: u64, d: u64) -> Edge {
+    Edge {
+        src: TxId(s),
+        src_pos: 0,
+        dst: TxId(d),
+        dst_pos: 0,
+        kind: EdgeKind::Cross,
+    }
+}
+
+/// The edge arena's invariants over the `live` nodes of a graph holding
+/// cross edges only (so `in_constraints` lists whole in-lists):
+/// (i) every out-edge of a live node targets a live node carrying the id
+/// the edge names; (ii) no freed record is reachable from a live list — a
+/// freed record names a collected (never reused) id at one end, and a
+/// reused one would be counted twice; (iii) live + free records = arena.
+fn assert_arena_consistent(g: &Graph, live: &[u64]) {
+    let mut live_records = 0;
+    for &v in live {
+        for e in g.out_edges(TxId(v)) {
+            assert_eq!(e.src, TxId(v), "foreign record in {v}'s out-list");
+            let dst = g.node(e.dst).expect("out-edge targets a live node");
+            assert_eq!(dst.id, e.dst);
+            assert!(
+                g.in_constraints(e.dst).any(|c| c.src == e.src),
+                "{e:?} missing from its destination's in-list"
+            );
+        }
+        for c in g.in_constraints(TxId(v)) {
+            assert_eq!(c.dst, TxId(v), "foreign record in {v}'s in-list");
+            live_records += 1;
+        }
+    }
+    assert_eq!(live_records + g.free_edges(), g.edge_arena_len());
+}
+
+/// Slot *and* edge-record reuse: rounds of "build 64 nodes and 256 edges,
+/// finish, collect everything" never grow the slab or the arena past their
+/// first-round size.
+#[test]
+fn repeated_build_and_collect_reuses_slots_and_edge_records() {
+    let mut g = Graph::new();
+    let mut sizes = None;
+    for round in 0..200u64 {
+        let base = round * 64;
+        for i in 1..=64 {
+            g.insert(TxId(base + i), ThreadId((i % 4) as u16), TxKind::Unary, i);
+        }
+        for k in 0..256 {
+            // Four distinct non-self targets per source.
+            g.add_edge(cross(
+                base + 1 + k % 64,
+                base + 1 + (k % 64 + 1 + k / 64 * 7) % 64,
+            ));
+        }
+        for i in 1..=64 {
+            g.finish(TxId(base + i), vec![]).unwrap();
+        }
+        assert_eq!(g.edge_arena_len() - g.free_edges(), 256, "round {round}");
+        assert_eq!(g.collect([]), 64, "nothing is a root");
+        assert!(g.is_empty());
+        assert_eq!(g.free_edges(), g.edge_arena_len());
+        let now = (g.slab_len(), g.edge_arena_len());
+        assert_eq!(*sizes.get_or_insert(now), now, "round {round}");
+    }
+    assert_eq!(sizes, Some((64, 256)));
 }
 
 /// Reference forward-reachability.
@@ -121,13 +183,7 @@ proptest! {
                 1 if !live.is_empty() => {
                     let s = live[a as usize % live.len()];
                     let d = live[b as usize % live.len()];
-                    g.add_edge(Edge {
-                        src: TxId(s),
-                        src_pos: 0,
-                        dst: TxId(d),
-                        dst_pos: 0,
-                        kind: EdgeKind::Cross,
-                    });
+                    g.add_edge(cross(s, d));
                     if s != d {
                         edges.push((s, d)); // the graph drops self-edges
                     }
@@ -158,6 +214,7 @@ proptest! {
                     live.retain(|v| keep.contains(v));
                     finished.retain(|v| keep.contains(v));
                     edges.retain(|&(s, _)| keep.contains(&s));
+                    assert_arena_consistent(&g, &live);
                 }
                 _ => {}
             }
@@ -179,8 +236,8 @@ proptest! {
             }
         }
         for &v in &live {
-            let node = g.node(TxId(v)).expect("live node present");
-            let mut got: Vec<u64> = node.out.iter().map(|e| e.dst.0).collect();
+            prop_assert!(g.node(TxId(v)).is_some(), "live node present");
+            let mut got: Vec<u64> = g.out_edges(TxId(v)).map(|e| e.dst.0).collect();
             got.sort_unstable();
             let mut want: Vec<u64> =
                 edges.iter().filter(|&&(s, _)| s == v).map(|&(_, d)| d).collect();
@@ -213,13 +270,32 @@ proptest! {
     }
 
     /// SCC reports carry every internal edge and a constraint for every
-    /// cross edge into a member.
+    /// cross edge into a member, each node's in insertion order (PCD's
+    /// output order depends on it).
     #[test]
     fn scc_reports_are_self_consistent((n, edges) in arb_graph()) {
         let mut g = build(n, &edges);
         for root in 1..=n as u64 {
             if let Some(report) = g.scc_from(TxId(root)) {
                 let members: HashSet<TxId> = report.tx_ids().collect();
+                for m in &members {
+                    let inserted = |keep: &dyn Fn(u64, u64) -> bool| -> Vec<(u64, u64)> {
+                        let real = edges.iter().filter(|&&(s, d)| s != d && keep(s, d));
+                        real.copied().collect()
+                    };
+                    let out: Vec<_> = report.edges.iter().filter(|e| e.src == *m).collect();
+                    prop_assert_eq!(
+                        out.iter().map(|e| (e.src.0, e.dst.0)).collect::<Vec<_>>(),
+                        inserted(&|s, d| s == m.0 && members.contains(&TxId(d))),
+                        "internal out-edges of {:?}", m
+                    );
+                    let into: Vec<_> = report.constraints.iter().filter(|c| c.dst == *m).collect();
+                    prop_assert_eq!(
+                        into.iter().map(|c| (c.src.0, c.dst.0)).collect::<Vec<_>>(),
+                        inserted(&|_, d| d == m.0),
+                        "constraints into {:?}", m
+                    );
+                }
                 for e in &report.edges {
                     prop_assert!(members.contains(&e.src) && members.contains(&e.dst));
                 }

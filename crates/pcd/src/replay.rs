@@ -328,7 +328,7 @@ fn replay_unfiltered(scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
         if !advanced {
             // The recorded constraints come from a real execution; a stall
             // can only happen when constraint sources *outside* the SCC
-            // (whose `in_cross` entries `snapshot_component` copies
+            // (whose in-list cross edges `snapshot_component` copies
             // verbatim) gate each other's member predecessors in a
             // circular wait. Break the tie deterministically: pick the
             // stuck member with the smallest id and retire its blocking
@@ -570,8 +570,8 @@ mod tests {
         assert!(violations.is_empty(), "{violations:?}");
     }
 
-    /// `snapshot_component` copies *every* `in_cross` constraint of a
-    /// member, including ones whose source lies outside the SCC. Two such
+    /// `snapshot_component` copies *every* incoming cross edge of a
+    /// member as a constraint, including ones whose source lies outside the SCC. Two such
     /// external-source constraints can gate each other's member
     /// predecessors in a circular wait that no constraint ever satisfies —
     /// replay must fall into the deterministic tie-break, force progress,
