@@ -15,7 +15,7 @@
 
 #![warn(missing_docs)]
 
-use dc_aerodrome::{AeroConfig, AeroDrome};
+use dc_aerodrome::AeroDrome;
 use dc_core::{
     run_doublechecker, stats_to_json, trace_event_to_json, DcConfig, ExecPlan, ObsLevel,
     ReportedViolation, StaticTxInfo,
@@ -23,10 +23,11 @@ use dc_core::{
 use dc_octet::CoordinationMode;
 use dc_pcd::{analyze_trace, OfflineConfig};
 use dc_runtime::engine::det::Schedule;
+use dc_runtime::ids::MethodId;
 use dc_runtime::program::Program;
 use dc_runtime::spec::AtomicitySpec;
 use dc_runtime::trace::TraceChecker;
-use dc_velodrome::{Variant, Velodrome, VelodromeConfig};
+use dc_velodrome::{CycleFilter, Online, OnlineConfig, VViolation, Variant, Velodrome};
 use dc_workloads::{by_name, Scale, Workload};
 use std::fmt::Write as _;
 use std::io::Read as _;
@@ -134,7 +135,7 @@ pub fn usage() -> &'static str {
        check   --workload <name>    run one checker over one execution\n\
                | --history <file>   … or replay an imported dc-history JSON\n\
                                     file (fixed interleaving; excludes\n\
-                                    --workload/--seed/--engine real)\n\
+                                    --workload/--seed/--scale/--engine real)\n\
                [--checker dc|single|first-run|second-run|pcd-only|\n\
                           velodrome|velodrome-unsound|aerodrome]\n\
                [--seed N] [--scale tiny|small|full] [--engine det|real]\n\
@@ -221,6 +222,9 @@ fn plan(flags: &Flags) -> Result<ExecPlan, CliError> {
     let seed = flags.u64_or("seed", 42)?;
     match flags.get("engine") {
         None | Some("det") => Ok(ExecPlan::Det(Schedule::random(seed))),
+        Some("real") if flags.get("seed").is_some() => Err(CliError::Usage(
+            "--seed has no effect with --engine real: the OS schedules real threads".into(),
+        )),
         Some("real") => Ok(ExecPlan::Real),
         Some(other) => Err(CliError::Usage(format!(
             "--engine must be det|real, got {other:?}"
@@ -302,6 +306,11 @@ fn check_target(flags: &Flags) -> Result<CheckTarget, CliError> {
             "--engine real cannot replay a history: the interleaving is fixed by the file".into(),
         ));
     }
+    if flags.get("scale").is_some() {
+        return Err(CliError::Usage(
+            "--scale has no effect with --history: the program is fixed by the file".into(),
+        ));
+    }
     // Read at most one byte past the limit: the importer rejects the text
     // on its length (reported as limit + 1 however long the file is), and
     // an oversized file is never held in memory.
@@ -345,16 +354,6 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
     }
     let found_violation;
 
-    let describe_violation = |out: &mut String, cycle_methods: &[String], blamed: &[String]| {
-        writeln!(
-            out,
-            "violation: cycle through [{}], blamed [{}]",
-            cycle_methods.join(", "),
-            blamed.join(", ")
-        )
-        .ok();
-    };
-
     match checker {
         "velodrome" | "velodrome-unsound" | "aerodrome" => {
             if let Some(flag) = DC_ONLY_FLAGS.iter().find(|f| flags.get(f).is_some()) {
@@ -362,60 +361,43 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
                     "--{flag} applies only to DoubleChecker checkers, not {checker}"
                 )));
             }
-            let (violations, summary) = if checker == "aerodrome" {
-                let a = AeroDrome::new(program.threads.len(), spec, AeroConfig::default());
-                run_plan(&program, &a, &plan)?;
-                let violations = a.violations();
-                let summary = format!(
-                    "{}: {} violation(s), {} cross edges, {} clock joins ({} propagated)",
-                    checker,
-                    violations.len(),
-                    a.cross_edges(),
-                    a.clock_joins(),
-                    a.propagated_joins(),
-                );
-                (violations, summary)
-            } else {
-                let config = VelodromeConfig {
-                    variant: if checker == "velodrome" {
-                        Variant::Sound
-                    } else {
-                        Variant::Unsound
-                    },
-                    ..VelodromeConfig::default()
-                };
-                let v = Velodrome::new(program.threads.len(), spec, config);
-                run_plan(&program, &v, &plan)?;
-                let violations = v.violations();
-                let summary = format!(
-                    "{}: {} violation(s), {} cross edges",
-                    checker,
-                    violations.len(),
-                    v.cross_edges()
-                );
-                (violations, summary)
+            let config = OnlineConfig {
+                variant: if checker == "velodrome-unsound" {
+                    Variant::Unsound
+                } else {
+                    Variant::Sound
+                },
+                ..OnlineConfig::default()
             };
-            for violation in &violations {
-                let methods: Vec<String> = violation
-                    .cycle
-                    .iter()
-                    .map(|(_, k)| method_name(&program, k.method()))
-                    .collect();
-                let blamed: Vec<String> = violation
-                    .blamed_methods
-                    .iter()
-                    .map(|m| program.method_name(*m).to_string())
-                    .collect();
-                describe_violation(&mut out, &methods, &blamed);
+            let n = program.threads.len();
+            let (violations, cross_edges, joins) = if checker == "aerodrome" {
+                let a = AeroDrome::new(n, spec, config);
+                let (violations, cross_edges) = run_online(&program, &a, &plan)?;
+                let joins = (a.clock_joins(), a.propagated_joins());
+                (violations, cross_edges, Some(joins))
+            } else {
+                let v = Velodrome::new(n, spec, config);
+                let (violations, cross_edges) = run_online(&program, &v, &plan)?;
+                (violations, cross_edges, None)
+            };
+            for v in &violations {
+                let cycle = v.cycle.iter().map(|(_, k)| k.method());
+                describe_violation(&mut out, &program, cycle, &v.blamed_methods);
             }
-            writeln!(out, "{summary}").ok();
+            write!(
+                out,
+                "{checker}: {} violation(s), {cross_edges} cross edges",
+                violations.len()
+            )
+            .ok();
+            if let Some((joins, propagated)) = joins {
+                write!(out, ", {joins} clock joins ({propagated} propagated)").ok();
+            }
+            writeln!(out).ok();
             found_violation = !violations.is_empty();
         }
         _ => {
-            let coordination = match plan {
-                ExecPlan::Real => CoordinationMode::Threaded,
-                ExecPlan::Det(_) => CoordinationMode::Immediate,
-            };
+            let coordination = plan.coordination();
             let config = match checker {
                 "single" | "dc" => DcConfig::single_run(coordination),
                 "first-run" => DcConfig::first_run(coordination),
@@ -487,18 +469,9 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
                 )
                 .ok();
             }
-            for violation in &report.violations {
-                let methods: Vec<String> = violation
-                    .cycle
-                    .iter()
-                    .map(|m| method_name(&program, m.kind.method()))
-                    .collect();
-                let blamed: Vec<String> = violation
-                    .blamed_methods()
-                    .iter()
-                    .map(|m| program.method_name(*m).to_string())
-                    .collect();
-                describe_violation(&mut out, &methods, &blamed);
+            for v in &report.violations {
+                let cycle = v.cycle.iter().map(|m| m.kind.method());
+                describe_violation(&mut out, &program, cycle, &v.blamed_methods());
             }
             let s = &report.stats;
             writeln!(
@@ -545,28 +518,35 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Runs any plain [`Checker`] under the selected execution plan.
-fn run_plan(
+/// Runs an online checker under the plan: its violations and cross edges.
+fn run_online<C: CycleFilter>(
     program: &Program,
-    checker: &impl dc_runtime::checker::Checker,
+    checker: &Online<C>,
     plan: &ExecPlan,
-) -> Result<(), CliError> {
-    match plan {
-        ExecPlan::Real => {
-            dc_runtime::engine::real::run_real(program, checker);
-            Ok(())
-        }
-        ExecPlan::Det(schedule) => dc_runtime::engine::det::run_det(program, checker, schedule)
-            .map(|_| ())
-            .map_err(|e| CliError::Failed(e.to_string())),
-    }
+) -> Result<(Vec<VViolation>, u64), CliError> {
+    plan.run(program, checker)
+        .map_err(|e| CliError::Failed(e.to_string()))?;
+    Ok((checker.violations(), checker.cross_edges()))
 }
 
-fn method_name(program: &Program, m: Option<dc_runtime::ids::MethodId>) -> String {
-    match m {
-        Some(m) => program.method_name(m).to_string(),
-        None => "<non-transactional>".into(),
-    }
+/// One `violation:` line, for any checker: the methods of the cycle's
+/// transactions (`None` for a unary one) and the blamed methods.
+fn describe_violation(
+    out: &mut String,
+    program: &Program,
+    cycle: impl Iterator<Item = Option<MethodId>>,
+    blamed: &[MethodId],
+) {
+    let name = |m: Option<MethodId>| m.map_or("<non-transactional>", |m| program.method_name(m));
+    let cycle: Vec<&str> = cycle.map(name).collect();
+    let blamed: Vec<&str> = blamed.iter().map(|&m| name(Some(m))).collect();
+    writeln!(
+        out,
+        "violation: cycle through [{}], blamed [{}]",
+        cycle.join(", "),
+        blamed.join(", ")
+    )
+    .ok();
 }
 
 fn cmd_refine(flags: &Flags) -> Result<String, CliError> {
@@ -697,6 +677,13 @@ mod tests {
                 "{cmd}: {err:?}"
             );
         }
+        // A known flag that the rest of the command line makes meaningless
+        // is named too, not ignored.
+        let err = run(&argv("check --workload tsp --engine real --seed 3")).unwrap_err();
+        assert!(
+            matches!(err, CliError::Usage(ref m) if m.starts_with("--seed has no effect")),
+            "{err:?}"
+        );
         for removed in ["--shards", "--transport", "--pipelined"] {
             assert!(!usage().contains(removed), "usage still lists {removed}");
         }
@@ -944,43 +931,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn check_velodrome_runs() {
-        let out = run(&argv(
-            "check --workload hsqldb6 --checker velodrome --seed 1",
-        ))
-        .unwrap();
-        assert!(out.contains("velodrome:"), "{out}");
-    }
-
-    #[test]
-    fn check_aerodrome_runs_and_reports_joins() {
-        let out = run(&argv(
-            "check --workload hsqldb6 --checker aerodrome --seed 1",
-        ))
-        .unwrap();
-        assert!(out.contains("aerodrome:"), "{out}");
-        assert!(out.contains("clock joins"), "{out}");
-    }
-
+    /// One online checker: the two outputs differ only in the checker's
+    /// name and AeroDrome's clock-join suffix on the summary line.
     #[test]
     fn check_aerodrome_and_velodrome_report_identical_violations() {
         for wl in ["hsqldb6", "tsp", "sor"] {
-            let velo = run(&argv(&format!(
-                "check --workload {wl} --checker velodrome --seed 5"
-            )))
-            .unwrap();
-            let aero = run(&argv(&format!(
-                "check --workload {wl} --checker aerodrome --seed 5"
-            )))
-            .unwrap();
-            let lines = |s: &str| -> Vec<String> {
-                s.lines()
-                    .filter(|l| l.starts_with("violation:"))
-                    .map(String::from)
-                    .collect()
+            let check = |checker: &str| {
+                let cmd = format!("check --workload {wl} --checker {checker} --seed 5");
+                run(&argv(&cmd)).unwrap()
             };
-            assert_eq!(lines(&velo), lines(&aero), "{wl}: violation lines");
+            let (velo, aero) = (check("velodrome"), check("aerodrome"));
+            assert!(velo.lines().last().unwrap().starts_with("velodrome: "));
+            let (aero, joins) = aero.trim_end().rsplit_once(", ").unwrap();
+            assert!(joins.ends_with(" propagated)"), "{wl}: {joins}");
+            assert!(joins.contains(" clock joins ("), "{wl}: {joins}");
+            let aero = aero.replacen("aerodrome: ", "velodrome: ", 1);
+            assert_eq!(aero, velo.trim_end(), "{wl}");
         }
     }
 
@@ -1254,7 +1220,12 @@ mod tests {
     #[test]
     fn check_history_conflicting_flags_are_usage_errors() {
         let path = history_file("conflicts.json", &lost_update_history());
-        for extra in ["--workload tsp", "--seed 3", "--engine real"] {
+        for extra in [
+            "--workload tsp",
+            "--seed 3",
+            "--engine real",
+            "--scale small",
+        ] {
             let err = run(&argv(&format!("check --history {path} {extra}"))).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{extra}: {err:?}");
         }

@@ -32,7 +32,13 @@ impl ExecPlan {
         }
     }
 
-    fn run<C: dc_runtime::checker::Checker>(
+    /// Runs `checker` over `program` under this plan.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`DetError`] from the deterministic engine (deadlock, bad
+    /// script, invalid program).
+    pub fn run<C: dc_runtime::checker::Checker>(
         &self,
         program: &Program,
         checker: &C,

@@ -8,7 +8,9 @@
 //! `Checker` implementation:
 //!
 //! * unmodified JVM → [`NopChecker`],
-//! * Velodrome → `dc-velodrome`,
+//! * Velodrome → `dc-velodrome` (`Velodrome`, sound and unsound),
+//! * AeroDrome, the same online checker with a vector-clock cycle test (the
+//!   differential oracle's third leg; not in the paper) → `dc-aerodrome`,
 //! * DoubleChecker single-run / first-run / second-run → `dc-core`.
 
 use crate::heap::Heap;

@@ -1,4 +1,4 @@
-//! The Velodrome checker: a [`Checker`] implementation performing sound and
+//! The online checker: a [`Checker`] implementation performing sound and
 //! precise online conflict-serializability checking.
 //!
 //! At each access, the instrumentation locks the field's metadata word,
@@ -7,8 +7,13 @@
 //! metadata — all while the metadata lock "provides analysis–access
 //! atomicity" (paper §4). The paper measures 82% of Velodrome's overhead
 //! coming from exactly this synchronization.
+//!
+//! [`Online`] is generic over the graph's [`CycleFilter`] only: Velodrome
+//! and AeroDrome (`dc-aerodrome`) share every hook, so on one interleaving
+//! they see the identical edge stream and the differential oracle compares
+//! their cycle detectors and nothing else.
 
-use crate::graph::{VGraph, VTxId, VViolation};
+use crate::graph::{CycleFilter, VGraph, VTxId, VViolation};
 use crate::meta::MetaTable;
 use dc_runtime::checker::Checker;
 use dc_runtime::heap::Heap;
@@ -34,9 +39,9 @@ pub enum Variant {
     Unsound,
 }
 
-/// Velodrome configuration.
+/// Online-checker configuration.
 #[derive(Clone, Debug)]
-pub struct VelodromeConfig {
+pub struct OnlineConfig {
     /// Sound or unsound synchronization.
     pub variant: Variant,
     /// Instrument array accesses (off by default, matching the paper).
@@ -48,9 +53,12 @@ pub struct VelodromeConfig {
     pub collect_every: u32,
 }
 
-impl Default for VelodromeConfig {
+/// Velodrome's configuration (the name the benchmark and the CLI use).
+pub type VelodromeConfig = OnlineConfig;
+
+impl Default for OnlineConfig {
     fn default() -> Self {
-        VelodromeConfig {
+        OnlineConfig {
             variant: Variant::Sound,
             instrument_arrays: false,
             filter: TxFilter::all(),
@@ -61,7 +69,7 @@ impl Default for VelodromeConfig {
 
 /// Run statistics.
 #[derive(Debug, Default)]
-pub struct VelodromeStats {
+pub struct OnlineStats {
     /// Transactions started (regular + unary).
     pub transactions: AtomicU64,
     /// Accesses that ran the full (locked) instrumentation.
@@ -95,31 +103,59 @@ struct Slot {
 // atomics.
 unsafe impl Sync for Slot {}
 
-/// The Velodrome atomicity checker.
-pub struct Velodrome {
-    config: VelodromeConfig,
+/// The online atomicity checker, its cycle test chosen by `C`.
+pub struct Online<C> {
+    config: OnlineConfig,
     spec: AtomicitySpec,
     slots: Box<[Slot]>,
     meta: OnceLock<MetaTable>,
-    graph: Mutex<VGraph>,
+    graph: Mutex<VGraph<C>>,
     violations: Mutex<Vec<VViolation>>,
     begins_since_collect: AtomicU32,
-    stats: VelodromeStats,
+    stats: OnlineStats,
 }
 
-impl std::fmt::Debug for Velodrome {
+/// The Velodrome atomicity checker: every cross edge runs the DFS.
+pub type Velodrome = Online<()>;
+
+/// Join counters of a clock-based [`CycleFilter`], for
+/// [`Online::clock_joins`] / [`Online::propagated_joins`]. Those two
+/// accessors live here, not in `dc-aerodrome`, only because the frozen
+/// benchmark calls them as inherent methods of `AeroDrome` and an inherent
+/// impl of a foreign type is not allowed; ROADMAP 1(b) moves the benchmark
+/// off them.
+pub trait JoinCounts {
+    /// Clock joins performed (direct edge joins + transitive propagation).
+    fn joins(&self) -> u64;
+    /// Joins that were transitive propagation rather than direct edges.
+    fn propagated(&self) -> u64;
+}
+
+impl<C: CycleFilter> std::fmt::Debug for Online<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Velodrome")
+        f.debug_struct(C::NAME)
             .field("threads", &self.slots.len())
             .field("config", &self.config)
             .finish()
     }
 }
 
-impl Velodrome {
-    /// Creates a Velodrome checker for `n_threads` threads under `spec`.
-    pub fn new(n_threads: usize, spec: AtomicitySpec, config: VelodromeConfig) -> Self {
-        Velodrome {
+impl<C: CycleFilter + JoinCounts> Online<C> {
+    /// Clock joins performed (direct edge joins + transitive propagation).
+    pub fn clock_joins(&self) -> u64 {
+        self.graph.lock().filter().joins()
+    }
+
+    /// Joins that were transitive propagation rather than direct edges.
+    pub fn propagated_joins(&self) -> u64 {
+        self.graph.lock().filter().propagated()
+    }
+}
+
+impl<C: CycleFilter> Online<C> {
+    /// Creates a checker for `n_threads` threads under `spec`.
+    pub fn new(n_threads: usize, spec: AtomicitySpec, config: OnlineConfig) -> Self {
+        Online {
             config,
             spec,
             slots: (0..n_threads)
@@ -138,10 +174,10 @@ impl Velodrome {
                 })
                 .collect(),
             meta: OnceLock::new(),
-            graph: Mutex::new(VGraph::new()),
+            graph: Mutex::new(VGraph::new(n_threads)),
             violations: Mutex::new(Vec::new()),
             begins_since_collect: AtomicU32::new(0),
-            stats: VelodromeStats::default(),
+            stats: OnlineStats::default(),
         }
     }
 
@@ -156,7 +192,7 @@ impl Velodrome {
     }
 
     /// Run statistics.
-    pub fn stats(&self) -> &VelodromeStats {
+    pub fn stats(&self) -> &OnlineStats {
         &self.stats
     }
 
@@ -304,11 +340,12 @@ impl Velodrome {
     }
 }
 
-impl Checker for Velodrome {
+impl<C: CycleFilter> Checker for Online<C> {
     fn run_begin(&self, heap: &Heap) {
         assert!(
             self.meta.set(MetaTable::new(heap)).is_ok(),
-            "Velodrome is single-run: run_begin called twice"
+            "{} is single-run: run_begin called twice",
+            C::NAME
         );
     }
 

@@ -1,21 +1,37 @@
-//! Velodrome's transaction dependence graph with online cycle detection.
+//! The online checkers' transaction dependence graph with cycle detection.
 //!
-//! Velodrome builds a graph of transactions at run time: intra-thread edges
-//! between consecutive transactions of a thread and cross-thread edges for
-//! each detected dependence. A cycle is a sound and precise
-//! conflict-serializability violation (paper §2), reported with blame
-//! assignment. Transactions unreachable from any thread's current
-//! transaction are reclaimed (the paper treats metadata references as weak
-//! references).
+//! The graph holds transactions as they run: intra-thread edges between
+//! consecutive transactions of a thread and cross-thread edges for each
+//! detected dependence. A cycle is a sound and precise conflict-serializability
+//! violation (paper §2), reported with blame assignment. Transactions
+//! unreachable from any thread's current transaction are reclaimed (the paper
+//! treats metadata references as weak references).
+//!
+//! How a new cross edge is tested for a cycle is the one decision the online
+//! checkers differ in, so it is a type parameter, a [`CycleFilter`]:
+//! Velodrome's is `()`, which answers "maybe" to every edge, so every edge
+//! runs the DFS; AeroDrome's (`dc-aerodrome`'s `ClockGraph`) answers exactly
+//! with vector clocks, so the DFS runs only to reconstruct a cycle the clocks
+//! already proved — once per violation, for the blame. Everything else (the
+//! node store, the edge bookkeeping, the DFS, blame and the collector) exists
+//! once, here.
+//!
+//! # Storage
+//!
+//! Out-lists of collected transactions go to a free list that `begin` reuses,
+//! and the DFS and the collector share one reused stack and one reused
+//! "reached from" map, so a warm begin → edge → collect round does not touch
+//! the heap (pinned by `dc-aerodrome`'s `tests/alloc_pool.rs`).
 
 use dc_runtime::ids::{MethodId, ThreadId};
 use dc_runtime::spec::TxKind;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 
-/// A Velodrome transaction id: per-thread sequence number packed with the
-/// thread id, so the owning thread is recoverable without a lookup.
-/// `VTxId(0)` means "none".
+/// A transaction id: per-thread sequence number packed with the thread id,
+/// so the owning thread is recoverable without a lookup. `VTxId(0)` means
+/// "none".
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VTxId(pub u64);
 
@@ -48,7 +64,7 @@ impl fmt::Debug for VTxId {
     }
 }
 
-/// A violation found by Velodrome: the cycle members and the blamed
+/// A violation found by an online checker: the cycle members and the blamed
 /// methods (for iterative refinement).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VViolation {
@@ -67,26 +83,90 @@ impl VViolation {
     }
 }
 
+/// Decides whether a new cross edge may have closed a cycle; [`VGraph`] runs
+/// its DFS only when the answer is `true`, so `false` must mean "no cycle".
+///
+/// A filter may keep state per transaction: the graph calls [`begin`] for
+/// every transaction it registers and [`reclaim`] for every one its
+/// collector drops, so the filter's live set is the graph's.
+///
+/// [`begin`]: CycleFilter::begin
+/// [`reclaim`]: CycleFilter::reclaim
+pub trait CycleFilter: Send {
+    /// The checker's name, for messages.
+    const NAME: &'static str;
+
+    /// A filter for a run of `n_threads` threads.
+    fn new(n_threads: usize) -> Self;
+
+    /// Transaction `id` begins; `prev` is its thread's previous transaction
+    /// (`NONE` for the first).
+    fn begin(&mut self, id: VTxId, prev: VTxId);
+
+    /// The cross edge `src → dst` was just added (both live, `dst` its
+    /// thread's newest transaction, the edge already in `src`'s out-list):
+    /// may it have closed a cycle?
+    fn edge(&mut self, graph: OutLists<'_>, src: VTxId, dst: VTxId) -> bool;
+
+    /// The collector dropped `id`.
+    fn reclaim(&mut self, id: VTxId);
+}
+
+/// Velodrome: no filter — every cross edge runs the DFS.
+impl CycleFilter for () {
+    const NAME: &'static str = "Velodrome";
+
+    fn new(_: usize) -> Self {}
+
+    fn begin(&mut self, _: VTxId, _: VTxId) {}
+
+    fn edge(&mut self, _: OutLists<'_>, _: VTxId, _: VTxId) -> bool {
+        true
+    }
+
+    fn reclaim(&mut self, _: VTxId) {}
+}
+
+#[derive(Debug)]
 struct VNode {
     kind: TxKind,
+    /// Intra-thread and cross successors, in insertion order.
     out: Vec<VTxId>,
     /// Orders of this node's earliest incoming/outgoing edges (for blame).
     first_out: Option<u32>,
     first_in: Option<u32>,
 }
 
-/// The dependence graph.
-#[derive(Default)]
-pub struct VGraph {
+/// Read access to the live transactions' out-lists, for a [`CycleFilter`]
+/// that propagates along them.
+#[derive(Clone, Copy, Debug)]
+pub struct OutLists<'a>(&'a HashMap<VTxId, VNode>);
+
+impl<'a> OutLists<'a> {
+    /// `id`'s successors in insertion order, or `None` if `id` is not live.
+    pub fn get(self, id: VTxId) -> Option<&'a [VTxId]> {
+        self.0.get(&id).map(|n| n.out.as_slice())
+    }
+}
+
+/// The dependence graph, its cycle test chosen by `C`.
+pub struct VGraph<C> {
     nodes: HashMap<VTxId, VNode>,
+    filter: C,
     next_order: u32,
+    /// Cleared out-lists of collected transactions, reused by `begin`.
+    free_out: Vec<Vec<VTxId>>,
+    /// Traversal scratch shared by the DFS and the collector: the stack, and
+    /// each reached node's predecessor (roots map to themselves).
+    work: Vec<VTxId>,
+    reached: HashMap<VTxId, VTxId>,
     /// Cross-thread dependence edges added.
     pub cross_edges: u64,
     /// Cycles detected.
     pub cycles: u64,
 }
 
-impl fmt::Debug for VGraph {
+impl<C> fmt::Debug for VGraph<C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("VGraph")
             .field("nodes", &self.nodes.len())
@@ -94,10 +174,19 @@ impl fmt::Debug for VGraph {
     }
 }
 
-impl VGraph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        Self::default()
+impl<C: CycleFilter> VGraph<C> {
+    /// Creates an empty graph for a run of `n_threads` threads.
+    pub fn new(n_threads: usize) -> Self {
+        VGraph {
+            nodes: HashMap::new(),
+            filter: C::new(n_threads),
+            next_order: 0,
+            free_out: Vec::new(),
+            work: Vec::new(),
+            reached: HashMap::new(),
+            cross_edges: 0,
+            cycles: 0,
+        }
     }
 
     /// Live node count.
@@ -110,14 +199,21 @@ impl VGraph {
         self.nodes.is_empty()
     }
 
+    /// The cycle filter.
+    pub fn filter(&self) -> &C {
+        &self.filter
+    }
+
     /// Registers a new transaction, adding the intra-thread edge from the
     /// thread's previous transaction.
     pub fn begin(&mut self, id: VTxId, kind: TxKind, prev: VTxId) {
+        self.filter.begin(id, prev);
+        let out = self.free_out.pop().unwrap_or_default();
         self.nodes.insert(
             id,
             VNode {
                 kind,
-                out: Vec::new(),
+                out,
                 first_out: None,
                 first_in: None,
             },
@@ -155,37 +251,56 @@ impl VGraph {
             .first_in
             .get_or_insert(order);
         self.cross_edges += 1;
+        if !self.filter.edge(OutLists(&self.nodes), src, dst) {
+            return None;
+        }
         let cycle = self.find_cycle(src, dst)?;
         self.cycles += 1;
         Some(self.report(cycle))
     }
 
-    /// Path from `dst` back to `src` (the cycle closed by edge src→dst).
-    fn find_cycle(&self, src: VTxId, dst: VTxId) -> Option<Vec<VTxId>> {
-        let mut stack = vec![dst];
-        let mut visited: HashSet<VTxId> = [dst].into_iter().collect();
-        let mut parent: HashMap<VTxId, VTxId> = HashMap::new();
-        while let Some(v) = stack.pop() {
-            if v == src {
-                let mut path = vec![v];
-                let mut cur = v;
-                while cur != dst {
-                    cur = parent[&cur];
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path); // dst … src
+    /// Depth-first walk over live out-lists from `roots`, recording in
+    /// `reached` the node each live node was first reached from. Returns
+    /// `true`, stopping early, when it pops `target`.
+    fn walk(&mut self, roots: impl IntoIterator<Item = VTxId>, target: VTxId) -> bool {
+        self.work.clear();
+        self.reached.clear();
+        for r in roots {
+            if r.is_some() && self.reached.insert(r, r).is_none() {
+                self.work.push(r);
+            }
+        }
+        while let Some(v) = self.work.pop() {
+            if v == target {
+                return true;
             }
             if let Some(node) = self.nodes.get(&v) {
                 for &w in &node.out {
-                    if self.nodes.contains_key(&w) && visited.insert(w) {
-                        parent.insert(w, v);
-                        stack.push(w);
+                    if self.nodes.contains_key(&w) {
+                        if let Entry::Vacant(e) = self.reached.entry(w) {
+                            e.insert(v);
+                            self.work.push(w);
+                        }
                     }
                 }
             }
         }
-        None
+        false
+    }
+
+    /// Path from `dst` back to `src` (the cycle closed by edge src→dst).
+    fn find_cycle(&mut self, src: VTxId, dst: VTxId) -> Option<Vec<VTxId>> {
+        if !self.walk([dst], src) {
+            return None;
+        }
+        let mut path = vec![src];
+        let mut cur = src;
+        while cur != dst {
+            cur = self.reached[&cur];
+            path.push(cur);
+        }
+        path.reverse();
+        Some(path) // dst … src
     }
 
     fn report(&self, cycle: Vec<VTxId>) -> VViolation {
@@ -213,25 +328,22 @@ impl VGraph {
 
     /// Reclaims transactions unreachable from the roots (current
     /// transactions) via outgoing edges. Returns the number collected.
+    /// Sound for a filter's state too: every edge terminates at a current
+    /// transaction, so nothing a future edge or propagation could touch is
+    /// dropped.
     pub fn collect(&mut self, roots: impl IntoIterator<Item = VTxId>) -> usize {
-        let mut marked: HashSet<VTxId> = HashSet::new();
-        let mut work: Vec<VTxId> = Vec::new();
-        for r in roots {
-            if r.is_some() && marked.insert(r) {
-                work.push(r);
-            }
-        }
-        while let Some(id) = work.pop() {
-            if let Some(node) = self.nodes.get(&id) {
-                for &w in &node.out {
-                    if marked.insert(w) {
-                        work.push(w);
-                    }
-                }
-            }
-        }
+        self.walk(roots, VTxId::NONE);
         let before = self.nodes.len();
-        self.nodes.retain(|id, _| marked.contains(id));
+        let (reached, free_out, filter) = (&self.reached, &mut self.free_out, &mut self.filter);
+        self.nodes.retain(|&id, node| {
+            if reached.contains_key(&id) {
+                return true;
+            }
+            node.out.clear();
+            free_out.push(std::mem::take(&mut node.out));
+            filter.reclaim(id);
+            false
+        });
         before - self.nodes.len()
     }
 }
@@ -247,6 +359,10 @@ mod tests {
         TxKind::Regular(MethodId(m))
     }
 
+    fn graph() -> VGraph<()> {
+        VGraph::new(2)
+    }
+
     #[test]
     fn vtxid_packs_thread_and_seq() {
         let id = VTxId::new(ThreadId(3), 9);
@@ -258,7 +374,7 @@ mod tests {
 
     #[test]
     fn two_transaction_cycle_is_reported_with_blame() {
-        let mut g = VGraph::new();
+        let mut g = graph();
         let a = VTxId::new(T0, 1);
         let b = VTxId::new(T1, 1);
         g.begin(a, reg(0), VTxId::NONE);
@@ -274,7 +390,7 @@ mod tests {
 
     #[test]
     fn duplicate_edges_do_not_re_report() {
-        let mut g = VGraph::new();
+        let mut g = graph();
         let a = VTxId::new(T0, 1);
         let b = VTxId::new(T1, 1);
         g.begin(a, reg(0), VTxId::NONE);
@@ -288,7 +404,7 @@ mod tests {
     #[test]
     fn cycle_through_intra_thread_edges() {
         // a1 →intra a2 on T0; cross a2→b, cross b→a1: cycle a1,a2,b.
-        let mut g = VGraph::new();
+        let mut g = graph();
         let a1 = VTxId::new(T0, 1);
         let a2 = VTxId::new(T0, 2);
         let b = VTxId::new(T1, 1);
@@ -302,7 +418,7 @@ mod tests {
 
     #[test]
     fn collect_reclaims_unreachable() {
-        let mut g = VGraph::new();
+        let mut g = graph();
         let a1 = VTxId::new(T0, 1);
         let a2 = VTxId::new(T0, 2);
         g.begin(a1, reg(0), VTxId::NONE);
@@ -317,7 +433,7 @@ mod tests {
 
     #[test]
     fn unary_only_cycle_blames_nothing_but_reports() {
-        let mut g = VGraph::new();
+        let mut g = graph();
         let a = VTxId::new(T0, 1);
         let b = VTxId::new(T1, 1);
         g.begin(a, TxKind::Unary, VTxId::NONE);

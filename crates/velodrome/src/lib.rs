@@ -12,9 +12,12 @@
 //! and motivates DoubleChecker's design.
 //!
 //! The crate provides the sound checker, the deliberately *unsound* variant
-//! the paper also measures (§5.3), array-instrumentation and
-//! cycle-detection switches (§5.4), and a transaction filter so Velodrome
-//! can serve as the second run of multi-run mode (§5.3).
+//! the paper also measures (§5.3), array instrumentation (§5.4), and a
+//! transaction filter so Velodrome can serve as the second run of multi-run
+//! mode (§5.3). The checker and its graph are generic over a
+//! [`CycleFilter`], the test that decides whether a new edge may close a
+//! cycle: [`Velodrome`] is `Online<()>` (always run the DFS), and
+//! `dc-aerodrome` supplies the vector-clock filter.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -23,6 +26,7 @@ pub mod checker;
 pub mod graph;
 pub mod meta;
 
-pub use checker::{Variant, Velodrome, VelodromeConfig, VelodromeStats};
-pub use graph::{VGraph, VTxId, VViolation};
+pub use checker::{JoinCounts, Online, OnlineConfig, OnlineStats, Variant};
+pub use checker::{Velodrome, VelodromeConfig};
+pub use graph::{CycleFilter, OutLists, VGraph, VTxId, VViolation};
 pub use meta::MetaTable;
