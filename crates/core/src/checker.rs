@@ -633,6 +633,60 @@ mod tests {
         Heap::new(&[ObjKind::Plain { fields: 2 }], 1)
     }
 
+    /// One window between two of T0's atomic calls, driven hook by hook:
+    /// T1's `beta` (wr o … wr p) overlaps T0's `alpha` (wr p, rd o) and
+    /// takes `p` from T0 after `alpha` ended — with `touch`, after T0 wrote
+    /// its own object `q` in that window. Returns the first run's static
+    /// information.
+    fn window_static_info(touch: bool) -> StaticTxInfo {
+        const T1: ThreadId = ThreadId(1);
+        let (o, p, q) = (ObjId(0), ObjId(1), ObjId(2));
+        let (alpha, beta) = (MethodId(0), MethodId(1));
+        let c = DoubleChecker::new(
+            2,
+            AtomicitySpec::all_atomic(),
+            DcConfig::first_run(CoordinationMode::Immediate),
+        );
+        c.run_begin(&Heap::new(&[ObjKind::Plain { fields: 1 }; 3], 2));
+        c.thread_begin(T0);
+        c.thread_begin(T1);
+        c.enter_method(T1, beta);
+        c.write(T1, o, 0);
+        c.enter_method(T0, alpha);
+        c.write(T0, p, 0);
+        c.read(T0, o, 0); // edge beta → alpha
+        c.exit_method(T0, alpha);
+        if touch {
+            c.write(T0, q, 0);
+        }
+        c.write(T1, p, 0); // edge out of T0's window into beta
+        c.exit_method(T1, beta);
+        c.enter_method(T0, alpha);
+        c.exit_method(T0, alpha);
+        c.thread_end(T0);
+        c.thread_end(T1);
+        c.run_end();
+        assert_eq!(c.stats().icd_sccs, 1, "alpha and beta form one cycle");
+        c.static_info()
+    }
+
+    /// The unary transaction between two atomic calls gets an IDG node only
+    /// once it accesses something. An empty one is never an SCC member, so
+    /// it no longer sets `StaticTxInfo::any_unary` (the edge out of its
+    /// window leaves the `alpha` before it, which is in the cycle anyway):
+    /// the one way the first run's output differs from an eager unary node,
+    /// and it only narrows the second run. An accessed one inside the cycle
+    /// still sets it.
+    #[test]
+    fn only_an_accessed_unary_transaction_in_a_cycle_sets_any_unary() {
+        let empty = window_static_info(false);
+        assert_eq!(empty.methods, [MethodId(0), MethodId(1)].into());
+        assert!(!empty.any_unary);
+        let accessed = window_static_info(true);
+        assert_eq!(accessed.methods, empty.methods);
+        assert!(accessed.any_unary);
+    }
+
     #[test]
     #[should_panic(expected = "DoubleChecker is single-run")]
     fn second_run_begin_panics_instead_of_keeping_the_first_runs_tables() {

@@ -47,11 +47,14 @@
 //! slot's occupant — and otherwise only by the by-id API (cross-edge
 //! endpoints, tests, diagnostics).
 //!
-//! Tarjan's per-node state (visit index, lowlink, on-stack bit) and the
-//! collector's mark set live in epoch-stamped scratch arrays owned by the
-//! graph: a slot's entry is valid only when its stamp equals the current
-//! visit epoch, so "clearing" between passes is one counter bump. The DFS
-//! stack, frame, and component buffers are retained across calls.
+//! Tarjan's per-node state (visit index, lowlink, on-stack bit) is one
+//! record per slot, grown with the slab, and the collector's mark set one
+//! stamp per slot, both owned by the graph and epoch-stamped: a slot's
+//! entry is valid only when its stamp equals the current visit epoch, so
+//! "clearing" between passes is one counter bump. The DFS stack, frame, and
+//! component buffers are retained across calls. A probe that cannot descend
+//! — its root has no finished successor — returns before touching any of
+//! it.
 
 use crate::icd::{IcdStats, ThreadRegs};
 use crate::types::{
@@ -111,6 +114,19 @@ impl EdgeRec {
     }
 }
 
+/// The first record of an out-list, from `cursor` on, whose destination
+/// has finished ([`NIL`] if none): the only successors Tarjan descends
+/// into.
+fn first_finished(slab: &[TxNode], edges: &[EdgeRec], mut cursor: u32) -> u32 {
+    while let Some(rec) = edges.get(cursor as usize) {
+        if slab[rec.dst_slot as usize].finished {
+            return cursor;
+        }
+        cursor = rec.next_out;
+    }
+    NIL
+}
+
 /// One IDG node, stored in a slab slot. A free slot is recognizable by
 /// `id == TxId::NONE`. Its edges are records in the graph's arena; the node
 /// holds only the ends of its two lists.
@@ -167,10 +183,11 @@ impl std::error::Error for FinishError {}
 /// Outcome of [`Graph::scc_probe`]: whether Tarjan ran and what it found.
 #[derive(Debug)]
 pub enum SccProbe {
-    /// Tarjan was skipped: the root is missing, unfinished, or trivially
-    /// acyclic (no incoming or no outgoing edges — it cannot be on a
-    /// cycle). Exactly the cases where a full traversal would report
-    /// nothing.
+    /// Tarjan was skipped: the root is missing, unfinished, has no incoming
+    /// edge (it cannot be on a cycle) or no finished successor (Tarjan
+    /// descends only into finished nodes, so it would find the root
+    /// alone). Exactly the cases where a full traversal would report
+    /// nothing; counted in `graph.sccs_skipped_trivial`.
     Skipped,
     /// Tarjan ran; the root's SCC has fewer than two members.
     NoCycle,
@@ -178,15 +195,22 @@ pub enum SccProbe {
     Cycle(SccReport),
 }
 
-/// Epoch-stamped Tarjan scratch: per-slot visit state plus the retained
-/// DFS stack/frame/component buffers.
+/// Tarjan's state for one slab slot: valid only while `stamp` equals the
+/// scratch's current visit epoch.
+#[derive(Clone, Copy, Debug, Default)]
+struct Visit {
+    stamp: u32,
+    index: u32,
+    lowlink: u32,
+    on_stack: bool,
+}
+
+/// Epoch-stamped Tarjan scratch: one [`Visit`] per slab slot (pushed by
+/// [`Graph::insert`] as the slab grows) plus the retained DFS
+/// stack/frame/component buffers.
 #[derive(Debug, Default)]
 struct TarjanScratch {
-    /// Slot entry is valid iff `stamp[slot] == epoch`.
-    stamp: Vec<u32>,
-    index: Vec<u32>,
-    lowlink: Vec<u32>,
-    on_stack: Vec<bool>,
+    visits: Vec<Visit>,
     /// Tarjan's component stack (slot indices).
     stack: Vec<u32>,
     /// DFS frames: (slot, next record of its out-list to follow).
@@ -197,19 +221,14 @@ struct TarjanScratch {
 }
 
 impl TarjanScratch {
-    /// Sizes the per-slot arrays to the slab and starts a fresh visit
-    /// epoch. Allocation-free unless the slab grew since the last pass.
-    fn begin(&mut self, slots: usize) -> u32 {
-        self.stamp.resize(slots, 0);
-        self.index.resize(slots, 0);
-        self.lowlink.resize(slots, 0);
-        self.on_stack.resize(slots, false);
+    /// Starts a fresh visit epoch. Allocation-free.
+    fn begin(&mut self) -> u32 {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Epoch wrapped: stale stamps from the previous cycle could
-            // alias the new epoch values. Reset and skip 0 (the stamp
-            // arrays' fill value).
-            self.stamp.iter_mut().for_each(|s| *s = 0);
+            // alias the new epoch values. Reset and skip 0 (the stamps'
+            // initial value).
+            self.visits.iter_mut().for_each(|v| v.stamp = 0);
             self.epoch = 1;
         }
         self.epoch
@@ -396,6 +415,7 @@ impl Graph {
                     final_len: 0,
                     in_count: 0,
                 });
+                self.tarjan.visits.push(Visit::default());
                 slot
             }
         };
@@ -563,10 +583,11 @@ impl Graph {
     /// trivial pre-filter" from "Tarjan ran and found nothing" so callers
     /// can account for skipped traversals.
     ///
-    /// The pre-filter is exact: a finished transaction with no incoming or
-    /// no outgoing edges cannot be on a cycle, so the skipped traversal
-    /// would have returned the root alone. (`in_count` may overcount after
-    /// a collection, which only makes the filter more conservative.)
+    /// The pre-filter is exact: a finished transaction with no incoming
+    /// edge cannot be on a cycle, and one with no finished successor gives
+    /// Tarjan nothing to descend into, so the skipped traversal would have
+    /// returned the root alone. (`in_count` may overcount after a
+    /// collection, which only makes the filter more conservative.)
     pub fn scc_probe(&mut self, root: TxId) -> SccProbe {
         match self.index.get(&root) {
             Some(&root_slot) => self.probe_slot(root_slot),
@@ -576,78 +597,84 @@ impl Graph {
 
     /// [`Graph::scc_probe`] from the live node in `root_slot`.
     fn probe_slot(&mut self, root_slot: u32) -> SccProbe {
-        {
-            let node = &self.slab[root_slot as usize];
-            if !node.finished || node.in_count == 0 || node.out_head == NIL {
-                return SccProbe::Skipped;
-            }
+        // Slab, arena and scratch are borrowed as disjoint fields.
+        let Graph {
+            slab,
+            edges,
+            tarjan,
+            ..
+        } = self;
+        let root = &slab[root_slot as usize];
+        if !root.finished || root.in_count == 0 {
+            return SccProbe::Skipped;
+        }
+        let cursor = first_finished(slab, edges, root.out_head);
+        if cursor == NIL {
+            return SccProbe::Skipped;
         }
         // Iterative Tarjan restricted to finished nodes reachable from
-        // root, on epoch-stamped scratch (taken out of `self` so the slab
-        // and the scratch can be borrowed simultaneously).
-        let mut t = std::mem::take(&mut self.tarjan);
-        let epoch = t.begin(self.slab.len());
-        debug_assert!(t.stack.is_empty() && t.frames.is_empty());
-        t.component.clear();
+        // root, on epoch-stamped scratch.
+        let epoch = tarjan.begin();
+        let TarjanScratch {
+            visits,
+            stack,
+            frames,
+            component,
+            ..
+        } = tarjan;
+        debug_assert!(stack.is_empty() && frames.is_empty());
+        component.clear();
         let mut next_index = 1u32;
-        t.stamp[root_slot as usize] = epoch;
-        t.index[root_slot as usize] = 0;
-        t.lowlink[root_slot as usize] = 0;
-        t.on_stack[root_slot as usize] = true;
-        t.stack.push(root_slot);
-        t.frames
-            .push((root_slot, self.slab[root_slot as usize].out_head));
+        visits[root_slot as usize] = Visit {
+            stamp: epoch,
+            index: 0,
+            lowlink: 0,
+            on_stack: true,
+        };
+        stack.push(root_slot);
+        frames.push((root_slot, cursor));
 
-        while let Some(&(v, cursor)) = t.frames.last() {
+        while let Some(&(v, cursor)) = frames.last() {
             let vi = v as usize;
-            let next_child = {
-                let mut cur = cursor;
-                let mut found = None;
-                while let Some(rec) = self.edges.get(cur as usize) {
-                    cur = rec.next_out;
-                    if self.slab[rec.dst_slot as usize].finished {
-                        found = Some(rec.dst_slot);
-                        break;
-                    }
-                }
-                t.frames.last_mut().expect("frame exists").1 = cur;
-                found
-            };
-            match next_child {
-                Some(w) => {
-                    let wi = w as usize;
-                    if t.stamp[wi] == epoch {
-                        if t.on_stack[wi] {
-                            let w_index = t.index[wi];
-                            t.lowlink[vi] = t.lowlink[vi].min(w_index);
+            let cursor = first_finished(slab, edges, cursor);
+            match edges.get(cursor as usize) {
+                Some(rec) => {
+                    frames.last_mut().expect("frame exists").1 = rec.next_out;
+                    let w = rec.dst_slot;
+                    let seen = visits[w as usize];
+                    if seen.stamp == epoch {
+                        if seen.on_stack {
+                            visits[vi].lowlink = visits[vi].lowlink.min(seen.index);
                         }
                     } else {
-                        t.stamp[wi] = epoch;
-                        t.index[wi] = next_index;
-                        t.lowlink[wi] = next_index;
-                        t.on_stack[wi] = true;
+                        visits[w as usize] = Visit {
+                            stamp: epoch,
+                            index: next_index,
+                            lowlink: next_index,
+                            on_stack: true,
+                        };
                         next_index += 1;
-                        t.stack.push(w);
-                        t.frames.push((w, self.slab[wi].out_head));
+                        stack.push(w);
+                        frames.push((w, slab[w as usize].out_head));
                     }
                 }
                 None => {
-                    t.frames.pop();
-                    let v_low = t.lowlink[vi];
-                    if let Some(&(parent, _)) = t.frames.last() {
-                        let pi = parent as usize;
-                        t.lowlink[pi] = t.lowlink[pi].min(v_low);
+                    frames.pop();
+                    let Visit { index, lowlink, .. } = visits[vi];
+                    if let Some(&(parent, _)) = frames.last() {
+                        let p = &mut visits[parent as usize];
+                        p.lowlink = p.lowlink.min(lowlink);
                     }
-                    if v_low == t.index[vi] {
+                    if lowlink == index {
                         // Pop one SCC off the Tarjan stack. The root has
                         // visit index 0, so its SCC is headed by the root
                         // itself and popped exactly at `v == root_slot`;
                         // other components are discarded as they pop.
                         loop {
-                            let w = t.stack.pop().expect("tarjan stack underflow");
-                            t.on_stack[w as usize] = false;
+                            let w = stack.pop().expect("tarjan stack underflow");
+                            visits[w as usize].on_stack = false;
                             if v == root_slot {
-                                t.component.push(w);
+                                component.push(w);
                             }
                             if w == v {
                                 break;
@@ -657,15 +684,13 @@ impl Graph {
                 }
             }
         }
-        debug_assert!(t.stack.is_empty(), "tarjan stack drained");
+        debug_assert!(stack.is_empty(), "tarjan stack drained");
 
-        if t.component.len() < 2 {
-            self.tarjan = t;
+        if component.len() < 2 {
             return SccProbe::NoCycle;
         }
         self.counters.scc_count.fetch_add(1, Ordering::Relaxed);
-        let component = std::mem::take(&mut t.component);
-        self.tarjan = t;
+        let component = std::mem::take(&mut self.tarjan.component);
         let report = self.snapshot_component(&component);
         self.tarjan.component = component;
         SccProbe::Cycle(report)
@@ -1056,6 +1081,28 @@ mod tests {
         );
         // Unknown / unfinished roots are also skips.
         assert!(matches!(g.scc_probe(TxId(9)), SccProbe::Skipped));
+
+        // Tx1 → Tx2 → Tx3 → Tx1 with Tx3 unfinished: Tx2's only successor
+        // is unfinished, so Tarjan could not descend — a skip, leaving the
+        // scratch untouched — although Tx2 has both an in- and an out-edge.
+        let mut g = graph_with(3);
+        for (s, d) in [(1, 2), (2, 3), (3, 1)] {
+            g.add_edge(edge(s, d));
+        }
+        g.finish(TxId(1), vec![]).unwrap();
+        g.finish(TxId(2), vec![]).unwrap();
+        let epoch = g.tarjan.epoch;
+        assert!(
+            matches!(g.scc_probe(TxId(2)), SccProbe::Skipped),
+            "no finished successor"
+        );
+        assert_eq!(g.tarjan.epoch, epoch, "a skip touches no scratch");
+        // An unfinished successor ahead of a finished one does not hide it.
+        g.add_edge(edge(2, 1));
+        assert!(matches!(g.scc_probe(TxId(2)), SccProbe::Cycle(r) if r.len() == 2));
+        // Once the successor finishes, Tarjan descends into it too.
+        g.finish(TxId(3), vec![]).unwrap();
+        assert!(matches!(g.scc_probe(TxId(3)), SccProbe::Cycle(r) if r.len() == 3));
     }
 
     #[test]
@@ -1130,8 +1177,18 @@ mod tests {
         g.add_edge(edge(1, 2));
         g.add_edge(edge(2, 1));
         finish_all(&mut g, 2);
-        // Force both scratch epochs to the wrap point; the next pass must
-        // clear stamps rather than alias epoch 0.
+        assert_eq!(g.tarjan.visits.len(), g.slab_len(), "one record per slot");
+        // Stamp every slot's record with the epoch that follows the wrap,
+        // and force both scratch epochs to the wrap point; the next pass
+        // must clear stamps rather than alias them.
+        for v in &mut g.tarjan.visits {
+            *v = Visit {
+                stamp: 1,
+                index: 0,
+                lowlink: 0,
+                on_stack: true,
+            };
+        }
         g.tarjan.epoch = u32::MAX;
         g.mark.epoch = u32::MAX;
         assert_eq!(g.scc_from(TxId(2)).expect("cycle").len(), 2);

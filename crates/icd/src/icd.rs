@@ -26,7 +26,7 @@ use dc_runtime::ids::{CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Configuration for one ICD instance.
@@ -61,7 +61,8 @@ impl Default for IcdConfig {
 pub struct IcdStats {
     /// Regular (non-unary) transactions started (folded at thread end).
     pub regular_txs: AtomicU64,
-    /// Unary (merged) transactions started (folded at thread end).
+    /// Unary (merged) transactions started, including pending ones that
+    /// never got a node (folded at thread end).
     pub unary_txs: AtomicU64,
     /// Instrumented accesses inside regular transactions.
     pub regular_accesses: AtomicU64,
@@ -73,8 +74,8 @@ pub struct IcdStats {
     /// Transactions reclaimed by the collector.
     pub collected_txs: AtomicU64,
     /// Hot-path graph-mutex acquisitions, each one counted while it is
-    /// held: one per transaction boundary (the collector runs inside it)
-    /// and one per edge procedure.
+    /// held: one per transaction boundary that touches the graph (the
+    /// collector runs inside it) and one per edge procedure.
     pub graph_locks: AtomicU64,
 }
 
@@ -84,16 +85,34 @@ pub struct IcdStats {
 #[repr(align(128))]
 pub(crate) struct ThreadRegs {
     /// `currTX(T)`; stays pointing at the last transaction after it ends so
-    /// coordination against an idle/finished thread still finds a source.
+    /// coordination against an idle/finished thread still finds a source —
+    /// in particular while a unary transaction is `pending`.
     pub(crate) current_tx: AtomicU64,
     /// `T.lastRdEx`: last transaction of `T` to move an object into RdEx-T.
     pub(crate) last_rd_ex: AtomicU64,
-    /// Bumped by whoever attaches an edge to this thread's *current*
-    /// transaction; drives unary-transaction cutting and elision epochs.
+    /// Bumped by [`EDGE_EVENT`] by whoever attaches an edge to this thread's
+    /// *current* transaction; drives unary-transaction cutting and elision
+    /// epochs.
     pub(crate) edge_events: AtomicU32,
     /// Published length of the current transaction's log.
     pub(crate) log_len: AtomicU32,
+    /// The unary transaction a regular one's end opened has no node yet:
+    /// `currTX(T)` still names that finished regular transaction and
+    /// publishes its final log length, so an edge created meanwhile leaves
+    /// it. The thread's first access materializes the unary transaction
+    /// ([`Icd::before_access`]); if it makes none, the next regular
+    /// transaction follows the finished one directly. Stored by the owner
+    /// only (`Release`, beside `current_tx`); read by a thread recording an
+    /// upgrade edge out of `T.lastRdEx` (`Acquire`). It publishes no other
+    /// data.
+    pub(crate) pending: AtomicBool,
 }
+
+/// The step of [`ThreadRegs::edge_events`]: the counter is always even, so a
+/// `seen_edge_events` with the low bit set never matches it — how a pending
+/// unary transaction sends the thread's next access to the slow kernel
+/// without a branch of its own on the fused path.
+const EDGE_EVENT: u32 = 2;
 
 /// Per-thread local (owner-only) state.
 struct Local {
@@ -118,7 +137,8 @@ struct Local {
     /// edge on its current transaction; stale elision entries simply
     /// mismatch.
     epoch: u32,
-    /// `edge_events` value last observed by the owner.
+    /// `edge_events` value last observed by the owner; `| 1` while a unary
+    /// transaction is pending.
     seen_edge_events: u32,
     kind: TxKind,
     /// Per-thread transaction sequence number.
@@ -175,7 +195,17 @@ impl Local {
     fn publish(&mut self, id: TxId) {
         self.seen_edge_events = self.regs.edge_events.load(Ordering::Acquire);
         self.regs.log_len.store(0, Ordering::Release);
+        self.regs.pending.store(false, Ordering::Release);
         self.regs.current_tx.store(id.0, Ordering::Release);
+    }
+
+    /// Leaves the just-finished transaction published as `currTX(T)` and
+    /// marks the unary transaction opened after it pending. The edge events
+    /// seen so far are kept with the low bit set, which never matches the
+    /// counter.
+    fn pend(&mut self) {
+        self.seen_edge_events = self.regs.edge_events.load(Ordering::Acquire) | 1;
+        self.regs.pending.store(true, Ordering::Release);
     }
 
     /// Folds the current transaction's access count into its kind's total.
@@ -474,7 +504,7 @@ impl Icd {
     pub fn thread_begin(&self, t: ThreadId) -> Option<SccReport> {
         // SAFETY: called on thread t.
         let local = unsafe { self.slots[t.index()].local() };
-        let report = self.boundary(t, local, Some(TxKind::Unary));
+        let report = self.boundary(t, local, Some(TxKind::Unary), true);
         // Bind the attached layout and allocate the flat elision table off
         // the record_access hot loop: in the checker flow the layout is
         // attached before any thread begins, and this runs on the owner
@@ -494,7 +524,7 @@ impl Icd {
     pub fn thread_end(&self, t: ThreadId) -> Option<SccReport> {
         // SAFETY: called on thread t.
         let local = unsafe { self.slots[t.index()].local() };
-        let report = self.boundary(t, local, None);
+        let report = self.boundary(t, local, None, false);
         local.fold_accesses();
         for (total, tally) in [
             (&self.stats.regular_txs, &mut local.regular_txs),
@@ -509,28 +539,29 @@ impl Icd {
     }
 
     /// A regular transaction rooted at `method` begins (atomic method
-    /// entered from non-transactional context).
+    /// entered from non-transactional context). After a pending unary
+    /// transaction it follows the finished regular one directly.
     pub fn begin_regular(&self, t: ThreadId, method: MethodId) -> Option<SccReport> {
-        self.restart_tx(t, TxKind::Regular(method))
+        // SAFETY: called on thread t.
+        let local = unsafe { self.slots[t.index()].local() };
+        self.boundary(t, local, Some(TxKind::Regular(method)), true)
     }
 
     /// The regular transaction ends; a fresh unary transaction opens
     /// immediately (paper §4: "At method end, it creates a new unary
-    /// transaction").
+    /// transaction") — pending: it gets no node until the thread's first
+    /// access.
     pub fn end_regular(&self, t: ThreadId) -> Option<SccReport> {
-        self.restart_tx(t, TxKind::Unary)
-    }
-
-    /// Ends the current transaction and opens one of `kind` in its place.
-    fn restart_tx(&self, t: ThreadId, kind: TxKind) -> Option<SccReport> {
         // SAFETY: called on thread t.
         let local = unsafe { self.slots[t.index()].local() };
-        self.boundary(t, local, Some(kind))
+        self.boundary(t, local, Some(TxKind::Unary), false)
     }
 
     /// One transaction boundary of thread `t`: ends its current transaction
-    /// (none before the thread's first) and opens one of kind `next` (none
-    /// at thread exit).
+    /// — unless there is none yet or it already ended (a unary transaction
+    /// is pending) — and opens one of kind `open` (none at thread exit, or
+    /// when a pending unary transaction is materialized). With `insert` the
+    /// thread's transaction gets its node now; without, it is pending.
     ///
     /// All of it happens in **one** critical section, in this order: move
     /// the finished log into the graph, run SCC detection from it (§3.2.3),
@@ -538,22 +569,35 @@ impl Icd {
     /// transaction is still `currTX(t)`, hence a root), draw the next id,
     /// insert its node with the program-order edge, publish it as
     /// `currTX(t)`. The thread names its own nodes by `(slot, id)`, so none
-    /// of this consults the graph's id map except the insert itself.
-    fn boundary(&self, t: ThreadId, local: &mut Local, next: Option<TxKind>) -> Option<SccReport> {
+    /// of this consults the graph's id map except the insert itself. A
+    /// boundary with nothing to end and nothing to insert (thread exit while
+    /// a unary transaction is pending) takes no lock.
+    fn boundary(
+        &self,
+        t: ThreadId,
+        local: &mut Local,
+        open: Option<TxKind>,
+        insert: bool,
+    ) -> Option<SccReport> {
         let old = TxId(local.regs.current_tx.load(Ordering::Acquire));
         let old_node = (local.tx_slot, old);
+        // The owner is `pending`'s only writer.
+        let ends = old.is_some() && !local.regs.pending.load(Ordering::Relaxed);
         // The retained log is one exact-size copy, made before the lock is
         // taken; the thread's buffer keeps its capacity for the next
         // transaction.
         let log: Option<Arc<[LogEntry]>> = (!local.log.is_empty()).then(|| local.log[..].into());
         local.log.clear();
-        if let Some(kind) = next {
+        if let Some(kind) = open {
             local.open(kind);
+        }
+        if !ends && !insert {
+            return None;
         }
         let mut guard = self.lock_graph();
         let Owned { graph, collector } = &mut *guard;
         let mut report = None;
-        if old.is_some() {
+        if ends {
             // The hooks name only transactions they inserted, so a
             // malformed finish here is a checker bug.
             report = graph
@@ -564,10 +608,12 @@ impl Icd {
                 collector.collect(graph, &self.regs, &self.stats, self.obs.as_deref());
             }
         }
-        if let Some(kind) = next {
+        if insert {
             let id = TxId(self.next_tx.fetch_add(1, Ordering::Relaxed));
-            local.tx_slot = graph.insert_after(id, t, kind, local.seq, old_node);
+            local.tx_slot = graph.insert_after(id, t, local.kind, local.seq, old_node);
             local.publish(id);
+        } else {
+            local.pend();
         }
         report
     }
@@ -587,7 +633,12 @@ impl Icd {
     /// Must run before each access's Octet barrier: observes edges attached
     /// to the current transaction since the last access, bumping the elision
     /// epoch and — in unary context — cutting the merged unary transaction
-    /// (paper §4's merging rule).
+    /// (paper §4's merging rule). The first access after a regular
+    /// transaction's end always lands here and materializes the pending
+    /// unary transaction; an edge that left the finished regular
+    /// transaction meanwhile counts as the cut it would have made had the
+    /// unary transaction had a node, so transaction counts and sequence
+    /// numbers are those of an eager node.
     #[inline]
     pub fn before_access(&self, t: ThreadId) -> Option<SccReport> {
         // SAFETY: called on thread t.
@@ -596,10 +647,12 @@ impl Icd {
         if events == local.seen_edge_events {
             return None;
         }
+        // Always true outside the pending window, where `seen` is even.
+        let cut = events != (local.seen_edge_events & !1);
         local.seen_edge_events = events;
         local.bump_epoch();
         if local.kind == TxKind::Unary {
-            self.boundary(t, local, Some(TxKind::Unary))
+            self.boundary(t, local, cut.then_some(TxKind::Unary), true)
         } else {
             None
         }
@@ -679,7 +732,11 @@ impl Icd {
             self.add_rd_sh_edge(graph, cur, dst_pos);
             graph.g_last_rd_sh = cur;
         }
-        if last_rd_ex.is_some() {
+        // While `prev_owner`'s unary transaction is pending, its `lastRdEx`
+        // may be the finished regular transaction `currTX` still names: the
+        // edge leaves that one, not the thread's current (unary) one.
+        let owner = &self.regs[prev_owner.index()];
+        if last_rd_ex.is_some() && !owner.pending.load(Ordering::Acquire) {
             self.note_edge_event(prev_owner, last_rd_ex);
         }
         self.note_edge_event(t, cur);
@@ -725,7 +782,7 @@ impl Icd {
     fn note_edge_event(&self, t: ThreadId, tx: TxId) {
         let regs = &self.regs[t.index()];
         if regs.current_tx.load(Ordering::Acquire) == tx.0 {
-            regs.edge_events.fetch_add(1, Ordering::AcqRel);
+            regs.edge_events.fetch_add(EDGE_EVENT, Ordering::AcqRel);
         }
     }
 
@@ -798,14 +855,42 @@ mod tests {
         icd.begin_regular(T0, M);
         let reg = icd.current_tx(T0);
         assert_ne!(unary, reg);
+        icd.record_access(T0, O, 0, true, false, false);
         icd.end_regular(T0);
+        // The unary transaction `end_regular` opens is pending: `currTX`
+        // still names the finished regular one, at its final log length,
+        // and no node was inserted for it.
+        assert_eq!(icd.current_tx(T0), reg);
+        assert_eq!(icd.regs[0].log_len.load(Ordering::Relaxed), 1);
+        assert!(!icd.edge_events_unchanged(T0), "the next access goes slow");
+        let chain = |tx| -> Vec<(TxId, EdgeKind)> {
+            let g = &icd.graph.lock().graph;
+            g.out_edges(tx).map(|e| (e.dst, e.kind)).collect()
+        };
+        {
+            let g = &icd.graph.lock().graph;
+            assert!(g.node(reg).unwrap().finished);
+            assert_eq!(g.len(), 2, "no node for the pending unary transaction");
+        }
+        // Without an access in between, the next regular transaction
+        // follows the finished one directly.
+        icd.begin_regular(T0, M);
+        let reg2 = icd.current_tx(T0);
+        assert_eq!(chain(reg), [(reg2, EdgeKind::Intra)]);
+        icd.end_regular(T0);
+        // The first access materializes the pending unary transaction.
+        assert!(icd.before_access(T0).is_none());
         let unary2 = icd.current_tx(T0);
-        assert_ne!(reg, unary2);
-        // The per-thread tallies fold in at thread end, not before.
+        assert_ne!(unary2, reg2);
+        assert!(icd.edge_events_unchanged(T0));
+        assert_eq!(icd.regs[0].log_len.load(Ordering::Relaxed), 0);
+        assert_eq!(chain(reg2), [(unary2, EdgeKind::Intra)]);
+        // The per-thread tallies fold in at thread end, not before; the
+        // unary count includes the transaction that never got a node.
         assert_eq!(icd.stats().regular_txs.load(Ordering::Relaxed), 0);
         end_all(&icd, 1);
-        assert_eq!(icd.stats().regular_txs.load(Ordering::Relaxed), 1);
-        assert_eq!(icd.stats().unary_txs.load(Ordering::Relaxed), 2);
+        assert_eq!(icd.stats().regular_txs.load(Ordering::Relaxed), 2);
+        assert_eq!(icd.stats().unary_txs.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -900,6 +985,29 @@ mod tests {
         let t1_before = icd.current_tx(T1);
         icd.before_access(T1);
         assert_ne!(icd.current_tx(T1), t1_before);
+    }
+
+    /// An edge that leaves a thread while its unary transaction is pending
+    /// is one that transaction would have had as a node, so its first access
+    /// counts the cut such a node would have made. An upgrade edge out of
+    /// the thread's `lastRdEx` — the finished regular transaction — is not.
+    #[test]
+    fn pending_window_edges_cut_like_an_eager_unary_node() {
+        let run = |edge: fn(&Icd)| {
+            let icd = icd(2);
+            icd.begin_regular(T0, M);
+            icd.note_rdex_claim(T0);
+            icd.end_regular(T0);
+            edge(&icd);
+            let seq = local0(&icd).seq;
+            icd.before_access(T0);
+            let cuts = local0(&icd).seq - seq;
+            end_all(&icd, 2);
+            (cuts, icd.stats().unary_txs.load(Ordering::Relaxed))
+        };
+        assert_eq!(run(|_| {}), (0, 3));
+        assert_eq!(run(|icd| icd.handle_conflicting(T0, T1)), (1, 4));
+        assert_eq!(run(|icd| icd.handle_upgrading(T1, T0)), (0, 3));
     }
 
     #[test]
@@ -1055,10 +1163,14 @@ mod tests {
         assert_eq!(edge.src_pos, 2);
     }
 
-    /// One critical section per transaction boundary — the collector runs
-    /// inside it — and one per edge procedure: an atomic-method call is two
-    /// boundaries, so two acquisitions (it used to be four, plus one per
-    /// collector pass).
+    /// One critical section per transaction boundary that touches the
+    /// graph — the collector runs inside it — and one per edge procedure.
+    /// An atomic-method call is two boundaries, so two acquisitions: its
+    /// end finishes the regular transaction but no longer inserts the unary
+    /// one it opens, and the next begin inserts without finishing anything
+    /// while that unary transaction is pending. A unary transaction that is
+    /// accessed takes one more, for its node, at its first access; a thread
+    /// that exits with one pending takes none.
     #[test]
     fn graph_lock_is_taken_once_per_boundary_and_edge() {
         let icd = Icd::new(
@@ -1080,13 +1192,18 @@ mod tests {
         }
         assert_eq!(locks(), 2 + 2 * CALLS, "two per atomic-method call");
         assert!(icd.stats().collected_txs.load(Ordering::Relaxed) > 0);
+        icd.before_access(T0);
+        let base = 2 + 2 * CALLS + 1;
+        assert_eq!(locks(), base, "one for a unary node, at its first access");
         icd.handle_conflicting(T0, T1);
         icd.handle_fence(T1);
         icd.handle_upgrading(T1, T0);
-        assert_eq!(locks(), 2 + 2 * CALLS + 3, "one per edge procedure");
+        assert_eq!(locks(), base + 3, "one per edge procedure");
         icd.record_access(T0, O, 0, true, false, false);
-        assert_eq!(locks(), 2 + 2 * CALLS + 3, "accesses take none");
+        assert_eq!(locks(), base + 3, "accesses take none");
+        icd.begin_regular(T0, M);
+        icd.end_regular(T0);
         end_all(&icd, 2);
-        assert_eq!(locks(), 2 + 2 * CALLS + 3 + 2, "one per thread end");
+        assert_eq!(locks(), base + 3 + 2 + 1, "T0 exits pending: no lock");
     }
 }

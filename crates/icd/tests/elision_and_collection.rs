@@ -148,8 +148,10 @@ fn snapshot_all_finished_reflects_history() {
     }
     icd.thread_end(T0);
     let snapshot = icd.snapshot_all_finished();
-    // 5 regular + interleaved unary transactions, all finished.
-    assert!(snapshot.len() >= 10);
+    // The thread's first (unary) transaction and the 5 regular ones, all
+    // finished. The unary transactions between the calls were never
+    // accessed, so none of them got a node.
+    assert_eq!(snapshot.len(), 6);
     let logged: usize = snapshot.txs.iter().map(|t| t.log.len()).sum();
     assert_eq!(logged, 5);
 }
