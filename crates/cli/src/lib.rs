@@ -17,8 +17,8 @@
 
 use dc_aerodrome::AeroDrome;
 use dc_core::{
-    run_doublechecker, stats_to_json, trace_event_to_json, DcConfig, ExecPlan, ObsLevel,
-    ReportedViolation, StaticTxInfo,
+    run_doublechecker, run_first_runs, stats_to_json, trace_event_to_json, DcConfig, ExecPlan,
+    ObsLevel, ReportedViolation,
 };
 use dc_octet::CoordinationMode;
 use dc_pcd::{analyze_trace, OfflineConfig};
@@ -412,17 +412,8 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
                             .map(|s| ExecPlan::Det(Schedule::random(s)))
                             .collect()
                     };
-                    let mut info = StaticTxInfo::default();
-                    for p in &first_plans {
-                        let r = run_doublechecker(
-                            &program,
-                            &spec,
-                            DcConfig::first_run(CoordinationMode::Immediate),
-                            p,
-                        )
+                    let (_, info) = run_first_runs(&program, &spec, &first_plans)
                         .map_err(|e| CliError::Failed(e.to_string()))?;
-                        info.union(&r.static_info);
-                    }
                     DcConfig::second_run(&info, coordination)
                 }
                 "pcd-only" => DcConfig::pcd_only(coordination),
@@ -455,16 +446,17 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
                 std::fs::write(path, lines)
                     .map_err(|e| CliError::Failed(format!("writing {path:?}: {e}")))?;
             }
+            let s = &report.stats;
             if let Some(p) = &report.pipeline {
                 writeln!(
                     out,
                     "obs: level {}, {} SCCs detected ({} probes skipped as trivial), \
                      {} replays, {} violations, {} trace events",
                     p.level.as_str(),
-                    p.graph.sccs_detected,
+                    s.icd_sccs,
                     p.graph.sccs_skipped_trivial,
-                    p.replay.completed,
-                    p.replay.violations,
+                    s.sccs_to_pcd,
+                    s.pcd.cycles,
                     p.trace_recorded,
                 )
                 .ok();
@@ -473,7 +465,6 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
                 let cycle = v.cycle.iter().map(|m| m.kind.method());
                 describe_violation(&mut out, &program, cycle, &v.blamed_methods());
             }
-            let s = &report.stats;
             writeln!(
                 out,
                 "{}: {} violation(s); {} regular tx, {} unary tx, {} accesses, \
@@ -806,11 +797,8 @@ mod tests {
             ("icd_sccs", SCALAR),
             ("idg_cross_edges", SCALAR),
             ("log_entries", SCALAR),
-            ("pipeline.checker.runs_begun", SCALAR),
-            ("pipeline.checker.runs_ended", SCALAR),
             ("pipeline.graph.collect_latency", HISTOGRAM),
             ("pipeline.graph.scc_latency", HISTOGRAM),
-            ("pipeline.graph.sccs_detected", SCALAR),
             ("pipeline.graph.sccs_skipped_trivial", SCALAR),
             ("pipeline.level", SCALAR),
             ("pipeline.octet.cache_flushes", SCALAR),
@@ -820,7 +808,6 @@ mod tests {
             ("pipeline.octet.fences", SCALAR),
             ("pipeline.octet.first_touch", SCALAR),
             ("pipeline.octet.upgrades", SCALAR),
-            ("pipeline.replay.completed", SCALAR),
             ("pipeline.replay.latency", HISTOGRAM),
             ("pipeline.replay.violations", SCALAR),
             ("pipeline.trace_recorded", SCALAR),
@@ -872,11 +859,6 @@ mod tests {
                 v.as_u64().unwrap_or_else(|| panic!("{what}: {path} = {v}"))
             };
             assert_eq!(uint("schema_version"), dc_core::STATS_SCHEMA_VERSION);
-            assert_eq!(
-                uint("pipeline.replay.completed"),
-                uint("sccs_to_pcd"),
-                "{what}: every SCC handed to PCD is replayed"
-            );
             assert!(uint("regular_txs") > 0, "{what}: replayed no transactions");
             // The default configuration has the ownership cache on, so a
             // loopy workload must record hits.
@@ -885,6 +867,38 @@ mod tests {
                 "inline cache never hit"
             );
         }
+    }
+
+    /// Every count schema 3 keeps, leaf by leaf, against the document the
+    /// schema-2 CLI wrote for the same det run (`check --workload tsp
+    /// --seed 42 --obs counters --stats-json`), when `dc-obs` still kept
+    /// its own copy of the counts: a count read from the wrong statistic
+    /// fails here by value, not just by key.
+    #[test]
+    fn stats_json_counts_match_the_schema_2_fixture() {
+        let fixture =
+            serde_json::from_str(include_str!("../fixtures/tsp_seed42_counters.schema2.json"))
+                .unwrap();
+        let mut expected = Vec::new();
+        leaf_paths("", &fixture, &mut expected);
+        let (_, doc) = check_with_stats("fixture.json", "--workload tsp --seed 42 --obs counters");
+        let mut leaves = Vec::new();
+        leaf_paths("", &doc, &mut leaves);
+        let mut compared = 0;
+        for (path, value) in leaves {
+            let Some(n) = value.as_u64() else { continue };
+            if path == "schema_version" {
+                continue;
+            }
+            let old = expected.iter().find(|(p, _)| *p == path);
+            assert_eq!(old.and_then(|(_, v)| v.as_u64()), Some(n), "{path}");
+            compared += 1;
+        }
+        assert_eq!(
+            compared,
+            expected.len() - 6,
+            "the four dropped keys, level and version"
+        );
     }
 
     #[test]

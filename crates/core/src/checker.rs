@@ -9,11 +9,15 @@
 //! * **Second run of multi-run mode** — like single-run, but instruments
 //!   only the transactions named by the first run's static information.
 //! * **PCD-only variant** (§5.4) — ICD's cycle detection is bypassed as a
-//!   filter: PCD processes every executed transaction at run end.
+//!   filter (`run_pcd` without `detect_cycles`): PCD processes every
+//!   executed transaction at run end.
 
 use crate::report::{DcStats, StaticTxInfo};
 use dc_icd::{Icd, IcdConfig, SccReport};
-use dc_obs::{EventKind, ObsLevel, PipelineObs, PipelineReport, Stage, TraceEvent};
+use dc_obs::{
+    EventKind, GraphReport, Histogram, ObsLevel, OctetReport, PipelineObs, PipelineReport,
+    ReplayReport, Stage, TraceEvent,
+};
 use dc_octet::{BarrierOutcome, CoordinationMode, OctetState, Protocol, TransitionSink};
 use dc_pcd::{replay_scc, ReplayStats, Violation};
 use dc_runtime::checker::Checker;
@@ -24,31 +28,32 @@ use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// Configuration of a DoubleChecker instance.
 #[derive(Clone, Debug)]
 pub struct DcConfig {
     /// Record read/write logs (off in the first run of multi-run mode).
     pub logging: bool,
-    /// Hand ICD SCCs to PCD in this run.
-    pub run_pcd: bool,
-    /// Run PCD over *all* transactions at run end (§5.4 PCD-only variant;
+    /// Run PCD in this run: on each ICD SCC, or — without `detect_cycles`
+    /// — once over *all* transactions at run end (§5.4 PCD-only variant;
     /// forces `collect_every = 0` behaviour).
-    pub pcd_only: bool,
+    pub run_pcd: bool,
     /// Which transactions to instrument.
     pub filter: TxFilter,
     /// Instrument array accesses (off by default, matching the paper).
     pub instrument_arrays: bool,
-    /// Detect SCCs in the IDG (off only in the benchmark's ablation ladder,
-    /// to price SCC detection as a difference of two runs).
+    /// Detect SCCs in the IDG. Off in the PCD-only variant and in the
+    /// benchmark's ablation ladder, which prices SCC detection as a
+    /// difference of two runs.
     pub detect_cycles: bool,
     /// Transaction-collector cadence (0 disables).
     pub collect_every: u32,
     /// Octet coordination mode: `Threaded` under the real engine,
     /// `Immediate` under the deterministic engine.
     pub coordination: CoordinationMode,
-    /// How much the observability layer records. `Off` compiles to
-    /// a single pointer test per instrumentation site; no level changes
+    /// How much the observability layer records. Below `Full` every
+    /// instrumentation site is a single pointer test; no level changes
     /// checker results. `Off` unless the caller asks
     /// ([`DcConfig::with_observability`], the CLI's `--obs`).
     pub observability: ObsLevel,
@@ -73,7 +78,6 @@ impl DcConfig {
         DcConfig {
             logging: true,
             run_pcd: true,
-            pcd_only: false,
             filter: TxFilter::all(),
             instrument_arrays: false,
             detect_cycles: true,
@@ -145,11 +149,16 @@ impl DcConfig {
     /// execution at run end.
     pub fn pcd_only(coordination: CoordinationMode) -> Self {
         DcConfig {
-            pcd_only: true,
-            run_pcd: false, // per-SCC replay disabled; one bulk replay at end
+            detect_cycles: false, // no SCCs; one bulk replay at run end
             collect_every: 0,
             ..Self::single_run(coordination)
         }
+    }
+
+    /// Whether this is the PCD-only variant: PCD without ICD's filter sees
+    /// the whole execution.
+    fn is_pcd_only(&self) -> bool {
+        self.run_pcd && !self.detect_cycles
     }
 }
 
@@ -212,8 +221,8 @@ pub struct DoubleChecker {
     pcd_stats: Mutex<ReplayStats>,
     static_info: Mutex<StaticTxInfo>,
     sccs_to_pcd: AtomicU64,
-    /// Observability registry shared with Octet and ICD; `None` when the
-    /// level is `Off`.
+    /// Latency and trace registry shared with Octet and ICD; `None` below
+    /// `Full`.
     obs: Option<Arc<PipelineObs>>,
     n_threads: usize,
 }
@@ -232,12 +241,12 @@ impl DoubleChecker {
     pub fn new(n_threads: usize, spec: AtomicitySpec, config: DcConfig) -> Self {
         let icd_config = IcdConfig {
             logging: config.logging,
-            collect_every: if config.pcd_only {
+            collect_every: if config.is_pcd_only() {
                 0
             } else {
                 config.collect_every
             },
-            detect_sccs: config.detect_cycles && !config.pcd_only,
+            detect_sccs: config.detect_cycles,
         };
         let obs = PipelineObs::new(config.observability);
         let icd = Arc::new(Icd::with_observability(n_threads, icd_config, obs.clone()));
@@ -273,9 +282,44 @@ impl DoubleChecker {
     }
 
     /// The observability report, or `None` when observability is off.
-    /// Complete once `run_end` returned.
+    /// Complete once `run_end` returned. Every count is one of the
+    /// analysis' own statistics; latencies and the trace count are zero
+    /// below `Full`.
     pub fn pipeline_report(&self) -> Option<PipelineReport> {
-        self.obs.as_ref().map(|o| o.report())
+        let level = self.config.observability;
+        if level == ObsLevel::Off {
+            return None;
+        }
+        let obs = self.obs.as_deref();
+        let latency =
+            |h: fn(&PipelineObs) -> &Histogram| obs.map(|o| h(o).summary()).unwrap_or_default();
+        let octet = self.octet.get().map(|p| {
+            let s = p.stats();
+            let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            OctetReport {
+                first_touch: get(&s.first_touch),
+                upgrades: get(&s.upgrades),
+                fences: get(&s.fences),
+                conflicts: get(&s.conflicts),
+                coalesced: get(&s.coalesced),
+                cache_hits: get(&s.cache_hits),
+                cache_flushes: get(&s.cache_flushes),
+            }
+        });
+        Some(PipelineReport {
+            level,
+            octet: octet.unwrap_or_default(),
+            graph: GraphReport {
+                sccs_skipped_trivial: self.icd.skipped_probes(),
+                scc_latency: latency(|o| &o.scc_latency),
+                collect_latency: latency(|o| &o.collect_latency),
+            },
+            replay: ReplayReport {
+                latency: latency(|o| &o.replay_latency),
+                violations: self.pcd_stats.lock().cycles,
+            },
+            trace_recorded: obs.map_or(0, PipelineObs::trace_recorded),
+        })
     }
 
     /// The trace ring's events (oldest first). Empty below
@@ -339,33 +383,31 @@ impl DoubleChecker {
             info.absorb_scc(&scc);
         }
         if self.config.run_pcd {
-            self.sccs_to_pcd.fetch_add(1, Ordering::Relaxed);
-            let (violations, stats) = self.replay_observed(&scc);
-            if !violations.is_empty() {
-                self.violations.lock().extend(violations);
-            }
-            self.pcd_stats.lock().merge(stats);
+            self.replay(&scc);
         }
     }
 
-    /// Replay of one SCC with its observability accounting.
-    fn replay_observed(&self, scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
-        let t0 = self.obs.as_ref().and_then(|o| o.clock());
-        if let Some(obs) = &self.obs {
+    /// Hands one SCC to PCD and keeps what it found; with a registry, times
+    /// and traces the replay.
+    fn replay(&self, scc: &SccReport) {
+        self.sccs_to_pcd.fetch_add(1, Ordering::Relaxed);
+        let t0 = self.obs.as_ref().map(|obs| {
             obs.trace(Stage::Replay, EventKind::ReplaySubmit, scc.len() as u64);
-        }
+            Instant::now()
+        });
         let (violations, stats) = replay_scc(scc);
-        if let Some(obs) = &self.obs {
-            obs.replay.latency.record_elapsed(t0);
-            obs.replay.completed.inc();
-            obs.replay.violations.add(violations.len() as u64);
+        if let (Some(obs), Some(t0)) = (&self.obs, t0) {
+            obs.replay_latency.record_elapsed(t0);
             obs.trace(
                 Stage::Replay,
                 EventKind::ReplayDone,
                 violations.len() as u64,
             );
         }
-        (violations, stats)
+        if !violations.is_empty() {
+            self.violations.lock().extend(violations);
+        }
+        self.pcd_stats.lock().merge(stats);
     }
 
     /// The instrumented access body shared by plain, array, and sync hooks:
@@ -478,7 +520,6 @@ impl DoubleChecker {
 impl Checker for DoubleChecker {
     fn run_begin(&self, heap: &Heap) {
         if let Some(obs) = &self.obs {
-            obs.checker.runs_begun.inc();
             obs.trace(Stage::Checker, EventKind::RunBegin, self.n_threads as u64);
         }
         let octet = Protocol::with_config(
@@ -500,18 +541,11 @@ impl Checker for DoubleChecker {
     }
 
     fn run_end(&self) {
-        if self.config.pcd_only {
+        if self.config.is_pcd_only() {
             // Straw-man variant: replay every executed transaction.
-            let all = self.icd.snapshot_all_finished();
-            self.sccs_to_pcd.fetch_add(1, Ordering::Relaxed);
-            let (violations, stats) = self.replay_observed(&all);
-            if !violations.is_empty() {
-                self.violations.lock().extend(violations);
-            }
-            self.pcd_stats.lock().merge(stats);
+            self.replay(&self.icd.snapshot_all_finished());
         }
         if let Some(obs) = &self.obs {
-            obs.checker.runs_ended.inc();
             obs.trace(Stage::Checker, EventKind::RunEnd, self.n_threads as u64);
         }
     }

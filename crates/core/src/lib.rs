@@ -56,7 +56,9 @@ pub mod report;
 pub use checker::OpTransport;
 pub use checker::{DcConfig, DoubleChecker};
 pub use dc_obs::{ObsLevel, PipelineReport, TraceEvent};
-pub use modes::{run_doublechecker, run_multi, run_single, DcReport, ExecPlan, MultiRunReport};
+pub use modes::{
+    run_doublechecker, run_first_runs, run_multi, run_single, DcReport, ExecPlan, MultiRunReport,
+};
 pub use refine::{initial_spec, iterative_refinement, RefinementResult, ReportedViolation};
 pub use report::{
     pipeline_report_to_json, stats_to_json, trace_event_to_json, DcStats, StaticTxInfo,

@@ -120,9 +120,35 @@ pub struct MultiRunReport {
     pub second_run: DcReport,
 }
 
-/// Runs multi-run mode: `first_plans` executions of the first run (their
-/// static information is unioned, per §5.1's methodology of 10 first-run
-/// trials), then one second run under `second_plan`.
+/// Runs the first run of multi-run mode once per plan and unions the runs'
+/// static information (§5.1's methodology of several first-run trials).
+///
+/// # Errors
+///
+/// See [`run_doublechecker`].
+pub fn run_first_runs(
+    program: &Program,
+    spec: &AtomicitySpec,
+    plans: &[ExecPlan],
+) -> Result<(Vec<DcReport>, StaticTxInfo), DetError> {
+    let mut reports = Vec::with_capacity(plans.len());
+    let mut info = StaticTxInfo::default();
+    for plan in plans {
+        let report = run_doublechecker(
+            program,
+            spec,
+            DcConfig::first_run(plan.coordination()),
+            plan,
+        )?;
+        info.union(&report.static_info);
+        reports.push(report);
+    }
+    Ok((reports, info))
+}
+
+/// Runs multi-run mode: [`run_first_runs`] under `first_plans`, then one
+/// second run under `second_plan` restricted to their unioned static
+/// information.
 ///
 /// # Errors
 ///
@@ -133,18 +159,7 @@ pub fn run_multi(
     first_plans: &[ExecPlan],
     second_plan: &ExecPlan,
 ) -> Result<MultiRunReport, DetError> {
-    let mut first_runs = Vec::with_capacity(first_plans.len());
-    let mut info = StaticTxInfo::default();
-    for plan in first_plans {
-        let report = run_doublechecker(
-            program,
-            spec,
-            DcConfig::first_run(plan.coordination()),
-            plan,
-        )?;
-        info.union(&report.static_info);
-        first_runs.push(report);
-    }
+    let (first_runs, info) = run_first_runs(program, spec, first_plans)?;
     let second_run = run_doublechecker(
         program,
         spec,

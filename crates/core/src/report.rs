@@ -83,19 +83,13 @@ pub fn pipeline_report_to_json(r: &PipelineReport) -> Value {
             "cache_flushes": r.octet.cache_flushes,
         }),
         "graph": serde_json::json!({
-            "sccs_detected": r.graph.sccs_detected,
             "sccs_skipped_trivial": r.graph.sccs_skipped_trivial,
             "scc_latency": histogram_json(r.graph.scc_latency),
             "collect_latency": histogram_json(r.graph.collect_latency),
         }),
         "replay": serde_json::json!({
-            "completed": r.replay.completed,
             "latency": histogram_json(r.replay.latency),
             "violations": r.replay.violations,
-        }),
-        "checker": serde_json::json!({
-            "runs_begun": r.checker.runs_begun,
-            "runs_ended": r.checker.runs_ended,
         }),
         "trace_recorded": r.trace_recorded,
     })
@@ -104,7 +98,7 @@ pub fn pipeline_report_to_json(r: &PipelineReport) -> Value {
 /// Version of the `--stats-json` document, written as its top-level
 /// `schema_version`. Bump it whenever a key is added, removed, renamed or
 /// retyped; `dc-cli`'s golden key-path test fails until both agree.
-pub const STATS_SCHEMA_VERSION: u64 = 2;
+pub const STATS_SCHEMA_VERSION: u64 = 3;
 
 /// The `--stats-json` document: `schema_version`
 /// ([`STATS_SCHEMA_VERSION`]) and the [`DcStats`] fields at the top level,
@@ -178,16 +172,6 @@ impl StaticTxInfo {
         TxFilter {
             methods: Some(self.methods.clone()),
             instrument_unary: self.any_unary,
-        }
-    }
-
-    /// A filter like [`Self::to_filter`] but always instrumenting
-    /// non-transactional accesses — the §5.3 configuration whose overhead
-    /// justifies conditional unary instrumentation.
-    pub fn to_filter_always_unary(&self) -> TxFilter {
-        TxFilter {
-            methods: Some(self.methods.clone()),
-            instrument_unary: true,
         }
     }
 
@@ -289,7 +273,6 @@ mod tests {
         assert!(f.covers_method(MethodId(3)));
         assert!(!f.covers_method(MethodId(4)));
         assert!(!f.instrument_unary);
-        assert!(info.to_filter_always_unary().instrument_unary);
     }
 
     #[test]

@@ -64,6 +64,7 @@ use dc_obs::{EventKind, PipelineObs, Stage};
 use dc_runtime::ids::ThreadId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Table-3 counters the graph maintains. They live behind an `Arc` of
 /// atomics so readers ([`crate::Icd::cross_edges`], [`crate::Icd::scc_count`])
@@ -187,7 +188,7 @@ pub enum SccProbe {
     /// edge (it cannot be on a cycle) or no finished successor (Tarjan
     /// descends only into finished nodes, so it would find the root
     /// alone). Exactly the cases where a full traversal would report
-    /// nothing; counted in `graph.sccs_skipped_trivial`.
+    /// nothing; a transaction end counts it in [`Graph::skipped_probes`].
     Skipped,
     /// Tarjan ran; the root's SCC has fewer than two members.
     NoCycle,
@@ -277,6 +278,8 @@ pub struct Graph {
     /// Last transaction (across all threads) to move an object to RdSh.
     pub g_last_rd_sh: TxId,
     counters: Arc<GraphCounters>,
+    /// Transaction-end probes the pre-filter skipped.
+    skipped_probes: u64,
     /// Shared empty log, cloned into fresh/freed slots without allocating.
     empty_log: Arc<[LogEntry]>,
     tarjan: TarjanScratch,
@@ -302,6 +305,12 @@ impl Graph {
     /// SCCs with ≥ 2 transactions detected (Table 3 column).
     pub fn scc_count(&self) -> u64 {
         self.counters.scc_count.load(Ordering::Relaxed)
+    }
+
+    /// Transaction ends whose SCC probe the trivial pre-filter skipped
+    /// ([`SccProbe::Skipped`]).
+    pub fn skipped_probes(&self) -> u64 {
+        self.skipped_probes
     }
 
     /// Number of live (uncollected) transactions.
@@ -538,8 +547,9 @@ impl Graph {
     }
 
     /// [`Graph::finish_shared`] followed, when `detect_sccs`, by the cycle
-    /// probe from the finished transaction (§3.2.3), with the probe's
-    /// observability accounting: what a transaction end does to the graph.
+    /// probe from the finished transaction (§3.2.3), counting a skipped
+    /// probe and, with a registry, timing and tracing it: what a
+    /// transaction end does to the graph.
     pub(crate) fn finish_and_probe(
         &mut self,
         tx: (u32, TxId),
@@ -551,22 +561,21 @@ impl Graph {
         if !detect_sccs {
             return Ok(None);
         }
-        let t0 = obs.and_then(|o| o.clock());
+        let t0 = obs.map(|_| Instant::now());
         let probe = self.probe_slot(slot);
-        if let Some(obs) = obs {
-            obs.graph.scc_latency.record_elapsed(t0);
-            match &probe {
-                SccProbe::Skipped => obs.graph.sccs_skipped_trivial.inc(),
-                SccProbe::NoCycle => {}
-                SccProbe::Cycle(r) => {
-                    obs.graph.sccs_detected.inc();
-                    obs.trace(Stage::Graph, EventKind::SccDetected, r.len() as u64);
-                }
+        if let (Some(obs), Some(t0)) = (obs, t0) {
+            obs.scc_latency.record_elapsed(t0);
+            if let SccProbe::Cycle(r) = &probe {
+                obs.trace(Stage::Graph, EventKind::SccDetected, r.len() as u64);
             }
         }
         Ok(match probe {
             SccProbe::Cycle(report) => Some(report),
-            SccProbe::Skipped | SccProbe::NoCycle => None,
+            SccProbe::Skipped => {
+                self.skipped_probes += 1;
+                None
+            }
+            SccProbe::NoCycle => None,
         })
     }
 
@@ -871,7 +880,7 @@ impl Collector {
         stats: &IcdStats,
         obs: Option<&PipelineObs>,
     ) {
-        let t_obs = obs.and_then(|o| o.clock());
+        let t0 = obs.map(|_| Instant::now());
         self.roots.clear();
         for tr in regs {
             self.roots.push(TxId(tr.current_tx.load(Ordering::Acquire)));
@@ -883,8 +892,8 @@ impl Collector {
         stats
             .collected_txs
             .fetch_add(collected as u64, Ordering::Relaxed);
-        if let Some(obs) = obs {
-            obs.graph.collect_latency.record_elapsed(t_obs);
+        if let (Some(obs), Some(t0)) = (obs, t0) {
+            obs.collect_latency.record_elapsed(t0);
             obs.trace(Stage::Graph, EventKind::CollectRun, collected as u64);
         }
     }

@@ -412,8 +412,9 @@ impl Icd {
     }
 
     /// Like [`Icd::new`] with an optional observability registry shared
-    /// with the rest of the checker; `None` means observability is off and
-    /// the analysis runs exactly the uninstrumented code.
+    /// with the rest of the checker (it times SCC probes and collector
+    /// passes and traces them); with `None` the analysis runs exactly the
+    /// uninstrumented code.
     pub fn with_observability(
         n_threads: usize,
         config: IcdConfig,
@@ -476,6 +477,13 @@ impl Icd {
     /// IDG SCCs (≥ 2 transactions) detected so far (Table 3). Lock-free.
     pub fn scc_count(&self) -> u64 {
         self.counters.scc_count.load(Ordering::Relaxed)
+    }
+
+    /// Transaction ends whose SCC probe the trivial pre-filter skipped.
+    /// Takes the graph lock without counting it in `graph_locks`, which
+    /// counts the analysis' own acquisitions only.
+    pub fn skipped_probes(&self) -> u64 {
+        self.graph.lock().graph.skipped_probes()
     }
 
     /// `currTX(T)`.

@@ -1,32 +1,9 @@
-//! Metric primitives: atomic counters and log-bucketed latency histograms,
-//! wait-free on the recording side (a handful of relaxed atomic RMWs) and
-//! safe to share across threads behind an `Arc`.
+//! The one metric primitive: a log-bucketed latency histogram, wait-free
+//! on the recording side (a handful of relaxed atomic RMWs) and safe to
+//! share across threads behind an `Arc`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Number of power-of-two buckets: bucket `i` covers values in
 /// `[2^i, 2^(i+1))` (bucket 0 also covers 0), so 64 buckets span the full
@@ -63,12 +40,9 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records the nanoseconds elapsed since `start`; no-op when `start` is
-    /// `None` (timing disabled below the `Full` observability level).
-    pub fn record_elapsed(&self, start: Option<Instant>) {
-        if let Some(t0) = start {
-            self.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+    /// Records the nanoseconds elapsed since `start`.
+    pub fn record_elapsed(&self, start: Instant) {
+        self.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Upper bound of the bucket containing the `q`-quantile sample
@@ -133,14 +107,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates() {
-        let c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
     fn histogram_percentiles_bound_the_samples() {
         let h = Histogram::default();
         for v in [1u64, 2, 3, 100, 1000, 10_000] {
@@ -169,14 +135,5 @@ mod tests {
     #[test]
     fn empty_histogram_summary_is_zero() {
         assert_eq!(Histogram::default().summary(), HistogramSummary::default());
-    }
-
-    #[test]
-    fn record_elapsed_none_is_a_noop() {
-        let h = Histogram::default();
-        h.record_elapsed(None);
-        assert_eq!(h.summary().count, 0);
-        h.record_elapsed(Some(Instant::now()));
-        assert_eq!(h.summary().count, 1);
     }
 }

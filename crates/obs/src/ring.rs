@@ -1,27 +1,24 @@
-//! A fixed-size lock-free ring of analysis trace events.
-//!
-//! Writers claim a slot with one `fetch_add` on the global sequence counter
-//! and publish the slot's fields individually; the slot's own sequence word
-//! is written *last* with `Release`, so a reader that observes it with
-//! `Acquire` also observes the fields. A snapshot re-checks the sequence
-//! word after reading the payload and drops slots that were overwritten
-//! mid-read — the ring never blocks a writer for a reader.
+//! A bounded ring of analysis trace events: a mutex around a `VecDeque`
+//! that drops its oldest event when full. Only the `Full` observability
+//! level records, and every recorded event is already a slow-path one
+//! (a transition, an SCC, a collector pass, a replay), so one short
+//! critical section per event is cheap next to the work it describes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Which analysis component emitted an event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum Stage {
     /// Octet barrier / coordination layer.
-    Octet = 0,
+    Octet,
     /// ICD's dependence graph (SCC detection, the collector).
-    Graph = 1,
+    Graph,
     /// PCD replay.
-    Replay = 2,
+    Replay,
     /// Checker lifecycle (run begin/end).
-    Checker = 3,
+    Checker,
 }
 
 impl Stage {
@@ -34,35 +31,25 @@ impl Stage {
             Stage::Checker => "checker",
         }
     }
-
-    fn from_u8(v: u8) -> Stage {
-        match v {
-            0 => Stage::Octet,
-            1 => Stage::Graph,
-            2 => Stage::Replay,
-            _ => Stage::Checker,
-        }
-    }
 }
 
 /// What happened.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum EventKind {
     /// An Octet slow-path transition (value = transition discriminant).
-    Transition = 0,
+    Transition,
     /// A transaction end detected an SCC (value = member count).
-    SccDetected = 1,
+    SccDetected,
     /// The collector ran (value = transactions reclaimed).
-    CollectRun = 2,
+    CollectRun,
     /// An SCC was handed to PCD replay (value = member count).
-    ReplaySubmit = 3,
+    ReplaySubmit,
     /// A replay finished (value = violations found).
-    ReplayDone = 4,
+    ReplayDone,
     /// The checker's run began (value = thread count).
-    RunBegin = 5,
+    RunBegin,
     /// The checker's run ended (value = thread count).
-    RunEnd = 6,
+    RunEnd,
 }
 
 impl EventKind {
@@ -78,21 +65,9 @@ impl EventKind {
             EventKind::RunEnd => "run_end",
         }
     }
-
-    fn from_u8(v: u8) -> EventKind {
-        match v {
-            0 => EventKind::Transition,
-            1 => EventKind::SccDetected,
-            2 => EventKind::CollectRun,
-            3 => EventKind::ReplaySubmit,
-            4 => EventKind::ReplayDone,
-            5 => EventKind::RunBegin,
-            _ => EventKind::RunEnd,
-        }
-    }
 }
 
-/// One decoded trace event.
+/// One trace event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Global publication order (gaps mean the ring wrapped).
@@ -107,94 +82,61 @@ pub struct TraceEvent {
     pub value: u64,
 }
 
-const EMPTY: u64 = u64::MAX;
-
-#[repr(align(64))]
-#[derive(Debug)]
-struct Slot {
-    /// Sequence stamp, written last with `Release`; `EMPTY` = never used.
-    seq: AtomicU64,
-    t_ns: AtomicU64,
-    /// `stage << 8 | kind`.
-    tag: AtomicU64,
-    value: AtomicU64,
+#[derive(Debug, Default)]
+struct Events {
+    ring: VecDeque<TraceEvent>,
+    /// Events ever recorded: the next event's `seq`.
+    recorded: u64,
 }
 
-/// The fixed-size lock-free trace ring.
+/// The bounded trace ring.
 #[derive(Debug)]
 pub struct TraceRing {
-    slots: Box<[Slot]>,
-    next: AtomicU64,
+    events: Mutex<Events>,
+    capacity: usize,
     epoch: Instant,
 }
 
 impl TraceRing {
-    /// Creates a ring of `capacity` slots (rounded up to a power of two so
-    /// the slot index is a mask).
+    /// Creates a ring keeping the newest `capacity` events.
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
         TraceRing {
-            slots: (0..cap)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(EMPTY),
-                    t_ns: AtomicU64::new(0),
-                    tag: AtomicU64::new(0),
-                    value: AtomicU64::new(0),
-                })
-                .collect(),
-            next: AtomicU64::new(0),
+            events: Mutex::default(),
+            capacity: capacity.max(1),
             epoch: Instant::now(),
         }
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, Events> {
+        // A panic while holding the lock leaves the ring consistent.
+        self.events.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Total events ever recorded (≥ the number still in the ring).
     pub fn recorded(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
+        self.lock().recorded
     }
 
-    /// Records one event. Wait-free: one `fetch_add` plus plain stores.
+    /// Records one event, dropping the oldest when the ring is full.
     pub fn record(&self, stage: Stage, kind: EventKind, value: u64) {
-        let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq as usize) & (self.slots.len() - 1)];
-        // Invalidate while the payload is torn, then publish seq last.
-        slot.seq.store(EMPTY, Ordering::Release);
-        slot.t_ns.store(
-            u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        slot.tag.store(
-            u64::from(stage as u8) << 8 | u64::from(kind as u8),
-            Ordering::Relaxed,
-        );
-        slot.value.store(value, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
+        let mut events = self.lock();
+        let event = TraceEvent {
+            seq: events.recorded,
+            t_ns: u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            stage,
+            kind,
+            value,
+        };
+        events.recorded += 1;
+        if events.ring.len() == self.capacity {
+            events.ring.pop_front();
+        }
+        events.ring.push_back(event);
     }
 
-    /// The events currently in the ring, oldest first. Slots overwritten
-    /// while being read are dropped rather than returned torn.
+    /// The events currently in the ring, oldest first.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == EMPTY {
-                continue;
-            }
-            let t_ns = slot.t_ns.load(Ordering::Relaxed);
-            let tag = slot.tag.load(Ordering::Relaxed);
-            let value = slot.value.load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Acquire) != seq {
-                continue; // overwritten mid-read
-            }
-            events.push(TraceEvent {
-                seq,
-                t_ns,
-                stage: Stage::from_u8((tag >> 8) as u8),
-                kind: EventKind::from_u8((tag & 0xff) as u8),
-                value,
-            });
-        }
-        events.sort_by_key(|e| e.seq);
-        events
+        self.lock().ring.iter().copied().collect()
     }
 }
 
@@ -223,45 +165,37 @@ mod tests {
             ring.record(Stage::Octet, EventKind::Transition, i);
         }
         let events = ring.snapshot();
-        assert_eq!(events.len(), 4);
         assert_eq!(ring.recorded(), 10);
         let values: Vec<u64> = events.iter().map(|e| e.value).collect();
-        assert_eq!(values, vec![6, 7, 8, 9], "oldest events overwritten");
+        assert_eq!(values, vec![6, 7, 8, 9], "oldest events dropped");
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![6, 7, 8, 9]);
     }
 
     #[test]
-    fn concurrent_writers_never_produce_torn_events() {
+    fn concurrent_writers_publish_in_seq_and_time_order() {
         use std::sync::Arc;
         let ring = Arc::new(TraceRing::new(64));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let ring = Arc::clone(&ring);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..5_000u64 {
-                    // Stage/kind/value correlated so tearing is detectable.
-                    let kind = if t % 2 == 0 {
-                        EventKind::CollectRun
-                    } else {
-                        EventKind::ReplayDone
-                    };
-                    ring.record(Stage::Graph, kind, i);
-                }
-            }));
-        }
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    for i in 0..5_000u64 {
+                        ring.record(Stage::Graph, EventKind::CollectRun, i);
+                    }
+                })
+            })
+            .collect();
         for h in handles {
             h.join().unwrap();
         }
         let events = ring.snapshot();
-        assert!(!events.is_empty());
-        for e in events {
-            assert_eq!(e.stage, Stage::Graph);
-            assert!(e.value < 5_000);
-            assert!(matches!(
-                e.kind,
-                EventKind::CollectRun | EventKind::ReplayDone
-            ));
-        }
         assert_eq!(ring.recorded(), 20_000);
+        assert_eq!(events.len(), 64);
+        for pair in events.windows(2) {
+            assert_eq!(pair[0].seq + 1, pair[1].seq);
+            assert!(pair[0].t_ns <= pair[1].t_ns);
+        }
     }
 
     #[test]

@@ -114,12 +114,9 @@ pub struct ProtocolStats {
     /// Ownership-inline-cache flushes of a non-empty cache (folded at
     /// thread end).
     pub cache_flushes: AtomicU64,
-}
-
-impl ProtocolStats {
-    fn bump(&self, counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
+    /// Extra conflicting requests folded into a coalesced safe-point drain
+    /// (`drained - 1` per multi-request drain).
+    pub coalesced: AtomicU64,
 }
 
 /// One thread's per-thread protocol state, resolved once
@@ -169,7 +166,8 @@ pub struct Protocol<S> {
     mode: CoordinationMode,
     sink: S,
     stats: ProtocolStats,
-    /// Observability registry; `None` keeps every barrier untouched.
+    /// Trace registry (`--obs full` only); `None` keeps every barrier
+    /// untouched.
     obs: Option<Arc<PipelineObs>>,
     /// Ownership inline cache; `None` disables it (`--barrier-cache off`),
     /// restoring the exact uncached barrier.
@@ -183,25 +181,12 @@ impl<S: TransitionSink> Protocol<S> {
         Self::with_config(n_objects, n_threads, mode, sink, None, true)
     }
 
-    /// Like [`Protocol::new`] with an observability registry: slow-path
-    /// state transitions bump the registry's Octet counters (and, at the
-    /// `Full` level, land in the trace ring). The uncached same-state fast
-    /// path is never instrumented — it must stay write-free; inline-cache
-    /// hit/flush tallies fold in at thread end only.
-    pub fn with_obs(
-        n_objects: usize,
-        n_threads: usize,
-        mode: CoordinationMode,
-        sink: S,
-        obs: Option<Arc<PipelineObs>>,
-    ) -> Self {
-        Self::with_config(n_objects, n_threads, mode, sink, obs, true)
-    }
-
-    /// Full constructor: [`Protocol::with_obs`] plus the `barrier_cache`
-    /// switch. `false` omits the ownership inline cache entirely, making
-    /// every barrier take the exact uncached path (the differential
-    /// baseline for `--barrier-cache off`).
+    /// Full constructor: [`Protocol::new`] plus a trace registry (slow-path
+    /// state transitions land in its trace ring; the same-state fast path
+    /// is never instrumented) and the `barrier_cache` switch. `false` omits
+    /// the ownership inline cache entirely, making every barrier take the
+    /// exact uncached path (the differential baseline for
+    /// `--barrier-cache off`).
     pub fn with_config(
         n_objects: usize,
         n_threads: usize,
@@ -222,13 +207,13 @@ impl<S: TransitionSink> Protocol<S> {
         }
     }
 
-    /// Bumps one Octet observability counter and traces the transition.
-    /// `code` identifies the transition kind in trace output (0 first
-    /// touch, 1 upgrade, 2 fence, 3 conflicting).
+    /// Counts one transition and traces it. `code` identifies the
+    /// transition kind in trace output (0 first touch, 1 upgrade, 2 fence,
+    /// 3 conflicting).
     #[inline]
-    fn observe_transition(&self, pick: impl Fn(&PipelineObs) -> &dc_obs::Counter, code: u64) {
+    fn observe_transition(&self, counter: &AtomicU64, code: u64) {
+        counter.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
-            pick(obs).inc();
             obs.trace(Stage::Octet, EventKind::Transition, code);
         }
     }
@@ -273,8 +258,7 @@ impl<S: TransitionSink> Protocol<S> {
     }
 
     /// Marks `t` as permanently blocked; pending requests are answered
-    /// first, and `t`'s inline-cache tallies fold into the shared stats
-    /// (and obs counters, when attached).
+    /// first, and `t`'s inline-cache tallies fold into the shared stats.
     pub fn thread_end(&self, t: ThreadId) {
         self.respond_pending(t);
         self.threads.set_blocked(t);
@@ -285,10 +269,6 @@ impl<S: TransitionSink> Protocol<S> {
             self.stats
                 .cache_flushes
                 .fetch_add(flushes, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                obs.octet.cache_hits.add(hits);
-                obs.octet.cache_flushes.add(flushes);
-            }
         }
     }
 
@@ -337,9 +317,9 @@ impl<S: TransitionSink> Protocol<S> {
                 cache.slot(t).flush();
             }
             if requesters.len() > 1 {
-                if let Some(obs) = &self.obs {
-                    obs.octet.coalesced.add(requesters.len() as u64 - 1);
-                }
+                self.stats
+                    .coalesced
+                    .fetch_add(requesters.len() as u64 - 1, Ordering::Relaxed);
             }
             // The claimed requesters are still spinning: the hook reads
             // their state (ICD: current transaction and log length) exactly
@@ -471,8 +451,7 @@ impl<S: TransitionSink> Protocol<S> {
                 }
                 TransitionKind::FirstTouch { new } => {
                     if self.states.compare_exchange(i, word, encode(new)).is_ok() {
-                        self.stats.bump(&self.stats.first_touch);
-                        self.observe_transition(|o| &o.octet.first_touch, 0);
+                        self.observe_transition(&self.stats.first_touch, 0);
                         if let Some(cache) = &self.cache {
                             cache
                                 .slot(t)
@@ -487,8 +466,7 @@ impl<S: TransitionSink> Protocol<S> {
                         .compare_exchange(i, word, encode(OctetState::WrEx(t)))
                         .is_ok()
                     {
-                        self.stats.bump(&self.stats.upgrades);
-                        self.observe_transition(|o| &o.octet.upgrades, 1);
+                        self.observe_transition(&self.stats.upgrades, 1);
                         if let Some(cache) = &self.cache {
                             cache.slot(t).insert(obj, true);
                         }
@@ -515,8 +493,7 @@ impl<S: TransitionSink> Protocol<S> {
                         .is_ok()
                     {
                         self.threads.raise_rd_sh_cnt(t, counter);
-                        self.stats.bump(&self.stats.upgrades);
-                        self.observe_transition(|o| &o.octet.upgrades, 1);
+                        self.observe_transition(&self.stats.upgrades, 1);
                         if let Some(cache) = &self.cache {
                             cache.slot(t).insert(obj, false);
                         }
@@ -529,8 +506,7 @@ impl<S: TransitionSink> Protocol<S> {
                 TransitionKind::Fence { counter } => {
                     fence(Ordering::SeqCst);
                     self.threads.raise_rd_sh_cnt(t, counter);
-                    self.stats.bump(&self.stats.fences);
-                    self.observe_transition(|o| &o.octet.fences, 2);
+                    self.observe_transition(&self.stats.fences, 2);
                     if let Some(cache) = &self.cache {
                         cache.slot(t).insert(obj, false);
                     }
@@ -552,8 +528,7 @@ impl<S: TransitionSink> Protocol<S> {
                         self.threads.raise_rd_sh_cnt(t, c);
                     }
                     self.states.store(i, encode(new));
-                    self.stats.bump(&self.stats.conflicts);
-                    self.observe_transition(|o| &o.octet.conflicts, 3);
+                    self.observe_transition(&self.stats.conflicts, 3);
                     if let Some(cache) = &self.cache {
                         cache
                             .slot(t)

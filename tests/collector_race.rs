@@ -46,9 +46,10 @@ fn aggressive_collection_is_stable_under_real_threads() {
         assert_eq!(report.pipeline.is_some(), level == ObsLevel::Full);
         if let Some(p) = report.pipeline {
             assert_eq!(
-                p.replay.completed, report.stats.sccs_to_pcd,
+                p.replay.latency.count, report.stats.sccs_to_pcd,
                 "an SCC handed to PCD was not replayed (round {round})"
             );
+            assert!(p.graph.collect_latency.count > 0, "no collector pass timed");
         }
     }
 }

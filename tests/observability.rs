@@ -1,7 +1,8 @@
-//! Observability-layer integration tests: accounting invariants that must
-//! hold after every run, a stress test of back-to-back real-thread runs
-//! under a hang guard, and the multi-run end-to-end flow with full
-//! observability enabled on the second run.
+//! Observability-layer integration tests: what the histograms and the trace
+//! must agree on with the analysis' statistics after every run, a stress
+//! test of back-to-back real-thread runs under a hang guard, and the
+//! multi-run end-to-end flow with full observability enabled on the second
+//! run.
 //!
 //! The companion *differential* guarantees — no observability level may
 //! change violations, static transaction info, or statistics — live in
@@ -57,29 +58,41 @@ fn racy_program(iters: u32, pairs: u32) -> (Program, AtomicitySpec) {
     (p, spec)
 }
 
-/// The accounting invariants every run must satisfy: every SCC handed to
-/// PCD is replayed, the run begins and ends once, and the histograms agree
-/// with the counters they time.
+/// What a `Full` run's histograms and trace must agree on with the
+/// analysis' statistics: every SCC handed to PCD is timed and traced, every
+/// detected SCC was timed and traced, and the run begins and ends once.
 fn assert_accounting(report: &DcReport, ctx: &str) {
     let p = report
         .pipeline
         .as_ref()
         .unwrap_or_else(|| panic!("{ctx}: expected a pipeline report"));
+    assert_eq!(p.level, ObsLevel::Full, "{ctx}");
+    let s = &report.stats;
     assert_eq!(
-        p.replay.completed, report.stats.sccs_to_pcd,
-        "{ctx}: obs replay counter disagrees with analysis stats"
+        p.replay.latency.count, s.sccs_to_pcd,
+        "{ctx}: replay latency histogram disagrees with analysis stats"
     );
-    assert_eq!(p.checker.runs_begun, 1, "{ctx}: one run begins once");
-    assert_eq!(p.checker.runs_ended, 1, "{ctx}: one run ends once");
-    if p.level == ObsLevel::Full {
+    assert!(
+        p.graph.scc_latency.count >= s.icd_sccs + p.graph.sccs_skipped_trivial,
+        "{ctx}: SCC latency histogram missed probes"
+    );
+    if p.trace_recorded == report.trace.len() as u64 {
+        let traced = |kind: &str| {
+            report
+                .trace
+                .iter()
+                .filter(|e| e.kind.as_str() == kind)
+                .count() as u64
+        };
+        assert_eq!(traced("scc_detected"), s.icd_sccs, "{ctx}: SCC trace");
         assert_eq!(
-            p.replay.latency.count, p.replay.completed,
-            "{ctx}: replay latency histogram disagrees with completion counter"
+            traced("replay_submit"),
+            s.sccs_to_pcd,
+            "{ctx}: replay trace"
         );
-        assert!(
-            p.graph.scc_latency.count >= p.graph.sccs_detected,
-            "{ctx}: SCC latency histogram missed detections"
-        );
+        assert_eq!(traced("replay_done"), s.sccs_to_pcd, "{ctx}: replay trace");
+        assert_eq!(traced("run_begin"), 1, "{ctx}: one run begins once");
+        assert_eq!(traced("run_end"), 1, "{ctx}: one run ends once");
     }
 }
 
@@ -96,15 +109,11 @@ fn sync_run_balances_its_books_at_full() {
     .unwrap();
     assert!(!report.violations.is_empty(), "schedule must interleave");
     assert_accounting(&report, "sync/full");
-    let obs = report.pipeline.as_ref().unwrap();
-    assert!(obs.graph.sccs_detected > 0, "SCCs were observed");
-    assert!(
-        obs.octet.first_touch + obs.octet.upgrades + obs.octet.fences + obs.octet.conflicts > 0,
-        "octet transitions were observed"
-    );
+    assert!(report.stats.icd_sccs > 0, "SCCs were detected");
     assert_eq!(
-        obs.replay.violations, report.stats.pcd.cycles,
-        "obs violation counter tracks PCD cycles"
+        report.trace.len() as u64,
+        report.pipeline.unwrap().trace_recorded,
+        "the ring holds the whole run, so the trace was checked"
     );
 }
 
@@ -119,13 +128,20 @@ fn counters_level_counts_without_clocks_or_trace() {
         &plan,
     )
     .unwrap();
-    assert_accounting(&report, "sync/counters");
-    let obs = report.pipeline.as_ref().unwrap();
-    assert_eq!(obs.level, ObsLevel::Counters);
-    assert!(obs.graph.sccs_detected > 0, "counters are live");
-    assert_eq!(obs.graph.scc_latency.count, 0, "no clock reads at counters");
-    assert_eq!(obs.replay.latency.count, 0, "no clock reads at counters");
-    assert_eq!(obs.trace_recorded, 0, "no trace at counters");
+    let p = report.pipeline.as_ref().unwrap();
+    assert_eq!(p.level, ObsLevel::Counters);
+    assert!(
+        p.octet.first_touch + p.octet.upgrades + p.octet.fences + p.octet.conflicts > 0,
+        "the report carries Octet's transition counts"
+    );
+    assert!(report.stats.icd_sccs > 0, "SCCs were detected");
+    assert_eq!(
+        p.graph.collect_latency.count, 0,
+        "no clock reads at counters"
+    );
+    assert_eq!(p.graph.scc_latency.count, 0, "no clock reads at counters");
+    assert_eq!(p.replay.latency.count, 0, "no clock reads at counters");
+    assert_eq!(p.trace_recorded, 0, "no trace at counters");
     assert!(report.trace.is_empty());
 }
 
@@ -289,9 +305,8 @@ fn multi_run_second_run_shrinks_instrumented_accesses_under_pipeline_and_obs() {
         second.stats.regular_accesses
     );
     assert_accounting(&second, "multi-run second run");
-    let obs = second.pipeline.as_ref().unwrap();
     assert!(
-        obs.graph.sccs_detected > 0,
-        "the second run's cycles were observed"
+        second.stats.icd_sccs > 0,
+        "the second run's cycles were detected"
     );
 }

@@ -96,10 +96,10 @@ proptest! {
     }
 
     /// Full observability is invisible to the analysis: on any generated
-    /// program and schedule, the run with every counter, histogram, and
-    /// trace site live is bit-identical — violations, static transaction
-    /// info, and statistics — to the uninstrumented run, while its own
-    /// bookkeeping balances (one replay per SCC handed to PCD).
+    /// program and schedule, the run with every clock and trace site live
+    /// is bit-identical — violations, static transaction info, and
+    /// statistics — to the uninstrumented run, while its histograms
+    /// balance (one timed replay per SCC handed to PCD).
     #[test]
     fn observability_is_a_pure_observer(p in ProgramStrategy, seed in 0u64..1000) {
         use dc_core::{run_doublechecker, DcConfig, ObsLevel};
@@ -125,8 +125,7 @@ proptest! {
         prop_assert_eq!(off.stats, full.stats, "stats diverge");
         prop_assert!(off.pipeline.is_none(), "off must not report");
         let report = full.pipeline.expect("full level reports");
-        prop_assert_eq!(report.replay.completed, full.stats.sccs_to_pcd);
-        prop_assert_eq!(report.graph.sccs_detected, full.stats.icd_sccs);
+        prop_assert_eq!(report.replay.latency.count, full.stats.sccs_to_pcd);
     }
 
     /// Serial execution (one giant quantum) is always violation-free:
