@@ -63,8 +63,8 @@ impl Flags {
     ///
     /// # Errors
     ///
-    /// Rejects positional arguments, keys outside `known`, and dangling
-    /// `--key`s.
+    /// Rejects positional arguments, keys outside `known`, dangling
+    /// `--key`s, and a key given twice.
     pub fn parse(args: &[String], known: &[&str]) -> Result<Flags, CliError> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
@@ -81,6 +81,9 @@ impl Flags {
             let Some(value) = it.next() else {
                 return Err(CliError::Usage(format!("--{key} needs a value")));
             };
+            if pairs.iter().any(|(k, _)| k == key) {
+                return Err(CliError::Usage(format!("--{key} given more than once")));
+            }
             pairs.push((key.to_string(), value.clone()));
         }
         Ok(Flags { pairs })
@@ -90,7 +93,6 @@ impl Flags {
     pub fn get(&self, key: &str) -> Option<&str> {
         self.pairs
             .iter()
-            .rev()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     }
@@ -675,6 +677,25 @@ mod tests {
             matches!(err, CliError::Usage(ref m) if m.starts_with("--seed has no effect")),
             "{err:?}"
         );
+        // So is a flag given twice: neither value silently wins.
+        for (cmd, flag) in [
+            (
+                "check --workload tsp --checker velodrome --checker dc",
+                "--checker",
+            ),
+            ("check --workload tsp --seed 1 --seed 1", "--seed"),
+            (
+                "trace --workload philo --limit 3 --workload tsp",
+                "--workload",
+            ),
+        ] {
+            let err = run(&argv(cmd)).unwrap_err();
+            assert_eq!(
+                err,
+                CliError::Usage(format!("{flag} given more than once")),
+                "{cmd}"
+            );
+        }
         for removed in ["--shards", "--transport", "--pipelined"] {
             assert!(!usage().contains(removed), "usage still lists {removed}");
         }

@@ -19,7 +19,7 @@ use dc_obs::{
     ReplayReport, Stage, TraceEvent,
 };
 use dc_octet::{BarrierOutcome, CoordinationMode, OctetState, Protocol, TransitionSink};
-use dc_pcd::{replay_scc, ReplayStats, Violation};
+use dc_pcd::{replay_scc_with, ReplayStats, Violation};
 use dc_runtime::checker::Checker;
 use dc_runtime::heap::Heap;
 use dc_runtime::ids::{AccessKind, CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
@@ -355,11 +355,11 @@ impl DoubleChecker {
             regular_accesses: icd.regular_accesses.load(Ordering::Relaxed),
             unary_accesses: icd.unary_accesses.load(Ordering::Relaxed),
             log_entries: icd.log_entries.load(Ordering::Relaxed),
-            collected_txs: icd.collected_txs.load(Ordering::Relaxed),
+            collected_txs: self.icd.collected_txs(),
             idg_cross_edges: self.icd.cross_edges(),
             icd_sccs: self.icd.scc_count(),
             sccs_to_pcd: self.sccs_to_pcd.load(Ordering::Relaxed),
-            graph_locks: icd.graph_locks.load(Ordering::Relaxed),
+            graph_locks: self.icd.graph_locks(),
             pcd: *self.pcd_stats.lock(),
         }
     }
@@ -374,17 +374,15 @@ impl DoubleChecker {
         self.octet.get().expect("run_begin initializes octet")
     }
 
-    /// Consumes an SCC report: records static info (first run) and runs PCD
-    /// (single-run / second run).
+    /// Consumes an SCC report: records static info (first run), runs PCD
+    /// (single-run / second run) and hands the report's buffers back.
     fn process_scc(&self, scc: Option<SccReport>) {
         let Some(scc) = scc else { return };
-        {
-            let mut info = self.static_info.lock();
-            info.absorb_scc(&scc);
-        }
+        self.static_info.lock().absorb_scc(&scc);
         if self.config.run_pcd {
             self.replay(&scc);
         }
+        scc.recycle();
     }
 
     /// Hands one SCC to PCD and keeps what it found; with a registry, times
@@ -395,17 +393,11 @@ impl DoubleChecker {
             obs.trace(Stage::Replay, EventKind::ReplaySubmit, scc.len() as u64);
             Instant::now()
         });
-        let (violations, stats) = replay_scc(scc);
+        // A replay takes the violations' lock only to keep what it found.
+        let stats = replay_scc_with(scc, |v| self.violations.lock().push(v));
         if let (Some(obs), Some(t0)) = (&self.obs, t0) {
             obs.replay_latency.record_elapsed(t0);
-            obs.trace(
-                Stage::Replay,
-                EventKind::ReplayDone,
-                violations.len() as u64,
-            );
-        }
-        if !violations.is_empty() {
-            self.violations.lock().extend(violations);
+            obs.trace(Stage::Replay, EventKind::ReplayDone, stats.cycles);
         }
         self.pcd_stats.lock().merge(stats);
     }

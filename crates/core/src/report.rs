@@ -212,26 +212,15 @@ impl StaticTxInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dc_icd::{TxId, TxKind, TxSnapshot};
+    use dc_icd::{TxId, TxKind};
     use dc_runtime::ids::ThreadId;
-    use std::sync::Arc;
 
     fn scc(kinds: &[TxKind]) -> SccReport {
-        SccReport {
-            txs: kinds
-                .iter()
-                .enumerate()
-                .map(|(i, &kind)| TxSnapshot {
-                    id: TxId(i as u64 + 1),
-                    thread: ThreadId(i as u16),
-                    kind,
-                    seq: 1,
-                    log: Arc::default(),
-                })
-                .collect(),
-            edges: vec![],
-            constraints: vec![],
+        let mut scc = SccReport::default();
+        for (i, &kind) in kinds.iter().enumerate() {
+            scc.push_tx(TxId(i as u64 + 1), ThreadId(i as u16), kind, 1, &[]);
         }
+        scc
     }
 
     #[test]

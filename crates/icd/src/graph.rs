@@ -20,6 +20,18 @@
 //!
 //! Nodes live in a slab (`Vec<TxNode>`) addressed by a dense `u32` slot
 //! index; a free list, refilled by [`Graph::collect`], recycles slots.
+//!
+//! Finished transactions' read/write logs live in **one log arena owned by
+//! the graph** (`Vec<LogEntry>`): a finish appends the log — copied from the
+//! ending thread's buffer under the graph lock — and the node keeps its
+//! `log_start` and `final_len`. After a sweep that freed log entries, the
+//! collector slides the survivors' logs down over them, in arena order, so
+//! the arena holds exactly the live logs. Moving them is safe because no
+//! position into the arena outlives the lock: an [`SccReport`] copies its
+//! members' logs out ([`TxSnapshot`] holds a range of the report's own
+//! buffer), and everything else reads a log by id under the lock
+//! ([`Graph::log`]).
+//!
 //! Edges live in **one arena owned by the graph** (`Vec<EdgeRec>`), not in
 //! per-node vectors: a record holds the [`Edge`], the destination's slot,
 //! the source's thread and sequence number (what a [`ReplayConstraint`]
@@ -35,9 +47,14 @@
 //! splice (the argument that no out-list can still reach such a record is
 //! written next to the sweep in [`Graph::collect`]). Freed records are
 //! reused before the arena grows, so neither a warm nor a *cold* graph
-//! allocates per node or per edge: the only allocator calls are the
-//! amortized doublings of the slab, the arena, the map and the scratch
-//! (`tests/alloc_free.rs` pins ≤ 64 calls for 1 000 nodes and 5 000 edges).
+//! allocates per node, per edge or per log: the only allocator calls are
+//! the amortized doublings of the slab, the two arenas, the map and the
+//! scratch (`tests/alloc_free.rs` pins ≤ 64 calls for 1 000 logged nodes
+//! and 5 000 edges).
+//!
+//! The graph's own statistics — cross edges, SCCs, skipped probes — are
+//! plain integers: the graph lock that serializes every update also
+//! serializes their increments.
 //!
 //! Tarjan and the collector's mark phase follow slots and links and never
 //! hash. The `TxId → slot` map (on the multiplicative
@@ -56,26 +73,15 @@
 //! — its root has no finished successor — returns before touching any of
 //! it.
 
-use crate::icd::{IcdStats, ThreadRegs};
-use crate::types::{
-    Edge, EdgeKind, IdMap, LogEntry, ReplayConstraint, SccReport, TxId, TxKind, TxSnapshot,
-};
+use crate::icd::ThreadRegs;
+#[cfg(doc)]
+use crate::types::TxSnapshot;
+use crate::types::{Edge, EdgeKind, IdMap, LogEntry, ReplayConstraint, SccReport, TxId, TxKind};
 use dc_obs::{EventKind, PipelineObs, Stage};
 use dc_runtime::ids::ThreadId;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Table-3 counters the graph maintains. They live behind an `Arc` of
-/// atomics so readers ([`crate::Icd::cross_edges`], [`crate::Icd::scc_count`])
-/// never need the graph lock.
-#[derive(Debug, Default)]
-pub struct GraphCounters {
-    /// Cross-thread edges added (Table 3 column).
-    pub cross_edges: AtomicU64,
-    /// SCCs with ≥ 2 transactions detected (Table 3 column).
-    pub scc_count: AtomicU64,
-}
 
 /// "No record": the end of an edge list, or an empty one. The arena never
 /// grows to this index.
@@ -149,9 +155,9 @@ pub struct TxNode {
     /// First and last record of the incoming-edge list, intra and cross.
     in_head: u32,
     in_tail: u32,
-    /// Final read/write log (set when the transaction finishes), at its
-    /// exact size.
-    pub log: Arc<[LogEntry]>,
+    /// Where the final read/write log starts in the graph's log arena
+    /// (0 while the log is empty).
+    log_start: u32,
     /// Final log length (valid once finished).
     pub final_len: u32,
     /// Length of the in-list. An in-edge outlives its source, so the count
@@ -182,8 +188,10 @@ impl std::fmt::Display for FinishError {
 impl std::error::Error for FinishError {}
 
 /// Outcome of [`Graph::scc_probe`]: whether Tarjan ran and what it found.
+/// (Inside the graph, a probe that writes its report into a caller's
+/// buffer is an `SccProbe<()>`.)
 #[derive(Debug)]
-pub enum SccProbe {
+pub enum SccProbe<R = SccReport> {
     /// Tarjan was skipped: the root is missing, unfinished, has no incoming
     /// edge (it cannot be on a cycle) or no finished successor (Tarjan
     /// descends only into finished nodes, so it would find the root
@@ -193,7 +201,7 @@ pub enum SccProbe {
     /// Tarjan ran; the root's SCC has fewer than two members.
     NoCycle,
     /// Tarjan ran and found the root's SCC (≥ 2 members).
-    Cycle(SccReport),
+    Cycle(R),
 }
 
 /// Tarjan's state for one slab slot: valid only while `stamp` equals the
@@ -242,7 +250,7 @@ impl TarjanScratch {
 struct MarkScratch {
     /// Slot is marked iff `stamp[slot] == epoch`.
     stamp: Vec<u32>,
-    /// BFS worklist (collector only).
+    /// The collector's BFS worklist, then its log-compaction order.
     work: Vec<u32>,
     epoch: u32,
 }
@@ -275,13 +283,16 @@ pub struct Graph {
     free_edges: u32,
     /// Boundary map from transaction id to slab slot.
     index: IdMap<TxId, u32>,
+    /// Every finished transaction's log, back to back (see "Storage").
+    logs: Vec<LogEntry>,
     /// Last transaction (across all threads) to move an object to RdSh.
     pub g_last_rd_sh: TxId,
-    counters: Arc<GraphCounters>,
+    /// Cross-thread edges added.
+    cross_edges: u64,
+    /// SCCs with ≥ 2 transactions detected.
+    sccs: u64,
     /// Transaction-end probes the pre-filter skipped.
     skipped_probes: u64,
-    /// Shared empty log, cloned into fresh/freed slots without allocating.
-    empty_log: Arc<[LogEntry]>,
     tarjan: TarjanScratch,
     mark: MarkScratch,
 }
@@ -292,19 +303,14 @@ impl Graph {
         Self::default()
     }
 
-    /// The shared counter cell, for lock-free readers.
-    pub fn counters(&self) -> Arc<GraphCounters> {
-        Arc::clone(&self.counters)
-    }
-
     /// Cross-thread edges added (Table 3 column).
     pub fn cross_edges(&self) -> u64 {
-        self.counters.cross_edges.load(Ordering::Relaxed)
+        self.cross_edges
     }
 
     /// SCCs with ≥ 2 transactions detected (Table 3 column).
     pub fn scc_count(&self) -> u64 {
-        self.counters.scc_count.load(Ordering::Relaxed)
+        self.sccs
     }
 
     /// Transaction ends whose SCC probe the trivial pre-filter skipped
@@ -345,9 +351,25 @@ impl Graph {
         self.free_edges as usize
     }
 
+    /// Entries in the log arena (tests/diagnostics: always exactly the live
+    /// finished transactions' logs).
+    pub fn log_arena_len(&self) -> usize {
+        self.logs.len()
+    }
+
     /// Access a node (tests/diagnostics).
     pub fn node(&self, id: TxId) -> Option<&TxNode> {
         self.index.get(&id).map(|&i| &self.slab[i as usize])
+    }
+
+    /// `id`'s final read/write log — empty until it finishes; `None` for an
+    /// unknown id.
+    pub fn log(&self, id: TxId) -> Option<&[LogEntry]> {
+        self.node(id).map(|n| self.log_of(n))
+    }
+
+    fn log_of(&self, node: &TxNode) -> &[LogEntry] {
+        &self.logs[node.log_start as usize..][..node.final_len as usize]
     }
 
     /// `id`'s outgoing edges in insertion order; empty for an unknown id.
@@ -420,7 +442,7 @@ impl Graph {
                     out_tail: NIL,
                     in_head: NIL,
                     in_tail: NIL,
-                    log: Arc::clone(&self.empty_log),
+                    log_start: 0,
                     final_len: 0,
                     in_count: 0,
                 });
@@ -485,7 +507,7 @@ impl Graph {
         dst.in_tail = e;
         dst.in_count += 1;
         if edge.kind == EdgeKind::Cross {
-            self.counters.cross_edges.fetch_add(1, Ordering::Relaxed);
+            self.cross_edges += 1;
         }
     }
 
@@ -515,20 +537,19 @@ impl Graph {
         slot
     }
 
-    /// Marks `id` finished and stores its final log. A finish naming an
-    /// unknown or already-finished transaction is a checked error.
+    /// Marks `id` finished and appends its final log to the log arena. A
+    /// finish naming an unknown or already-finished transaction is a
+    /// checked error.
     pub fn finish(&mut self, id: TxId, log: Vec<LogEntry>) -> Result<(), FinishError> {
-        let log = (!log.is_empty()).then(|| log.into());
-        self.finish_shared((NIL, id), log).map(drop)
+        self.finish_slot((NIL, id), &log).map(drop)
     }
 
-    /// [`Graph::finish`] with the log already in its retained form (`None`
-    /// for an empty one), so the copy is made before the graph is locked,
-    /// and with the slot the caller last saw `id` in. Returns the slot.
-    fn finish_shared(
+    /// [`Graph::finish`] with a borrowed log and the slot the caller last
+    /// saw `id` in. Returns the slot.
+    fn finish_slot(
         &mut self,
         (hint, id): (u32, TxId),
-        log: Option<Arc<[LogEntry]>>,
+        log: &[LogEntry],
     ) -> Result<u32, FinishError> {
         let Some(slot) = self.resolve(hint, id) else {
             return Err(FinishError::UnknownTx(id));
@@ -538,44 +559,48 @@ impl Graph {
             return Err(FinishError::AlreadyFinished(id));
         }
         node.finished = true;
-        // Empty logs share the one empty slice instead of allocating an
-        // `Arc` per finish: with logging off (first run of multi-run mode)
-        // every finish takes this path.
-        node.log = log.unwrap_or_else(|| Arc::clone(&self.empty_log));
-        node.final_len = u32::try_from(node.log.len()).expect("log too long");
+        node.final_len = u32::try_from(log.len()).expect("log too long");
+        if !log.is_empty() {
+            let end = self.logs.len() + log.len();
+            assert!(u32::try_from(end).is_ok(), "log arena overflow");
+            node.log_start = self.logs.len() as u32;
+            self.logs.extend_from_slice(log);
+        }
         Ok(slot)
     }
 
-    /// [`Graph::finish_shared`] followed, when `detect_sccs`, by the cycle
+    /// [`Graph::finish_slot`] followed, when `detect_sccs`, by the cycle
     /// probe from the finished transaction (§3.2.3), counting a skipped
     /// probe and, with a registry, timing and tracing it: what a
-    /// transaction end does to the graph.
+    /// transaction end does to the graph. Returns whether it found a cycle,
+    /// whose report it wrote into `out`.
     pub(crate) fn finish_and_probe(
         &mut self,
         tx: (u32, TxId),
-        log: Option<Arc<[LogEntry]>>,
+        log: &[LogEntry],
         detect_sccs: bool,
         obs: Option<&PipelineObs>,
-    ) -> Result<Option<SccReport>, FinishError> {
-        let slot = self.finish_shared(tx, log)?;
+        out: &mut SccReport,
+    ) -> Result<bool, FinishError> {
+        let slot = self.finish_slot(tx, log)?;
         if !detect_sccs {
-            return Ok(None);
+            return Ok(false);
         }
         let t0 = obs.map(|_| Instant::now());
-        let probe = self.probe_slot(slot);
+        let probe = self.probe_slot(slot, out);
         if let (Some(obs), Some(t0)) = (obs, t0) {
             obs.scc_latency.record_elapsed(t0);
-            if let SccProbe::Cycle(r) = &probe {
-                obs.trace(Stage::Graph, EventKind::SccDetected, r.len() as u64);
+            if let SccProbe::Cycle(()) = probe {
+                obs.trace(Stage::Graph, EventKind::SccDetected, out.len() as u64);
             }
         }
         Ok(match probe {
-            SccProbe::Cycle(report) => Some(report),
+            SccProbe::Cycle(()) => true,
             SccProbe::Skipped => {
                 self.skipped_probes += 1;
-                None
+                false
             }
-            SccProbe::NoCycle => None,
+            SccProbe::NoCycle => false,
         })
     }
 
@@ -598,14 +623,20 @@ impl Graph {
     /// returned the root alone. (`in_count` may overcount after a
     /// collection, which only makes the filter more conservative.)
     pub fn scc_probe(&mut self, root: TxId) -> SccProbe {
-        match self.index.get(&root) {
-            Some(&root_slot) => self.probe_slot(root_slot),
-            None => SccProbe::Skipped,
+        let Some(&root_slot) = self.index.get(&root) else {
+            return SccProbe::Skipped;
+        };
+        let mut report = SccReport::default();
+        match self.probe_slot(root_slot, &mut report) {
+            SccProbe::Cycle(()) => SccProbe::Cycle(report),
+            SccProbe::NoCycle => SccProbe::NoCycle,
+            SccProbe::Skipped => SccProbe::Skipped,
         }
     }
 
-    /// [`Graph::scc_probe`] from the live node in `root_slot`.
-    fn probe_slot(&mut self, root_slot: u32) -> SccProbe {
+    /// [`Graph::scc_probe`] from the live node in `root_slot`, writing a
+    /// found SCC's report into `out`.
+    fn probe_slot(&mut self, root_slot: u32, out: &mut SccReport) -> SccProbe<()> {
         // Slab, arena and scratch are borrowed as disjoint fields.
         let Graph {
             slab,
@@ -698,11 +729,11 @@ impl Graph {
         if component.len() < 2 {
             return SccProbe::NoCycle;
         }
-        self.counters.scc_count.fetch_add(1, Ordering::Relaxed);
+        self.sccs += 1;
         let component = std::mem::take(&mut self.tarjan.component);
-        let report = self.snapshot_component(&component);
+        self.snapshot_component(&component, out);
         self.tarjan.component = component;
-        SccProbe::Cycle(report)
+        SccProbe::Cycle(())
     }
 
     /// Snapshots *every* finished transaction and all edges among them —
@@ -715,40 +746,32 @@ impl Graph {
                 n.id.is_some() && n.finished
             })
             .collect();
-        self.snapshot_component(&component)
+        let mut report = SccReport::default();
+        self.snapshot_component(&component, &mut report);
+        report
     }
 
-    fn snapshot_component(&mut self, component: &[u32]) -> SccReport {
+    /// Writes `component`'s members — each with a copy of its log, in
+    /// (thread, seq) order — its internal edges and the constraints of its
+    /// members' incoming cross edges into `out`, reusing its buffers.
+    fn snapshot_component(&mut self, component: &[u32], out: &mut SccReport) {
+        out.clear();
         let epoch = self.mark.begin(self.slab.len());
         for &i in component {
             self.mark.stamp[i as usize] = epoch;
+            let n = &self.slab[i as usize];
+            out.push_tx(n.id, n.thread, n.kind, n.seq, self.log_of(n));
         }
-        let mut txs: Vec<TxSnapshot> = component
-            .iter()
-            .map(|&i| {
-                let n = &self.slab[i as usize];
-                TxSnapshot {
-                    id: n.id,
-                    thread: n.thread,
-                    kind: n.kind,
-                    seq: n.seq,
-                    log: Arc::clone(&n.log),
-                }
-            })
-            .collect();
-        txs.sort_by_key(|t| (t.thread, t.seq));
-        let mut edges = Vec::new();
-        let mut constraints = Vec::new();
+        // (thread, seq) names one transaction; the id only makes the key
+        // total.
+        out.txs.sort_unstable_by_key(|t| (t.thread, t.seq, t.id));
         for &i in component {
             let internal = |r: &&EdgeRec| self.mark.stamp[r.dst_slot as usize] == epoch;
-            edges.extend(self.out_list(i).filter(internal).map(|r| r.edge));
+            out.edges
+                .extend(self.out_list(i).filter(internal).map(|r| r.edge));
             let cross = |r: &&EdgeRec| r.edge.kind == EdgeKind::Cross;
-            constraints.extend(self.in_list(i).filter(cross).map(EdgeRec::constraint));
-        }
-        SccReport {
-            txs,
-            edges,
-            constraints,
+            out.constraints
+                .extend(self.in_list(i).filter(cross).map(EdgeRec::constraint));
         }
     }
 
@@ -795,6 +818,7 @@ impl Graph {
         // it is finished because every unfinished node was marked as a root
         // above — it is freed in this very pass, or was in an earlier one.
         let mut collected = 0;
+        let mut freed_entries = 0;
         for i in 0..self.slab.len() {
             let node = &mut self.slab[i];
             if node.id.is_some() && node.finished && m.stamp[i] != epoch {
@@ -808,15 +832,41 @@ impl Graph {
                 (node.out_head, node.out_tail) = (NIL, NIL);
                 node.id = TxId::NONE;
                 node.finished = false;
-                node.log = Arc::clone(&self.empty_log);
-                node.final_len = 0;
+                freed_entries += node.final_len;
+                (node.log_start, node.final_len) = (0, 0);
                 node.in_count = 0;
                 self.free.push(i as u32);
                 collected += 1;
             }
         }
         self.mark = m;
+        if freed_entries > 0 {
+            self.compact_logs();
+        }
         collected
+    }
+
+    /// Slides the live logs down over the freed ones, in arena order, so the
+    /// arena holds exactly the live logs. A log only ever moves toward the
+    /// arena's start, so `copy_within` never overwrites one not yet moved.
+    fn compact_logs(&mut self) {
+        let Graph {
+            slab, logs, mark, ..
+        } = self;
+        // Only live finished nodes have a non-empty log.
+        let order = &mut mark.work;
+        order.clear();
+        order.extend((0..slab.len() as u32).filter(|&i| slab[i as usize].final_len > 0));
+        order.sort_unstable_by_key(|&i| slab[i as usize].log_start);
+        let mut end = 0;
+        for &i in order.iter() {
+            let node = &mut slab[i as usize];
+            let start = node.log_start as usize;
+            logs.copy_within(start..start + node.final_len as usize, end);
+            node.log_start = end as u32;
+            end += node.final_len as usize;
+        }
+        logs.truncate(end);
     }
 }
 
@@ -834,6 +884,8 @@ pub(crate) struct Collector {
     threshold: u32,
     /// Root scratch, retained across passes.
     roots: Vec<TxId>,
+    /// Transactions reclaimed so far.
+    pub(crate) collected: u64,
 }
 
 impl Collector {
@@ -843,6 +895,7 @@ impl Collector {
             ends: 0,
             threshold: every.max(1),
             roots: Vec::new(),
+            collected: 0,
         }
     }
 
@@ -877,7 +930,6 @@ impl Collector {
         &mut self,
         graph: &mut Graph,
         regs: &[Arc<ThreadRegs>],
-        stats: &IcdStats,
         obs: Option<&PipelineObs>,
     ) {
         let t0 = obs.map(|_| Instant::now());
@@ -889,9 +941,7 @@ impl Collector {
         self.roots.push(graph.g_last_rd_sh);
         let collected = graph.collect(self.roots.iter().copied());
         self.after_collect(graph.len());
-        stats
-            .collected_txs
-            .fetch_add(collected as u64, Ordering::Relaxed);
+        self.collected += collected as u64;
         if let (Some(obs), Some(t0)) = (obs, t0) {
             obs.collect_latency.record_elapsed(t0);
             obs.trace(Stage::Graph, EventKind::CollectRun, collected as u64);
@@ -1006,7 +1056,27 @@ mod tests {
         assert_eq!(scc.len(), 2);
         assert_eq!(scc.edges.len(), 2, "edge 2→3 excluded");
         let t1 = scc.txs.iter().find(|t| t.id == TxId(1)).unwrap();
-        assert_eq!(t1.log.len(), 1);
+        assert_eq!(scc.log(t1).len(), 1);
+    }
+
+    /// A pass that frees a log slides the survivors' logs down in arena
+    /// order; one that frees only empty logs moves nothing.
+    #[test]
+    fn collect_compacts_the_surviving_logs() {
+        let entry = |o: u32| LogEntry::new(dc_runtime::ids::ObjId(o), 0, true, false);
+        let mut g = graph_with(4);
+        g.add_edge(edge(4, 3)); // 4 (root) keeps 3 alive
+        for (tx, log) in [(3, vec![entry(3)]), (1, vec![entry(1); 2]), (2, vec![])] {
+            g.finish(TxId(tx), log).unwrap();
+        }
+        g.finish(TxId(4), vec![entry(4), entry(5)]).unwrap();
+        assert_eq!(g.collect([TxId(4), TxId(1)]), 1, "only the empty Tx2 goes");
+        assert_eq!(g.log_arena_len(), 5, "nothing to compact");
+        assert_eq!(g.collect([TxId(4)]), 1, "Tx1 goes, its log with it");
+        assert_eq!(g.log_arena_len(), 3);
+        assert_eq!(g.log(TxId(3)), Some(&[entry(3)][..]));
+        assert_eq!(g.log(TxId(4)), Some(&[entry(4), entry(5)][..]));
+        assert_eq!(g.log(TxId(1)), None);
     }
 
     #[test]
@@ -1135,7 +1205,7 @@ mod tests {
         // The recycled nodes carry no resurrected edges or logs…
         assert_eq!(g.out_edges(TxId(10)).count(), 0);
         assert_eq!(g.in_constraints(TxId(10)).count(), 0);
-        assert_eq!(g.node(TxId(10)).unwrap().log.len(), 0);
+        assert_eq!(g.log(TxId(10)), Some(&[][..]));
         // …no stale Tarjan stamps (a fresh chain is not mistaken for the
         // old cycle)…
         g.add_edge(edge(10, 11));
@@ -1153,7 +1223,9 @@ mod tests {
     #[test]
     fn a_stale_slot_hint_falls_back_to_the_id_map() {
         let mut g = graph_with(2); // Tx1 in slot 0, Tx2 in slot 1
-        g.finish_and_probe((1, TxId(1)), None, true, None).unwrap();
+        let report = &mut SccReport::default();
+        g.finish_and_probe((1, TxId(1)), &[], true, None, report)
+            .unwrap();
         assert!(g.node(TxId(1)).unwrap().finished && !g.node(TxId(2)).unwrap().finished);
         // The program-order edge is not dropped either.
         let slot = g.insert_after(TxId(3), ThreadId(1), TxKind::Unary, 2, (7, TxId(1)));
@@ -1161,7 +1233,7 @@ mod tests {
         let out: Vec<_> = g.out_edges(TxId(1)).map(|e| (e.dst, e.kind)).collect();
         assert_eq!(out, [(TxId(3), EdgeKind::Intra)]);
         assert!(matches!(
-            g.finish_and_probe((0, TxId(9)), None, true, None),
+            g.finish_and_probe((0, TxId(9)), &[], true, None, report),
             Err(FinishError::UnknownTx(TxId(9)))
         ));
     }

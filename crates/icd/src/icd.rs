@@ -16,9 +16,16 @@
 //! Application threads mutate the IDG under a global mutex (rare relative
 //! to accesses — Table 3: edges ≪ accesses — which is what makes ICD cheap):
 //! one critical section per transaction boundary and one per edge procedure,
-//! each counted by [`IcdStats::graph_locks`].
+//! each counted by [`Icd::graph_locks`].
+//!
+//! A statistic is written by the one thread or lock that already
+//! serializes it, never by a locked read-modify-write of its own: the
+//! per-thread tallies are owner-local and fold in at thread end; the graph's
+//! counts (locks, cross edges, SCCs, collected transactions) and the
+//! transaction-id counter are plain integers under the graph lock; every
+//! writer of a thread's `edge_events` holds that lock too.
 
-use crate::graph::{Collector, Graph, GraphCounters};
+use crate::graph::{Collector, Graph};
 use crate::types::{Edge, EdgeKind, LogEntry, SccReport, TxId, TxKind};
 use dc_obs::PipelineObs;
 use dc_runtime::heap::CellLayout;
@@ -54,9 +61,11 @@ impl Default for IcdConfig {
     }
 }
 
-/// Aggregated run statistics (Table 3 columns). The per-thread tallies —
-/// transactions, accesses, log entries — are kept thread-locally and fold in
-/// at [`Icd::thread_end`]; the rest is written under the graph lock.
+/// Aggregated per-thread run statistics (Table 3 columns): transactions,
+/// accesses and log entries are kept thread-locally and fold in at
+/// [`Icd::thread_end`]. The graph's counts are read under its lock
+/// ([`Icd::cross_edges`], [`Icd::scc_count`], [`Icd::collected_txs`],
+/// [`Icd::graph_locks`]).
 #[derive(Debug, Default)]
 pub struct IcdStats {
     /// Regular (non-unary) transactions started (folded at thread end).
@@ -71,12 +80,6 @@ pub struct IcdStats {
     /// Read/write log entries actually recorded (after elision) — the
     /// paper's main memory cost ("GC time" analog in Figure 7).
     pub log_entries: AtomicU64,
-    /// Transactions reclaimed by the collector.
-    pub collected_txs: AtomicU64,
-    /// Hot-path graph-mutex acquisitions, each one counted while it is
-    /// held: one per transaction boundary that touches the graph (the
-    /// collector runs inside it) and one per edge procedure.
-    pub graph_locks: AtomicU64,
 }
 
 /// One thread's cross-thread-visible registers. Padded so coordination
@@ -90,9 +93,9 @@ pub(crate) struct ThreadRegs {
     pub(crate) current_tx: AtomicU64,
     /// `T.lastRdEx`: last transaction of `T` to move an object into RdEx-T.
     pub(crate) last_rd_ex: AtomicU64,
-    /// Bumped by [`EDGE_EVENT`] by whoever attaches an edge to this thread's
-    /// *current* transaction; drives unary-transaction cutting and elision
-    /// epochs.
+    /// Stepped by [`EDGE_EVENT`] by whoever attaches an edge to this
+    /// thread's *current* transaction, under the graph lock; drives
+    /// unary-transaction cutting and elision epochs.
     pub(crate) edge_events: AtomicU32,
     /// Published length of the current transaction's log.
     pub(crate) log_len: AtomicU32,
@@ -282,7 +285,7 @@ impl Slot {
     fn edge_events_unchanged(&self) -> bool {
         // SAFETY: called on the owning thread.
         let local = unsafe { self.local() };
-        // Acquire pairs with the AcqRel bump in `note_edge_event`.
+        // Acquire pairs with the release store in `note_edge_event`.
         local.regs.edge_events.load(Ordering::Acquire) == local.seen_edge_events
     }
 
@@ -371,12 +374,16 @@ impl std::fmt::Debug for ThreadHandle {
     }
 }
 
-/// What the graph mutex guards: the IDG and the collector that paces itself
-/// on its transaction ends.
+/// What the graph mutex guards: the IDG, the collector that paces itself
+/// on its transaction ends, and the counters only a lock holder touches.
 #[derive(Debug)]
 struct Owned {
     graph: Graph,
     collector: Collector,
+    /// Hot-path acquisitions of this mutex ([`Icd::graph_locks`]).
+    locks: u64,
+    /// Next transaction id, drawn inside the boundary's critical section.
+    next_tx: u64,
 }
 
 /// The imprecise-cycle-detection analysis.
@@ -386,11 +393,6 @@ pub struct Icd {
     regs: Box<[Arc<ThreadRegs>]>,
     layout: OnceLock<CellLayout>,
     graph: Mutex<Owned>,
-    /// Lock-free Table-3 counters shared with the graph.
-    counters: Arc<GraphCounters>,
-    /// Next transaction id, drawn inside the boundary's critical section,
-    /// so the line stays with the lock holder.
-    next_tx: AtomicU64,
     config: IcdConfig,
     stats: IcdStats,
     obs: Option<Arc<PipelineObs>>,
@@ -421,8 +423,6 @@ impl Icd {
         obs: Option<Arc<PipelineObs>>,
     ) -> Self {
         let regs: Box<[Arc<ThreadRegs>]> = (0..n_threads).map(|_| Arc::default()).collect();
-        let graph = Graph::new();
-        let counters = graph.counters();
         Icd {
             slots: regs
                 .iter()
@@ -431,11 +431,11 @@ impl Icd {
             regs,
             layout: OnceLock::new(),
             graph: Mutex::new(Owned {
-                graph,
+                graph: Graph::new(),
                 collector: Collector::new(config.collect_every),
+                locks: 0,
+                next_tx: 1,
             }),
-            counters,
-            next_tx: AtomicU64::new(1),
             config,
             stats: IcdStats::default(),
             obs,
@@ -469,21 +469,36 @@ impl Icd {
         ThreadHandle(Arc::clone(&self.slots[t.index()]))
     }
 
-    /// Cross-thread IDG edges added so far (Table 3). Lock-free.
+    // The readers below take the graph lock without counting it in
+    // `graph_locks`, which counts the analysis' own acquisitions only.
+
+    /// Cross-thread IDG edges added so far (Table 3). Read under the graph
+    /// lock.
     pub fn cross_edges(&self) -> u64 {
-        self.counters.cross_edges.load(Ordering::Relaxed)
+        self.graph.lock().graph.cross_edges()
     }
 
-    /// IDG SCCs (≥ 2 transactions) detected so far (Table 3). Lock-free.
+    /// IDG SCCs (≥ 2 transactions) detected so far (Table 3). Read under
+    /// the graph lock.
     pub fn scc_count(&self) -> u64 {
-        self.counters.scc_count.load(Ordering::Relaxed)
+        self.graph.lock().graph.scc_count()
     }
 
     /// Transaction ends whose SCC probe the trivial pre-filter skipped.
-    /// Takes the graph lock without counting it in `graph_locks`, which
-    /// counts the analysis' own acquisitions only.
     pub fn skipped_probes(&self) -> u64 {
         self.graph.lock().graph.skipped_probes()
+    }
+
+    /// Transactions the collector reclaimed so far.
+    pub fn collected_txs(&self) -> u64 {
+        self.graph.lock().collector.collected
+    }
+
+    /// Hot-path graph-mutex acquisitions so far, each one counted while it
+    /// is held: one per transaction boundary that touches the graph (the
+    /// collector runs inside it) and one per edge procedure.
+    pub fn graph_locks(&self) -> u64 {
+        self.graph.lock().locks
     }
 
     /// `currTX(T)`.
@@ -501,8 +516,8 @@ impl Icd {
     /// Acquires the graph mutex on an application-thread hot path, counting
     /// the acquisition once it is held.
     fn lock_graph(&self) -> MutexGuard<'_, Owned> {
-        let guard = self.graph.lock();
-        self.stats.graph_locks.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.graph.lock();
+        guard.locks += 1;
         guard
     }
 
@@ -571,15 +586,16 @@ impl Icd {
     /// when a pending unary transaction is materialized). With `insert` the
     /// thread's transaction gets its node now; without, it is pending.
     ///
-    /// All of it happens in **one** critical section, in this order: move
-    /// the finished log into the graph, run SCC detection from it (§3.2.3),
-    /// count the end toward the collector and run a due pass (the ended
-    /// transaction is still `currTX(t)`, hence a root), draw the next id,
-    /// insert its node with the program-order edge, publish it as
-    /// `currTX(t)`. The thread names its own nodes by `(slot, id)`, so none
-    /// of this consults the graph's id map except the insert itself. A
-    /// boundary with nothing to end and nothing to insert (thread exit while
-    /// a unary transaction is pending) takes no lock.
+    /// All of it happens in **one** critical section, in this order: append
+    /// the finished log to the graph's log arena, run SCC detection from it
+    /// (§3.2.3) into recycled report buffers, count the end toward the
+    /// collector and run a due pass (the ended transaction is still
+    /// `currTX(t)`, hence a root), draw the next id, insert its node with the
+    /// program-order edge, publish it as `currTX(t)`. The thread names its
+    /// own nodes by `(slot, id)`, so none of this consults the graph's id map
+    /// except the insert itself. A boundary with nothing to end and nothing
+    /// to insert (thread exit while a unary transaction is pending) takes no
+    /// lock.
     fn boundary(
         &self,
         t: ThreadId,
@@ -591,38 +607,55 @@ impl Icd {
         let old_node = (local.tx_slot, old);
         // The owner is `pending`'s only writer.
         let ends = old.is_some() && !local.regs.pending.load(Ordering::Relaxed);
-        // The retained log is one exact-size copy, made before the lock is
-        // taken; the thread's buffer keeps its capacity for the next
-        // transaction.
-        let log: Option<Arc<[LogEntry]>> = (!local.log.is_empty()).then(|| local.log[..].into());
-        local.log.clear();
+        // The graph copies the finished log under the lock; the thread's
+        // buffer keeps its capacity for the next transaction.
+        let mut log = std::mem::take(&mut local.log);
         if let Some(kind) = open {
             local.open(kind);
         }
-        if !ends && !insert {
-            return None;
-        }
-        let mut guard = self.lock_graph();
-        let Owned { graph, collector } = &mut *guard;
         let mut report = None;
-        if ends {
-            // The hooks name only transactions they inserted, so a
-            // malformed finish here is a checker bug.
-            report = graph
-                .finish_and_probe(old_node, log, self.config.detect_sccs, self.obs.as_deref())
-                .expect("finishing unknown tx");
-            collector.on_finish();
-            if collector.due() {
-                collector.collect(graph, &self.regs, &self.stats, self.obs.as_deref());
+        if ends || insert {
+            let mut guard = self.lock_graph();
+            let Owned {
+                graph,
+                collector,
+                next_tx,
+                ..
+            } = &mut *guard;
+            if ends {
+                let mut scc = SccReport::spare();
+                // The hooks name only transactions they inserted, so a
+                // malformed finish here is a checker bug.
+                let cycle = graph
+                    .finish_and_probe(
+                        old_node,
+                        &log,
+                        self.config.detect_sccs,
+                        self.obs.as_deref(),
+                        &mut scc,
+                    )
+                    .expect("finishing unknown tx");
+                if cycle {
+                    report = Some(scc);
+                } else {
+                    scc.recycle();
+                }
+                collector.on_finish();
+                if collector.due() {
+                    collector.collect(graph, &self.regs, self.obs.as_deref());
+                }
+            }
+            if insert {
+                let id = TxId(*next_tx);
+                *next_tx += 1;
+                local.tx_slot = graph.insert_after(id, t, local.kind, local.seq, old_node);
+                local.publish(id);
+            } else {
+                local.pend();
             }
         }
-        if insert {
-            let id = TxId(self.next_tx.fetch_add(1, Ordering::Relaxed));
-            local.tx_slot = graph.insert_after(id, t, local.kind, local.seq, old_node);
-            local.publish(id);
-        } else {
-            local.pend();
-        }
+        log.clear();
+        local.log = log;
         report
     }
 
@@ -699,15 +732,16 @@ impl Icd {
         }
         let src_pos = self.regs[resp.index()].log_len.load(Ordering::Acquire);
         let dst_pos = self.regs[req.index()].log_len.load(Ordering::Acquire);
-        self.lock_graph().graph.add_edge(Edge {
+        let mut guard = self.lock_graph();
+        guard.graph.add_edge(Edge {
             src,
             src_pos,
             dst,
             dst_pos,
             kind: EdgeKind::Cross,
         });
-        self.note_edge_event(resp, src);
-        self.note_edge_event(req, dst);
+        self.note_edge_event(&guard, resp, src);
+        self.note_edge_event(&guard, req, dst);
     }
 
     /// `handleUpgradingTransition` (Figure 4): on `RdEx T1 → RdSh`, adds
@@ -724,30 +758,28 @@ impl Icd {
                 .last_rd_ex
                 .load(Ordering::Acquire),
         );
-        {
-            let mut guard = self.lock_graph();
-            let graph = &mut guard.graph;
-            if last_rd_ex.is_some() && last_rd_ex != cur {
-                let src_pos = self.edge_src_pos(graph, prev_owner, last_rd_ex);
-                graph.add_edge(Edge {
-                    src: last_rd_ex,
-                    src_pos,
-                    dst: cur,
-                    dst_pos,
-                    kind: EdgeKind::Cross,
-                });
-            }
-            self.add_rd_sh_edge(graph, cur, dst_pos);
-            graph.g_last_rd_sh = cur;
+        let mut guard = self.lock_graph();
+        let graph = &mut guard.graph;
+        if last_rd_ex.is_some() && last_rd_ex != cur {
+            let src_pos = self.edge_src_pos(graph, prev_owner, last_rd_ex);
+            graph.add_edge(Edge {
+                src: last_rd_ex,
+                src_pos,
+                dst: cur,
+                dst_pos,
+                kind: EdgeKind::Cross,
+            });
         }
+        self.add_rd_sh_edge(graph, cur, dst_pos);
+        graph.g_last_rd_sh = cur;
         // While `prev_owner`'s unary transaction is pending, its `lastRdEx`
         // may be the finished regular transaction `currTX` still names: the
         // edge leaves that one, not the thread's current (unary) one.
         let owner = &self.regs[prev_owner.index()];
         if last_rd_ex.is_some() && !owner.pending.load(Ordering::Acquire) {
-            self.note_edge_event(prev_owner, last_rd_ex);
+            self.note_edge_event(&guard, prev_owner, last_rd_ex);
         }
-        self.note_edge_event(t, cur);
+        self.note_edge_event(&guard, t, cur);
     }
 
     /// `handleFenceTransition` (Figure 4): adds `gLastRdSh → currTX(t)`.
@@ -757,8 +789,9 @@ impl Icd {
             return;
         }
         let dst_pos = self.regs[t.index()].log_len.load(Ordering::Acquire);
-        self.add_rd_sh_edge(&mut self.lock_graph().graph, cur, dst_pos);
-        self.note_edge_event(t, cur);
+        let mut guard = self.lock_graph();
+        self.add_rd_sh_edge(&mut guard.graph, cur, dst_pos);
+        self.note_edge_event(&guard, t, cur);
     }
 
     /// The edge `gLastRdSh → cur` both RdSh procedures add, `cur` having
@@ -785,12 +818,17 @@ impl Icd {
         regs.last_rd_ex.store(cur, Ordering::Release);
     }
 
-    /// Bumps the thread's edge counter if `tx` is still its current
-    /// transaction (drives unary cutting and elision epochs).
-    fn note_edge_event(&self, t: ThreadId, tx: TxId) {
+    /// Steps the thread's edge counter if `tx` is still its current
+    /// transaction (drives unary cutting and elision epochs). This is the
+    /// counter's only writer and its caller holds the graph lock — `_held`
+    /// is what the lock guards — so a load and a store lose no step. The
+    /// release store pairs with the owner's acquire load.
+    fn note_edge_event(&self, _held: &Owned, t: ThreadId, tx: TxId) {
         let regs = &self.regs[t.index()];
         if regs.current_tx.load(Ordering::Acquire) == tx.0 {
-            regs.edge_events.fetch_add(EDGE_EVENT, Ordering::AcqRel);
+            let events = regs.edge_events.load(Ordering::Relaxed);
+            regs.edge_events
+                .store(events.wrapping_add(EDGE_EVENT), Ordering::Release);
         }
     }
 
@@ -1115,7 +1153,7 @@ mod tests {
             icd.end_regular(T0);
         }
         assert!(
-            icd.stats().collected_txs.load(Ordering::Relaxed) > 0,
+            icd.collected_txs() > 0,
             "isolated finished transactions must be reclaimed"
         );
     }
@@ -1188,7 +1226,7 @@ mod tests {
                 ..IcdConfig::default()
             },
         );
-        let locks = || icd.stats().graph_locks.load(Ordering::Relaxed);
+        let locks = || icd.graph_locks();
         icd.thread_begin(T0);
         icd.thread_begin(T1);
         assert_eq!(locks(), 2, "one per thread begin");
@@ -1199,7 +1237,7 @@ mod tests {
             icd.end_regular(T0);
         }
         assert_eq!(locks(), 2 + 2 * CALLS, "two per atomic-method call");
-        assert!(icd.stats().collected_txs.load(Ordering::Relaxed) > 0);
+        assert!(icd.collected_txs() > 0);
         icd.before_access(T0);
         let base = 2 + 2 * CALLS + 1;
         assert_eq!(locks(), base, "one for a unary node, at its first access");

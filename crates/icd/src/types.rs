@@ -1,10 +1,11 @@
 //! Transaction, log, and graph edge types shared with PCD.
 
 use dc_runtime::ids::{CellId, ObjId, ThreadId, SYNC_CELL};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::ops::Range;
 
 /// Multiplicative (Fx-style) hasher for maps keyed by the analyses' own
 /// dense ids — [`TxId`], `(ObjId, CellId)`. One rotate, xor and multiply
@@ -191,7 +192,11 @@ pub struct Edge {
     pub kind: EdgeKind,
 }
 
-/// Immutable snapshot of one finished transaction handed to PCD.
+/// Immutable snapshot of one finished transaction handed to PCD. Its log is
+/// a range of the owning [`SccReport`]'s entries buffer, read through
+/// [`SccReport::log`]: a report is one copy out of the graph's log arena,
+/// not a reference into it, so it stays valid after the graph lock is
+/// released and the collector compacts the arena.
 #[derive(Clone, Debug)]
 pub struct TxSnapshot {
     /// The transaction.
@@ -202,9 +207,9 @@ pub struct TxSnapshot {
     pub kind: TxKind,
     /// Per-thread sequence number (program order of transactions).
     pub seq: u64,
-    /// The read/write log ([`LogEntry`] list), at its exact size; empty
-    /// when logging is off.
-    pub log: Arc<[LogEntry]>,
+    /// Where the read/write log lies in [`SccReport::entries`]; empty when
+    /// logging is off.
+    pub log: Range<u32>,
 }
 
 /// A replay-ordering constraint derived from one cross-thread IDG edge into
@@ -229,12 +234,23 @@ pub struct ReplayConstraint {
     pub src_pos: u32,
 }
 
+thread_local! {
+    /// The buffers the next SCC a transaction end on this thread finds is
+    /// written into ([`SccReport::recycle`]).
+    static SPARE: Cell<SccReport> = Cell::default();
+}
+
 /// An SCC of the imprecise dependence graph, detected when its last member
-/// transaction finished — the unit of work handed to PCD.
-#[derive(Clone, Debug)]
+/// transaction finished — the unit of work handed to PCD. Its buffers are
+/// reusable: [`SccReport::clear`] keeps their capacity, and a consumer that
+/// hands a report back ([`SccReport::recycle`]) makes the next one a
+/// transaction end on its thread reports allocation-free.
+#[derive(Clone, Debug, Default)]
 pub struct SccReport {
     /// The member transactions.
     pub txs: Vec<TxSnapshot>,
+    /// Every member's log, each one contiguous ([`TxSnapshot::log`]).
+    pub entries: Vec<LogEntry>,
     /// All IDG edges whose endpoints are both members.
     pub edges: Vec<Edge>,
     /// Replay-ordering constraints from every cross-thread edge whose sink
@@ -243,6 +259,58 @@ pub struct SccReport {
 }
 
 impl SccReport {
+    /// Hands this report's buffers back: the next SCC a transaction end on
+    /// this thread finds is written into them. Kept per thread rather than
+    /// per checker, so a checker that finds one SCC — one per imported
+    /// history, say — reuses the buffers of the checker before it.
+    pub fn recycle(self) {
+        SPARE.set(self);
+    }
+
+    /// This thread's recycled buffers, or empty ones.
+    pub(crate) fn spare() -> SccReport {
+        SPARE.take()
+    }
+
+    /// Empties the report, keeping its buffers' capacity.
+    pub fn clear(&mut self) {
+        self.txs.clear();
+        self.entries.clear();
+        self.edges.clear();
+        self.constraints.clear();
+    }
+
+    /// Appends a member with a copy of its log.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entries buffer outgrows `u32` positions.
+    pub fn push_tx(
+        &mut self,
+        id: TxId,
+        thread: ThreadId,
+        kind: TxKind,
+        seq: u64,
+        log: &[LogEntry],
+    ) {
+        let pos = |n: usize| u32::try_from(n).expect("SCC log buffer overflow");
+        let start = pos(self.entries.len());
+        self.entries.extend_from_slice(log);
+        let log = start..pos(self.entries.len());
+        self.txs.push(TxSnapshot {
+            id,
+            thread,
+            kind,
+            seq,
+            log,
+        });
+    }
+
+    /// Member `tx`'s read/write log.
+    pub fn log(&self, tx: &TxSnapshot) -> &[LogEntry] {
+        &self.entries[tx.log.start as usize..tx.log.end as usize]
+    }
+
     /// Ids of the member transactions.
     pub fn tx_ids(&self) -> impl Iterator<Item = TxId> + '_ {
         self.txs.iter().map(|t| t.id)
@@ -342,19 +410,32 @@ mod tests {
 
     #[test]
     fn scc_report_accessors() {
-        let report = SccReport {
-            txs: vec![TxSnapshot {
-                id: TxId(1),
-                thread: ThreadId(0),
-                kind: TxKind::Unary,
-                seq: 0,
-                log: Arc::default(),
-            }],
-            edges: vec![],
-            constraints: vec![],
-        };
-        assert_eq!(report.len(), 1);
+        let entry = |cell| LogEntry::new(ObjId(1), cell, true, false);
+        let mut report = SccReport::default();
+        report.push_tx(
+            TxId(1),
+            ThreadId(0),
+            TxKind::Unary,
+            0,
+            &[entry(0), entry(1)],
+        );
+        report.push_tx(TxId(2), ThreadId(1), TxKind::Unary, 0, &[]);
+        report.push_tx(TxId(3), ThreadId(1), TxKind::Unary, 1, &[entry(2)]);
+        assert_eq!(report.len(), 3);
         assert!(!report.is_empty());
-        assert_eq!(report.tx_ids().collect::<Vec<_>>(), vec![TxId(1)]);
+        assert_eq!(
+            report.tx_ids().collect::<Vec<_>>(),
+            [TxId(1), TxId(2), TxId(3)]
+        );
+        let logs: Vec<&[LogEntry]> = report.txs.iter().map(|t| report.log(t)).collect();
+        assert_eq!(logs, [&[entry(0), entry(1)][..], &[], &[entry(2)]]);
+        let capacity = report.entries.capacity();
+        report.clear();
+        assert!(report.is_empty() && report.entries.is_empty());
+        assert_eq!(
+            report.entries.capacity(),
+            capacity,
+            "clear keeps the buffers"
+        );
     }
 }

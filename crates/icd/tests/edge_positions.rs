@@ -105,7 +105,7 @@ fn log_append_conflates_arrays_and_monitors_but_not_plain_objects() {
         .find(|t| t.kind.is_regular())
         .expect("the regular transaction finished");
     assert_eq!(
-        *tx.log,
+        report.log(tx),
         [
             LogEntry::new(ARRAY, 0, false, false),
             LogEntry::new(MONITOR, SYNC_CELL, false, true),

@@ -118,10 +118,7 @@ fn collector_keeps_live_graph_bounded() {
         icd.end_regular(T0);
     }
     icd.thread_end(T0);
-    let collected = icd
-        .stats()
-        .collected_txs
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let collected = icd.collected_txs();
     assert!(
         collected as u32 > total / 2,
         "most of {total} transactions should be reclaimed, got {collected}"
@@ -152,6 +149,7 @@ fn snapshot_all_finished_reflects_history() {
     // finished. The unary transactions between the calls were never
     // accessed, so none of them got a node.
     assert_eq!(snapshot.len(), 6);
-    let logged: usize = snapshot.txs.iter().map(|t| t.log.len()).sum();
+    let logged: usize = snapshot.txs.iter().map(|t| snapshot.log(t).len()).sum();
     assert_eq!(logged, 5);
+    assert_eq!(snapshot.entries.len(), 5);
 }

@@ -2,10 +2,10 @@
 //! collector on arbitrary graphs.
 
 use dc_icd::graph::Graph;
-use dc_icd::{Edge, EdgeKind, TxId, TxKind};
-use dc_runtime::ids::ThreadId;
+use dc_icd::{Edge, EdgeKind, LogEntry, TxId, TxKind};
+use dc_runtime::ids::{ObjId, ThreadId};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u64, u64)>)> {
     (2usize..20).prop_flat_map(|n| {
@@ -31,6 +31,13 @@ fn build_partly_finished(n: usize, edges: &[(u64, u64)], finished: impl Fn(u64) 
         g.finish(TxId(i), vec![]).unwrap();
     }
     g
+}
+
+/// A log of `len` entries that names transaction `id` in every entry.
+fn log_of(id: u64, len: u16) -> Vec<LogEntry> {
+    (0..u32::from(len))
+        .map(|cell| LogEntry::new(ObjId(id as u32), cell, cell % 2 == 0, false))
+        .collect()
 }
 
 fn cross(s: u64, d: u64) -> Edge {
@@ -182,7 +189,11 @@ proptest! {
     /// Interleaved insert/edge/finish/collect against a reference model:
     /// slab slot reuse must never resurrect collected nodes, stale edges,
     /// or stale Tarjan scratch state, and the slab never grows past the
-    /// peak live-node count (freed slots are actually reused).
+    /// peak live-node count (freed slots are actually reused). The model
+    /// carries every finished node's log: after each operation each live
+    /// node reads back exactly its own log, and after a collecting pass
+    /// the log arena holds exactly the live logs (compaction moved them
+    /// without mixing them up).
     #[test]
     fn interleaved_lifecycle_reuses_slots_without_stale_state(
         ops in prop::collection::vec((0u8..4, any::<u16>(), any::<u16>()), 1..120)
@@ -191,6 +202,7 @@ proptest! {
         let mut next_id = 1u64;
         let mut live: Vec<u64> = Vec::new();
         let mut finished: HashSet<u64> = HashSet::new();
+        let mut logs: HashMap<u64, Vec<LogEntry>> = HashMap::new();
         let mut edges: Vec<(u64, u64)> = Vec::new();
         let mut peak = 0usize;
         for &(op, a, b) in &ops {
@@ -213,7 +225,10 @@ proptest! {
                 2 if !live.is_empty() => {
                     let id = live[a as usize % live.len()];
                     if finished.insert(id) {
-                        g.finish(TxId(id), vec![]).unwrap();
+                        // 0–4 entries naming the node, so no two logs agree.
+                        let log = log_of(id, b % 5);
+                        g.finish(TxId(id), log.clone()).unwrap();
+                        logs.insert(id, log);
                         g.scc_from(TxId(id)); // exercise scratch reuse mid-stream
                     }
                 }
@@ -235,10 +250,19 @@ proptest! {
                     prop_assert_eq!(collected, live.len() - keep.len());
                     live.retain(|v| keep.contains(v));
                     finished.retain(|v| keep.contains(v));
+                    logs.retain(|v, _| keep.contains(v));
                     edges.retain(|&(s, _)| keep.contains(&s));
                     assert_arena_consistent(&g, &live);
                 }
                 _ => {}
+            }
+            // Only a collecting pass frees logs, and it compacts: the log
+            // arena always holds exactly the live logs.
+            let live_entries: usize = logs.values().map(Vec::len).sum();
+            prop_assert_eq!(g.log_arena_len(), live_entries);
+            for &v in &live {
+                let want = logs.get(&v).map_or(&[][..], Vec::as_slice);
+                prop_assert_eq!(g.log(TxId(v)), Some(want), "log of {}", v);
             }
         }
         // Structural integrity after arbitrary slot churn.

@@ -22,7 +22,7 @@
 //! deadlock.
 
 use crate::cache::{CacheSlot, OwnershipCache};
-use crate::registry::{ThreadRegistry, ThreadSlot, BLOCKED, BLOCKED_HELD, RUNNING};
+use crate::registry::{Tally, ThreadRegistry, ThreadSlot, BLOCKED, BLOCKED_HELD, RUNNING};
 use crate::state::{classify, OctetState, Responders, TransitionKind};
 use crate::word::{decode, encode, encode_intermediate, rd_sh_counter, DecodedState, StateTable};
 use dc_obs::{EventKind, PipelineObs, Stage};
@@ -96,18 +96,18 @@ pub enum BarrierOutcome {
 
 /// Per-run statistics about transitions taken. The uncached same-state
 /// fast path is deliberately not counted: it must perform no shared
-/// writes. Inline-cache hits and flushes *are* counted, but thread-locally
-/// — each thread's tallies fold into the shared totals once, at
-/// [`Protocol::thread_end`].
+/// writes. Transitions and inline-cache hits and flushes are counted
+/// thread-locally — each thread's tallies fold into the shared totals once,
+/// at [`Protocol::thread_end`], so read them after the threads ended.
 #[derive(Debug, Default)]
 pub struct ProtocolStats {
-    /// First-touch claims.
+    /// First-touch claims (folded at thread end).
     pub first_touch: AtomicU64,
-    /// Upgrading transitions (both kinds).
+    /// Upgrading transitions, both kinds (folded at thread end).
     pub upgrades: AtomicU64,
-    /// Fence transitions.
+    /// Fence transitions (folded at thread end).
     pub fences: AtomicU64,
-    /// Conflicting transitions.
+    /// Conflicting transitions (folded at thread end).
     pub conflicts: AtomicU64,
     /// Ownership-inline-cache hits (folded at thread end).
     pub cache_hits: AtomicU64,
@@ -207,14 +207,14 @@ impl<S: TransitionSink> Protocol<S> {
         }
     }
 
-    /// Counts one transition and traces it. `code` identifies the
-    /// transition kind in trace output (0 first touch, 1 upgrade, 2 fence,
-    /// 3 conflicting).
+    /// Counts one transition `t` performed, on `t`'s own tallies, and
+    /// traces it. The kind's number identifies it in trace output (0 first
+    /// touch, 1 upgrade, 2 fence, 3 conflicting).
     #[inline]
-    fn observe_transition(&self, counter: &AtomicU64, code: u64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    fn observe_transition(&self, t: ThreadId, kind: Tally) {
+        self.threads.tally(t, kind);
         if let Some(obs) = &self.obs {
-            obs.trace(Stage::Octet, EventKind::Transition, code);
+            obs.trace(Stage::Octet, EventKind::Transition, kind as u64);
         }
     }
 
@@ -258,10 +258,20 @@ impl<S: TransitionSink> Protocol<S> {
     }
 
     /// Marks `t` as permanently blocked; pending requests are answered
-    /// first, and `t`'s inline-cache tallies fold into the shared stats.
+    /// first, and `t`'s transition and inline-cache tallies fold into the
+    /// shared stats.
     pub fn thread_end(&self, t: ThreadId) {
         self.respond_pending(t);
         self.threads.set_blocked(t);
+        let [first_touch, upgrades, fences, conflicts] = self.threads.take_tallies(t);
+        for (total, tally) in [
+            (&self.stats.first_touch, first_touch),
+            (&self.stats.upgrades, upgrades),
+            (&self.stats.fences, fences),
+            (&self.stats.conflicts, conflicts),
+        ] {
+            total.fetch_add(tally, Ordering::Relaxed);
+        }
         if let Some(cache) = &self.cache {
             cache.slot(t).flush();
             let (hits, flushes) = cache.slot(t).take_counters();
@@ -451,7 +461,7 @@ impl<S: TransitionSink> Protocol<S> {
                 }
                 TransitionKind::FirstTouch { new } => {
                     if self.states.compare_exchange(i, word, encode(new)).is_ok() {
-                        self.observe_transition(&self.stats.first_touch, 0);
+                        self.observe_transition(t, Tally::FirstTouch);
                         if let Some(cache) = &self.cache {
                             cache
                                 .slot(t)
@@ -466,7 +476,7 @@ impl<S: TransitionSink> Protocol<S> {
                         .compare_exchange(i, word, encode(OctetState::WrEx(t)))
                         .is_ok()
                     {
-                        self.observe_transition(&self.stats.upgrades, 1);
+                        self.observe_transition(t, Tally::Upgrade);
                         if let Some(cache) = &self.cache {
                             cache.slot(t).insert(obj, true);
                         }
@@ -493,7 +503,7 @@ impl<S: TransitionSink> Protocol<S> {
                         .is_ok()
                     {
                         self.threads.raise_rd_sh_cnt(t, counter);
-                        self.observe_transition(&self.stats.upgrades, 1);
+                        self.observe_transition(t, Tally::Upgrade);
                         if let Some(cache) = &self.cache {
                             cache.slot(t).insert(obj, false);
                         }
@@ -506,7 +516,7 @@ impl<S: TransitionSink> Protocol<S> {
                 TransitionKind::Fence { counter } => {
                     fence(Ordering::SeqCst);
                     self.threads.raise_rd_sh_cnt(t, counter);
-                    self.observe_transition(&self.stats.fences, 2);
+                    self.observe_transition(t, Tally::Fence);
                     if let Some(cache) = &self.cache {
                         cache.slot(t).insert(obj, false);
                     }
@@ -528,7 +538,7 @@ impl<S: TransitionSink> Protocol<S> {
                         self.threads.raise_rd_sh_cnt(t, c);
                     }
                     self.states.store(i, encode(new));
-                    self.observe_transition(&self.stats.conflicts, 3);
+                    self.observe_transition(t, Tally::Conflict);
                     if let Some(cache) = &self.cache {
                         cache
                             .slot(t)
@@ -1066,7 +1076,9 @@ mod tests {
     #[test]
     fn threaded_stress_many_threads_one_object() {
         // Hammer a single object from several threads; the protocol must
-        // neither deadlock nor corrupt the state word.
+        // neither deadlock nor corrupt the state word, and the per-thread
+        // transition tallies folded at thread end must add up to exactly
+        // the outcomes the threads saw.
         let n = 4;
         let p = std::sync::Arc::new(Protocol::new(1, n, CoordinationMode::Threaded, NullSink));
         let mut handles = Vec::new();
@@ -1075,20 +1087,59 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let t = ThreadId::from_index(i);
                 p.thread_begin(t);
+                // first touch, upgrades, fences, conflicts
+                let mut seen = [0u64; 4];
                 for round in 0..2000u32 {
-                    if (round + i as u32).is_multiple_of(3) {
-                        p.write_barrier(t, O);
+                    let outcome = if (round + i as u32).is_multiple_of(3) {
+                        p.write_barrier(t, O)
                     } else {
-                        p.read_barrier(t, O);
+                        p.read_barrier(t, O)
+                    };
+                    match outcome {
+                        BarrierOutcome::Same => {}
+                        BarrierOutcome::FirstTouch => seen[0] += 1,
+                        BarrierOutcome::UpgradedToWrEx | BarrierOutcome::UpgradedToRdSh { .. } => {
+                            seen[1] += 1
+                        }
+                        BarrierOutcome::Fence { .. } => seen[2] += 1,
+                        BarrierOutcome::Conflicting { .. } => seen[3] += 1,
                     }
                     p.safe_point(t);
                 }
                 p.thread_end(t);
+                seen
             }));
         }
+        let mut seen = [0u64; 4];
         for h in handles {
-            h.join().unwrap();
+            let counts = h.join().unwrap();
+            seen.iter_mut().zip(counts).for_each(|(sum, c)| *sum += c);
         }
         assert!(matches!(p.state_of(O), DecodedState::Stable(_)));
+        let s = p.stats();
+        let folded = [&s.first_touch, &s.upgrades, &s.fences, &s.conflicts]
+            .map(|c| c.load(Ordering::Relaxed));
+        assert_eq!(folded, seen);
+        assert!(seen[3] > 0, "the threads took the object from each other");
+    }
+
+    /// Transitions are tallied by the thread that performs them and reach
+    /// the shared stats only when it ends.
+    #[test]
+    fn transition_tallies_fold_in_at_thread_end() {
+        let p = immediate(2);
+        p.write_barrier(T0, O); // first touch
+        p.read_barrier(T1, O); // conflicting
+        p.write_barrier(T1, O); // upgrade RdEx → WrEx
+        let counts = |p: &Protocol<NullSink>| {
+            let s = p.stats();
+            [&s.first_touch, &s.upgrades, &s.fences, &s.conflicts]
+                .map(|c| c.load(Ordering::Relaxed))
+        };
+        assert_eq!(counts(&p), [0; 4], "nothing folded before thread end");
+        p.thread_end(T1);
+        assert_eq!(counts(&p), [0, 1, 0, 1]);
+        p.thread_end(T0);
+        assert_eq!(counts(&p), [1, 1, 0, 1]);
     }
 }

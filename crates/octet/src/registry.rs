@@ -60,11 +60,27 @@ pub(crate) struct ThreadSlot {
     /// buffer is moved out while in use and handed back cleared, so it is
     /// allocated once (with room for every other thread).
     claimed: Cell<Vec<ThreadId>>,
+    /// The transitions this thread performed, by kind (first touch,
+    /// upgrade, fence, conflicting), since the last [`ThreadRegistry::take_tallies`].
+    tallies: Cell<Tallies>,
 }
 
-// SAFETY: `claimed` is only ever accessed by the slot's owner thread
-// (`claim_requests(t)` / `respond_requests(t, ..)` run on `t`, like every
-// `ThreadId`-taking hook); every other field is an atomic.
+/// Per-thread transition counts, indexed by [`Tally`].
+pub(crate) type Tallies = [u64; 4];
+
+/// The transition kinds a thread tallies.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Tally {
+    FirstTouch,
+    Upgrade,
+    Fence,
+    Conflict,
+}
+
+// SAFETY: `claimed` and `tallies` are only ever accessed by the slot's owner
+// thread (`claim_requests(t)` / `respond_requests(t, ..)`, `tally(t, ..)` and
+// `take_tallies(t)` run on `t`, like every `ThreadId`-taking hook); every
+// other field is an atomic.
 unsafe impl Sync for ThreadSlot {}
 
 impl ThreadSlot {
@@ -77,6 +93,7 @@ impl ThreadSlot {
             requests: (0..n_threads).map(|_| AtomicU32::new(IDLE)).collect(),
             rd_sh_cnt: AtomicU32::new(0),
             claimed: Cell::new(Vec::with_capacity(n_threads)),
+            tallies: Cell::new([0; 4]),
         }
     }
 
@@ -264,12 +281,28 @@ impl ThreadRegistry {
         self.slots[t.index()].rd_sh_cnt.load(Ordering::Acquire)
     }
 
-    /// Raises `t.rdShCnt` to at least `c`.
+    /// Raises `t.rdShCnt` to at least `c`. Only `t` raises its own
+    /// counter, so a counter already at `c` needs no read-modify-write.
     #[inline]
     pub fn raise_rd_sh_cnt(&self, t: ThreadId, c: u32) {
-        self.slots[t.index()]
-            .rd_sh_cnt
-            .fetch_max(c, Ordering::AcqRel);
+        let cnt = &self.slots[t.index()].rd_sh_cnt;
+        if cnt.load(Ordering::Acquire) < c {
+            cnt.fetch_max(c, Ordering::AcqRel);
+        }
+    }
+
+    /// Counts one transition of `kind` that `t` performed. Runs on `t`.
+    #[inline]
+    pub(crate) fn tally(&self, t: ThreadId, kind: Tally) {
+        let tallies = &self.slots[t.index()].tallies;
+        let mut counts = tallies.get();
+        counts[kind as usize] += 1;
+        tallies.set(counts);
+    }
+
+    /// Returns and resets `t`'s transition counts. Runs on `t`.
+    pub(crate) fn take_tallies(&self, t: ThreadId) -> Tallies {
+        self.slots[t.index()].tallies.take()
     }
 }
 

@@ -20,6 +20,6 @@ pub mod rules;
 pub mod violation;
 
 pub use offline::{analyze_trace, OfflineConfig, OfflineReport};
-pub use replay::{replay_scc, ReplayStats};
+pub use replay::{replay_scc, replay_scc_with, ReplayStats};
 pub use rules::{Field, Pdg, PdgEdge};
 pub use violation::{CycleMember, Violation};

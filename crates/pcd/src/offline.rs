@@ -41,10 +41,12 @@ pub struct OfflineReport {
     pub edges: u64,
 }
 
+/// One thread's transaction state; transactions are named by their PDG
+/// member index.
 struct ThreadState {
     tracker: TxTracker,
-    current: Option<TxId>,
-    prev: Option<TxId>,
+    current: Option<u32>,
+    prev: Option<u32>,
 }
 
 /// Analyzes a recorded trace against `spec`.
@@ -58,7 +60,7 @@ pub fn analyze_trace(
 ) -> OfflineReport {
     let mut threads: HashMap<ThreadId, ThreadState> = HashMap::new();
     let mut next_tx = 1u64;
-    let mut pdg = Pdg::new(std::iter::empty());
+    let mut pdg = Pdg::default();
     let mut transactions = 0u64;
     let mut raw_violations: Vec<Violation> = Vec::new();
     let mut new_edges = Vec::new();
@@ -72,17 +74,17 @@ pub fn analyze_trace(
         let id = TxId(*next_tx);
         *next_tx += 1;
         *transactions += 1;
-        pdg.add_tx(id, t, kind);
+        let m = pdg.add_tx(id, t, kind);
         let st = threads.entry(t).or_insert_with(|| ThreadState {
             tracker: TxTracker::new(),
             current: None,
             prev: None,
         });
         if let Some(prev) = st.current.take().or(st.prev) {
-            pdg.add_intra_edge(prev, id);
+            pdg.add_intra_edge(prev, m);
         }
-        st.current = Some(id);
-        id
+        st.current = Some(m);
+        m
     };
 
     for event in events {
@@ -156,9 +158,7 @@ pub fn analyze_trace(
                 // meaningful, but detection could equally run once at the
                 // end.
                 for &edge in &new_edges {
-                    if let Some(cycle) = pdg.cycle_through(edge) {
-                        raw_violations.push(Violation::from_cycle(&pdg, &cycle));
-                    }
+                    raw_violations.extend(pdg.violation_through(edge));
                 }
                 if !in_tx {
                     let st = threads.get_mut(&t).expect("state");

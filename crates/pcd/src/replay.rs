@@ -16,15 +16,23 @@
 //! Most SCCs never get that far. ICD works at object granularity and PCD at
 //! field granularity (§5.4 names this as the imprecision source), so an SCC
 //! often has no field that two of its threads both touch with a write
-//! between them. [`replay_scc`] first makes one pass over the members' logs
-//! looking for such a field (`shares_a_written_field`) and refutes the
+//! between them. [`Replayer::replay`] first makes one pass over the members'
+//! logs looking for such a field (`shares_a_written_field`) and refutes the
 //! SCC without building a PDG when there is none.
+//!
+//! Everything a replay builds — the PDG, both field tables, the per-member
+//! schedule — is indexed by member (the SCC's position of a transaction),
+//! so a replay hashes no transaction id, and it lives in scratch kept per
+//! OS thread, so a warm replay takes no lock and allocates nothing unless
+//! it finds a violation. Per thread rather than per checker: a checker
+//! that sees one or two SCCs — one per imported history, say — would
+//! otherwise build every buffer cold each time.
 
-use crate::rules::{Pdg, PdgEdge};
+use crate::rules::{FieldTable, Pdg, PdgEdge};
 use crate::violation::Violation;
-use dc_icd::{IdHasher, IdMap, SccReport, TxId};
+use dc_icd::{SccReport, TxId};
 use dc_runtime::ids::ThreadId;
-use std::hash::Hasher;
+use std::cell::RefCell;
 
 /// Statistics for one PCD invocation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -46,88 +54,145 @@ impl ReplayStats {
     }
 }
 
-/// One incoming constraint with its source resolved to dense indices at
-/// construction time, so checking it during replay never hashes.
-#[derive(Clone, Copy)]
+/// "None": no member, no chain.
+const NIL: u32 = u32::MAX;
+
+/// One incoming constraint with its endpoints resolved to members and
+/// chains, so checking it during replay never searches.
+#[derive(Clone, Copy, Debug)]
 struct Prepped {
+    /// The sink member.
+    dst: u32,
     dst_pos: u32,
-    /// Index of the source in `scc.txs`, or `u32::MAX` when the source lies
-    /// outside the SCC.
+    /// The source member, or [`NIL`] when the source lies outside the SCC.
     src_member: u32,
-    /// Index of the source thread's chain, or `usize::MAX` when no member
-    /// runs on that thread.
-    src_chain: usize,
+    /// The source thread's chain, or [`NIL`] when no member runs on that
+    /// thread.
+    src_chain: u32,
     src_seq: u64,
     src_pos: u32,
+    /// Position in the report's constraint list: the tie-break that keeps
+    /// one sink's constraints with equal `dst_pos` in recorded order.
+    rank: u32,
 }
 
-struct Replayer<'a> {
-    scc: &'a SccReport,
-    /// Members grouped per thread (indices into `scc.txs`), each chain in
-    /// seq order; chains themselves ordered by thread id. The scan order
-    /// drives the replay interleaving and hence which of several equivalent
-    /// PDG cycles is reported, so it must depend only on the SCC report.
-    chains: Vec<Vec<usize>>,
-    /// First not-yet-done position in each chain.
-    chain_pos: Vec<usize>,
-    /// Entries replayed per member, indexed like `scc.txs`.
-    processed: Vec<u32>,
-    done: Vec<bool>,
-    /// Incoming constraints per member, sorted by `dst_pos`, with a cursor
-    /// past the permanently-satisfied prefix.
-    cons: Vec<Vec<Prepped>>,
-    cons_cursor: Vec<usize>,
+/// One thread's members: a range of [`Schedule::order`], in seq order, and
+/// the first one not yet done.
+#[derive(Clone, Copy, Debug)]
+struct Chain {
+    thread: ThreadId,
+    start: u32,
+    end: u32,
+    pos: u32,
 }
 
-impl<'a> Replayer<'a> {
-    fn new(scc: &'a SccReport) -> Self {
-        let mut threads: Vec<ThreadId> = scc.txs.iter().map(|t| t.thread).collect();
-        threads.sort_unstable();
-        threads.dedup();
-        let mut chains: Vec<Vec<usize>> = vec![Vec::new(); threads.len()];
-        for (i, tx) in scc.txs.iter().enumerate() {
-            let c = threads.binary_search(&tx.thread).expect("member thread");
-            chains[c].push(i);
+/// One member's replay progress and its constraints, a range of
+/// [`Schedule::cons`] sorted by `dst_pos` with a cursor past the
+/// permanently satisfied prefix.
+#[derive(Clone, Copy, Debug, Default)]
+struct Progress {
+    processed: u32,
+    done: bool,
+    cons_start: u32,
+    cons_cursor: u32,
+    cons_end: u32,
+}
+
+/// The order a replay may take: chains, per-member progress and
+/// constraints.
+#[derive(Debug, Default)]
+struct Schedule {
+    /// Members grouped per thread, chains ordered by thread id and each in
+    /// seq order. The scan order drives the replay interleaving and hence
+    /// which of several equivalent PDG cycles is reported, so it depends
+    /// only on the SCC report.
+    order: Vec<u32>,
+    chains: Vec<Chain>,
+    /// Indexed by member.
+    progress: Vec<Progress>,
+    /// Every member's incoming constraints, grouped by sink.
+    cons: Vec<Prepped>,
+    /// `(id, member)` sorted by id, to resolve constraint endpoints.
+    by_id: Vec<(TxId, u32)>,
+}
+
+impl Schedule {
+    /// Rebuilds the schedule for `scc`, keeping every buffer.
+    fn prepare(&mut self, scc: &SccReport) {
+        let n = u32::try_from(scc.txs.len()).expect("too many SCC members");
+        self.order.clear();
+        self.order.extend(0..n);
+        self.order.sort_unstable_by_key(|&m| {
+            let tx = &scc.txs[m as usize];
+            (tx.thread, tx.seq, m)
+        });
+        self.chains.clear();
+        for (k, &m) in self.order.iter().enumerate() {
+            let thread = scc.txs[m as usize].thread;
+            match self.chains.last_mut() {
+                Some(chain) if chain.thread == thread => chain.end += 1,
+                _ => self.chains.push(Chain {
+                    thread,
+                    start: k as u32,
+                    end: k as u32 + 1,
+                    pos: k as u32,
+                }),
+            }
         }
-        for chain in &mut chains {
-            chain.sort_by_key(|&i| scc.txs[i].seq);
-        }
-        // One id → dense-index map, built once and consulted only while
-        // prepping constraints.
-        let member_of: IdMap<TxId, u32> = scc
-            .txs
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.id, i as u32))
-            .collect();
-        let mut cons: Vec<Vec<Prepped>> = vec![Vec::new(); scc.txs.len()];
-        for c in &scc.constraints {
-            let Some(&dst) = member_of.get(&c.dst) else {
+        self.by_id.clear();
+        self.by_id
+            .extend(scc.txs.iter().enumerate().map(|(m, t)| (t.id, m as u32)));
+        self.by_id.sort_unstable();
+        let Schedule {
+            chains,
+            cons,
+            by_id,
+            progress,
+            ..
+        } = self;
+        let member = |id: TxId| {
+            by_id
+                .binary_search_by_key(&id, |&(id, _)| id)
+                .map(|i| by_id[i].1)
+        };
+        cons.clear();
+        for (rank, c) in scc.constraints.iter().enumerate() {
+            let Ok(dst) = member(c.dst) else {
                 continue; // sinks are always members; ignore anything else
             };
-            cons[dst as usize].push(Prepped {
+            cons.push(Prepped {
+                dst,
                 dst_pos: c.dst_pos,
-                src_member: member_of.get(&c.src).copied().unwrap_or(u32::MAX),
-                src_chain: match threads.binary_search(&c.src_thread) {
-                    Ok(i) => i,
-                    Err(_) => usize::MAX,
-                },
+                src_member: member(c.src).unwrap_or(NIL),
+                src_chain: chains
+                    .binary_search_by_key(&c.src_thread, |chain| chain.thread)
+                    .map_or(NIL, |i| i as u32),
                 src_seq: c.src_seq,
                 src_pos: c.src_pos,
+                rank: rank as u32,
             });
         }
-        for list in &mut cons {
-            list.sort_by_key(|c| c.dst_pos);
+        cons.sort_unstable_by_key(|c| (c.dst, c.dst_pos, c.rank));
+        progress.clear();
+        progress.resize(n as usize, Progress::default());
+        for (k, c) in cons.iter().enumerate() {
+            let p = &mut progress[c.dst as usize];
+            if p.cons_start == p.cons_end {
+                (p.cons_start, p.cons_cursor) = (k as u32, k as u32);
+            }
+            p.cons_end = k as u32 + 1;
         }
-        Replayer {
-            chain_pos: vec![0; chains.len()],
-            chains,
-            processed: vec![0; scc.txs.len()],
-            done: vec![false; scc.txs.len()],
-            cons_cursor: vec![0; scc.txs.len()],
-            cons,
-            scc,
+    }
+
+    /// The member at `chain`'s cursor, after moving the cursor past done
+    /// members; `None` once the chain is done.
+    fn head(&mut self, chain: usize) -> Option<u32> {
+        let Chain { end, mut pos, .. } = self.chains[chain];
+        while pos < end && self.progress[self.order[pos as usize] as usize].done {
+            pos += 1;
         }
+        self.chains[chain].pos = pos;
+        (pos < end).then(|| self.order[pos as usize])
     }
 
     /// True once every member of the source thread's chain with seq <
@@ -135,46 +200,48 @@ impl<'a> Replayer<'a> {
     /// transitively orders before the sink. O(1): chains complete strictly
     /// in order, so the chain cursor's transaction has the minimal undone
     /// seq.
-    fn predecessors_done(&self, src_chain: usize, src_seq: u64) -> bool {
-        let Some(chain) = self.chains.get(src_chain) else {
+    fn predecessors_done(&self, scc: &SccReport, src_chain: u32, src_seq: u64) -> bool {
+        let Some(chain) = self.chains.get(src_chain as usize) else {
             return true; // no members on that thread
         };
-        match chain.get(self.chain_pos[src_chain]) {
-            None => true, // chain fully done
-            Some(&i) => self.scc.txs[i].seq >= src_seq,
-        }
+        chain.pos == chain.end || scc.txs[self.order[chain.pos as usize] as usize].seq >= src_seq
     }
 
-    fn constraint_satisfied(&self, c: Prepped) -> bool {
-        if !self.predecessors_done(c.src_chain, c.src_seq) {
+    fn constraint_satisfied(&self, scc: &SccReport, c: Prepped) -> bool {
+        if !self.predecessors_done(scc, c.src_chain, c.src_seq) {
             return false;
         }
-        if c.src_member == u32::MAX {
+        if c.src_member == NIL {
             // Source outside the SCC: only its predecessors matter.
             return true;
         }
         // Source is a member: it must have replayed src_pos entries.
-        let m = c.src_member as usize;
-        self.done[m] || self.processed[m] >= c.src_pos
+        let src = self.progress[c.src_member as usize];
+        src.done || src.processed >= c.src_pos
     }
 
     /// True if member `m` may replay its entry at index `i`.
-    fn may_replay(&mut self, m: usize, i: u32) -> bool {
-        let mut cur = self.cons_cursor[m];
+    fn may_replay(&mut self, scc: &SccReport, m: u32, i: u32) -> bool {
+        let Progress {
+            mut cons_cursor,
+            cons_end,
+            ..
+        } = self.progress[m as usize];
         let ok = loop {
-            let Some(&c) = self.cons[m].get(cur) else {
+            if cons_cursor >= cons_end {
                 break true;
-            };
+            }
+            let c = self.cons[cons_cursor as usize];
             if c.dst_pos > i {
                 break true;
             }
-            if self.constraint_satisfied(c) {
-                cur += 1; // monotonic: stays satisfied
+            if self.constraint_satisfied(scc, c) {
+                cons_cursor += 1; // monotonic: stays satisfied
             } else {
                 break false;
             }
         };
-        self.cons_cursor[m] = cur;
+        self.progress[m as usize].cons_cursor = cons_cursor;
         ok
     }
 }
@@ -187,33 +254,22 @@ impl<'a> Replayer<'a> {
 /// program-order chains, which are acyclic — so an SCC without one has no
 /// PDG cycle, whatever order its logs replay in.
 ///
-/// One probe of a small open-addressing table per entry, and it stops at
-/// the first shared written field.
-fn shares_a_written_field(scc: &SccReport) -> bool {
-    /// Key of an unused slot; no field has it (object ids are 31 bits).
-    const FREE: u64 = u64::MAX;
-    const WROTE: u32 = 1 << 16;
-    const SHARED: u32 = 1 << 17;
-    let entries: usize = scc.txs.iter().map(|t| t.log.len()).sum();
-    // At most half full, so probe runs stay short.
-    let mask = (entries * 2).next_power_of_two() - 1;
-    // Per slot: the field, and the first thread seen (low 16 bits) with the
-    // two flags.
-    let mut table = vec![(FREE, 0u32); mask + 1];
+/// One probe of a small open-addressing table per entry (per field: the
+/// first thread seen in the low 16 bits, and flags), and it stops at the
+/// first shared written field.
+fn shares_a_written_field(table: &mut FieldTable<u32>, scc: &SccReport) -> bool {
+    /// A field not seen yet ([`FieldTable::entry`]'s default).
+    const UNSEEN: u32 = 0;
+    const SEEN: u32 = 1 << 16;
+    const WROTE: u32 = 1 << 17;
+    const SHARED: u32 = 1 << 18;
+    table.reset(scc.entries.len());
     for tx in &scc.txs {
         let thread = u32::from(tx.thread.0);
-        for entry in tx.log.iter() {
-            let key = (u64::from(entry.obj().0) << 32) | u64::from(entry.cell());
-            let mut hasher = IdHasher::default();
-            hasher.write_u64(key);
-            let mut i = hasher.finish() as usize & mask;
-            while table[i].0 != key && table[i].0 != FREE {
-                i = (i + 1) & mask;
-            }
-            let (slot_key, state) = &mut table[i];
-            if *slot_key == FREE {
-                *slot_key = key;
-                *state = thread;
+        for entry in scc.log(tx) {
+            let state = table.entry((entry.obj(), entry.cell()));
+            if *state == UNSEEN {
+                *state = SEEN | thread;
             } else if *state & 0xffff != thread {
                 *state |= SHARED;
             }
@@ -228,164 +284,204 @@ fn shares_a_written_field(scc: &SccReport) -> bool {
     false
 }
 
-/// Replays one SCC and returns the precise violations found, with stats.
-/// An SCC whose members share no written field is refuted by the summary
-/// pass alone: no violation, no entry replayed.
+thread_local! {
+    /// This thread's replay scratch.
+    static SCRATCH: RefCell<Replayer> = RefCell::default();
+}
+
+/// Replays one SCC on this thread's scratch and returns the precise
+/// violations found, with stats. An SCC whose members share no written
+/// field is refuted by the summary pass alone: no violation, no entry
+/// replayed.
 pub fn replay_scc(scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
-    if shares_a_written_field(scc) {
-        replay_unfiltered(scc)
-    } else {
-        let stats = ReplayStats {
+    let mut violations = Vec::new();
+    let stats = replay_scc_with(scc, |v| violations.push(v));
+    (violations, stats)
+}
+
+/// [`replay_scc`], handing each violation to `found` as the replay finds
+/// it (`found` must not replay). Once the scratch has grown to the SCC's
+/// size, this makes no allocator call but the ones a found violation makes
+/// for its own cycle and blame.
+pub fn replay_scc_with(scc: &SccReport, mut found: impl FnMut(Violation)) -> ReplayStats {
+    SCRATCH.with(|scratch| scratch.borrow_mut().replay(scc, &mut found))
+}
+
+/// PCD's scratch: the PDG, the field tables and the replay schedule, reused
+/// from one SCC to the next.
+#[derive(Debug, Default)]
+struct Replayer {
+    pdg: Pdg,
+    summary: FieldTable<u32>,
+    schedule: Schedule,
+    /// The edges one replayed entry adds.
+    new_edges: Vec<PdgEdge>,
+}
+
+impl Replayer {
+    /// [`replay_scc_with`] on this scratch.
+    fn replay(&mut self, scc: &SccReport, found: &mut impl FnMut(Violation)) -> ReplayStats {
+        if shares_a_written_field(&mut self.summary, scc) {
+            self.replay_unfiltered(scc, found)
+        } else {
+            ReplayStats {
+                txs: scc.txs.len() as u64,
+                ..ReplayStats::default()
+            }
+        }
+    }
+
+    /// The edge-constrained replay itself, run on whatever SCC it is given.
+    fn replay_unfiltered(
+        &mut self,
+        scc: &SccReport,
+        found: &mut impl FnMut(Violation),
+    ) -> ReplayStats {
+        let mut stats = ReplayStats {
             txs: scc.txs.len() as u64,
             ..ReplayStats::default()
         };
-        (Vec::new(), stats)
-    }
-}
-
-/// The edge-constrained replay itself, run on whatever SCC it is given.
-fn replay_unfiltered(scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
-    let mut stats = ReplayStats {
-        txs: scc.txs.len() as u64,
-        ..ReplayStats::default()
-    };
-    let mut pdg = Pdg::new(scc.txs.iter().map(|t| (t.id, t.thread, t.kind)));
-    let mut r = Replayer::new(scc);
-    // Program-order edges between consecutive same-thread members: cycles
-    // may pass through them (Velodrome's intra-thread edges, §2). Chains
-    // are in sorted-thread order by construction, so the scan order — and
-    // hence which of several equivalent cycles `cycle_through` reports —
-    // depends only on the SCC report, never on map iteration order.
-    for chain in &r.chains {
-        for pair in chain.windows(2) {
-            pdg.add_intra_edge(scc.txs[pair[0]].id, scc.txs[pair[1]].id);
+        let Replayer {
+            pdg,
+            schedule: s,
+            new_edges,
+            ..
+        } = self;
+        // Members are the report's positions: PDG member `m` is `scc.txs[m]`.
+        pdg.clear(scc.entries.len());
+        for tx in &scc.txs {
+            pdg.add_tx(tx.id, tx.thread, tx.kind);
         }
-    }
-    let mut violations = Vec::new();
-    // The edges one replayed entry adds, reused across entries.
-    let mut new_edges: Vec<PdgEdge> = Vec::new();
-
-    loop {
-        let mut advanced = false;
-        let mut all_done = true;
-        // Refresh every chain cursor first so constraint checks against
-        // other threads' chains see current progress.
-        for c in 0..r.chains.len() {
-            let mut pos = r.chain_pos[c];
-            while pos < r.chains[c].len() && r.done[r.chains[c][pos]] {
-                pos += 1;
+        s.prepare(scc);
+        // Program-order edges between consecutive same-thread members: cycles
+        // may pass through them (Velodrome's intra-thread edges, §2). Chains
+        // are in sorted-thread order by construction, so the scan order — and
+        // hence which of several equivalent cycles `cycle_through` reports —
+        // depends only on the SCC report, never on map iteration order.
+        for chain in &s.chains {
+            let members = &s.order[chain.start as usize..chain.end as usize];
+            for pair in members.windows(2) {
+                pdg.add_intra_edge(pair[0], pair[1]);
             }
-            r.chain_pos[c] = pos;
         }
-        for c in 0..r.chains.len() {
-            // Drain this thread's chain as far as constraints allow; runs
-            // of unconstrained entries replay without another sweep.
-            loop {
-                let chain_len = r.chains[c].len();
-                let mut pos = r.chain_pos[c];
-                while pos < chain_len && r.done[r.chains[c][pos]] {
-                    pos += 1;
-                }
-                r.chain_pos[c] = pos;
-                if pos == chain_len {
-                    break;
-                }
-                all_done = false;
-                let m = r.chains[c][pos];
-                let tx = &scc.txs[m];
-                let i = r.processed[m];
-                if i as usize == tx.log.len() {
-                    r.done[m] = true;
-                    advanced = true;
-                    continue;
-                }
-                if !r.may_replay(m, i) {
-                    break;
-                }
-                // Replay entry i.
-                let entry = tx.log[i as usize];
-                let field = (entry.obj(), entry.cell());
-                new_edges.clear();
-                if entry.is_write() {
-                    pdg.write(field, tx.id, &mut new_edges);
-                } else {
-                    new_edges.extend(pdg.read(field, tx.id));
-                }
-                for &edge in &new_edges {
-                    if let Some(cycle) = pdg.cycle_through(edge) {
-                        stats.cycles += 1;
-                        violations.push(Violation::from_cycle(&pdg, &cycle));
+        loop {
+            let mut advanced = false;
+            let mut all_done = true;
+            // Refresh every chain cursor first so constraint checks against
+            // other threads' chains see current progress.
+            for c in 0..s.chains.len() {
+                s.head(c);
+            }
+            for c in 0..s.chains.len() {
+                // Drain this thread's chain as far as constraints allow; runs
+                // of unconstrained entries replay without another sweep.
+                while let Some(m) = s.head(c) {
+                    all_done = false;
+                    let tx = &scc.txs[m as usize];
+                    let log = scc.log(tx);
+                    let i = s.progress[m as usize].processed;
+                    if i as usize == log.len() {
+                        s.progress[m as usize].done = true;
+                        advanced = true;
+                        continue;
                     }
-                }
-                r.processed[m] = i + 1;
-                stats.entries += 1;
-                advanced = true;
-            }
-        }
-        if all_done {
-            break;
-        }
-        if !advanced {
-            // The recorded constraints come from a real execution; a stall
-            // can only happen when constraint sources *outside* the SCC
-            // (whose in-list cross edges `snapshot_component` copies
-            // verbatim) gate each other's member predecessors in a
-            // circular wait. Break the tie deterministically: pick the
-            // stuck member with the smallest id and retire its blocking
-            // constraint. Unlike skipping the entry itself, this keeps
-            // every log entry flowing into the PDG, so forced progress
-            // never silently drops a dependence.
-            let stuck = (0..r.chains.len())
-                .filter_map(|c| {
-                    let chain = &r.chains[c];
-                    let pos = r.chain_pos[c];
-                    (pos < chain.len()).then(|| (scc.txs[chain[pos]].id, chain[pos]))
-                })
-                .min();
-            match stuck {
-                Some((_, m)) => {
-                    if r.cons[m].is_empty() {
-                        // Defensive: without constraints the member could
-                        // not have stalled; retire it outright rather than
-                        // loop.
-                        r.done[m] = true;
+                    if !s.may_replay(scc, m, i) {
+                        break;
+                    }
+                    // Replay entry i.
+                    let entry = log[i as usize];
+                    let field = (entry.obj(), entry.cell());
+                    new_edges.clear();
+                    if entry.is_write() {
+                        pdg.write(field, m, new_edges);
                     } else {
-                        // A stuck chain head always stopped on an
-                        // unsatisfied constraint at its cursor; step past
-                        // it.
-                        r.cons_cursor[m] += 1;
+                        new_edges.extend(pdg.read(field, m));
                     }
+                    for &edge in new_edges.iter() {
+                        if let Some(violation) = pdg.violation_through(edge) {
+                            stats.cycles += 1;
+                            found(violation);
+                        }
+                    }
+                    s.progress[m as usize].processed = i + 1;
+                    stats.entries += 1;
+                    advanced = true;
                 }
-                None => break,
+            }
+            if all_done {
+                break;
+            }
+            if !advanced {
+                // The recorded constraints come from a real execution; a stall
+                // can only happen when constraint sources *outside* the SCC
+                // (whose in-list cross edges `snapshot_component` copies
+                // verbatim) gate each other's member predecessors in a
+                // circular wait. Break the tie deterministically: pick the
+                // stuck member with the smallest id and retire its blocking
+                // constraint. Unlike skipping the entry itself, this keeps
+                // every log entry flowing into the PDG, so forced progress
+                // never silently drops a dependence.
+                let stuck = s
+                    .chains
+                    .iter()
+                    .filter(|chain| chain.pos < chain.end)
+                    .map(|chain| {
+                        let m = s.order[chain.pos as usize];
+                        (scc.txs[m as usize].id, m)
+                    })
+                    .min();
+                let Some((_, m)) = stuck else { break };
+                let p = &mut s.progress[m as usize];
+                if p.cons_start == p.cons_end {
+                    // Defensive: without constraints the member could not
+                    // have stalled; retire it outright rather than loop.
+                    p.done = true;
+                } else {
+                    // A stuck chain head always stopped on an unsatisfied
+                    // constraint at its cursor; step past it.
+                    p.cons_cursor += 1;
+                }
             }
         }
+        stats
     }
-    (violations, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dc_icd::{Edge, EdgeKind, LogEntry, ReplayConstraint, TxKind, TxSnapshot};
+    use dc_icd::{Edge, EdgeKind, LogEntry, ReplayConstraint, TxKind};
     use dc_runtime::ids::{MethodId, ObjId, SYNC_CELL};
     use std::collections::HashMap;
 
-    fn tx(id: u64, thread: u16, seq: u64, log: Vec<LogEntry>) -> TxSnapshot {
-        TxSnapshot {
+    /// One member of a hand-built report.
+    struct Tx {
+        id: TxId,
+        thread: ThreadId,
+        seq: u64,
+        log: Vec<LogEntry>,
+    }
+
+    fn tx(id: u64, thread: u16, seq: u64, log: Vec<LogEntry>) -> Tx {
+        Tx {
             id: TxId(id),
             thread: ThreadId(thread),
-            kind: TxKind::Regular(MethodId(id as u32)),
             seq,
-            log: log.into(),
+            log,
         }
     }
 
     /// Builds a report, deriving constraints from the edges the way the IDG
     /// does (sources' thread/seq must be supplied for external sources).
-    fn report(txs: Vec<TxSnapshot>, edges: Vec<Edge>) -> SccReport {
+    fn report(txs: Vec<Tx>, edges: Vec<Edge>) -> SccReport {
         let seqs: HashMap<TxId, (ThreadId, u64)> =
             txs.iter().map(|t| (t.id, (t.thread, t.seq))).collect();
-        let constraints = edges
+        let mut scc = SccReport::default();
+        for t in &txs {
+            let kind = TxKind::Regular(MethodId(t.id.0 as u32));
+            scc.push_tx(t.id, t.thread, kind, t.seq, &t.log);
+        }
+        scc.constraints = edges
             .iter()
             .filter(|e| e.kind == EdgeKind::Cross)
             .map(|e| {
@@ -400,11 +496,8 @@ mod tests {
                 }
             })
             .collect();
-        SccReport {
-            txs,
-            edges,
-            constraints,
-        }
+        scc.edges = edges;
+        scc
     }
 
     fn cross(src: u64, src_pos: u32, dst: u64, dst_pos: u32) -> Edge {
@@ -625,10 +718,14 @@ mod tests {
 
     /// The summary's verdict, checked against the replay it stands in for:
     /// a refuted SCC must be one the unfiltered replay finds nothing in,
-    /// and `replay_scc` must return what the unfiltered replay returns.
+    /// and `replay_scc` — on this test thread's scratch, which every
+    /// earlier case left behind — must return what the unfiltered replay
+    /// on fresh scratch returns.
     fn summary_says_replay(scc: &SccReport) -> bool {
-        let needs_replay = shares_a_written_field(scc);
-        let (unfiltered, unfiltered_stats) = replay_unfiltered(scc);
+        let needs_replay = shares_a_written_field(&mut FieldTable::default(), scc);
+        let mut unfiltered = Vec::new();
+        let unfiltered_stats =
+            Replayer::default().replay_unfiltered(scc, &mut |v| unfiltered.push(v));
         let (violations, stats) = replay_scc(scc);
         assert_eq!(violations, unfiltered);
         assert_eq!(stats.cycles, unfiltered_stats.cycles);
@@ -719,7 +816,7 @@ mod tests {
 
         fn build((members, edges): Shape) -> SccReport {
             let mut seqs = [0u64; 3];
-            let txs: Vec<TxSnapshot> = members
+            let txs: Vec<Tx> = members
                 .into_iter()
                 .enumerate()
                 .map(|(i, (thread, log))| {

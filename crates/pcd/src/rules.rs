@@ -4,139 +4,298 @@
 //! thread's last transaction to read it since that write (`R(T,f)`). Each
 //! replayed access adds precise cross-thread PDG edges and updates the
 //! tables; a PDG cycle is a precise conflict-serializability violation.
+//!
+//! Transactions are *members* numbered densely in the order they are added
+//! ([`Pdg::add_tx`]), and every table is indexed by member or keyed by field
+//! in an open-addressing [`FieldTable`]: nothing hashes a transaction id, and
+//! [`Pdg::clear`] keeps every buffer, so a PDG rebuilt for the next SCC
+//! allocates nothing once warm.
 
-use dc_icd::{IdHasher, IdMap, TxId, TxKind};
+use crate::violation::{CycleMember, Violation};
+use dc_icd::{IdHasher, TxId, TxKind};
 use dc_runtime::ids::{CellId, ObjId, ThreadId};
-use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasherDefault;
+use std::hash::Hasher;
 
 /// A field identity: object plus cell (arrays are conflated by the caller).
 pub type Field = (ObjId, CellId);
 
-/// One precise dependence edge with its creation order (for blame
-/// assignment).
+/// "None": no member, no list entry.
+const NIL: u32 = u32::MAX;
+
+/// One precise dependence edge between two members, with its creation order
+/// (for blame assignment).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PdgEdge {
-    /// Source transaction.
-    pub src: TxId,
-    /// Sink transaction.
-    pub dst: TxId,
+    /// Source member.
+    pub src: u32,
+    /// Sink member.
+    pub dst: u32,
     /// Creation sequence number within this PCD invocation.
     pub order: u32,
 }
 
-/// The PDG under construction plus the last-access tables. The tables are
-/// keyed by fields and transaction ids the checker numbered itself, so they
-/// hash with the IDG's [`IdHasher`].
+/// An open-addressing map from fields to `V`: linear probing on
+/// [`IdHasher`], at most half full. [`FieldTable::reset`] empties it and
+/// keeps its buffer.
+#[derive(Debug, Default)]
+pub(crate) struct FieldTable<V> {
+    slots: Vec<(u64, V)>,
+    len: usize,
+}
+
+impl<V: Copy + Default> FieldTable<V> {
+    /// Key of an unused slot; no field has it (object ids are 31 bits).
+    const FREE: u64 = u64::MAX;
+
+    /// Empties the table, sized for `fields` fields without growing.
+    pub(crate) fn reset(&mut self, fields: usize) {
+        let size = (fields * 2).next_power_of_two().max(8);
+        self.slots.clear();
+        self.slots.resize(size, (Self::FREE, V::default()));
+        self.len = 0;
+    }
+
+    /// `f`'s value, inserted as `V::default()` when absent.
+    pub(crate) fn entry(&mut self, f: Field) -> &mut V {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let key = (u64::from(f.0 .0) << 32) | u64::from(f.1);
+        let mut hasher = IdHasher::default();
+        hasher.write_u64(key);
+        let mask = self.slots.len() - 1;
+        let mut i = hasher.finish() as usize & mask;
+        while self.slots[i].0 != key && self.slots[i].0 != Self::FREE {
+            i = (i + 1) & mask;
+        }
+        let slot = &mut self.slots[i];
+        if slot.0 == Self::FREE {
+            slot.0 = key;
+            self.len += 1;
+        }
+        &mut slot.1
+    }
+
+    /// Doubles the table, reinserting every field.
+    #[cold]
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.slots);
+        self.reset(old.len().max(4));
+        for (key, value) in old.into_iter().filter(|s| s.0 != Self::FREE) {
+            let field = (ObjId((key >> 32) as u32), key as u32);
+            *self.entry(field) = value;
+        }
+    }
+}
+
+/// One member of the PDG.
+#[derive(Clone, Copy, Debug)]
+struct Member {
+    id: TxId,
+    thread: ThreadId,
+    kind: TxKind,
+    /// First and last entry of its successor list in [`Pdg::succ`].
+    succ_head: u32,
+    succ_tail: u32,
+    /// Stamped with the epoch of the last [`Pdg::cycle_through`] walk that
+    /// reached it (and `parent`: from where), or of the last blame that
+    /// found it in the cycle (and `pos`: where).
+    seen: u32,
+    parent: u32,
+    pos: u32,
+}
+
+/// One PDG successor: a member and the next entry of the same list.
+#[derive(Clone, Copy, Debug)]
+struct Succ {
+    dst: u32,
+    next: u32,
+}
+
+/// Per field: `W(f)` and the list of `R(·, f)` in [`Pdg::readers`].
+#[derive(Clone, Copy, Debug)]
+struct Access {
+    writer: u32,
+    first_reader: u32,
+    last_reader: u32,
+}
+
+impl Default for Access {
+    fn default() -> Self {
+        Access {
+            writer: NIL,
+            first_reader: NIL,
+            last_reader: NIL,
+        }
+    }
+}
+
+/// One `R(T, f)` entry: thread `T`'s last reading member, and the next
+/// entry of the field's list (threads in the order they first read).
+#[derive(Clone, Copy, Debug)]
+struct Reader {
+    thread: ThreadId,
+    member: u32,
+    next: u32,
+}
+
+/// The PDG under construction plus the last-access tables.
 #[derive(Debug, Default)]
 pub struct Pdg {
-    /// `W(f)`: last transaction to write each field.
-    last_write: IdMap<Field, TxId>,
-    /// `R(T,f)`: per field, each thread's last read transaction since the
-    /// last write.
-    last_reads: IdMap<Field, Vec<(ThreadId, TxId)>>,
-    /// Adjacency (deduplicated).
-    out: IdMap<TxId, Vec<TxId>>,
-    /// All edges in creation order.
+    members: Vec<Member>,
+    /// Every member's successor list (deduplicated, in insertion order).
+    succ: Vec<Succ>,
+    /// Cross-thread edges in creation order.
     edges: Vec<PdgEdge>,
-    /// Executing thread of each transaction.
-    thread_of: IdMap<TxId, ThreadId>,
-    /// Kind of each transaction (for reporting).
-    kind_of: IdMap<TxId, TxKind>,
+    fields: FieldTable<Access>,
+    readers: Vec<Reader>,
+    /// [`Pdg::cycle_through`]'s DFS stack and the cycle it found.
+    stack: Vec<u32>,
+    cycle: Vec<u32>,
+    /// Per cycle position: the order of its first outgoing and first
+    /// incoming cycle edge ([`NIL`] for none), for blame.
+    first: Vec<(u32, u32)>,
+    /// Stamp of the current walk or blame over `members`.
+    epoch: u32,
 }
 
 impl Pdg {
-    /// Creates an empty PDG over the given transactions.
+    /// Creates a PDG over the given transactions, members `0..` in order.
     pub fn new(txs: impl IntoIterator<Item = (TxId, ThreadId, TxKind)>) -> Self {
         let mut pdg = Pdg::default();
         for (id, thread, kind) in txs {
-            pdg.thread_of.insert(id, thread);
-            pdg.kind_of.insert(id, kind);
+            pdg.add_tx(id, thread, kind);
         }
         pdg
     }
 
-    /// Registers a transaction after construction (used by the offline
-    /// analysis, which discovers transactions as it walks the trace).
-    pub fn add_tx(&mut self, id: TxId, thread: ThreadId, kind: TxKind) {
-        self.thread_of.insert(id, thread);
-        self.kind_of.insert(id, kind);
+    /// Empties the PDG and its tables, keeping every buffer; the field
+    /// table is sized for `fields` fields without growing.
+    pub fn clear(&mut self, fields: usize) {
+        self.members.clear();
+        self.succ.clear();
+        self.edges.clear();
+        self.readers.clear();
+        self.fields.reset(fields);
     }
 
-    /// The executing thread of `tx`.
-    pub fn thread(&self, tx: TxId) -> ThreadId {
-        self.thread_of[&tx]
+    /// Adds a transaction and returns its member index.
+    pub fn add_tx(&mut self, id: TxId, thread: ThreadId, kind: TxKind) -> u32 {
+        let m = u32::try_from(self.members.len()).expect("too many PDG members");
+        assert!(m != NIL, "too many PDG members");
+        self.members.push(Member {
+            id,
+            thread,
+            kind,
+            succ_head: NIL,
+            succ_tail: NIL,
+            seen: 0,
+            parent: NIL,
+            pos: NIL,
+        });
+        m
     }
 
-    /// The kind of `tx`.
-    pub fn kind(&self, tx: TxId) -> TxKind {
-        self.kind_of[&tx]
+    /// Member `m`'s transaction.
+    pub fn id(&self, m: u32) -> TxId {
+        self.members[m as usize].id
     }
 
-    /// All PDG edges in creation order.
+    /// Member `m`'s executing thread.
+    pub fn thread(&self, m: u32) -> ThreadId {
+        self.members[m as usize].thread
+    }
+
+    /// Member `m`'s kind.
+    pub fn kind(&self, m: u32) -> TxKind {
+        self.members[m as usize].kind
+    }
+
+    /// All cross-thread PDG edges in creation order.
     pub fn edges(&self) -> &[PdgEdge] {
         &self.edges
     }
 
-    /// Replays a read of `f` by `tx` (Figure 5, `READ`). Returns the new
-    /// cross-thread edge, if one was added.
-    pub fn read(&mut self, f: Field, tx: TxId) -> Option<PdgEdge> {
-        let t = self.thread(tx);
-        let mut added = None;
-        if let Some(&w) = self.last_write.get(&f) {
-            if self.thread(w) != t {
-                added = self.add_edge(w, tx);
+    /// Replays a read of `f` by member `m` (Figure 5, `READ`). Returns the
+    /// new cross-thread edge, if one was added.
+    pub fn read(&mut self, f: Field, m: u32) -> Option<PdgEdge> {
+        let t = self.thread(m);
+        let access = self.fields.entry(f);
+        let writer = access.writer;
+        // R(t, f) := m
+        let mut r = access.first_reader;
+        while r != NIL {
+            let reader = &mut self.readers[r as usize];
+            if reader.thread == t {
+                reader.member = m;
+                break;
             }
+            r = reader.next;
         }
-        let readers = self.last_reads.entry(f).or_default();
-        match readers.iter_mut().find(|(rt, _)| *rt == t) {
-            Some(slot) => slot.1 = tx,
-            None => readers.push((t, tx)),
+        if r == NIL {
+            let new = self.readers.len() as u32;
+            self.readers.push(Reader {
+                thread: t,
+                member: m,
+                next: NIL,
+            });
+            match access.last_reader {
+                NIL => access.first_reader = new,
+                last => self.readers[last as usize].next = new,
+            }
+            access.last_reader = new;
         }
-        added
+        if writer != NIL && self.thread(writer) != t {
+            self.add_edge(writer, m)
+        } else {
+            None
+        }
     }
 
-    /// Replays a write of `f` by `tx` (Figure 5, `WRITE`), appending the
-    /// new cross-thread edges to `added` (the caller's buffer, so a replay
-    /// loop allocates none per write).
-    pub fn write(&mut self, f: Field, tx: TxId, added: &mut Vec<PdgEdge>) {
-        let t = self.thread(tx);
-        if let Some(w) = self.last_write.insert(f, tx) {
-            if self.thread(w) != t {
-                added.extend(self.add_edge(w, tx));
-            }
+    /// Replays a write of `f` by member `m` (Figure 5, `WRITE`), appending
+    /// the new cross-thread edges to `added` (the caller's buffer, so a
+    /// replay loop allocates none per write).
+    pub fn write(&mut self, f: Field, m: u32, added: &mut Vec<PdgEdge>) {
+        let t = self.thread(m);
+        // W(f) := m; ∀T, R(T,f) := null — after the edges out of them, in
+        // list order.
+        let new = Access {
+            writer: m,
+            ..Access::default()
+        };
+        let old = std::mem::replace(self.fields.entry(f), new);
+        if old.writer != NIL && self.thread(old.writer) != t {
+            added.extend(self.add_edge(old.writer, m));
         }
-        // ∀T, R(T,f) := null
-        for (rt, rtx) in self.last_reads.remove(&f).unwrap_or_default() {
-            if rt != t {
-                added.extend(self.add_edge(rtx, tx));
+        let mut r = old.first_reader;
+        while r != NIL {
+            let Reader {
+                thread,
+                member,
+                next,
+            } = self.readers[r as usize];
+            if thread != t {
+                added.extend(self.add_edge(member, m));
             }
+            r = next;
         }
     }
 
     /// Adds an intra-thread program-order edge: it participates in cycle
     /// detection (Velodrome's graph chains consecutive transactions of a
     /// thread, §2) but not in blame ordering.
-    pub fn add_intra_edge(&mut self, src: TxId, dst: TxId) {
-        if src == dst {
-            return;
-        }
-        let succ = self.out.entry(src).or_default();
-        if !succ.contains(&dst) {
-            succ.push(dst);
+    pub fn add_intra_edge(&mut self, src: u32, dst: u32) {
+        if src != dst && !self.has_succ(src, dst) {
+            self.push_succ(src, dst);
         }
     }
 
     /// Adds `src → dst`, deduplicating; self-edges are ignored.
-    fn add_edge(&mut self, src: TxId, dst: TxId) -> Option<PdgEdge> {
-        if src == dst {
+    fn add_edge(&mut self, src: u32, dst: u32) -> Option<PdgEdge> {
+        if src == dst || self.has_succ(src, dst) {
             return None;
         }
-        let succ = self.out.entry(src).or_default();
-        if succ.contains(&dst) {
-            return None;
-        }
-        succ.push(dst);
+        self.push_succ(src, dst);
         let edge = PdgEdge {
             src,
             dst,
@@ -146,71 +305,148 @@ impl Pdg {
         Some(edge)
     }
 
+    fn has_succ(&self, src: u32, dst: u32) -> bool {
+        let mut s = self.members[src as usize].succ_head;
+        while s != NIL {
+            let succ = self.succ[s as usize];
+            if succ.dst == dst {
+                return true;
+            }
+            s = succ.next;
+        }
+        false
+    }
+
+    fn push_succ(&mut self, src: u32, dst: u32) {
+        let new = u32::try_from(self.succ.len()).expect("too many PDG edges");
+        self.succ.push(Succ { dst, next: NIL });
+        let member = &mut self.members[src as usize];
+        match member.succ_tail {
+            NIL => member.succ_head = new,
+            tail => self.succ[tail as usize].next = new,
+        }
+        member.succ_tail = new;
+    }
+
+    /// A fresh stamp for `members`.
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stale stamps could alias the restarted epoch.
+            self.members.iter_mut().for_each(|m| m.seen = 0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
+
     /// Finds a cycle through the just-added edge `src → dst`: a path from
-    /// `dst` back to `src`. Returns the cycle as a node list
-    /// `[src, dst, …, src-predecessor]` if found.
-    pub fn cycle_through(&self, edge: PdgEdge) -> Option<Vec<TxId>> {
-        // DFS from dst searching for src.
-        let mut stack = vec![edge.dst];
-        let mut parent: IdMap<TxId, TxId> = IdMap::default();
-        let mut visited: HashSet<TxId, BuildHasherDefault<IdHasher>> = HashSet::default();
-        visited.insert(edge.dst);
+    /// `dst` back to `src`. Returns the cycle as a member list
+    /// `[src, dst, …, src-predecessor]` if found, in a buffer the next call
+    /// reuses.
+    pub fn cycle_through(&mut self, edge: PdgEdge) -> Option<&[u32]> {
+        let epoch = self.next_epoch();
+        let Pdg {
+            members,
+            succ,
+            stack,
+            cycle,
+            ..
+        } = self;
+        // DFS from dst searching for src, marking members as they are
+        // pushed and each successor list in insertion order.
+        stack.clear();
+        stack.push(edge.dst);
+        members[edge.dst as usize].seen = epoch;
         while let Some(v) = stack.pop() {
             if v == edge.src {
-                // Reconstruct dst → … → src, then prepend the edge.
-                let mut path = vec![v];
+                // src, its parent, …, dst; the edge closes it as src → dst.
+                cycle.clear();
+                cycle.push(v);
                 let mut cur = v;
                 while cur != edge.dst {
-                    cur = parent[&cur];
-                    path.push(cur);
+                    cur = members[cur as usize].parent;
+                    cycle.push(cur);
                 }
-                path.reverse(); // dst … src
-                let mut cycle = vec![edge.src];
-                cycle.extend(path.into_iter().take_while(|&n| n != edge.src));
+                cycle[1..].reverse();
                 return Some(cycle);
             }
-            if let Some(succ) = self.out.get(&v) {
-                for &w in succ {
-                    if visited.insert(w) {
-                        parent.insert(w, v);
-                        stack.push(w);
-                    }
+            let mut s = members[v as usize].succ_head;
+            while s != NIL {
+                let Succ { dst: w, next } = succ[s as usize];
+                let reached = &mut members[w as usize];
+                if reached.seen != epoch {
+                    reached.seen = epoch;
+                    reached.parent = v;
+                    stack.push(w);
                 }
+                s = next;
             }
         }
         None
     }
 
-    /// Blame assignment (paper §3.3): blame each cycle member whose first
-    /// outgoing cycle edge was created before its first incoming cycle edge
-    /// — it "completed" the cycle. Falls back to the sink of the newest
-    /// edge if the heuristic selects nobody.
-    pub fn blame(&self, cycle: &[TxId]) -> Vec<TxId> {
-        let members: HashSet<TxId> = cycle.iter().copied().collect();
-        let mut first_out: HashMap<TxId, u32> = HashMap::new();
-        let mut first_in: HashMap<TxId, u32> = HashMap::new();
-        for e in &self.edges {
-            if members.contains(&e.src) && members.contains(&e.dst) {
-                first_out.entry(e.src).or_insert(e.order);
-                first_in.entry(e.dst).or_insert(e.order);
+    /// The precise violation closed by the just-added edge, if it closes a
+    /// cycle: the cycle's members with blame. Allocates only what the
+    /// violation owns.
+    pub fn violation_through(&mut self, edge: PdgEdge) -> Option<Violation> {
+        self.cycle_through(edge)?;
+        let blamed = self.blame();
+        let cycle = self
+            .cycle
+            .iter()
+            .map(|&m| CycleMember {
+                tx: self.id(m),
+                thread: self.thread(m),
+                kind: self.kind(m),
+            })
+            .collect();
+        Some(Violation { cycle, blamed })
+    }
+
+    /// Blame assignment (paper §3.3) for the cycle [`Pdg::cycle_through`]
+    /// found: blame each member whose first outgoing cycle edge was created
+    /// before its first incoming cycle edge — it "completed" the cycle.
+    /// Falls back to the sink of the newest cycle edge if the heuristic
+    /// selects nobody.
+    fn blame(&mut self) -> Vec<TxId> {
+        let epoch = self.next_epoch();
+        let Pdg {
+            members,
+            edges,
+            cycle,
+            first,
+            ..
+        } = self;
+        for (i, &m) in cycle.iter().enumerate() {
+            let member = &mut members[m as usize];
+            (member.seen, member.pos) = (epoch, i as u32);
+        }
+        // Both ends' cycle positions, for an edge between cycle members.
+        let ends = |e: &PdgEdge| {
+            let (src, dst) = (&members[e.src as usize], &members[e.dst as usize]);
+            (src.seen == epoch && dst.seen == epoch).then_some((src.pos, dst.pos))
+        };
+        first.clear();
+        first.resize(cycle.len(), (NIL, NIL));
+        for e in edges.iter() {
+            if let Some((src, dst)) = ends(e) {
+                if first[src as usize].0 == NIL {
+                    first[src as usize].0 = e.order;
+                }
+                if first[dst as usize].1 == NIL {
+                    first[dst as usize].1 = e.order;
+                }
             }
         }
         let mut blamed: Vec<TxId> = cycle
             .iter()
-            .copied()
-            .filter(|tx| match (first_out.get(tx), first_in.get(tx)) {
-                (Some(o), Some(i)) => o < i,
-                _ => false,
-            })
+            .zip(first.iter())
+            .filter(|(_, &(out, into))| out != NIL && into != NIL && out < into)
+            .map(|(&m, _)| members[m as usize].id)
             .collect();
         if blamed.is_empty() {
-            if let Some(last) = self
-                .edges
-                .iter()
-                .rev()
-                .find(|e| members.contains(&e.src) && members.contains(&e.dst))
-            {
-                blamed.push(last.dst);
+            if let Some(last) = edges.iter().rev().find(|e| ends(e).is_some()) {
+                blamed.push(members[last.dst as usize].id);
             }
         }
         blamed
@@ -226,11 +462,15 @@ mod tests {
     const T1: ThreadId = ThreadId(1);
     const F: Field = (ObjId(0), 0);
     const G: Field = (ObjId(0), 1);
+    /// Members: Tx1 on T0, Tx2 on T1, Tx3 on T0.
+    const TX1: u32 = 0;
+    const TX2: u32 = 1;
+    const TX3: u32 = 2;
 
     /// One write's new edges.
-    fn write(pdg: &mut Pdg, f: Field, tx: TxId) -> Vec<PdgEdge> {
+    fn write(pdg: &mut Pdg, f: Field, m: u32) -> Vec<PdgEdge> {
         let mut added = Vec::new();
-        pdg.write(f, tx, &mut added);
+        pdg.write(f, m, &mut added);
         added
     }
 
@@ -245,65 +485,62 @@ mod tests {
     #[test]
     fn write_read_dependence() {
         let mut pdg = pdg2();
-        assert!(write(&mut pdg, F, TxId(1)).is_empty());
-        let e = pdg.read(F, TxId(2)).expect("W→R edge");
-        assert_eq!((e.src, e.dst), (TxId(1), TxId(2)));
+        assert!(write(&mut pdg, F, TX1).is_empty());
+        let e = pdg.read(F, TX2).expect("W→R edge");
+        assert_eq!((e.src, e.dst), (TX1, TX2));
     }
 
     #[test]
     fn read_write_dependence() {
         let mut pdg = pdg2();
-        pdg.read(F, TxId(1));
-        let es = write(&mut pdg, F, TxId(2));
+        pdg.read(F, TX1);
+        let es = write(&mut pdg, F, TX2);
         assert_eq!(es.len(), 1);
-        assert_eq!((es[0].src, es[0].dst), (TxId(1), TxId(2)));
+        assert_eq!((es[0].src, es[0].dst), (TX1, TX2));
     }
 
     #[test]
     fn write_write_dependence() {
         let mut pdg = pdg2();
-        write(&mut pdg, F, TxId(1));
-        let es = write(&mut pdg, F, TxId(2));
+        write(&mut pdg, F, TX1);
+        let es = write(&mut pdg, F, TX2);
         assert_eq!(es.len(), 1);
-        assert_eq!((es[0].src, es[0].dst), (TxId(1), TxId(2)));
+        assert_eq!((es[0].src, es[0].dst), (TX1, TX2));
     }
 
     #[test]
     fn same_thread_accesses_add_no_edges() {
         let mut pdg = pdg2();
-        write(&mut pdg, F, TxId(1));
-        assert!(pdg.read(F, TxId(3)).is_none(), "same thread: intra");
-        assert!(write(&mut pdg, F, TxId(3)).is_empty());
+        write(&mut pdg, F, TX1);
+        assert!(pdg.read(F, TX3).is_none(), "same thread: intra");
+        assert!(write(&mut pdg, F, TX3).is_empty());
     }
 
     #[test]
     fn write_clears_reader_table() {
         let mut pdg = pdg2();
-        pdg.read(F, TxId(1));
-        write(&mut pdg, F, TxId(2)); // clears R(·, F)
-                                     // A later write by T1's tx again: no stale read→write edge to Tx1.
-        let es = write(&mut pdg, F, TxId(2));
+        pdg.read(F, TX1);
+        write(&mut pdg, F, TX2); // clears R(·, F)
+                                 // A later write by T1's tx again: no stale read→write edge to Tx1.
+        let es = write(&mut pdg, F, TX2);
         assert!(es.is_empty(), "duplicate edge and cleared readers");
     }
 
     #[test]
     fn distinct_fields_are_independent() {
         let mut pdg = pdg2();
-        write(&mut pdg, F, TxId(1));
-        assert!(
-            pdg.read(G, TxId(2)).is_none(),
-            "no dependence across fields"
-        );
+        write(&mut pdg, F, TX1);
+        assert!(pdg.read(G, TX2).is_none(), "no dependence across fields");
     }
 
     #[test]
     fn edges_are_deduplicated_but_ordered() {
         let mut pdg = pdg2();
-        write(&mut pdg, F, TxId(1));
-        pdg.read(F, TxId(2));
-        pdg.read(F, TxId(2)); // duplicate read: no new edge
-        write(&mut pdg, G, TxId(2));
-        pdg.read(G, TxId(1)); // second distinct edge
+        write(&mut pdg, F, TX1);
+        pdg.read(F, TX2);
+        pdg.read(F, TX2); // duplicate read: no new edge
+        write(&mut pdg, G, TX2);
+        pdg.read(G, TX1); // second distinct edge
         assert_eq!(pdg.edges().len(), 2);
         assert!(pdg.edges()[0].order < pdg.edges()[1].order);
     }
@@ -311,20 +548,19 @@ mod tests {
     #[test]
     fn cycle_detection_finds_two_cycle() {
         let mut pdg = pdg2();
-        write(&mut pdg, F, TxId(1));
-        pdg.read(F, TxId(2)); // 1→2
-        write(&mut pdg, G, TxId(2));
-        let e = pdg.read(G, TxId(1)).unwrap(); // 2→1 closes the cycle
+        write(&mut pdg, F, TX1);
+        pdg.read(F, TX2); // 1→2
+        write(&mut pdg, G, TX2);
+        let e = pdg.read(G, TX1).unwrap(); // 2→1 closes the cycle
         let cycle = pdg.cycle_through(e).expect("cycle");
-        assert_eq!(cycle.len(), 2);
-        assert!(cycle.contains(&TxId(1)) && cycle.contains(&TxId(2)));
+        assert_eq!(cycle, [TX2, TX1], "[src, dst, …]");
     }
 
     #[test]
     fn no_cycle_on_dag() {
         let mut pdg = pdg2();
-        write(&mut pdg, F, TxId(1));
-        let e = pdg.read(F, TxId(2)).unwrap();
+        write(&mut pdg, F, TX1);
+        let e = pdg.read(F, TX2).unwrap();
         assert!(pdg.cycle_through(e).is_none());
     }
 
@@ -333,11 +569,47 @@ mod tests {
         let mut pdg = pdg2();
         // Tx1's outgoing edge (order 0) precedes its incoming (order 1):
         // Tx1 completes the cycle and is blamed — the Figure 3 situation.
-        write(&mut pdg, F, TxId(1));
-        pdg.read(F, TxId(2)); // edge 1→2, order 0
-        write(&mut pdg, G, TxId(2));
-        let e = pdg.read(G, TxId(1)).unwrap(); // edge 2→1, order 1
-        let cycle = pdg.cycle_through(e).unwrap();
-        assert_eq!(pdg.blame(&cycle), vec![TxId(1)]);
+        write(&mut pdg, F, TX1);
+        pdg.read(F, TX2); // edge 1→2, order 0
+        write(&mut pdg, G, TX2);
+        let e = pdg.read(G, TX1).unwrap(); // edge 2→1, order 1
+        let v = pdg.violation_through(e).unwrap();
+        let members: Vec<TxId> = v.cycle.iter().map(|m| m.tx).collect();
+        assert_eq!(members, [TxId(2), TxId(1)]);
+        assert_eq!(v.blamed, [TxId(1)]);
+    }
+
+    /// A three-member cycle through a program-order edge comes back in
+    /// edge order, and a cleared PDG reused for it finds the same one.
+    #[test]
+    fn cycles_through_intra_edges_survive_clear_and_reuse() {
+        let mut pdg = Pdg::default();
+        for _ in 0..2 {
+            pdg.clear(4);
+            for (id, t) in [(1, T0), (2, T1), (3, T0)] {
+                pdg.add_tx(TxId(id), t, TxKind::Unary);
+            }
+            pdg.add_intra_edge(TX1, TX3);
+            write(&mut pdg, F, TX3);
+            pdg.read(F, TX2); // 3→2
+            write(&mut pdg, G, TX2);
+            let e = pdg.read(G, TX1).unwrap(); // 2→1, then 1→3 (intra)
+            assert_eq!(pdg.cycle_through(e), Some(&[TX2, TX1, TX3][..]));
+            assert_eq!(pdg.edges().len(), 2);
+        }
+    }
+
+    #[test]
+    fn field_table_grows_past_its_initial_size() {
+        let mut table = FieldTable::<u32>::default();
+        for cell in 0..100 {
+            *table.entry((ObjId(cell % 7), cell)) += cell + 1;
+        }
+        for cell in 0..100 {
+            assert_eq!(*table.entry((ObjId(cell % 7), cell)), cell + 1);
+        }
+        assert_eq!(table.len, 100);
+        table.reset(4);
+        assert_eq!((table.len, *table.entry(F)), (0, 0), "reset empties it");
     }
 }

@@ -1,6 +1,5 @@
 //! Precise atomicity-violation reports with blame assignment.
 
-use crate::rules::Pdg;
 use dc_icd::{TxId, TxKind};
 use dc_runtime::ids::{MethodId, ThreadId};
 
@@ -16,7 +15,8 @@ pub struct CycleMember {
 }
 
 /// A precise conflict-serializability violation: a PDG cycle, with blame
-/// assignment (paper §3.3) identifying the transaction(s) that completed it.
+/// assignment (paper §3.3) identifying the transaction(s) that completed it
+/// ([`Pdg::violation_through`](crate::Pdg::violation_through)).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// The cycle's member transactions.
@@ -26,22 +26,6 @@ pub struct Violation {
 }
 
 impl Violation {
-    /// Builds a violation from a detected PDG cycle.
-    pub fn from_cycle(pdg: &Pdg, cycle: &[TxId]) -> Self {
-        let members = cycle
-            .iter()
-            .map(|&tx| CycleMember {
-                tx,
-                thread: pdg.thread(tx),
-                kind: pdg.kind(tx),
-            })
-            .collect();
-        Violation {
-            cycle: members,
-            blamed: pdg.blame(cycle),
-        }
-    }
-
     /// Methods of the blamed regular transactions — the units iterative
     /// refinement removes from the atomicity specification (Figure 6).
     pub fn blamed_methods(&self) -> Vec<MethodId> {

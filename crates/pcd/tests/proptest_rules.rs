@@ -3,7 +3,7 @@
 //! reference.
 
 use dc_icd::{TxId, TxKind};
-use dc_pcd::Pdg;
+use dc_pcd::{Pdg, PdgEdge};
 use dc_runtime::ids::{MethodId, ObjId, ThreadId};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -26,6 +26,20 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
 
 fn thread_of(tx: u64) -> ThreadId {
     ThreadId((tx % 2) as u16)
+}
+
+/// The PDG over the four transactions: `TxId(i)` is member `i - 1`.
+fn pdg4() -> Pdg {
+    Pdg::new((1u64..=4).map(|i| (TxId(i), thread_of(i), TxKind::Regular(MethodId(i as u32)))))
+}
+
+fn member(tx: u64) -> u32 {
+    tx as u32 - 1
+}
+
+/// An edge as the pair of transaction numbers it connects.
+fn ids(pdg: &Pdg, e: PdgEdge) -> (u64, u64) {
+    (pdg.id(e.src).0, pdg.id(e.dst).0)
 }
 
 /// Naive reference: for each ordered pair of conflicting accesses on the
@@ -72,19 +86,16 @@ proptest! {
 
     #[test]
     fn pdg_matches_reference(seq in steps()) {
-        let mut pdg = Pdg::new((1u64..=4).map(|i| {
-            (TxId(i), thread_of(i), TxKind::Regular(MethodId(i as u32)))
-        }));
+        let mut pdg = pdg4();
         for s in &seq {
             let field = (ObjId(0), s.field);
             if s.write {
-                pdg.write(field, TxId(s.tx), &mut Vec::new());
+                pdg.write(field, member(s.tx), &mut Vec::new());
             } else {
-                pdg.read(field, TxId(s.tx));
+                pdg.read(field, member(s.tx));
             }
         }
-        let got: HashSet<(u64, u64)> =
-            pdg.edges().iter().map(|e| (e.src.0, e.dst.0)).collect();
+        let got: HashSet<(u64, u64)> = pdg.edges().iter().map(|&e| ids(&pdg, e)).collect();
         prop_assert_eq!(got, reference_edges(&seq));
     }
 
@@ -92,26 +103,25 @@ proptest! {
     /// final graph.
     #[test]
     fn cycle_through_agrees_with_reachability(seq in steps()) {
-        let mut pdg = Pdg::new((1u64..=4).map(|i| {
-            (TxId(i), thread_of(i), TxKind::Regular(MethodId(i as u32)))
-        }));
+        let mut pdg = pdg4();
         let mut edges_so_far: Vec<(u64, u64)> = Vec::new();
         for s in &seq {
             let field = (ObjId(0), s.field);
             let mut new = Vec::new();
             if s.write {
-                pdg.write(field, TxId(s.tx), &mut new);
+                pdg.write(field, member(s.tx), &mut new);
             } else {
-                new.extend(pdg.read(field, TxId(s.tx)));
+                new.extend(pdg.read(field, member(s.tx)));
             }
             for e in new {
-                edges_so_far.push((e.src.0, e.dst.0));
+                let (src, dst) = ids(&pdg, e);
+                edges_so_far.push((src, dst));
                 // Reference: is src reachable from dst over current edges?
-                let mut seen = HashSet::from([e.dst.0]);
-                let mut work = vec![e.dst.0];
+                let mut seen = HashSet::from([dst]);
+                let mut work = vec![dst];
                 let mut reachable = false;
                 while let Some(v) = work.pop() {
-                    if v == e.src.0 {
+                    if v == src {
                         reachable = true;
                         break;
                     }
