@@ -64,7 +64,7 @@ impl Flags {
     /// # Errors
     ///
     /// Rejects positional arguments, keys outside `known`, dangling
-    /// `--key`s, and a key given twice.
+    /// `--key`s, a value that is itself a flag, and a key given twice.
     pub fn parse(args: &[String], known: &[&str]) -> Result<Flags, CliError> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
@@ -81,6 +81,11 @@ impl Flags {
             let Some(value) = it.next() else {
                 return Err(CliError::Usage(format!("--{key} needs a value")));
             };
+            if value.starts_with("--") {
+                return Err(CliError::Usage(format!(
+                    "--{key} needs a value, got the flag {value}"
+                )));
+            }
             if pairs.iter().any(|(k, _)| k == key) {
                 return Err(CliError::Usage(format!("--{key} given more than once")));
             }
@@ -696,6 +701,14 @@ mod tests {
                 "{cmd}"
             );
         }
+        // A flag where a value belongs is not taken as the value: it would
+        // swallow the flag (and `--stats-json` would write a file named
+        // after it).
+        let err = run(&argv("check --workload tsp --seed 3 --stats-json --obs")).unwrap_err();
+        assert_eq!(
+            err,
+            CliError::Usage("--stats-json needs a value, got the flag --obs".into())
+        );
         for removed in ["--shards", "--transport", "--pipelined"] {
             assert!(!usage().contains(removed), "usage still lists {removed}");
         }

@@ -24,8 +24,8 @@ use dc_runtime::checker::Checker;
 use dc_runtime::heap::Heap;
 use dc_runtime::ids::{AccessKind, CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
 use dc_runtime::spec::{AtomicitySpec, EnterOutcome, ExitOutcome, TxFilter, TxTracker};
+use dc_runtime::OwnerCell;
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -183,6 +183,8 @@ enum Context {
     Skipped,
 }
 
+/// One thread's checker state, in its own [`OwnerCell`]: every access runs
+/// on that thread.
 struct Local {
     tracker: TxTracker,
     /// `Instrumented` only while `handles` is resolved.
@@ -199,14 +201,6 @@ struct Handles {
     icd: dc_icd::ThreadHandle,
 }
 
-#[repr(align(128))]
-struct Slot {
-    local: UnsafeCell<Local>,
-}
-
-// SAFETY: `local` is only accessed by the owning thread.
-unsafe impl Sync for Slot {}
-
 /// The composed DoubleChecker analysis.
 pub struct DoubleChecker {
     config: DcConfig,
@@ -216,7 +210,7 @@ pub struct DoubleChecker {
     /// one `run_begin` a checker accepts. The fused fast path never reads
     /// it; the slow kernel and the lifecycle hooks do.
     octet: OnceLock<Protocol<IcdSink>>,
-    slots: Box<[Slot]>,
+    slots: Box<[OwnerCell<Local>]>,
     violations: Mutex<Vec<Violation>>,
     pcd_stats: Mutex<ReplayStats>,
     static_info: Mutex<StaticTxInfo>,
@@ -256,12 +250,12 @@ impl DoubleChecker {
             icd,
             octet: OnceLock::new(),
             slots: (0..n_threads)
-                .map(|_| Slot {
-                    local: UnsafeCell::new(Local {
+                .map(|_| {
+                    OwnerCell::new(Local {
                         tracker: TxTracker::new(),
                         context: Context::Skipped,
                         handles: None,
-                    }),
+                    })
                 })
                 .collect(),
             violations: Mutex::new(Vec::new()),
@@ -364,12 +358,6 @@ impl DoubleChecker {
         }
     }
 
-    /// SAFETY: must only be called from code running on thread `t`.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn local(&self, t: ThreadId) -> &mut Local {
-        &mut *self.slots[t.index()].local.get()
-    }
-
     fn octet(&self) -> &Protocol<IcdSink> {
         self.octet.get().expect("run_begin initializes octet")
     }
@@ -407,7 +395,7 @@ impl DoubleChecker {
     #[inline(always)]
     fn access(&self, t: ThreadId, obj: ObjId, cell: CellId, kind: AccessKind, is_sync: bool) {
         // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        let local = unsafe { self.slots[t.index()].get() };
         if local.context == Context::Skipped {
             return;
         }
@@ -547,7 +535,7 @@ impl Checker for DoubleChecker {
         let scc = self.icd.thread_begin(t);
         debug_assert!(scc.is_none());
         // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        let local = unsafe { self.slots[t.index()].get() };
         local.handles = Some(Handles {
             octet: self.octet().thread_handle(t),
             icd: self.icd.thread_handle(t),
@@ -563,7 +551,7 @@ impl Checker for DoubleChecker {
 
     fn enter_method(&self, t: ThreadId, m: MethodId) {
         // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        let local = unsafe { self.slots[t.index()].get() };
         if let EnterOutcome::BeginTransaction(method) = local.tracker.enter(m, &self.spec) {
             self.refresh_context(local);
             if local.context == Context::Instrumented {
@@ -575,7 +563,7 @@ impl Checker for DoubleChecker {
 
     fn exit_method(&self, t: ThreadId, m: MethodId) {
         // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        let local = unsafe { self.slots[t.index()].get() };
         if let ExitOutcome::EndTransaction(_) = local.tracker.exit(m) {
             if local.context == Context::Instrumented {
                 let scc = self.icd.end_regular(t);
@@ -618,7 +606,7 @@ impl Checker for DoubleChecker {
     #[inline]
     fn safe_point(&self, t: ThreadId) {
         // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        let local = unsafe { self.slots[t.index()].get() };
         // Before `thread_begin` nobody can have sent `t` a request (a thread
         // that is not running is coordinated with implicitly): a no-op.
         if local

@@ -10,39 +10,10 @@ use dc_runtime::checker::Checker;
 use dc_runtime::heap::{Heap, ObjKind};
 use dc_runtime::ids::{MethodId, ObjId, ThreadId};
 use dc_runtime::spec::AtomicitySpec;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct CountingAlloc;
-
-thread_local! {
-    // const-init: a lazily-initialized thread_local would itself allocate
-    // on first use, recursing into the allocator under measurement.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCS.with(|c| c.get())
-}
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 const T0: ThreadId = ThreadId(0);
 const T1: ThreadId = ThreadId(1);

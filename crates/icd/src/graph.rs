@@ -80,7 +80,6 @@ use crate::types::{Edge, EdgeKind, IdMap, LogEntry, ReplayConstraint, SccReport,
 use dc_obs::{EventKind, PipelineObs, Stage};
 use dc_runtime::ids::ThreadId;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// "No record": the end of an edge list, or an empty one. The arena never
@@ -923,18 +922,18 @@ impl Collector {
             .max(u32::try_from(survivors / 2).unwrap_or(u32::MAX));
     }
 
-    /// One pass: roots are every thread's `currTX` and `lastRdEx` and the
-    /// graph's `gLastRdSh`; [`Graph::collect`] adds the unfinished
-    /// transactions.
-    pub(crate) fn collect(
+    /// One pass: roots are every thread's `currTX` and `lastRdEx` (read
+    /// from the registers of each of `threads`) and the graph's
+    /// `gLastRdSh`; [`Graph::collect`] adds the unfinished transactions.
+    pub(crate) fn collect<'a>(
         &mut self,
         graph: &mut Graph,
-        regs: &[Arc<ThreadRegs>],
+        threads: impl Iterator<Item = &'a ThreadRegs>,
         obs: Option<&PipelineObs>,
     ) {
         let t0 = obs.map(|_| Instant::now());
         self.roots.clear();
-        for tr in regs {
+        for tr in threads {
             self.roots.push(TxId(tr.current_tx.load(Ordering::Acquire)));
             self.roots.push(TxId(tr.last_rd_ex.load(Ordering::Acquire)));
         }

@@ -2,16 +2,17 @@
 //! read/write logging with duplicate elision, and SCC detection at
 //! transaction end.
 //!
-//! One [`Icd`] instance is shared by all threads. Hot, owner-only state
-//! (the current transaction's log and the elision table) lives in per-thread
-//! slots behind `UnsafeCell`; the cross-thread-visible registers —
-//! `currTX(T)`, `T.lastRdEx`, the published log length — are atomics, read
-//! by other threads only during Octet coordination (when the owner is at a
-//! safe point or held). The slots are `Arc`-shared: a thread resolves its own
-//! once ([`Icd::thread_handle`]) and the per-access hooks then run on the
-//! [`ThreadHandle`] alone, with no `ThreadId` indexing and no reference back
-//! to the `Icd`; the `ThreadId`-taking hooks resolve the slot and run the
-//! same code.
+//! One [`Icd`] instance is shared by all threads, with one slot per thread.
+//! A slot's head holds the cross-thread-visible registers — `currTX(T)`,
+//! `T.lastRdEx`, the published log length, the edge counter — as atomics,
+//! read by other threads only during Octet coordination (when the owner is
+//! at a safe point or held) and by the collector; its owner block
+//! ([`OwnerCell`]) holds the hot, owner-only state (the current
+//! transaction's log, the elision table, the tallies). The slots are
+//! `Arc`-shared: a thread resolves its own once ([`Icd::thread_handle`]) and
+//! the per-access hooks then run on the [`ThreadHandle`] alone, with no
+//! `ThreadId` indexing and no reference back to the `Icd`; the
+//! `ThreadId`-taking hooks resolve the slot and run the same code.
 //!
 //! Application threads mutate the IDG under a global mutex (rare relative
 //! to accesses — Table 3: edges ≪ accesses — which is what makes ICD cheap):
@@ -30,8 +31,8 @@ use crate::types::{Edge, EdgeKind, LogEntry, SccReport, TxId, TxKind};
 use dc_obs::PipelineObs;
 use dc_runtime::heap::CellLayout;
 use dc_runtime::ids::{CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
+use dc_runtime::OwnerCell;
 use parking_lot::{Mutex, MutexGuard};
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -82,10 +83,8 @@ pub struct IcdStats {
     pub log_entries: AtomicU64,
 }
 
-/// One thread's cross-thread-visible registers. Padded so coordination
-/// traffic on one thread's registers does not false-share with another's.
+/// One thread's cross-thread-visible registers, the head of its [`Slot`].
 #[derive(Debug, Default)]
-#[repr(align(128))]
 pub(crate) struct ThreadRegs {
     /// `currTX(T)`; stays pointing at the last transaction after it ends so
     /// coordination against an idle/finished thread still finds a source —
@@ -119,9 +118,6 @@ const EDGE_EVENT: u32 = 2;
 
 /// Per-thread local (owner-only) state.
 struct Local {
-    /// The thread's cross-thread registers (the same block `Icd::regs`
-    /// lists), so the per-access hooks reach them from the slot alone.
-    regs: Arc<ThreadRegs>,
     /// [`IcdConfig::logging`], copied so the per-access hooks need no `Icd`.
     logging: bool,
     /// The attached [`CellLayout`] as of thread begin (clones share the
@@ -193,22 +189,23 @@ impl Local {
         debug_assert!(self.log.is_empty(), "log must be drained at tx end");
     }
 
-    /// Makes `id` the thread's current transaction, starting from the edge
-    /// events seen so far and an empty published log.
-    fn publish(&mut self, id: TxId) {
-        self.seen_edge_events = self.regs.edge_events.load(Ordering::Acquire);
-        self.regs.log_len.store(0, Ordering::Release);
-        self.regs.pending.store(false, Ordering::Release);
-        self.regs.current_tx.store(id.0, Ordering::Release);
+    /// Makes `id` the thread's current transaction in its registers
+    /// `regs`, starting from the edge events seen so far and an empty
+    /// published log.
+    fn publish(&mut self, regs: &ThreadRegs, id: TxId) {
+        self.seen_edge_events = regs.edge_events.load(Ordering::Acquire);
+        regs.log_len.store(0, Ordering::Release);
+        regs.pending.store(false, Ordering::Release);
+        regs.current_tx.store(id.0, Ordering::Release);
     }
 
     /// Leaves the just-finished transaction published as `currTX(T)` and
     /// marks the unary transaction opened after it pending. The edge events
     /// seen so far are kept with the low bit set, which never matches the
     /// counter.
-    fn pend(&mut self) {
-        self.seen_edge_events = self.regs.edge_events.load(Ordering::Acquire) | 1;
-        self.regs.pending.store(true, Ordering::Release);
+    fn pend(&mut self, regs: &ThreadRegs) {
+        self.seen_edge_events = regs.edge_events.load(Ordering::Acquire) | 1;
+        regs.pending.store(true, Ordering::Release);
     }
 
     /// Folds the current transaction's access count into its kind's total.
@@ -237,22 +234,23 @@ impl Local {
     }
 }
 
-#[repr(align(128))]
+/// One thread's ICD state: the registers other threads read (and whose
+/// edge counter they step), then the owner block, which starts a 128-byte
+/// block of its own (`#[repr(C)]` keeps the head first). Every access to
+/// `local` runs on the owner: the engine calls the `ThreadId`-taking hooks
+/// on that thread, and a `ThreadHandle` is used only by the thread it was
+/// resolved for.
+#[repr(C)]
 struct Slot {
-    local: UnsafeCell<Local>,
+    regs: ThreadRegs,
+    local: OwnerCell<Local>,
 }
 
-// SAFETY: `local` is only ever accessed by the owning thread (every method
-// touching it runs on the owner: the engine calls the `ThreadId`-taking
-// hooks on that thread, and a `ThreadHandle` is used only by the thread it
-// was resolved for).
-unsafe impl Sync for Slot {}
-
 impl Slot {
-    fn new(regs: Arc<ThreadRegs>, logging: bool) -> Self {
+    fn new(logging: bool) -> Self {
         Slot {
-            local: UnsafeCell::new(Local {
-                regs,
+            regs: ThreadRegs::default(),
+            local: OwnerCell::new(Local {
                 logging,
                 layout: CellLayout::default(),
                 log: Vec::new(),
@@ -273,27 +271,20 @@ impl Slot {
         }
     }
 
-    /// SAFETY: must only be called from code running on the owning thread.
-    #[allow(clippy::mut_from_ref)]
-    #[inline(always)]
-    unsafe fn local(&self) -> &mut Local {
-        &mut *self.local.get()
-    }
-
     /// [`Icd::edge_events_unchanged`] for the owning thread.
     #[inline(always)]
     fn edge_events_unchanged(&self) -> bool {
         // SAFETY: called on the owning thread.
-        let local = unsafe { self.local() };
+        let local = unsafe { self.local.get() };
         // Acquire pairs with the release store in `note_edge_event`.
-        local.regs.edge_events.load(Ordering::Acquire) == local.seen_edge_events
+        self.regs.edge_events.load(Ordering::Acquire) == local.seen_edge_events
     }
 
     /// [`Icd::record_access`] for the owning thread.
     #[inline(always)]
     fn record_access(&self, obj: ObjId, cell: CellId, is_write: bool, is_sync: bool, force: bool) {
         // SAFETY: called on the owning thread.
-        let local = unsafe { self.local() };
+        let local = unsafe { self.local.get() };
         local.accesses += 1;
         if !local.logging {
             return;
@@ -333,8 +324,7 @@ impl Slot {
             .log
             .push(LogEntry::new(obj, log_cell, is_write, is_sync));
         local.log_entries += 1;
-        local
-            .regs
+        self.regs
             .log_len
             .store(local.log.len() as u32, Ordering::Release);
     }
@@ -389,8 +379,6 @@ struct Owned {
 /// The imprecise-cycle-detection analysis.
 pub struct Icd {
     slots: Box<[Arc<Slot>]>,
-    /// All threads' registers (the collector reads them as roots).
-    regs: Box<[Arc<ThreadRegs>]>,
     layout: OnceLock<CellLayout>,
     graph: Mutex<Owned>,
     config: IcdConfig,
@@ -422,13 +410,10 @@ impl Icd {
         config: IcdConfig,
         obs: Option<Arc<PipelineObs>>,
     ) -> Self {
-        let regs: Box<[Arc<ThreadRegs>]> = (0..n_threads).map(|_| Arc::default()).collect();
         Icd {
-            slots: regs
-                .iter()
-                .map(|r| Arc::new(Slot::new(Arc::clone(r), config.logging)))
+            slots: (0..n_threads)
+                .map(|_| Arc::new(Slot::new(config.logging)))
                 .collect(),
-            regs,
             layout: OnceLock::new(),
             graph: Mutex::new(Owned {
                 graph: Graph::new(),
@@ -469,6 +454,12 @@ impl Icd {
         ThreadHandle(Arc::clone(&self.slots[t.index()]))
     }
 
+    /// Thread `t`'s slot.
+    #[inline]
+    fn slot(&self, t: ThreadId) -> &Slot {
+        &self.slots[t.index()]
+    }
+
     // The readers below take the graph lock without counting it in
     // `graph_locks`, which counts the analysis' own acquisitions only.
 
@@ -503,7 +494,7 @@ impl Icd {
 
     /// `currTX(T)`.
     pub fn current_tx(&self, t: ThreadId) -> TxId {
-        TxId(self.regs[t.index()].current_tx.load(Ordering::Acquire))
+        TxId(self.slot(t).regs.current_tx.load(Ordering::Acquire))
     }
 
     /// Snapshot of every finished transaction with its log and the edges
@@ -525,9 +516,10 @@ impl Icd {
 
     /// Thread start: opens the thread's first unary transaction.
     pub fn thread_begin(&self, t: ThreadId) -> Option<SccReport> {
+        let slot = self.slot(t);
         // SAFETY: called on thread t.
-        let local = unsafe { self.slots[t.index()].local() };
-        let report = self.boundary(t, local, Some(TxKind::Unary), true);
+        let local = unsafe { slot.local.get() };
+        let report = self.boundary(t, &slot.regs, local, Some(TxKind::Unary), true);
         // Bind the attached layout and allocate the flat elision table off
         // the record_access hot loop: in the checker flow the layout is
         // attached before any thread begins, and this runs on the owner
@@ -545,9 +537,10 @@ impl Icd {
     /// Thread exit: ends the current transaction (its id stays visible as a
     /// coordination source) and folds local counters into global stats.
     pub fn thread_end(&self, t: ThreadId) -> Option<SccReport> {
+        let slot = self.slot(t);
         // SAFETY: called on thread t.
-        let local = unsafe { self.slots[t.index()].local() };
-        let report = self.boundary(t, local, None, false);
+        let local = unsafe { slot.local.get() };
+        let report = self.boundary(t, &slot.regs, local, None, false);
         local.fold_accesses();
         for (total, tally) in [
             (&self.stats.regular_txs, &mut local.regular_txs),
@@ -565,9 +558,10 @@ impl Icd {
     /// entered from non-transactional context). After a pending unary
     /// transaction it follows the finished regular one directly.
     pub fn begin_regular(&self, t: ThreadId, method: MethodId) -> Option<SccReport> {
+        let slot = self.slot(t);
         // SAFETY: called on thread t.
-        let local = unsafe { self.slots[t.index()].local() };
-        self.boundary(t, local, Some(TxKind::Regular(method)), true)
+        let local = unsafe { slot.local.get() };
+        self.boundary(t, &slot.regs, local, Some(TxKind::Regular(method)), true)
     }
 
     /// The regular transaction ends; a fresh unary transaction opens
@@ -575,12 +569,14 @@ impl Icd {
     /// transaction") — pending: it gets no node until the thread's first
     /// access.
     pub fn end_regular(&self, t: ThreadId) -> Option<SccReport> {
+        let slot = self.slot(t);
         // SAFETY: called on thread t.
-        let local = unsafe { self.slots[t.index()].local() };
-        self.boundary(t, local, Some(TxKind::Unary), false)
+        let local = unsafe { slot.local.get() };
+        self.boundary(t, &slot.regs, local, Some(TxKind::Unary), false)
     }
 
-    /// One transaction boundary of thread `t`: ends its current transaction
+    /// One transaction boundary of thread `t` (registers `regs`, owner
+    /// block `local`): ends its current transaction
     /// — unless there is none yet or it already ended (a unary transaction
     /// is pending) — and opens one of kind `open` (none at thread exit, or
     /// when a pending unary transaction is materialized). With `insert` the
@@ -599,14 +595,15 @@ impl Icd {
     fn boundary(
         &self,
         t: ThreadId,
+        regs: &ThreadRegs,
         local: &mut Local,
         open: Option<TxKind>,
         insert: bool,
     ) -> Option<SccReport> {
-        let old = TxId(local.regs.current_tx.load(Ordering::Acquire));
+        let old = TxId(regs.current_tx.load(Ordering::Acquire));
         let old_node = (local.tx_slot, old);
         // The owner is `pending`'s only writer.
-        let ends = old.is_some() && !local.regs.pending.load(Ordering::Relaxed);
+        let ends = old.is_some() && !regs.pending.load(Ordering::Relaxed);
         // The graph copies the finished log under the lock; the thread's
         // buffer keeps its capacity for the next transaction.
         let mut log = std::mem::take(&mut local.log);
@@ -642,16 +639,17 @@ impl Icd {
                 }
                 collector.on_finish();
                 if collector.due() {
-                    collector.collect(graph, &self.regs, self.obs.as_deref());
+                    let threads = self.slots.iter().map(|slot| &slot.regs);
+                    collector.collect(graph, threads, self.obs.as_deref());
                 }
             }
             if insert {
                 let id = TxId(*next_tx);
                 *next_tx += 1;
                 local.tx_slot = graph.insert_after(id, t, local.kind, local.seq, old_node);
-                local.publish(id);
+                local.publish(regs, id);
             } else {
-                local.pend();
+                local.pend(regs);
             }
         }
         log.clear();
@@ -668,7 +666,7 @@ impl Icd {
     /// check and skips `before_access` entirely on `true`.
     #[inline]
     pub fn edge_events_unchanged(&self, t: ThreadId) -> bool {
-        self.slots[t.index()].edge_events_unchanged()
+        self.slot(t).edge_events_unchanged()
     }
 
     /// Must run before each access's Octet barrier: observes edges attached
@@ -682,9 +680,10 @@ impl Icd {
     /// numbers are those of an eager node.
     #[inline]
     pub fn before_access(&self, t: ThreadId) -> Option<SccReport> {
+        let slot = self.slot(t);
         // SAFETY: called on thread t.
-        let local = unsafe { self.slots[t.index()].local() };
-        let events = local.regs.edge_events.load(Ordering::Acquire);
+        let local = unsafe { slot.local.get() };
+        let events = slot.regs.edge_events.load(Ordering::Acquire);
         if events == local.seen_edge_events {
             return None;
         }
@@ -693,7 +692,7 @@ impl Icd {
         local.seen_edge_events = events;
         local.bump_epoch();
         if local.kind == TxKind::Unary {
-            self.boundary(t, local, cut.then_some(TxKind::Unary), true)
+            self.boundary(t, &slot.regs, local, cut.then_some(TxKind::Unary), true)
         } else {
             None
         }
@@ -714,7 +713,8 @@ impl Icd {
         is_sync: bool,
         force: bool,
     ) {
-        self.slots[t.index()].record_access(obj, cell, is_write, is_sync, force);
+        self.slot(t)
+            .record_access(obj, cell, is_write, is_sync, force);
     }
 
     // ----- Figure 4: edge-creation procedures ------------------------------
@@ -730,8 +730,8 @@ impl Icd {
         if !src.is_some() || !dst.is_some() || src == dst {
             return;
         }
-        let src_pos = self.regs[resp.index()].log_len.load(Ordering::Acquire);
-        let dst_pos = self.regs[req.index()].log_len.load(Ordering::Acquire);
+        let src_pos = self.slot(resp).regs.log_len.load(Ordering::Acquire);
+        let dst_pos = self.slot(req).regs.log_len.load(Ordering::Acquire);
         let mut guard = self.lock_graph();
         guard.graph.add_edge(Edge {
             src,
@@ -752,12 +752,9 @@ impl Icd {
         if !cur.is_some() {
             return;
         }
-        let dst_pos = self.regs[t.index()].log_len.load(Ordering::Acquire);
-        let last_rd_ex = TxId(
-            self.regs[prev_owner.index()]
-                .last_rd_ex
-                .load(Ordering::Acquire),
-        );
+        let dst_pos = self.slot(t).regs.log_len.load(Ordering::Acquire);
+        let owner = &self.slot(prev_owner).regs;
+        let last_rd_ex = TxId(owner.last_rd_ex.load(Ordering::Acquire));
         let mut guard = self.lock_graph();
         let graph = &mut guard.graph;
         if last_rd_ex.is_some() && last_rd_ex != cur {
@@ -775,7 +772,6 @@ impl Icd {
         // While `prev_owner`'s unary transaction is pending, its `lastRdEx`
         // may be the finished regular transaction `currTX` still names: the
         // edge leaves that one, not the thread's current (unary) one.
-        let owner = &self.regs[prev_owner.index()];
         if last_rd_ex.is_some() && !owner.pending.load(Ordering::Acquire) {
             self.note_edge_event(&guard, prev_owner, last_rd_ex);
         }
@@ -788,7 +784,7 @@ impl Icd {
         if !cur.is_some() {
             return;
         }
-        let dst_pos = self.regs[t.index()].log_len.load(Ordering::Acquire);
+        let dst_pos = self.slot(t).regs.log_len.load(Ordering::Acquire);
         let mut guard = self.lock_graph();
         self.add_rd_sh_edge(&mut guard.graph, cur, dst_pos);
         self.note_edge_event(&guard, t, cur);
@@ -813,7 +809,7 @@ impl Icd {
     /// Records that `t`'s current transaction moved an object into
     /// RdEx-`t` (updates `t.lastRdEx`; Figure 4's conflicting handler).
     pub fn note_rdex_claim(&self, t: ThreadId) {
-        let regs = &self.regs[t.index()];
+        let regs = &self.slot(t).regs;
         let cur = regs.current_tx.load(Ordering::Acquire);
         regs.last_rd_ex.store(cur, Ordering::Release);
     }
@@ -824,7 +820,7 @@ impl Icd {
     /// is what the lock guards — so a load and a store lose no step. The
     /// release store pairs with the owner's acquire load.
     fn note_edge_event(&self, _held: &Owned, t: ThreadId, tx: TxId) {
-        let regs = &self.regs[t.index()];
+        let regs = &self.slot(t).regs;
         if regs.current_tx.load(Ordering::Acquire) == tx.0 {
             let events = regs.edge_events.load(Ordering::Relaxed);
             regs.edge_events
@@ -836,7 +832,7 @@ impl Icd {
     /// the live published length if `tx` is still current, else its final
     /// length.
     fn edge_src_pos(&self, graph: &Graph, owner: ThreadId, tx: TxId) -> u32 {
-        let regs = &self.regs[owner.index()];
+        let regs = &self.slot(owner).regs;
         if regs.current_tx.load(Ordering::Acquire) == tx.0 {
             regs.log_len.load(Ordering::Acquire)
         } else {
@@ -881,8 +877,25 @@ mod tests {
     /// Thread 0's owner-only state.
     #[allow(clippy::mut_from_ref)]
     fn local0(icd: &Icd) -> &mut Local {
-        // SAFETY: every test runs on the one thread that drives slot 0.
-        unsafe { icd.slots[0].local() }
+        // SAFETY: every test runs on the one thread that drives slot 0, and
+        // drops each borrow before the next hook.
+        unsafe { icd.slots[0].local.get() }
+    }
+
+    /// Thread `i`'s registers.
+    fn regs(icd: &Icd, i: usize) -> &ThreadRegs {
+        &icd.slots[i].regs
+    }
+
+    /// The registers other threads touch sit in the slot's first 128-byte
+    /// block; the owner block, written on every access, starts at the next
+    /// one — no false sharing between the two.
+    #[test]
+    fn the_owner_block_starts_128_bytes_after_the_registers() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(align_of::<Slot>(), 128);
+        assert!(offset_of!(Slot, regs) + size_of::<ThreadRegs>() <= 128);
+        assert!(offset_of!(Slot, local) >= offset_of!(Slot, regs) + 128);
     }
 
     #[test]
@@ -907,7 +920,7 @@ mod tests {
         // still names the finished regular one, at its final log length,
         // and no node was inserted for it.
         assert_eq!(icd.current_tx(T0), reg);
-        assert_eq!(icd.regs[0].log_len.load(Ordering::Relaxed), 1);
+        assert_eq!(regs(&icd, 0).log_len.load(Ordering::Relaxed), 1);
         assert!(!icd.edge_events_unchanged(T0), "the next access goes slow");
         let chain = |tx| -> Vec<(TxId, EdgeKind)> {
             let g = &icd.graph.lock().graph;
@@ -929,7 +942,7 @@ mod tests {
         let unary2 = icd.current_tx(T0);
         assert_ne!(unary2, reg2);
         assert!(icd.edge_events_unchanged(T0));
-        assert_eq!(icd.regs[0].log_len.load(Ordering::Relaxed), 0);
+        assert_eq!(regs(&icd, 0).log_len.load(Ordering::Relaxed), 0);
         assert_eq!(chain(reg2), [(unary2, EdgeKind::Intra)]);
         // The per-thread tallies fold in at thread end, not before; the
         // unary count includes the transaction that never got a node.
@@ -948,7 +961,7 @@ mod tests {
         icd.record_access(T0, O, 0, false, false, false); // read after write: elided
         icd.record_access(T0, O, 1, false, false, false); // different cell: logged
                                                           // Log length published: 3 entries.
-        assert_eq!(icd.regs[0].log_len.load(Ordering::Relaxed), 3);
+        assert_eq!(regs(&icd, 0).log_len.load(Ordering::Relaxed), 3);
         end_all(&icd, 1);
         assert_eq!(icd.stats().unary_txs.load(Ordering::Relaxed), 1);
     }
@@ -958,7 +971,7 @@ mod tests {
         let icd = icd(1);
         icd.record_access(T0, O, 0, false, false, false);
         icd.record_access(T0, O, 0, false, false, true); // forced: logged again
-        assert_eq!(icd.regs[0].log_len.load(Ordering::Relaxed), 2);
+        assert_eq!(regs(&icd, 0).log_len.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -967,7 +980,7 @@ mod tests {
         icd.record_access(T0, O, 0, false, false, false);
         icd.begin_regular(T0, M);
         icd.record_access(T0, O, 0, false, false, false); // new tx: logged
-        assert_eq!(icd.regs[0].log_len.load(Ordering::Relaxed), 1);
+        assert_eq!(regs(&icd, 0).log_len.load(Ordering::Relaxed), 1);
     }
 
     /// Drives the elision epoch through a full u32 wrap and back to `stale`,
@@ -993,7 +1006,7 @@ mod tests {
         );
         icd.record_access(T0, O, 0, false, false, false);
         assert_eq!(
-            icd.regs[0].log_len.load(Ordering::Relaxed),
+            regs(&icd, 0).log_len.load(Ordering::Relaxed),
             1,
             "a stale pre-wrap elision entry must not elide this access"
         );
@@ -1011,7 +1024,7 @@ mod tests {
         wrap_epoch_back_to(&icd, stale);
         icd.record_access(T0, O, 0, false, false, false);
         assert_eq!(
-            icd.regs[0].log_len.load(Ordering::Relaxed),
+            regs(&icd, 0).log_len.load(Ordering::Relaxed),
             1,
             "a stale pre-wrap flat slot must not elide this access"
         );
@@ -1093,10 +1106,10 @@ mod tests {
         let icd = icd(2);
         icd.note_rdex_claim(T1);
         assert_eq!(
-            TxId(icd.regs[1].last_rd_ex.load(Ordering::Relaxed)),
+            TxId(regs(&icd, 1).last_rd_ex.load(Ordering::Relaxed)),
             icd.current_tx(T1)
         );
-        assert_eq!(icd.regs[0].last_rd_ex.load(Ordering::Relaxed), 0);
+        assert_eq!(regs(&icd, 0).last_rd_ex.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -1131,7 +1144,7 @@ mod tests {
         icd.record_access(T0, ObjId(1), 0, true, false, false);
         icd.handle_conflicting(T0, T1);
         let g = &icd.graph.lock().graph;
-        let t0_tx = TxId(icd.regs[0].current_tx.load(Ordering::Relaxed));
+        let t0_tx = TxId(regs(&icd, 0).current_tx.load(Ordering::Relaxed));
         let e = g.out_edges(t0_tx).next().unwrap();
         assert_eq!(e.src_pos, 2, "source logged two entries before the edge");
         assert_eq!(e.dst_pos, 0, "sink logged nothing yet");

@@ -10,39 +10,10 @@
 use dc_icd::graph::Graph;
 use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, LogEntry, TxId, TxKind};
 use dc_runtime::ids::{MethodId, ObjId, ThreadId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct CountingAlloc;
-
-thread_local! {
-    // const-init: a lazily-initialized thread_local would itself allocate
-    // on first use, recursing into the allocator under measurement.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCS.with(|c| c.get())
-}
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 fn cross(src: u64, dst: u64) -> Edge {
     Edge {
@@ -254,8 +225,7 @@ fn cold_icd_allocations(calls: u32) -> u64 {
 #[test]
 fn cold_icd_allocates_only_by_growth() {
     const CALLS: u32 = 128;
-    // Measured: 52 at 128 calls, 57 at 256 (47 and 51 above one
-    // exact-size log copy per call before the log arena).
+    // Measured: 49 at 128 calls, 54 at 256.
     let small = cold_icd_allocations(CALLS);
     let large = cold_icd_allocations(2 * CALLS);
     assert!(small <= 64, "{small} allocator calls for {CALLS} calls");

@@ -10,8 +10,9 @@
 //!   same-state / upgrading / fence / conflicting classification),
 //! * [`word`] — the packed per-object atomic state word with the
 //!   intermediate state used during conflicting transitions,
-//! * [`registry`] — per-thread status words and request words backing
-//!   the explicit/implicit coordination protocol,
+//! * [`registry`] — one slot per thread: the status and request words
+//!   backing the explicit/implicit coordination protocol, and the
+//!   thread's own ownership-cache table, claim buffer and tallies,
 //! * [`protocol`] — the barrier bodies, coordination, the global
 //!   read-shared counter `gRdShCnt`, and per-thread `rdShCnt` views,
 //!   plus the per-thread ownership inline cache (private `cache`

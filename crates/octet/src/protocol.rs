@@ -21,7 +21,6 @@
 //! response the requester marks itself blocked, so coordination can never
 //! deadlock.
 
-use crate::cache::{CacheSlot, OwnershipCache};
 use crate::registry::{Tally, ThreadRegistry, ThreadSlot, BLOCKED, BLOCKED_HELD, RUNNING};
 use crate::state::{classify, OctetState, Responders, TransitionKind};
 use crate::word::{decode, encode, encode_intermediate, rd_sh_counter, DecodedState, StateTable};
@@ -121,24 +120,22 @@ pub struct ProtocolStats {
 
 /// One thread's per-thread protocol state, resolved once
 /// ([`Protocol::thread_handle`]) so a client's fused per-access kernel
-/// reaches its ownership-table slot and pending-request flag without
-/// indexing by `ThreadId`. Valid as long as it is held (the slots are
-/// `Arc`-shared with the protocol). Like every `ThreadId`-taking hook, a
-/// handle's methods must only be called by the thread it was resolved for.
+/// reaches its ownership table and pending-request flag without indexing
+/// by `ThreadId`. Valid as long as it is held (the slot is `Arc`-shared
+/// with the protocol). Like every `ThreadId`-taking hook, a handle's
+/// methods must only be called by the thread it was resolved for.
 pub struct ThreadHandle {
-    /// `None` with the ownership cache disabled: every probe misses.
-    cache: Option<Arc<CacheSlot>>,
     slot: Arc<ThreadSlot>,
+    /// Whether the ownership cache is on; off, a probe misses before it
+    /// touches the table.
+    cache: bool,
 }
 
 impl ThreadHandle {
     /// [`Protocol::cache_probe`] for this thread.
     #[inline(always)]
     pub fn cache_probe(&self, obj: ObjId, kind: AccessKind) -> bool {
-        match &self.cache {
-            Some(cache) => cache.probe(obj, kind.is_write()),
-            None => false,
-        }
+        self.cache && self.slot.probe(obj, kind.is_write())
     }
 
     /// Whether explicit-protocol requests are pending: the test
@@ -152,7 +149,7 @@ impl ThreadHandle {
 impl std::fmt::Debug for ThreadHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadHandle")
-            .field("cache", &self.cache.is_some())
+            .field("cache", &self.cache)
             .finish_non_exhaustive()
     }
 }
@@ -169,9 +166,9 @@ pub struct Protocol<S> {
     /// Trace registry (`--obs full` only); `None` keeps every barrier
     /// untouched.
     obs: Option<Arc<PipelineObs>>,
-    /// Ownership inline cache; `None` disables it (`--barrier-cache off`),
-    /// restoring the exact uncached barrier.
-    cache: Option<OwnershipCache>,
+    /// Whether the ownership inline cache is on; off (`--barrier-cache
+    /// off`) restores the exact uncached barrier.
+    cache: bool,
 }
 
 impl<S: TransitionSink> Protocol<S> {
@@ -197,13 +194,13 @@ impl<S: TransitionSink> Protocol<S> {
     ) -> Self {
         Protocol {
             states: StateTable::new(n_objects),
-            threads: ThreadRegistry::new(n_threads),
+            threads: ThreadRegistry::new(n_threads, if barrier_cache { n_objects } else { 0 }),
             g_rd_sh_cnt: AtomicU32::new(0),
             mode,
             sink,
             stats: ProtocolStats::default(),
             obs,
-            cache: barrier_cache.then(|| OwnershipCache::new(n_objects, n_threads)),
+            cache: barrier_cache,
         }
     }
 
@@ -212,7 +209,7 @@ impl<S: TransitionSink> Protocol<S> {
     /// touch, 1 upgrade, 2 fence, 3 conflicting).
     #[inline]
     fn observe_transition(&self, t: ThreadId, kind: Tally) {
-        self.threads.tally(t, kind);
+        self.threads.slot(t).tally(kind);
         if let Some(obs) = &self.obs {
             obs.trace(Stage::Octet, EventKind::Transition, kind as u64);
         }
@@ -247,8 +244,8 @@ impl<S: TransitionSink> Protocol<S> {
     /// Resolves `t`'s per-thread state into a handle.
     pub fn thread_handle(&self, t: ThreadId) -> ThreadHandle {
         ThreadHandle {
-            cache: self.cache.as_ref().map(|c| Arc::clone(c.slot(t))),
             slot: Arc::clone(self.threads.slot(t)),
+            cache: self.cache,
         }
     }
 
@@ -258,27 +255,24 @@ impl<S: TransitionSink> Protocol<S> {
     }
 
     /// Marks `t` as permanently blocked; pending requests are answered
-    /// first, and `t`'s transition and inline-cache tallies fold into the
+    /// first, the inline cache is flushed, and `t`'s tallies fold into the
     /// shared stats.
     pub fn thread_end(&self, t: ThreadId) {
         self.respond_pending(t);
         self.threads.set_blocked(t);
-        let [first_touch, upgrades, fences, conflicts] = self.threads.take_tallies(t);
-        for (total, tally) in [
-            (&self.stats.first_touch, first_touch),
-            (&self.stats.upgrades, upgrades),
-            (&self.stats.fences, fences),
-            (&self.stats.conflicts, conflicts),
-        ] {
+        self.cache_flush(t);
+        let s = &self.stats;
+        // In `Tally` order.
+        let totals = [
+            &s.first_touch,
+            &s.upgrades,
+            &s.fences,
+            &s.conflicts,
+            &s.cache_hits,
+            &s.cache_flushes,
+        ];
+        for (total, tally) in totals.into_iter().zip(self.threads.slot(t).take_tallies()) {
             total.fetch_add(tally, Ordering::Relaxed);
-        }
-        if let Some(cache) = &self.cache {
-            cache.slot(t).flush();
-            let (hits, flushes) = cache.slot(t).take_counters();
-            self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
-            self.stats
-                .cache_flushes
-                .fetch_add(flushes, Ordering::Relaxed);
         }
     }
 
@@ -295,9 +289,7 @@ impl<S: TransitionSink> Protocol<S> {
     /// because implicit transitions revoke ownership while `t` sleeps.
     pub fn before_block(&self, t: ThreadId) {
         self.respond_pending(t);
-        if let Some(cache) = &self.cache {
-            cache.slot(t).flush();
-        }
+        self.cache_flush(t);
         self.threads.set_blocked(t);
     }
 
@@ -308,9 +300,7 @@ impl<S: TransitionSink> Protocol<S> {
     /// protocol client skipped `before_block`).
     pub fn after_unblock(&self, t: ThreadId) {
         self.threads.set_running(t);
-        if let Some(cache) = &self.cache {
-            cache.slot(t).flush();
-        }
+        self.cache_flush(t);
         self.respond_pending(t);
     }
 
@@ -323,9 +313,7 @@ impl<S: TransitionSink> Protocol<S> {
             // We are granting ownership away; anything cached is suspect.
             // The flush happens on our own thread before our next probe,
             // so no stale hit can slip in between.
-            if let Some(cache) = &self.cache {
-                cache.slot(t).flush();
-            }
+            self.cache_flush(t);
             if requesters.len() > 1 {
                 self.stats
                     .coalesced
@@ -379,15 +367,37 @@ impl<S: TransitionSink> Protocol<S> {
     /// cache disabled.
     #[inline]
     pub fn cache_probe(&self, t: ThreadId, obj: ObjId, kind: AccessKind) -> bool {
-        match &self.cache {
-            Some(cache) => cache.slot(t).probe(obj, kind.is_write()),
-            None => false,
-        }
+        self.cache && self.threads.slot(t).probe(obj, kind.is_write())
     }
 
     /// Whether the ownership inline cache is enabled.
     pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
+        self.cache
+    }
+
+    /// Stamps `obj` in `t`'s ownership table once the barrier proved a
+    /// stable permission (`write_ok` iff `t` holds it `WrEx`). Runs on `t`;
+    /// a core-local store, no shared write.
+    #[inline]
+    fn cache_insert(&self, t: ThreadId, obj: ObjId, write_ok: bool) {
+        if self.cache {
+            self.threads.slot(t).insert(obj, write_ok);
+        }
+    }
+
+    /// Flushes `t`'s ownership table. Runs on `t`.
+    fn cache_flush(&self, t: ThreadId) {
+        if self.cache {
+            self.threads.slot(t).flush();
+        }
+    }
+
+    /// Revokes `t`'s ownership table from another thread: its next probe
+    /// flushes.
+    fn cache_revoke(&self, t: ThreadId) {
+        if self.cache {
+            self.threads.slot(t).revoke();
+        }
     }
 
     /// The barrier body without the leading inline-cache probe. Clients
@@ -403,9 +413,7 @@ impl<S: TransitionSink> Protocol<S> {
             // The uncached fast path performs no shared writes (the
             // paper's key performance property) — not even a statistics
             // update. Warming the inline cache is a core-local store only.
-            if let Some(cache) = &self.cache {
-                cache.slot(t).insert(obj, write_ok);
-            }
+            self.cache_insert(t, obj, write_ok);
             return BarrierOutcome::Same;
         }
         self.transition(t, obj, kind)
@@ -452,21 +460,13 @@ impl<S: TransitionSink> Protocol<S> {
                     // Reached only when the word changed under us (on a
                     // retry, or between the head's load and ours): same
                     // contract as the inlined head — no shared writes.
-                    if let Some(cache) = &self.cache {
-                        cache
-                            .slot(t)
-                            .insert(obj, matches!(state, OctetState::WrEx(_)));
-                    }
+                    self.cache_insert(t, obj, matches!(state, OctetState::WrEx(_)));
                     return BarrierOutcome::Same;
                 }
                 TransitionKind::FirstTouch { new } => {
                     if self.states.compare_exchange(i, word, encode(new)).is_ok() {
                         self.observe_transition(t, Tally::FirstTouch);
-                        if let Some(cache) = &self.cache {
-                            cache
-                                .slot(t)
-                                .insert(obj, matches!(new, OctetState::WrEx(_)));
-                        }
+                        self.cache_insert(t, obj, matches!(new, OctetState::WrEx(_)));
                         return BarrierOutcome::FirstTouch;
                     }
                 }
@@ -477,9 +477,7 @@ impl<S: TransitionSink> Protocol<S> {
                         .is_ok()
                     {
                         self.observe_transition(t, Tally::Upgrade);
-                        if let Some(cache) = &self.cache {
-                            cache.slot(t).insert(obj, true);
-                        }
+                        self.cache_insert(t, obj, true);
                         return BarrierOutcome::UpgradedToWrEx;
                     }
                 }
@@ -490,9 +488,7 @@ impl<S: TransitionSink> Protocol<S> {
                     // revocation epoch before the CAS can publish the new
                     // state (a spurious bump on CAS failure just costs the
                     // loser one extra flush).
-                    if let Some(cache) = &self.cache {
-                        cache.slot(prev_owner).revoke();
-                    }
+                    self.cache_revoke(prev_owner);
                     // Stamp a fresh counter; if the CAS loses, the counter
                     // value is simply skipped (harmless: counters only need
                     // to be unique and increasing).
@@ -504,9 +500,7 @@ impl<S: TransitionSink> Protocol<S> {
                     {
                         self.threads.raise_rd_sh_cnt(t, counter);
                         self.observe_transition(t, Tally::Upgrade);
-                        if let Some(cache) = &self.cache {
-                            cache.slot(t).insert(obj, false);
-                        }
+                        self.cache_insert(t, obj, false);
                         return BarrierOutcome::UpgradedToRdSh {
                             prev_owner,
                             counter,
@@ -517,9 +511,7 @@ impl<S: TransitionSink> Protocol<S> {
                     fence(Ordering::SeqCst);
                     self.threads.raise_rd_sh_cnt(t, counter);
                     self.observe_transition(t, Tally::Fence);
-                    if let Some(cache) = &self.cache {
-                        cache.slot(t).insert(obj, false);
-                    }
+                    self.cache_insert(t, obj, false);
                     return BarrierOutcome::Fence { counter };
                 }
                 TransitionKind::Conflicting { new, responders } => {
@@ -539,11 +531,7 @@ impl<S: TransitionSink> Protocol<S> {
                     }
                     self.states.store(i, encode(new));
                     self.observe_transition(t, Tally::Conflict);
-                    if let Some(cache) = &self.cache {
-                        cache
-                            .slot(t)
-                            .insert(obj, matches!(new, OctetState::WrEx(_)));
-                    }
+                    self.cache_insert(t, obj, matches!(new, OctetState::WrEx(_)));
                     return BarrierOutcome::Conflicting { new, responders: n };
                 }
             }
@@ -578,9 +566,7 @@ impl<S: TransitionSink> Protocol<S> {
         // safe-point response there), and in threaded mode it is a cheap
         // belt-and-braces on top of the responder's own flush — one RMW on
         // an already-slow coordination path.
-        if let Some(cache) = &self.cache {
-            cache.slot(resp).revoke();
-        }
+        self.cache_revoke(resp);
         if self.mode == CoordinationMode::Immediate {
             // Deterministic engine: every other thread is at a safe point.
             self.sink.conflicting(resp, req);

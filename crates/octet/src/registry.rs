@@ -1,5 +1,9 @@
-//! Per-thread coordination state: status words, request words, and the
-//! thread-local view of the global read-shared counter.
+//! Per-thread state, one `ThreadSlot` per thread. Its head holds the words
+//! other threads read or write: the status word, the request words, the
+//! thread's view of the global read-shared counter and the ownership
+//! cache's revocation epoch. Its owner block ([`OwnerCell`]) holds what
+//! only the thread touches: the ownership cache's stamp table (`cache.rs`),
+//! the claim buffer and the tallies.
 //!
 //! A thread's *status word* makes the explicit/implicit protocol choice
 //! possible (paper §3.2.1): requesters post a request to `Running` threads
@@ -27,8 +31,9 @@
 //! while it is still `PENDING`; once claimed, the hook is running against
 //! it and it keeps waiting for the answer.
 
+use crate::cache::Stamps;
 use dc_runtime::ids::ThreadId;
-use std::cell::Cell;
+use dc_runtime::OwnerCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -48,7 +53,10 @@ const CLAIMED: u32 = 2;
 /// The hook ran; the requester may proceed.
 const RESPONDED: u32 = 3;
 
-#[repr(align(128))]
+/// One thread's Octet state: the words other threads read or write, then
+/// the owner block, which starts a 128-byte block of its own
+/// (`#[repr(C)]` keeps the head first).
+#[repr(C)]
 pub(crate) struct ThreadSlot {
     status: AtomicU32,
     has_requests: AtomicBool,
@@ -56,35 +64,47 @@ pub(crate) struct ThreadSlot {
     requests: Box<[AtomicU32]>,
     /// `T.rdShCnt` — the thread's view of the global read-shared counter.
     rd_sh_cnt: AtomicU32,
+    /// Ownership-cache revocation epoch, bumped by threads that take
+    /// ownership away from this one outside its own execution
+    /// ([`ThreadSlot::revoke`]).
+    pub(crate) revoked: AtomicU32,
+    pub(crate) owner: OwnerCell<Owner>,
+}
+
+/// What only the slot's thread touches.
+#[derive(Debug)]
+pub(crate) struct Owner {
+    /// The ownership inline cache's stamp table.
+    pub(crate) cache: Stamps,
     /// The requesters this thread claimed at its current safe point. The
     /// buffer is moved out while in use and handed back cleared, so it is
     /// allocated once (with room for every other thread).
-    claimed: Cell<Vec<ThreadId>>,
-    /// The transitions this thread performed, by kind (first touch,
-    /// upgrade, fence, conflicting), since the last [`ThreadRegistry::take_tallies`].
-    tallies: Cell<Tallies>,
+    claimed: Vec<ThreadId>,
+    /// What this thread did, by [`Tally`], since the last
+    /// [`ThreadSlot::take_tallies`].
+    pub(crate) tallies: Tallies,
 }
 
-/// Per-thread transition counts, indexed by [`Tally`].
-pub(crate) type Tallies = [u64; 4];
+/// Per-thread counts, indexed by [`Tally`].
+pub(crate) type Tallies = [u64; 6];
 
-/// The transition kinds a thread tallies.
+/// What a thread tallies: the transitions it performed (first touch,
+/// upgrade, fence, conflicting) and its ownership cache's hits and
+/// non-empty flushes.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Tally {
     FirstTouch,
     Upgrade,
     Fence,
     Conflict,
+    CacheHit,
+    CacheFlush,
 }
 
-// SAFETY: `claimed` and `tallies` are only ever accessed by the slot's owner
-// thread (`claim_requests(t)` / `respond_requests(t, ..)`, `tally(t, ..)` and
-// `take_tallies(t)` run on `t`, like every `ThreadId`-taking hook); every
-// other field is an atomic.
-unsafe impl Sync for ThreadSlot {}
-
 impl ThreadSlot {
-    fn new(n_threads: usize) -> Self {
+    /// A slot for one of `n_threads` threads, with a stamp table covering
+    /// `cache_objects` objects (0 with the ownership cache off).
+    pub(crate) fn new(n_threads: usize, cache_objects: usize) -> Self {
         ThreadSlot {
             // Threads are "blocked" until thread_begin: not-yet-started
             // threads are coordinated with implicitly.
@@ -92,8 +112,12 @@ impl ThreadSlot {
             has_requests: AtomicBool::new(false),
             requests: (0..n_threads).map(|_| AtomicU32::new(IDLE)).collect(),
             rd_sh_cnt: AtomicU32::new(0),
-            claimed: Cell::new(Vec::with_capacity(n_threads)),
-            tallies: Cell::new([0; 4]),
+            revoked: AtomicU32::new(0),
+            owner: OwnerCell::new(Owner {
+                cache: Stamps::new(cache_objects),
+                claimed: Vec::with_capacity(n_threads),
+                tallies: [0; 6],
+            }),
         }
     }
 
@@ -104,23 +128,41 @@ impl ThreadSlot {
     pub(crate) fn has_requests(&self) -> bool {
         self.has_requests.load(Ordering::Acquire)
     }
+
+    /// Counts one `kind` event. Runs on the slot's thread.
+    #[inline]
+    pub(crate) fn tally(&self, kind: Tally) {
+        // SAFETY: runs on the owner, which holds no other borrow of its cell.
+        unsafe { self.owner.get() }.tallies[kind as usize] += 1;
+    }
+
+    /// Returns and resets the counts. Runs on the slot's thread.
+    pub(crate) fn take_tallies(&self) -> Tallies {
+        // SAFETY: as in `tally`.
+        std::mem::take(&mut unsafe { self.owner.get() }.tallies)
+    }
 }
 
-/// Dense per-thread coordination slots, `Arc`-shared so a thread can
-/// resolve its own once ([`crate::ThreadHandle`]).
+/// Dense per-thread slots, `Arc`-shared so a thread can resolve its own
+/// once ([`crate::ThreadHandle`]).
 pub struct ThreadRegistry {
     slots: Box<[Arc<ThreadSlot>]>,
 }
 
 impl ThreadRegistry {
-    /// Creates a registry for `n` threads, all initially blocked.
-    pub fn new(n: usize) -> Self {
+    /// Creates a registry for `n` threads, all initially blocked, each with
+    /// an ownership-cache stamp table covering `cache_objects` objects (4
+    /// bytes per object per thread; 0 with the cache off).
+    pub fn new(n: usize, cache_objects: usize) -> Self {
         ThreadRegistry {
-            slots: (0..n).map(|_| Arc::new(ThreadSlot::new(n))).collect(),
+            slots: (0..n)
+                .map(|_| Arc::new(ThreadSlot::new(n, cache_objects)))
+                .collect(),
         }
     }
 
     /// Thread `t`'s slot.
+    #[inline]
     pub(crate) fn slot(&self, t: ThreadId) -> &Arc<ThreadSlot> {
         &self.slots[t.index()]
     }
@@ -245,7 +287,9 @@ impl ThreadRegistry {
     /// is empty, so the buffer is reused.
     pub fn claim_requests(&self, t: ThreadId) -> Vec<ThreadId> {
         let slot = &self.slots[t.index()];
-        let mut claimed = slot.claimed.take();
+        // SAFETY: runs on `t`. The buffer leaves the cell, so no borrow of
+        // it is alive while the caller runs the sink for these requesters.
+        let mut claimed = std::mem::take(&mut unsafe { slot.owner.get() }.claimed);
         if slot.has_requests.swap(false, Ordering::AcqRel) {
             for (i, word) in slot.requests.iter().enumerate() {
                 if word
@@ -272,7 +316,8 @@ impl ThreadRegistry {
             );
             word.store(RESPONDED, Ordering::Release);
         }
-        slot.claimed.set(claimed);
+        // SAFETY: runs on `t`, which holds no other borrow of its cell here.
+        unsafe { slot.owner.get() }.claimed = claimed;
     }
 
     /// `t.rdShCnt`.
@@ -289,20 +334,6 @@ impl ThreadRegistry {
         if cnt.load(Ordering::Acquire) < c {
             cnt.fetch_max(c, Ordering::AcqRel);
         }
-    }
-
-    /// Counts one transition of `kind` that `t` performed. Runs on `t`.
-    #[inline]
-    pub(crate) fn tally(&self, t: ThreadId, kind: Tally) {
-        let tallies = &self.slots[t.index()].tallies;
-        let mut counts = tallies.get();
-        counts[kind as usize] += 1;
-        tallies.set(counts);
-    }
-
-    /// Returns and resets `t`'s transition counts. Runs on `t`.
-    pub(crate) fn take_tallies(&self, t: ThreadId) -> Tallies {
-        self.slots[t.index()].tallies.take()
     }
 }
 
@@ -322,9 +353,29 @@ mod tests {
     const T1: ThreadId = ThreadId(1);
     const T2: ThreadId = ThreadId(2);
 
+    /// The words other threads touch sit in the slot's first 128-byte
+    /// block; the owner block, written on every cache probe, starts at the
+    /// next one — no false sharing between the two.
+    #[test]
+    fn the_owner_block_starts_128_bytes_after_the_shared_words() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(align_of::<ThreadSlot>(), 128);
+        let head_end = offset_of!(ThreadSlot, revoked) + size_of::<AtomicU32>();
+        for word in [
+            offset_of!(ThreadSlot, status),
+            offset_of!(ThreadSlot, has_requests),
+            offset_of!(ThreadSlot, requests),
+            offset_of!(ThreadSlot, rd_sh_cnt),
+        ] {
+            assert!(word < head_end);
+        }
+        assert!(head_end <= 128);
+        assert!(offset_of!(ThreadSlot, owner) >= offset_of!(ThreadSlot, status) + 128);
+    }
+
     #[test]
     fn threads_start_blocked_and_can_run() {
-        let reg = ThreadRegistry::new(2);
+        let reg = ThreadRegistry::new(2, 0);
         assert_eq!(reg.len(), 2);
         assert!(!reg.is_empty());
         assert_eq!(reg.status(T0), BLOCKED);
@@ -336,7 +387,7 @@ mod tests {
 
     #[test]
     fn holds_are_exclusive() {
-        let reg = ThreadRegistry::new(1);
+        let reg = ThreadRegistry::new(1, 0);
         assert!(reg.try_hold(T0));
         assert!(!reg.try_hold(T0), "second hold must fail");
         reg.release_hold(T0);
@@ -346,7 +397,7 @@ mod tests {
 
     #[test]
     fn cannot_hold_running_thread() {
-        let reg = ThreadRegistry::new(1);
+        let reg = ThreadRegistry::new(1, 0);
         reg.set_running(T0);
         assert!(!reg.try_hold(T0));
     }
@@ -358,7 +409,7 @@ mod tests {
 
     #[test]
     fn request_round_trip_walks_the_four_states() {
-        let reg = ThreadRegistry::new(3);
+        let reg = ThreadRegistry::new(3, 0);
         reg.request(T0, T1);
         reg.request(T0, T2);
         assert!(reg.has_requests(T0));
@@ -382,7 +433,7 @@ mod tests {
 
     #[test]
     fn claimed_word_cannot_be_withdrawn() {
-        let reg = ThreadRegistry::new(2);
+        let reg = ThreadRegistry::new(2, 0);
         reg.request(T0, T1);
         let claimed = reg.claim_requests(T0);
         assert!(
@@ -396,7 +447,7 @@ mod tests {
 
     #[test]
     fn pending_word_behind_a_blocking_responder_is_withdrawn_and_reposted() {
-        let reg = ThreadRegistry::new(2);
+        let reg = ThreadRegistry::new(2, 0);
         reg.set_running(T0);
         reg.request(T0, T1);
         // The responder blocks without reaching another safe point.
@@ -422,7 +473,7 @@ mod tests {
     /// in by hand.
     #[test]
     fn flag_raised_around_a_scan_is_not_lost() {
-        let reg = ThreadRegistry::new(3);
+        let reg = ThreadRegistry::new(3, 0);
         let slot = reg.slot(T0);
         // Word posted, flag not raised yet: the safe point skips the scan;
         // the request is found once the flag lands.
@@ -459,7 +510,7 @@ mod tests {
 
     #[test]
     fn rd_sh_cnt_is_monotonic() {
-        let reg = ThreadRegistry::new(1);
+        let reg = ThreadRegistry::new(1, 0);
         assert_eq!(reg.rd_sh_cnt(T0), 0);
         reg.raise_rd_sh_cnt(T0, 5);
         reg.raise_rd_sh_cnt(T0, 3);
@@ -470,7 +521,7 @@ mod tests {
     fn unblock_waits_for_hold_release() {
         // A held thread's set_running spins until the hold is released;
         // exercise the handoff across real threads.
-        let reg = Arc::new(ThreadRegistry::new(1));
+        let reg = Arc::new(ThreadRegistry::new(1, 0));
         assert!(reg.try_hold(T0));
         let reg2 = Arc::clone(&reg);
         let h = std::thread::spawn(move || {

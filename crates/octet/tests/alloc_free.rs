@@ -5,30 +5,12 @@
 
 use dc_octet::{BarrierOutcome, CoordinationMode, Protocol, TransitionSink};
 use dc_runtime::ids::{ObjId, ThreadId};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts every allocation of every thread (`realloc`'s default forwards to
-/// `alloc`).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: forwards to `System` unchanged; the counter is a relaxed atomic.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::process_allocations;
 
 thread_local! {
     /// The program thread this OS thread plays (const-init: no lazy
@@ -86,9 +68,7 @@ fn warm_explicit_round_trip_allocates_nothing_on_either_side() {
                     // Thread 0's turns open and close the measured window;
                     // thread 1 is only polling meanwhile.
                     if n == WARM {
-                        window
-                            .0
-                            .store(ALLOCS.load(Ordering::SeqCst), Ordering::SeqCst);
+                        window.0.store(process_allocations(), Ordering::SeqCst);
                     }
                     let outcome = p.write_barrier(t, O);
                     assert_eq!(
@@ -97,9 +77,7 @@ fn warm_explicit_round_trip_allocates_nothing_on_either_side() {
                         "turn {n}"
                     );
                     if n + 2 == WARM + MEASURED {
-                        window
-                            .1
-                            .store(ALLOCS.load(Ordering::SeqCst), Ordering::SeqCst);
+                        window.1.store(process_allocations(), Ordering::SeqCst);
                     }
                     turn.fetch_add(1, Ordering::SeqCst);
                 }

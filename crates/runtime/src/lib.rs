@@ -14,7 +14,9 @@
 //!   [`engine::det::run_det`] (deterministic interleavings, for tests and
 //!   the paper's worked examples),
 //! * [`spec::AtomicitySpec`] and [`spec::TxTracker`] — atomicity
-//!   specifications and transaction demarcation shared by all checkers.
+//!   specifications and transaction demarcation shared by all checkers,
+//! * [`OwnerCell`] — the owner-only per-thread block every analysis keeps
+//!   its hot state in.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@ pub mod engine;
 pub mod heap;
 pub mod ids;
 pub mod interp;
+mod owner_cell;
 pub mod program;
 pub mod spec;
 pub mod trace;
@@ -53,6 +56,7 @@ pub use engine::real::run_real;
 pub use engine::RunStats;
 pub use heap::{Heap, ObjKind};
 pub use ids::{AccessKind, CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
+pub use owner_cell::OwnerCell;
 pub use program::{Method, Op, Program, ProgramBuilder, ProgramError, StartMode, ThreadSpec};
 pub use spec::{AtomicitySpec, EnterOutcome, ExitOutcome, TxFilter, TxKind, TxTracker};
-pub use trace::{PerThreadTrace, Tee, TraceChecker, TraceEvent};
+pub use trace::{Tee, TraceChecker, TraceEvent};

@@ -11,7 +11,6 @@ use crate::checker::Checker;
 use crate::heap::Heap;
 use crate::ids::{CellId, MethodId, ObjId, ThreadId};
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
 
 /// One recorded event. Synchronization operations appear as
 /// [`TraceEvent::SyncAcquire`]/[`TraceEvent::SyncRelease`] exactly as the
@@ -175,62 +174,6 @@ impl<A: Checker, B: Checker> Checker for Tee<A, B> {
     }
 }
 
-/// A per-thread event collector usable from the deterministic engine where
-/// a lock per event would be wasteful; merges into program order per
-/// thread.
-#[derive(Debug)]
-pub struct PerThreadTrace {
-    slots: Box<[UnsafeCell<Vec<TraceEvent>>]>,
-}
-
-// SAFETY: each slot is only written by its owning thread (engine
-// convention); reads happen after the run.
-unsafe impl Sync for PerThreadTrace {}
-
-impl PerThreadTrace {
-    /// Creates a collector for `n` threads.
-    pub fn new(n: usize) -> Self {
-        PerThreadTrace {
-            slots: (0..n).map(|_| UnsafeCell::new(Vec::new())).collect(),
-        }
-    }
-
-    /// Extracts the per-thread event streams.
-    pub fn into_streams(self) -> Vec<Vec<TraceEvent>> {
-        self.slots
-            .into_vec()
-            .into_iter()
-            .map(UnsafeCell::into_inner)
-            .collect()
-    }
-
-    fn push(&self, t: ThreadId, e: TraceEvent) {
-        // SAFETY: called on thread t only.
-        unsafe { (*self.slots[t.index()].get()).push(e) };
-    }
-}
-
-impl Checker for PerThreadTrace {
-    fn enter_method(&self, t: ThreadId, m: MethodId) {
-        self.push(t, TraceEvent::Enter(t, m));
-    }
-    fn exit_method(&self, t: ThreadId, m: MethodId) {
-        self.push(t, TraceEvent::Exit(t, m));
-    }
-    fn read(&self, t: ThreadId, obj: ObjId, cell: CellId) {
-        self.push(t, TraceEvent::Read(t, obj, cell));
-    }
-    fn write(&self, t: ThreadId, obj: ObjId, cell: CellId) {
-        self.push(t, TraceEvent::Write(t, obj, cell));
-    }
-    fn sync_acquire(&self, t: ThreadId, obj: ObjId) {
-        self.push(t, TraceEvent::SyncAcquire(t, obj));
-    }
-    fn sync_release(&self, t: ThreadId, obj: ObjId) {
-        self.push(t, TraceEvent::SyncRelease(t, obj));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,21 +222,5 @@ mod tests {
         run_det(&p, &tee, &Schedule::random(5)).unwrap();
         assert_eq!(tee.a.events(), tee.b.events());
         assert!(!tee.a.events().is_empty());
-    }
-
-    #[test]
-    fn per_thread_trace_preserves_program_order() {
-        let p = tiny_program();
-        let trace = PerThreadTrace::new(2);
-        run_det(&p, &trace, &Schedule::random(9)).unwrap();
-        let streams = trace.into_streams();
-        assert_eq!(streams.len(), 2);
-        for (i, s) in streams.iter().enumerate() {
-            assert!(matches!(s[0], TraceEvent::Enter(t, _) if t.index() == i));
-            assert!(
-                s.windows(2).all(|w| w[0].thread() == w[1].thread()),
-                "single-thread stream"
-            );
-        }
     }
 }

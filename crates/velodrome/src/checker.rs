@@ -21,8 +21,8 @@ use dc_runtime::ids::{CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
 use dc_runtime::spec::TxKind;
 use dc_runtime::spec::{AtomicitySpec, TxFilter, TxTracker};
 use dc_runtime::spec::{EnterOutcome, ExitOutcome};
+use dc_runtime::OwnerCell;
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -92,16 +92,15 @@ struct Local {
     seen_edge_events: u32,
 }
 
-#[repr(align(128))]
+/// One thread's state: the words other threads read or write, then the
+/// owner block, which starts a 128-byte block of its own (`#[repr(C)]`
+/// keeps the head first). Every access to `local` runs on the owner.
+#[repr(C)]
 struct Slot {
     current_tx: AtomicU64,
     edge_events: AtomicU32,
-    local: UnsafeCell<Local>,
+    local: OwnerCell<Local>,
 }
-
-// SAFETY: `local` is accessed only by the owning thread; other fields are
-// atomics.
-unsafe impl Sync for Slot {}
 
 /// The online atomicity checker, its cycle test chosen by `C`.
 pub struct Online<C> {
@@ -162,7 +161,7 @@ impl<C: CycleFilter> Online<C> {
                 .map(|_| Slot {
                     current_tx: AtomicU64::new(0),
                     edge_events: AtomicU32::new(0),
-                    local: UnsafeCell::new(Local {
+                    local: OwnerCell::new(Local {
                         tracker: TxTracker::new(),
                         seq: 0,
                         kind: TxKind::Unary,
@@ -201,16 +200,10 @@ impl<C: CycleFilter> Online<C> {
         self.graph.lock().cross_edges
     }
 
-    /// SAFETY: must only be called from code running on thread `t`.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn local(&self, t: ThreadId) -> &mut Local {
-        &mut *self.slots[t.index()].local.get()
-    }
-
     fn begin_tx(&self, t: ThreadId, kind: TxKind) {
         let slot = &self.slots[t.index()];
         // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        let local = unsafe { slot.local.get() };
         local.seq += 1;
         local.kind = kind;
         local.instrumenting = match kind {
@@ -254,8 +247,8 @@ impl<C: CycleFilter> Online<C> {
     fn before_access(&self, t: ThreadId) {
         let slot = &self.slots[t.index()];
         let events = slot.edge_events.load(Ordering::Acquire);
-        // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        // SAFETY: called on thread t; the borrow ends before `begin_tx`.
+        let local = unsafe { slot.local.get() };
         if events != local.seen_edge_events {
             local.seen_edge_events = events;
             if local.kind == TxKind::Unary {
@@ -274,14 +267,15 @@ impl<C: CycleFilter> Online<C> {
     /// The instrumented access body.
     fn access(&self, t: ThreadId, obj: ObjId, cell: CellId, is_write: bool) {
         self.before_access(t);
+        let own = &self.slots[t.index()];
         // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        let local = unsafe { own.local.get() };
         if !local.instrumenting {
             return;
         }
         let meta = self.meta.get().expect("run_begin builds metadata");
         let slot = meta.slot(obj, cell);
-        let cur = VTxId(self.slots[t.index()].current_tx.load(Ordering::Relaxed));
+        let cur = VTxId(own.current_tx.load(Ordering::Relaxed));
         if self.config.variant == Variant::Unsound {
             // Skip synchronization when metadata would not change.
             if is_write {
@@ -355,7 +349,7 @@ impl<C: CycleFilter> Checker for Online<C> {
 
     fn thread_end(&self, t: ThreadId) {
         // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        let local = unsafe { self.slots[t.index()].local.get() };
         self.stats
             .instrumented
             .fetch_add(local.instrumented, Ordering::Relaxed);
@@ -367,16 +361,16 @@ impl<C: CycleFilter> Checker for Online<C> {
     }
 
     fn enter_method(&self, t: ThreadId, m: MethodId) {
-        // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        // SAFETY: called on thread t; the borrow ends before `begin_tx`.
+        let local = unsafe { self.slots[t.index()].local.get() };
         if let EnterOutcome::BeginTransaction(method) = local.tracker.enter(m, &self.spec) {
             self.begin_tx(t, TxKind::Regular(method));
         }
     }
 
     fn exit_method(&self, t: ThreadId, m: MethodId) {
-        // SAFETY: called on thread t.
-        let local = unsafe { self.local(t) };
+        // SAFETY: called on thread t; the borrow ends before `begin_tx`.
+        let local = unsafe { self.slots[t.index()].local.get() };
         if let ExitOutcome::EndTransaction(_) = local.tracker.exit(m) {
             self.begin_tx(t, TxKind::Unary);
         }

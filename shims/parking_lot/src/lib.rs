@@ -30,20 +30,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
     }
-
-    /// Tries to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Returns a mutable reference to the protected value.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: Default> Default for Mutex<T> {
@@ -54,10 +40,7 @@ impl<T: Default> Default for Mutex<T> {
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_tuple("Mutex").field(&&*g).finish(),
-            None => f.write_str("Mutex(<locked>)"),
-        }
+        fmt::Debug::fmt(&self.0, f)
     }
 }
 
@@ -80,23 +63,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// Result of [`Condvar::wait_for`]: whether the wait timed out.
-#[derive(Clone, Copy, Debug)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// True when the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
 /// A condition variable with `parking_lot`'s `wait(&mut guard)` API.
 pub struct Condvar(std::sync::Condvar);
 
@@ -113,103 +79,14 @@ impl Condvar {
         guard.0 = Some(inner);
     }
 
-    /// Atomically releases the guarded lock and waits for a notification or
-    /// until `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.0.take().expect("guard present");
-        let (inner, result) = match self.0.wait_timeout(inner, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(e) => {
-                let (g, r) = e.into_inner();
-                (g, r)
-            }
-        };
-        guard.0 = Some(inner);
-        WaitTimeoutResult(result.timed_out())
-    }
-
-    /// Wakes one waiter; returns whether a thread was woken (always reported
-    /// true — std does not expose the count).
-    pub fn notify_one(&self) -> bool {
+    /// Wakes one waiter.
+    pub fn notify_one(&self) {
         self.0.notify_one();
-        true
     }
 
-    /// Wakes all waiters; returns the woken count (std does not expose it,
-    /// so the shim reports 0).
-    pub fn notify_all(&self) -> usize {
+    /// Wakes all waiters.
+    pub fn notify_all(&self) {
         self.0.notify_all();
-        0
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
-    }
-}
-
-/// A reader-writer lock with `parking_lot`'s non-poisoning API.
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-/// RAII guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(std::sync::RwLockReadGuard<'a, T>);
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-/// RAII guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(std::sync::RwLockWriteGuard<'a, T>);
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
     }
 }
 
