@@ -52,7 +52,7 @@ pub struct DcConfig {
     /// Octet coordination mode: `Threaded` under the real engine,
     /// `Immediate` under the deterministic engine.
     pub coordination: CoordinationMode,
-    /// How much the observability layer records. Below `Full` every
+    /// How much the observability layer records. At `Off` every
     /// instrumentation site is a single pointer test; no level changes
     /// checker results. `Off` unless the caller asks
     /// ([`DcConfig::with_observability`], the CLI's `--obs`).
@@ -215,8 +215,8 @@ pub struct DoubleChecker {
     pcd_stats: Mutex<ReplayStats>,
     static_info: Mutex<StaticTxInfo>,
     sccs_to_pcd: AtomicU64,
-    /// Latency and trace registry shared with Octet and ICD; `None` below
-    /// `Full`.
+    /// Latency and trace registry shared with Octet and ICD; `None` at
+    /// `Off`.
     obs: Option<Arc<PipelineObs>>,
     n_threads: usize,
 }
@@ -275,15 +275,12 @@ impl DoubleChecker {
         None
     }
 
-    /// The observability report, or `None` when observability is off.
-    /// Complete once `run_end` returned. Every count is one of the
-    /// analysis' own statistics; latencies and the trace count are zero
-    /// below `Full`.
+    /// The observability report, at every level: always `Some`, an
+    /// `Option` only because the frozen benchmark unwraps it (remove with
+    /// ROADMAP 1(a)). Complete once `run_end` returned. Every count is one
+    /// of the analysis' own statistics; latencies and the trace count are
+    /// zero at `Off`.
     pub fn pipeline_report(&self) -> Option<PipelineReport> {
-        let level = self.config.observability;
-        if level == ObsLevel::Off {
-            return None;
-        }
         let obs = self.obs.as_deref();
         let latency =
             |h: fn(&PipelineObs) -> &Histogram| obs.map(|o| h(o).summary()).unwrap_or_default();
@@ -301,7 +298,7 @@ impl DoubleChecker {
             }
         });
         Some(PipelineReport {
-            level,
+            level: self.config.observability,
             octet: octet.unwrap_or_default(),
             graph: GraphReport {
                 sccs_skipped_trivial: self.icd.skipped_probes(),

@@ -61,8 +61,9 @@ pub struct DcReport {
     pub stats: DcStats,
     /// Engine statistics (access counts, wall-clock time).
     pub run: RunStats,
-    /// Observability report (`None` when observability is off).
-    pub pipeline: Option<PipelineReport>,
+    /// Observability report: counts at every level, latencies and the
+    /// trace count at `Full`.
+    pub pipeline: PipelineReport,
     /// Trace events (empty below the `Full` observability level).
     pub trace: Vec<TraceEvent>,
 }
@@ -86,7 +87,9 @@ pub fn run_doublechecker(
         static_info: checker.static_info(),
         stats: checker.stats(),
         run,
-        pipeline: checker.pipeline_report(),
+        pipeline: checker
+            .pipeline_report()
+            .expect("the report is built at every level"),
         trace: checker.trace_events(),
     })
 }

@@ -98,27 +98,20 @@ pub fn pipeline_report_to_json(r: &PipelineReport) -> Value {
 /// Version of the `--stats-json` document, written as its top-level
 /// `schema_version`. Bump it whenever a key is added, removed, renamed or
 /// retyped; `dc-cli`'s golden key-path test fails until both agree.
-pub const STATS_SCHEMA_VERSION: u64 = 3;
+pub const STATS_SCHEMA_VERSION: u64 = 4;
 
 /// The `--stats-json` document: `schema_version`
 /// ([`STATS_SCHEMA_VERSION`]) and the [`DcStats`] fields at the top level,
-/// plus a `pipeline` member (the [`PipelineReport`] schema) when
-/// observability was on and `null` otherwise — so the schema is stable
-/// across levels.
-pub fn stats_to_json(stats: DcStats, pipeline: Option<&PipelineReport>) -> Value {
+/// plus a `pipeline` member (the [`PipelineReport`] schema) — the same key
+/// set at every observability level.
+pub fn stats_to_json(stats: DcStats, pipeline: &PipelineReport) -> Value {
     let mut value = Value::from(stats);
     if let Value::Object(map) = &mut value {
         map.insert(
             "schema_version".to_string(),
             Value::from(STATS_SCHEMA_VERSION),
         );
-        map.insert(
-            "pipeline".to_string(),
-            match pipeline {
-                Some(r) => pipeline_report_to_json(r),
-                None => Value::Null,
-            },
-        );
+        map.insert("pipeline".to_string(), pipeline_report_to_json(pipeline));
     }
     value
 }

@@ -62,10 +62,7 @@ fn racy_program(iters: u32, pairs: u32) -> (Program, AtomicitySpec) {
 /// analysis' statistics: every SCC handed to PCD is timed and traced, every
 /// detected SCC was timed and traced, and the run begins and ends once.
 fn assert_accounting(report: &DcReport, ctx: &str) {
-    let p = report
-        .pipeline
-        .as_ref()
-        .unwrap_or_else(|| panic!("{ctx}: expected a pipeline report"));
+    let p = &report.pipeline;
     assert_eq!(p.level, ObsLevel::Full, "{ctx}");
     let s = &report.stats;
     assert_eq!(
@@ -112,41 +109,13 @@ fn sync_run_balances_its_books_at_full() {
     assert!(report.stats.icd_sccs > 0, "SCCs were detected");
     assert_eq!(
         report.trace.len() as u64,
-        report.pipeline.unwrap().trace_recorded,
+        report.pipeline.trace_recorded,
         "the ring holds the whole run, so the trace was checked"
     );
 }
 
 #[test]
-fn counters_level_counts_without_clocks_or_trace() {
-    let (p, spec) = racy_program(10, 1);
-    let plan = ExecPlan::Det(Schedule::random(3));
-    let report = run_doublechecker(
-        &p,
-        &spec,
-        DcConfig::single_run(plan.coordination()).with_observability(ObsLevel::Counters),
-        &plan,
-    )
-    .unwrap();
-    let p = report.pipeline.as_ref().unwrap();
-    assert_eq!(p.level, ObsLevel::Counters);
-    assert!(
-        p.octet.first_touch + p.octet.upgrades + p.octet.fences + p.octet.conflicts > 0,
-        "the report carries Octet's transition counts"
-    );
-    assert!(report.stats.icd_sccs > 0, "SCCs were detected");
-    assert_eq!(
-        p.graph.collect_latency.count, 0,
-        "no clock reads at counters"
-    );
-    assert_eq!(p.graph.scc_latency.count, 0, "no clock reads at counters");
-    assert_eq!(p.replay.latency.count, 0, "no clock reads at counters");
-    assert_eq!(p.trace_recorded, 0, "no trace at counters");
-    assert!(report.trace.is_empty());
-}
-
-#[test]
-fn off_level_reports_nothing() {
+fn off_level_counts_without_clocks_or_trace() {
     let (p, spec) = racy_program(10, 1);
     let plan = ExecPlan::Det(Schedule::random(3));
     let report = run_doublechecker(
@@ -156,7 +125,18 @@ fn off_level_reports_nothing() {
         &plan,
     )
     .unwrap();
-    assert!(report.pipeline.is_none());
+    let p = &report.pipeline;
+    assert_eq!(p.level, ObsLevel::Off);
+    assert!(
+        p.octet.first_touch + p.octet.upgrades + p.octet.fences + p.octet.conflicts > 0,
+        "the report carries Octet's transition counts"
+    );
+    assert!(report.stats.icd_sccs > 0, "SCCs were detected");
+    assert_eq!(p.replay.violations, report.stats.pcd.cycles);
+    assert_eq!(p.graph.collect_latency.count, 0, "no clock reads at off");
+    assert_eq!(p.graph.scc_latency.count, 0, "no clock reads at off");
+    assert_eq!(p.replay.latency.count, 0, "no clock reads at off");
+    assert_eq!(p.trace_recorded, 0, "no trace at off");
     assert!(report.trace.is_empty());
 }
 
@@ -179,7 +159,7 @@ fn full_level_traces_the_run_lifecycle_in_order() {
     );
     assert_eq!(trace.first().unwrap().kind.as_str(), "run_begin");
     assert_eq!(trace.last().unwrap().kind.as_str(), "run_end");
-    let obs = report.pipeline.as_ref().unwrap();
+    let obs = &report.pipeline;
     assert!(
         obs.trace_recorded >= trace.len() as u64,
         "recorded total covers the ring snapshot"

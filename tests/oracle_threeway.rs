@@ -89,8 +89,7 @@ fn observability_full_vs_off_is_bit_identical_across_the_suite() {
             )
             .unwrap();
             let ctx = format!("{} seed {seed}", wl.name);
-            assert!(off.pipeline.is_none(), "{ctx}: off must report nothing");
-            assert!(full.pipeline.is_some(), "{ctx}: full must report");
+            assert_eq!(off.pipeline.octet, full.pipeline.octet, "{ctx}: counts");
             assert_eq!(off.violations, full.violations, "{ctx}: violations");
             assert_eq!(off.stats, full.stats, "{ctx}: stats");
             assert_eq!(off.static_info, full.static_info, "{ctx}: static info");

@@ -1,7 +1,7 @@
 //! End-to-end checker tests spanning all crates: workloads → engines →
 //! checkers → violations.
 
-use dc_core::{run_doublechecker, run_multi, run_single, DcConfig, ExecPlan, ObsLevel};
+use dc_core::{run_doublechecker, run_multi, run_single, DcConfig, ExecPlan};
 use dc_runtime::engine::det::Schedule;
 use dc_runtime::heap::ObjKind;
 use dc_runtime::program::{Op, ProgramBuilder};
@@ -149,9 +149,9 @@ fn streaming_over_owned_objects_hits_the_ownership_cache() {
     let program = b.build().unwrap();
     let spec = AtomicitySpec::excluding(entries);
     let plan = ExecPlan::Det(Schedule::random(1));
-    let config = DcConfig::single_run(plan.coordination()).with_observability(ObsLevel::Counters);
+    let config = DcConfig::single_run(plan.coordination());
     let report = run_doublechecker(&program, &spec, config, &plan).unwrap();
-    let hits = report.pipeline.expect("counters are on").octet.cache_hits;
+    let hits = report.pipeline.octet.cache_hits;
     let accesses = report.stats.regular_accesses + report.stats.unary_accesses;
     assert!(
         hits * 100 >= accesses * 99,

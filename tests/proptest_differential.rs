@@ -123,9 +123,8 @@ proptest! {
         prop_assert_eq!(&off.violations, &full.violations, "violations diverge");
         prop_assert_eq!(&off.static_info, &full.static_info, "static info diverges");
         prop_assert_eq!(off.stats, full.stats, "stats diverge");
-        prop_assert!(off.pipeline.is_none(), "off must not report");
-        let report = full.pipeline.expect("full level reports");
-        prop_assert_eq!(report.replay.latency.count, full.stats.sccs_to_pcd);
+        prop_assert_eq!(off.pipeline.octet, full.pipeline.octet, "counts diverge");
+        prop_assert_eq!(full.pipeline.replay.latency.count, full.stats.sccs_to_pcd);
     }
 
     /// Serial execution (one giant quantum) is always violation-free:
