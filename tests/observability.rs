@@ -114,17 +114,24 @@ fn sync_run_balances_its_books_at_full() {
     );
 }
 
-#[test]
-fn off_level_counts_without_clocks_or_trace() {
+/// One single-run pass of the racy program at `level`.
+fn racy_run_at(level: ObsLevel) -> DcReport {
     let (p, spec) = racy_program(10, 1);
     let plan = ExecPlan::Det(Schedule::random(3));
-    let report = run_doublechecker(
+    run_doublechecker(
         &p,
         &spec,
-        DcConfig::single_run(plan.coordination()).with_observability(ObsLevel::Off),
+        DcConfig::single_run(plan.coordination()).with_observability(level),
         &plan,
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// What the retired `counters` level reported — the analysis' counts, with
+/// no clock reads and no trace — is what `Off` reports now.
+#[test]
+fn counters_level_counts_without_clocks_or_trace() {
+    let report = racy_run_at(ObsLevel::Off);
     let p = &report.pipeline;
     assert_eq!(p.level, ObsLevel::Off);
     assert!(
@@ -138,6 +145,22 @@ fn off_level_counts_without_clocks_or_trace() {
     assert_eq!(p.replay.latency.count, 0, "no clock reads at off");
     assert_eq!(p.trace_recorded, 0, "no trace at off");
     assert!(report.trace.is_empty());
+}
+
+/// `Off` has no registry, so it reports nothing of its own: its report is a
+/// `Full` report of the same schedule with every histogram empty and
+/// nothing traced.
+#[test]
+fn off_level_reports_nothing() {
+    let off = racy_run_at(ObsLevel::Off);
+    let mut expected = racy_run_at(ObsLevel::Full).pipeline;
+    expected.level = ObsLevel::Off;
+    expected.graph.scc_latency = Default::default();
+    expected.graph.collect_latency = Default::default();
+    expected.replay.latency = Default::default();
+    expected.trace_recorded = 0;
+    assert_eq!(off.pipeline, expected);
+    assert!(off.trace.is_empty());
 }
 
 #[test]
