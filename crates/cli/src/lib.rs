@@ -83,8 +83,8 @@ impl Value {
     }
 }
 
-/// One `--flag`, declared once: the commands that take it, its value, its
-/// help line, and what the rest of a `check` line may forbid.
+/// One `--flag`, declared once: the commands that take it, its value and
+/// its help line.
 #[derive(Clone, Copy, Debug)]
 struct Flag {
     name: &'static str,
@@ -95,12 +95,9 @@ struct Flag {
     /// Configures the DoubleChecker analysis only: an online checker
     /// (Velodrome, AeroDrome) rejects it.
     dc_only: bool,
-    /// `Some((value, reason))`: `--history` rejects this flag given `value`
-    /// (any value when `None`), because `reason`.
-    history_conflict: Option<(Option<&'static str>, &'static str)>,
 }
 
-/// A flag taken by `commands`; the builders below fill in the rest.
+/// A flag taken by `commands`; `.help` adds its help line.
 const fn flag(name: &'static str, commands: &'static str, value: Value) -> Flag {
     Flag {
         name,
@@ -108,7 +105,6 @@ const fn flag(name: &'static str, commands: &'static str, value: Value) -> Flag 
         value,
         help: "",
         dc_only: false,
-        history_conflict: None,
     }
 }
 
@@ -128,13 +124,6 @@ impl Flag {
     const fn help(self, help: &'static str) -> Flag {
         Flag { help, ..self }
     }
-
-    const fn history_conflict(self, value: Option<&'static str>, reason: &'static str) -> Flag {
-        Flag {
-            history_conflict: Some((value, reason)),
-            ..self
-        }
-    }
 }
 
 /// Every flag of every command. Each command accepts exactly its rows,
@@ -142,23 +131,15 @@ impl Flag {
 /// its row before the command starts.
 const FLAGS: &[Flag] = &[
     flag("workload", "check refine trace", Text("<name>"))
-        .help("benchmark workload (`dc list`); `check` can take --history instead")
-        .history_conflict(None, "the file is the program"),
-    flag("history", "check", Text("<file>")).help("replay a dc-history JSON file"),
+        .help("benchmark workload (`dc list`); `check` can take --history instead"),
+    flag("history", "check", Text("<file>"))
+        .help("replay a dc-history JSON file, which fixes program and interleaving"),
     flag("checker", "check", Choice(CHECKERS)).help("the checker to run (default single)"),
     flag("seed", "check trace", Number(0, u64::MAX))
-        .help("deterministic schedule seed (default 42)")
-        .history_conflict(None, "the file fixes the interleaving"),
-    flag(
-        "scale",
-        "list check refine trace",
-        Choice("tiny|small|full"),
-    )
-    .help("workload size (default tiny)")
-    .history_conflict(None, "the file fixes the program"),
+        .help("deterministic schedule seed (default 42)"),
+    flag("scale", "list check refine trace", Choice(SCALES)).help("workload size (default tiny)"),
     flag("engine", "check", Choice("det|real"))
-        .help("seeded deterministic schedule or real OS threads (default det)")
-        .history_conflict(Some("real"), "the file fixes the interleaving"),
+        .help("seeded deterministic schedule or real OS threads (default det)"),
     dc_flag("barrier-cache", Choice("on|off")).help("Octet ownership inline cache (default on)"),
     dc_flag("obs", Choice("off|full")).help("full adds latencies and the trace (default off)"),
     dc_flag("stats-json", Text("<path>")).help("write stats + observability report as JSON"),
@@ -166,6 +147,8 @@ const FLAGS: &[Flag] = &[
     flag("window", "refine", Number(1, U32)).help("trials per refinement window (default 5)"),
     flag("limit", "trace", Number(0, U32)).help("trace events to print (default 40)"),
 ];
+
+const SCALES: &str = "tiny|small|full";
 
 const U32: u64 = u32::MAX as u64;
 
@@ -362,17 +345,21 @@ fn check_target(flags: &Flags) -> Result<CheckTarget, CliError> {
         });
     };
     // A history fixes its own program and interleaving; flags that pick
-    // one are contradictions, not no-ops.
-    for flag in FLAGS {
-        let (Some(given), Some((value, reason))) = (flags.get(flag.name), flag.history_conflict)
-        else {
-            continue;
-        };
-        if value.is_none_or(|v| v == given) {
+    // one are contradictions, not no-ops. A `Some` value conflicts only
+    // when given that value.
+    for (name, value, reason) in [
+        ("workload", None, "the file is the program"),
+        ("seed", None, "the file fixes the interleaving"),
+        ("scale", None, "the file fixes the program"),
+        ("engine", Some("real"), "the file fixes the interleaving"),
+    ] {
+        if flags
+            .get(name)
+            .is_some_and(|given| value.is_none_or(|v| v == given))
+        {
             let value = value.map_or(String::new(), |v| format!(" {v}"));
             return Err(CliError::Usage(format!(
-                "--{}{value} conflicts with --history: {reason}",
-                flag.name
+                "--{name}{value} conflicts with --history: {reason}"
             )));
         }
     }
@@ -687,15 +674,23 @@ mod tests {
     }
 
     #[test]
-    fn flags_parse_pairs_and_reject_positional_and_dangling() {
+    fn flags_parse_key_value_pairs() {
         let f = Flags::parse(&argv("--workload tsp --seed 7"), "trace").unwrap();
         assert_eq!(f.get("workload"), Some("tsp"));
         assert_eq!(f.get("seed"), Some("7"));
         assert_eq!(f.get("missing"), None);
-        for (args, command) in [("positional", "list"), ("--seed", "trace")] {
-            let err = Flags::parse(&argv(args), command);
-            assert!(matches!(err, Err(CliError::Usage(_))), "{args}");
-        }
+    }
+
+    #[test]
+    fn flags_reject_positional_and_dangling() {
+        assert!(matches!(
+            Flags::parse(&argv("positional"), "list"),
+            Err(CliError::Usage(_))
+        ));
+        assert!(matches!(
+            Flags::parse(&argv("--seed"), "trace"),
+            Err(CliError::Usage(_))
+        ));
     }
 
     #[test]
@@ -755,7 +750,7 @@ mod tests {
 
     /// `dc` alone prints every flag with its values and help.
     #[test]
-    fn empty_invocation_and_unknown_command_print_usage() {
+    fn empty_invocation_prints_usage() {
         let Err(CliError::Usage(text)) = run(&[]) else {
             panic!("`dc` alone must be a usage error")
         };
@@ -764,6 +759,10 @@ mod tests {
             let spec = format!("--{} {}", flag.name, flag.value.shown());
             assert!(text.contains(&spec) && text.contains(flag.help), "{spec}");
         }
+    }
+
+    #[test]
+    fn unknown_command_is_usage_error() {
         assert!(matches!(run(&argv("bogus")), Err(CliError::Usage(_))));
     }
 
@@ -774,6 +773,13 @@ mod tests {
             assert!(out.contains(name), "missing {name} in:\n{out}");
         }
         assert!(out.contains("excluded from Figure 7"));
+    }
+
+    #[test]
+    fn check_single_runs_and_reports() {
+        let out = run(&argv("check --workload tsp --seed 3")).unwrap();
+        assert!(out.contains("single:"), "{out}");
+        assert!(out.contains("IDG edges"));
     }
 
     #[test]
@@ -1018,36 +1024,20 @@ mod tests {
         }
     }
 
-    /// `--checker dc` is `single` by another name, and the inline cache is
-    /// a pure performance knob: identical output on, off or defaulted.
     #[test]
-    fn check_equivalent_command_lines_print_the_same() {
-        let check = |extra: &str| run(&argv(&format!("check --workload tsp --seed 3 {extra}")));
-        let single = check("").unwrap();
-        assert!(
-            single.starts_with("single:") && single.contains("IDG edges"),
-            "{single}"
+    fn check_dc_alias_matches_single() {
+        let single = run(&argv("check --workload tsp --seed 3 --checker single")).unwrap();
+        let dc = run(&argv("check --workload tsp --seed 3 --checker dc")).unwrap();
+        assert_eq!(
+            single.replace("single:", "checker:"),
+            dc.replace("dc:", "checker:")
         );
-        for extra in [
-            "--checker single",
-            "--barrier-cache on",
-            "--barrier-cache off",
-        ] {
-            assert_eq!(check(extra).unwrap(), single, "{extra}");
-        }
-        let dc = check("--checker dc").unwrap();
-        assert_eq!(dc.replacen("dc:", "single:", 1), single);
     }
 
     #[test]
-    fn check_missing_workload_or_history_fails_cleanly() {
+    fn check_unknown_workload_fails_cleanly() {
         let err = run(&argv("check --workload nope")).unwrap_err();
         assert!(matches!(err, CliError::Failed(m) if m.contains("unknown workload")));
-        let err = run(&argv("check --history /nonexistent/h.json")).unwrap_err();
-        assert!(
-            matches!(err, CliError::Failed(ref m) if m.contains("reading")),
-            "{err:?}"
-        );
     }
 
     #[test]
@@ -1075,6 +1065,21 @@ mod tests {
                 "{cmd}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn check_barrier_cache_flag_preserves_results_and_rejects_garbage() {
+        let default = run(&argv("check --workload tsp --seed 3")).unwrap();
+        let on = run(&argv("check --workload tsp --seed 3 --barrier-cache on")).unwrap();
+        let off = run(&argv("check --workload tsp --seed 3 --barrier-cache off")).unwrap();
+        // The inline cache is a pure performance knob: identical summary
+        // output with it on, off, or defaulted.
+        assert_eq!(default, on);
+        assert_eq!(on, off);
+        assert!(matches!(
+            run(&argv("check --workload tsp --barrier-cache maybe")),
+            Err(CliError::Usage(_))
+        ));
     }
 
     /// A bad choice is rejected before the target is loaded: neither the
@@ -1130,7 +1135,7 @@ mod tests {
     }
 
     #[test]
-    fn check_history_replays_and_enforces_expected_verdict() {
+    fn check_history_replays_and_matches_expected_verdict() {
         let path = history_file("lost-update.json", &lost_update_history());
         let out = run(&argv(&format!("check --history {path}"))).unwrap();
         assert!(out.contains("history: lost-update"), "{out}");
@@ -1142,14 +1147,6 @@ mod tests {
         assert!(
             out.contains("expected verdict: violation — matched"),
             "{out}"
-        );
-        // Claim serializable on the violating history: the run must fail.
-        let text = lost_update_history().replace("\"violation\"", "\"serializable\"");
-        let path = history_file("mismatch.json", &text);
-        let err = run(&argv(&format!("check --history {path}"))).unwrap_err();
-        assert!(
-            matches!(err, CliError::Failed(ref m) if m.contains("expects serializable")),
-            "{err:?}"
         );
     }
 
@@ -1169,11 +1166,42 @@ mod tests {
         }
     }
 
-    /// Malformed JSON, a file over one of the four input limits, and
-    /// well-formed JSON that is not a valid history: each is a usage error
-    /// naming what is wrong.
     #[test]
-    fn check_history_bad_input_is_a_usage_error() {
+    fn check_history_expected_mismatch_fails_the_command() {
+        // Claim serializable on a violating history: the run must fail.
+        let text = lost_update_history().replace("\"violation\"", "\"serializable\"");
+        let path = history_file("mismatch.json", &text);
+        let err = run(&argv(&format!("check --history {path}"))).unwrap_err();
+        assert!(
+            matches!(err, CliError::Failed(ref m) if m.contains("expects serializable")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn check_history_truncated_json_is_a_usage_error() {
+        let text = lost_update_history();
+        // The second input used to overflow the parser's stack (exit 134).
+        for (name, text, detail) in [
+            ("truncated.json", &text[..text.len() / 2], "invalid JSON"),
+            (
+                "deep.json",
+                &"[".repeat(200_000)[..],
+                "byte 128: nesting deeper than 128 levels",
+            ),
+        ] {
+            let path = history_file(name, text);
+            let err = run(&argv(&format!("check --history {path}"))).unwrap_err();
+            assert!(
+                matches!(err, CliError::Usage(ref m) if m.contains("invalid JSON") && m.contains(detail)),
+                "{name}: {err:?}"
+            );
+        }
+    }
+
+    /// Each of the four input limits is a usage error naming the limit.
+    #[test]
+    fn check_history_over_a_limit_is_a_usage_error() {
         use dc_histories::schema::{
             MAX_EVENTS_PER_TX, MAX_INPUT_BYTES, MAX_KEYS, MAX_TXS_PER_SESSION,
         };
@@ -1197,22 +1225,9 @@ mod tests {
                 txs.join(",")
             )
         };
-        let text = lost_update_history();
-        let edit = |from: &str, to: &str| text.replace(from, to);
         let over = |limit: usize| format!("exceeds the limit of {limit}");
         let per_tx = MAX_EVENTS_PER_TX;
         for (name, text, detail) in [
-            (
-                "truncated.json",
-                text[..text.len() / 2].into(),
-                "invalid JSON".into(),
-            ),
-            // Used to overflow the parser's stack (exit 134).
-            (
-                "deep.json",
-                "[".repeat(200_000),
-                "invalid JSON at byte 128: nesting deeper than 128 levels".into(),
-            ),
             (
                 "over-bytes.json",
                 " ".repeat(MAX_INPUT_BYTES + 1),
@@ -1229,25 +1244,6 @@ mod tests {
                 doc(MAX_KEYS / per_tx + 1, per_tx, true),
                 over(MAX_KEYS),
             ),
-            (
-                "version99.json",
-                edit("\"version\": 1", "\"version\": 99"),
-                "unknown schema version 99".into(),
-            ),
-            (
-                "dup-id.json",
-                edit("\"id\": 2", "\"id\": 1"),
-                "duplicate transaction id 1".into(),
-            ),
-            (
-                "never-written.json",
-                edit(
-                    r#"{"op": "r", "key": "x", "value": 0},
-                                   {"op": "w", "key": "x", "value": 2}"#,
-                    r#"{"op": "r", "key": "ghost", "value": 9}"#,
-                ),
-                "never-written value 9".into(),
-            ),
         ] {
             let path = history_file(name, &text);
             let err = run(&argv(&format!("check --history {path}"))).unwrap_err();
@@ -1256,6 +1252,50 @@ mod tests {
                 "{name}: {err:?}"
             );
         }
+    }
+
+    /// Well-formed JSON that is not a valid history: an unknown schema
+    /// version, a duplicate transaction id, a read of a value no one wrote.
+    #[test]
+    fn check_history_invalid_content_is_a_usage_error() {
+        let text = lost_update_history();
+        for (name, from, to, detail) in [
+            (
+                "version99.json",
+                "\"version\": 1",
+                "\"version\": 99",
+                "unknown schema version 99",
+            ),
+            (
+                "dup-id.json",
+                "\"id\": 2",
+                "\"id\": 1",
+                "duplicate transaction id 1",
+            ),
+            (
+                "never-written.json",
+                r#"{"op": "r", "key": "x", "value": 0},
+                                   {"op": "w", "key": "x", "value": 2}"#,
+                r#"{"op": "r", "key": "ghost", "value": 9}"#,
+                "never-written value 9",
+            ),
+        ] {
+            let path = history_file(name, &text.replace(from, to));
+            let err = run(&argv(&format!("check --history {path}"))).unwrap_err();
+            assert!(
+                matches!(err, CliError::Usage(ref m) if m.contains(detail)),
+                "{name}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn check_history_missing_file_fails_cleanly() {
+        let err = run(&argv("check --history /nonexistent/h.json")).unwrap_err();
+        assert!(
+            matches!(err, CliError::Failed(ref m) if m.contains("reading")),
+            "{err:?}"
+        );
     }
 
     #[test]
