@@ -23,61 +23,56 @@
 //!
 //! The out-edges are the shared [`VGraph`]'s, so [`ClockGraph`] is only a
 //! [`CycleFilter`]: the graph's DFS runs only when the clocks report a
-//! cycle, to reconstruct it for the same blame Velodrome assigns.
+//! cycle, to reconstruct it for the same blame Velodrome assigns. The clocks
+//! are one flat table indexed by the graph's slots, `n_threads` words per
+//! slot: a transaction's row is written whole when it begins in a slot, so a
+//! collected transaction's row needs no reclaiming, and a predecessor the
+//! collector dropped reaches [`CycleFilter::begin`] as `None` — never as
+//! the row of whichever transaction reused its slot.
 //!
 //! [`VGraph`]: dc_velodrome::VGraph
 
-use dc_velodrome::{CycleFilter, JoinCounts, OutLists, VTxId};
-use std::collections::HashMap;
-use std::fmt;
+use dc_velodrome::{CycleFilter, DepGraph, JoinCounts, VTxId};
 
 fn seq_of(id: VTxId) -> u64 {
     id.0 >> 16
 }
 
 /// Per-transaction vector clocks over the shared dependence graph.
+#[derive(Debug)]
 pub struct ClockGraph {
     n_threads: usize,
-    /// `clocks[T][u]` = highest sequence number of thread `u` known to
-    /// precede `T` (reflexive in the owner's component).
-    clocks: HashMap<VTxId, Box<[u64]>>,
-    /// Free list of `n_threads`-wide clock slices of reclaimed
-    /// transactions: steady state begins transactions without allocating
-    /// (the per-tx clock allocation costs what the linear-time check saves).
-    free: Vec<Box<[u64]>>,
-    work: Vec<(VTxId, VTxId)>,
+    /// `clocks[slot * n_threads + u]` = highest sequence number of thread
+    /// `u` known to precede the transaction in `slot` (reflexive in the
+    /// owner's component).
+    clocks: Vec<u64>,
+    work: Vec<(u32, u32)>,
     joins: u64,
     propagated: u64,
 }
 
-impl fmt::Debug for ClockGraph {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ClockGraph")
-            .field("clocks", &self.clocks.len())
-            .field("threads", &self.n_threads)
-            .finish()
-    }
-}
-
 impl ClockGraph {
+    /// Where `slot`'s row starts.
+    fn row(&self, slot: u32) -> usize {
+        slot as usize * self.n_threads
+    }
+
     /// Joins `src`'s clock into `dst`, then propagates any growth along
     /// out-edges until clocks stop changing. Terminates because clocks are
     /// monotone and bounded by the current per-thread sequence numbers.
-    fn join_and_propagate(&mut self, graph: OutLists<'_>, src: VTxId, dst: VTxId) {
+    fn join_and_propagate(&mut self, graph: &DepGraph, src: u32, dst: u32) {
         let mut work = std::mem::take(&mut self.work);
         work.clear();
         work.push((src, dst));
         let mut direct = true;
         while let Some((from, to)) = work.pop() {
             // `from != to`: the graph holds no self-edges.
-            let [Some(f), Some(t)] = self.clocks.get_disjoint_mut([&from, &to]) else {
-                direct = false;
-                continue;
-            };
+            let (f, t) = (self.row(from), self.row(to));
             let mut changed = false;
-            for (slot, &v) in t.iter_mut().zip(f.iter()) {
-                if v > *slot {
-                    *slot = v;
+            for u in 0..self.n_threads {
+                let v = self.clocks[f + u];
+                if v > self.clocks[t + u] {
+                    self.clocks[t + u] = v;
                     changed = true;
                 }
             }
@@ -87,8 +82,7 @@ impl ClockGraph {
             }
             direct = false;
             if changed {
-                let out = graph.get(to).unwrap_or_default();
-                work.extend(out.iter().map(|&next| (to, next)));
+                work.extend(graph.out_list(to).map(|r| (to, r.dst_slot)));
             }
         }
         self.work = work;
@@ -101,8 +95,7 @@ impl CycleFilter for ClockGraph {
     fn new(n_threads: usize) -> Self {
         ClockGraph {
             n_threads,
-            clocks: HashMap::new(),
-            free: Vec::new(),
+            clocks: Vec::new(),
             work: Vec::new(),
             joins: 0,
             propagated: 0,
@@ -112,41 +105,30 @@ impl CycleFilter for ClockGraph {
     /// The clock starts as the program-order predecessor's clock (the
     /// predecessor is finished, so its clock is final) advanced to the new
     /// transaction's own sequence number.
-    fn begin(&mut self, id: VTxId, prev: VTxId) {
-        // Reuse a pooled slice when one is free; either branch overwrites
-        // every element, so stale pooled contents never leak through.
-        let mut clock: Box<[u64]> = self
-            .free
-            .pop()
-            .unwrap_or_else(|| vec![0; self.n_threads].into_boxed_slice());
-        match self.clocks.get(&prev) {
-            Some(p) => clock.copy_from_slice(p),
-            None => clock.fill(0),
+    fn begin(&mut self, slot: u32, id: VTxId, prev: Option<u32>) {
+        let (at, n) = (self.row(slot), self.n_threads);
+        if self.clocks.len() < at + n {
+            self.clocks.resize(at + n, 0);
+        }
+        match prev.map(|p| self.row(p)) {
+            Some(from) => self.clocks.copy_within(from..from + n, at),
+            None => self.clocks[at..at + n].fill(0),
         }
         let t = id.thread().index();
-        if t < clock.len() {
-            clock[t] = seq_of(id);
+        if t < n {
+            self.clocks[at + t] = seq_of(id);
         }
-        self.clocks.insert(id, clock);
     }
 
     /// O(1) cycle test, then the join: `dst` is an ancestor of `src` iff
     /// `src`'s clock already covers `dst`'s thread at or past `dst`'s
     /// sequence number.
-    fn edge(&mut self, graph: OutLists<'_>, src: VTxId, dst: VTxId) -> bool {
-        let dt = dst.thread().index();
-        let cyclic = self
-            .clocks
-            .get(&src)
-            .is_some_and(|c| dt < c.len() && c[dt] >= seq_of(dst));
+    fn edge(&mut self, graph: &DepGraph, src: u32, dst: u32) -> bool {
+        let dst_id = graph.at(dst).id;
+        let dt = dst_id.thread().index();
+        let cyclic = dt < self.n_threads && self.clocks[self.row(src) + dt] >= seq_of(dst_id);
         self.join_and_propagate(graph, src, dst);
         cyclic
-    }
-
-    fn reclaim(&mut self, id: VTxId) {
-        if let Some(clock) = self.clocks.remove(&id) {
-            self.free.push(clock);
-        }
     }
 }
 

@@ -16,9 +16,11 @@
 //! `dc-velodrome`'s online checker with [`ClockGraph`] as its cycle filter:
 //! dependence discovery (per-field metadata, transaction demarcation, unary
 //! merging), the dependence graph, cycle reconstruction and blame are
-//! Velodrome's own code, so on one deterministic interleaving the two
-//! checkers consume the identical edge stream and any disagreement isolates
-//! a bug in a cycle detector. That property is what the top-level
+//! Velodrome's own code, on the transaction graph core DoubleChecker's IDG
+//! shares (`dc_runtime::txgraph`; the clocks are a table indexed by its
+//! slots). So on one deterministic interleaving the two checkers consume
+//! the identical edge stream and any disagreement isolates a bug in a cycle
+//! detector. That property is what the top-level
 //! `tests/oracle_threeway.rs` suite and the proptest frontier lean on.
 
 #![warn(missing_docs)]

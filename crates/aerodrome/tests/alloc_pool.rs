@@ -1,12 +1,13 @@
 //! Steady-state allocation freedom for the online checkers' graph: once the
-//! out-list pool, the traversal scratch and (for AeroDrome) the clock free
-//! list are warm, a begin → cross-edge → collect round must not touch the
-//! heap at all — for Velodrome's `VGraph<()>`, whose cross edge runs the
-//! DFS, and for AeroDrome's `VGraph<ClockGraph>`, whose cross edge runs the
-//! clock join. Without the pools every `begin` allocates an out-list (and a
-//! `threads`-wide clock), every DFS and every `collect` run allocates mark
-//! scratch — which costs exactly what AeroDrome's O(1) cycle check is
-//! supposed to save.
+//! shared core's slab, edge arena and mark scratch, the DFS's predecessor
+//! table and (for AeroDrome) the slot-indexed clock table are warm, a
+//! begin → cross-edge → collect round must not touch the heap at all — for
+//! Velodrome's `VGraph<()>`, whose cross edge runs the DFS, and for
+//! AeroDrome's `VGraph<ClockGraph>`, whose cross edge runs the clock join.
+//! A begin takes a collected transaction's slot (and its clock row), an
+//! edge a freed record: an allocation per begin, per edge or per traversal
+//! would cost exactly what AeroDrome's O(1) cycle check is supposed to
+//! save.
 
 use dc_aerodrome::ClockGraph;
 use dc_runtime::ids::{MethodId, ThreadId};
@@ -22,8 +23,8 @@ const THREADS: usize = 3;
 /// One round: every thread begins a transaction chained to its previous
 /// one, one cross-thread edge lands between two current transactions, and
 /// the collector reclaims everything the current transactions don't reach
-/// (each thread's predecessor — its out-list, and its clock, go back to the
-/// pools).
+/// (each thread's predecessor: its slot, clock row and edge records are
+/// reused by the next round).
 fn round<C: CycleFilter>(g: &mut VGraph<C>, seq: u64) -> [VTxId; THREADS] {
     let mut cur = [VTxId::NONE; THREADS];
     for (t, slot) in cur.iter_mut().enumerate() {
@@ -40,15 +41,15 @@ fn round<C: CycleFilter>(g: &mut VGraph<C>, seq: u64) -> [VTxId; THREADS] {
         g.add_cross_edge(cur[0], cur[1]).is_none(),
         "a forward edge between fresh transactions never closes a cycle"
     );
-    g.collect(cur);
+    g.collect();
     cur
 }
 
 fn assert_warm_round_does_not_allocate<C: CycleFilter>() {
     let mut g = VGraph::<C>::new(THREADS);
 
-    // Warm-up: fill the pools, size the traversal scratch and the node
-    // table's steady-state capacity.
+    // Warm-up: size the slab, the arena, the scratch and the clock table
+    // to their steady state.
     for seq in 1..=64 {
         round(&mut g, seq);
     }

@@ -384,6 +384,13 @@ fn check_target(flags: &Flags) -> Result<CheckTarget, CliError> {
 }
 
 fn cmd_check(flags: &Flags) -> Result<String, CliError> {
+    if let (Some(stats), Some(trace)) = (flags.get("stats-json"), flags.get("trace-out")) {
+        if std::path::Path::new(stats) == std::path::Path::new(trace) {
+            return Err(CliError::Usage(format!(
+                "--stats-json and --trace-out name the same file {stats:?}: one would overwrite the other"
+            )));
+        }
+    }
     let CheckTarget {
         program,
         spec,
@@ -977,6 +984,17 @@ mod tests {
             assert!(event.get("kind").and_then(|v| v.as_str()).is_some());
         }
         std::fs::remove_file(&path).ok();
+        // One path for both documents would keep only the trace: refused
+        // before the run, so nothing is written.
+        let err = run(&argv(&format!(
+            "check --workload tsp --seed 3 --stats-json {path_str} --trace-out {path_str}"
+        )))
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("--stats-json") && m.contains("--trace-out")),
+            "{err:?}"
+        );
+        assert!(!path.exists(), "the run did not start");
     }
 
     #[test]

@@ -18,8 +18,17 @@
 //!
 //! # Storage
 //!
-//! Nodes live in a slab (`Vec<TxNode>`) addressed by a dense `u32` slot
-//! index; a free list, refilled by [`Graph::collect`], recycles slots.
+//! Nodes, edges, the `TxId → slot` map and the collector are the shared
+//! [`TxGraph`] core's (its docs describe the slab, the edge arena and the
+//! mark-and-sweep pass); the IDG reads it through `Deref`. An edge record
+//! carries the [`Edge`] plus the source's thread and sequence number, what
+//! a [`ReplayConstraint`] needs once the source is gone, so
+//! [`SccReport::edges`] and [`SccReport::constraints`] see a node's edges in
+//! insertion order. Intra-thread edges sit in the in-list too (constraints
+//! are its `Cross` records). ICD consults the map once per node —
+//! [`Graph::insert`] returns the slot, the owning thread keeps it, and its
+//! transaction boundary passes it back as a hint — and otherwise only for
+//! cross-edge endpoints, tests and diagnostics.
 //!
 //! Finished transactions' read/write logs live in **one log arena owned by
 //! the graph** (`Vec<LogEntry>`): a finish appends the log — copied from the
@@ -30,84 +39,44 @@
 //! position into the arena outlives the lock: an [`SccReport`] copies its
 //! members' logs out ([`TxSnapshot`] holds a range of the report's own
 //! buffer), and everything else reads a log by id under the lock
-//! ([`Graph::log`]).
-//!
-//! Edges live in **one arena owned by the graph** (`Vec<EdgeRec>`), not in
-//! per-node vectors: a record holds the [`Edge`], the destination's slot,
-//! the source's thread and sequence number (what a [`ReplayConstraint`]
-//! needs once the source is gone) and two `u32` links threading it into its
-//! source's *out-list* and its destination's *in-list*. A node holds the
-//! four list ends. Both lists are appended at the tail, so traversals, and
-//! with them [`SccReport::edges`] and [`SccReport::constraints`], see a
-//! node's edges in insertion order. Intra-thread edges sit in the in-list
-//! too (constraints are its `Cross` records).
-//!
-//! **An edge record lives exactly as long as its destination**: the
-//! collector returns a freed node's in-list to the edge free list in one
-//! splice (the argument that no out-list can still reach such a record is
-//! written next to the sweep in [`Graph::collect`]). Freed records are
-//! reused before the arena grows, so neither a warm nor a *cold* graph
-//! allocates per node, per edge or per log: the only allocator calls are
-//! the amortized doublings of the slab, the two arenas, the map and the
-//! scratch (`tests/alloc_free.rs` pins ≤ 64 calls for 1 000 logged nodes
-//! and 5 000 edges).
+//! ([`Graph::log`]). Neither a warm nor a *cold* graph allocates per node,
+//! per edge or per log (`tests/alloc_free.rs` pins ≤ 64 calls for 1 000
+//! logged nodes and 5 000 edges).
 //!
 //! The graph's own statistics — cross edges, SCCs, skipped probes — are
 //! plain integers: the graph lock that serializes every update also
 //! serializes their increments.
 //!
-//! Tarjan and the collector's mark phase follow slots and links and never
-//! hash. The `TxId → slot` map (on the multiplicative
-//! [`IdHasher`](crate::types::IdHasher)) is consulted once per node by ICD
-//! — [`Graph::insert`] returns the slot, the owning thread keeps it, and
-//! its transaction boundary passes it back as a hint validated against the
-//! slot's occupant — and otherwise only by the by-id API (cross-edge
-//! endpoints, tests, diagnostics).
-//!
 //! Tarjan's per-node state (visit index, lowlink, on-stack bit) is one
-//! record per slot, grown with the slab, and the collector's mark set one
-//! stamp per slot, both owned by the graph and epoch-stamped: a slot's
-//! entry is valid only when its stamp equals the current visit epoch, so
-//! "clearing" between passes is one counter bump. The DFS stack, frame, and
-//! component buffers are retained across calls. A probe that cannot descend
-//! — its root has no finished successor — returns before touching any of
-//! it.
+//! record per slot, grown with the slab and epoch-stamped like the core's
+//! mark set. The DFS stack, frame, and component buffers are retained
+//! across calls. A probe that cannot descend — its root has no finished
+//! successor — returns before touching any of it.
 
 use crate::icd::ThreadRegs;
 #[cfg(doc)]
 use crate::types::TxSnapshot;
-use crate::types::{Edge, EdgeKind, IdMap, LogEntry, ReplayConstraint, SccReport, TxId, TxKind};
+use crate::types::{Edge, EdgeKind, LogEntry, ReplayConstraint, SccReport, TxId, TxKind};
 use dc_obs::{EventKind, PipelineObs, Stage};
 use dc_runtime::ids::ThreadId;
+use dc_runtime::txgraph::{EdgeRec, TxGraph, NIL};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-/// "No record": the end of an edge list, or an empty one. The arena never
-/// grows to this index.
-const NIL: u32 = u32::MAX;
-
-/// One IDG edge in the graph's arena, a member of two intrusive lists: its
-/// source's out-list and its destination's in-list.
+/// An IDG edge's record payload: the edge, plus its source's thread and
+/// sequence number so the record is a self-contained [`ReplayConstraint`]
+/// after the source is collected.
 #[derive(Clone, Copy, Debug)]
-struct EdgeRec {
+pub struct IdgEdge {
     edge: Edge,
-    /// Slab slot of `edge.dst`, so traversals never hash.
-    dst_slot: u32,
-    /// Next record in the source's out-list.
-    next_out: u32,
-    /// Next record in the destination's in-list; the free-list link once
-    /// the record is freed.
-    next_in: u32,
-    /// The source's thread and sequence number, kept here so the record is
-    /// a self-contained [`ReplayConstraint`] after the source is collected.
     src_thread: ThreadId,
     src_seq: u64,
 }
 
 // One record per edge, within a cache line.
-const _: () = assert!(std::mem::size_of::<EdgeRec>() <= 64);
+const _: () = assert!(std::mem::size_of::<EdgeRec<IdgEdge>>() <= 64);
 
-impl EdgeRec {
+impl IdgEdge {
     fn constraint(&self) -> ReplayConstraint {
         ReplayConstraint {
             dst: self.edge.dst,
@@ -120,49 +89,36 @@ impl EdgeRec {
     }
 }
 
-/// The first record of an out-list, from `cursor` on, whose destination
-/// has finished ([`NIL`] if none): the only successors Tarjan descends
-/// into.
-fn first_finished(slab: &[TxNode], edges: &[EdgeRec], mut cursor: u32) -> u32 {
-    while let Some(rec) = edges.get(cursor as usize) {
-        if slab[rec.dst_slot as usize].finished {
-            return cursor;
-        }
-        cursor = rec.next_out;
-    }
-    NIL
-}
-
-/// One IDG node, stored in a slab slot. A free slot is recognizable by
-/// `id == TxId::NONE`. Its edges are records in the graph's arena; the node
-/// holds only the ends of its two lists.
+/// An IDG node's payload.
 #[derive(Debug)]
-pub struct TxNode {
-    /// The transaction occupying this slot ([`TxId::NONE`] when free).
-    pub id: TxId,
+pub struct TxData {
     /// Executing thread.
     pub thread: ThreadId,
     /// Regular or unary.
     pub kind: TxKind,
     /// Per-thread transaction sequence number.
     pub seq: u64,
-    /// True once the transaction has ended.
-    pub finished: bool,
-    /// First and last record of the outgoing-edge list ([`NIL`] if empty).
-    out_head: u32,
-    out_tail: u32,
-    /// First and last record of the incoming-edge list, intra and cross.
-    in_head: u32,
-    in_tail: u32,
     /// Where the final read/write log starts in the graph's log arena
     /// (0 while the log is empty).
     log_start: u32,
     /// Final log length (valid once finished).
     pub final_len: u32,
-    /// Length of the in-list. An in-edge outlives its source, so the count
-    /// may include edges from collected transactions — it is only ever used
-    /// to *skip* cycle detection when zero and to size the free-list splice.
-    in_count: u32,
+}
+
+/// The shared core the IDG is built on.
+pub type IdgCore = TxGraph<TxId, TxData, IdgEdge>;
+
+/// The first record of an out-list, from `cursor` on, whose destination
+/// has finished ([`NIL`] if none): the only successors Tarjan descends
+/// into.
+fn first_finished(core: &IdgCore, mut cursor: u32) -> u32 {
+    while let Some(rec) = core.record(cursor) {
+        if core.at(rec.dst_slot).finished {
+            return cursor;
+        }
+        cursor = rec.next_out;
+    }
+    NIL
 }
 
 /// A structurally invalid finish: the caller named a transaction the graph
@@ -213,9 +169,9 @@ struct Visit {
     on_stack: bool,
 }
 
-/// Epoch-stamped Tarjan scratch: one [`Visit`] per slab slot (pushed by
-/// [`Graph::insert`] as the slab grows) plus the retained DFS
-/// stack/frame/component buffers.
+/// Epoch-stamped Tarjan scratch: one [`Visit`] per slab slot (grown with
+/// the slab when a probe runs) plus the retained DFS stack/frame/component
+/// buffers.
 #[derive(Debug, Default)]
 struct TarjanScratch {
     visits: Vec<Visit>,
@@ -229,8 +185,10 @@ struct TarjanScratch {
 }
 
 impl TarjanScratch {
-    /// Starts a fresh visit epoch. Allocation-free.
-    fn begin(&mut self) -> u32 {
+    /// Starts a fresh visit epoch over `slots` slots. Allocation-free once
+    /// the records cover the slab.
+    fn begin(&mut self, slots: usize) -> u32 {
+        self.visits.resize(slots, Visit::default());
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Epoch wrapped: stale stamps from the previous cycle could
@@ -243,47 +201,14 @@ impl TarjanScratch {
     }
 }
 
-/// Epoch-stamped mark scratch shared by the collector's mark phase and
-/// component snapshotting.
-#[derive(Debug, Default)]
-struct MarkScratch {
-    /// Slot is marked iff `stamp[slot] == epoch`.
-    stamp: Vec<u32>,
-    /// The collector's BFS worklist, then its log-compaction order.
-    work: Vec<u32>,
-    epoch: u32,
-}
-
-impl MarkScratch {
-    /// Sizes the stamp array to the slab and starts a fresh mark epoch.
-    fn begin(&mut self, slots: usize) -> u32 {
-        self.stamp.resize(slots, 0);
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-        self.epoch
-    }
-}
-
 /// The IDG plus the `gLastRdSh` register (§3.2.2).
 #[derive(Debug, Default)]
 pub struct Graph {
-    /// Node storage; slots are recycled through `free`.
-    slab: Vec<TxNode>,
-    /// Slots holding no live transaction, refilled by [`Graph::collect`].
-    free: Vec<u32>,
-    /// Every live edge, plus freed records chained from `free_edge`.
-    edges: Vec<EdgeRec>,
-    /// Head of the edge free list (meaningful while `free_edges > 0`) and
-    /// its length.
-    free_edge: u32,
-    free_edges: u32,
-    /// Boundary map from transaction id to slab slot.
-    index: IdMap<TxId, u32>,
+    core: IdgCore,
     /// Every finished transaction's log, back to back (see "Storage").
     logs: Vec<LogEntry>,
+    /// Live slots in log-arena order, the compaction's scratch.
+    order: Vec<u32>,
     /// Last transaction (across all threads) to move an object to RdSh.
     pub g_last_rd_sh: TxId,
     /// Cross-thread edges added.
@@ -293,7 +218,15 @@ pub struct Graph {
     /// Transaction-end probes the pre-filter skipped.
     skipped_probes: u64,
     tarjan: TarjanScratch,
-    mark: MarkScratch,
+}
+
+/// Read access to the core: `len`, `node`, the slab and arena sizes.
+impl std::ops::Deref for Graph {
+    type Target = IdgCore;
+
+    fn deref(&self) -> &IdgCore {
+        &self.core
+    }
 }
 
 impl Graph {
@@ -318,193 +251,78 @@ impl Graph {
         self.skipped_probes
     }
 
-    /// Number of live (uncollected) transactions.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True if no transactions are live.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Total slab slots, live or free (tests/diagnostics: a stable slab
-    /// size across insert/collect churn proves slot reuse).
-    pub fn slab_len(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// Free-list length (tests/diagnostics).
-    pub fn free_slots(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Total edge records, live or free (tests/diagnostics: a stable arena
-    /// across edge/collect churn proves record reuse).
-    pub fn edge_arena_len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Edge free-list length (tests/diagnostics).
-    pub fn free_edges(&self) -> usize {
-        self.free_edges as usize
-    }
-
     /// Entries in the log arena (tests/diagnostics: always exactly the live
     /// finished transactions' logs).
     pub fn log_arena_len(&self) -> usize {
         self.logs.len()
     }
 
-    /// Access a node (tests/diagnostics).
-    pub fn node(&self, id: TxId) -> Option<&TxNode> {
-        self.index.get(&id).map(|&i| &self.slab[i as usize])
-    }
-
     /// `id`'s final read/write log — empty until it finishes; `None` for an
     /// unknown id.
     pub fn log(&self, id: TxId) -> Option<&[LogEntry]> {
-        self.node(id).map(|n| self.log_of(n))
+        self.core.slot(id).map(|s| self.log_of(s))
     }
 
-    fn log_of(&self, node: &TxNode) -> &[LogEntry] {
+    fn log_of(&self, slot: u32) -> &[LogEntry] {
+        let node = &self.core.at(slot).data;
         &self.logs[node.log_start as usize..][..node.final_len as usize]
     }
 
     /// `id`'s outgoing edges in insertion order; empty for an unknown id.
     pub fn out_edges(&self, id: TxId) -> impl Iterator<Item = Edge> + '_ {
-        let slot = self.index.get(&id);
+        let slot = self.core.slot(id);
         slot.into_iter()
-            .flat_map(|&s| self.out_list(s))
-            .map(|r| r.edge)
+            .flat_map(|s| self.core.out_list(s))
+            .map(|r| r.data.edge)
     }
 
     /// `id`'s incoming cross-thread edges in insertion order, as the replay
     /// constraints an [`SccReport`] would carry; empty for an unknown id.
     pub fn in_constraints(&self, id: TxId) -> impl Iterator<Item = ReplayConstraint> + '_ {
-        let slot = self.index.get(&id);
+        let slot = self.core.slot(id);
         slot.into_iter()
-            .flat_map(|&s| self.in_list(s))
-            .filter(|r| r.edge.kind == EdgeKind::Cross)
-            .map(EdgeRec::constraint)
-    }
-
-    /// The records of `slot`'s out-list. ([`NIL`] is past the arena's end,
-    /// so `get` ends the walk.)
-    fn out_list(&self, slot: u32) -> impl Iterator<Item = &EdgeRec> {
-        let head = self.edges.get(self.slab[slot as usize].out_head as usize);
-        std::iter::successors(head, |r| self.edges.get(r.next_out as usize))
-    }
-
-    /// The records of `slot`'s in-list.
-    fn in_list(&self, slot: u32) -> impl Iterator<Item = &EdgeRec> {
-        let head = self.edges.get(self.slab[slot as usize].in_head as usize);
-        std::iter::successors(head, |r| self.edges.get(r.next_in as usize))
-    }
-
-    /// `id`'s slot: `hint` when that slot still holds `id` (the owning
-    /// thread kept what [`Graph::insert`] returned), else by the map.
-    /// [`TxId::NONE`] — what a free slot holds — names no node.
-    fn resolve(&self, hint: u32, id: TxId) -> Option<u32> {
-        match self.slab.get(hint as usize) {
-            Some(node) if node.id == id && id.is_some() => Some(hint),
-            _ => self.index.get(&id).copied(),
-        }
+            .flat_map(|s| self.core.in_list(s))
+            .filter(|r| r.data.edge.kind == EdgeKind::Cross)
+            .map(|r| r.data.constraint())
     }
 
     /// Inserts a new, unfinished transaction node, reusing a free slot when
     /// one exists, and returns its slot.
     pub fn insert(&mut self, id: TxId, thread: ThreadId, kind: TxKind, seq: u64) -> u32 {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                let node = &mut self.slab[slot as usize];
-                debug_assert!(!node.id.is_some(), "free slot still occupied");
-                debug_assert!(node.out_head == NIL && node.in_head == NIL);
-                node.id = id;
-                node.thread = thread;
-                node.kind = kind;
-                node.seq = seq;
-                node.finished = false;
-                node.final_len = 0;
-                node.in_count = 0;
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("slab overflow");
-                self.slab.push(TxNode {
-                    id,
-                    thread,
-                    kind,
-                    seq,
-                    finished: false,
-                    out_head: NIL,
-                    out_tail: NIL,
-                    in_head: NIL,
-                    in_tail: NIL,
-                    log_start: 0,
-                    final_len: 0,
-                    in_count: 0,
-                });
-                self.tarjan.visits.push(Visit::default());
-                slot
-            }
+        let data = TxData {
+            thread,
+            kind,
+            seq,
+            log_start: 0,
+            final_len: 0,
         };
-        let prev = self.index.insert(id, slot);
-        debug_assert!(prev.is_none(), "duplicate transaction id");
-        slot
+        self.core.insert(id, data)
     }
 
     /// Adds an edge. Self-edges are dropped (a transaction trivially
     /// depends on itself). Missing endpoints (already collected) are
     /// ignored — a collected source cannot be part of a future cycle.
     pub fn add_edge(&mut self, edge: Edge) {
-        if edge.src == edge.dst || !edge.src.is_some() || !edge.dst.is_some() {
+        if edge.src == edge.dst {
             return;
         }
-        let (Some(&src_slot), Some(&dst_slot)) =
-            (self.index.get(&edge.src), self.index.get(&edge.dst))
-        else {
-            return;
-        };
-        self.link(src_slot, dst_slot, edge);
+        if let (Some(src_slot), Some(dst_slot)) =
+            (self.core.slot(edge.src), self.core.slot(edge.dst))
+        {
+            self.link(src_slot, dst_slot, edge);
+        }
     }
 
-    /// Stores `edge` in the arena — a freed record if there is one — and
-    /// appends it to the tails of `src_slot`'s out-list and `dst_slot`'s
-    /// in-list.
+    /// Links `edge` from `src_slot` to `dst_slot`, counting it if it is a
+    /// cross edge.
     fn link(&mut self, src_slot: u32, dst_slot: u32, edge: Edge) {
-        let src = &mut self.slab[src_slot as usize];
-        let rec = EdgeRec {
+        let src = &self.core.at(src_slot).data;
+        let data = IdgEdge {
             edge,
-            dst_slot,
-            next_out: NIL,
-            next_in: NIL,
             src_thread: src.thread,
             src_seq: src.seq,
         };
-        let e = if self.free_edges > 0 {
-            let e = self.free_edge;
-            self.free_edge = self.edges[e as usize].next_in;
-            self.free_edges -= 1;
-            self.edges[e as usize] = rec;
-            e
-        } else {
-            assert!(self.edges.len() < NIL as usize, "edge arena overflow");
-            self.edges.push(rec);
-            (self.edges.len() - 1) as u32
-        };
-        match src.out_tail {
-            NIL => src.out_head = e,
-            tail => self.edges[tail as usize].next_out = e,
-        }
-        src.out_tail = e;
-        let dst = &mut self.slab[dst_slot as usize];
-        match dst.in_tail {
-            NIL => dst.in_head = e,
-            tail => self.edges[tail as usize].next_in = e,
-        }
-        dst.in_tail = e;
-        dst.in_count += 1;
+        self.core.link(src_slot, dst_slot, data);
         if edge.kind == EdgeKind::Cross {
             self.cross_edges += 1;
         }
@@ -523,10 +341,10 @@ impl Graph {
         (prev_slot, prev): (u32, TxId),
     ) -> u32 {
         let slot = self.insert(id, thread, kind, seq);
-        if let Some(prev_slot) = self.resolve(prev_slot, prev) {
+        if let Some(prev_slot) = self.core.resolve(prev_slot, prev) {
             let edge = Edge {
                 src: prev,
-                src_pos: self.slab[prev_slot as usize].final_len,
+                src_pos: self.core.at(prev_slot).data.final_len,
                 dst: id,
                 dst_pos: 0,
                 kind: EdgeKind::Intra,
@@ -550,14 +368,14 @@ impl Graph {
         (hint, id): (u32, TxId),
         log: &[LogEntry],
     ) -> Result<u32, FinishError> {
-        let Some(slot) = self.resolve(hint, id) else {
+        let Some(slot) = self.core.resolve(hint, id) else {
             return Err(FinishError::UnknownTx(id));
         };
-        let node = &mut self.slab[slot as usize];
-        if node.finished {
+        if self.core.at(slot).finished {
             return Err(FinishError::AlreadyFinished(id));
         }
-        node.finished = true;
+        self.core.finish(slot);
+        let node = self.core.data_mut(slot);
         node.final_len = u32::try_from(log.len()).expect("log too long");
         if !log.is_empty() {
             let end = self.logs.len() + log.len();
@@ -619,10 +437,10 @@ impl Graph {
     /// The pre-filter is exact: a finished transaction with no incoming
     /// edge cannot be on a cycle, and one with no finished successor gives
     /// Tarjan nothing to descend into, so the skipped traversal would have
-    /// returned the root alone. (`in_count` may overcount after a
+    /// returned the root alone. (The in-list count may overcount after a
     /// collection, which only makes the filter more conservative.)
     pub fn scc_probe(&mut self, root: TxId) -> SccProbe {
-        let Some(&root_slot) = self.index.get(&root) else {
+        let Some(root_slot) = self.core.slot(root) else {
             return SccProbe::Skipped;
         };
         let mut report = SccReport::default();
@@ -636,24 +454,19 @@ impl Graph {
     /// [`Graph::scc_probe`] from the live node in `root_slot`, writing a
     /// found SCC's report into `out`.
     fn probe_slot(&mut self, root_slot: u32, out: &mut SccReport) -> SccProbe<()> {
-        // Slab, arena and scratch are borrowed as disjoint fields.
-        let Graph {
-            slab,
-            edges,
-            tarjan,
-            ..
-        } = self;
-        let root = &slab[root_slot as usize];
+        // Core and scratch are borrowed as disjoint fields.
+        let Graph { core, tarjan, .. } = self;
+        let root = core.at(root_slot);
         if !root.finished || root.in_count == 0 {
             return SccProbe::Skipped;
         }
-        let cursor = first_finished(slab, edges, root.out_head);
+        let cursor = first_finished(core, root.out_head);
         if cursor == NIL {
             return SccProbe::Skipped;
         }
         // Iterative Tarjan restricted to finished nodes reachable from
         // root, on epoch-stamped scratch.
-        let epoch = tarjan.begin();
+        let epoch = tarjan.begin(core.slab_len());
         let TarjanScratch {
             visits,
             stack,
@@ -675,8 +488,8 @@ impl Graph {
 
         while let Some(&(v, cursor)) = frames.last() {
             let vi = v as usize;
-            let cursor = first_finished(slab, edges, cursor);
-            match edges.get(cursor as usize) {
+            let cursor = first_finished(core, cursor);
+            match core.record(cursor) {
                 Some(rec) => {
                     frames.last_mut().expect("frame exists").1 = rec.next_out;
                     let w = rec.dst_slot;
@@ -694,7 +507,7 @@ impl Graph {
                         };
                         next_index += 1;
                         stack.push(w);
-                        frames.push((w, slab[w as usize].out_head));
+                        frames.push((w, core.at(w).out_head));
                     }
                 }
                 None => {
@@ -739,9 +552,9 @@ impl Graph {
     /// the "PCD-only" variant of §5.4, where PCD processes every executed
     /// transaction rather than just ICD's SCCs.
     pub fn snapshot_all_finished(&mut self) -> SccReport {
-        let component: Vec<u32> = (0..self.slab.len() as u32)
+        let component: Vec<u32> = (0..self.core.slab_len() as u32)
             .filter(|&i| {
-                let n = &self.slab[i as usize];
+                let n = self.core.at(i);
                 n.id.is_some() && n.finished
             })
             .collect();
@@ -755,90 +568,36 @@ impl Graph {
     /// members' incoming cross edges into `out`, reusing its buffers.
     fn snapshot_component(&mut self, component: &[u32], out: &mut SccReport) {
         out.clear();
-        let epoch = self.mark.begin(self.slab.len());
+        self.core.begin_marks();
         for &i in component {
-            self.mark.stamp[i as usize] = epoch;
-            let n = &self.slab[i as usize];
-            out.push_tx(n.id, n.thread, n.kind, n.seq, self.log_of(n));
+            self.core.mark(i);
+            let n = self.core.at(i);
+            let d = &n.data;
+            out.push_tx(n.id, d.thread, d.kind, d.seq, self.log_of(i));
         }
         // (thread, seq) names one transaction; the id only makes the key
         // total.
         out.txs.sort_unstable_by_key(|t| (t.thread, t.seq, t.id));
+        let core = &self.core;
         for &i in component {
-            let internal = |r: &&EdgeRec| self.mark.stamp[r.dst_slot as usize] == epoch;
+            let internal = |r: &&EdgeRec<IdgEdge>| core.is_marked(r.dst_slot);
             out.edges
-                .extend(self.out_list(i).filter(internal).map(|r| r.edge));
-            let cross = |r: &&EdgeRec| r.edge.kind == EdgeKind::Cross;
+                .extend(core.out_list(i).filter(internal).map(|r| r.data.edge));
+            let cross = |r: &&EdgeRec<IdgEdge>| r.data.edge.kind == EdgeKind::Cross;
             out.constraints
-                .extend(self.in_list(i).filter(cross).map(EdgeRec::constraint));
+                .extend(core.in_list(i).filter(cross).map(|r| r.data.constraint()));
         }
     }
 
-    /// Drops finished transactions unreachable from the roots via outgoing
-    /// edges (the JVM-reachability semantics the paper relies on), pushing
-    /// their slots onto the free list. Returns the number collected.
+    /// Drops finished transactions unreachable from the roots (and the
+    /// unfinished transactions, each some thread's current one) via
+    /// outgoing edges, with their logs. Returns the number collected.
     pub fn collect(&mut self, roots: impl IntoIterator<Item = TxId>) -> usize {
-        // Forward BFS from the roots over out-edges. Unfinished transactions
-        // are roots too (each is some thread's current transaction). The
-        // mark set is the epoch-stamped scratch; the worklist is retained
-        // across passes — the mark phase allocates nothing in steady state.
-        let mut m = std::mem::take(&mut self.mark);
-        let epoch = m.begin(self.slab.len());
-        m.work.clear();
-        for r in roots {
-            if let Some(&slot) = self.index.get(&r) {
-                if m.stamp[slot as usize] != epoch {
-                    m.stamp[slot as usize] = epoch;
-                    m.work.push(slot);
-                }
-            }
-        }
-        for (i, node) in self.slab.iter().enumerate() {
-            if node.id.is_some() && !node.finished && m.stamp[i] != epoch {
-                m.stamp[i] = epoch;
-                m.work.push(i as u32);
-            }
-        }
-        while let Some(slot) = m.work.pop() {
-            for rec in self.out_list(slot) {
-                let di = rec.dst_slot as usize;
-                if m.stamp[di] != epoch {
-                    m.stamp[di] = epoch;
-                    m.work.push(rec.dst_slot);
-                }
-            }
-        }
-        // Sweep. A freed node takes its in-list — every record whose
-        // destination it is — to the edge free list in one splice; its
-        // out-list is simply forgotten (those records belong to their
-        // destinations). No surviving out-list can still reach a freed
-        // record: the marked set is closed under out-edges, so a source
-        // with an edge into a freed (unmarked) node is itself unmarked, and
-        // it is finished because every unfinished node was marked as a root
-        // above — it is freed in this very pass, or was in an earlier one.
-        let mut collected = 0;
         let mut freed_entries = 0;
-        for i in 0..self.slab.len() {
-            let node = &mut self.slab[i];
-            if node.id.is_some() && node.finished && m.stamp[i] != epoch {
-                self.index.remove(&node.id);
-                if node.in_head != NIL {
-                    self.edges[node.in_tail as usize].next_in = self.free_edge;
-                    self.free_edge = node.in_head;
-                    self.free_edges += node.in_count;
-                }
-                (node.in_head, node.in_tail) = (NIL, NIL);
-                (node.out_head, node.out_tail) = (NIL, NIL);
-                node.id = TxId::NONE;
-                node.finished = false;
-                freed_entries += node.final_len;
-                (node.log_start, node.final_len) = (0, 0);
-                node.in_count = 0;
-                self.free.push(i as u32);
-                collected += 1;
-            }
-        }
-        self.mark = m;
+        let collected = self.core.collect(roots, |node| {
+            freed_entries += node.final_len;
+            (node.log_start, node.final_len) = (0, 0);
+        });
         if freed_entries > 0 {
             self.compact_logs();
         }
@@ -850,16 +609,15 @@ impl Graph {
     /// arena's start, so `copy_within` never overwrites one not yet moved.
     fn compact_logs(&mut self) {
         let Graph {
-            slab, logs, mark, ..
+            core, logs, order, ..
         } = self;
         // Only live finished nodes have a non-empty log.
-        let order = &mut mark.work;
         order.clear();
-        order.extend((0..slab.len() as u32).filter(|&i| slab[i as usize].final_len > 0));
-        order.sort_unstable_by_key(|&i| slab[i as usize].log_start);
+        order.extend((0..core.slab_len() as u32).filter(|&i| core.at(i).data.final_len > 0));
+        order.sort_unstable_by_key(|&i| core.at(i).data.log_start);
         let mut end = 0;
         for &i in order.iter() {
-            let node = &mut slab[i as usize];
+            let node = core.data_mut(i);
             let start = node.log_start as usize;
             logs.copy_within(start..start + node.final_len as usize, end);
             node.log_start = end as u32;
@@ -881,8 +639,6 @@ pub(crate) struct Collector {
     every: u32,
     ends: u32,
     threshold: u32,
-    /// Root scratch, retained across passes.
-    roots: Vec<TxId>,
     /// Transactions reclaimed so far.
     pub(crate) collected: u64,
 }
@@ -893,7 +649,6 @@ impl Collector {
             every,
             ends: 0,
             threshold: every.max(1),
-            roots: Vec::new(),
             collected: 0,
         }
     }
@@ -932,13 +687,10 @@ impl Collector {
         obs: Option<&PipelineObs>,
     ) {
         let t0 = obs.map(|_| Instant::now());
-        self.roots.clear();
-        for tr in threads {
-            self.roots.push(TxId(tr.current_tx.load(Ordering::Acquire)));
-            self.roots.push(TxId(tr.last_rd_ex.load(Ordering::Acquire)));
-        }
-        self.roots.push(graph.g_last_rd_sh);
-        let collected = graph.collect(self.roots.iter().copied());
+        let registers = threads.flat_map(|tr| [&tr.current_tx, &tr.last_rd_ex]);
+        let roots = registers.map(|r| TxId(r.load(Ordering::Acquire)));
+        let g_last_rd_sh = graph.g_last_rd_sh;
+        let collected = graph.collect(roots.chain([g_last_rd_sh]));
         self.after_collect(graph.len());
         self.collected += collected as u64;
         if let (Some(obs), Some(t0)) = (obs, t0) {
@@ -1257,10 +1009,12 @@ mod tests {
         g.add_edge(edge(1, 2));
         g.add_edge(edge(2, 1));
         finish_all(&mut g, 2);
+        assert!(g.scc_from(TxId(2)).is_some());
         assert_eq!(g.tarjan.visits.len(), g.slab_len(), "one record per slot");
         // Stamp every slot's record with the epoch that follows the wrap,
-        // and force both scratch epochs to the wrap point; the next pass
-        // must clear stamps rather than alias them.
+        // and force the Tarjan epoch to the wrap point; the next pass must
+        // clear stamps rather than alias them. (The core's mark set has its
+        // own wrap test.)
         for v in &mut g.tarjan.visits {
             *v = Visit {
                 stamp: 1,
@@ -1270,14 +1024,10 @@ mod tests {
             };
         }
         g.tarjan.epoch = u32::MAX;
-        g.mark.epoch = u32::MAX;
         assert_eq!(g.scc_from(TxId(2)).expect("cycle").len(), 2);
         assert_eq!(g.tarjan.epoch, 1, "tarjan epoch restarted after wrap");
         assert!(g.scc_from(TxId(2)).is_some(), "stamps stay coherent");
         assert_eq!(g.collect([TxId(1)]), 0, "cycle reachable from root");
-        // Mark epoch: wrap→1 (first snapshot), 2 (second snapshot), 3
-        // (collect pass).
-        assert_eq!(g.mark.epoch, 3, "mark epoch advanced past the wrap");
     }
 
     #[test]

@@ -836,7 +836,7 @@ impl Icd {
         if regs.current_tx.load(Ordering::Acquire) == tx.0 {
             regs.log_len.load(Ordering::Acquire)
         } else {
-            graph.node(tx).map_or(0, |n| n.final_len)
+            graph.node(tx).map_or(0, |n| n.data.final_len)
         }
     }
 
@@ -844,7 +844,7 @@ impl Icd {
     /// statically (the `gLastRdSh` register).
     fn any_src_pos(&self, graph: &Graph, tx: TxId) -> u32 {
         match graph.node(tx) {
-            Some(node) => self.edge_src_pos(graph, node.thread, tx),
+            Some(node) => self.edge_src_pos(graph, node.data.thread, tx),
             None => 0,
         }
     }
@@ -1214,7 +1214,7 @@ mod tests {
         icd.record_access(T2_ID, O, 2, true, false, false);
         end_all(&icd, 3);
         let g = &icd.graph.lock().graph;
-        assert_eq!(g.node(t2_tx).unwrap().final_len, 3);
+        assert_eq!(g.node(t2_tx).unwrap().data.final_len, 3);
         let edge = g
             .out_edges(t2_tx)
             .find(|e| e.dst == t0_tx)

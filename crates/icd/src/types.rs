@@ -2,55 +2,10 @@
 
 use dc_runtime::ids::{CellId, ObjId, ThreadId, SYNC_CELL};
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
-/// Multiplicative (Fx-style) hasher for maps keyed by the analyses' own
-/// dense ids — [`TxId`], `(ObjId, CellId)`. One rotate, xor and multiply
-/// per word instead of SipHash's rounds. It offers no resistance to
-/// crafted collisions, which these keys do not need: the checker numbers
-/// transactions, objects and cells itself (imported histories are lowered
-/// to dense ids before any checker sees them).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IdHasher(u64);
-
-impl IdHasher {
-    /// 2⁶⁴ / φ, odd: the Fibonacci-hashing multiplier.
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-}
-
-impl Hasher for IdHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(Self::K);
-    }
-
-    /// The product's high bits are the well-mixed ones; the map takes its
-    /// bucket index from the low bits, so hand them over rotated down.
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-/// A `HashMap` on [`IdHasher`].
-pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+pub use dc_runtime::txgraph::{IdHasher, IdMap};
 
 /// A dynamic transaction id, unique within a run. `TxId(0)` is reserved as
 /// "none".

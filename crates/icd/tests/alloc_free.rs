@@ -163,10 +163,11 @@ fn warm_boundary_closing_an_scc_does_not_allocate() {
     assert!(icd.collected_txs() > 0, "the rounds ran collector passes");
 }
 
-/// A *cold* graph allocates only by amortized growth — of the slab, Tarjan's
-/// per-slot records beside it, the edge and log arenas and the id map —
-/// never per node, per edge or per log: 49 allocator calls here. (Per-node
-/// edge vectors made 5 020, and an exact-size copy per log 1 000 more.)
+/// A *cold* graph allocates only by amortized growth — of the slab, the
+/// edge and log arenas and the id map (Tarjan's per-slot records grow at
+/// the first probe) — never per node, per edge or per log: 40 allocator
+/// calls here. (Per-node edge vectors made 5 020, and an exact-size copy
+/// per log 1 000 more.)
 #[test]
 fn cold_graph_allocates_only_by_amortized_growth() {
     const N: u64 = 1_000;
@@ -225,7 +226,7 @@ fn cold_icd_allocations(calls: u32) -> u64 {
 #[test]
 fn cold_icd_allocates_only_by_growth() {
     const CALLS: u32 = 128;
-    // Measured: 49 at 128 calls, 54 at 256.
+    // Measured: 42 at 128 calls, 46 at 256.
     let small = cold_icd_allocations(CALLS);
     let large = cold_icd_allocations(2 * CALLS);
     assert!(small <= 64, "{small} allocator calls for {CALLS} calls");

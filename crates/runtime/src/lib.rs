@@ -16,7 +16,9 @@
 //! * [`spec::AtomicitySpec`] and [`spec::TxTracker`] — atomicity
 //!   specifications and transaction demarcation shared by all checkers,
 //! * [`OwnerCell`] — the owner-only per-thread block every analysis keeps
-//!   its hot state in.
+//!   its hot state in,
+//! * [`txgraph::TxGraph`] — the transaction graph (slab, edge arena,
+//!   collector) every checker's dependence graph is built on.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@ mod owner_cell;
 pub mod program;
 pub mod spec;
 pub mod trace;
+pub mod txgraph;
 
 pub use checker::{Checker, NopChecker};
 pub use engine::det::{run_det, DetError, Schedule};

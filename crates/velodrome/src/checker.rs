@@ -49,8 +49,6 @@ pub struct OnlineConfig {
     /// Which transactions to instrument (all in normal operation; a method
     /// subset when used as the second run of multi-run mode).
     pub filter: TxFilter,
-    /// Graph-collector cadence in transaction begins (0 disables).
-    pub collect_every: u32,
 }
 
 /// Velodrome's configuration (the name the benchmark and the CLI use).
@@ -62,7 +60,6 @@ impl Default for OnlineConfig {
             variant: Variant::Sound,
             instrument_arrays: false,
             filter: TxFilter::all(),
-            collect_every: 256,
         }
     }
 }
@@ -110,7 +107,6 @@ pub struct Online<C> {
     meta: OnceLock<MetaTable>,
     graph: Mutex<VGraph<C>>,
     violations: Mutex<Vec<VViolation>>,
-    begins_since_collect: AtomicU32,
     stats: OnlineStats,
 }
 
@@ -175,7 +171,6 @@ impl<C: CycleFilter> Online<C> {
             meta: OnceLock::new(),
             graph: Mutex::new(VGraph::new(n_threads)),
             violations: Mutex::new(Vec::new()),
-            begins_since_collect: AtomicU32::new(0),
             stats: OnlineStats::default(),
         }
     }
@@ -213,29 +208,10 @@ impl<C: CycleFilter> Online<C> {
         local.seen_edge_events = slot.edge_events.load(Ordering::Acquire);
         let id = VTxId::new(t, local.seq);
         let prev = VTxId(slot.current_tx.load(Ordering::Acquire));
-        self.graph.lock().begin(id, kind, prev);
+        let collected = self.graph.lock().begin(id, kind, prev);
         slot.current_tx.store(id.0, Ordering::Release);
         self.stats.transactions.fetch_add(1, Ordering::Relaxed);
-        self.maybe_collect();
-    }
-
-    fn maybe_collect(&self) {
-        if self.config.collect_every == 0 {
-            return;
-        }
-        let n = self.begins_since_collect.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= self.config.collect_every
-            && self
-                .begins_since_collect
-                .compare_exchange(n, 0, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        {
-            let roots: Vec<VTxId> = self
-                .slots
-                .iter()
-                .map(|s| VTxId(s.current_tx.load(Ordering::Acquire)))
-                .collect();
-            let collected = self.graph.lock().collect(roots);
+        if collected > 0 {
             self.stats
                 .collected_txs
                 .fetch_add(collected as u64, Ordering::Relaxed);

@@ -13,20 +13,25 @@
 //! runs the DFS; AeroDrome's (`dc-aerodrome`'s `ClockGraph`) answers exactly
 //! with vector clocks, so the DFS runs only to reconstruct a cycle the clocks
 //! already proved — once per violation, for the blame. Everything else (the
-//! node store, the edge bookkeeping, the DFS, blame and the collector) exists
-//! once, here.
+//! duplicate-edge check, the DFS and blame) exists once, here.
 //!
 //! # Storage
 //!
-//! Out-lists of collected transactions go to a free list that `begin` reuses,
-//! and the DFS and the collector share one reused stack and one reused
-//! "reached from" map, so a warm begin → edge → collect round does not touch
-//! the heap (pinned by `dc-aerodrome`'s `tests/alloc_pool.rs`).
+//! Nodes, edges and the collector are the shared [`TxGraph`] core's, the
+//! one DoubleChecker's IDG is built on: a slab with a free list, one edge
+//! arena with intrusive out- and in-lists, and a mark-and-sweep pass whose
+//! roots are the unfinished transactions — a transaction finishes when its
+//! thread begins the next one, so those are the threads' current
+//! transactions. A node's payload is its kind and the orders of its first
+//! outgoing and incoming cross edges (for blame); an edge carries none. The
+//! DFS walks the core's out-lists on its mark set and keeps a predecessor
+//! per slot in a retained vector, so a warm begin → edge → collect round
+//! does not touch the heap (pinned by `dc-aerodrome`'s
+//! `tests/alloc_pool.rs`).
 
 use dc_runtime::ids::{MethodId, ThreadId};
 use dc_runtime::spec::TxKind;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use dc_runtime::txgraph::{TxGraph, NIL};
 use std::fmt;
 
 /// A transaction id: per-thread sequence number packed with the thread id,
@@ -83,15 +88,28 @@ impl VViolation {
     }
 }
 
+/// Collector cadence in transaction begins.
+const COLLECT_EVERY: u32 = 256;
+
+/// A transaction's payload in the graph: its kind and the orders of its
+/// earliest outgoing and incoming cross edges (for blame).
+#[derive(Debug)]
+pub struct VTxInfo {
+    kind: TxKind,
+    first_out: Option<u32>,
+    first_in: Option<u32>,
+}
+
+/// The dependence graph's storage: the shared core over [`VTxId`]s.
+pub type DepGraph = TxGraph<VTxId, VTxInfo, ()>;
+
 /// Decides whether a new cross edge may have closed a cycle; [`VGraph`] runs
 /// its DFS only when the answer is `true`, so `false` must mean "no cycle".
 ///
-/// A filter may keep state per transaction: the graph calls [`begin`] for
-/// every transaction it registers and [`reclaim`] for every one its
-/// collector drops, so the filter's live set is the graph's.
-///
-/// [`begin`]: CycleFilter::begin
-/// [`reclaim`]: CycleFilter::reclaim
+/// A filter may keep state per transaction, indexed by the slot the graph
+/// gives it at [`begin`](CycleFilter::begin): a collected transaction's slot
+/// is handed to the next transaction to begin, so the filter's live set is
+/// the graph's without a hook of its own.
 pub trait CycleFilter: Send {
     /// The checker's name, for messages.
     const NAME: &'static str;
@@ -99,17 +117,15 @@ pub trait CycleFilter: Send {
     /// A filter for a run of `n_threads` threads.
     fn new(n_threads: usize) -> Self;
 
-    /// Transaction `id` begins; `prev` is its thread's previous transaction
-    /// (`NONE` for the first).
-    fn begin(&mut self, id: VTxId, prev: VTxId);
+    /// Transaction `id` begins in `slot`; `prev` is the slot of its
+    /// thread's previous transaction, `None` for a thread's first or one
+    /// already collected.
+    fn begin(&mut self, slot: u32, id: VTxId, prev: Option<u32>);
 
-    /// The cross edge `src → dst` was just added (both live, `dst` its
-    /// thread's newest transaction, the edge already in `src`'s out-list):
-    /// may it have closed a cycle?
-    fn edge(&mut self, graph: OutLists<'_>, src: VTxId, dst: VTxId) -> bool;
-
-    /// The collector dropped `id`.
-    fn reclaim(&mut self, id: VTxId);
+    /// The cross edge `src → dst` (slots) was just added (`dst` its thread's
+    /// newest transaction, the edge already in `src`'s out-list): may it
+    /// have closed a cycle?
+    fn edge(&mut self, graph: &DepGraph, src: u32, dst: u32) -> bool;
 }
 
 /// Velodrome: no filter — every cross edge runs the DFS.
@@ -118,72 +134,39 @@ impl CycleFilter for () {
 
     fn new(_: usize) -> Self {}
 
-    fn begin(&mut self, _: VTxId, _: VTxId) {}
+    fn begin(&mut self, _: u32, _: VTxId, _: Option<u32>) {}
 
-    fn edge(&mut self, _: OutLists<'_>, _: VTxId, _: VTxId) -> bool {
+    fn edge(&mut self, _: &DepGraph, _: u32, _: u32) -> bool {
         true
-    }
-
-    fn reclaim(&mut self, _: VTxId) {}
-}
-
-#[derive(Debug)]
-struct VNode {
-    kind: TxKind,
-    /// Intra-thread and cross successors, in insertion order.
-    out: Vec<VTxId>,
-    /// Orders of this node's earliest incoming/outgoing edges (for blame).
-    first_out: Option<u32>,
-    first_in: Option<u32>,
-}
-
-/// Read access to the live transactions' out-lists, for a [`CycleFilter`]
-/// that propagates along them.
-#[derive(Clone, Copy, Debug)]
-pub struct OutLists<'a>(&'a HashMap<VTxId, VNode>);
-
-impl<'a> OutLists<'a> {
-    /// `id`'s successors in insertion order, or `None` if `id` is not live.
-    pub fn get(self, id: VTxId) -> Option<&'a [VTxId]> {
-        self.0.get(&id).map(|n| n.out.as_slice())
     }
 }
 
 /// The dependence graph, its cycle test chosen by `C`.
+#[derive(Debug)]
 pub struct VGraph<C> {
-    nodes: HashMap<VTxId, VNode>,
+    core: DepGraph,
     filter: C,
     next_order: u32,
-    /// Cleared out-lists of collected transactions, reused by `begin`.
-    free_out: Vec<Vec<VTxId>>,
-    /// Traversal scratch shared by the DFS and the collector: the stack, and
-    /// each reached node's predecessor (roots map to themselves).
-    work: Vec<VTxId>,
-    reached: HashMap<VTxId, VTxId>,
+    /// Begins since the last collector pass.
+    begins: u32,
+    /// The DFS's predecessor of each slot it reached (valid for the slots
+    /// in the core's mark set).
+    pred: Vec<u32>,
     /// Cross-thread dependence edges added.
     pub cross_edges: u64,
     /// Cycles detected.
     pub cycles: u64,
 }
 
-impl<C> fmt::Debug for VGraph<C> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("VGraph")
-            .field("nodes", &self.nodes.len())
-            .finish()
-    }
-}
-
 impl<C: CycleFilter> VGraph<C> {
     /// Creates an empty graph for a run of `n_threads` threads.
     pub fn new(n_threads: usize) -> Self {
         VGraph {
-            nodes: HashMap::new(),
+            core: DepGraph::new(),
             filter: C::new(n_threads),
             next_order: 0,
-            free_out: Vec::new(),
-            work: Vec::new(),
-            reached: HashMap::new(),
+            begins: 0,
+            pred: Vec::new(),
             cross_edges: 0,
             cycles: 0,
         }
@@ -191,12 +174,12 @@ impl<C: CycleFilter> VGraph<C> {
 
     /// Live node count.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.core.len()
     }
 
     /// True if no nodes are live.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.core.is_empty()
     }
 
     /// The cycle filter.
@@ -204,116 +187,83 @@ impl<C: CycleFilter> VGraph<C> {
         &self.filter
     }
 
-    /// Registers a new transaction, adding the intra-thread edge from the
-    /// thread's previous transaction.
-    pub fn begin(&mut self, id: VTxId, kind: TxKind, prev: VTxId) {
-        self.filter.begin(id, prev);
-        let out = self.free_out.pop().unwrap_or_default();
-        self.nodes.insert(
-            id,
-            VNode {
-                kind,
-                out,
-                first_out: None,
-                first_in: None,
-            },
-        );
-        if prev.is_some() {
-            if let Some(p) = self.nodes.get_mut(&prev) {
-                p.out.push(id);
-            }
+    /// Registers a new transaction, finishing the thread's previous one and
+    /// adding the intra-thread edge from it; every 256th begin
+    /// (`COLLECT_EVERY`) then runs the collector. Returns the number of transactions it
+    /// collected.
+    pub fn begin(&mut self, id: VTxId, kind: TxKind, prev: VTxId) -> usize {
+        let prev = self.core.slot(prev);
+        let info = VTxInfo {
+            kind,
+            first_out: None,
+            first_in: None,
+        };
+        let slot = self.core.insert(id, info);
+        if let Some(p) = prev {
+            self.core.finish(p);
+            self.core.link(p, slot, ());
         }
+        self.filter.begin(slot, id, prev);
+        self.begins += 1;
+        if self.begins < COLLECT_EVERY {
+            return 0;
+        }
+        self.begins = 0;
+        self.collect()
     }
 
     /// Adds a cross-thread dependence edge and checks for a cycle through
     /// it. Returns the violation if one is found. Edges to/from collected
     /// transactions are ignored (they cannot be in a future cycle).
     pub fn add_cross_edge(&mut self, src: VTxId, dst: VTxId) -> Option<VViolation> {
-        if src == dst || !src.is_some() || !dst.is_some() {
+        if src == dst {
             return None;
         }
-        if !self.nodes.contains_key(&src) || !self.nodes.contains_key(&dst) {
+        let (Some(s), Some(d)) = (self.core.slot(src), self.core.slot(dst)) else {
             return None;
-        }
+        };
         let order = self.next_order;
         self.next_order += 1;
-        {
-            let s = self.nodes.get_mut(&src).expect("src exists");
-            if s.out.contains(&dst) {
-                return None; // duplicate edge: no new cycle possible
-            }
-            s.out.push(dst);
-            s.first_out.get_or_insert(order);
+        if self.core.out_list(s).any(|r| r.dst_slot == d) {
+            return None; // duplicate edge: no new cycle possible
         }
-        self.nodes
-            .get_mut(&dst)
-            .expect("dst exists")
-            .first_in
-            .get_or_insert(order);
+        self.core.link(s, d, ());
+        self.core.data_mut(s).first_out.get_or_insert(order);
+        self.core.data_mut(d).first_in.get_or_insert(order);
         self.cross_edges += 1;
-        if !self.filter.edge(OutLists(&self.nodes), src, dst) {
+        if !self.filter.edge(&self.core, s, d) {
             return None;
         }
-        let cycle = self.find_cycle(src, dst)?;
+        let cycle = self.find_cycle(s, d)?;
         self.cycles += 1;
-        Some(self.report(cycle))
+        Some(self.report(&cycle))
     }
 
-    /// Depth-first walk over live out-lists from `roots`, recording in
-    /// `reached` the node each live node was first reached from. Returns
-    /// `true`, stopping early, when it pops `target`.
-    fn walk(&mut self, roots: impl IntoIterator<Item = VTxId>, target: VTxId) -> bool {
-        self.work.clear();
-        self.reached.clear();
-        for r in roots {
-            if r.is_some() && self.reached.insert(r, r).is_none() {
-                self.work.push(r);
-            }
-        }
-        while let Some(v) = self.work.pop() {
-            if v == target {
-                return true;
-            }
-            if let Some(node) = self.nodes.get(&v) {
-                for &w in &node.out {
-                    if self.nodes.contains_key(&w) {
-                        if let Entry::Vacant(e) = self.reached.entry(w) {
-                            e.insert(v);
-                            self.work.push(w);
-                        }
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Path from `dst` back to `src` (the cycle closed by edge src→dst).
-    fn find_cycle(&mut self, src: VTxId, dst: VTxId) -> Option<Vec<VTxId>> {
-        if !self.walk([dst], src) {
+    /// Slots of the path from `dst` back to `src` (the cycle closed by edge
+    /// src→dst), found depth first over the core's out-lists.
+    fn find_cycle(&mut self, src: u32, dst: u32) -> Option<Vec<u32>> {
+        let pred = &mut self.pred;
+        pred.resize(self.core.slab_len(), NIL);
+        if !self.core.search(dst, src, |w, v| pred[w as usize] = v) {
             return None;
         }
         let mut path = vec![src];
         let mut cur = src;
         while cur != dst {
-            cur = self.reached[&cur];
+            cur = self.pred[cur as usize];
             path.push(cur);
         }
         path.reverse();
         Some(path) // dst … src
     }
 
-    fn report(&self, cycle: Vec<VTxId>) -> VViolation {
-        let members: Vec<(VTxId, TxKind)> =
-            cycle.iter().map(|&tx| (tx, self.nodes[&tx].kind)).collect();
+    fn report(&self, cycle: &[u32]) -> VViolation {
+        let nodes = cycle.iter().map(|&s| self.core.at(s));
+        let members: Vec<(VTxId, TxKind)> = nodes.clone().map(|n| (n.id, n.data.kind)).collect();
         // Blame: first outgoing edge earlier than first incoming edge.
-        let mut blamed: Vec<MethodId> = members
-            .iter()
-            .filter(|(tx, _)| {
-                let n = &self.nodes[tx];
-                matches!((n.first_out, n.first_in), (Some(o), Some(i)) if o < i)
-            })
-            .filter_map(|(_, k)| k.method())
+        let mut blamed: Vec<MethodId> = nodes
+            .filter(|n| matches!((n.data.first_out, n.data.first_in), (Some(o), Some(i)) if o < i))
+            .filter_map(|n| n.data.kind.method())
             .collect();
         if blamed.is_empty() {
             blamed = members.iter().filter_map(|(_, k)| k.method()).collect();
@@ -326,25 +276,13 @@ impl<C: CycleFilter> VGraph<C> {
         }
     }
 
-    /// Reclaims transactions unreachable from the roots (current
-    /// transactions) via outgoing edges. Returns the number collected.
-    /// Sound for a filter's state too: every edge terminates at a current
-    /// transaction, so nothing a future edge or propagation could touch is
-    /// dropped.
-    pub fn collect(&mut self, roots: impl IntoIterator<Item = VTxId>) -> usize {
-        self.walk(roots, VTxId::NONE);
-        let before = self.nodes.len();
-        let (reached, free_out, filter) = (&self.reached, &mut self.free_out, &mut self.filter);
-        self.nodes.retain(|&id, node| {
-            if reached.contains_key(&id) {
-                return true;
-            }
-            node.out.clear();
-            free_out.push(std::mem::take(&mut node.out));
-            filter.reclaim(id);
-            false
-        });
-        before - self.nodes.len()
+    /// Reclaims finished transactions unreachable via outgoing edges from
+    /// the unfinished ones (each thread's current transaction). Returns the
+    /// number collected. Sound for a filter's state too: every edge
+    /// terminates at a current transaction, so nothing a future edge or
+    /// propagation could touch is dropped.
+    pub fn collect(&mut self) -> usize {
+        self.core.collect([], |_| {})
     }
 }
 
@@ -423,9 +361,10 @@ mod tests {
         let a2 = VTxId::new(T0, 2);
         g.begin(a1, reg(0), VTxId::NONE);
         g.begin(a2, reg(0), a1);
-        // Root is a2 (current): a1 has only an edge *to* a2, so from a2
-        // nothing reaches a1 — a1 collected.
-        assert_eq!(g.collect([a2]), 1);
+        // a2 began, so a1 finished; a2 (current, unfinished) is the root.
+        // a1 has only an edge *to* a2, so from a2 nothing reaches a1 — a1
+        // collected.
+        assert_eq!(g.collect(), 1);
         assert_eq!(g.len(), 1);
         // Edges naming a1 are now ignored.
         assert!(g.add_cross_edge(a1, a2).is_none());

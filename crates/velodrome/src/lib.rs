@@ -17,7 +17,9 @@
 //! mode (§5.3). The checker and its graph are generic over a
 //! [`CycleFilter`], the test that decides whether a new edge may close a
 //! cycle: [`Velodrome`] is `Online<()>` (always run the DFS), and
-//! `dc-aerodrome` supplies the vector-clock filter.
+//! `dc-aerodrome` supplies the vector-clock filter. The graph's nodes, edges
+//! and collector are `dc_runtime::txgraph`'s, the core DoubleChecker's IDG
+//! is built on ([`DepGraph`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -28,5 +30,5 @@ pub mod meta;
 
 pub use checker::{JoinCounts, Online, OnlineConfig, OnlineStats, Variant};
 pub use checker::{Velodrome, VelodromeConfig};
-pub use graph::{CycleFilter, OutLists, VGraph, VTxId, VViolation};
+pub use graph::{CycleFilter, DepGraph, VGraph, VTxId, VViolation};
 pub use meta::MetaTable;

@@ -14,6 +14,10 @@ use common::{assert_same_analysis, assert_three_way};
 use dc_core::{run_doublechecker, DcConfig, ExecPlan};
 use dc_pcd::{analyze_trace, OfflineConfig};
 use dc_runtime::engine::det::Schedule;
+use dc_runtime::heap::ObjKind;
+use dc_runtime::ids::ThreadId;
+use dc_runtime::program::{Op, Program, ProgramBuilder};
+use dc_runtime::spec::AtomicitySpec;
 use dc_workloads::{all, Scale};
 use doublechecker_repro as _;
 
@@ -27,6 +31,45 @@ fn all_three_checkers_agree_across_the_suite() {
             assert_three_way(&ctx, &wl.program, &spec, &schedule);
         }
     }
+    let (program, spec, schedule) = cycle_open_across_collections(126);
+    assert_three_way("cycle open across collections", &program, &spec, &schedule);
+}
+
+/// One violation that stays open across collector passes: `beta` runs
+/// entirely inside `alpha` (alpha → beta), then its thread makes `calls`
+/// atomic calls on a private object — at 126, enough begins for a
+/// Velodrome pass (every 256) and enough ends for an ICD pass (every 128)
+/// — before `alpha` reads what `beta` wrote (beta → alpha). By then `beta` and the
+/// calls after it are finished and no thread's current transaction, but
+/// reachable from the current `alpha`: a collector that dropped them would
+/// miss the cycle the offline oracle finds.
+fn cycle_open_across_collections(calls: u32) -> (Program, AtomicitySpec, Schedule) {
+    let mut b = ProgramBuilder::new();
+    let o = b.object(ObjKind::Plain { fields: 2 });
+    let private = b.object(ObjKind::Plain { fields: 1 });
+    let alpha = b.method("alpha", vec![Op::Write(o, 0), Op::Read(o, 1)]);
+    let beta = b.method("beta", vec![Op::Read(o, 0), Op::Write(o, 1)]);
+    let idle = b.method("idle", vec![Op::Write(private, 0)]);
+    let t0 = b.method("t0", vec![Op::Call(alpha)]);
+    let body = vec![
+        Op::Call(beta),
+        Op::Loop {
+            count: calls,
+            body: vec![Op::Call(idle)],
+        },
+    ];
+    let t1 = b.method("t1", body);
+    b.thread(t0);
+    b.thread(t1);
+    let program = b.build().expect("valid program");
+    let spec = AtomicitySpec::excluding([t0, t1]);
+    // t0 enters its body and `alpha` and writes; t1 enters its body, runs
+    // `beta` (enter, read, write, exit) and every call (enter, write,
+    // exit); the script then falls back to round-robin, so t0 reads next.
+    let (a, b) = (ThreadId(0), ThreadId(1));
+    let mut script = vec![a; 3];
+    script.extend(std::iter::repeat_n(b, 5 + 3 * calls as usize));
+    (program, spec, Schedule::Scripted(script))
 }
 
 /// The Octet ownership inline cache is a pure performance change: a cache
