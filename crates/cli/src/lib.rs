@@ -13,7 +13,6 @@ use dc_core::{
     ObsLevel, ReportedViolation,
 };
 use dc_octet::CoordinationMode;
-use dc_pcd::{analyze_trace, OfflineConfig};
 use dc_runtime::engine::det::Schedule;
 use dc_runtime::ids::MethodId;
 use dc_runtime::program::Program;
@@ -651,14 +650,14 @@ fn cmd_trace(flags: &Flags) -> Result<String, CliError> {
         .map_err(|e| CliError::Failed(e.to_string()))?;
     let events = trace.into_events();
     let spec = spec_for(&wl);
-    let report = analyze_trace(&events, &spec, OfflineConfig::default());
+    let report = dc_runtime::oracle::check(&events, &spec, false);
     let mut out = String::new();
     writeln!(
         out,
         "{}: {} events; offline oracle: {} violation(s), {} transactions, {} precise edges",
         wl.name,
         events.len(),
-        report.violations.len(),
+        report.sccs.len(),
         report.transactions,
         report.edges
     )

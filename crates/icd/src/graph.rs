@@ -48,10 +48,11 @@
 //! serializes their increments.
 //!
 //! Tarjan's per-node state (visit index, lowlink, on-stack bit) is one
-//! record per slot, grown with the slab and epoch-stamped like the core's
-//! mark set. The DFS stack, frame, and component buffers are retained
-//! across calls. A probe that cannot descend — its root has no finished
-//! successor — returns before touching any of it.
+//! record per slot, grown with the slab; a record is valid while its slot is
+//! in the core's mark set, which says "visited". The DFS stack, frame, and
+//! component buffers are retained across calls. A probe that cannot
+//! descend — its root has no finished successor — returns before touching
+//! any of it.
 
 use crate::icd::ThreadRegs;
 #[cfg(doc)]
@@ -159,21 +160,19 @@ pub enum SccProbe<R = SccReport> {
     Cycle(R),
 }
 
-/// Tarjan's state for one slab slot: valid only while `stamp` equals the
-/// scratch's current visit epoch.
+/// Tarjan's state for one slab slot, valid while the slot is in the core's
+/// mark set.
 #[derive(Clone, Copy, Debug, Default)]
 struct Visit {
-    stamp: u32,
     index: u32,
     lowlink: u32,
     on_stack: bool,
 }
 
-/// Epoch-stamped Tarjan scratch: one [`Visit`] per slab slot (grown with
-/// the slab when a probe runs) plus the retained DFS stack/frame/component
-/// buffers.
+/// Tarjan's retained buffers: one [`Visit`] per slab slot (grown with the
+/// slab when a probe runs), the DFS stack, frames and component.
 #[derive(Debug, Default)]
-struct TarjanScratch {
+struct Tarjan {
     visits: Vec<Visit>,
     /// Tarjan's component stack (slot indices).
     stack: Vec<u32>,
@@ -181,24 +180,6 @@ struct TarjanScratch {
     frames: Vec<(u32, u32)>,
     /// The root's component, reused across calls.
     component: Vec<u32>,
-    epoch: u32,
-}
-
-impl TarjanScratch {
-    /// Starts a fresh visit epoch over `slots` slots. Allocation-free once
-    /// the records cover the slab.
-    fn begin(&mut self, slots: usize) -> u32 {
-        self.visits.resize(slots, Visit::default());
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Epoch wrapped: stale stamps from the previous cycle could
-            // alias the new epoch values. Reset and skip 0 (the stamps'
-            // initial value).
-            self.visits.iter_mut().for_each(|v| v.stamp = 0);
-            self.epoch = 1;
-        }
-        self.epoch
-    }
 }
 
 /// The IDG plus the `gLastRdSh` register (§3.2.2).
@@ -217,7 +198,7 @@ pub struct Graph {
     sccs: u64,
     /// Transaction-end probes the pre-filter skipped.
     skipped_probes: u64,
-    tarjan: TarjanScratch,
+    tarjan: Tarjan,
 }
 
 /// Read access to the core: `len`, `node`, the slab and arena sizes.
@@ -465,20 +446,20 @@ impl Graph {
             return SccProbe::Skipped;
         }
         // Iterative Tarjan restricted to finished nodes reachable from
-        // root, on epoch-stamped scratch.
-        let epoch = tarjan.begin(core.slab_len());
-        let TarjanScratch {
+        // root, on the core's mark set.
+        let Tarjan {
             visits,
             stack,
             frames,
             component,
-            ..
         } = tarjan;
+        visits.resize(core.slab_len(), Visit::default());
+        core.begin_marks();
         debug_assert!(stack.is_empty() && frames.is_empty());
         component.clear();
         let mut next_index = 1u32;
+        core.mark(root_slot);
         visits[root_slot as usize] = Visit {
-            stamp: epoch,
             index: 0,
             lowlink: 0,
             on_stack: true,
@@ -493,14 +474,13 @@ impl Graph {
                 Some(rec) => {
                     frames.last_mut().expect("frame exists").1 = rec.next_out;
                     let w = rec.dst_slot;
-                    let seen = visits[w as usize];
-                    if seen.stamp == epoch {
+                    if !core.mark(w) {
+                        let seen = visits[w as usize];
                         if seen.on_stack {
                             visits[vi].lowlink = visits[vi].lowlink.min(seen.index);
                         }
                     } else {
                         visits[w as usize] = Visit {
-                            stamp: epoch,
                             index: next_index,
                             lowlink: next_index,
                             on_stack: true,
@@ -921,12 +901,11 @@ mod tests {
         }
         g.finish(TxId(1), vec![]).unwrap();
         g.finish(TxId(2), vec![]).unwrap();
-        let epoch = g.tarjan.epoch;
         assert!(
             matches!(g.scc_probe(TxId(2)), SccProbe::Skipped),
             "no finished successor"
         );
-        assert_eq!(g.tarjan.epoch, epoch, "a skip touches no scratch");
+        assert!(g.tarjan.visits.is_empty(), "a skip touches no scratch");
         // An unfinished successor ahead of a finished one does not hide it.
         g.add_edge(edge(2, 1));
         assert!(matches!(g.scc_probe(TxId(2)), SccProbe::Cycle(r) if r.len() == 2));
@@ -1005,27 +984,20 @@ mod tests {
 
     #[test]
     fn scratch_epoch_wrap_resets_stamps() {
-        let mut g = graph_with(2);
+        // Tx1 → Tx2 → Tx3: a probe from Tx2 runs Tarjan, finds nothing and
+        // leaves Tx2 and Tx3 marked with the core's first mark epoch.
+        let mut g = graph_with(3);
         g.add_edge(edge(1, 2));
-        g.add_edge(edge(2, 1));
-        finish_all(&mut g, 2);
-        assert!(g.scc_from(TxId(2)).is_some());
+        g.add_edge(edge(2, 3));
+        finish_all(&mut g, 3);
+        assert!(matches!(g.scc_probe(TxId(2)), SccProbe::NoCycle));
         assert_eq!(g.tarjan.visits.len(), g.slab_len(), "one record per slot");
-        // Stamp every slot's record with the epoch that follows the wrap,
-        // and force the Tarjan epoch to the wrap point; the next pass must
-        // clear stamps rather than alias them. (The core's mark set has its
-        // own wrap test.)
-        for v in &mut g.tarjan.visits {
-            *v = Visit {
-                stamp: 1,
-                index: 0,
-                lowlink: 0,
-                on_stack: true,
-            };
-        }
-        g.tarjan.epoch = u32::MAX;
+        // Tx3 → Tx2 closes a cycle. With the mark epoch forced to the wrap
+        // point, the next probe marks on the first epoch again: the wrap
+        // must clear the stale marks rather than take Tx3 as visited.
+        g.add_edge(edge(3, 2));
+        g.core.force_mark_epoch(u32::MAX);
         assert_eq!(g.scc_from(TxId(2)).expect("cycle").len(), 2);
-        assert_eq!(g.tarjan.epoch, 1, "tarjan epoch restarted after wrap");
         assert!(g.scc_from(TxId(2)).is_some(), "stamps stay coherent");
         assert_eq!(g.collect([TxId(1)]), 0, "cycle reachable from root");
     }

@@ -14,12 +14,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod offline;
 pub mod replay;
 pub mod rules;
 pub mod violation;
 
-pub use offline::{analyze_trace, OfflineConfig, OfflineReport};
 pub use replay::{replay_scc, replay_scc_with, ReplayStats};
 pub use rules::{Field, Pdg, PdgEdge};
 pub use violation::{CycleMember, Violation};

@@ -21,8 +21,9 @@
 //! SCC without building a PDG when there is none.
 //!
 //! Everything a replay builds — the PDG, both field tables, the per-member
-//! schedule — is indexed by member (the SCC's position of a transaction),
-//! so a replay hashes no transaction id, and it lives in scratch kept per
+//! schedule — is indexed by member (the SCC's position of a transaction,
+//! which is its PDG slot); only a constraint's endpoints are looked up by
+//! id, in the PDG's id map, once per SCC. It lives in scratch kept per
 //! OS thread, so a warm replay takes no lock and allocates nothing unless
 //! it finds a violation. Per thread rather than per checker: a checker
 //! that sees one or two SCCs — one per imported history, say — would
@@ -30,7 +31,7 @@
 
 use crate::rules::{FieldTable, Pdg, PdgEdge};
 use crate::violation::Violation;
-use dc_icd::{SccReport, TxId};
+use dc_icd::SccReport;
 use dc_runtime::ids::ThreadId;
 use std::cell::RefCell;
 
@@ -112,13 +113,12 @@ struct Schedule {
     progress: Vec<Progress>,
     /// Every member's incoming constraints, grouped by sink.
     cons: Vec<Prepped>,
-    /// `(id, member)` sorted by id, to resolve constraint endpoints.
-    by_id: Vec<(TxId, u32)>,
 }
 
 impl Schedule {
-    /// Rebuilds the schedule for `scc`, keeping every buffer.
-    fn prepare(&mut self, scc: &SccReport) {
+    /// Rebuilds the schedule for `scc`, whose members `pdg` holds, keeping
+    /// every buffer.
+    fn prepare(&mut self, scc: &SccReport, pdg: &Pdg) {
         let n = u32::try_from(scc.txs.len()).expect("too many SCC members");
         self.order.clear();
         self.order.extend(0..n);
@@ -139,32 +139,17 @@ impl Schedule {
                 }),
             }
         }
-        self.by_id.clear();
-        self.by_id
-            .extend(scc.txs.iter().enumerate().map(|(m, t)| (t.id, m as u32)));
-        self.by_id.sort_unstable();
-        let Schedule {
-            chains,
-            cons,
-            by_id,
-            progress,
-            ..
-        } = self;
-        let member = |id: TxId| {
-            by_id
-                .binary_search_by_key(&id, |&(id, _)| id)
-                .map(|i| by_id[i].1)
-        };
-        cons.clear();
+        self.cons.clear();
         for (rank, c) in scc.constraints.iter().enumerate() {
-            let Ok(dst) = member(c.dst) else {
+            let Some(dst) = pdg.member(c.dst) else {
                 continue; // sinks are always members; ignore anything else
             };
-            cons.push(Prepped {
+            self.cons.push(Prepped {
                 dst,
                 dst_pos: c.dst_pos,
-                src_member: member(c.src).unwrap_or(NIL),
-                src_chain: chains
+                src_member: pdg.member(c.src).unwrap_or(NIL),
+                src_chain: self
+                    .chains
                     .binary_search_by_key(&c.src_thread, |chain| chain.thread)
                     .map_or(NIL, |i| i as u32),
                 src_seq: c.src_seq,
@@ -172,11 +157,12 @@ impl Schedule {
                 rank: rank as u32,
             });
         }
-        cons.sort_unstable_by_key(|c| (c.dst, c.dst_pos, c.rank));
-        progress.clear();
-        progress.resize(n as usize, Progress::default());
-        for (k, c) in cons.iter().enumerate() {
-            let p = &mut progress[c.dst as usize];
+        self.cons
+            .sort_unstable_by_key(|c| (c.dst, c.dst_pos, c.rank));
+        self.progress.clear();
+        self.progress.resize(n as usize, Progress::default());
+        for (k, c) in self.cons.iter().enumerate() {
+            let p = &mut self.progress[c.dst as usize];
             if p.cons_start == p.cons_end {
                 (p.cons_start, p.cons_cursor) = (k as u32, k as u32);
             }
@@ -352,7 +338,7 @@ impl Replayer {
         for tx in &scc.txs {
             pdg.add_tx(tx.id, tx.thread, tx.kind);
         }
-        s.prepare(scc);
+        s.prepare(scc, pdg);
         // Program-order edges between consecutive same-thread members: cycles
         // may pass through them (Velodrome's intra-thread edges, §2). Chains
         // are in sorted-thread order by construction, so the scan order — and
@@ -450,7 +436,7 @@ impl Replayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dc_icd::{Edge, EdgeKind, LogEntry, ReplayConstraint, TxKind};
+    use dc_icd::{Edge, EdgeKind, LogEntry, ReplayConstraint, TxId, TxKind};
     use dc_runtime::ids::{MethodId, ObjId, SYNC_CELL};
     use std::collections::HashMap;
 

@@ -5,22 +5,24 @@
 //! replayed access adds precise cross-thread PDG edges and updates the
 //! tables; a PDG cycle is a precise conflict-serializability violation.
 //!
-//! Transactions are *members* numbered densely in the order they are added
-//! ([`Pdg::add_tx`]), and every table is indexed by member or keyed by field
-//! in an open-addressing [`FieldTable`]: nothing hashes a transaction id, and
-//! [`Pdg::clear`] keeps every buffer, so a PDG rebuilt for the next SCC
-//! allocates nothing once warm.
+//! Members and edges live in the shared transaction graph core
+//! ([`TxGraph`]), the IDG's and the online checkers' storage: it owns the
+//! successor lists, the duplicate-edge test, the mark set and the
+//! predecessor-recording path search. The PDG never collects, so members
+//! are the core's slots, numbered densely in the order they are added
+//! ([`Pdg::add_tx`]); the core's id map names a transaction's member
+//! ([`Pdg::member`]). Everything else is indexed by member or keyed by field
+//! in an open-addressing [`FieldTable`], and [`Pdg::clear`] keeps every
+//! buffer, so a PDG rebuilt for the next SCC allocates nothing once warm.
 
 use crate::violation::{CycleMember, Violation};
 use dc_icd::{IdHasher, TxId, TxKind};
 use dc_runtime::ids::{CellId, ObjId, ThreadId};
+use dc_runtime::txgraph::{TxGraph, NIL};
 use std::hash::Hasher;
 
 /// A field identity: object plus cell (arrays are conflated by the caller).
 pub type Field = (ObjId, CellId);
-
-/// "None": no member, no list entry.
-const NIL: u32 = u32::MAX;
 
 /// One precise dependence edge between two members, with its creation order
 /// (for blame assignment).
@@ -88,28 +90,13 @@ impl<V: Copy + Default> FieldTable<V> {
     }
 }
 
-/// One member of the PDG.
+/// A member's payload in the core.
 #[derive(Clone, Copy, Debug)]
 struct Member {
-    id: TxId,
     thread: ThreadId,
     kind: TxKind,
-    /// First and last entry of its successor list in [`Pdg::succ`].
-    succ_head: u32,
-    succ_tail: u32,
-    /// Stamped with the epoch of the last [`Pdg::cycle_through`] walk that
-    /// reached it (and `parent`: from where), or of the last blame that
-    /// found it in the cycle (and `pos`: where).
-    seen: u32,
-    parent: u32,
+    /// Its position in the cycle being blamed (valid while marked).
     pos: u32,
-}
-
-/// One PDG successor: a member and the next entry of the same list.
-#[derive(Clone, Copy, Debug)]
-struct Succ {
-    dst: u32,
-    next: u32,
 }
 
 /// Per field: `W(f)` and the list of `R(·, f)` in [`Pdg::readers`].
@@ -142,21 +129,16 @@ struct Reader {
 /// The PDG under construction plus the last-access tables.
 #[derive(Debug, Default)]
 pub struct Pdg {
-    members: Vec<Member>,
-    /// Every member's successor list (deduplicated, in insertion order).
-    succ: Vec<Succ>,
+    core: TxGraph<TxId, Member, ()>,
     /// Cross-thread edges in creation order.
     edges: Vec<PdgEdge>,
     fields: FieldTable<Access>,
     readers: Vec<Reader>,
-    /// [`Pdg::cycle_through`]'s DFS stack and the cycle it found.
-    stack: Vec<u32>,
+    /// The cycle [`Pdg::cycle_through`] found.
     cycle: Vec<u32>,
     /// Per cycle position: the order of its first outgoing and first
     /// incoming cycle edge ([`NIL`] for none), for blame.
     first: Vec<(u32, u32)>,
-    /// Stamp of the current walk or blame over `members`.
-    epoch: u32,
 }
 
 impl Pdg {
@@ -172,8 +154,7 @@ impl Pdg {
     /// Empties the PDG and its tables, keeping every buffer; the field
     /// table is sized for `fields` fields without growing.
     pub fn clear(&mut self, fields: usize) {
-        self.members.clear();
-        self.succ.clear();
+        self.core.clear();
         self.edges.clear();
         self.readers.clear();
         self.fields.reset(fields);
@@ -181,34 +162,34 @@ impl Pdg {
 
     /// Adds a transaction and returns its member index.
     pub fn add_tx(&mut self, id: TxId, thread: ThreadId, kind: TxKind) -> u32 {
-        let m = u32::try_from(self.members.len()).expect("too many PDG members");
-        assert!(m != NIL, "too many PDG members");
-        self.members.push(Member {
+        self.core.insert(
             id,
-            thread,
-            kind,
-            succ_head: NIL,
-            succ_tail: NIL,
-            seen: 0,
-            parent: NIL,
-            pos: NIL,
-        });
-        m
+            Member {
+                thread,
+                kind,
+                pos: NIL,
+            },
+        )
+    }
+
+    /// The member index of transaction `id`.
+    pub fn member(&self, id: TxId) -> Option<u32> {
+        self.core.slot(id)
     }
 
     /// Member `m`'s transaction.
     pub fn id(&self, m: u32) -> TxId {
-        self.members[m as usize].id
+        self.core.at(m).id
     }
 
     /// Member `m`'s executing thread.
     pub fn thread(&self, m: u32) -> ThreadId {
-        self.members[m as usize].thread
+        self.core.at(m).data.thread
     }
 
     /// Member `m`'s kind.
     pub fn kind(&self, m: u32) -> TxKind {
-        self.members[m as usize].kind
+        self.core.at(m).data.kind
     }
 
     /// All cross-thread PDG edges in creation order.
@@ -285,17 +266,25 @@ impl Pdg {
     /// detection (Velodrome's graph chains consecutive transactions of a
     /// thread, §2) but not in blame ordering.
     pub fn add_intra_edge(&mut self, src: u32, dst: u32) {
-        if src != dst && !self.has_succ(src, dst) {
-            self.push_succ(src, dst);
-        }
+        self.link(src, dst);
     }
 
-    /// Adds `src → dst`, deduplicating; self-edges are ignored.
+    /// Links `src → dst` unless it is a self-edge or already present.
+    /// Returns whether it did.
+    fn link(&mut self, src: u32, dst: u32) -> bool {
+        let new = src != dst && !self.core.has_edge(src, dst);
+        if new {
+            self.core.link(src, dst, ());
+        }
+        new
+    }
+
+    /// Adds the cross-thread edge `src → dst`, deduplicating; self-edges
+    /// are ignored.
     fn add_edge(&mut self, src: u32, dst: u32) -> Option<PdgEdge> {
-        if src == dst || self.has_succ(src, dst) {
+        if !self.link(src, dst) {
             return None;
         }
-        self.push_succ(src, dst);
         let edge = PdgEdge {
             src,
             dst,
@@ -305,84 +294,17 @@ impl Pdg {
         Some(edge)
     }
 
-    fn has_succ(&self, src: u32, dst: u32) -> bool {
-        let mut s = self.members[src as usize].succ_head;
-        while s != NIL {
-            let succ = self.succ[s as usize];
-            if succ.dst == dst {
-                return true;
-            }
-            s = succ.next;
-        }
-        false
-    }
-
-    fn push_succ(&mut self, src: u32, dst: u32) {
-        let new = u32::try_from(self.succ.len()).expect("too many PDG edges");
-        self.succ.push(Succ { dst, next: NIL });
-        let member = &mut self.members[src as usize];
-        match member.succ_tail {
-            NIL => member.succ_head = new,
-            tail => self.succ[tail as usize].next = new,
-        }
-        member.succ_tail = new;
-    }
-
-    /// A fresh stamp for `members`.
-    fn next_epoch(&mut self) -> u32 {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stale stamps could alias the restarted epoch.
-            self.members.iter_mut().for_each(|m| m.seen = 0);
-            self.epoch = 1;
-        }
-        self.epoch
-    }
-
     /// Finds a cycle through the just-added edge `src → dst`: a path from
     /// `dst` back to `src`. Returns the cycle as a member list
     /// `[src, dst, …, src-predecessor]` if found, in a buffer the next call
     /// reuses.
     pub fn cycle_through(&mut self, edge: PdgEdge) -> Option<&[u32]> {
-        let epoch = self.next_epoch();
-        let Pdg {
-            members,
-            succ,
-            stack,
-            cycle,
-            ..
-        } = self;
-        // DFS from dst searching for src, marking members as they are
-        // pushed and each successor list in insertion order.
-        stack.clear();
-        stack.push(edge.dst);
-        members[edge.dst as usize].seen = epoch;
-        while let Some(v) = stack.pop() {
-            if v == edge.src {
-                // src, its parent, …, dst; the edge closes it as src → dst.
-                cycle.clear();
-                cycle.push(v);
-                let mut cur = v;
-                while cur != edge.dst {
-                    cur = members[cur as usize].parent;
-                    cycle.push(cur);
-                }
-                cycle[1..].reverse();
-                return Some(cycle);
-            }
-            let mut s = members[v as usize].succ_head;
-            while s != NIL {
-                let Succ { dst: w, next } = succ[s as usize];
-                let reached = &mut members[w as usize];
-                if reached.seen != epoch {
-                    reached.seen = epoch;
-                    reached.parent = v;
-                    stack.push(w);
-                }
-                s = next;
-            }
-        }
-        None
+        // The path dst … src; the edge closes it as src → dst.
+        let path = self.core.path(edge.dst, edge.src)?;
+        self.cycle.clear();
+        self.cycle.push(edge.src);
+        self.cycle.extend_from_slice(&path[..path.len() - 1]);
+        Some(&self.cycle)
     }
 
     /// The precise violation closed by the just-added edge, if it closes a
@@ -409,22 +331,23 @@ impl Pdg {
     /// Falls back to the sink of the newest cycle edge if the heuristic
     /// selects nobody.
     fn blame(&mut self) -> Vec<TxId> {
-        let epoch = self.next_epoch();
         let Pdg {
-            members,
+            core,
             edges,
             cycle,
             first,
             ..
         } = self;
+        core.begin_marks();
         for (i, &m) in cycle.iter().enumerate() {
-            let member = &mut members[m as usize];
-            (member.seen, member.pos) = (epoch, i as u32);
+            core.mark(m);
+            core.data_mut(m).pos = i as u32;
         }
         // Both ends' cycle positions, for an edge between cycle members.
+        let core = &*core;
         let ends = |e: &PdgEdge| {
-            let (src, dst) = (&members[e.src as usize], &members[e.dst as usize]);
-            (src.seen == epoch && dst.seen == epoch).then_some((src.pos, dst.pos))
+            let pos = |m: u32| core.is_marked(m).then(|| core.at(m).data.pos);
+            pos(e.src).zip(pos(e.dst))
         };
         first.clear();
         first.resize(cycle.len(), (NIL, NIL));
@@ -442,11 +365,11 @@ impl Pdg {
             .iter()
             .zip(first.iter())
             .filter(|(_, &(out, into))| out != NIL && into != NIL && out < into)
-            .map(|(&m, _)| members[m as usize].id)
+            .map(|(&m, _)| core.at(m).id)
             .collect();
         if blamed.is_empty() {
             if let Some(last) = edges.iter().rev().find(|e| ends(e).is_some()) {
-                blamed.push(members[last.dst as usize].id);
+                blamed.push(core.at(last.dst).id);
             }
         }
         blamed

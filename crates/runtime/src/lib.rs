@@ -18,7 +18,9 @@
 //! * [`OwnerCell`] — the owner-only per-thread block every analysis keeps
 //!   its hot state in,
 //! * [`txgraph::TxGraph`] — the transaction graph (slab, edge arena,
-//!   collector) every checker's dependence graph is built on.
+//!   collector) every checker's dependence graph is built on,
+//! * [`oracle::check`] — the trace oracle, a conflict-serializability check
+//!   of a recorded trace that shares none of the checkers' code.
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@ pub mod engine;
 pub mod heap;
 pub mod ids;
 pub mod interp;
+pub mod oracle;
 mod owner_cell;
 pub mod program;
 pub mod spec;

@@ -1,11 +1,11 @@
 //! Execution tracing and checker composition.
 //!
-//! [`TraceChecker`] records the full event stream of a run — the input an
-//! *offline* serializability analysis consumes (the related-work
-//! alternative to online checking, paper §6). [`Tee`] drives two checkers
-//! from one execution, which is how the differential tests compare
-//! Velodrome, DoubleChecker, and the offline oracle on literally the same
-//! event stream.
+//! [`TraceChecker`] records the full event stream of a run — the input of
+//! the trace oracle ([`crate::oracle`]), an after-the-run serializability
+//! check (the related-work alternative to online checking, paper §6).
+//! [`Tee`] drives two checkers from one execution, which is how the
+//! differential tests compare Velodrome, DoubleChecker, and the trace oracle
+//! on literally the same event stream.
 
 use crate::checker::Checker;
 use crate::heap::Heap;

@@ -36,11 +36,17 @@
 //! kept the slot [`TxGraph::insert`] returned passes it back as a hint,
 //! validated against the slot's occupant ([`TxGraph::resolve`]).
 //!
-//! The mark set — shared by the collector's mark phase, [`TxGraph::search`]
+//! The mark set — shared by the collector's mark phase, [`TxGraph::path`]
 //! and the callers' own marking — is one stamp per slot, epoch-stamped: a
 //! slot is marked only while its stamp equals the current epoch, so
 //! clearing it between passes is one counter bump. The depth-first work
-//! stack is retained across calls.
+//! stack, the path search's predecessor per slot and the path it found are
+//! retained across calls.
+//!
+//! PCD's precise dependence graph (`dc-pcd`) uses the same storage with
+//! dense slots: it never collects, and [`TxGraph::clear`] empties the graph
+//! for the next SCC, keeping every buffer, so slots restart at 0 in insert
+//! order.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -155,6 +161,10 @@ pub struct TxGraph<K, N, E> {
     epoch: u32,
     /// The depth-first work stack.
     work: Vec<u32>,
+    /// [`TxGraph::path`]'s predecessor of each slot it reached (valid for
+    /// the marked slots) and the path it found.
+    pred: Vec<u32>,
+    path: Vec<u32>,
 }
 
 impl<K, N, E> Default for TxGraph<K, N, E> {
@@ -169,6 +179,8 @@ impl<K, N, E> Default for TxGraph<K, N, E> {
             stamp: Vec::new(),
             epoch: 0,
             work: Vec::new(),
+            pred: Vec::new(),
+            path: Vec::new(),
         }
     }
 }
@@ -177,6 +189,16 @@ impl<K: Copy + Eq + Hash + Default, N, E> TxGraph<K, N, E> {
     /// Creates an empty graph.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empties the graph, keeping every buffer: the next insert takes slot
+    /// 0, and slots are handed out in insert order again.
+    pub fn clear(&mut self) {
+        self.slab.clear();
+        self.free.clear();
+        self.edges.clear();
+        (self.free_edge, self.free_edges) = (NIL, 0);
+        self.index.clear();
     }
 
     /// Number of live (uncollected) transactions.
@@ -263,6 +285,11 @@ impl<K: Copy + Eq + Hash + Default, N, E> TxGraph<K, N, E> {
     pub fn in_list(&self, slot: u32) -> impl Iterator<Item = &EdgeRec<E>> {
         let head = self.record(self.at(slot).in_head);
         std::iter::successors(head, |r| self.record(r.next_in))
+    }
+
+    /// True if `src_slot`'s out-list already holds an edge to `dst_slot`.
+    pub fn has_edge(&self, src_slot: u32, dst_slot: u32) -> bool {
+        self.out_list(src_slot).any(|r| r.dst_slot == dst_slot)
     }
 
     /// Inserts a new, unfinished transaction node, reusing a free slot when
@@ -374,22 +401,43 @@ impl<K: Copy + Eq + Hash + Default, N, E> TxGraph<K, N, E> {
         self.stamp[slot as usize] == self.epoch
     }
 
-    /// Depth-first search over out-lists from `from` for `to`, on a fresh
-    /// mark set: pops a slot, stops if it is `to`, else marks and pushes
-    /// each unmarked successor in out-list order, reporting it to
-    /// `reached` with the slot it was reached from. Returns whether it
-    /// reached `to`.
-    pub fn search(&mut self, from: u32, to: u32, reached: impl FnMut(u32, u32)) -> bool {
+    /// Restarts the mark epoch at `epoch`, so tests can run a pass across
+    /// its wrap.
+    #[doc(hidden)]
+    pub fn force_mark_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
+    }
+
+    /// A path from `from` to `to` over out-lists, as the slots `from ..= to`
+    /// in a buffer the next call reuses. Depth first on a fresh mark set:
+    /// pops a slot, stops if it is `to`, else marks and pushes each
+    /// unmarked successor in out-list order, recording the slot it was
+    /// reached from.
+    pub fn path(&mut self, from: u32, to: u32) -> Option<&[u32]> {
+        self.pred.resize(self.slab.len(), NIL);
         self.begin_marks();
         self.work.clear();
         self.mark(from);
         self.work.push(from);
-        self.walk(to, reached)
+        if !self.walk::<true>(to) {
+            return None;
+        }
+        self.path.clear();
+        self.path.push(to);
+        let mut cur = to;
+        while cur != from {
+            cur = self.pred[cur as usize];
+            self.path.push(cur);
+        }
+        self.path.reverse();
+        Some(&self.path)
     }
 
-    /// The depth-first loop of [`TxGraph::search`] and the collector's mark
-    /// phase, from the marked slots on the work stack.
-    fn walk(&mut self, to: u32, mut reached: impl FnMut(u32, u32)) -> bool {
+    /// The depth-first loop of [`TxGraph::path`] (which records each
+    /// reached slot's predecessor: `RECORD`) and the collector's mark phase,
+    /// from the marked slots on the work stack. Returns whether it reached
+    /// `to`.
+    fn walk<const RECORD: bool>(&mut self, to: u32) -> bool {
         while let Some(v) = self.work.pop() {
             if v == to {
                 return true;
@@ -399,7 +447,9 @@ impl<K: Copy + Eq + Hash + Default, N, E> TxGraph<K, N, E> {
                 let w = rec.dst_slot;
                 cursor = rec.next_out;
                 if self.mark(w) {
-                    reached(w, v);
+                    if RECORD {
+                        self.pred[w as usize] = v;
+                    }
                     self.work.push(w);
                 }
             }
@@ -432,7 +482,7 @@ impl<K: Copy + Eq + Hash + Default, N, E> TxGraph<K, N, E> {
                 self.work.push(slot);
             }
         }
-        self.walk(NIL, |_, _| {});
+        self.walk::<false>(NIL);
         // Sweep. A freed node takes its in-list — every record whose
         // destination it is — to the edge free list in one splice; its
         // out-list is simply forgotten (those records belong to their
@@ -466,7 +516,12 @@ impl<K: Copy + Eq + Hash + Default, N, E> TxGraph<K, N, E> {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
+
+#[cfg(test)]
 mod tests {
+    use super::counting_alloc::allocations;
     use super::*;
 
     type G = TxGraph<u64, (), u64>;
@@ -525,18 +580,40 @@ mod tests {
     }
 
     #[test]
-    fn search_reports_each_reached_slot_with_its_parent() {
+    fn path_follows_each_reached_slot_back_to_its_parent() {
         let mut g = graph_with(4);
         for (s, d) in [(1, 2), (2, 3), (1, 4), (4, 3)] {
             link(&mut g, s, d);
         }
         let [s1, s3, s4] = [1, 3, 4].map(|id| g.slot(id).unwrap());
-        let mut parent = [NIL; 4];
-        assert!(g.search(s1, s3, |w, v| parent[w as usize] = v));
         // Depth first, last successor first: 4 is popped before 2, so 3 is
         // reached from 4.
-        assert_eq!(parent[s3 as usize], s4);
-        assert!(!g.search(s3, s1, |_, _| {}), "no path back");
+        assert_eq!(g.path(s1, s3), Some(&[s1, s4, s3][..]));
+        assert_eq!(g.path(s1, s1), Some(&[s1][..]));
+        assert!(g.path(s3, s1).is_none(), "no path back");
+    }
+
+    /// A cleared graph hands out slots from 0 in insert order again, with
+    /// no edge or id of the previous fill; once warm, a clear and a
+    /// refill of the same size make no allocator call.
+    #[test]
+    fn clear_restarts_slots_at_zero_and_keeps_every_buffer() {
+        let fill = |g: &mut G, ids: [u64; 3]| {
+            g.clear();
+            let slots = ids.map(|id| g.insert(id, ()));
+            g.link(slots[0], slots[1], 1);
+            g.link(slots[1], slots[2], 2);
+            let found = g.path(slots[0], slots[2]).map(<[u32]>::len);
+            (slots, found)
+        };
+        let mut g = G::new();
+        assert_eq!(fill(&mut g, [7, 8, 9]), ([0, 1, 2], Some(3)));
+        let before = allocations();
+        assert_eq!(fill(&mut g, [9, 5, 6]), ([0, 1, 2], Some(3)));
+        assert_eq!(allocations() - before, 0, "a warm clear and refill");
+        assert_eq!((g.slot(7), g.slot(9)), (None, Some(0)));
+        assert_eq!((g.len(), g.slab_len(), g.edge_arena_len()), (3, 3, 2));
+        assert!(g.has_edge(0, 1) && !g.has_edge(0, 2) && !g.has_edge(1, 0));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! Velodrome's is `()`, which answers "maybe" to every edge, so every edge
 //! runs the DFS; AeroDrome's (`dc-aerodrome`'s `ClockGraph`) answers exactly
 //! with vector clocks, so the DFS runs only to reconstruct a cycle the clocks
-//! already proved — once per violation, for the blame. Everything else (the
-//! duplicate-edge check, the DFS and blame) exists once, here.
+//! already proved — once per violation, for the blame. Everything else
+//! (edges, the cycle search and blame) exists once, here and in the core.
 //!
 //! # Storage
 //!
@@ -24,14 +24,14 @@
 //! thread begins the next one, so those are the threads' current
 //! transactions. A node's payload is its kind and the orders of its first
 //! outgoing and incoming cross edges (for blame); an edge carries none. The
-//! DFS walks the core's out-lists on its mark set and keeps a predecessor
-//! per slot in a retained vector, so a warm begin → edge → collect round
-//! does not touch the heap (pinned by `dc-aerodrome`'s
-//! `tests/alloc_pool.rs`).
+//! duplicate-edge test and the DFS are the core's ([`TxGraph::has_edge`],
+//! [`TxGraph::path`], on its mark set and retained buffers), so a warm
+//! begin → edge → collect round does not touch the heap (pinned by
+//! `dc-aerodrome`'s `tests/alloc_pool.rs`).
 
 use dc_runtime::ids::{MethodId, ThreadId};
 use dc_runtime::spec::TxKind;
-use dc_runtime::txgraph::{TxGraph, NIL};
+use dc_runtime::txgraph::TxGraph;
 use std::fmt;
 
 /// A transaction id: per-thread sequence number packed with the thread id,
@@ -149,9 +149,6 @@ pub struct VGraph<C> {
     next_order: u32,
     /// Begins since the last collector pass.
     begins: u32,
-    /// The DFS's predecessor of each slot it reached (valid for the slots
-    /// in the core's mark set).
-    pred: Vec<u32>,
     /// Cross-thread dependence edges added.
     pub cross_edges: u64,
     /// Cycles detected.
@@ -166,7 +163,6 @@ impl<C: CycleFilter> VGraph<C> {
             filter: C::new(n_threads),
             next_order: 0,
             begins: 0,
-            pred: Vec::new(),
             cross_edges: 0,
             cycles: 0,
         }
@@ -224,7 +220,7 @@ impl<C: CycleFilter> VGraph<C> {
         };
         let order = self.next_order;
         self.next_order += 1;
-        if self.core.out_list(s).any(|r| r.dst_slot == d) {
+        if self.core.has_edge(s, d) {
             return None; // duplicate edge: no new cycle possible
         }
         self.core.link(s, d, ());
@@ -234,27 +230,10 @@ impl<C: CycleFilter> VGraph<C> {
         if !self.filter.edge(&self.core, s, d) {
             return None;
         }
-        let cycle = self.find_cycle(s, d)?;
+        // The path dst … src, closed by the new edge.
+        let cycle = self.core.path(d, s)?.to_vec();
         self.cycles += 1;
         Some(self.report(&cycle))
-    }
-
-    /// Slots of the path from `dst` back to `src` (the cycle closed by edge
-    /// src→dst), found depth first over the core's out-lists.
-    fn find_cycle(&mut self, src: u32, dst: u32) -> Option<Vec<u32>> {
-        let pred = &mut self.pred;
-        pred.resize(self.core.slab_len(), NIL);
-        if !self.core.search(dst, src, |w, v| pred[w as usize] = v) {
-            return None;
-        }
-        let mut path = vec![src];
-        let mut cur = src;
-        while cur != dst {
-            cur = self.pred[cur as usize];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path) // dst … src
     }
 
     fn report(&self, cycle: &[u32]) -> VViolation {

@@ -9,16 +9,15 @@
 //! causes) is the dominant cost DoubleChecker avoids.
 
 use crate::graph::VTxId;
-use dc_runtime::heap::{Heap, ObjKind};
-use dc_runtime::ids::{CellId, ObjId, SYNC_CELL};
+use dc_runtime::heap::{CellLayout, Heap};
+use dc_runtime::ids::{CellId, ObjId};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Dense metadata tables for one run.
+/// Dense metadata tables for one run, one slot per [`CellLayout`] slot:
+/// a slot per cell (arrays and the other conflated kinds get one, paper
+/// §5.4) plus a sync slot per object for release–acquire dependences.
 pub struct MetaTable {
-    /// Per-object base index into the flat slot arrays.
-    base: Vec<u32>,
-    /// Cells per object (conflated kinds get 1), excluding the sync slot.
-    cells: Vec<u32>,
+    layout: CellLayout,
     /// Per-slot lock word (0 free, 1 held).
     locks: Vec<AtomicU32>,
     /// Per-slot last writer.
@@ -31,36 +30,14 @@ pub struct MetaTable {
 impl MetaTable {
     /// Builds metadata for every object in `heap`.
     pub fn new(heap: &Heap) -> Self {
-        let n = heap.len();
+        let layout = CellLayout::new(heap);
+        let total = layout.total() as usize;
         let n_threads = usize::from(heap.n_threads());
-        let mut base = Vec::with_capacity(n);
-        let mut cells = Vec::with_capacity(n);
-        let mut total = 0u32;
-        for i in 0..n {
-            let obj_cells: u32 = match heap.kind(ObjId::from_index(i)) {
-                ObjKind::Plain { fields } => u32::from(fields).max(1),
-                // Arrays are conflated to one metadata slot (paper §5.4);
-                // monitors, barriers, and thread objects have one slot.
-                ObjKind::Array { .. }
-                | ObjKind::Monitor
-                | ObjKind::Barrier { .. }
-                | ObjKind::ThreadObj => 1,
-            };
-            base.push(total);
-            cells.push(obj_cells);
-            // +1 sync slot per object for release–acquire dependences.
-            total = total
-                .checked_add(obj_cells + 1)
-                .expect("metadata table too large");
-        }
         MetaTable {
-            base,
-            cells,
+            layout,
             locks: (0..total).map(|_| AtomicU32::new(0)).collect(),
             writers: (0..total).map(|_| AtomicU64::new(0)).collect(),
-            readers: (0..total as usize * n_threads)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            readers: (0..total * n_threads).map(|_| AtomicU64::new(0)).collect(),
             n_threads,
         }
     }
@@ -70,20 +47,12 @@ impl MetaTable {
         self.n_threads
     }
 
-    /// Flat slot index for `(obj, cell)`; [`SYNC_CELL`] maps to the
-    /// object's sync slot, out-of-range cells conflate to slot 0.
+    /// Flat slot index for `(obj, cell)`; [`dc_runtime::ids::SYNC_CELL`]
+    /// maps to the object's sync slot, out-of-range cells conflate to slot
+    /// 0 ([`CellLayout::slot`]).
     #[inline]
     pub fn slot(&self, obj: ObjId, cell: CellId) -> usize {
-        let i = obj.index();
-        let cells = self.cells[i];
-        let offset = if cell == SYNC_CELL {
-            cells
-        } else if cell < cells {
-            cell
-        } else {
-            0
-        };
-        (self.base[i] + offset) as usize
+        self.layout.slot(obj, cell) as usize
     }
 
     /// Spin-acquires the slot's metadata lock (yielding after a bound so
@@ -156,6 +125,8 @@ impl std::fmt::Debug for MetaTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_runtime::heap::ObjKind;
+    use dc_runtime::ids::SYNC_CELL;
 
     fn heap() -> Heap {
         Heap::new(

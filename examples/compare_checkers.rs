@@ -1,6 +1,7 @@
 //! Side-by-side comparison of every checker on one workload and one
 //! deterministic execution: Velodrome and a trace recorder share a single
-//! run via [`Tee`]; the offline oracle analyzes the recorded trace; and
+//! run via [`Tee`]; the trace oracle (`dc_runtime::oracle`, which shares no
+//! code with the checkers) finds the SCCs of the recorded trace; and
 //! DoubleChecker replays the identical schedule in single-run, first-run,
 //! and PCD-only configurations.
 //!
@@ -8,7 +9,6 @@
 
 use dc_core::{run_doublechecker, DcConfig, ExecPlan};
 use dc_octet::CoordinationMode;
-use dc_pcd::{analyze_trace, OfflineConfig};
 use dc_runtime::engine::det::{run_det, Schedule};
 use dc_runtime::trace::{Tee, TraceChecker};
 use dc_velodrome::{Velodrome, VelodromeConfig};
@@ -46,13 +46,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         format!("{} edges", tee.a.cross_edges())
     );
 
-    // Offline oracle over the recorded trace.
+    // The trace oracle over the recorded trace: one violation per SCC.
     let trace = tee.b.events();
-    let offline = analyze_trace(&trace, &spec, OfflineConfig::default());
+    let oracle = dc_runtime::oracle::check(&trace, &spec, false);
     println!(
         "{:<28} {:>10} {:>12}",
-        "offline oracle (trace)",
-        offline.violations.len(),
+        "trace oracle (SCCs)",
+        oracle.sccs.len(),
         format!("{} events", trace.len())
     );
 

@@ -4,7 +4,8 @@
 //! funnels through [`assert_three_way`]: Velodrome (online graph search)
 //! and AeroDrome (vector clocks) must agree bit for bit on deduplicated
 //! violation keys *and* blame, and both must agree with DoubleChecker
-//! single-run mode and the offline trace oracle on violation existence.
+//! single-run mode and the trace oracle (`dc_runtime::oracle`, which shares
+//! no code with any checker) on violation existence.
 //! Existence — not multiplicity — is the DC comparison because
 //! DoubleChecker reports imprecise SCCs refined by replay, so how many
 //! distinct static cycles it attributes to one tangle may legitimately
@@ -19,7 +20,6 @@ use std::collections::BTreeSet;
 
 use dc_aerodrome::{AeroConfig, AeroDrome};
 use dc_core::{run_single, DcReport, DcStats, ExecPlan};
-use dc_pcd::{analyze_trace, OfflineConfig};
 use dc_runtime::engine::det::{run_det, Schedule};
 use dc_runtime::ids::MethodId;
 use dc_runtime::program::Program;
@@ -45,7 +45,7 @@ impl Verdict {
 }
 
 /// Runs Velodrome on the schedule, also recording the event trace the
-/// offline oracle replays — both observers literally see the same stream.
+/// trace oracle checks — both observers literally see the same stream.
 pub fn velodrome_verdict_with_trace(
     program: &Program,
     spec: &AtomicitySpec,
@@ -141,11 +141,12 @@ pub fn assert_three_way(ctx: &str, program: &Program, spec: &AtomicitySpec, sche
         "{ctx}: velodrome vs aerodrome blame"
     );
 
-    let offline = analyze_trace(&trace, spec, OfflineConfig::default());
+    let oracle = dc_runtime::oracle::check(&trace, spec, false);
     assert_eq!(
         velo.found(),
-        !offline.violations.is_empty(),
-        "{ctx}: online checkers vs offline oracle (existence)"
+        !oracle.sccs.is_empty(),
+        "{ctx}: online checkers vs trace oracle (existence); oracle SCCs {:?}",
+        oracle.sccs
     );
 
     let dc = run_single(program, spec, &ExecPlan::Det(schedule.clone())).expect("dc run");

@@ -1,7 +1,7 @@
 //! True three-way differential oracle on one execution: Velodrome (online
 //! graph search), AeroDrome (vector clocks), and DoubleChecker single-run
 //! (dual-analysis) all consume the same replayed deterministic
-//! interleaving, with the offline trace oracle recorded by a [`Tee`] in
+//! interleaving, with the trace oracle's input recorded by a [`Tee`] in
 //! the *same run* as Velodrome. The two online checkers must agree bit
 //! for bit on violation keys and blame; all of them must agree on
 //! violation existence. The suite also pins the pure-performance-change
@@ -12,7 +12,6 @@ mod common;
 
 use common::{assert_same_analysis, assert_three_way};
 use dc_core::{run_doublechecker, DcConfig, ExecPlan};
-use dc_pcd::{analyze_trace, OfflineConfig};
 use dc_runtime::engine::det::Schedule;
 use dc_runtime::heap::ObjKind;
 use dc_runtime::ids::ThreadId;
@@ -42,7 +41,7 @@ fn all_three_checkers_agree_across_the_suite() {
 /// — before `alpha` reads what `beta` wrote (beta → alpha). By then `beta` and the
 /// calls after it are finished and no thread's current transaction, but
 /// reachable from the current `alpha`: a collector that dropped them would
-/// miss the cycle the offline oracle finds.
+/// miss the cycle the trace oracle finds.
 fn cycle_open_across_collections(calls: u32) -> (Program, AtomicitySpec, Schedule) {
     let mut b = ProgramBuilder::new();
     let o = b.object(ObjKind::Plain { fields: 2 });
@@ -140,10 +139,13 @@ fn observability_full_vs_off_is_bit_identical_across_the_suite() {
     }
 }
 
-/// The oracle also validates the blame direction on a canonical case.
+/// The trace oracle finds the canonical blame case's cycle as one SCC of
+/// both transactions. It assigns no blame (an SCC has no edge order);
+/// `aerodrome_blames_the_cycle_completer` checks the blame on the same case.
 #[test]
 fn oracle_blames_the_cycle_completer() {
     use dc_runtime::ids::{MethodId, ObjId, ThreadId};
+    use dc_runtime::spec::TxKind;
     use dc_runtime::trace::TraceEvent;
     let events = vec![
         TraceEvent::Enter(ThreadId(0), MethodId(0)),
@@ -155,22 +157,23 @@ fn oracle_blames_the_cycle_completer() {
         TraceEvent::Exit(ThreadId(1), MethodId(1)),
         TraceEvent::Exit(ThreadId(0), MethodId(0)),
     ];
-    let report = analyze_trace(
-        &events,
-        &dc_runtime::spec::AtomicitySpec::all_atomic(),
-        OfflineConfig::default(),
-    );
-    assert_eq!(report.violations.len(), 1);
-    assert_eq!(
-        report.violations[0].blamed_methods(),
-        vec![MethodId(0)],
-        "the transaction whose outgoing edge came first is blamed"
-    );
+    let report = dc_runtime::oracle::check(&events, &AtomicitySpec::all_atomic(), false);
+    let [scc] = &report.sccs[..] else {
+        panic!("one SCC, got {:?}", report.sccs);
+    };
+    let mut members = scc.clone();
+    members.sort_by_key(|&(thread, _)| thread);
+    let regular = |t, m| (ThreadId(t), TxKind::Regular(MethodId(m)));
+    assert_eq!(members, [regular(0, 0), regular(1, 1)]);
+    let mut key: Vec<_> = scc.iter().map(|(_, kind)| kind.method()).collect();
+    key.sort();
+    assert_eq!(key, [Some(MethodId(0)), Some(MethodId(1))], "static key");
+    assert_eq!((report.transactions, report.edges), (2, 2));
 }
 
-/// AeroDrome agrees with the offline oracle on the canonical blame case:
-/// the same two-transaction interleaving, executed for real, blames the
-/// transaction whose outgoing edge came first.
+/// AeroDrome on the canonical blame case: the same two-transaction
+/// interleaving as `oracle_blames_the_cycle_completer`, executed for real,
+/// blames the transaction whose outgoing edge came first.
 #[test]
 fn aerodrome_blames_the_cycle_completer() {
     use dc_runtime::heap::ObjKind;

@@ -4,7 +4,7 @@
 //! known-by-construction verdicts replayed through the history-import
 //! lowering (`HistoryStrategy`, see `crates/histories`). On both, the
 //! three checkers — Velodrome, AeroDrome, and DoubleChecker single-run —
-//! plus the offline trace oracle must agree (see `tests/common`). Any
+//! plus the trace oracle must agree (see `tests/common`). Any
 //! failing case is shrunk to a minimal witness and persisted under
 //! `tests/regressions/` so `tests/regression_corpus.rs` replays it on
 //! every run thereafter.
@@ -47,7 +47,7 @@ proptest! {
 
     /// The headline three-way property: violation keys and blame agree
     /// between the online checkers, existence agrees across all three
-    /// plus the offline oracle, on any generated program and schedule.
+    /// plus the trace oracle, on any generated program and schedule.
     #[test]
     fn three_way_agreement(p in ProgramStrategy, seed in 0u64..1000) {
         let case = GenCase { program: p.clone(), seed };
