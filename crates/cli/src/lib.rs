@@ -382,9 +382,22 @@ fn check_target(flags: &Flags) -> Result<CheckTarget, CliError> {
     })
 }
 
+/// `path` with its parent directory resolved (`.`, `..` and symlinks), so
+/// two spellings of one file compare equal; a path whose parent does not
+/// exist is made absolute as written.
+fn resolved_path(path: &str) -> std::path::PathBuf {
+    let path = std::path::Path::new(path);
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    let parent = parent.unwrap_or(".".as_ref());
+    match (std::fs::canonicalize(parent), path.file_name()) {
+        (Ok(dir), Some(name)) => dir.join(name),
+        _ => std::path::absolute(path).unwrap_or_else(|_| path.to_path_buf()),
+    }
+}
+
 fn cmd_check(flags: &Flags) -> Result<String, CliError> {
     if let (Some(stats), Some(trace)) = (flags.get("stats-json"), flags.get("trace-out")) {
-        if std::path::Path::new(stats) == std::path::Path::new(trace) {
+        if resolved_path(stats) == resolved_path(trace) {
             return Err(CliError::Usage(format!(
                 "--stats-json and --trace-out name the same file {stats:?}: one would overwrite the other"
             )));
@@ -983,17 +996,21 @@ mod tests {
             assert!(event.get("kind").and_then(|v| v.as_str()).is_some());
         }
         std::fs::remove_file(&path).ok();
-        // One path for both documents would keep only the trace: refused
-        // before the run, so nothing is written.
-        let err = run(&argv(&format!(
-            "check --workload tsp --seed 3 --stats-json {path_str} --trace-out {path_str}"
-        )))
-        .unwrap_err();
-        assert!(
-            matches!(&err, CliError::Usage(m) if m.contains("--stats-json") && m.contains("--trace-out")),
-            "{err:?}"
-        );
-        assert!(!path.exists(), "the run did not start");
+        // One file for both documents would keep only the trace: refused
+        // before the run, so nothing is written — however it is spelled.
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        let dotted = dir.join("sub").join("..").join("trace.jsonl");
+        for other in [path_str, dotted.to_str().unwrap()] {
+            let err = run(&argv(&format!(
+                "check --workload tsp --seed 3 --stats-json {path_str} --trace-out {other}"
+            )))
+            .unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.contains("--stats-json") && m.contains("--trace-out")),
+                "{other}: {err:?}"
+            );
+            assert!(!path.exists(), "{other}: the run did not start");
+        }
     }
 
     #[test]

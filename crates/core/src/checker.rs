@@ -21,7 +21,7 @@ use dc_obs::{
 use dc_octet::{BarrierOutcome, CoordinationMode, OctetState, Protocol, TransitionSink};
 use dc_pcd::{replay_scc_with, ReplayStats, Violation};
 use dc_runtime::checker::Checker;
-use dc_runtime::heap::Heap;
+use dc_runtime::heap::{CellLayout, Heap};
 use dc_runtime::ids::{AccessKind, CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
 use dc_runtime::spec::{AtomicitySpec, EnterOutcome, ExitOutcome, TxFilter, TxTracker};
 use dc_runtime::OwnerCell;
@@ -201,15 +201,22 @@ struct Handles {
     icd: dc_icd::ThreadHandle,
 }
 
+/// The analyses of the one run a checker accepts, both built by
+/// `run_begin` for the run's heap: ICD over the heap's cell layout, and the
+/// Octet protocol that delivers its coordination events to ICD.
+struct Run {
+    octet: Protocol<IcdSink>,
+    icd: Arc<Icd>,
+}
+
 /// The composed DoubleChecker analysis.
 pub struct DoubleChecker {
     config: DcConfig,
     spec: AtomicitySpec,
-    icd: Arc<Icd>,
-    /// The only run-scoped state (it needs the heap's size): set by the
-    /// one `run_begin` a checker accepts. The fused fast path never reads
-    /// it; the slow kernel and the lifecycle hooks do.
-    octet: OnceLock<Protocol<IcdSink>>,
+    /// The only run-scoped state: set by the one `run_begin` a checker
+    /// accepts. The fused fast path never reads it; the slow kernel and the
+    /// lifecycle hooks do.
+    run: OnceLock<Run>,
     slots: Box<[OwnerCell<Local>]>,
     violations: Mutex<Vec<Violation>>,
     pcd_stats: Mutex<ReplayStats>,
@@ -233,22 +240,11 @@ impl std::fmt::Debug for DoubleChecker {
 impl DoubleChecker {
     /// Creates a DoubleChecker for `n_threads` threads under `spec`.
     pub fn new(n_threads: usize, spec: AtomicitySpec, config: DcConfig) -> Self {
-        let icd_config = IcdConfig {
-            logging: config.logging,
-            collect_every: if config.is_pcd_only() {
-                0
-            } else {
-                config.collect_every
-            },
-            detect_sccs: config.detect_cycles,
-        };
         let obs = PipelineObs::new(config.observability);
-        let icd = Arc::new(Icd::with_observability(n_threads, icd_config, obs.clone()));
         DoubleChecker {
             config,
             spec,
-            icd,
-            octet: OnceLock::new(),
+            run: OnceLock::new(),
             slots: (0..n_threads)
                 .map(|_| {
                     OwnerCell::new(Local {
@@ -284,8 +280,9 @@ impl DoubleChecker {
         let obs = self.obs.as_deref();
         let latency =
             |h: fn(&PipelineObs) -> &Histogram| obs.map(|o| h(o).summary()).unwrap_or_default();
-        let octet = self.octet.get().map(|p| {
-            let s = p.stats();
+        let run = self.run.get();
+        let octet = run.map(|r| {
+            let s = r.octet.stats();
             let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
             OctetReport {
                 first_touch: get(&s.first_touch),
@@ -301,7 +298,7 @@ impl DoubleChecker {
             level: self.config.observability,
             octet: octet.unwrap_or_default(),
             graph: GraphReport {
-                sccs_skipped_trivial: self.icd.skipped_probes(),
+                sccs_skipped_trivial: run.map_or(0, |r| r.icd.skipped_probes()),
                 scc_latency: latency(|o| &o.scc_latency),
                 collect_latency: latency(|o| &o.collect_latency),
             },
@@ -337,26 +334,30 @@ impl DoubleChecker {
         self.static_info.lock().clone()
     }
 
-    /// Run statistics (Table 3 columns plus analysis internals).
+    /// Run statistics (Table 3 columns plus analysis internals); all zero
+    /// before `run_begin`.
     pub fn stats(&self) -> DcStats {
-        let icd = self.icd.stats();
+        let Some(Run { icd, .. }) = self.run.get() else {
+            return DcStats::default();
+        };
+        let stats = icd.stats();
         DcStats {
-            regular_txs: icd.regular_txs.load(Ordering::Relaxed),
-            unary_txs: icd.unary_txs.load(Ordering::Relaxed),
-            regular_accesses: icd.regular_accesses.load(Ordering::Relaxed),
-            unary_accesses: icd.unary_accesses.load(Ordering::Relaxed),
-            log_entries: icd.log_entries.load(Ordering::Relaxed),
-            collected_txs: self.icd.collected_txs(),
-            idg_cross_edges: self.icd.cross_edges(),
-            icd_sccs: self.icd.scc_count(),
+            regular_txs: stats.regular_txs.load(Ordering::Relaxed),
+            unary_txs: stats.unary_txs.load(Ordering::Relaxed),
+            regular_accesses: stats.regular_accesses.load(Ordering::Relaxed),
+            unary_accesses: stats.unary_accesses.load(Ordering::Relaxed),
+            log_entries: stats.log_entries.load(Ordering::Relaxed),
+            collected_txs: icd.collected_txs(),
+            idg_cross_edges: icd.cross_edges(),
+            icd_sccs: icd.scc_count(),
             sccs_to_pcd: self.sccs_to_pcd.load(Ordering::Relaxed),
-            graph_locks: self.icd.graph_locks(),
+            graph_locks: icd.graph_locks(),
             pcd: *self.pcd_stats.lock(),
         }
     }
 
-    fn octet(&self) -> &Protocol<IcdSink> {
-        self.octet.get().expect("run_begin initializes octet")
+    fn run(&self) -> &Run {
+        self.run.get().expect("run_begin builds the run's analyses")
     }
 
     /// Consumes an SCC report: records static info (first run), runs PCD
@@ -431,34 +432,35 @@ impl DoubleChecker {
         kind: AccessKind,
         is_sync: bool,
     ) {
+        let Run { octet, icd } = self.run();
         // Unary merging / elision-epoch maintenance; may cut the unary tx.
-        let scc = self.icd.before_access(t);
+        let scc = icd.before_access(t);
         if scc.is_some() {
             self.process_scc(scc);
         }
         // Octet barrier at object granularity, then Figure-4 post-processing.
-        let outcome = self.octet().access_uncached(t, obj, kind);
+        let outcome = octet.access_uncached(t, obj, kind);
         let mut force_log = false;
         match outcome {
             BarrierOutcome::Same => {}
             BarrierOutcome::FirstTouch => {
                 if kind == AccessKind::Read {
-                    self.icd.note_rdex_claim(t);
+                    icd.note_rdex_claim(t);
                 }
             }
             BarrierOutcome::UpgradedToWrEx => {}
             BarrierOutcome::UpgradedToRdSh { prev_owner, .. } => {
-                self.icd.handle_upgrading(t, prev_owner);
+                icd.handle_upgrading(t, prev_owner);
                 force_log = true;
             }
             BarrierOutcome::Fence { .. } => {
-                self.icd.handle_fence(t);
+                icd.handle_fence(t);
                 force_log = true;
             }
             BarrierOutcome::Conflicting { new, .. } => {
                 if let OctetState::RdEx(owner) = new {
                     debug_assert_eq!(owner, t);
-                    self.icd.note_rdex_claim(t);
+                    icd.note_rdex_claim(t);
                 }
                 force_log = true;
             }
@@ -472,7 +474,7 @@ impl DoubleChecker {
     /// Answers pending explicit-protocol requests at a safe point.
     #[cold]
     fn respond(&self, t: ThreadId) {
-        self.octet().safe_point(t);
+        self.run().octet.safe_point(t);
     }
 
     /// Recomputes the thread's instrumentation context from its transaction
@@ -499,28 +501,42 @@ impl Checker for DoubleChecker {
         if let Some(obs) = &self.obs {
             obs.trace(Stage::Checker, EventKind::RunBegin, self.n_threads as u64);
         }
+        let config = &self.config;
+        let icd_config = IcdConfig {
+            logging: config.logging,
+            collect_every: if config.is_pcd_only() {
+                0
+            } else {
+                config.collect_every
+            },
+            detect_sccs: config.detect_cycles,
+        };
+        let icd = Arc::new(Icd::with_layout(
+            self.n_threads,
+            icd_config,
+            &CellLayout::new(heap),
+            self.obs.clone(),
+        ));
         let octet = Protocol::with_config(
             heap.len(),
             self.n_threads,
-            self.config.coordination,
-            IcdSink(Arc::clone(&self.icd)),
+            config.coordination,
+            IcdSink(Arc::clone(&icd)),
             self.obs.clone(),
-            self.config.barrier_cache,
+            config.barrier_cache,
         );
         // Per-thread handles point into this run's tables, so a silently
-        // kept first `Protocol` and layout would be the wrong heap's.
+        // kept first run would be the wrong heap's.
         assert!(
-            self.octet.set(octet).is_ok(),
+            self.run.set(Run { octet, icd }).is_ok(),
             "DoubleChecker is single-run: run_begin called twice"
         );
-        self.icd
-            .attach_layout(dc_runtime::heap::CellLayout::new(heap));
     }
 
     fn run_end(&self) {
         if self.config.is_pcd_only() {
             // Straw-man variant: replay every executed transaction.
-            self.replay(&self.icd.snapshot_all_finished());
+            self.replay(&self.run().icd.snapshot_all_finished());
         }
         if let Some(obs) = &self.obs {
             obs.trace(Stage::Checker, EventKind::RunEnd, self.n_threads as u64);
@@ -528,22 +544,24 @@ impl Checker for DoubleChecker {
     }
 
     fn thread_begin(&self, t: ThreadId) {
-        self.octet().thread_begin(t);
-        let scc = self.icd.thread_begin(t);
+        let Run { octet, icd } = self.run();
+        octet.thread_begin(t);
+        let scc = icd.thread_begin(t);
         debug_assert!(scc.is_none());
         // SAFETY: called on thread t.
         let local = unsafe { self.slots[t.index()].get() };
         local.handles = Some(Handles {
-            octet: self.octet().thread_handle(t),
-            icd: self.icd.thread_handle(t),
+            octet: octet.thread_handle(t),
+            icd: icd.thread_handle(t),
         });
         self.refresh_context(local);
     }
 
     fn thread_end(&self, t: ThreadId) {
-        let scc = self.icd.thread_end(t);
+        let Run { octet, icd } = self.run();
+        let scc = icd.thread_end(t);
         self.process_scc(scc);
-        self.octet().thread_end(t);
+        octet.thread_end(t);
     }
 
     fn enter_method(&self, t: ThreadId, m: MethodId) {
@@ -552,7 +570,7 @@ impl Checker for DoubleChecker {
         if let EnterOutcome::BeginTransaction(method) = local.tracker.enter(m, &self.spec) {
             self.refresh_context(local);
             if local.context == Context::Instrumented {
-                let scc = self.icd.begin_regular(t, method);
+                let scc = self.run().icd.begin_regular(t, method);
                 self.process_scc(scc);
             }
         }
@@ -563,7 +581,7 @@ impl Checker for DoubleChecker {
         let local = unsafe { self.slots[t.index()].get() };
         if let ExitOutcome::EndTransaction(_) = local.tracker.exit(m) {
             if local.context == Context::Instrumented {
-                let scc = self.icd.end_regular(t);
+                let scc = self.run().icd.end_regular(t);
                 self.process_scc(scc);
             }
             self.refresh_context(local);
@@ -616,11 +634,11 @@ impl Checker for DoubleChecker {
     }
 
     fn before_block(&self, t: ThreadId) {
-        self.octet().before_block(t);
+        self.run().octet.before_block(t);
     }
 
     fn after_unblock(&self, t: ThreadId) {
-        self.octet().after_unblock(t);
+        self.run().octet.after_unblock(t);
     }
 }
 
@@ -696,6 +714,37 @@ mod tests {
         let accessed = window_static_info(true);
         assert_eq!(accessed.methods, empty.methods);
         assert!(accessed.any_unary);
+    }
+
+    /// ICD is built in `run_begin` over the run's heap: before it every
+    /// statistic reads zero, and after it duplicates are elided and an
+    /// array's cells share one log cell.
+    #[test]
+    fn the_run_logs_through_its_heaps_layout() {
+        let c = DoubleChecker::new(
+            1,
+            AtomicitySpec::all_atomic(),
+            DcConfig {
+                instrument_arrays: true,
+                ..DcConfig::single_run(CoordinationMode::Immediate)
+            },
+        );
+        assert_eq!(c.stats(), DcStats::default());
+        assert_eq!(c.pipeline_report(), Some(PipelineReport::default()));
+        let array = ObjId(1);
+        c.run_begin(&Heap::new(
+            &[ObjKind::Plain { fields: 2 }, ObjKind::Array { len: 4 }],
+            1,
+        ));
+        c.thread_begin(T0);
+        c.read(T0, O, 0);
+        c.read(T0, O, 0); // elided
+        c.array_read(T0, array, 3);
+        c.array_read(T0, array, 1); // the array's one cell: elided
+        c.thread_end(T0);
+        c.run_end();
+        let stats = c.stats();
+        assert_eq!((stats.unary_accesses, stats.log_entries), (4, 2));
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! read by other threads only during Octet coordination (when the owner is
 //! at a safe point or held) and by the collector; its owner block
 //! ([`OwnerCell`]) holds the hot, owner-only state (the current
-//! transaction's log, the elision table, the tallies). The slots are
+//! transaction's log, the elision table, the tallies). The elision table is
+//! sized at construction from the heap's [`CellLayout`]
+//! ([`Icd::with_layout`]); an `Icd` built without one ([`Icd::new`]) logs
+//! every access at the cell given. The slots are
 //! `Arc`-shared: a thread resolves its own once ([`Icd::thread_handle`]) and
 //! the per-access hooks then run on the [`ThreadHandle`] alone, with no
 //! `ThreadId` indexing and no reference back to the `Icd`; the
@@ -33,9 +36,8 @@ use dc_runtime::heap::CellLayout;
 use dc_runtime::ids::{CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
 use dc_runtime::OwnerCell;
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Configuration for one ICD instance.
 #[derive(Clone, Copy, Debug)]
@@ -120,17 +122,13 @@ const EDGE_EVENT: u32 = 2;
 struct Local {
     /// [`IcdConfig::logging`], copied so the per-access hooks need no `Icd`.
     logging: bool,
-    /// The attached [`CellLayout`] as of thread begin (clones share the
-    /// table); empty without one.
+    /// The heap's [`CellLayout`] (clones share the table); empty without
+    /// one.
     layout: CellLayout,
     log: Vec<LogEntry>,
-    /// Duplicate-elision table keyed by (obj, cell): used by threads that
-    /// began with no [`CellLayout`] attached (tests, standalone use).
-    elision: HashMap<(ObjId, CellId), (u32, bool)>,
-    /// Flat duplicate-elision table (`epoch << 1 | wrote` per layout slot);
-    /// the fast path when a layout is attached. Sized at thread begin so the
-    /// hot loop never re-checks a lazy init; non-empty implies `layout` is
-    /// the attached one.
+    /// Flat duplicate-elision table (`epoch << 1 | wrote` per layout slot),
+    /// sized at construction; empty without a layout, when nothing is
+    /// elided.
     elision_flat: Vec<u64>,
     /// Bumped at transaction start and whenever the owner observes a new
     /// edge on its current transaction; stale elision entries simply
@@ -158,23 +156,6 @@ struct Local {
 }
 
 impl Local {
-    /// Out-of-line elision for a thread that began with no layout attached
-    /// (standalone use): a HashMap keyed by `(obj, cell)`. Returns `true`
-    /// when the access is already covered this epoch.
-    #[cold]
-    fn elide_cold(&mut self, obj: ObjId, cell: CellId, is_write: bool, force: bool) -> bool {
-        let epoch = self.epoch;
-        let covered = !force
-            && self
-                .elision
-                .get(&(obj, cell))
-                .is_some_and(|&(e, wrote)| e == epoch && (wrote || !is_write));
-        if !covered {
-            self.elision.insert((obj, cell), (epoch, is_write));
-        }
-        covered
-    }
-
     /// The thread-local half of opening a transaction of `kind`: sequence
     /// number, access tallies, a fresh elision epoch.
     fn open(&mut self, kind: TxKind) {
@@ -220,7 +201,7 @@ impl Local {
     /// Advances the elision epoch. On u32 wrap the new epoch would collide
     /// with stale table entries stamped billions of accesses ago, letting
     /// them spuriously elide a fresh access (and silently drop a log
-    /// entry), so both elision tables are cleared. The epoch then restarts
+    /// entry), so the elision table is cleared. The epoch then restarts
     /// at 1, never 0: flat slots are zero-initialized and decode as
     /// `(epoch 0, no write)`, which must never match a live epoch.
     #[inline]
@@ -228,7 +209,6 @@ impl Local {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.elision_flat.fill(0);
-            self.elision.clear();
             self.epoch = 1;
         }
     }
@@ -247,15 +227,14 @@ struct Slot {
 }
 
 impl Slot {
-    fn new(logging: bool) -> Self {
+    fn new(logging: bool, layout: &CellLayout) -> Self {
         Slot {
             regs: ThreadRegs::default(),
             local: OwnerCell::new(Local {
                 logging,
-                layout: CellLayout::default(),
+                layout: layout.clone(),
                 log: Vec::new(),
-                elision: HashMap::new(),
-                elision_flat: Vec::new(),
+                elision_flat: vec![0; layout.total() as usize],
                 epoch: 0,
                 seen_edge_events: 0,
                 kind: TxKind::Unary,
@@ -271,15 +250,6 @@ impl Slot {
         }
     }
 
-    /// [`Icd::edge_events_unchanged`] for the owning thread.
-    #[inline(always)]
-    fn edge_events_unchanged(&self) -> bool {
-        // SAFETY: called on the owning thread.
-        let local = unsafe { self.local.get() };
-        // Acquire pairs with the release store in `note_edge_event`.
-        self.regs.edge_events.load(Ordering::Acquire) == local.seen_edge_events
-    }
-
     /// [`Icd::record_access`] for the owning thread.
     #[inline(always)]
     fn record_access(&self, obj: ObjId, cell: CellId, is_write: bool, is_sync: bool, force: bool) {
@@ -290,9 +260,8 @@ impl Slot {
             return;
         }
         let epoch = local.epoch;
-        // Hot branch: the flat table exists (allocated at thread begin when
-        // a layout is attached), so the probe is one layout load, one table
-        // load, one compare and at most one core-local store.
+        // With a layout the probe is one layout load, one table load, one
+        // compare and at most one core-local store.
         let log_cell = if !local.elision_flat.is_empty() {
             let entry = local.layout.entry(obj);
             let slot = &mut local.elision_flat[entry.slot(cell) as usize];
@@ -315,8 +284,6 @@ impl Slot {
             } else {
                 0
             }
-        } else if local.elide_cold(obj, cell, is_write, force) {
-            return;
         } else {
             cell
         };
@@ -338,10 +305,17 @@ impl Slot {
 pub struct ThreadHandle(Arc<Slot>);
 
 impl ThreadHandle {
-    /// [`Icd::edge_events_unchanged`] for this thread.
+    /// Fused-kernel probe: `true` when no new edge has been attached to
+    /// the thread's current transaction since its last access, i.e. when
+    /// [`Icd::before_access`] would be a no-op. The checker's fast path
+    /// folds this single load-and-compare into its combined per-access
+    /// check and skips `before_access` entirely on `true`.
     #[inline(always)]
     pub fn edge_events_unchanged(&self) -> bool {
-        self.0.edge_events_unchanged()
+        // SAFETY: a handle is used only by the thread it was resolved for.
+        let local = unsafe { self.0.local.get() };
+        // Acquire pairs with the release store in `note_edge_event`.
+        self.0.regs.edge_events.load(Ordering::Acquire) == local.seen_edge_events
     }
 
     /// [`Icd::record_access`] for this thread.
@@ -379,7 +353,6 @@ struct Owned {
 /// The imprecise-cycle-detection analysis.
 pub struct Icd {
     slots: Box<[Arc<Slot>]>,
-    layout: OnceLock<CellLayout>,
     graph: Mutex<Owned>,
     config: IcdConfig,
     stats: IcdStats,
@@ -396,25 +369,30 @@ impl std::fmt::Debug for Icd {
 }
 
 impl Icd {
-    /// Creates an ICD instance for `n_threads` threads.
+    /// Creates an ICD instance for `n_threads` threads with no heap
+    /// layout: every access is logged at the cell given, with no duplicate
+    /// elision and no conflation.
     pub fn new(n_threads: usize, config: IcdConfig) -> Self {
-        Self::with_observability(n_threads, config, None)
+        Self::with_layout(n_threads, config, &CellLayout::default(), None)
     }
 
-    /// Like [`Icd::new`] with an optional observability registry shared
-    /// with the rest of the checker (it times SCC probes and collector
-    /// passes and traces them); with `None` the analysis runs exactly the
-    /// uninstrumented code.
-    pub fn with_observability(
+    /// Creates an ICD instance for `n_threads` threads over the heap whose
+    /// cell layout is `layout`: each thread elides duplicate log entries in
+    /// a flat table of one slot per layout slot, and conflated kinds
+    /// (arrays, monitors) log at one cell per object. `obs` is an optional
+    /// observability registry shared with the rest of the checker (it
+    /// times SCC probes and collector passes and traces them); with `None`
+    /// the analysis runs exactly the uninstrumented code.
+    pub fn with_layout(
         n_threads: usize,
         config: IcdConfig,
+        layout: &CellLayout,
         obs: Option<Arc<PipelineObs>>,
     ) -> Self {
         Icd {
             slots: (0..n_threads)
-                .map(|_| Arc::new(Slot::new(config.logging)))
+                .map(|_| Arc::new(Slot::new(config.logging, layout)))
                 .collect(),
-            layout: OnceLock::new(),
             graph: Mutex::new(Owned {
                 graph: Graph::new(),
                 collector: Collector::new(config.collect_every),
@@ -432,24 +410,7 @@ impl Icd {
         &self.stats
     }
 
-    /// Attaches the heap's cell layout: threads that begin afterwards use
-    /// a flat duplicate-elision side table and log conflated kinds (arrays,
-    /// monitors) at one cell per object. Call once, at run start, before any
-    /// thread begins.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a second call: a silently kept first layout would be the
-    /// wrong heap's.
-    pub fn attach_layout(&self, layout: CellLayout) {
-        assert!(
-            self.layout.set(layout).is_ok(),
-            "Icd::attach_layout called twice"
-        );
-    }
-
-    /// Resolves `t`'s per-thread state into a handle. Resolve after
-    /// [`Icd::thread_begin`], which is what binds the attached layout.
+    /// Resolves `t`'s per-thread state into a handle.
     pub fn thread_handle(&self, t: ThreadId) -> ThreadHandle {
         ThreadHandle(Arc::clone(&self.slots[t.index()]))
     }
@@ -519,19 +480,7 @@ impl Icd {
         let slot = self.slot(t);
         // SAFETY: called on thread t.
         let local = unsafe { slot.local.get() };
-        let report = self.boundary(t, &slot.regs, local, Some(TxKind::Unary), true);
-        // Bind the attached layout and allocate the flat elision table off
-        // the record_access hot loop: in the checker flow the layout is
-        // attached before any thread begins, and this runs on the owner
-        // thread (mutating the slot here is safe; doing it in
-        // `attach_layout` would not be).
-        if let Some(layout) = self.layout.get() {
-            if local.elision_flat.is_empty() && layout.total() > 0 {
-                local.layout = layout.clone();
-                local.elision_flat = vec![0; layout.total() as usize];
-            }
-        }
-        report
+        self.boundary(t, &slot.regs, local, Some(TxKind::Unary), true)
     }
 
     /// Thread exit: ends the current transaction (its id stays visible as a
@@ -659,16 +608,6 @@ impl Icd {
 
     // ----- access instrumentation ------------------------------------------
 
-    /// Fused-kernel probe: `true` when no new edge has been attached to
-    /// `t`'s current transaction since its last access, i.e. when
-    /// [`Icd::before_access`] would be a no-op. The checker's fast path
-    /// folds this single load-and-compare into its combined per-access
-    /// check and skips `before_access` entirely on `true`.
-    #[inline]
-    pub fn edge_events_unchanged(&self, t: ThreadId) -> bool {
-        self.slot(t).edge_events_unchanged()
-    }
-
     /// Must run before each access's Octet barrier: observes edges attached
     /// to the current transaction since the last access, bumping the elision
     /// epoch and — in unary context — cutting the merged unary transaction
@@ -700,7 +639,7 @@ impl Icd {
 
     /// Records the access in the current transaction's read/write log
     /// (after the Octet barrier), at one cell per object for conflated kinds
-    /// when a layout is attached. `force` bypasses duplicate elision — set
+    /// when ICD has a layout. `force` bypasses duplicate elision — set
     /// when the barrier reported a possible dependence, so the dependence's
     /// sink entry lands at a log position after the edge.
     #[inline]
@@ -853,14 +792,17 @@ impl Icd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_runtime::heap::{Heap, ObjKind};
 
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
     const O: ObjId = ObjId(0);
     const M: MethodId = MethodId(0);
 
+    /// ICD for `n` threads over a heap of two plain objects of four fields.
     fn icd(n: usize) -> Icd {
-        let icd = Icd::new(n, IcdConfig::default());
+        let heap = Heap::new(&[ObjKind::Plain { fields: 4 }; 2], n as u16);
+        let icd = Icd::with_layout(n, IcdConfig::default(), &CellLayout::new(&heap), None);
         for i in 0..n {
             icd.thread_begin(ThreadId::from_index(i));
         }
@@ -921,7 +863,8 @@ mod tests {
         // and no node was inserted for it.
         assert_eq!(icd.current_tx(T0), reg);
         assert_eq!(regs(&icd, 0).log_len.load(Ordering::Relaxed), 1);
-        assert!(!icd.edge_events_unchanged(T0), "the next access goes slow");
+        let handle = icd.thread_handle(T0);
+        assert!(!handle.edge_events_unchanged(), "the next access goes slow");
         let chain = |tx| -> Vec<(TxId, EdgeKind)> {
             let g = &icd.graph.lock().graph;
             g.out_edges(tx).map(|e| (e.dst, e.kind)).collect()
@@ -941,7 +884,7 @@ mod tests {
         assert!(icd.before_access(T0).is_none());
         let unary2 = icd.current_tx(T0);
         assert_ne!(unary2, reg2);
-        assert!(icd.edge_events_unchanged(T0));
+        assert!(handle.edge_events_unchanged());
         assert_eq!(regs(&icd, 0).log_len.load(Ordering::Relaxed), 0);
         assert_eq!(chain(reg2), [(unary2, EdgeKind::Intra)]);
         // The per-thread tallies fold in at thread end, not before; the
@@ -995,30 +938,8 @@ mod tests {
     }
 
     #[test]
-    fn epoch_wrap_clears_hash_elision_table() {
-        let icd = icd(1);
-        icd.record_access(T0, O, 0, false, false, false);
-        let stale = local0(&icd).epoch;
-        wrap_epoch_back_to(&icd, stale);
-        assert!(
-            local0(&icd).elision.is_empty(),
-            "wrap must clear the hash elision table"
-        );
-        icd.record_access(T0, O, 0, false, false, false);
-        assert_eq!(
-            regs(&icd, 0).log_len.load(Ordering::Relaxed),
-            1,
-            "a stale pre-wrap elision entry must not elide this access"
-        );
-    }
-
-    #[test]
     fn epoch_wrap_clears_flat_elision_table() {
-        use dc_runtime::heap::{Heap, ObjKind};
-        let icd = Icd::new(1, IcdConfig::default());
-        let heap = Heap::new(&[ObjKind::Plain { fields: 2 }], 1);
-        icd.attach_layout(CellLayout::new(&heap));
-        icd.thread_begin(T0); // binds the layout: the flat table is live
+        let icd = icd(1);
         icd.record_access(T0, O, 0, false, false, false);
         let stale = local0(&icd).epoch;
         wrap_epoch_back_to(&icd, stale);

@@ -9,11 +9,18 @@
 
 use dc_icd::graph::Graph;
 use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, LogEntry, TxId, TxKind};
+use dc_runtime::heap::{CellLayout, Heap, ObjKind};
 use dc_runtime::ids::{MethodId, ObjId, ThreadId};
 
 #[path = "../../../tests/common/counting_alloc.rs"]
 mod counting_alloc;
 use counting_alloc::allocations;
+
+/// The cell layout of a heap of one plain object with `fields` fields, for
+/// `threads` threads: what a checker run builds ICD over.
+fn layout(fields: u16, threads: u16) -> CellLayout {
+    CellLayout::new(&Heap::new(&[ObjKind::Plain { fields }], threads))
+}
 
 fn cross(src: u64, dst: u64) -> Edge {
     Edge {
@@ -74,12 +81,14 @@ fn warm_scc_probe_and_collect_do_not_allocate() {
 #[test]
 fn warm_sync_boundary_does_not_allocate() {
     const ENTRIES: u32 = 48;
-    let icd = Icd::new(
+    let icd = Icd::with_layout(
         1,
         IcdConfig {
             collect_every: 8, // slots recycle, so the slab stops growing
             ..IcdConfig::default()
         },
+        &layout(ENTRIES as u16, 1),
+        None,
     );
     let t = ThreadId(0);
     icd.thread_begin(t);
@@ -97,8 +106,8 @@ fn warm_sync_boundary_does_not_allocate() {
         (at_begin, logged, allocations())
     };
     // Warm-up: the slab, the id map, the log arena, the collector's
-    // scratch, the elision table and the thread's log buffer reach their
-    // steady-state sizes.
+    // scratch and the thread's log buffer reach their steady-state sizes
+    // (the elision table was sized at construction).
     for _ in 0..256 {
         call(ENTRIES);
     }
@@ -133,7 +142,7 @@ fn warm_sync_boundary_does_not_allocate() {
 /// back (`SccReport::recycle`), the round makes no allocator call.
 #[test]
 fn warm_boundary_closing_an_scc_does_not_allocate() {
-    let icd = Icd::new(2, IcdConfig::default());
+    let icd = Icd::with_layout(2, IcdConfig::default(), &layout(3, 2), None);
     let (t0, t1) = (ThreadId(0), ThreadId(1));
     icd.thread_begin(t0);
     icd.thread_begin(t1);
@@ -204,8 +213,9 @@ fn cold_graph_allocates_only_by_amortized_growth() {
 /// calls on two threads, one conflicting transition per call.
 fn cold_icd_allocations(calls: u32) -> u64 {
     let (t0, t1) = (ThreadId(0), ThreadId(1));
+    let layout = layout(1, 2);
     let before = allocations();
-    let icd = Icd::new(2, IcdConfig::default());
+    let icd = Icd::with_layout(2, IcdConfig::default(), &layout, None);
     icd.thread_begin(t0);
     icd.thread_begin(t1);
     for i in 0..calls {

@@ -10,6 +10,21 @@ use dc_runtime::ids::{MethodId, ObjId, ThreadId, SYNC_CELL};
 const T0: ThreadId = ThreadId(0);
 const T1: ThreadId = ThreadId(1);
 
+/// ICD for `threads` threads over a heap of three plain objects of four
+/// fields, every finished transaction kept for `snapshot_all_finished`.
+fn keep_all_icd(threads: usize) -> Icd {
+    let heap = Heap::new(&[ObjKind::Plain { fields: 4 }; 3], threads as u16);
+    Icd::with_layout(
+        threads,
+        IcdConfig {
+            collect_every: 0,
+            ..IcdConfig::default()
+        },
+        &CellLayout::new(&heap),
+        None,
+    )
+}
+
 fn drive(icd: &Icd) -> SccReport {
     icd.thread_begin(T0);
     icd.thread_begin(T1);
@@ -34,13 +49,7 @@ fn drive(icd: &Icd) -> SccReport {
 
 #[test]
 fn edge_positions_skip_elided_duplicates() {
-    let a = drive(&Icd::new(
-        2,
-        IcdConfig {
-            collect_every: 0,
-            ..IcdConfig::default()
-        },
-    ));
+    let a = drive(&keep_all_icd(2));
     // Elided duplicates must not have advanced the published log length
     // the edges snapshot.
     let cross: Vec<_> = a
@@ -65,7 +74,7 @@ fn edge_positions_skip_elided_duplicates() {
 
 /// Conflation of array and monitor cells happens where ICD appends to the
 /// log (the caller passes cells as the program gave them): with the heap's
-/// layout attached, every cell of a conflated kind logs — and elides — as
+/// heap's layout, every cell of a conflated kind logs — and elides — as
 /// one cell per object, and a `Plain` object's cells stay apart.
 #[test]
 fn log_append_conflates_arrays_and_monitors_but_not_plain_objects() {
@@ -80,14 +89,15 @@ fn log_append_conflates_arrays_and_monitors_but_not_plain_objects() {
         ],
         1,
     );
-    let icd = Icd::new(
+    let icd = Icd::with_layout(
         1,
         IcdConfig {
             collect_every: 0,
             ..IcdConfig::default()
         },
+        &CellLayout::new(&heap),
+        None,
     );
-    icd.attach_layout(CellLayout::new(&heap));
     icd.thread_begin(T0);
     icd.begin_regular(T0, MethodId(0));
     icd.record_access(T0, ARRAY, 5, false, false, false); // logs cell 0
@@ -116,15 +126,9 @@ fn log_append_conflates_arrays_and_monitors_but_not_plain_objects() {
     );
 }
 
-/// ICD with every finished transaction kept, for `snapshot_all_finished`.
+/// [`keep_all_icd`] with every thread begun.
 fn keep_all(threads: usize) -> Icd {
-    let icd = Icd::new(
-        threads,
-        IcdConfig {
-            collect_every: 0,
-            ..IcdConfig::default()
-        },
-    );
+    let icd = keep_all_icd(threads);
     for i in 0..threads {
         icd.thread_begin(ThreadId::from_index(i));
     }

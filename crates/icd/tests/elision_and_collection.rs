@@ -1,29 +1,41 @@
-//! Integration tests of ICD's duplicate elision (hash vs flat layouts) and
-//! the adaptive transaction collector.
+//! Integration tests of ICD's duplicate elision (with the heap's layout,
+//! and without one, when every access is logged) and the adaptive
+//! transaction collector.
 
-use dc_icd::{Icd, IcdConfig};
+use dc_icd::{Icd, IcdConfig, LogEntry};
 use dc_runtime::heap::{CellLayout, Heap, ObjKind};
 use dc_runtime::ids::{MethodId, ObjId, ThreadId};
+use std::sync::atomic::Ordering;
 
 const T0: ThreadId = ThreadId(0);
+const ARRAY: ObjId = ObjId(1);
 
+/// One ICD over a heap of a plain object and an array, and one without a
+/// layout; both keep every finished transaction.
 fn icd_pair() -> (Icd, Icd) {
-    let with_layout = Icd::new(1, IcdConfig::default());
+    let config = IcdConfig {
+        collect_every: 0,
+        ..IcdConfig::default()
+    };
     let heap = Heap::new(
         &[ObjKind::Plain { fields: 4 }, ObjKind::Array { len: 8 }],
         1,
     );
-    with_layout.attach_layout(CellLayout::new(&heap));
-    let without_layout = Icd::new(1, IcdConfig::default());
+    let with_layout = Icd::with_layout(1, config, &CellLayout::new(&heap), None);
+    let without_layout = Icd::new(1, config);
     with_layout.thread_begin(T0);
     without_layout.thread_begin(T0);
     (with_layout, without_layout)
 }
 
-/// The flat (layout-backed) elision table and the hash-map fallback must
-/// elide exactly the same entries.
+fn entries(icd: &Icd) -> u64 {
+    icd.stats().log_entries.load(Ordering::Relaxed)
+}
+
+/// With the heap's layout duplicates are elided and an array logs at one
+/// cell; without a layout every access is logged at the cell given.
 #[test]
-fn flat_and_hash_elision_agree() {
+fn layout_elides_duplicates_and_no_layout_logs_every_access() {
     let (a, b) = icd_pair();
     let accesses = [
         (ObjId(0), 0u32, false),
@@ -34,6 +46,8 @@ fn flat_and_hash_elision_agree() {
         (ObjId(0), 1, false),
         (ObjId(0), 2, true),
         (ObjId(0), 2, false),
+        (ARRAY, 5, false), // conflated to cell 0 with a layout
+        (ARRAY, 2, false), // same slot: elided with a layout
     ];
     for &(obj, cell, write) in &accesses {
         a.record_access(T0, obj, cell, write, false, false);
@@ -41,19 +55,22 @@ fn flat_and_hash_elision_agree() {
     }
     a.thread_end(T0);
     b.thread_end(T0);
+    let logged = |icd: &Icd, obj: ObjId| -> Vec<LogEntry> {
+        let report = icd.snapshot_all_finished();
+        let log = report.txs.iter().flat_map(|t| report.log(t));
+        log.copied().filter(|e| e.obj() == obj).collect()
+    };
+    // Read, write, cell-1 read, cell-2 write.
+    assert_eq!(logged(&a, ObjId(0)).len(), 4);
+    assert_eq!(entries(&b), accesses.len() as u64);
+    assert_eq!(logged(&a, ARRAY), [LogEntry::new(ARRAY, 0, false, false)]);
     assert_eq!(
-        a.stats()
-            .log_entries
-            .load(std::sync::atomic::Ordering::Relaxed),
-        b.stats()
-            .log_entries
-            .load(std::sync::atomic::Ordering::Relaxed),
-    );
-    assert_eq!(
-        a.stats()
-            .log_entries
-            .load(std::sync::atomic::Ordering::Relaxed),
-        4, // read, write, cell-1 read, cell-2 write
+        logged(&b, ARRAY),
+        [
+            LogEntry::new(ARRAY, 5, false, false),
+            LogEntry::new(ARRAY, 2, false, false),
+        ],
+        "no layout: the array's cells are logged unconflated"
     );
 }
 
@@ -63,19 +80,17 @@ fn new_transactions_relog_in_both_schemes() {
     let (a, b) = icd_pair();
     for icd in [&a, &b] {
         icd.record_access(T0, ObjId(0), 0, false, false, false);
+        icd.record_access(T0, ObjId(0), 0, false, false, false); // duplicate
         icd.begin_regular(T0, MethodId(0));
         icd.record_access(T0, ObjId(0), 0, false, false, false);
+        icd.record_access(T0, ObjId(0), 0, false, false, false); // duplicate
         icd.end_regular(T0);
         icd.record_access(T0, ObjId(0), 0, false, false, false);
+        icd.record_access(T0, ObjId(0), 0, false, false, false); // duplicate
         icd.thread_end(T0);
     }
-    let entries = |i: &Icd| {
-        i.stats()
-            .log_entries
-            .load(std::sync::atomic::Ordering::Relaxed)
-    };
     assert_eq!(entries(&a), 3);
-    assert_eq!(entries(&b), 3);
+    assert_eq!(entries(&b), 6, "no layout: every access is logged");
 }
 
 /// Forced logging (dependence sinks) bypasses elision in both schemes.
@@ -86,15 +101,11 @@ fn forced_entries_bypass_elision_in_both_schemes() {
         icd.record_access(T0, ObjId(0), 0, false, false, false);
         icd.record_access(T0, ObjId(0), 0, false, false, true); // forced
         icd.record_access(T0, ObjId(0), 0, false, false, true); // forced again
+        icd.record_access(T0, ObjId(0), 0, false, false, false); // duplicate
         icd.thread_end(T0);
     }
-    let entries = |i: &Icd| {
-        i.stats()
-            .log_entries
-            .load(std::sync::atomic::Ordering::Relaxed)
-    };
     assert_eq!(entries(&a), 3);
-    assert_eq!(entries(&b), 3);
+    assert_eq!(entries(&b), 4, "no layout: every access is logged");
 }
 
 /// The adaptive collector keeps amortized cost bounded: over a long run of

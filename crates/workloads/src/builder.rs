@@ -1,10 +1,10 @@
 //! Building blocks for benchmark-analog workloads.
 //!
 //! Each paper benchmark is modeled by composing a few *sharing shapes* —
-//! thread-local churn, read-shared tables, lock-protected critical sections,
-//! racy read–modify–write and check-then-act patterns — because the
-//! analyses' behaviour (transition mix, edge counts, SCCs, violations)
-//! depends on the sharing shape, not on what the Java code computed.
+//! thread-local churn, read-shared tables, lock-protected critical sections
+//! and racy read–modify–write patterns — because the analyses' behaviour
+//! (transition mix, edge counts, SCCs, violations) depends on the sharing
+//! shape, not on what the Java code computed.
 
 use dc_runtime::heap::ObjKind;
 use dc_runtime::ids::{CellId, MethodId, ObjId, ThreadId};
@@ -167,15 +167,6 @@ pub fn locked(lock: ObjId, mut body: Vec<Op>) -> Vec<Op> {
 /// classic atomicity-violation pattern when unprotected.
 pub fn rmw(obj: ObjId, cell: CellId, work: u32) -> Vec<Op> {
     vec![Op::Read(obj, cell), Op::Compute(work), Op::Write(obj, cell)]
-}
-
-/// Check-then-act: read a flag field, then write a data field.
-pub fn check_then_act(flag: (ObjId, CellId), data: (ObjId, CellId), work: u32) -> Vec<Op> {
-    vec![
-        Op::Read(flag.0, flag.1),
-        Op::Compute(work),
-        Op::Write(data.0, data.1),
-    ]
 }
 
 /// Reads every field of every object (read-shared traffic).
