@@ -22,7 +22,7 @@ use dc_velodrome::{CycleFilter, Online, OnlineConfig, VViolation, Variant, Velod
 use dc_workloads::{by_name, Scale, Workload};
 use std::fmt::Write as _;
 use std::io::Read as _;
-use Value::{Choice, Number, Text};
+use Value::{Choice, Number, Output, Text};
 
 /// Everything that can go wrong while handling a command.
 #[derive(Debug, PartialEq, Eq)]
@@ -52,13 +52,16 @@ enum Value {
     Number(u64, u64),
     /// One of these `|`-separated words.
     Choice(&'static str),
+    /// A file the command writes, shown as this placeholder: not a
+    /// directory, in a directory that exists.
+    Output(&'static str),
 }
 
 impl Value {
     /// How the usage text shows the value.
     fn shown(self) -> &'static str {
         match self {
-            Text(placeholder) => placeholder,
+            Text(placeholder) | Output(placeholder) => placeholder,
             Number(..) => "N",
             Choice(words) => words,
         }
@@ -75,6 +78,19 @@ impl Value {
             },
             Choice(words) if words.split('|').any(|w| w == value) => return Ok(()),
             Choice(words) => words.to_string(),
+            Output(_) => {
+                // `is_dir` follows symlinks; an empty parent is the working
+                // directory.
+                let path = std::path::Path::new(value);
+                let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+                if path.is_dir() {
+                    "a file, not a directory".to_string()
+                } else if !parent.is_none_or(std::path::Path::is_dir) {
+                    "a file in an existing directory".to_string()
+                } else {
+                    return Ok(());
+                }
+            }
         };
         Err(CliError::Usage(format!(
             "--{key} must be {expected}, got {value:?}"
@@ -141,8 +157,9 @@ const FLAGS: &[Flag] = &[
         .help("seeded deterministic schedule or real OS threads (default det)"),
     dc_flag("barrier-cache", Choice("on|off")).help("Octet ownership inline cache (default on)"),
     dc_flag("obs", Choice("off|full")).help("full adds latencies and the trace (default off)"),
-    dc_flag("stats-json", Text("<path>")).help("write stats + observability report as JSON"),
-    dc_flag("trace-out", Text("<path>")).help("write the trace as JSON lines (implies --obs full)"),
+    dc_flag("stats-json", Output("<path>")).help("write stats + observability report as JSON"),
+    dc_flag("trace-out", Output("<path>"))
+        .help("write the trace as JSON lines (implies --obs full)"),
     flag("window", "refine", Number(1, U32)).help("trials per refinement window (default 5)"),
     flag("limit", "trace", Number(0, U32)).help("trace events to print (default 40)"),
 ];
@@ -178,9 +195,12 @@ impl Flags {
     ///
     /// Rejects positional arguments, flags `command` does not take,
     /// dangling `--key`s, a value that is itself a flag, a key given twice,
-    /// and a value its row does not allow.
+    /// a value its row does not allow, and two output flags naming one
+    /// file.
     pub fn parse(args: &[String], command: &str) -> Result<Flags, CliError> {
         let mut pairs = Vec::new();
+        // Each output flag's file, resolved: no two may be one file.
+        let mut outputs = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
@@ -204,6 +224,15 @@ impl Flags {
                 return Err(CliError::Usage(format!("--{key} given more than once")));
             }
             flag.value.check(key, value)?;
+            if let Output(_) = flag.value {
+                let path = resolved_path(value);
+                if let Some((other, _)) = outputs.iter().find(|(_, p)| *p == path) {
+                    return Err(CliError::Usage(format!(
+                        "--{other} and --{key} name the same file {value:?}: one would overwrite the other"
+                    )));
+                }
+                outputs.push((key, path));
+            }
             pairs.push((key.to_string(), value.clone()));
         }
         Ok(Flags { pairs })
@@ -396,13 +425,6 @@ fn resolved_path(path: &str) -> std::path::PathBuf {
 }
 
 fn cmd_check(flags: &Flags) -> Result<String, CliError> {
-    if let (Some(stats), Some(trace)) = (flags.get("stats-json"), flags.get("trace-out")) {
-        if resolved_path(stats) == resolved_path(trace) {
-            return Err(CliError::Usage(format!(
-                "--stats-json and --trace-out name the same file {stats:?}: one would overwrite the other"
-            )));
-        }
-    }
     let CheckTarget {
         program,
         spec,
@@ -1011,6 +1033,37 @@ mod tests {
             );
             assert!(!path.exists(), "{other}: the run did not start");
         }
+    }
+
+    #[test]
+    fn unwritable_output_paths_are_usage_errors_before_any_work() {
+        let dir = std::env::temp_dir().join("dc-cli-test-outputs");
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        let link = dir.join("link");
+        if std::fs::symlink_metadata(&link).is_err() {
+            std::os::unix::fs::symlink(dir.join("sub"), &link).unwrap();
+        }
+        let spellings = [
+            (dir.clone(), "a directory"),
+            (dir.join("sub").join(".."), "a directory"),
+            (link, "a directory"),
+            (
+                dir.join("missing").join("out.json"),
+                "an existing directory",
+            ),
+        ];
+        for flag in ["stats-json", "trace-out"] {
+            for (path, why) in &spellings {
+                let path = path.to_str().unwrap();
+                let err = run(&argv(&format!("check --workload tsp --{flag} {path}"))).unwrap_err();
+                assert!(
+                    matches!(&err, CliError::Usage(m) if m.contains(&format!("--{flag}")) && m.contains(why)),
+                    "--{flag} {path}: {err:?}"
+                );
+            }
+        }
+        // A bare file name lands in the working directory, which exists.
+        assert!(Flags::parse(&argv("--stats-json out.json"), "check").is_ok());
     }
 
     #[test]

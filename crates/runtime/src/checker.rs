@@ -88,6 +88,13 @@ pub trait Checker: Sync {
 
     /// A safe point: `t` is definitely not between a barrier and its program
     /// access. Octet responds to pending state-change requests here.
+    ///
+    /// The engines call it where a JVM has yieldpoints, not after every
+    /// action: after each non-access action (method entry and exit, compute,
+    /// synchronization, blocking, fork, join) and after the first action past
+    /// each loop back edge ([`crate::interp::Step::safe_point`]). A thread
+    /// therefore answers a request within one loop iteration or one
+    /// call-free straight-line run of accesses.
     fn safe_point(&self, t: ThreadId) {
         let _ = t;
     }

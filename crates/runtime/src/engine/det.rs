@@ -6,14 +6,18 @@
 //! *exact* interleavings, and for seeded randomized soundness tests where
 //! the same seed must always produce the same execution.
 //!
-//! Checker hooks fire in the same order as in the real engine; because only
-//! one action executes at a time, every other thread is always at a safe
-//! point, so Octet-style coordination resolves immediately.
+//! Checker hooks fire in the same order as in the real engine, safe-point
+//! polls included: both poll where the interpreter's [`Step::safe_point`]
+//! bit asks (see [`crate::interp`]), plus once after a thread's start
+//! acquire and once after an unblocked action completes. Because only one
+//! action executes at a time, every other thread is always at a safe point,
+//! so Octet-style coordination resolves immediately (Octet's `Immediate`
+//! mode) and no poll ever finds a request.
 
 use crate::checker::Checker;
 use crate::heap::{Heap, ObjKind};
 use crate::ids::{ObjId, ThreadId};
-use crate::interp::{compute_units, Action, ThreadInterp};
+use crate::interp::{compute_units, Action, Step, ThreadInterp};
 use crate::program::{Program, StartMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -180,8 +184,8 @@ impl<'p, C: Checker> DetWorld<'p, C> {
                 self.checker.safe_point(t);
             }
         }
-        let action = match self.interps[ti].next_action() {
-            Some(a) => a,
+        let Step { action, safe_point } = match self.interps[ti].next_action() {
+            Some(step) => step,
             None => {
                 self.checker.sync_release(t, self.heap.thread_obj(t));
                 self.checker.thread_end(t);
@@ -190,7 +194,9 @@ impl<'p, C: Checker> DetWorld<'p, C> {
             }
         };
         let still_running = self.execute(t, action);
-        self.checker.safe_point(t);
+        if safe_point {
+            self.checker.safe_point(t);
+        }
         still_running
     }
 

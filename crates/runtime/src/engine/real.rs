@@ -2,15 +2,19 @@
 //!
 //! Spawns one OS thread per program thread and interprets each thread's
 //! action stream, invoking checker hooks at every instrumentation point. The
-//! engine inserts a safe point after every action (a program point definitely
-//! not between a barrier and its access, §3.2.1), and brackets every blocking
-//! operation with [`Checker::before_block`] / [`Checker::after_unblock`] so
-//! Octet's implicit coordination protocol can engage.
+//! engine polls [`Checker::safe_point`] where the interpreter's
+//! [`Step::safe_point`] bit asks for it: after every non-access action and
+//! after the first action past each loop back edge, the places a JVM puts
+//! its yieldpoints (see [`crate::interp`]). Each poll sits between two
+//! complete actions, never between a barrier and its access (§3.2.1). The
+//! engine also brackets every blocking operation with
+//! [`Checker::before_block`] / [`Checker::after_unblock`] so Octet's
+//! implicit coordination protocol can engage.
 
 use crate::checker::Checker;
 use crate::heap::{Heap, ObjKind};
 use crate::ids::{ObjId, ThreadId};
-use crate::interp::{compute_units, Action, ThreadInterp};
+use crate::interp::{compute_units, Action, Step, ThreadInterp};
 use crate::program::{Op, Program, StartMode};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -306,7 +310,7 @@ fn run_thread<C: Checker>(
     }
     let mut stats = RunStats::default();
     let mut interp = ThreadInterp::new(program, entry);
-    while let Some(action) = interp.next_action() {
+    while let Some(Step { action, safe_point }) = interp.next_action() {
         match action {
             Action::Enter(m) => {
                 stats.method_entries += 1;
@@ -391,7 +395,9 @@ fn run_thread<C: Checker>(
                 std::hint::black_box(compute_units(u));
             }
         }
-        checker.safe_point(t);
+        if safe_point {
+            checker.safe_point(t);
+        }
     }
     // Thread exit is release-like on the thread's own object so joiners see
     // a dependence edge from everything the thread did.
