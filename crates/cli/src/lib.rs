@@ -425,13 +425,21 @@ fn resolved_path(path: &str) -> std::path::PathBuf {
 }
 
 fn cmd_check(flags: &Flags) -> Result<String, CliError> {
+    let checker = flags.get("checker").unwrap_or("single");
+    let online = matches!(checker, "velodrome" | "velodrome-unsound" | "aerodrome");
+    for flag in FLAGS.iter().filter(|f| online && f.dc_only) {
+        if flags.get(flag.name).is_some() {
+            let name = flag.name;
+            let why = format!("--{name} applies only to DoubleChecker checkers, not {checker}");
+            return Err(CliError::Usage(why));
+        }
+    }
     let CheckTarget {
         program,
         spec,
         plan,
         history,
     } = check_target(flags)?;
-    let checker = flags.get("checker").unwrap_or("single");
     let mut out = String::new();
     if let Some(h) = &history {
         writeln!(
@@ -446,15 +454,6 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
     }
     let found_violation = match checker {
         "velodrome" | "velodrome-unsound" | "aerodrome" => {
-            if let Some(flag) = FLAGS
-                .iter()
-                .find(|f| f.dc_only && flags.get(f.name).is_some())
-            {
-                return Err(CliError::Usage(format!(
-                    "--{} applies only to DoubleChecker checkers, not {checker}",
-                    flag.name
-                )));
-            }
             let config = OnlineConfig {
                 variant: if checker == "velodrome-unsound" {
                     Variant::Unsound
@@ -689,7 +688,7 @@ fn cmd_trace(flags: &Flags) -> Result<String, CliError> {
     let mut out = String::new();
     writeln!(
         out,
-        "{}: {} events; offline oracle: {} violation(s), {} transactions, {} precise edges",
+        "{}: {} events; offline oracle: {} cyclic SCC(s), {} transactions, {} precise edges",
         wl.name,
         events.len(),
         report.sccs.len(),
@@ -1078,16 +1077,16 @@ mod tests {
             for flag in &dc_only {
                 // A path, or the last choice (`off` / `full`).
                 let value = flag.value.shown().rsplit('|').next().unwrap();
-                let cmd = format!(
-                    "check --workload tsp --checker {checker} --{} {value}",
-                    flag.name
-                );
-                let err = run(&argv(&cmd)).unwrap_err();
-                let expected = format!(
-                    "--{} applies only to DoubleChecker checkers, not {checker}",
-                    flag.name
-                );
-                assert_eq!(err, CliError::Usage(expected), "{cmd}");
+                // Refused before the target is read, like any usage error.
+                for target in ["--workload tsp", "--history /nonexistent/h.json"] {
+                    let cmd = format!("check {target} --checker {checker} --{} {value}", flag.name);
+                    let err = run(&argv(&cmd)).unwrap_err();
+                    let expected = format!(
+                        "--{} applies only to DoubleChecker checkers, not {checker}",
+                        flag.name
+                    );
+                    assert_eq!(err, CliError::Usage(expected), "{cmd}");
+                }
             }
         }
     }
@@ -1130,7 +1129,7 @@ mod tests {
     #[test]
     fn trace_prints_prefix_and_oracle_verdict() {
         let out = run(&argv("trace --workload philo --seed 1 --limit 5")).unwrap();
-        assert!(out.contains("offline oracle"), "{out}");
+        assert!(out.contains(" cyclic SCC(s), ") && !out.contains("violation"));
         assert!(out.contains("more (raise --limit)"));
     }
 

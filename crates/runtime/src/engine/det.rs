@@ -6,25 +6,30 @@
 //! *exact* interleavings, and for seeded randomized soundness tests where
 //! the same seed must always produce the same execution.
 //!
-//! Checker hooks fire in the same order as in the real engine, safe-point
-//! polls included: both poll where the interpreter's [`Step::safe_point`]
-//! bit asks (see [`crate::interp`]), plus once after a thread's start
-//! acquire and once after an unblocked action completes. Because only one
-//! action executes at a time, every other thread is always at a safe point,
-//! so Octet-style coordination resolves immediately (Octet's `Immediate`
-//! mode) and no poll ever finds a request.
+//! Checker hooks fire in the same order as in the real engine by
+//! construction: both engines take actions and safe points from
+//! [`ThreadInterp`] and synchronization semantics and hook order from the
+//! shared `sync` state machine, plus one poll after a forked thread's
+//! start acquire. A blocking action ends its thread's step after
+//! `before_block`; the thread is runnable again only once its block has
+//! cleared (a notified waiter also needs its monitor free), and that later
+//! step resumes it: `after_unblock`, the acquire-like hook, the poll. No
+//! poll falls inside a blocked window. Because only one action executes at
+//! a time, every other thread is always at a safe point, so Octet-style
+//! coordination resolves immediately (Octet's `Immediate` mode) and no poll
+//! ever finds a request.
 
 use crate::checker::Checker;
-use crate::heap::{Heap, ObjKind};
-use crate::ids::{ObjId, ThreadId};
+use crate::heap::Heap;
+use crate::ids::ThreadId;
 use crate::interp::{compute_units, Action, Step, ThreadInterp};
 use crate::program::{Program, StartMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
+use super::sync::{acquired, released, SyncState};
 use super::RunStats;
 
 /// Interleaving policy for the deterministic engine.
@@ -89,155 +94,44 @@ impl fmt::Display for DetError {
 
 impl std::error::Error for DetError {}
 
-/// Why a thread is blocked and the condition that unblocks it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BlockReason {
-    /// Waiting to acquire a monitor.
-    Lock(ObjId),
-    /// Waiting for a thread to finish.
-    Join(ThreadId),
-    /// In a monitor wait; cleared by the first notify on the monitor
-    /// (latch semantics, matching the real engine).
-    WaitNotify(ObjId),
-    /// Notified; waiting to re-acquire the monitor.
-    WaitReacquire(ObjId),
-    /// Waiting at a barrier (generation at arrival time).
-    Barrier(ObjId, u64),
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ThreadState {
-    NotStarted,
-    /// Runnable; true once `thread_begin` has been emitted.
-    Ready {
-        begun: bool,
-    },
-    Blocked(BlockReason),
-    Finished,
-}
-
-#[derive(Default)]
-struct DetMonitor {
-    owner: Option<ThreadId>,
-    notify_epoch: u64,
-}
-
-#[derive(Default)]
-struct DetBarrier {
-    arrived: u32,
-    generation: u64,
-}
-
 struct DetWorld<'p, C: Checker> {
     checker: &'p C,
     heap: Heap,
     interps: Vec<ThreadInterp<'p>>,
-    states: Vec<ThreadState>,
-    monitors: HashMap<ObjId, DetMonitor>,
-    barriers: HashMap<ObjId, DetBarrier>,
+    sync: SyncState<'p>,
     stats: RunStats,
-    /// Per-thread counters folded into `stats` directly (single-threaded).
     forked: Vec<bool>,
 }
 
-impl<'p, C: Checker> DetWorld<'p, C> {
-    fn runnable(&self, t: ThreadId) -> bool {
-        match self.states[t.index()] {
-            ThreadState::Ready { .. } => true,
-            ThreadState::Blocked(reason) => self.block_cleared(reason),
-            ThreadState::NotStarted | ThreadState::Finished => false,
-        }
-    }
-
-    fn block_cleared(&self, reason: BlockReason) -> bool {
-        match reason {
-            BlockReason::Lock(o) | BlockReason::WaitReacquire(o) => {
-                self.monitors.get(&o).is_none_or(|m| m.owner.is_none())
-            }
-            BlockReason::Join(t) => self.states[t.index()] == ThreadState::Finished,
-            BlockReason::WaitNotify(o) => self.monitors.get(&o).is_some_and(|m| m.notify_epoch > 0),
-            BlockReason::Barrier(o, generation) => self
-                .barriers
-                .get(&o)
-                .is_some_and(|b| b.generation > generation),
-        }
-    }
-
-    /// Runs one step of thread `t`. Returns false if the thread just
-    /// finished or blocked (ending its scheduling turn).
-    fn step(&mut self, t: ThreadId) -> bool {
+impl<C: Checker> DetWorld<'_, C> {
+    /// Runs one step of thread `t`: its next action, or the completion of
+    /// the block it is in, which has cleared.
+    fn step(&mut self, t: ThreadId) {
         let ti = t.index();
-        // Resume from a cleared block first.
-        if let ThreadState::Blocked(reason) = self.states[ti] {
-            debug_assert!(self.block_cleared(reason));
-            if self.complete_block(t, reason) {
-                self.states[ti] = ThreadState::Ready { begun: true };
-            }
-            self.checker.safe_point(t);
-            return true;
-        }
-        if let ThreadState::Ready { begun: false } = self.states[ti] {
-            self.states[ti] = ThreadState::Ready { begun: true };
-            self.checker.thread_begin(t);
-            if self.forked[ti] {
-                self.checker.sync_acquire(t, self.heap.thread_obj(t));
-                self.checker.safe_point(t);
-            }
-        }
-        let Step { action, safe_point } = match self.interps[ti].next_action() {
-            Some(step) => step,
-            None => {
-                self.checker.sync_release(t, self.heap.thread_obj(t));
-                self.checker.thread_end(t);
-                self.states[ti] = ThreadState::Finished;
-                return false;
-            }
-        };
-        let still_running = self.execute(t, action);
-        if safe_point {
-            self.checker.safe_point(t);
-        }
-        still_running
-    }
-
-    /// Finishes a blocking action whose condition has cleared. Returns false
-    /// if the thread re-blocked (notified waiter finding the monitor held).
-    fn complete_block(&mut self, t: ThreadId, reason: BlockReason) -> bool {
-        self.checker.after_unblock(t);
-        match reason {
-            BlockReason::Lock(o) | BlockReason::WaitReacquire(o) => {
-                let m = self.monitors.entry(o).or_default();
-                debug_assert!(m.owner.is_none());
-                m.owner = Some(t);
-                self.checker.sync_acquire(t, o);
-                true
-            }
-            BlockReason::Join(child) => {
-                self.checker.sync_acquire(t, self.heap.thread_obj(child));
-                true
-            }
-            BlockReason::WaitNotify(o) => {
-                // Move on to re-acquiring the monitor; may block again.
-                let m = self.monitors.entry(o).or_default();
-                if m.owner.is_none() {
-                    m.owner = Some(t);
-                    self.checker.sync_acquire(t, o);
-                    true
-                } else {
-                    self.checker.before_block(t);
-                    self.states[t.index()] = ThreadState::Blocked(BlockReason::WaitReacquire(o));
-                    false
-                }
-            }
-            BlockReason::Barrier(o, _) => {
-                self.checker.sync_acquire(t, o);
-                true
-            }
-        }
-    }
-
-    fn execute(&mut self, t: ThreadId, action: Action) -> bool {
         let checker = self.checker;
+        if let Some(block) = self.sync.blocked(t) {
+            self.sync.resume(t, block);
+            checker.after_unblock(t);
+            if let Some(o) = acquired(&self.heap, block.action) {
+                checker.sync_acquire(t, o);
+            }
+            // Every synchronization action is followed by a safe point.
+            checker.safe_point(t);
+            return;
+        }
+        if !self.interps[ti].started() {
+            checker.thread_begin(t);
+            if self.forked[ti] {
+                checker.sync_acquire(t, self.heap.thread_obj(t));
+                checker.safe_point(t);
+            }
+        }
+        let Some(Step { action, safe_point }) = self.interps[ti].next_action() else {
+            checker.sync_release(t, self.heap.thread_obj(t));
+            checker.thread_end(t);
+            self.sync.finish(t);
+            return;
+        };
         match action {
             Action::Enter(m) => {
                 self.stats.method_entries += 1;
@@ -264,95 +158,28 @@ impl<'p, C: Checker> DetWorld<'p, C> {
                 checker.array_write(t, o, c);
                 self.heap.store(o, c, self.stats.array_accesses);
             }
-            Action::Acquire(o) => {
-                self.stats.syncs += 1;
-                let m = self.monitors.entry(o).or_default();
-                assert_ne!(m.owner, Some(t), "monitor is not reentrant");
-                if m.owner.is_none() {
-                    m.owner = Some(t);
-                    checker.sync_acquire(t, o);
-                } else {
-                    checker.before_block(t);
-                    self.states[t.index()] = ThreadState::Blocked(BlockReason::Lock(o));
-                    return false;
-                }
-            }
-            Action::Release(o) => {
-                self.stats.syncs += 1;
-                checker.sync_release(t, o);
-                let m = self.monitors.entry(o).or_default();
-                assert_eq!(m.owner, Some(t), "releasing a monitor not owned");
-                m.owner = None;
-            }
-            Action::Wait(o) => {
-                self.stats.syncs += 1;
-                checker.sync_release(t, o);
-                let m = self.monitors.entry(o).or_default();
-                assert_eq!(m.owner, Some(t), "waiting on a monitor not owned");
-                if m.notify_epoch > 0 {
-                    // Latch already open: release and immediately re-acquire.
-                    checker.sync_acquire(t, o);
-                } else {
-                    m.owner = None;
-                    checker.before_block(t);
-                    self.states[t.index()] = ThreadState::Blocked(BlockReason::WaitNotify(o));
-                    return false;
-                }
-            }
-            Action::NotifyAll(o) => {
-                self.stats.syncs += 1;
-                checker.sync_release(t, o);
-                let m = self.monitors.entry(o).or_default();
-                assert_eq!(m.owner, Some(t), "notifying a monitor not owned");
-                m.notify_epoch += 1;
-            }
-            Action::Barrier(o) => {
-                self.stats.syncs += 1;
-                checker.sync_release(t, o);
-                let parties = match self.heap.kind(o) {
-                    ObjKind::Barrier { parties } => parties.max(1),
-                    _ => unreachable!("validated program"),
-                };
-                let b = self.barriers.entry(o).or_default();
-                b.arrived += 1;
-                if b.arrived == parties {
-                    b.arrived = 0;
-                    b.generation += 1;
-                    checker.sync_acquire(t, o);
-                } else {
-                    let generation = b.generation;
-                    checker.before_block(t);
-                    self.states[t.index()] =
-                        ThreadState::Blocked(BlockReason::Barrier(o, generation));
-                    return false;
-                }
-            }
-            Action::Fork(child) => {
-                self.stats.syncs += 1;
-                checker.sync_release(t, self.heap.thread_obj(child));
-                let ci = child.index();
-                assert_eq!(
-                    self.states[ci],
-                    ThreadState::NotStarted,
-                    "double fork of {child:?}"
-                );
-                self.states[ci] = ThreadState::Ready { begun: false };
-            }
-            Action::Join(child) => {
-                self.stats.syncs += 1;
-                if self.states[child.index()] == ThreadState::Finished {
-                    checker.sync_acquire(t, self.heap.thread_obj(child));
-                } else {
-                    checker.before_block(t);
-                    self.states[t.index()] = ThreadState::Blocked(BlockReason::Join(child));
-                    return false;
-                }
-            }
             Action::Compute(u) => {
                 std::hint::black_box(compute_units(u));
             }
+            _ => {
+                self.stats.syncs += 1;
+                if let Some(o) = released(&self.heap, action) {
+                    checker.sync_release(t, o);
+                }
+                if self.sync.start(t, action).is_some() {
+                    // The rest of the action, its poll included, runs when
+                    // `t` is next scheduled with its block cleared.
+                    checker.before_block(t);
+                    return;
+                }
+                if let Some(o) = acquired(&self.heap, action) {
+                    checker.sync_acquire(t, o);
+                }
+            }
         }
-        true
+        if safe_point {
+            checker.safe_point(t);
+        }
     }
 }
 
@@ -382,16 +209,7 @@ pub fn run_det<C: Checker>(
             .iter()
             .map(|spec| ThreadInterp::new(program, spec.entry))
             .collect(),
-        states: program
-            .threads
-            .iter()
-            .map(|spec| match spec.start {
-                StartMode::AtRunStart => ThreadState::Ready { begun: false },
-                StartMode::OnFork => ThreadState::NotStarted,
-            })
-            .collect(),
-        monitors: HashMap::new(),
-        barriers: HashMap::new(),
+        sync: SyncState::new(program),
         stats: RunStats::default(),
         forked: program
             .threads
@@ -409,29 +227,24 @@ pub fn run_det<C: Checker>(
     let mut rr_left = 0u32;
 
     loop {
-        let finished = world
-            .states
-            .iter()
-            .filter(|s| matches!(s, ThreadState::Finished))
-            .count();
-        if finished == n {
-            break;
-        }
         let runnable: Vec<ThreadId> = (0..n)
             .map(ThreadId::from_index)
-            .filter(|&t| world.runnable(t))
+            .filter(|&t| world.sync.runnable(t))
             .collect();
         if runnable.is_empty() {
+            if world.sync.all_finished() {
+                break;
+            }
             let blocked = (0..n)
                 .map(ThreadId::from_index)
-                .filter(|&t| matches!(world.states[t.index()], ThreadState::Blocked(_)))
+                .filter(|&t| world.sync.blocked(t).is_some())
                 .collect();
             return Err(DetError::Deadlock { blocked });
         }
         let t = match schedule {
             Schedule::Scripted(script) if script_pos < script.len() => {
                 let t = script[script_pos];
-                if !world.runnable(t) {
+                if !world.sync.runnable(t) {
                     return Err(DetError::ScriptedThreadNotRunnable {
                         position: script_pos,
                         thread: t,
@@ -444,7 +257,7 @@ pub fn run_det<C: Checker>(
                 // Script exhausted: round-robin, quantum 1.
                 rr_cursor = (0..n)
                     .map(|i| (rr_cursor + i) % n)
-                    .find(|&i| world.runnable(ThreadId::from_index(i)))
+                    .find(|&i| world.sync.runnable(ThreadId::from_index(i)))
                     .expect("some thread is runnable");
                 let t = ThreadId::from_index(rr_cursor);
                 rr_cursor = (rr_cursor + 1) % n;
@@ -455,10 +268,10 @@ pub fn run_det<C: Checker>(
                 runnable[rng.gen_range(0..runnable.len())]
             }
             Schedule::RoundRobin { quantum } => {
-                if rr_left == 0 || !world.runnable(ThreadId::from_index(rr_cursor % n)) {
+                if rr_left == 0 || !world.sync.runnable(ThreadId::from_index(rr_cursor % n)) {
                     rr_cursor = (0..n)
                         .map(|i| (rr_cursor + 1 + i) % n)
-                        .find(|&i| world.runnable(ThreadId::from_index(i)))
+                        .find(|&i| world.sync.runnable(ThreadId::from_index(i)))
                         .expect("some thread is runnable");
                     rr_left = (*quantum).max(1);
                 }
@@ -477,6 +290,7 @@ pub fn run_det<C: Checker>(
 mod tests {
     use super::*;
     use crate::checker::NopChecker;
+    use crate::heap::ObjKind;
     use crate::program::{Op, ProgramBuilder};
 
     fn lock_program() -> Program {

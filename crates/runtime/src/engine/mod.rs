@@ -9,9 +9,22 @@
 //! * [`det::run_det`] — a deterministic single-threaded scheduler with
 //!   scripted or seeded interleavings; used for correctness tests and for
 //!   reproducing the paper's worked examples (Figures 2 and 3) exactly.
+//!
+//! They share everything but the interleaving. [`crate::interp`] decides
+//! what each thread does and where its safe points are. `sync` is the one
+//! state machine for monitors, wait latches, barriers, fork and join, and
+//! fixes one hook sequence for every synchronization action: release-like
+//! hook, primitive (bracketed by `before_block` … `after_unblock` only if
+//! it blocked), acquire-like hook, safe-point poll. The det engine resumes
+//! a blocked thread as one scheduled step once its block has cleared; the
+//! real engine parks the OS thread on one condition variable until then.
+//! The real engine's one mutex over the state machine is never held across
+//! a checker hook: a hook may wait for another thread (an Octet request
+//! does), and that thread may need the mutex to make progress.
 
 pub mod det;
 pub mod real;
+mod sync;
 
 use std::time::Duration;
 
@@ -62,50 +75,68 @@ mod tests {
     use crate::program::{Op, Program, ProgramBuilder};
     use std::sync::Mutex;
 
-    /// Logs the hooks of a single-thread run as short tokens; `sp` is a
-    /// safe-point poll.
+    /// Logs each thread's hooks as short tokens; `sp` is a safe-point poll,
+    /// `blk` / `unblk` bracket a blocked window.
     #[derive(Default)]
-    struct Recorder(Mutex<Vec<String>>);
+    struct Recorder(Mutex<Vec<(ThreadId, String)>>);
 
     impl Recorder {
-        fn log(&self, token: String) {
-            self.0.lock().unwrap().push(token);
+        fn log(&self, t: ThreadId, token: impl Into<String>) {
+            self.0.lock().unwrap().push((t, token.into()));
         }
 
-        fn run_real(program: &Program) -> Vec<String> {
+        /// Each thread's tokens, in order.
+        fn threads(self) -> Vec<Vec<String>> {
+            let mut threads = Vec::new();
+            for (t, token) in self.0.into_inner().unwrap() {
+                if threads.len() <= t.index() {
+                    threads.resize(t.index() + 1, Vec::new());
+                }
+                threads[t.index()].push(token);
+            }
+            threads
+        }
+
+        fn run_real(program: &Program) -> Vec<Vec<String>> {
             let recorder = Recorder::default();
             real::run_real(program, &recorder);
-            recorder.0.into_inner().unwrap()
+            recorder.threads()
         }
 
-        fn run_det(program: &Program) -> Vec<String> {
+        fn run_det(program: &Program, schedule: &det::Schedule) -> Vec<Vec<String>> {
             let recorder = Recorder::default();
-            det::run_det(program, &recorder, &det::Schedule::random(7)).unwrap();
-            recorder.0.into_inner().unwrap()
+            det::run_det(program, &recorder, schedule).unwrap();
+            recorder.threads()
         }
     }
 
     impl Checker for Recorder {
-        fn enter_method(&self, _: ThreadId, m: MethodId) {
-            self.log(format!("enter{}", m.index()));
+        fn enter_method(&self, t: ThreadId, m: MethodId) {
+            self.log(t, format!("enter{}", m.index()));
         }
-        fn exit_method(&self, _: ThreadId, m: MethodId) {
-            self.log(format!("exit{}", m.index()));
+        fn exit_method(&self, t: ThreadId, m: MethodId) {
+            self.log(t, format!("exit{}", m.index()));
         }
-        fn read(&self, _: ThreadId, _: ObjId, cell: CellId) {
-            self.log(format!("R{cell}"));
+        fn read(&self, t: ThreadId, _: ObjId, cell: CellId) {
+            self.log(t, format!("R{cell}"));
         }
-        fn write(&self, _: ThreadId, _: ObjId, cell: CellId) {
-            self.log(format!("W{cell}"));
+        fn write(&self, t: ThreadId, _: ObjId, cell: CellId) {
+            self.log(t, format!("W{cell}"));
         }
-        fn sync_acquire(&self, _: ThreadId, _: ObjId) {
-            self.log("acq".into());
+        fn sync_acquire(&self, t: ThreadId, _: ObjId) {
+            self.log(t, "acq");
         }
-        fn sync_release(&self, _: ThreadId, _: ObjId) {
-            self.log("rel".into());
+        fn sync_release(&self, t: ThreadId, _: ObjId) {
+            self.log(t, "rel");
         }
-        fn safe_point(&self, _: ThreadId) {
-            self.log("sp".into());
+        fn safe_point(&self, t: ThreadId) {
+            self.log(t, "sp");
+        }
+        fn before_block(&self, t: ThreadId) {
+            self.log(t, "blk");
+        }
+        fn after_unblock(&self, t: ThreadId) {
+            self.log(t, "unblk");
         }
     }
 
@@ -153,8 +184,80 @@ mod tests {
             // Thread exit's release on the thread object.
             "rel",
         ];
-        assert_eq!(Recorder::run_real(&p), expected);
-        assert_eq!(Recorder::run_det(&p), expected);
+        assert_eq!(Recorder::run_real(&p), [expected]);
+        assert_eq!(Recorder::run_det(&p, &det::Schedule::random(7)), [expected]);
+    }
+
+    /// A blocked action's window is `blk unblk acq sp` in its thread's
+    /// stream, with nothing of that thread in between, whichever engine runs
+    /// it and whatever it blocked on.
+    #[test]
+    fn both_engines_bracket_a_block_with_one_hook_sequence() {
+        let t = ThreadId::from_index;
+        let mut programs = Vec::new();
+        // (a) A contended `Acquire`: t1 asks while t0 holds the lock.
+        let mut b = ProgramBuilder::new();
+        let lock = b.object(ObjKind::Monitor);
+        let body = vec![Op::Acquire(lock), Op::Compute(20), Op::Release(lock)];
+        let m = b.method("locked", vec![Op::Loop { count: 20, body }]);
+        b.thread(m);
+        b.thread(m);
+        programs.push(("acquire", b.build().unwrap(), vec![t(0), t(0), t(1), t(1)]));
+        // (b) A 2-party barrier: t0 arrives first.
+        let mut b = ProgramBuilder::new();
+        let bar = b.object(ObjKind::Barrier { parties: 2 });
+        let body = vec![Op::Barrier(bar), Op::Compute(20)];
+        let m = b.method("phased", vec![Op::Loop { count: 20, body }]);
+        b.thread(m);
+        b.thread(m);
+        programs.push(("barrier", b.build().unwrap(), vec![t(0), t(0)]));
+        // (c) A join on a child that is still running.
+        let mut b = ProgramBuilder::new();
+        let worker = b.method("worker", vec![Op::Compute(1000)]);
+        let main = b.method("main", vec![Op::Fork(t(1)), Op::Join(t(1))]);
+        b.thread(main);
+        b.forked_thread(worker);
+        programs.push(("join", b.build().unwrap(), vec![t(0), t(0), t(0)]));
+        // (d) A wait notified while the notifier still holds the monitor.
+        let mut b = ProgramBuilder::new();
+        let mon = b.object(ObjKind::Monitor);
+        let notifier = b.method(
+            "notifier",
+            vec![
+                Op::Acquire(mon),
+                Op::NotifyAll(mon),
+                Op::Compute(20),
+                Op::Release(mon),
+            ],
+        );
+        let waiter = b.method(
+            "waiter",
+            vec![Op::Acquire(mon), Op::Wait(mon), Op::Release(mon)],
+        );
+        b.thread(notifier);
+        b.thread(waiter);
+        let script = vec![t(1), t(1), t(1), t(0), t(0), t(0)];
+        programs.push(("wait", b.build().unwrap(), script));
+
+        let check = |name: &str, threads: &[Vec<String>]| {
+            for (i, log) in threads.iter().enumerate() {
+                for (at, _) in log.iter().enumerate().filter(|(_, t)| *t == "blk") {
+                    assert_eq!(
+                        log.get(at + 1..at + 4),
+                        Some(&["unblk", "acq", "sp"].map(String::from)[..]),
+                        "{name}: thread {i} at {at}: {log:?}"
+                    );
+                }
+            }
+        };
+        for (name, program, script) in &programs {
+            let threads = Recorder::run_det(program, &det::Schedule::Scripted(script.clone()));
+            assert!(threads.concat().contains(&"blk".into()), "{name} blocked");
+            check(name, &threads);
+            for _ in 0..20 {
+                check(name, &Recorder::run_real(program));
+            }
+        }
     }
 
     #[test]
@@ -181,10 +284,11 @@ mod tests {
         );
         b.thread(m);
         let p = b.build().unwrap();
-        for (engine, log) in [
+        for (engine, mut log) in [
             ("real", Recorder::run_real(&p)),
-            ("det", Recorder::run_det(&p)),
+            ("det", Recorder::run_det(&p, &det::Schedule::random(7))),
         ] {
+            let log = log.remove(0);
             let polls = log.iter().filter(|t| *t == "sp").count();
             let accesses = log.iter().filter(|t| t.starts_with(['R', 'W'])).count();
             assert_eq!(accesses, 400, "{engine}");

@@ -6,252 +6,40 @@
 //! [`Step::safe_point`] bit asks for it: after every non-access action and
 //! after the first action past each loop back edge, the places a JVM puts
 //! its yieldpoints (see [`crate::interp`]). Each poll sits between two
-//! complete actions, never between a barrier and its access (§3.2.1). The
-//! engine also brackets every blocking operation with
-//! [`Checker::before_block`] / [`Checker::after_unblock`] so Octet's
-//! implicit coordination protocol can engage.
+//! complete actions, never between a barrier and its access (§3.2.1).
+//!
+//! Synchronization runs on the `sync` state machine the det engine uses,
+//! kept behind one mutex with one condition variable. A thread whose
+//! action blocks calls [`Checker::before_block`], parks on the condition
+//! variable until its block clears, then calls [`Checker::after_unblock`],
+//! so Octet's implicit coordination protocol can engage; a forked thread
+//! parks the same way until its fork. The mutex is held only to step the
+//! state machine, never across a checker hook.
 
 use crate::checker::Checker;
-use crate::heap::{Heap, ObjKind};
-use crate::ids::{ObjId, ThreadId};
+use crate::heap::Heap;
+use crate::ids::ThreadId;
 use crate::interp::{compute_units, Action, Step, ThreadInterp};
-use crate::program::{Op, Program, StartMode};
+use crate::program::{Program, StartMode};
 use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
 use std::time::Instant;
 
+use super::sync::{acquired, released, SyncState};
 use super::RunStats;
 
-/// A Java-style (non-reentrant here) object monitor with wait/notify.
-struct Monitor {
-    inner: Mutex<MonitorState>,
-    lock_cv: Condvar,
-    wait_cv: Condvar,
-}
-
-#[derive(Default)]
-struct MonitorState {
-    owner: Option<ThreadId>,
-    notify_epoch: u64,
-}
-
-impl Monitor {
-    fn new() -> Self {
-        Monitor {
-            inner: Mutex::new(MonitorState::default()),
-            lock_cv: Condvar::new(),
-            wait_cv: Condvar::new(),
-        }
-    }
-
-    /// Acquires the monitor for `t`; returns true if it had to block.
-    fn acquire<C: Checker>(&self, t: ThreadId, checker: &C) -> bool {
-        let mut st = self.inner.lock();
-        assert_ne!(st.owner, Some(t), "monitor is not reentrant");
-        let mut blocked = false;
-        while st.owner.is_some() {
-            if !blocked {
-                blocked = true;
-                checker.before_block(t);
-            }
-            self.lock_cv.wait(&mut st);
-        }
-        st.owner = Some(t);
-        blocked
-    }
-
-    fn release(&self, t: ThreadId) {
-        let mut st = self.inner.lock();
-        assert_eq!(st.owner, Some(t), "releasing a monitor not owned");
-        st.owner = None;
-        drop(st);
-        self.lock_cv.notify_one();
-    }
-
-    /// Latch-style wait: releases the monitor, sleeps until the *first*
-    /// notify on this monitor (a wait after any notify returns immediately),
-    /// then re-acquires.
-    ///
-    /// Java's `wait` sleeps until a notify that follows it, so an
-    /// early notify is *lost* and the waiter hangs. Real programs guard
-    /// waits with condition predicates; the workload IR has no branches, so
-    /// the substrate uses latch semantics instead — same release/acquire
-    /// dependence edges, guaranteed liveness.
-    fn wait<C: Checker>(&self, t: ThreadId, checker: &C) {
-        let mut st = self.inner.lock();
-        assert_eq!(st.owner, Some(t), "waiting on a monitor not owned");
-        st.owner = None;
-        self.lock_cv.notify_one();
-        let mut blocked = false;
-        while st.notify_epoch == 0 {
-            if !blocked {
-                blocked = true;
-                checker.before_block(t);
-            }
-            self.wait_cv.wait(&mut st);
-        }
-        while st.owner.is_some() {
-            self.lock_cv.wait(&mut st);
-        }
-        st.owner = Some(t);
-        if blocked {
-            checker.after_unblock(t);
-        }
-    }
-
-    fn notify_all(&self, t: ThreadId) {
-        let mut st = self.inner.lock();
-        assert_eq!(st.owner, Some(t), "notifying a monitor not owned");
-        st.notify_epoch += 1;
-        drop(st);
-        self.wait_cv.notify_all();
-    }
-}
-
-/// A sense-reversing rendezvous barrier.
-struct RendezvousBarrier {
-    inner: Mutex<BarrierState>,
-    cv: Condvar,
-    parties: u32,
-}
-
-#[derive(Default)]
-struct BarrierState {
-    arrived: u32,
-    generation: u64,
-}
-
-impl RendezvousBarrier {
-    fn new(parties: u32) -> Self {
-        RendezvousBarrier {
-            inner: Mutex::new(BarrierState::default()),
-            cv: Condvar::new(),
-            parties: parties.max(1),
-        }
-    }
-
-    /// Returns true if this thread had to block (was not the last arriver).
-    fn arrive<C: Checker>(&self, t: ThreadId, checker: &C) -> bool {
-        let mut st = self.inner.lock();
-        st.arrived += 1;
-        if st.arrived == self.parties {
-            st.arrived = 0;
-            st.generation += 1;
-            drop(st);
-            self.cv.notify_all();
-            false
-        } else {
-            let gen = st.generation;
-            checker.before_block(t);
-            while st.generation == gen {
-                self.cv.wait(&mut st);
-            }
-            true
-        }
-    }
-}
-
-/// A start/finish gate for fork and join.
-struct Gate {
-    inner: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new(open: bool) -> Self {
-        Gate {
-            inner: Mutex::new(open),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn open(&self) {
-        let mut g = self.inner.lock();
-        *g = true;
-        drop(g);
-        self.cv.notify_all();
-    }
-
-    /// Waits for the gate; `on_block` fires if the gate was closed.
-    fn wait_open(&self, mut on_block: impl FnMut()) -> bool {
-        let mut g = self.inner.lock();
-        let mut blocked = false;
-        while !*g {
-            if !blocked {
-                blocked = true;
-                on_block();
-            }
-            self.cv.wait(&mut g);
-        }
-        blocked
-    }
-}
-
-/// Shared synchronization tables for one run.
-struct SyncTables {
-    monitors: HashMap<ObjId, Monitor>,
-    barriers: HashMap<ObjId, RendezvousBarrier>,
-    start_gates: Vec<Gate>,
-    finish_gates: Vec<Gate>,
-}
-
-impl SyncTables {
-    fn build(program: &Program) -> Self {
-        let mut monitor_objs = Vec::new();
-        let mut barrier_objs = Vec::new();
-        fn scan(ops: &[Op], monitors: &mut Vec<ObjId>, barriers: &mut Vec<ObjId>) {
-            for op in ops {
-                match op {
-                    Op::Acquire(o) | Op::Release(o) | Op::Wait(o) | Op::NotifyAll(o) => {
-                        monitors.push(*o)
-                    }
-                    Op::Barrier(o) => barriers.push(*o),
-                    Op::Loop { body, .. } => scan(body, monitors, barriers),
-                    _ => {}
-                }
-            }
-        }
-        for m in &program.methods {
-            scan(&m.body, &mut monitor_objs, &mut barrier_objs);
-        }
-        let monitors = monitor_objs
-            .into_iter()
-            .map(|o| (o, Monitor::new()))
-            .collect();
-        let barriers = barrier_objs
-            .into_iter()
-            .map(|o| {
-                let parties = match program.objects[o.index()] {
-                    ObjKind::Barrier { parties } => parties,
-                    _ => unreachable!("validated program"),
-                };
-                (o, RendezvousBarrier::new(parties))
-            })
-            .collect();
-        let start_gates = program
-            .threads
-            .iter()
-            .map(|spec| Gate::new(spec.start == StartMode::AtRunStart))
-            .collect();
-        let finish_gates = program.threads.iter().map(|_| Gate::new(false)).collect();
-        SyncTables {
-            monitors,
-            barriers,
-            start_gates,
-            finish_gates,
-        }
-    }
-
-    fn monitor(&self, o: ObjId) -> &Monitor {
-        self.monitors.get(&o).expect("monitor table miss")
-    }
+/// The run's synchronization state, and the condition variable a blocked
+/// thread parks on until its block clears. The mutex is never held across
+/// a checker hook.
+struct Parking<'p> {
+    state: Mutex<SyncState<'p>>,
+    changed: Condvar,
 }
 
 /// Runs `program` on real OS threads under `checker`.
 ///
 /// Returns aggregate statistics including the wall-clock time of the
 /// parallel phase: `elapsed_nanos` covers spawning the threads, running
-/// them and joining them; heap and sync-table construction,
+/// them and joining them; heap and sync-state construction,
 /// `Checker::run_begin` and `Checker::run_end` are outside it.
 ///
 /// # Panics
@@ -263,7 +51,10 @@ pub fn run_real<C: Checker>(program: &Program, checker: &C) -> RunStats {
     program.validate().expect("invalid program");
     let heap = Heap::new(&program.objects, program.n_threads());
     checker.run_begin(&heap);
-    let tables = SyncTables::build(program);
+    let parking = Parking {
+        state: Mutex::new(SyncState::new(program)),
+        changed: Condvar::new(),
+    };
     let start = Instant::now();
     let mut stats = RunStats::default();
     std::thread::scope(|scope| {
@@ -271,11 +62,11 @@ pub fn run_real<C: Checker>(program: &Program, checker: &C) -> RunStats {
         for (i, spec) in program.threads.iter().enumerate() {
             let t = ThreadId::from_index(i);
             let heap = &heap;
-            let tables = &tables;
+            let parking = &parking;
             let entry = spec.entry;
             let forked = spec.start == StartMode::OnFork;
             handles.push(
-                scope.spawn(move || run_thread(program, checker, heap, tables, t, entry, forked)),
+                scope.spawn(move || run_thread(program, checker, heap, parking, t, entry, forked)),
             );
         }
         for handle in handles {
@@ -292,14 +83,17 @@ fn run_thread<C: Checker>(
     program: &Program,
     checker: &C,
     heap: &Heap,
-    tables: &SyncTables,
+    parking: &Parking,
     t: ThreadId,
     entry: crate::ids::MethodId,
     forked: bool,
 ) -> RunStats {
-    // Threads that start on fork wait before touching any analysis state.
+    // Threads that start on fork park before touching any analysis state.
     if forked {
-        tables.start_gates[t.index()].wait_open(|| {});
+        let mut state = parking.state.lock();
+        while !state.runnable(t) {
+            parking.changed.wait(&mut state);
+        }
     }
     checker.thread_begin(t);
     if forked {
@@ -337,62 +131,16 @@ fn run_thread<C: Checker>(
                 checker.array_write(t, o, c);
                 heap.store(o, c, stats.array_accesses);
             }
-            Action::Acquire(o) => {
-                stats.syncs += 1;
-                let blocked = tables.monitor(o).acquire(t, checker);
-                if blocked {
-                    checker.after_unblock(t);
-                }
-                checker.sync_acquire(t, o);
-            }
-            Action::Release(o) => {
-                stats.syncs += 1;
-                checker.sync_release(t, o);
-                tables.monitor(o).release(t);
-            }
-            Action::Wait(o) => {
-                stats.syncs += 1;
-                // Wait start is release-like; return is acquire-like.
-                checker.sync_release(t, o);
-                tables.monitor(o).wait(t, checker);
-                checker.sync_acquire(t, o);
-            }
-            Action::NotifyAll(o) => {
-                stats.syncs += 1;
-                checker.sync_release(t, o);
-                tables.monitor(o).notify_all(t);
-            }
-            Action::Barrier(o) => {
-                stats.syncs += 1;
-                checker.sync_release(t, o);
-                let blocked = tables
-                    .barriers
-                    .get(&o)
-                    .expect("barrier table miss")
-                    .arrive(t, checker);
-                if blocked {
-                    checker.after_unblock(t);
-                }
-                checker.sync_acquire(t, o);
-            }
-            Action::Fork(child) => {
-                stats.syncs += 1;
-                // Fork is release-like on the child's thread object; the
-                // write barrier runs before the child can start.
-                checker.sync_release(t, heap.thread_obj(child));
-                tables.start_gates[child.index()].open();
-            }
-            Action::Join(child) => {
-                stats.syncs += 1;
-                let gate = &tables.finish_gates[child.index()];
-                let blocked = gate.wait_open(|| checker.before_block(t));
-                if blocked {
-                    checker.after_unblock(t);
-                }
-                checker.sync_acquire(t, heap.thread_obj(child));
-            }
             Action::Compute(u) => {
                 std::hint::black_box(compute_units(u));
+            }
+            _ => {
+                stats.syncs += 1;
+                // One out-of-line call that never lends its `Action` out
+                // (`&action`). When it did, the loop copied every `Step`
+                // out of `next_action`'s return slot, and the uninstrumented
+                // loop ran up to 2x slower. Keep the access arms inline.
+                synchronize(parking, checker, heap, t, action);
             }
         }
         if safe_point {
@@ -403,16 +151,53 @@ fn run_thread<C: Checker>(
     // a dependence edge from everything the thread did.
     checker.sync_release(t, heap.thread_obj(t));
     checker.thread_end(t);
-    tables.finish_gates[t.index()].open();
+    parking.state.lock().finish(t);
+    parking.changed.notify_all();
     stats
+}
+
+/// Runs one synchronization action in the hook sequence of [`super::sync`],
+/// parking the thread while it is blocked. `action` is passed on by value
+/// only: see the call site.
+#[inline(never)]
+fn synchronize<C: Checker>(
+    parking: &Parking,
+    checker: &C,
+    heap: &Heap,
+    t: ThreadId,
+    action: Action,
+) {
+    let released = released(heap, action);
+    if let Some(o) = released {
+        checker.sync_release(t, o);
+    }
+    let block = parking.state.lock().start(t, action);
+    // Only a release-like action can clear another thread's block.
+    if released.is_some() {
+        parking.changed.notify_all();
+    }
+    if let Some(block) = block {
+        checker.before_block(t);
+        let mut state = parking.state.lock();
+        while !state.cleared(block) {
+            parking.changed.wait(&mut state);
+        }
+        state.resume(t, block);
+        drop(state);
+        checker.after_unblock(t);
+    }
+    if let Some(o) = acquired(heap, action) {
+        checker.sync_acquire(t, o);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checker::NopChecker;
-    use crate::ids::CellId;
-    use crate::program::ProgramBuilder;
+    use crate::heap::ObjKind;
+    use crate::ids::{CellId, ObjId};
+    use crate::program::{Op, ProgramBuilder};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]

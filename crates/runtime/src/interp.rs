@@ -2,9 +2,10 @@
 //!
 //! [`ThreadInterp`] walks one thread's method bodies (flattening calls and
 //! loops) and yields a stream of primitive [`Action`]s. The engines execute
-//! the actions — invoking checker hooks, performing heap accesses, and
-//! handling blocking — so the two engines cannot diverge on *what* a program
-//! does, only on interleaving and timing.
+//! the actions — invoking checker hooks and performing heap accesses — and
+//! run every synchronization action on one shared state machine
+//! (`engine::sync`), so the two engines cannot diverge on *what* a program
+//! does or on the hooks it fires, only on interleaving and timing.
 //!
 //! The interpreter also decides where the safe points are, once for both
 //! engines. A JVM polls for Octet requests at its yieldpoints — method entry
@@ -20,7 +21,7 @@ use crate::ids::{CellId, MethodId, ObjId, ThreadId};
 use crate::program::{Op, Program};
 
 /// A primitive step of execution.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Action {
     /// Method entry (drives transaction demarcation).
     Enter(MethodId),
@@ -110,11 +111,16 @@ impl<'p> ThreadInterp<'p> {
         }
     }
 
+    /// Whether [`Self::next_action`] has been called.
+    pub(crate) fn started(&self) -> bool {
+        self.started
+    }
+
     /// Produces the next action with its safe-point bit (see the module
     /// docs), or `None` when the thread has finished.
     ///
-    /// Blocking actions are returned exactly once; the engine is responsible
-    /// for retrying/completing them.
+    /// Blocking actions are returned exactly once; the engine completes them
+    /// once their block clears.
     pub fn next_action(&mut self) -> Option<Step> {
         if !self.started {
             self.started = true;
