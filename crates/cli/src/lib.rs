@@ -19,17 +19,18 @@ use dc_runtime::program::Program;
 use dc_runtime::spec::AtomicitySpec;
 use dc_runtime::trace::TraceChecker;
 use dc_velodrome::{CycleFilter, Online, OnlineConfig, VViolation, Variant, Velodrome};
+use dc_workloads::suite::SUITE;
 use dc_workloads::{by_name, Scale, Workload};
 use std::fmt::Write as _;
 use std::io::Read as _;
-use Value::{Choice, Number, Output, Text};
+use Value::{Choice, Number, Output, Text, WorkloadName};
 
 /// Everything that can go wrong while handling a command.
 #[derive(Debug, PartialEq, Eq)]
 pub enum CliError {
     /// Unknown subcommand or malformed flags; the message is user-facing.
     Usage(String),
-    /// The command ran but failed (unknown workload, deadlock, …).
+    /// The command ran but failed (unreadable history file, deadlock, …).
     Failed(String),
 }
 
@@ -55,6 +56,9 @@ enum Value {
     /// A file the command writes, shown as this placeholder: not a
     /// directory, in a directory that exists.
     Output(&'static str),
+    /// The name of a benchmark workload (a row of
+    /// `dc_workloads::suite::SUITE`), shown as `<name>`.
+    WorkloadName,
 }
 
 impl Value {
@@ -62,6 +66,7 @@ impl Value {
     fn shown(self) -> &'static str {
         match self {
             Text(placeholder) | Output(placeholder) => placeholder,
+            WorkloadName => "<name>",
             Number(..) => "N",
             Choice(words) => words,
         }
@@ -78,6 +83,8 @@ impl Value {
             },
             Choice(words) if words.split('|').any(|w| w == value) => return Ok(()),
             Choice(words) => words.to_string(),
+            WorkloadName if SUITE.iter().any(|(name, _)| *name == value) => return Ok(()),
+            WorkloadName => "a workload `dc list` shows".to_string(),
             Output(_) => {
                 // `is_dir` follows symlinks; an empty parent is the working
                 // directory.
@@ -145,7 +152,7 @@ impl Flag {
 /// [`usage`] prints them, and [`Flags::parse`] checks every value against
 /// its row before the command starts.
 const FLAGS: &[Flag] = &[
-    flag("workload", "check refine trace", Text("<name>"))
+    flag("workload", "check refine trace", WorkloadName)
         .help("benchmark workload (`dc list`); `check` can take --history instead"),
     flag("history", "check", Text("<file>"))
         .help("replay a dc-history JSON file, which fixes program and interleaving"),
@@ -264,11 +271,7 @@ impl Flags {
         let name = self
             .get("workload")
             .ok_or_else(|| CliError::Usage("--workload <name> is required".into()))?;
-        by_name(name, self.scale()).ok_or_else(|| {
-            CliError::Failed(format!(
-                "unknown workload {name:?}; `dc list` shows the available ones"
-            ))
-        })
+        Ok(by_name(name, self.scale()).expect("checked by Flags::parse"))
     }
 }
 
@@ -1123,7 +1126,8 @@ mod tests {
     #[test]
     fn check_unknown_workload_fails_cleanly() {
         let err = run(&argv("check --workload nope")).unwrap_err();
-        assert!(matches!(err, CliError::Failed(m) if m.contains("unknown workload")));
+        let expected = r#"--workload must be a workload `dc list` shows, got "nope""#;
+        assert_eq!(err, CliError::Usage(expected.into()));
     }
 
     #[test]
@@ -1168,8 +1172,8 @@ mod tests {
         ));
     }
 
-    /// A bad choice is rejected before the target is loaded: neither the
-    /// unknown workload nor the missing history file is reached.
+    /// A bad choice is rejected before the target is loaded: the missing
+    /// history file is never reached.
     #[test]
     fn bad_choice_values_are_usage_errors_before_any_work() {
         for (flag, choices) in [
@@ -1179,7 +1183,7 @@ mod tests {
             ("obs", "off|full"),
             ("barrier-cache", "on|off"),
         ] {
-            for target in ["--workload nope", "--history /nonexistent/h.json"] {
+            for target in ["--workload tsp", "--history /nonexistent/h.json"] {
                 let err = run(&argv(&format!("check {target} --{flag} bogus"))).unwrap_err();
                 let expected = format!(r#"--{flag} must be {choices}, got "bogus""#);
                 assert_eq!(err, CliError::Usage(expected), "{target}");

@@ -68,20 +68,6 @@ pub struct Lowered {
     pub keys: Vec<String>,
 }
 
-impl Lowered {
-    /// The method lowered from the dbcop transaction with `id`, if any.
-    pub fn method_for_tx(&self, history: &History, id: u64) -> Option<MethodId> {
-        for (si, session) in history.sessions.iter().enumerate() {
-            for (ti, tx) in session.iter().enumerate() {
-                if tx.id == id {
-                    return Some(self.tx_methods[si][ti]);
-                }
-            }
-        }
-        None
-    }
-}
-
 /// Validates the value conventions: unique nonzero write values per key and
 /// every nonzero read explained by some write.
 fn validate_values(history: &History) -> Result<(), HistoryError> {
@@ -498,8 +484,10 @@ mod tests {
             "s0_t0#1"
         );
         assert_eq!(lowered.keys, vec!["x".to_string()]);
-        assert_eq!(lowered.method_for_tx(&h, 2), Some(lowered.tx_methods[1][0]));
-        assert_eq!(lowered.method_for_tx(&h, 99), None);
+        assert_eq!(
+            lowered.program.method_name(lowered.tx_methods[1][0]),
+            "s1_t0#2"
+        );
     }
 
     #[test]

@@ -370,11 +370,6 @@ impl<S: TransitionSink> Protocol<S> {
         self.cache && self.threads.slot(t).probe(obj, kind.is_write())
     }
 
-    /// Whether the ownership inline cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache
-    }
-
     /// Stamps `obj` in `t`'s ownership table once the barrier proved a
     /// stable permission (`write_ok` iff `t` holds it `WrEx`). Runs on `t`;
     /// a core-local store, no shared write.
@@ -867,8 +862,8 @@ mod tests {
     #[test]
     fn cache_off_counts_nothing() {
         let p = uncached(2);
-        assert!(!p.cache_enabled());
         p.write_barrier(T0, O);
+        assert!(!p.cache_probe(T0, O, AccessKind::Write));
         for _ in 0..10 {
             assert_eq!(p.write_barrier(T0, O), BarrierOutcome::Same);
         }
@@ -878,7 +873,6 @@ mod tests {
     #[test]
     fn cache_hits_dominate_a_loopy_owner() {
         let p = immediate(2);
-        assert!(p.cache_enabled());
         p.write_barrier(T0, O);
         for _ in 0..99 {
             assert_eq!(p.write_barrier(T0, O), BarrierOutcome::Same);

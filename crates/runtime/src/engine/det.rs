@@ -6,11 +6,11 @@
 //! *exact* interleavings, and for seeded randomized soundness tests where
 //! the same seed must always produce the same execution.
 //!
-//! Checker hooks fire in the same order as in the real engine by
-//! construction: both engines take actions and safe points from
-//! [`ThreadInterp`] and synchronization semantics and hook order from the
-//! shared `sync` state machine, plus one poll after a forked thread's
-//! start acquire. A blocking action ends its thread's step after
+//! This file owns scheduling. Hooks fire in the same order as in the real
+//! engine by construction: both take actions and safe points from
+//! [`ThreadInterp`], the thread lifecycle from [`super`], and
+//! synchronization semantics and hook order from the shared `sync` state
+//! machine. A blocking action ends its thread's step after
 //! `before_block`; the thread is runnable again only once its block has
 //! cleared (a notified waiter also needs its monitor free), and that later
 //! step resumes it: `after_unblock`, the acquire-like hook, the poll. No
@@ -22,7 +22,7 @@
 use crate::checker::Checker;
 use crate::heap::Heap;
 use crate::ids::ThreadId;
-use crate::interp::{compute_units, Action, Step, ThreadInterp};
+use crate::interp::{Step, ThreadInterp};
 use crate::program::{Program, StartMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,7 +30,7 @@ use std::fmt;
 use std::time::Instant;
 
 use super::sync::{acquired, released, SyncState};
-use super::RunStats;
+use super::{exit_thread, perform, start_thread, RunStats};
 
 /// Interleaving policy for the deterministic engine.
 #[derive(Clone, Debug)]
@@ -120,61 +120,25 @@ impl<C: Checker> DetWorld<'_, C> {
             return;
         }
         if !self.interps[ti].started() {
-            checker.thread_begin(t);
-            if self.forked[ti] {
-                checker.sync_acquire(t, self.heap.thread_obj(t));
-                checker.safe_point(t);
-            }
+            start_thread(checker, &self.heap, t, self.forked[ti]);
         }
         let Some(Step { action, safe_point }) = self.interps[ti].next_action() else {
-            checker.sync_release(t, self.heap.thread_obj(t));
-            checker.thread_end(t);
+            exit_thread(checker, &self.heap, t);
             self.sync.finish(t);
             return;
         };
-        match action {
-            Action::Enter(m) => {
-                self.stats.method_entries += 1;
-                checker.enter_method(t, m);
+        if !perform(checker, &self.heap, &mut self.stats, t, action) {
+            if let Some(o) = released(&self.heap, action) {
+                checker.sync_release(t, o);
             }
-            Action::Exit(m) => checker.exit_method(t, m),
-            Action::Read(o, c) => {
-                self.stats.reads += 1;
-                checker.read(t, o, c);
-                std::hint::black_box(self.heap.load(o, c));
+            if self.sync.start(t, action).is_some() {
+                // The rest of the action, its poll included, runs when `t`
+                // is next scheduled with its block cleared.
+                checker.before_block(t);
+                return;
             }
-            Action::Write(o, c) => {
-                self.stats.writes += 1;
-                checker.write(t, o, c);
-                self.heap.store(o, c, self.stats.writes);
-            }
-            Action::ArrayRead(o, c) => {
-                self.stats.array_accesses += 1;
-                checker.array_read(t, o, c);
-                std::hint::black_box(self.heap.load(o, c));
-            }
-            Action::ArrayWrite(o, c) => {
-                self.stats.array_accesses += 1;
-                checker.array_write(t, o, c);
-                self.heap.store(o, c, self.stats.array_accesses);
-            }
-            Action::Compute(u) => {
-                std::hint::black_box(compute_units(u));
-            }
-            _ => {
-                self.stats.syncs += 1;
-                if let Some(o) = released(&self.heap, action) {
-                    checker.sync_release(t, o);
-                }
-                if self.sync.start(t, action).is_some() {
-                    // The rest of the action, its poll included, runs when
-                    // `t` is next scheduled with its block cleared.
-                    checker.before_block(t);
-                    return;
-                }
-                if let Some(o) = acquired(&self.heap, action) {
-                    checker.sync_acquire(t, o);
-                }
+            if let Some(o) = acquired(&self.heap, action) {
+                checker.sync_acquire(t, o);
             }
         }
         if safe_point {
@@ -223,7 +187,14 @@ pub fn run_det<C: Checker>(
         _ => None,
     };
     let mut script_pos = 0usize;
-    let mut rr_cursor = 0usize;
+    // The round-robin picker, which also runs a `Scripted` schedule past its
+    // end, with quantum 1. `rr_cursor` is the thread it picked last; a
+    // script's fallback starts as if thread n−1 had, so it picks thread 0
+    // first.
+    let (quantum, mut rr_cursor) = match schedule {
+        Schedule::RoundRobin { quantum } => ((*quantum).max(1), 0),
+        _ => (1, n.saturating_sub(1)),
+    };
     let mut rr_left = 0u32;
 
     loop {
@@ -253,30 +224,20 @@ pub fn run_det<C: Checker>(
                 script_pos += 1;
                 t
             }
-            Schedule::Scripted(_) => {
-                // Script exhausted: round-robin, quantum 1.
-                rr_cursor = (0..n)
-                    .map(|i| (rr_cursor + i) % n)
-                    .find(|&i| world.sync.runnable(ThreadId::from_index(i)))
-                    .expect("some thread is runnable");
-                let t = ThreadId::from_index(rr_cursor);
-                rr_cursor = (rr_cursor + 1) % n;
-                t
-            }
             Schedule::Random { .. } => {
                 let rng = rng.as_mut().expect("random schedule has rng");
                 runnable[rng.gen_range(0..runnable.len())]
             }
-            Schedule::RoundRobin { quantum } => {
-                if rr_left == 0 || !world.sync.runnable(ThreadId::from_index(rr_cursor % n)) {
-                    rr_cursor = (0..n)
-                        .map(|i| (rr_cursor + 1 + i) % n)
+            Schedule::RoundRobin { .. } | Schedule::Scripted(_) => {
+                if rr_left == 0 || !world.sync.runnable(ThreadId::from_index(rr_cursor)) {
+                    rr_cursor = (1..=n)
+                        .map(|i| (rr_cursor + i) % n)
                         .find(|&i| world.sync.runnable(ThreadId::from_index(i)))
                         .expect("some thread is runnable");
-                    rr_left = (*quantum).max(1);
+                    rr_left = quantum;
                 }
                 rr_left -= 1;
-                ThreadId::from_index(rr_cursor % n)
+                ThreadId::from_index(rr_cursor)
             }
         };
         world.step(t);

@@ -11,21 +11,26 @@
 //!   reproducing the paper's worked examples (Figures 2 and 3) exactly.
 //!
 //! They share everything but the interleaving. [`crate::interp`] decides
-//! what each thread does and where its safe points are. `sync` is the one
-//! state machine for monitors, wait latches, barriers, fork and join, and
-//! fixes one hook sequence for every synchronization action: release-like
-//! hook, primitive (bracketed by `before_block` … `after_unblock` only if
-//! it blocked), acquire-like hook, safe-point poll. The det engine resumes
-//! a blocked thread as one scheduled step once its block has cleared; the
-//! real engine parks the OS thread on one condition variable until then.
-//! The real engine's one mutex over the state machine is never held across
-//! a checker hook: a hook may wait for another thread (an Octet request
-//! does), and that thread may need the mutex to make progress.
+//! what each thread does and where its safe points are. This module owns
+//! the thread lifecycle: thread start, every action but a synchronization
+//! (`perform`), thread exit. `sync` is the one state machine for monitors,
+//! wait latches, barriers, fork and join, with one hook sequence for every
+//! synchronization action: release-like hook, primitive (bracketed by
+//! `before_block` … `after_unblock` only if it blocked), acquire-like
+//! hook, safe-point poll. `det` owns scheduling and `real` parking: how a
+//! blocked thread waits (resumed by a later scheduled step; parked on one
+//! condition variable) and who runs next. The real engine's one mutex is
+//! never held across a checker hook: a hook may wait for another thread
+//! (an Octet request does), and that thread may need the mutex.
 
 pub mod det;
 pub mod real;
 mod sync;
 
+use crate::checker::Checker;
+use crate::heap::Heap;
+use crate::ids::ThreadId;
+use crate::interp::{compute_units, Action};
 use std::time::Duration;
 
 /// Aggregate statistics for one run.
@@ -64,6 +69,74 @@ impl RunStats {
         self.syncs += other.syncs;
         self.method_entries += other.method_entries;
     }
+}
+
+/// Thread start: `thread_begin`, then, for a thread started by a fork, the
+/// acquire-like hook on its own thread object (the fork → start edge) and a
+/// poll.
+#[inline(always)]
+fn start_thread<C: Checker>(checker: &C, heap: &Heap, t: ThreadId, forked: bool) {
+    checker.thread_begin(t);
+    if forked {
+        checker.sync_acquire(t, heap.thread_obj(t));
+        checker.safe_point(t);
+    }
+}
+
+/// Runs `action` for thread `t` if it is not a synchronization action: its
+/// count, its hook and its heap access. Returns `false`, having counted it,
+/// for a synchronization action, which the engine runs on `sync`.
+#[inline(always)]
+fn perform<C: Checker>(
+    checker: &C,
+    heap: &Heap,
+    stats: &mut RunStats,
+    t: ThreadId,
+    action: Action,
+) -> bool {
+    match action {
+        Action::Enter(m) => {
+            stats.method_entries += 1;
+            checker.enter_method(t, m);
+        }
+        Action::Exit(m) => checker.exit_method(t, m),
+        Action::Read(o, c) => {
+            stats.reads += 1;
+            checker.read(t, o, c);
+            std::hint::black_box(heap.load(o, c));
+        }
+        Action::Write(o, c) => {
+            stats.writes += 1;
+            checker.write(t, o, c);
+            heap.store(o, c, stats.writes);
+        }
+        Action::ArrayRead(o, c) => {
+            stats.array_accesses += 1;
+            checker.array_read(t, o, c);
+            std::hint::black_box(heap.load(o, c));
+        }
+        Action::ArrayWrite(o, c) => {
+            stats.array_accesses += 1;
+            checker.array_write(t, o, c);
+            heap.store(o, c, stats.array_accesses);
+        }
+        Action::Compute(u) => {
+            std::hint::black_box(compute_units(u));
+        }
+        _ => {
+            stats.syncs += 1;
+            return false;
+        }
+    }
+    true
+}
+
+/// Thread exit: release-like on the thread's own object, so a joiner sees a
+/// dependence edge from everything the thread did, then `thread_end`.
+#[inline(always)]
+fn exit_thread<C: Checker>(checker: &C, heap: &Heap, t: ThreadId) {
+    checker.sync_release(t, heap.thread_obj(t));
+    checker.thread_end(t);
 }
 
 #[cfg(test)]
@@ -296,6 +369,41 @@ mod tests {
             // iteration.
             assert_eq!(polls, 101, "{engine}: {log:?}");
         }
+    }
+
+    /// A thread that releases a monitor it never took panics inside the
+    /// run, and the real engine would wait for good on the joiner it leaves
+    /// parked: validation refuses the program before any thread starts,
+    /// under either engine.
+    #[test]
+    fn both_engines_refuse_a_release_of_an_unheld_monitor() {
+        let mut b = ProgramBuilder::new();
+        let lock = b.object(ObjKind::Monitor);
+        let child = ThreadId::from_index(1);
+        let main = b.method("main", vec![Op::Fork(child), Op::Join(child)]);
+        let releaser = b.method("releaser", vec![]);
+        b.thread(main);
+        b.forked_thread(releaser);
+        // `build` validates: give the child its body afterwards.
+        let mut p = b.build().unwrap();
+        p.methods[releaser.index()].body = vec![Op::Release(lock)];
+        let misuse = crate::program::ProgramError::MonitorMisuse {
+            method: releaser,
+            op: Op::Release(lock),
+        };
+        let err = det::run_det(&p, &Recorder::default(), &det::Schedule::random(1));
+        assert_eq!(err.unwrap_err(), det::DetError::Invalid(misuse));
+        let recorder = Recorder::default();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            real::run_real(&p, &recorder)
+        }))
+        .expect_err("run_real refuses the program");
+        let message = panicked
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(message.starts_with("invalid program"), "{message}");
+        assert!(recorder.threads().is_empty(), "no thread started");
     }
 
     #[test]

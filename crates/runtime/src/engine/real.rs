@@ -1,8 +1,8 @@
 //! The real-thread execution engine.
 //!
 //! Spawns one OS thread per program thread and interprets each thread's
-//! action stream, invoking checker hooks at every instrumentation point. The
-//! engine polls [`Checker::safe_point`] where the interpreter's
+//! action stream with the thread lifecycle of [`super`]; this file owns
+//! parking. The engine polls [`Checker::safe_point`] where the interpreter's
 //! [`Step::safe_point`] bit asks for it: after every non-access action and
 //! after the first action past each loop back edge, the places a JVM puts
 //! its yieldpoints (see [`crate::interp`]). Each poll sits between two
@@ -19,13 +19,13 @@
 use crate::checker::Checker;
 use crate::heap::Heap;
 use crate::ids::ThreadId;
-use crate::interp::{compute_units, Action, Step, ThreadInterp};
+use crate::interp::{Action, Step, ThreadInterp};
 use crate::program::{Program, StartMode};
 use parking_lot::{Condvar, Mutex};
 use std::time::Instant;
 
 use super::sync::{acquired, released, SyncState};
-use super::RunStats;
+use super::{exit_thread, perform, start_thread, RunStats};
 
 /// The run's synchronization state, and the condition variable a blocked
 /// thread parks on until its block clears. The mutex is never held across
@@ -44,9 +44,10 @@ struct Parking<'p> {
 ///
 /// # Panics
 ///
-/// Panics on monitor misuse by the program (releasing an unowned monitor,
-/// reentrant acquire) — workload generators must produce well-formed
-/// programs; `Program::validate` catches the statically checkable errors.
+/// Panics with "invalid program", before any thread starts, if `program`
+/// fails `Program::validate` (which refuses, among others, a method body
+/// that releases a monitor it does not hold). Panics inside the run on
+/// monitor misuse validation cannot see, across a call.
 pub fn run_real<C: Checker>(program: &Program, checker: &C) -> RunStats {
     program.validate().expect("invalid program");
     let heap = Heap::new(&program.objects, program.n_threads());
@@ -95,62 +96,22 @@ fn run_thread<C: Checker>(
             parking.changed.wait(&mut state);
         }
     }
-    checker.thread_begin(t);
-    if forked {
-        // Thread start is acquire-like on the thread's own object, forming
-        // the fork → start dependence edge.
-        checker.sync_acquire(t, heap.thread_obj(t));
-        checker.safe_point(t);
-    }
+    start_thread(checker, heap, t, forked);
     let mut stats = RunStats::default();
     let mut interp = ThreadInterp::new(program, entry);
     while let Some(Step { action, safe_point }) = interp.next_action() {
-        match action {
-            Action::Enter(m) => {
-                stats.method_entries += 1;
-                checker.enter_method(t, m);
-            }
-            Action::Exit(m) => checker.exit_method(t, m),
-            Action::Read(o, c) => {
-                stats.reads += 1;
-                checker.read(t, o, c);
-                std::hint::black_box(heap.load(o, c));
-            }
-            Action::Write(o, c) => {
-                stats.writes += 1;
-                checker.write(t, o, c);
-                heap.store(o, c, stats.writes);
-            }
-            Action::ArrayRead(o, c) => {
-                stats.array_accesses += 1;
-                checker.array_read(t, o, c);
-                std::hint::black_box(heap.load(o, c));
-            }
-            Action::ArrayWrite(o, c) => {
-                stats.array_accesses += 1;
-                checker.array_write(t, o, c);
-                heap.store(o, c, stats.array_accesses);
-            }
-            Action::Compute(u) => {
-                std::hint::black_box(compute_units(u));
-            }
-            _ => {
-                stats.syncs += 1;
-                // One out-of-line call that never lends its `Action` out
-                // (`&action`). When it did, the loop copied every `Step`
-                // out of `next_action`'s return slot, and the uninstrumented
-                // loop ran up to 2x slower. Keep the access arms inline.
-                synchronize(parking, checker, heap, t, action);
-            }
+        if !perform(checker, heap, &mut stats, t, action) {
+            // One out-of-line call that never lends its `Action` out
+            // (`&action`). When it did, the loop copied every `Step` out of
+            // `next_action`'s return slot, and the uninstrumented loop ran
+            // up to 2x slower. Keep the access arms inline.
+            synchronize(parking, checker, heap, t, action);
         }
         if safe_point {
             checker.safe_point(t);
         }
     }
-    // Thread exit is release-like on the thread's own object so joiners see
-    // a dependence edge from everything the thread did.
-    checker.sync_release(t, heap.thread_obj(t));
-    checker.thread_end(t);
+    exit_thread(checker, heap, t);
     parking.state.lock().finish(t);
     parking.changed.notify_all();
     stats

@@ -117,6 +117,15 @@ pub enum ProgramError {
     /// A thread is forked but marked [`StartMode::AtRunStart`], or forked
     /// more than once.
     ForkMismatch(ThreadId),
+    /// `op` in `method`'s body acquires a monitor the body already holds
+    /// there (monitors are not reentrant), or releases one it does not
+    /// hold.
+    MonitorMisuse {
+        /// The method whose body misuses the monitor.
+        method: MethodId,
+        /// The offending `Acquire` or `Release`.
+        op: Op,
+    },
 }
 
 impl fmt::Display for ProgramError {
@@ -132,6 +141,14 @@ impl fmt::Display for ProgramError {
                 write!(f, "thread {t:?} starts on fork but is never forked")
             }
             ProgramError::ForkMismatch(t) => write!(f, "thread {t:?} forked inconsistently"),
+            ProgramError::MonitorMisuse { method, op } => {
+                let held = if matches!(op, Op::Acquire(_)) {
+                    "already holds"
+                } else {
+                    "does not hold"
+                };
+                write!(f, "{op:?} in {method:?} names a monitor the method {held}")
+            }
         }
     }
 }
@@ -162,7 +179,8 @@ impl Program {
     }
 
     /// Checks internal consistency: id ranges, call-graph acyclicity, object
-    /// kinds for barrier and array ops, and fork/start-mode agreement.
+    /// kinds for barrier and array ops, fork/start-mode agreement, and each
+    /// method body's own monitor discipline.
     ///
     /// # Errors
     ///
@@ -174,8 +192,9 @@ impl Program {
             }
         }
         let mut forked: Vec<u32> = vec![0; self.threads.len()];
-        for method in &self.methods {
+        for (i, method) in self.methods.iter().enumerate() {
             self.validate_ops(&method.body, &mut forked)?;
+            check_monitors(MethodId::from_index(i), &method.body, &mut Vec::new())?;
         }
         // Fork counts are per static op site; a fork op inside a loop still
         // counts once statically (dynamic double-fork is an engine error).
@@ -316,6 +335,45 @@ impl Program {
             .map(|t| count(self, &self.methods[t.entry.index()].body))
             .sum()
     }
+}
+
+/// Follows `ops`, a part of `method`'s body, from the monitors `held` on
+/// entry: an `Acquire` of a held monitor, or a `Release` of one not held,
+/// is [`ProgramError::MonitorMisuse`]. Each body is checked on its own,
+/// from no monitor held; a call does not change what its caller holds.
+/// `Wait` and `NotifyAll` are not checked: a helper may wait on or notify
+/// a monitor its caller holds.
+fn check_monitors(method: MethodId, ops: &[Op], held: &mut Vec<ObjId>) -> Result<(), ProgramError> {
+    for op in ops {
+        let misuse = match op {
+            Op::Acquire(o) if held.contains(o) => true,
+            Op::Acquire(o) => {
+                held.push(*o);
+                false
+            }
+            Op::Release(o) => {
+                let before = held.len();
+                held.retain(|h| h != o);
+                held.len() == before
+            }
+            // An iteration that changes what is held fails in the next one
+            // (a monitor it takes is taken again, one it gives up is given
+            // up again), so two iterations that pass leave `held` as it was
+            // and every later one passes too.
+            Op::Loop { count, body } => {
+                for _ in 0..(*count).min(2) {
+                    check_monitors(method, body, held)?;
+                }
+                false
+            }
+            _ => false,
+        };
+        if misuse {
+            let op = op.clone();
+            return Err(ProgramError::MonitorMisuse { method, op });
+        }
+    }
+    Ok(())
 }
 
 /// Incremental builder for [`Program`] (C-BUILDER).
@@ -492,6 +550,42 @@ mod tests {
         let p = b.build().unwrap();
         // Each iteration: Call (1) + leaf body (1) + Write (1) = 3; ×3 = 9.
         assert_eq!(p.dynamic_op_count(), 9);
+    }
+
+    #[test]
+    fn rejects_monitor_misuse_along_each_body() {
+        let misuse = |body: Vec<Op>| {
+            let mut b = ProgramBuilder::new();
+            b.object(ObjKind::Monitor);
+            let m = b.method("m", body);
+            b.thread(m);
+            match b.build() {
+                Ok(_) => None,
+                Err(ProgramError::MonitorMisuse { op, .. }) => Some(op),
+                Err(e) => panic!("{e}"),
+            }
+        };
+        let l = ObjId(0);
+        let (acq, rel) = (Op::Acquire(l), Op::Release(l));
+        assert_eq!(misuse(vec![rel.clone()]), Some(rel.clone()));
+        // A helper may wait on or notify its caller's monitor.
+        assert_eq!(misuse(vec![Op::Wait(l), Op::NotifyAll(l)]), None);
+        assert_eq!(misuse(vec![acq.clone(), acq.clone()]), Some(acq.clone()));
+        assert_eq!(
+            misuse(vec![acq.clone(), rel.clone(), rel.clone()]),
+            Some(rel.clone())
+        );
+        let once = |count, body| vec![Op::Loop { count, body }];
+        // A loop that takes the monitor and never gives it up fails on its
+        // second iteration, not its first.
+        assert_eq!(misuse(once(1, vec![acq.clone()])), None);
+        assert_eq!(misuse(once(2, vec![acq.clone()])), Some(acq.clone()));
+        assert_eq!(misuse(once(0, vec![rel.clone()])), None);
+        let balanced = vec![acq.clone(), Op::Wait(l), Op::NotifyAll(l), rel.clone()];
+        assert_eq!(misuse(once(100, balanced)), None);
+        // Released and taken again inside a loop that holds it throughout.
+        let inner = once(5, vec![rel.clone(), acq.clone()]);
+        assert_eq!(misuse([vec![acq.clone()], inner, vec![rel]].concat()), None);
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl TxFilter {
             Some(set) => set.contains(&m),
         }
     }
-
-    /// True if nothing at all would be instrumented.
-    pub fn is_vacuous(&self) -> bool {
-        !self.instrument_unary && self.methods.as_ref().is_some_and(|s| s.is_empty())
-    }
 }
 
 /// What happened at a method-entry event.
@@ -165,12 +160,6 @@ impl TxTracker {
     /// Creates a tracker in non-transactional context.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// True while inside a regular transaction.
-    #[inline]
-    pub fn in_transaction(&self) -> bool {
-        self.tx_root.is_some()
     }
 
     /// The method that rooted the current transaction, if inside one.
@@ -260,10 +249,9 @@ mod tests {
         let spec = AtomicitySpec::all_atomic();
         let mut tx = TxTracker::new();
         assert_eq!(tx.enter(A, &spec), EnterOutcome::BeginTransaction(A));
-        assert!(tx.in_transaction());
         assert_eq!(tx.transaction_method(), Some(A));
         assert_eq!(tx.exit(A), ExitOutcome::EndTransaction(A));
-        assert!(!tx.in_transaction());
+        assert_eq!(tx.transaction_method(), None);
     }
 
     #[test]
@@ -282,7 +270,7 @@ mod tests {
         let spec = AtomicitySpec::excluding([A]);
         let mut tx = TxTracker::new();
         assert_eq!(tx.enter(A, &spec), EnterOutcome::NonTransactional);
-        assert!(!tx.in_transaction());
+        assert_eq!(tx.transaction_method(), None);
         // An atomic callee *does* start a transaction from the excluded
         // caller's non-transactional context.
         assert_eq!(tx.enter(B, &spec), EnterOutcome::BeginTransaction(B));
@@ -298,7 +286,7 @@ mod tests {
         let mut tx = TxTracker::new();
         tx.enter(A, &spec);
         assert_eq!(tx.enter(B, &spec), EnterOutcome::Nested);
-        assert!(tx.in_transaction());
+        assert!(tx.transaction_method().is_some());
         assert_eq!(tx.exit(B), ExitOutcome::Nested);
         assert_eq!(tx.exit(A), ExitOutcome::EndTransaction(A));
     }
@@ -320,7 +308,6 @@ mod tests {
         let f = TxFilter::all();
         assert!(f.covers_method(A));
         assert!(f.instrument_unary);
-        assert!(!f.is_vacuous());
     }
 
     #[test]
@@ -331,12 +318,11 @@ mod tests {
         };
         assert!(f.covers_method(A));
         assert!(!f.covers_method(B));
-        assert!(!f.is_vacuous());
         let empty = TxFilter {
             methods: Some(HashSet::new()),
             instrument_unary: false,
         };
-        assert!(empty.is_vacuous());
+        assert!(!empty.covers_method(A) && !empty.covers_method(B));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 
 use dc_runtime::heap::ObjKind;
 use dc_runtime::ids::{CellId, MethodId, ObjId, ThreadId};
-use dc_runtime::program::{Op, Program, ProgramBuilder, ProgramError};
+use dc_runtime::program::{Op, Program, ProgramBuilder};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Workload size scaling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -199,26 +199,10 @@ pub fn churn(objs: &[ObjId], fields: u16, rounds: u32, work: u32) -> Op {
     repeat(rounds, body)
 }
 
-/// Picks `n` distinct pseudo-random indices below `max`.
-pub fn pick_indices(rng: &mut SmallRng, n: usize, max: usize) -> Vec<usize> {
-    let mut picked = Vec::with_capacity(n);
-    while picked.len() < n.min(max) {
-        let i = rng.gen_range(0..max);
-        if !picked.contains(&i) {
-            picked.push(i);
-        }
-    }
-    picked
-}
-
-/// Validation helper used by the suite tests.
-pub fn check(workload: &Workload) -> Result<(), ProgramError> {
-    workload.program.validate()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn scale_factors_increase() {
@@ -255,24 +239,12 @@ mod tests {
     }
 
     #[test]
-    fn pick_indices_are_distinct_and_bounded() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let picked = pick_indices(&mut rng, 5, 8);
-        assert_eq!(picked.len(), 5);
-        let mut sorted = picked.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 5);
-        assert!(picked.iter().all(|&i| i < 8));
-    }
-
-    #[test]
     fn excluded_methods_are_recorded() {
         let mut wb = WorkloadBuilder::new("t");
         let m = wb.excluded_method("driver", vec![Op::Compute(1)]);
         wb.thread(m);
         let w = wb.build(true);
         assert_eq!(w.extra_exclusions, vec![m]);
-        assert!(check(&w).is_ok());
+        assert_eq!(w.program.validate(), Ok(()));
     }
 }

@@ -3,35 +3,46 @@
 use crate::builder::{Scale, Workload};
 use crate::{dacapo, grande, micro};
 
+/// Builds one benchmark analog at a scale.
+pub type Constructor = fn(Scale) -> Workload;
+
+/// Every benchmark analog: its paper name and its constructor, in the
+/// paper's Table 2 row order. [`all`] and [`by_name`] read this table, and
+/// a front end checks a workload name against it without building anything.
+pub const SUITE: &[(&str, Constructor)] = &[
+    ("eclipse6", dacapo::eclipse6),
+    ("hsqldb6", dacapo::hsqldb6),
+    ("lusearch6", dacapo::lusearch6),
+    ("xalan6", dacapo::xalan6),
+    ("avrora9", dacapo::avrora9),
+    ("jython9", dacapo::jython9),
+    ("luindex9", dacapo::luindex9),
+    ("lusearch9", dacapo::lusearch9),
+    ("pmd9", dacapo::pmd9),
+    ("sunflow9", dacapo::sunflow9),
+    ("xalan9", dacapo::xalan9),
+    ("elevator", micro::elevator),
+    ("hedc", micro::hedc),
+    ("philo", micro::philo),
+    ("sor", micro::sor),
+    ("tsp", micro::tsp),
+    ("moldyn", grande::moldyn),
+    ("montecarlo", grande::montecarlo),
+    ("raytracer", grande::raytracer),
+];
+
 /// Builds every benchmark analog at the given scale, in the paper's Table 2
 /// row order.
 pub fn all(scale: Scale) -> Vec<Workload> {
-    vec![
-        dacapo::eclipse6(scale),
-        dacapo::hsqldb6(scale),
-        dacapo::lusearch6(scale),
-        dacapo::xalan6(scale),
-        dacapo::avrora9(scale),
-        dacapo::jython9(scale),
-        dacapo::luindex9(scale),
-        dacapo::lusearch9(scale),
-        dacapo::pmd9(scale),
-        dacapo::sunflow9(scale),
-        dacapo::xalan9(scale),
-        micro::elevator(scale),
-        micro::hedc(scale),
-        micro::philo(scale),
-        micro::sor(scale),
-        micro::tsp(scale),
-        grande::moldyn(scale),
-        grande::montecarlo(scale),
-        grande::raytracer(scale),
-    ]
+    SUITE.iter().map(|(_, build)| build(scale)).collect()
 }
 
-/// Builds one benchmark by its paper name.
+/// Builds one benchmark by its paper name; only that one.
 pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {
-    all(scale).into_iter().find(|w| w.name == name)
+    SUITE
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build(scale))
 }
 
 #[cfg(test)]
@@ -46,6 +57,20 @@ mod tests {
         assert_eq!(suite[18].name, "raytracer");
         let names: std::collections::HashSet<_> = suite.iter().map(|w| w.name).collect();
         assert_eq!(names.len(), 19, "names are unique");
+        let table: Vec<_> = SUITE.iter().map(|(name, _)| *name).collect();
+        let built: Vec<_> = suite.iter().map(|w| w.name).collect();
+        assert_eq!(table, built, "each row builds the workload it names");
+    }
+
+    #[test]
+    fn every_benchmark_validates_at_every_scale() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Full] {
+            for (name, build) in SUITE {
+                let wl = build(scale);
+                let valid = wl.program.validate();
+                assert_eq!(valid, Ok(()), "{name} at {scale:?}");
+            }
+        }
     }
 
     #[test]
