@@ -13,12 +13,12 @@ use dc_core::{
     ObsLevel, ReportedViolation,
 };
 use dc_octet::CoordinationMode;
-use dc_runtime::engine::det::Schedule;
+use dc_runtime::engine::det::{DetError, Schedule};
 use dc_runtime::ids::MethodId;
 use dc_runtime::program::Program;
 use dc_runtime::spec::AtomicitySpec;
 use dc_runtime::trace::TraceChecker;
-use dc_velodrome::{CycleFilter, Online, OnlineConfig, VViolation, Variant, Velodrome};
+use dc_velodrome::{OnlineConfig, Variant, Velodrome};
 use dc_workloads::suite::SUITE;
 use dc_workloads::{by_name, Scale, Workload};
 use std::fmt::Write as _;
@@ -344,16 +344,6 @@ fn spec_for(wl: &Workload) -> AtomicitySpec {
     dc_core::initial_spec(&wl.program, &wl.extra_exclusions)
 }
 
-fn plan(flags: &Flags) -> Result<ExecPlan, CliError> {
-    match flags.get("engine") {
-        Some("real") if flags.get("seed").is_some() => Err(CliError::Usage(
-            "--seed has no effect with --engine real: the OS schedules real threads".into(),
-        )),
-        Some("real") => Ok(ExecPlan::Real),
-        _ => Ok(ExecPlan::Det(Schedule::random(flags.number("seed", 42)))),
-    }
-}
-
 /// What `check` runs on: a named benchmark workload or an imported history.
 struct CheckTarget {
     program: Program,
@@ -367,11 +357,18 @@ struct CheckTarget {
 fn check_target(flags: &Flags) -> Result<CheckTarget, CliError> {
     let Some(path) = flags.get("history") else {
         let wl = flags.workload()?;
-        let spec = spec_for(&wl);
+        let plan = match (flags.get("engine"), flags.get("seed")) {
+            (Some("real"), Some(_)) => {
+                let why = "--seed has no effect with --engine real: the OS schedules real threads";
+                return Err(CliError::Usage(why.into()));
+            }
+            (Some("real"), None) => ExecPlan::Real,
+            _ => ExecPlan::Det(Schedule::random(flags.number("seed", 42))),
+        };
         return Ok(CheckTarget {
+            spec: spec_for(&wl),
             program: wl.program,
-            spec,
-            plan: plan(flags)?,
+            plan,
             history: None,
         });
     };
@@ -429,13 +426,37 @@ fn resolved_path(path: &str) -> std::path::PathBuf {
 
 fn cmd_check(flags: &Flags) -> Result<String, CliError> {
     let checker = flags.get("checker").unwrap_or("single");
-    let online = matches!(checker, "velodrome" | "velodrome-unsound" | "aerodrome");
-    for flag in FLAGS.iter().filter(|f| online && f.dc_only) {
-        if flags.get(flag.name).is_some() {
-            let name = flag.name;
-            let why = format!("--{name} applies only to DoubleChecker checkers, not {checker}");
-            return Err(CliError::Usage(why));
-        }
+    // The one decode of `--checker`. `Ok` is a DoubleChecker configuration
+    // and whether first runs restrict it (the second run is single-run
+    // limited to what they saw); `Err` is an online checker's variant and
+    // whether AeroDrome's clocks are on. The flag beside it says whether a
+    // history's expected verdict binds the checker: `first-run` never
+    // reports violations and `velodrome-unsound` may legitimately miss them.
+    let dc = |config: fn(CoordinationMode) -> DcConfig, first_runs: bool| Ok((config, first_runs));
+    let (decoded, verdict_binds) = match checker {
+        "single" | "dc" => (dc(DcConfig::single_run, false), true),
+        "first-run" => (dc(DcConfig::first_run, false), false),
+        "second-run" => (dc(DcConfig::single_run, true), true),
+        "pcd-only" => (dc(DcConfig::pcd_only, false), true),
+        "velodrome" => (Err((Variant::Sound, false)), true),
+        "velodrome-unsound" => (Err((Variant::Unsound, false)), false),
+        "aerodrome" => (Err((Variant::Sound, true)), true),
+        _ => unreachable!("checked by Flags::parse"),
+    };
+    let online = decoded.is_err();
+    if let Some(flag) = FLAGS
+        .iter()
+        .find(|f| online && f.dc_only && flags.get(f.name).is_some())
+    {
+        let name = flag.name;
+        let why = format!("--{name} applies only to DoubleChecker checkers, not {checker}");
+        return Err(CliError::Usage(why));
+    }
+    // `--trace-out` needs the trace ring, which only `full` keeps.
+    let trace_out = flags.get("trace-out");
+    if flags.get("obs") == Some("off") && trace_out.is_some() {
+        let why = "--obs off conflicts with --trace-out: the trace is kept only at --obs full";
+        return Err(CliError::Usage(why.into()));
     }
     let CheckTarget {
         program,
@@ -455,77 +476,32 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
         )
         .ok();
     }
-    let found_violation = match checker {
-        "velodrome" | "velodrome-unsound" | "aerodrome" => {
-            let config = OnlineConfig {
-                variant: if checker == "velodrome-unsound" {
-                    Variant::Unsound
-                } else {
-                    Variant::Sound
-                },
-                ..OnlineConfig::default()
-            };
-            let n = program.threads.len();
-            let (violations, cross_edges, joins) = if checker == "aerodrome" {
-                let a = AeroDrome::new(n, spec, config);
-                let (violations, cross_edges) = run_online(&program, &a, &plan)?;
-                let joins = (a.clock_joins(), a.propagated_joins());
-                (violations, cross_edges, Some(joins))
-            } else {
-                let v = Velodrome::new(n, spec, config);
-                let (violations, cross_edges) = run_online(&program, &v, &plan)?;
-                (violations, cross_edges, None)
-            };
-            for v in &violations {
-                let cycle = v.cycle.iter().map(|(_, k)| k.method());
-                describe_violation(&mut out, &program, cycle, &v.blamed_methods);
-            }
-            write!(
-                out,
-                "{checker}: {} violation(s), {cross_edges} cross edges",
-                violations.len()
-            )
-            .ok();
-            if let Some((joins, propagated)) = joins {
-                write!(out, ", {joins} clock joins ({propagated} propagated)").ok();
-            }
-            writeln!(out).ok();
-            !violations.is_empty()
-        }
-        _ => {
-            let coordination = plan.coordination();
-            let config = match checker {
-                "single" | "dc" => DcConfig::single_run(coordination),
-                "first-run" => DcConfig::first_run(coordination),
-                "second-run" => {
-                    // Derive static info from a handful of first runs. A
-                    // history has exactly one meaningful interleaving, so
-                    // its first run replays the same scripted plan.
-                    let first_plans: Vec<ExecPlan> = if history.is_some() {
-                        vec![plan.clone()]
-                    } else {
-                        (0..4u64)
-                            .map(|s| ExecPlan::Det(Schedule::random(s)))
-                            .collect()
-                    };
-                    let (_, info) = run_first_runs(&program, &spec, &first_plans)
-                        .map_err(|e| CliError::Failed(e.to_string()))?;
-                    DcConfig::second_run(&info, coordination)
-                }
-                // `pcd-only`, the one value `Flags::parse` lets through.
-                _ => DcConfig::pcd_only(coordination),
-            };
-            // `--trace-out` needs the trace ring, which only `full` keeps.
-            let trace_out = flags.get("trace-out");
+    let failed = |e: DetError| CliError::Failed(e.to_string());
+    // Each checker's violations, as cycle and blamed methods, and the counts
+    // its summary line ends with.
+    let (violations, counts): (Vec<(Vec<_>, Vec<_>)>, String) = match decoded {
+        Ok((config, first_runs)) => {
             let level = match (flags.get("obs"), trace_out) {
                 (Some("full"), _) | (_, Some(_)) => ObsLevel::Full,
                 _ => ObsLevel::Off,
             };
-            let config = config
+            let mut config = config(plan.coordination())
                 .with_barrier_cache(flags.get("barrier-cache") != Some("off"))
                 .with_observability(level);
-            let report = run_doublechecker(&program, &spec, config, &plan)
-                .map_err(|e| CliError::Failed(e.to_string()))?;
+            if first_runs {
+                // A history has exactly one meaningful interleaving, so
+                // its first run replays the same scripted plan.
+                let first_plans: Vec<ExecPlan> = if history.is_some() {
+                    vec![plan.clone()]
+                } else {
+                    (0..4u64)
+                        .map(|s| ExecPlan::Det(Schedule::random(s)))
+                        .collect()
+                };
+                let (_, info) = run_first_runs(&program, &spec, &first_plans).map_err(failed)?;
+                config.filter = info.to_filter();
+            }
+            let report = run_doublechecker(&program, &spec, config, &plan).map_err(failed)?;
             if let Some(path) = flags.get("stats-json") {
                 let doc = stats_to_json(report.stats, &report.pipeline);
                 std::fs::write(path, format!("{doc}\n"))
@@ -544,7 +520,7 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
                 writeln!(
                     out,
                     "obs: level {}, {} SCCs detected ({} probes skipped as trivial), \
-                     {} replays, {} violations, {} trace events",
+                 {} replays, {} violations, {} trace events",
                     p.level.as_str(),
                     s.icd_sccs,
                     p.graph.sccs_skipped_trivial,
@@ -554,16 +530,9 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
                 )
                 .ok();
             }
-            for v in &report.violations {
-                let cycle = v.cycle.iter().map(|m| m.kind.method());
-                describe_violation(&mut out, &program, cycle, &v.blamed_methods());
-            }
-            writeln!(
-                out,
-                "{}: {} violation(s); {} regular tx, {} unary tx, {} accesses, \
-                 {} IDG edges, {} SCCs ({} to PCD), {} log entries, {} graph locks",
-                checker,
-                report.violations.len(),
+            let counts = format!(
+                "; {} regular tx, {} unary tx, {} accesses, {} IDG edges, \
+                 {} SCCs ({} to PCD), {} log entries, {} graph locks",
                 s.regular_txs,
                 s.unary_txs,
                 s.regular_accesses + s.unary_accesses,
@@ -572,15 +541,48 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
                 s.sccs_to_pcd,
                 s.log_entries,
                 s.graph_locks,
-            )
-            .ok();
-            !report.violations.is_empty()
+            );
+            let cycles = report.violations.iter().map(|v| {
+                let cycle = v.cycle.iter().map(|m| m.kind.method()).collect();
+                (cycle, v.blamed_methods())
+            });
+            (cycles.collect(), counts)
+        }
+        Err((variant, clocks)) => {
+            let config = OnlineConfig {
+                variant,
+                ..OnlineConfig::default()
+            };
+            let n = program.threads.len();
+            let (violations, counts) = if clocks {
+                let a = AeroDrome::new(n, spec, config);
+                plan.run(&program, &a).map_err(failed)?;
+                let (edges, joins) = (a.cross_edges(), a.clock_joins());
+                let propagated = a.propagated_joins();
+                let counts =
+                    format!(", {edges} cross edges, {joins} clock joins ({propagated} propagated)");
+                (a.violations(), counts)
+            } else {
+                let v = Velodrome::new(n, spec, config);
+                plan.run(&program, &v).map_err(failed)?;
+                (v.violations(), format!(", {} cross edges", v.cross_edges()))
+            };
+            let cycles = violations.into_iter().map(|v| {
+                let cycle = v.cycle.iter().map(|(_, k)| k.method()).collect();
+                (cycle, v.blamed_methods)
+            });
+            (cycles.collect(), counts)
         }
     };
-    // `first-run` never reports violations and `velodrome-unsound` may
-    // legitimately miss them, so the expected verdict binds every other
-    // checker only.
-    let verdict_binds = !matches!(checker, "first-run" | "velodrome-unsound");
+    let name = |m: Option<MethodId>| m.map_or("<non-transactional>", |m| program.method_name(m));
+    for (cycle, blamed) in &violations {
+        let cycle: Vec<&str> = cycle.iter().map(|&m| name(m)).collect();
+        let blamed: Vec<&str> = blamed.iter().map(|&m| name(Some(m))).collect();
+        let (cycle, blamed) = (cycle.join(", "), blamed.join(", "));
+        writeln!(out, "violation: cycle through [{cycle}], blamed [{blamed}]").ok();
+    }
+    writeln!(out, "{checker}: {} violation(s){counts}", violations.len()).ok();
+    let found_violation = !violations.is_empty();
     if let Some(expected) = history
         .as_ref()
         .and_then(|h| h.expected)
@@ -601,37 +603,6 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
         writeln!(out, "expected verdict: {} — matched", expected.as_str()).ok();
     }
     Ok(out)
-}
-
-/// Runs an online checker under the plan: its violations and cross edges.
-fn run_online<C: CycleFilter>(
-    program: &Program,
-    checker: &Online<C>,
-    plan: &ExecPlan,
-) -> Result<(Vec<VViolation>, u64), CliError> {
-    plan.run(program, checker)
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    Ok((checker.violations(), checker.cross_edges()))
-}
-
-/// One `violation:` line, for any checker: the methods of the cycle's
-/// transactions (`None` for a unary one) and the blamed methods.
-fn describe_violation(
-    out: &mut String,
-    program: &Program,
-    cycle: impl Iterator<Item = Option<MethodId>>,
-    blamed: &[MethodId],
-) {
-    let name = |m: Option<MethodId>| m.map_or("<non-transactional>", |m| program.method_name(m));
-    let cycle: Vec<&str> = cycle.map(name).collect();
-    let blamed: Vec<&str> = blamed.iter().map(|&m| name(Some(m))).collect();
-    writeln!(
-        out,
-        "violation: cycle through [{}], blamed [{}]",
-        cycle.join(", "),
-        blamed.join(", ")
-    )
-    .ok();
 }
 
 fn cmd_refine(flags: &Flags) -> Result<String, CliError> {
@@ -1035,6 +1006,21 @@ mod tests {
             );
             assert!(!path.exists(), "{other}: the run did not start");
         }
+        // `--obs off` would drop the trace: refused before the target is
+        // read (the missing history is never reached), so nothing is
+        // written. `--obs full` is what `--trace-out` implies.
+        for target in ["--workload tsp --seed 5", "--history /nonexistent/h.json"] {
+            let cmd = format!("check {target} --obs off --trace-out {path_str}");
+            let err = run(&argv(&cmd)).unwrap_err();
+            let expected =
+                "--obs off conflicts with --trace-out: the trace is kept only at --obs full";
+            assert_eq!(err, CliError::Usage(expected.into()), "{cmd}");
+            assert!(!path.exists(), "{cmd}: the run did not start");
+        }
+        let cmd = format!("check --workload tsp --seed 3 --obs full --trace-out {path_str}");
+        assert!(run(&argv(&cmd)).unwrap().contains("obs: level full"));
+        assert!(!std::fs::read_to_string(&path).unwrap().is_empty());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
