@@ -36,6 +36,7 @@
 //! variant, so callers (the CLI, tests) can assert on the failure class
 //! rather than on message text.
 
+use serde_json::{Cursor, Tape};
 use std::fmt;
 
 /// Maximum number of sessions an imported history may have. Sessions become
@@ -219,25 +220,35 @@ impl History {
 
     /// Parses and validates a version-1 history document.
     ///
+    /// The document is read once into a [`Tape`] whose strings borrow from
+    /// `text`, then walked in place: no JSON value tree is built, and an
+    /// error's context is formatted only when a check fails.
+    ///
     /// # Errors
     ///
     /// Returns the [`HistoryError`] class describing the first problem
-    /// found: JSON syntax, format/version mismatch, structural schema
-    /// violations, or duplicate transaction ids. Value-level validation
+    /// found, in this order: the input size, JSON syntax anywhere in the
+    /// document, the top-level members and limits, then per transaction its
+    /// `id` (duplicates included) and `events`, per event its `key`,
+    /// `value` and `op`, and last `name` and `anomaly`. Value-level validation
     /// (reads-from resolution) happens in [`crate::lower::lower`], which
     /// sees generated histories too.
     pub fn parse(text: &str) -> Result<History, HistoryError> {
         if text.len() > MAX_INPUT_BYTES {
             return Err(HistoryError::InputTooLarge { bytes: text.len() });
         }
-        let doc = serde_json::from_str(text).map_err(|e| HistoryError::Json {
+        let tape = Tape::parse(text).map_err(|e| HistoryError::Json {
             message: e.message,
             offset: e.offset,
         })?;
-        let obj = doc
-            .as_object()
-            .ok_or_else(|| HistoryError::schema("top level must be an object"))?;
-        match obj.get("format").and_then(|v| v.as_str()) {
+        let [format, version, expected, sessions_doc, name, anomaly] = members(
+            tape.root(),
+            [
+                "format", "version", "expected", "sessions", "name", "anomaly",
+            ],
+        )
+        .ok_or_else(|| HistoryError::schema("top level must be an object"))?;
+        match format.and_then(|v| v.as_str()) {
             Some(FORMAT_TAG) => {}
             Some(other) => {
                 return Err(HistoryError::schema(format!(
@@ -246,36 +257,23 @@ impl History {
             }
             None => return Err(HistoryError::schema("missing string member 'format'")),
         }
-        let version = obj
-            .get("version")
+        let version = version
             .and_then(|v| v.as_u64())
             .ok_or_else(|| HistoryError::schema("missing integer member 'version'"))?;
         if version != SCHEMA_VERSION {
             return Err(HistoryError::UnknownVersion { found: version });
         }
-        let opt_string = |key: &str| -> Result<Option<String>, HistoryError> {
-            match obj.get(key) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_str()
-                    .map(|s| Some(s.to_string()))
-                    .ok_or_else(|| HistoryError::schema(format!("'{key}' must be a string"))),
+        let expected = match expected.map(|v| v.as_str()) {
+            None => None,
+            Some(Some("serializable")) => Some(Expected::Serializable),
+            Some(Some("violation")) => Some(Expected::Violation),
+            Some(_) => {
+                return Err(HistoryError::schema(
+                    "'expected' must be \"serializable\" or \"violation\"",
+                ))
             }
         };
-        let expected = match obj.get("expected") {
-            None => None,
-            Some(v) => match v.as_str() {
-                Some("serializable") => Some(Expected::Serializable),
-                Some("violation") => Some(Expected::Violation),
-                _ => {
-                    return Err(HistoryError::schema(
-                        "'expected' must be \"serializable\" or \"violation\"",
-                    ))
-                }
-            },
-        };
-        let sessions_doc = obj
-            .get("sessions")
+        let sessions_doc = sessions_doc
             .and_then(|v| v.as_array())
             .ok_or_else(|| HistoryError::schema("missing array member 'sessions'"))?;
         if sessions_doc.len() > MAX_SESSIONS {
@@ -285,7 +283,7 @@ impl History {
         }
         let mut sessions = Vec::with_capacity(sessions_doc.len());
         let mut seen_ids = std::collections::HashSet::new();
-        for (si, session_doc) in sessions_doc.iter().enumerate() {
+        for (si, session_doc) in sessions_doc.enumerate() {
             let txs_doc = session_doc.as_array().ok_or_else(|| {
                 HistoryError::schema(format!("session {si} must be an array of transactions"))
             })?;
@@ -296,22 +294,19 @@ impl History {
                 });
             }
             let mut session = Vec::with_capacity(txs_doc.len());
-            for (ti, tx_doc) in txs_doc.iter().enumerate() {
-                let at = format!("session {si}, transaction {ti}");
-                let tx_obj = tx_doc
-                    .as_object()
-                    .ok_or_else(|| HistoryError::schema(format!("{at}: must be an object")))?;
-                let id = tx_obj
-                    .get("id")
-                    .and_then(|v| v.as_u64())
-                    .ok_or_else(|| HistoryError::schema(format!("{at}: missing integer 'id'")))?;
+            for (ti, tx_doc) in txs_doc.enumerate() {
+                let at = || format!("session {si}, transaction {ti}");
+                let [id, events_doc] = members(tx_doc, ["id", "events"])
+                    .ok_or_else(|| HistoryError::schema(format!("{}: must be an object", at())))?;
+                let id = id.and_then(|v| v.as_u64()).ok_or_else(|| {
+                    HistoryError::schema(format!("{}: missing integer 'id'", at()))
+                })?;
                 if !seen_ids.insert(id) {
                     return Err(HistoryError::DuplicateTxId { id });
                 }
-                let events_doc = tx_obj
-                    .get("events")
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| HistoryError::schema(format!("{at}: missing array 'events'")))?;
+                let events_doc = events_doc.and_then(|v| v.as_array()).ok_or_else(|| {
+                    HistoryError::schema(format!("{}: missing array 'events'", at()))
+                })?;
                 if events_doc.len() > MAX_EVENTS_PER_TX {
                     return Err(HistoryError::TooManyEvents {
                         id,
@@ -319,34 +314,27 @@ impl History {
                     });
                 }
                 let mut events = Vec::with_capacity(events_doc.len());
-                for (ei, ev_doc) in events_doc.iter().enumerate() {
-                    let at = format!("{at}, event {ei}");
-                    let ev_obj = ev_doc
-                        .as_object()
-                        .ok_or_else(|| HistoryError::schema(format!("{at}: must be an object")))?;
-                    let key = match ev_obj.get("key") {
-                        Some(serde_json::Value::String(s)) => s.clone(),
-                        // dbcop uses integer variables; accept them as keys.
-                        Some(v) => v
-                            .as_u64()
-                            .map(|n| n.to_string())
-                            .ok_or_else(|| HistoryError::schema(format!("{at}: bad 'key'")))?,
-                        None => return Err(HistoryError::schema(format!("{at}: missing 'key'"))),
+                for (ei, ev_doc) in events_doc.enumerate() {
+                    let fail =
+                        |what: &str| HistoryError::schema(format!("{}, event {ei}: {what}", at()));
+                    let [key, value, op] = members(ev_doc, ["key", "value", "op"])
+                        .ok_or_else(|| fail("must be an object"))?;
+                    let key = match key {
+                        Some(v) => match (v.as_str(), v.as_u64()) {
+                            (Some(s), _) => s.to_string(),
+                            // dbcop uses integer variables; accept them as keys.
+                            (None, Some(n)) => n.to_string(),
+                            (None, None) => return Err(fail("bad 'key'")),
+                        },
+                        None => return Err(fail("missing 'key'")),
                     };
-                    let value = ev_obj
-                        .get("value")
+                    let value = value
                         .and_then(|v| v.as_u64())
-                        .ok_or_else(|| {
-                            HistoryError::schema(format!("{at}: missing integer 'value'"))
-                        })?;
-                    let event = match ev_obj.get("op").and_then(|v| v.as_str()) {
+                        .ok_or_else(|| fail("missing integer 'value'"))?;
+                    let event = match op.and_then(|v| v.as_str()) {
                         Some("r") | Some("read") => Event::Read { key, value },
                         Some("w") | Some("write") => Event::Write { key, value },
-                        _ => {
-                            return Err(HistoryError::schema(format!(
-                                "{at}: 'op' must be \"r\" or \"w\""
-                            )))
-                        }
+                        _ => return Err(fail("'op' must be \"r\" or \"w\"")),
                     };
                     events.push(event);
                 }
@@ -354,13 +342,35 @@ impl History {
             }
             sessions.push(session);
         }
+        let opt_string = |key: &str, v: Option<Cursor>| match v {
+            None => Ok(None),
+            Some(v) => v
+                .as_str()
+                .map(|s| Some(s.to_string()))
+                .ok_or_else(|| HistoryError::schema(format!("'{key}' must be a string"))),
+        };
         Ok(History {
-            name: opt_string("name")?,
-            anomaly: opt_string("anomaly")?,
+            name: opt_string("name", name)?,
+            anomaly: opt_string("anomaly", anomaly)?,
             expected,
             sessions,
         })
     }
+}
+
+/// The members of `object` named by `keys`, found in one pass (of duplicate
+/// keys the last wins), or `None` if it is not an object.
+fn members<'t, 'a, const N: usize>(
+    object: Cursor<'t, 'a>,
+    keys: [&str; N],
+) -> Option<[Option<Cursor<'t, 'a>>; N]> {
+    let mut found = [None; N];
+    for (key, value) in object.as_object()? {
+        if let Some(i) = keys.iter().position(|k| *k == key) {
+            found[i] = Some(value);
+        }
+    }
+    Some(found)
 }
 
 /// Everything that can be wrong with a history file or its semantics.
@@ -571,6 +581,19 @@ mod tests {
         assert_eq!(
             History::parse(&text),
             Err(HistoryError::DuplicateTxId { id: 1 })
+        );
+    }
+
+    #[test]
+    fn of_duplicate_members_the_last_wins() {
+        let text = lost_update_json().replace("\"id\": 1,", "\"id\": \"one\", \"id\": 3,");
+        assert_eq!(History::parse(&text).unwrap().sessions[0][0].id, 3);
+        let text = lost_update_json().replace("\"id\": 1,", "\"id\": 3, \"id\": \"one\",");
+        assert_eq!(
+            History::parse(&text),
+            Err(HistoryError::schema(
+                "session 0, transaction 0: missing integer 'id'"
+            ))
         );
     }
 
