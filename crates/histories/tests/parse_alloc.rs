@@ -1,8 +1,9 @@
-//! `History::parse` allocates per event and per transaction of the result,
-//! not per JSON value: the document is walked in place, so what remains is
-//! each event's key, each transaction's event list and a few growing
-//! buffers. (The counting allocator is this test binary's global
-//! allocator, so the test has a file of its own.)
+//! `History::parse` allocates per distinct key and per transaction of the
+//! result, not per event or JSON value: the document is walked in place and
+//! each key is interned once, so what remains is each key's name in the key
+//! table, each transaction's event list and a few growing buffers. (The
+//! counting allocator is this test binary's global allocator, so the test
+//! has a file of its own.)
 
 use dc_histories::{generate, AnomalyMode, GenHistoryParams, History};
 
@@ -11,7 +12,7 @@ mod counting_alloc;
 use counting_alloc::allocations;
 
 #[test]
-fn parse_allocates_per_event_and_transaction_not_per_json_value() {
+fn parse_allocates_per_key_and_transaction_not_per_event_or_json_value() {
     for mode in AnomalyMode::ALL {
         // The shape of one `history_batch` document.
         let text = generate(&GenHistoryParams {
@@ -27,11 +28,11 @@ fn parse_allocates_per_event_and_transaction_not_per_json_value() {
         let before = allocations();
         let history = History::parse(&text).unwrap();
         let calls = allocations() - before;
-        let (events, txs) = (history.event_count(), history.transaction_count());
-        let bound = events + 2 * txs + 32;
+        let (keys, txs) = (history.keys().len(), history.transaction_count());
+        let bound = keys + 2 * txs + 32;
         assert!(
             calls <= bound as u64,
-            "{}: {calls} allocator calls for {events} events in {txs} transactions \
+            "{}: {calls} allocator calls for {keys} distinct keys in {txs} transactions \
              (bound {bound})",
             mode.as_str()
         );

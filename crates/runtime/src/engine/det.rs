@@ -196,12 +196,16 @@ pub fn run_det<C: Checker>(
         _ => (1, n.saturating_sub(1)),
     };
     let mut rr_left = 0u32;
+    // Refilled before every step, so a step allocates nothing.
+    let mut runnable: Vec<ThreadId> = Vec::with_capacity(n);
 
     loop {
-        let runnable: Vec<ThreadId> = (0..n)
-            .map(ThreadId::from_index)
-            .filter(|&t| world.sync.runnable(t))
-            .collect();
+        runnable.clear();
+        runnable.extend(
+            (0..n)
+                .map(ThreadId::from_index)
+                .filter(|&t| world.sync.runnable(t)),
+        );
         if runnable.is_empty() {
             if world.sync.all_finished() {
                 break;
