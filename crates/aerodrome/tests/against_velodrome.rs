@@ -129,7 +129,7 @@ fn matches_velodrome_bit_for_bit_on_deterministic_runs() {
     };
     let second_run = OnlineConfig {
         filter: TxFilter {
-            methods: Some(std::collections::HashSet::new()),
+            methods: Some(std::collections::BTreeSet::new()),
             instrument_unary: false,
         },
         ..OnlineConfig::default()

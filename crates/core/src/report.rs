@@ -8,7 +8,7 @@ use dc_pcd::ReplayStats;
 use dc_runtime::ids::MethodId;
 use dc_runtime::spec::TxFilter;
 use serde_json::Value;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Aggregated statistics of one DoubleChecker run (the Table 3 columns plus
 /// analysis internals).
@@ -134,7 +134,7 @@ pub fn trace_event_to_json(e: &TraceEvent) -> Value {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StaticTxInfo {
     /// Methods rooting regular transactions seen in imprecise cycles.
-    pub methods: HashSet<MethodId>,
+    pub methods: BTreeSet<MethodId>,
     /// True if any unary transaction participated in any imprecise cycle.
     pub any_unary: bool,
 }
@@ -169,10 +169,9 @@ impl StaticTxInfo {
     }
 
     /// Serializes to the JSON text passed between multi-run mode's runs.
-    /// Method ids are emitted sorted so the output is deterministic.
+    /// Method ids are emitted in ascending order.
     pub fn to_json(&self) -> String {
-        let mut methods: Vec<u32> = self.methods.iter().map(|m| m.0).collect();
-        methods.sort_unstable();
+        let methods: Vec<u32> = self.methods.iter().map(|m| m.0).collect();
         serde_json::json!({
             "methods": methods,
             "any_unary": self.any_unary,
@@ -193,7 +192,7 @@ impl StaticTxInfo {
                 let raw = v.as_u64().ok_or("non-integer method id")?;
                 u32::try_from(raw).map(MethodId).map_err(|e| e.to_string())
             })
-            .collect::<Result<HashSet<MethodId>, String>>()?;
+            .collect::<Result<BTreeSet<MethodId>, String>>()?;
         let any_unary = obj
             .get("any_unary")
             .and_then(Value::as_bool)

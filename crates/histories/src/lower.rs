@@ -22,16 +22,31 @@
 //!   replays precisely the access order whose reads-from relation matches
 //!   the file.
 //!
+//! # Versions
+//!
+//! Write values are unique and nonzero per key, so each read names exactly
+//! one write (or the initial state, for value 0). `lower` numbers those
+//! *versions* once: version `k` is key `k`'s initial state and version
+//! `keys + w` is the `w`-th write in document order. The one hash table,
+//! from `(key, value)` to version, is filled by a first pass over the
+//! writes (which rejects duplicate and zero values); a second pass resolves
+//! each read to its version, counts each version's readers, builds the
+//! method bodies and records each event's *step position*: the index of its
+//! action in its thread's step stream. The deterministic engine charges
+//! one scheduled step per action, and that stream is fixed by program
+//! order: `Enter(entry)` (fused with thread start), then per transaction
+//! `Enter(tx)`, its events and `Exit(tx)`, then `Exit(entry)` and one last
+//! step for thread end.
+//!
 //! # Greedy serialization
 //!
-//! We scan session cursors from index 0 and repeatedly schedule the first
-//! session whose next event is *enabled*:
+//! We scan sessions from index 0 and repeatedly place the next event of the
+//! first session whose next event is *enabled*:
 //!
-//! * a read `r(k, v)` is enabled iff the current value of `k` is `v`;
-//! * a write `w(k, v)` is enabled iff **no** unscheduled read anywhere still
-//!   needs the *current* value of `k` (otherwise the write would destroy a
-//!   value some read has yet to observe — writes wait behind their
-//!   anti-dependencies).
+//! * a read is enabled iff its key currently holds the version it saw;
+//! * a write is enabled iff **no** unplaced read still sees the key's
+//!   current version (otherwise the write would destroy a version some read
+//!   has yet to observe — writes wait behind their anti-dependencies).
 //!
 //! Scanning from index 0 every step makes the result deterministic. If no
 //! session's next event is enabled the history is rejected as
@@ -43,16 +58,24 @@
 //! and replay fine; see DESIGN.md "History import" for the argument and the
 //! limits).
 //!
-//! Each scan either places one event or ends in that rejection, so a
-//! history of `n` events over `s` sessions costs at most `n × s` probes
-//! (`s` ≤ 64): the serializer needs no step budget to terminate.
+//! Placing an event appends its thread's steps up to and including the
+//! event's step position to the script; once every event is placed, each
+//! thread's remaining steps follow, in thread order. Delaying an `Exit`
+//! never changes transaction membership or the access order, so the
+//! conflict graphs are unaffected.
+//!
+//! Each scan compares versions in two dense vectors (the current version of
+//! each key, the unplaced readers of each version) and either places one
+//! event or ends in that rejection, so a history of `n` events over `s`
+//! sessions costs at most `n × s` probes (`s` ≤ 64), none of them hashed:
+//! the serializer needs no step budget to terminate.
 
 use crate::schema::{Event, History, HistoryError, KeyId, MAX_KEYS};
 use dc_runtime::engine::det::Schedule;
 use dc_runtime::ids::{MethodId, ObjId, ThreadId};
 use dc_runtime::program::{Op, Program, ProgramBuilder};
 use dc_runtime::spec::AtomicitySpec;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 /// A history lowered onto the workload IR, ready for any checker.
 #[derive(Clone, Debug)]
@@ -69,136 +92,24 @@ pub struct Lowered {
     pub tx_methods: Vec<Vec<MethodId>>,
 }
 
-/// Validates the value conventions: unique nonzero write values per key and
-/// every nonzero read explained by some write.
-fn validate_values(history: &History) -> Result<(), HistoryError> {
-    if history.event_count() == 0 {
-        return Err(HistoryError::EmptyHistory);
-    }
-    let mut written: HashSet<(KeyId, u64)> = HashSet::new();
-    let events = || history.sessions.iter().flatten().flat_map(|tx| &tx.events);
-    for ev in events() {
-        if let Event::Write { key, value } = *ev {
-            if value == 0 || !written.insert((key, value)) {
-                return Err(HistoryError::DuplicateWriteValue {
-                    key: history.key_name(key).to_string(),
-                    value,
-                });
-            }
-        }
-    }
-    for ev in events() {
-        if let Event::Read { key, value } = *ev {
-            if value != 0 && !written.contains(&(key, value)) {
-                return Err(HistoryError::ReadOfUnwritten {
-                    key: history.key_name(key).to_string(),
-                    value,
-                });
-            }
-        }
-    }
-    Ok(())
+/// An event resolved for the serializer.
+struct Resolved {
+    key: usize,
+    /// The version a read saw, or the version a write makes.
+    version: usize,
+    write: bool,
+    /// The event's position in its thread's step stream.
+    step: usize,
 }
 
-/// Greedy deterministic serialization over per-session flattened event
-/// streams of a history with `keys` keys. Returns, per step, the session
-/// that ran its next event.
-fn serialize_events(streams: &[Vec<&Event>], keys: usize) -> Result<Vec<usize>, HistoryError> {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut cursors = vec![0usize; streams.len()];
-    // The current value of each key.
-    let mut current = vec![0u64; keys];
-    // How many *unscheduled* reads still need (key, value).
-    let mut pending_reads: HashMap<(KeyId, u64), u32> = HashMap::new();
-    for ev in streams.iter().flatten() {
-        if let Event::Read { key, value } = **ev {
-            *pending_reads.entry((key, value)).or_insert(0) += 1;
-        }
-    }
-    let mut order = Vec::with_capacity(total);
-    while order.len() < total {
-        let mut progressed = false;
-        for (si, stream) in streams.iter().enumerate() {
-            let Some(ev) = stream.get(cursors[si]) else {
-                continue;
-            };
-            let now = current[ev.key().index()];
-            let enabled = match **ev {
-                Event::Read { value, .. } => now == value,
-                Event::Write { key, .. } => {
-                    pending_reads.get(&(key, now)).copied().unwrap_or(0) == 0
-                }
-            };
-            if !enabled {
-                continue;
-            }
-            match **ev {
-                Event::Read { key, value } => {
-                    *pending_reads.get_mut(&(key, value)).unwrap() -= 1;
-                }
-                Event::Write { key, value } => current[key.index()] = value,
-            }
-            cursors[si] += 1;
-            order.push(si);
-            progressed = true;
-            break;
-        }
-        if !progressed {
-            return Err(HistoryError::Unrealizable {
-                placed: order.len(),
-                total,
-            });
-        }
-    }
-    Ok(order)
-}
-
-/// Builds the scripted schedule from the serialized event order.
-///
-/// The deterministic engine charges one scheduled step per action, and a
-/// thread's action stream here is fixed by program order: `Enter(entry)`
-/// (fused with thread start), then per called transaction `Enter(tx)`, its
-/// events, `Exit(tx)`, then `Exit(entry)`, then one final step for thread
-/// end. Only the *event* steps carry an inter-session ordering obligation;
-/// the enter/exit/end steps are fillers, emitted lazily just before the
-/// thread's next event (a thread's trailing fillers are flushed in thread
-/// order at the end — delaying an `Exit` never changes transaction
-/// membership or the access order, so the conflict graphs are unaffected).
-fn build_script(history: &History, order: &[usize]) -> Vec<ThreadId> {
-    // Per-thread token queue; `true` = an event step (consumes one entry of
-    // `order`), `false` = a filler step.
-    let mut tokens: Vec<VecDeque<bool>> = history
-        .sessions
-        .iter()
-        .map(|session| {
-            let mut q = VecDeque::new();
-            q.push_back(false); // Enter(entry), fused with thread start.
-            for tx in session {
-                q.push_back(false); // Enter(tx).
-                q.extend(tx.events.iter().map(|_| true));
-                q.push_back(false); // Exit(tx).
-            }
-            q.push_back(false); // Exit(entry).
-            q.push_back(false); // Thread-end step.
-            q
-        })
-        .collect();
-    let mut script = Vec::new();
-    for &si in order {
-        // Flush fillers up to and including this thread's next event token.
-        while let Some(is_event) = tokens[si].pop_front() {
-            script.push(ThreadId::from_index(si));
-            if is_event {
-                break;
-            }
-        }
-    }
-    for (si, queue) in tokens.iter_mut().enumerate() {
-        while queue.pop_front().is_some() {
-            script.push(ThreadId::from_index(si));
-        }
-    }
-    script
+/// A session's place in the serializer: its unplaced events are
+/// `next..end` of the resolved stream, and `emitted` of its `steps` steps
+/// are in the script.
+struct Cursor {
+    next: usize,
+    end: usize,
+    emitted: usize,
+    steps: usize,
 }
 
 /// Lowers a validated history onto the workload IR.
@@ -212,40 +123,76 @@ fn build_script(history: &History, order: &[usize]) -> Vec<ThreadId> {
 /// keys; any other structurally valid history with explainable values
 /// lowers to a valid program.
 pub fn lower(history: &History) -> Result<Lowered, HistoryError> {
-    validate_values(history)?;
-    let streams: Vec<Vec<&Event>> = history
-        .sessions
-        .iter()
-        .map(|session| session.iter().flat_map(|tx| tx.events.iter()).collect())
-        .collect();
+    let total = history.event_count();
+    if total == 0 {
+        return Err(HistoryError::EmptyHistory);
+    }
     let keys = history.keys().len();
-    let order = serialize_events(&streams, keys)?;
-    let script = build_script(history, &order);
-    if keys > MAX_KEYS {
-        return Err(HistoryError::TooManyKeys { keys });
+    let name = |key: KeyId| history.key_name(key).to_string();
+
+    // The writes pass: version `keys + w` is the `w`-th write.
+    let mut versions: HashMap<(KeyId, u64), usize> = HashMap::new();
+    for ev in history.sessions.iter().flatten().flat_map(|tx| &tx.events) {
+        if let Event::Write { key, value } = *ev {
+            let version = keys + versions.len();
+            if value == 0 || versions.insert((key, value), version).is_some() {
+                return Err(HistoryError::DuplicateWriteValue {
+                    key: name(key),
+                    value,
+                });
+            }
+        }
     }
 
+    // The main pass: resolve reads, count readers, record step positions
+    // and build the method bodies.
+    let mut readers = vec![0u32; keys + versions.len()];
+    let mut next_write = keys;
+    let mut resolved = Vec::with_capacity(total);
+    let mut cursors = Vec::with_capacity(history.sessions.len());
     let mut b = ProgramBuilder::new();
     // Object `o` is key `o`: one single-field object per key.
     b.objects(keys, 1);
     let mut tx_methods = Vec::with_capacity(history.sessions.len());
     let mut entries = Vec::with_capacity(history.sessions.len());
     for (si, session) in history.sessions.iter().enumerate() {
+        let next = resolved.len();
+        let mut step = 1; // After Enter(entry), fused with thread start.
         let mut methods = Vec::with_capacity(session.len());
         let mut body = Vec::with_capacity(session.len());
         for (ti, tx) in session.iter().enumerate() {
-            let ops: Vec<Op> = tx
-                .events
-                .iter()
-                .map(|ev| {
-                    let obj = ObjId(ev.key().0);
-                    if ev.is_write() {
-                        Op::Write(obj, 0)
-                    } else {
-                        Op::Read(obj, 0)
+            step += 1; // Enter(tx).
+            let mut ops = Vec::with_capacity(tx.events.len());
+            for ev in &tx.events {
+                let (key, write) = (ev.key(), ev.is_write());
+                let version = match *ev {
+                    Event::Write { .. } => {
+                        next_write += 1;
+                        next_write - 1
                     }
-                })
-                .collect();
+                    Event::Read { value: 0, .. } => key.index(),
+                    Event::Read { value, .. } => *versions.get(&(key, value)).ok_or_else(|| {
+                        HistoryError::ReadOfUnwritten {
+                            key: name(key),
+                            value,
+                        }
+                    })?,
+                };
+                if !write {
+                    readers[version] += 1;
+                }
+                let access = if write { Op::Write } else { Op::Read };
+                ops.push(access(ObjId(key.0), 0));
+                let key = key.index();
+                resolved.push(Resolved {
+                    key,
+                    version,
+                    write,
+                    step,
+                });
+                step += 1;
+            }
+            step += 1; // Exit(tx).
             let m = b.method(format!("s{si}_t{ti}#{}", tx.id), ops);
             methods.push(m);
             body.push(Op::Call(m));
@@ -254,11 +201,54 @@ pub fn lower(history: &History) -> Result<Lowered, HistoryError> {
         b.thread(entry);
         entries.push(entry);
         tx_methods.push(methods);
+        // Exit(entry) and thread end.
+        let (end, steps) = (resolved.len(), step + 2);
+        cursors.push(Cursor {
+            next,
+            end,
+            emitted: 0,
+            steps,
+        });
     }
+
+    // The serializer: place the first enabled event, scanning from
+    // session 0, and append its thread's steps through that event.
+    let mut current: Vec<usize> = (0..keys).collect();
+    let mut script = Vec::with_capacity(cursors.iter().map(|c| c.steps).sum());
+    for placed in 0..total {
+        let enabled = |c: &Cursor| match resolved[c.next..c.end].first() {
+            Some(ev) if ev.write => readers[current[ev.key]] == 0,
+            Some(ev) => current[ev.key] == ev.version,
+            None => false,
+        };
+        let Some(si) = cursors.iter().position(enabled) else {
+            return Err(HistoryError::Unrealizable { placed, total });
+        };
+        let c = &mut cursors[si];
+        let ev = &resolved[c.next];
+        if ev.write {
+            current[ev.key] = ev.version;
+        } else {
+            readers[ev.version] -= 1;
+        }
+        let thread = ThreadId::from_index(si);
+        script.extend(std::iter::repeat_n(thread, ev.step + 1 - c.emitted));
+        c.emitted = ev.step + 1;
+        c.next += 1;
+    }
+    for (si, c) in cursors.iter().enumerate() {
+        script.extend(std::iter::repeat_n(
+            ThreadId::from_index(si),
+            c.steps - c.emitted,
+        ));
+    }
+    if keys > MAX_KEYS {
+        return Err(HistoryError::TooManyKeys { keys });
+    }
+
     let program = b
         .build()
         .expect("lowered histories always form valid programs");
-
     Ok(Lowered {
         spec: AtomicitySpec::excluding(entries),
         schedule: Schedule::Scripted(script),

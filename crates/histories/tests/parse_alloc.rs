@@ -1,11 +1,12 @@
 //! `History::parse` allocates per distinct key and per transaction of the
 //! result, not per event or JSON value: the document is walked in place and
 //! each key is interned once, so what remains is each key's name in the key
-//! table, each transaction's event list and a few growing buffers. (The
-//! counting allocator is this test binary's global allocator, so the test
-//! has a file of its own.)
+//! table, each transaction's event list and a few growing buffers. `lower`
+//! likewise allocates per transaction and per session, not per event or
+//! per serializer scan. (The counting allocator is this test binary's
+//! global allocator, so the tests have a file of their own.)
 
-use dc_histories::{generate, AnomalyMode, GenHistoryParams, History};
+use dc_histories::{generate, lower, AnomalyMode, GenHistoryParams, History};
 
 #[path = "../../../tests/common/counting_alloc.rs"]
 mod counting_alloc;
@@ -35,6 +36,37 @@ fn parse_allocates_per_key_and_transaction_not_per_event_or_json_value() {
             "{}: {calls} allocator calls for {keys} distinct keys in {txs} transactions \
              (bound {bound})",
             mode.as_str()
+        );
+    }
+}
+
+/// `lower` allocates per transaction (its method name and body) and per
+/// session, plus a few tables and growing buffers: resolving reads, placing
+/// events and writing the script allocate nothing per event or per scan.
+#[test]
+fn lower_allocates_per_transaction_and_session_not_per_event_or_scan() {
+    for mode in AnomalyMode::ALL {
+        let history = generate(&GenHistoryParams {
+            seed: 7,
+            sessions: 4,
+            base_txs: 64,
+            ops_per_tx: 4,
+            keys: 16,
+            mode,
+        })
+        .history;
+        let before = allocations();
+        let lowered = lower(&history).unwrap();
+        let calls = allocations() - before;
+        drop(lowered);
+        let (txs, sessions) = (history.transaction_count(), history.sessions.len());
+        let bound = 4 * txs + 8 * sessions + 32;
+        assert!(
+            calls <= bound as u64,
+            "{}: {calls} allocator calls for {txs} transactions in {sessions} sessions \
+             ({} events; bound {bound})",
+            mode.as_str(),
+            history.event_count()
         );
     }
 }

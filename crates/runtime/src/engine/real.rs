@@ -47,7 +47,10 @@ struct Parking<'p> {
 /// Panics with "invalid program", before any thread starts, if `program`
 /// fails `Program::validate` (which refuses, among others, a method body
 /// that releases a monitor it does not hold). Panics inside the run on
-/// monitor misuse validation cannot see, across a call.
+/// monitor misuse validation cannot see, across a call. A panic on a
+/// program thread (in a checker hook, say) is re-raised with its own
+/// payload, the first thread's in thread order, once every thread has
+/// been joined.
 pub fn run_real<C: Checker>(program: &Program, checker: &C) -> RunStats {
     program.validate().expect("invalid program");
     let heap = Heap::new(&program.objects, program.n_threads());
@@ -58,6 +61,7 @@ pub fn run_real<C: Checker>(program: &Program, checker: &C) -> RunStats {
     };
     let start = Instant::now();
     let mut stats = RunStats::default();
+    let mut panic = None;
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (i, spec) in program.threads.iter().enumerate() {
@@ -71,10 +75,17 @@ pub fn run_real<C: Checker>(program: &Program, checker: &C) -> RunStats {
             );
         }
         for handle in handles {
-            let thread_stats = handle.join().expect("program thread panicked");
-            stats.merge(&thread_stats);
+            match handle.join() {
+                Ok(thread_stats) => stats.merge(&thread_stats),
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
         }
     });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
     stats.elapsed_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     checker.run_end();
     stats
@@ -179,6 +190,24 @@ mod tests {
         assert_eq!(stats.reads, 200);
         assert_eq!(stats.writes, 200);
         assert_eq!(stats.method_entries, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "injected write fault")]
+    fn a_thread_panic_is_re_raised_with_its_own_payload() {
+        struct FaultyWrite;
+        impl Checker for FaultyWrite {
+            fn write(&self, t: ThreadId, _: ObjId, _: CellId) {
+                assert!(t != ThreadId(1), "injected write fault");
+            }
+        }
+        let mut b = ProgramBuilder::new();
+        let o = b.objects(2, 1);
+        let m0 = b.method("w0", vec![Op::Write(o[0], 0)]);
+        let m1 = b.method("w1", vec![Op::Write(o[1], 0)]);
+        b.thread(m0);
+        b.thread(m1);
+        run_real(&b.build().unwrap(), &FaultyWrite);
     }
 
     #[test]

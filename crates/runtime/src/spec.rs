@@ -11,12 +11,14 @@
 //! demarcate transactions the same way").
 
 use crate::ids::MethodId;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// An atomicity specification: the set of methods excluded from atomicity.
+/// It is ordered, so its `Debug` output and [`Self::excluded`] are the same
+/// in every process.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AtomicitySpec {
-    excluded: HashSet<MethodId>,
+    excluded: BTreeSet<MethodId>,
 }
 
 impl AtomicitySpec {
@@ -44,7 +46,7 @@ impl AtomicitySpec {
         self.excluded.insert(m)
     }
 
-    /// The excluded methods, in unspecified order.
+    /// The excluded methods, in ascending order.
     pub fn excluded(&self) -> impl Iterator<Item = MethodId> + '_ {
         self.excluded.iter().copied()
     }
@@ -98,7 +100,7 @@ pub struct TxFilter {
     /// `None`: instrument every regular transaction (single-run mode).
     /// `Some(set)`: instrument only regular transactions rooted at these
     /// methods.
-    pub methods: Option<HashSet<MethodId>>,
+    pub methods: Option<BTreeSet<MethodId>>,
     /// Instrument accesses in unary (non-transactional) context. The second
     /// run instruments them "if and only if the first run identified any
     /// non-transactional accesses involved in cycles" (§5.3).
@@ -235,6 +237,18 @@ mod tests {
     }
 
     #[test]
+    fn spec_order_is_independent_of_insertion_order() {
+        let forward = AtomicitySpec::excluding((0..8).map(MethodId));
+        let mut backward = AtomicitySpec::all_atomic();
+        for m in (0..8).rev() {
+            backward.exclude(MethodId(m));
+        }
+        assert_eq!(format!("{forward:?}"), format!("{backward:?}"));
+        let excluded: Vec<MethodId> = backward.excluded().collect();
+        assert_eq!(excluded, (0..8).map(MethodId).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn intersect_atomic_unions_exclusions() {
         let s1 = AtomicitySpec::excluding([A]);
         let s2 = AtomicitySpec::excluding([B]);
@@ -319,7 +333,7 @@ mod tests {
         assert!(f.covers_method(A));
         assert!(!f.covers_method(B));
         let empty = TxFilter {
-            methods: Some(HashSet::new()),
+            methods: Some(BTreeSet::new()),
             instrument_unary: false,
         };
         assert!(!empty.covers_method(A) && !empty.covers_method(B));

@@ -501,7 +501,7 @@ mod tests {
     fn second_run_filter_skips_unselected_transactions() {
         let p = racy_program();
         let filter = TxFilter {
-            methods: Some(std::collections::HashSet::new()),
+            methods: Some(std::collections::BTreeSet::new()),
             instrument_unary: false,
         };
         let v = Velodrome::new(

@@ -62,7 +62,7 @@ fn second_run_filter_skips_uncovered_transactions_entirely() {
 fn unary_accesses_follow_the_unary_switch() {
     for (any_unary, expected) in [(false, 0u64), (true, 2u64)] {
         let info = StaticTxInfo {
-            methods: std::collections::HashSet::new(),
+            methods: std::collections::BTreeSet::new(),
             any_unary,
         };
         let checker = drive(
