@@ -41,9 +41,9 @@
 //! variant, so callers (the CLI, tests) can assert on the failure class
 //! rather than on message text.
 
-use serde_json::{Cursor, Tape};
+use serde_json::{Error as JsonError, Kind, Reader};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Maximum number of sessions an imported history may have. Sessions become
@@ -191,16 +191,22 @@ impl History {
     }
 
     /// Builds the key table of events made with provisional key ids, which
-    /// index `names`: the keys are renumbered in order of first appearance,
-    /// as [`History::parse`] numbers them.
-    pub(crate) fn intern_keys(&mut self, names: &[String]) {
+    /// index `names`: equal names merge, and the keys are numbered in order
+    /// of first appearance. A name is looked up once per provisional id.
+    pub(crate) fn intern_keys(&mut self, names: &[impl AsRef<str>]) {
         let mut interner = Interner::default();
+        let mut ids = vec![None; names.len()];
         for tx in self.sessions.iter_mut().flatten() {
             for Event::Read { key, .. } | Event::Write { key, .. } in &mut tx.events {
-                *key = interner.id(names[key.index()].as_str());
+                *key = *ids[key.index()]
+                    .get_or_insert_with(|| interner.id(names[key.index()].as_ref()));
             }
         }
-        self.keys = interner.into_table();
+        self.keys = interner
+            .into_names()
+            .into_iter()
+            .map(Cow::into_owned)
+            .collect();
     }
 
     /// Total number of transactions across all sessions.
@@ -261,9 +267,10 @@ impl History {
 
     /// Parses and validates a version-1 history document.
     ///
-    /// The document is read once into a [`Tape`] whose strings borrow from
-    /// `text`, then walked in place: no JSON value tree is built, and an
-    /// error's context is formatted only when a check fails.
+    /// The document is read once, by a [`Reader`] whose strings borrow from
+    /// `text`, and the sessions, transactions and events are built as it
+    /// goes: no JSON value tree is built, and an error's context is
+    /// formatted only when a check fails.
     ///
     /// # Errors
     ///
@@ -278,165 +285,285 @@ impl History {
         if text.len() > MAX_INPUT_BYTES {
             return Err(HistoryError::InputTooLarge { bytes: text.len() });
         }
-        let tape = Tape::parse(text).map_err(|e| HistoryError::Json {
+        let mut reader = Reader::new(text);
+        let history = document(&mut reader);
+        // A schema error waits for the end of the document, so that a JSON
+        // syntax error anywhere wins over it.
+        let history = history.and_then(|history| reader.finish().map(|()| history));
+        history.map_err(|e| HistoryError::Json {
             message: e.message,
             offset: e.offset,
-        })?;
-        let [format, version, expected, sessions_doc, name, anomaly] = members(
-            tape.root(),
-            [
-                "format", "version", "expected", "sessions", "name", "anomaly",
-            ],
-        )
-        .ok_or_else(|| HistoryError::schema("top level must be an object"))?;
-        match format.and_then(|v| v.as_str()) {
-            Some(FORMAT_TAG) => {}
-            Some(other) => {
-                return Err(HistoryError::schema(format!(
-                    "format must be {FORMAT_TAG:?}, got {other:?}"
-                )))
-            }
-            None => return Err(HistoryError::schema("missing string member 'format'")),
+        })?
+    }
+}
+
+/// A value read from the document: a JSON syntax error stops the reading
+/// (the outer `Err`); a schema error is found when its container closes
+/// and waits for the document's end (the inner one).
+type Read<T> = Result<Result<T, HistoryError>, JsonError>;
+
+/// An array read by [`elements`]: its length and the first error inside it,
+/// or `None` if the value was not an array.
+type ArrayRead = Option<(usize, Result<(), HistoryError>)>;
+
+/// Reads an array's elements with `element` (given each one's index) until
+/// one fails or the count passes `limit`; the rest are skipped but counted.
+/// A container checks its own type and count when it closes, and those
+/// checks win over the first error deferred from inside it.
+fn elements<'a>(
+    r: &mut Reader<'a>,
+    limit: usize,
+    mut element: impl FnMut(&mut Reader<'a>, usize) -> Read<()>,
+) -> Result<ArrayRead, JsonError> {
+    if !r.array()? {
+        return Ok(None);
+    }
+    let (mut len, mut first) = (0, Ok(()));
+    while r.element()? {
+        if first.is_ok() && len < limit {
+            first = element(r, len)?;
+        } else {
+            r.skip()?;
         }
-        let version = version
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| HistoryError::schema("missing integer member 'version'"))?;
+        len += 1;
+    }
+    Ok(Some((len, first)))
+}
+
+/// The top-level object. Of duplicate members the last wins; a `sessions`
+/// member is read by a [`Builder`] of its own, so a discarded copy's
+/// transaction ids and keys do not count.
+fn document(r: &mut Reader<'_>) -> Read<History> {
+    if !r.object()? {
+        return Ok(Err(HistoryError::schema("top level must be an object")));
+    }
+    let (mut format, mut version, mut sessions) = (None, None, None);
+    let (mut expected, mut name, mut anomaly) = (Ok(None), Ok(None), Ok(None));
+    // An optional string member: its text, or that it is not a string.
+    let text = |r: &mut Reader<'_>, key: &str| {
+        let text = r.string()?.map(Cow::into_owned);
+        let fail = || HistoryError::schema(format!("'{key}' must be a string"));
+        Ok::<_, JsonError>(text.map(Some).ok_or_else(fail))
+    };
+    while let Some(key) = r.key()? {
+        match &*key {
+            "format" => format = r.string()?,
+            "version" => version = r.u64()?,
+            "expected" => {
+                expected = match r.string()?.as_deref() {
+                    Some("serializable") => Ok(Some(Expected::Serializable)),
+                    Some("violation") => Ok(Some(Expected::Violation)),
+                    _ => Err(HistoryError::schema(
+                        "'expected' must be \"serializable\" or \"violation\"",
+                    )),
+                }
+            }
+            "sessions" => sessions = Some(Builder::default().sessions(r)?),
+            "name" => name = text(r, "name")?,
+            "anomaly" => anomaly = text(r, "anomaly")?,
+            _ => r.skip()?,
+        }
+    }
+    let check = || {
+        let format =
+            format.ok_or_else(|| HistoryError::schema("missing string member 'format'"))?;
+        if format != FORMAT_TAG {
+            let message = format!("format must be {FORMAT_TAG:?}, got {format:?}");
+            return Err(HistoryError::schema(message));
+        }
+        let version =
+            version.ok_or_else(|| HistoryError::schema("missing integer member 'version'"))?;
         if version != SCHEMA_VERSION {
             return Err(HistoryError::UnknownVersion { found: version });
         }
-        let expected = match expected.map(|v| v.as_str()) {
-            None => None,
-            Some(Some("serializable")) => Some(Expected::Serializable),
-            Some(Some("violation")) => Some(Expected::Violation),
-            Some(_) => {
-                return Err(HistoryError::schema(
-                    "'expected' must be \"serializable\" or \"violation\"",
-                ))
-            }
-        };
-        let sessions_doc = sessions_doc
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| HistoryError::schema("missing array member 'sessions'"))?;
-        if sessions_doc.len() > MAX_SESSIONS {
-            return Err(HistoryError::TooManySessions {
-                sessions: sessions_doc.len(),
-            });
-        }
-        let mut sessions = Vec::with_capacity(sessions_doc.len());
-        let mut seen_ids = std::collections::HashSet::new();
-        let mut interner = Interner::default();
-        for (si, session_doc) in sessions_doc.enumerate() {
-            let txs_doc = session_doc.as_array().ok_or_else(|| {
-                HistoryError::schema(format!("session {si} must be an array of transactions"))
-            })?;
-            if txs_doc.len() > MAX_TXS_PER_SESSION {
-                return Err(HistoryError::TooManyTransactions {
-                    session: si,
-                    transactions: txs_doc.len(),
-                });
-            }
-            let mut session = Vec::with_capacity(txs_doc.len());
-            for (ti, tx_doc) in txs_doc.enumerate() {
-                let at = || format!("session {si}, transaction {ti}");
-                let [id, events_doc] = members(tx_doc, ["id", "events"])
-                    .ok_or_else(|| HistoryError::schema(format!("{}: must be an object", at())))?;
-                let id = id.and_then(|v| v.as_u64()).ok_or_else(|| {
-                    HistoryError::schema(format!("{}: missing integer 'id'", at()))
-                })?;
-                if !seen_ids.insert(id) {
-                    return Err(HistoryError::DuplicateTxId { id });
-                }
-                let events_doc = events_doc.and_then(|v| v.as_array()).ok_or_else(|| {
-                    HistoryError::schema(format!("{}: missing array 'events'", at()))
-                })?;
-                if events_doc.len() > MAX_EVENTS_PER_TX {
-                    return Err(HistoryError::TooManyEvents {
-                        id,
-                        events: events_doc.len(),
-                    });
-                }
-                let mut events = Vec::with_capacity(events_doc.len());
-                for (ei, ev_doc) in events_doc.enumerate() {
-                    let fail =
-                        |what: &str| HistoryError::schema(format!("{}, event {ei}: {what}", at()));
-                    let [key, value, op] = members(ev_doc, ["key", "value", "op"])
-                        .ok_or_else(|| fail("must be an object"))?;
-                    let key = match key {
-                        Some(v) => match (v.as_str(), v.as_u64()) {
-                            (Some(s), _) => interner.id(s),
-                            // dbcop uses integer variables; accept them as keys.
-                            (None, Some(n)) => interner.id(n.to_string()),
-                            (None, None) => return Err(fail("bad 'key'")),
-                        },
-                        None => return Err(fail("missing 'key'")),
-                    };
-                    let value = value
-                        .and_then(|v| v.as_u64())
-                        .ok_or_else(|| fail("missing integer 'value'"))?;
-                    let event = match op.and_then(|v| v.as_str()) {
-                        Some("r") | Some("read") => Event::Read { key, value },
-                        Some("w") | Some("write") => Event::Write { key, value },
-                        _ => return Err(fail("'op' must be \"r\" or \"w\"")),
-                    };
-                    events.push(event);
-                }
-                session.push(Transaction { id, events });
-            }
-            sessions.push(session);
-        }
-        let opt_string = |key: &str, v: Option<Cursor>| match v {
-            None => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(|s| Some(s.to_string()))
-                .ok_or_else(|| HistoryError::schema(format!("'{key}' must be a string"))),
-        };
+        let expected = expected?;
+        let history = sessions
+            .unwrap_or_else(|| Err(HistoryError::schema("missing array member 'sessions'")))?;
         Ok(History {
-            name: opt_string("name", name)?,
-            anomaly: opt_string("anomaly", anomaly)?,
+            name: name?,
+            anomaly: anomaly?,
             expected,
-            sessions,
-            keys: interner.into_table(),
+            ..history
         })
+    };
+    Ok(check())
+}
+
+/// Builds the sessions of one `sessions` member as they are read. An event
+/// names its key by a provisional id, in order of first reading, which a
+/// discarded duplicate member may have disturbed; [`History::intern_keys`]
+/// renumbers them once at the end.
+#[derive(Default)]
+struct Builder<'a> {
+    /// Key names by provisional id.
+    interner: Interner<'a>,
+    /// The ids of the transactions read so far.
+    ids: HashSet<u64>,
+    /// The transactions of the session being read.
+    txs: Vec<Transaction>,
+    /// The events of the `events` member being read.
+    events: Vec<Event>,
+}
+
+impl<'a> Builder<'a> {
+    /// A history of the sessions and their key table.
+    fn sessions(mut self, r: &mut Reader<'a>) -> Read<History> {
+        let mut sessions = Vec::new();
+        let read = elements(r, MAX_SESSIONS, |r, si| {
+            Ok(self.session(r, si)?.map(|session| sessions.push(session)))
+        })?;
+        Ok(match read {
+            None => Err(HistoryError::schema("missing array member 'sessions'")),
+            Some((len, _)) if len > MAX_SESSIONS => {
+                Err(HistoryError::TooManySessions { sessions: len })
+            }
+            Some((_, first)) => first.map(|()| {
+                let mut history = History {
+                    sessions,
+                    ..History::default()
+                };
+                history.intern_keys(&self.interner.into_names());
+                history
+            }),
+        })
+    }
+
+    /// Session `si`'s transactions.
+    fn session(&mut self, r: &mut Reader<'a>, si: usize) -> Read<Vec<Transaction>> {
+        self.txs.clear();
+        let read = elements(r, MAX_TXS_PER_SESSION, |r, ti| {
+            Ok(self.transaction(r, si, ti)?.map(|tx| self.txs.push(tx)))
+        })?;
+        Ok(match read {
+            None => Err(HistoryError::schema(format!(
+                "session {si} must be an array of transactions"
+            ))),
+            Some((len, _)) if len > MAX_TXS_PER_SESSION => Err(HistoryError::TooManyTransactions {
+                session: si,
+                transactions: len,
+            }),
+            Some((_, first)) => first.map(|()| self.txs.drain(..).collect()),
+        })
+    }
+
+    /// Transaction `ti` of session `si`.
+    fn transaction(&mut self, r: &mut Reader<'a>, si: usize, ti: usize) -> Read<Transaction> {
+        let fail =
+            |what: &str| HistoryError::schema(format!("session {si}, transaction {ti}{what}"));
+        if !r.object()? {
+            return Ok(Err(fail(": must be an object")));
+        }
+        let (mut id, mut events) = (None, None);
+        while let Some(key) = r.key()? {
+            match &*key {
+                "id" => id = r.u64()?,
+                "events" => {
+                    self.events.clear();
+                    events = elements(r, MAX_EVENTS_PER_TX, |r, ei| {
+                        let event = self.event(r)?.map(|e| self.events.push(e));
+                        Ok(event.map_err(|what| fail(&format!(", event {ei}: {what}"))))
+                    })?;
+                }
+                _ => r.skip()?,
+            }
+        }
+        let Some(id) = id else {
+            return Ok(Err(fail(": missing integer 'id'")));
+        };
+        if !self.ids.insert(id) {
+            return Ok(Err(HistoryError::DuplicateTxId { id }));
+        }
+        Ok(match events {
+            None => Err(fail(": missing array 'events'")),
+            Some((len, _)) if len > MAX_EVENTS_PER_TX => {
+                Err(HistoryError::TooManyEvents { id, events: len })
+            }
+            Some((_, first)) => first.map(|()| Transaction {
+                id,
+                events: self.events.drain(..).collect(),
+            }),
+        })
+    }
+
+    /// One event, or what is wrong with it.
+    fn event(&mut self, r: &mut Reader<'a>) -> Result<Result<Event, &'static str>, JsonError> {
+        if !r.object()? {
+            return Ok(Err("must be an object"));
+        }
+        let (mut key, mut value, mut write) = (None, None, None);
+        while let Some(member) = r.key()? {
+            match &*member {
+                "key" => {
+                    key = Some(match r.peek()? {
+                        Kind::String => r.string()?.map(|name| self.interner.id(name)),
+                        // dbcop uses integer variables; accept them as keys.
+                        _ => r.u64()?.map(|n| self.interner.id(n.to_string())),
+                    })
+                }
+                "value" => value = r.u64()?,
+                "op" => {
+                    write = match r.string()?.as_deref() {
+                        Some("r" | "read") => Some(false),
+                        Some("w" | "write") => Some(true),
+                        _ => None,
+                    }
+                }
+                _ => r.skip()?,
+            }
+        }
+        let check = || {
+            let key = key.ok_or("missing 'key'")?.ok_or("bad 'key'")?;
+            let value = value.ok_or("missing integer 'value'")?;
+            match write.ok_or("'op' must be \"r\" or \"w\"")? {
+                false => Ok(Event::Read { key, value }),
+                true => Ok(Event::Write { key, value }),
+            }
+        };
+        Ok(check())
     }
 }
 
 /// Numbers key names in order of first appearance. Names borrowed from the
-/// input are not copied until [`Interner::into_table`].
+/// input are not copied.
+///
+/// Names are untrusted input, so the table is the std (SipHash) one. A
+/// history repeats a few keys in every event, so a name is first looked for
+/// in a small cache of the names last interned, one per slot by the sum of
+/// its bytes: on a hit it is not hashed, and a crafted name misses at the
+/// cost of one comparison.
 #[derive(Default)]
-struct Interner<'a>(HashMap<Cow<'a, str>, KeyId>);
+struct Interner<'a> {
+    ids: HashMap<Cow<'a, str>, KeyId>,
+    recent: [Option<(Cow<'a, str>, KeyId)>; 32],
+}
 
 impl<'a> Interner<'a> {
     /// The id of `name`, the next one if it is new.
     fn id(&mut self, name: impl Into<Cow<'a, str>>) -> KeyId {
-        let next =
-            KeyId(u32::try_from(self.0.len()).expect("the input limits keep the keys below 2^32"));
-        *self.0.entry(name.into()).or_insert(next)
-    }
-
-    /// The key table: the names by id.
-    fn into_table(self) -> Vec<String> {
-        let mut keys = vec![String::new(); self.0.len()];
-        for (name, id) in self.0 {
-            keys[id.index()] = name.into_owned();
-        }
-        keys
-    }
-}
-
-/// The members of `object` named by `keys`, found in one pass (of duplicate
-/// keys the last wins), or `None` if it is not an object.
-fn members<'t, 'a, const N: usize>(
-    object: Cursor<'t, 'a>,
-    keys: [&str; N],
-) -> Option<[Option<Cursor<'t, 'a>>; N]> {
-    let mut found = [None; N];
-    for (key, value) in object.as_object()? {
-        if let Some(i) = keys.iter().position(|k| *k == key) {
-            found[i] = Some(value);
+        let name = name.into();
+        let slot = name.bytes().fold(name.len(), |h, b| h + usize::from(b)) % 32;
+        match &self.recent[slot] {
+            Some((seen, id)) if *seen == name => *id,
+            _ => {
+                let next = KeyId(
+                    u32::try_from(self.ids.len())
+                        .expect("the input limits keep the keys below 2^32"),
+                );
+                let id = *self.ids.entry(name.clone()).or_insert(next);
+                self.recent[slot] = Some((name, id));
+                id
+            }
         }
     }
-    Some(found)
+
+    /// The names by id.
+    fn into_names(self) -> Vec<Cow<'a, str>> {
+        let mut names = vec![Cow::Borrowed(""); self.ids.len()];
+        for (name, id) in self.ids {
+            names[id.index()] = name;
+        }
+        names
+    }
 }
 
 /// Everything that can be wrong with a history file or its semantics.
