@@ -72,6 +72,7 @@
 
 use crate::schema::{Event, History, HistoryError, KeyId, MAX_KEYS};
 use dc_runtime::engine::det::Schedule;
+use dc_runtime::heap::ObjKind;
 use dc_runtime::ids::{MethodId, ObjId, ThreadId};
 use dc_runtime::program::{Op, Program, ProgramBuilder};
 use dc_runtime::spec::AtomicitySpec;
@@ -152,7 +153,9 @@ pub fn lower(history: &History) -> Result<Lowered, HistoryError> {
     let mut cursors = Vec::with_capacity(history.sessions.len());
     let mut b = ProgramBuilder::new();
     // Object `o` is key `o`: one single-field object per key.
-    b.objects(keys, 1);
+    for _ in 0..keys {
+        b.object(ObjKind::Plain { fields: 1 });
+    }
     let mut tx_methods = Vec::with_capacity(history.sessions.len());
     let mut entries = Vec::with_capacity(history.sessions.len());
     for (si, session) in history.sessions.iter().enumerate() {

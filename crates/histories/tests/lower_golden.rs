@@ -173,7 +173,7 @@ fn inputs() -> Vec<(String, History)> {
         ),
         ("unrealizable", &[&[&[("w", "x", 1), ("r", "x", 0)]]]),
         (
-            "duplicate-write-before-unwritten-read",
+            "unwritten-read-before-duplicate-write-across-sessions",
             &[
                 &[&[("r", "x", 7)]],
                 &[&[("w", "x", 1)]],

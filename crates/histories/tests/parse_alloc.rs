@@ -1,7 +1,9 @@
 //! `History::parse` allocates per distinct key and per transaction of the
-//! result, not per event or JSON value: the document is walked in place and
-//! each key is interned once, so what remains is each key's name in the key
-//! table, each transaction's event list and a few growing buffers. `lower`
+//! result, not per event or JSON value: the document is read once and each
+//! key is interned once, so what remains is each key's name in the key
+//! table, each transaction's event list and a few growing buffers. In bytes
+//! that is at most twice the document's length: nothing holds the document
+//! a second time. `lower`
 //! likewise allocates per transaction and per session, not per event or
 //! per serializer scan. (The counting allocator is this test binary's
 //! global allocator, so the tests have a file of their own.)
@@ -10,7 +12,7 @@ use dc_histories::{generate, lower, AnomalyMode, GenHistoryParams, History};
 
 #[path = "../../../tests/common/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::allocations;
+use counting_alloc::{allocated_bytes, allocations};
 
 #[test]
 fn parse_allocates_per_key_and_transaction_not_per_event_or_json_value() {
@@ -26,9 +28,16 @@ fn parse_allocates_per_key_and_transaction_not_per_event_or_json_value() {
         })
         .history
         .to_json();
-        let before = allocations();
+        let (before, bytes_before) = (allocations(), allocated_bytes());
         let history = History::parse(&text).unwrap();
         let calls = allocations() - before;
+        let bytes = allocated_bytes() - bytes_before;
+        assert!(
+            bytes <= 2 * text.len() as u64,
+            "{}: {bytes} bytes allocated to parse {} bytes of input (bound 2 x input)",
+            mode.as_str(),
+            text.len()
+        );
         let (keys, txs) = (history.keys().len(), history.transaction_count());
         let bound = keys + 2 * txs + 32;
         assert!(
