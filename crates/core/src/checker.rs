@@ -16,7 +16,7 @@ use crate::report::{DcStats, StaticTxInfo};
 use dc_icd::{Icd, IcdConfig, SccReport};
 use dc_obs::{
     EventKind, GraphReport, Histogram, ObsLevel, OctetReport, PipelineObs, PipelineReport,
-    ReplayReport, Stage, TraceEvent,
+    ReplayReport, TraceEvent,
 };
 use dc_octet::{BarrierOutcome, CoordinationMode, OctetState, Protocol, TransitionSink};
 use dc_pcd::{replay_scc_with, ReplayStats, Violation};
@@ -50,7 +50,9 @@ pub struct DcConfig {
     /// Transaction-collector cadence (0 disables).
     pub collect_every: u32,
     /// Octet coordination mode: `Threaded` under the real engine,
-    /// `Immediate` under the deterministic engine.
+    /// `Immediate` under the deterministic engine, as
+    /// [`crate::ExecPlan::coordination`] gives it; [`crate::run_doublechecker`]
+    /// refuses any other pairing.
     pub coordination: CoordinationMode,
     /// How much the observability layer records. At `Off` every
     /// instrumentation site is a single pointer test; no level changes
@@ -376,14 +378,14 @@ impl DoubleChecker {
     fn replay(&self, scc: &SccReport) {
         self.sccs_to_pcd.fetch_add(1, Ordering::Relaxed);
         let t0 = self.obs.as_ref().map(|obs| {
-            obs.trace(Stage::Replay, EventKind::ReplaySubmit, scc.len() as u64);
+            obs.trace(EventKind::ReplaySubmit, scc.len() as u64);
             Instant::now()
         });
         // A replay takes the violations' lock only to keep what it found.
         let stats = replay_scc_with(scc, |v| self.violations.lock().push(v));
         if let (Some(obs), Some(t0)) = (&self.obs, t0) {
             obs.replay_latency.record_elapsed(t0);
-            obs.trace(Stage::Replay, EventKind::ReplayDone, stats.cycles);
+            obs.trace(EventKind::ReplayDone, stats.cycles);
         }
         self.pcd_stats.lock().merge(stats);
     }
@@ -499,7 +501,7 @@ impl DoubleChecker {
 impl Checker for DoubleChecker {
     fn run_begin(&self, heap: &Heap) {
         if let Some(obs) = &self.obs {
-            obs.trace(Stage::Checker, EventKind::RunBegin, self.n_threads as u64);
+            obs.trace(EventKind::RunBegin, self.n_threads as u64);
         }
         let config = &self.config;
         let icd_config = IcdConfig {
@@ -539,7 +541,7 @@ impl Checker for DoubleChecker {
             self.replay(&self.run().icd.snapshot_all_finished());
         }
         if let Some(obs) = &self.obs {
-            obs.trace(Stage::Checker, EventKind::RunEnd, self.n_threads as u64);
+            obs.trace(EventKind::RunEnd, self.n_threads as u64);
         }
     }
 

@@ -74,12 +74,24 @@ pub struct DcReport {
 ///
 /// Propagates [`DetError`] from the deterministic engine (deadlock, bad
 /// script, invalid program).
+///
+/// # Panics
+///
+/// Panics if `config.coordination` is not `plan.coordination()`: under the
+/// deterministic engine a `Threaded` requester would wait forever for a
+/// responder that never runs, and under real threads an `Immediate` one
+/// would run a responder's hook while that responder runs.
 pub fn run_doublechecker(
     program: &Program,
     spec: &AtomicitySpec,
     config: DcConfig,
     plan: &ExecPlan,
 ) -> Result<DcReport, DetError> {
+    assert_eq!(
+        config.coordination,
+        plan.coordination(),
+        "the configured coordination mode (left) does not match the plan's (right)"
+    );
     let checker = DoubleChecker::new(program.threads.len(), spec.clone(), config);
     let run = plan.run(program, &checker)?;
     Ok(DcReport {

@@ -121,7 +121,7 @@ pub fn trace_event_to_json(e: &TraceEvent) -> Value {
     serde_json::json!({
         "seq": e.seq,
         "t_ns": e.t_ns,
-        "stage": e.stage.as_str(),
+        "stage": e.kind.stage(),
         "kind": e.kind.as_str(),
         "value": e.value,
     })

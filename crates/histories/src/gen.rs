@@ -257,7 +257,7 @@ pub fn generate(params: &GenHistoryParams) -> GeneratedHistory {
             next_id += 1;
         }
     }
-    history.intern_keys(&names);
+    history.intern_keys(names);
     GeneratedHistory { history, injected }
 }
 

@@ -271,8 +271,7 @@ mod tests {
 
     fn history(sessions: &[&[TxEvents<'_>]]) -> History {
         let mut id = 0;
-        // A provisional key id per event, indexing `names`; `intern_keys`
-        // merges equal names.
+        // A provisional key id per distinct name, indexing `names`.
         let mut names: Vec<String> = Vec::new();
         let mut h = History::default();
         h.sessions = sessions
@@ -287,8 +286,11 @@ mod tests {
                             events: tx
                                 .iter()
                                 .map(|&(op, name, value)| {
-                                    let key = KeyId(names.len() as u32);
-                                    names.push(name.to_string());
+                                    let k = names.iter().position(|n| n == name);
+                                    let key = KeyId(k.unwrap_or(names.len()) as u32);
+                                    if k.is_none() {
+                                        names.push(name.to_string());
+                                    }
                                     if op == "w" {
                                         Event::Write { key, value }
                                     } else {
@@ -301,7 +303,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        h.intern_keys(&names);
+        h.intern_keys(names);
         h
     }
 
@@ -446,7 +448,7 @@ mod tests {
                         .collect(),
                 })
                 .collect()];
-            h.intern_keys(&(0..n).map(|k| format!("k{k}")).collect::<Vec<_>>());
+            h.intern_keys((0..n).map(|k| format!("k{k}")).collect());
             h
         };
         let at = with_keys(MAX_KEYS);

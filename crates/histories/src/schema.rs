@@ -191,22 +191,22 @@ impl History {
     }
 
     /// Builds the key table of events made with provisional key ids, which
-    /// index `names`: equal names merge, and the keys are numbered in order
-    /// of first appearance. A name is looked up once per provisional id.
-    pub(crate) fn intern_keys(&mut self, names: &[impl AsRef<str>]) {
-        let mut interner = Interner::default();
-        let mut ids = vec![None; names.len()];
+    /// index `names`, a distinct name each: the keys are renumbered in order
+    /// of first appearance, and a name no event uses is dropped.
+    pub(crate) fn intern_keys<S: Default + Into<String>>(&mut self, mut names: Vec<S>) {
+        let mut ids: Vec<Option<KeyId>> = vec![None; names.len()];
+        let mut keys = Vec::with_capacity(names.len());
         for tx in self.sessions.iter_mut().flatten() {
             for Event::Read { key, .. } | Event::Write { key, .. } in &mut tx.events {
-                *key = *ids[key.index()]
-                    .get_or_insert_with(|| interner.id(names[key.index()].as_ref()));
+                let k = key.index();
+                *key = *ids[k].get_or_insert_with(|| {
+                    // At most one key per provisional id, so the count fits a `u32`.
+                    keys.push(std::mem::take(&mut names[k]).into());
+                    KeyId(keys.len() as u32 - 1)
+                });
             }
         }
-        self.keys = interner
-            .into_names()
-            .into_iter()
-            .map(Cow::into_owned)
-            .collect();
+        self.keys = keys;
     }
 
     /// Total number of transactions across all sessions.
@@ -422,7 +422,7 @@ impl<'a> Builder<'a> {
                     sessions,
                     ..History::default()
                 };
-                history.intern_keys(&self.interner.into_names());
+                history.intern_keys(self.interner.into_names());
                 history
             }),
         })

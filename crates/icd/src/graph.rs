@@ -58,7 +58,7 @@ use crate::icd::ThreadRegs;
 #[cfg(doc)]
 use crate::types::TxSnapshot;
 use crate::types::{Edge, EdgeKind, LogEntry, ReplayConstraint, SccReport, TxId, TxKind};
-use dc_obs::{EventKind, PipelineObs, Stage};
+use dc_obs::{EventKind, PipelineObs};
 use dc_runtime::ids::ThreadId;
 use dc_runtime::txgraph::{EdgeRec, TxGraph, NIL};
 use std::sync::atomic::Ordering;
@@ -389,7 +389,7 @@ impl Graph {
         if let (Some(obs), Some(t0)) = (obs, t0) {
             obs.scc_latency.record_elapsed(t0);
             if let SccProbe::Cycle(()) = probe {
-                obs.trace(Stage::Graph, EventKind::SccDetected, out.len() as u64);
+                obs.trace(EventKind::SccDetected, out.len() as u64);
             }
         }
         Ok(match probe {
@@ -675,7 +675,7 @@ impl Collector {
         self.collected += collected as u64;
         if let (Some(obs), Some(t0)) = (obs, t0) {
             obs.collect_latency.record_elapsed(t0);
-            obs.trace(Stage::Graph, EventKind::CollectRun, collected as u64);
+            obs.trace(EventKind::CollectRun, collected as u64);
         }
     }
 }

@@ -30,7 +30,7 @@ mod metrics;
 mod ring;
 
 pub use metrics::{Histogram, HistogramSummary};
-pub use ring::{EventKind, Stage, TraceEvent, TraceRing};
+pub use ring::{EventKind, TraceEvent, TraceRing};
 
 use std::sync::Arc;
 
@@ -96,8 +96,8 @@ impl PipelineObs {
 
     /// Records a trace event.
     #[inline]
-    pub fn trace(&self, stage: Stage, kind: EventKind, value: u64) {
-        self.trace.record(stage, kind, value);
+    pub fn trace(&self, kind: EventKind, value: u64) {
+        self.trace.record(kind, value);
     }
 
     /// The trace ring's current contents, oldest first.
@@ -184,7 +184,7 @@ mod tests {
         let obs = PipelineObs::new(ObsLevel::Full).unwrap();
         obs.replay_latency.record_elapsed(Instant::now());
         assert_eq!(obs.replay_latency.summary().count, 1);
-        obs.trace(Stage::Replay, EventKind::ReplaySubmit, 2);
+        obs.trace(EventKind::ReplaySubmit, 2);
         assert_eq!(obs.trace_recorded(), 1);
         assert_eq!(obs.trace_events()[0].value, 2);
     }

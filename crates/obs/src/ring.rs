@@ -8,31 +8,6 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Which analysis component emitted an event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stage {
-    /// Octet barrier / coordination layer.
-    Octet,
-    /// ICD's dependence graph (SCC detection, the collector).
-    Graph,
-    /// PCD replay.
-    Replay,
-    /// Checker lifecycle (run begin/end).
-    Checker,
-}
-
-impl Stage {
-    /// Stable lower-case name used in trace output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Stage::Octet => "octet",
-            Stage::Graph => "graph",
-            Stage::Replay => "replay",
-            Stage::Checker => "checker",
-        }
-    }
-}
-
 /// What happened.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
@@ -65,6 +40,19 @@ impl EventKind {
             EventKind::RunEnd => "run_end",
         }
     }
+
+    /// The stable lower-case name of the analysis component that emits
+    /// this kind of event: Octet's barrier layer, ICD's dependence graph
+    /// (SCC detection, the collector), PCD replay, or the checker's run
+    /// lifecycle.
+    pub fn stage(self) -> &'static str {
+        match self {
+            EventKind::Transition => "octet",
+            EventKind::SccDetected | EventKind::CollectRun => "graph",
+            EventKind::ReplaySubmit | EventKind::ReplayDone => "replay",
+            EventKind::RunBegin | EventKind::RunEnd => "checker",
+        }
+    }
 }
 
 /// One trace event.
@@ -74,8 +62,6 @@ pub struct TraceEvent {
     pub seq: u64,
     /// Nanoseconds since the ring (≈ the checker) was created.
     pub t_ns: u64,
-    /// Emitting component.
-    pub stage: Stage,
     /// Event type.
     pub kind: EventKind,
     /// Event-specific payload (see [`EventKind`]).
@@ -118,12 +104,11 @@ impl TraceRing {
     }
 
     /// Records one event, dropping the oldest when the ring is full.
-    pub fn record(&self, stage: Stage, kind: EventKind, value: u64) {
+    pub fn record(&self, kind: EventKind, value: u64) {
         let mut events = self.lock();
         let event = TraceEvent {
             seq: events.recorded,
             t_ns: u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            stage,
             kind,
             value,
         };
@@ -147,11 +132,10 @@ mod tests {
     #[test]
     fn records_and_snapshots_in_order() {
         let ring = TraceRing::new(8);
-        ring.record(Stage::Graph, EventKind::CollectRun, 3);
-        ring.record(Stage::Replay, EventKind::ReplaySubmit, 2);
+        ring.record(EventKind::CollectRun, 3);
+        ring.record(EventKind::ReplaySubmit, 2);
         let events = ring.snapshot();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].stage, Stage::Graph);
         assert_eq!(events[0].kind, EventKind::CollectRun);
         assert_eq!(events[0].value, 3);
         assert_eq!(events[1].seq, 1);
@@ -162,7 +146,7 @@ mod tests {
     fn wraps_keeping_the_newest_events() {
         let ring = TraceRing::new(4);
         for i in 0..10u64 {
-            ring.record(Stage::Octet, EventKind::Transition, i);
+            ring.record(EventKind::Transition, i);
         }
         let events = ring.snapshot();
         assert_eq!(ring.recorded(), 10);
@@ -181,7 +165,7 @@ mod tests {
                 let ring = Arc::clone(&ring);
                 std::thread::spawn(move || {
                     for i in 0..5_000u64 {
-                        ring.record(Stage::Graph, EventKind::CollectRun, i);
+                        ring.record(EventKind::CollectRun, i);
                     }
                 })
             })
@@ -200,7 +184,20 @@ mod tests {
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(Stage::Replay.as_str(), "replay");
+        use EventKind::*;
+        let kinds = [
+            Transition,
+            SccDetected,
+            CollectRun,
+            ReplaySubmit,
+            ReplayDone,
+            RunBegin,
+            RunEnd,
+        ];
+        let stages = [
+            "octet", "graph", "graph", "replay", "replay", "checker", "checker",
+        ];
+        assert_eq!(kinds.map(EventKind::stage), stages);
         assert_eq!(EventKind::SccDetected.as_str(), "scc_detected");
     }
 }

@@ -24,7 +24,7 @@
 use crate::registry::{Tally, ThreadRegistry, ThreadSlot, BLOCKED, BLOCKED_HELD, RUNNING};
 use crate::state::{classify, OctetState, Responders, TransitionKind};
 use crate::word::{decode, encode, encode_intermediate, rd_sh_counter, DecodedState, StateTable};
-use dc_obs::{EventKind, PipelineObs, Stage};
+use dc_obs::{EventKind, PipelineObs};
 use dc_runtime::ids::{AccessKind, ObjId, ThreadId};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -211,7 +211,7 @@ impl<S: TransitionSink> Protocol<S> {
     fn observe_transition(&self, t: ThreadId, kind: Tally) {
         self.threads.slot(t).tally(kind);
         if let Some(obs) = &self.obs {
-            obs.trace(Stage::Octet, EventKind::Transition, kind as u64);
+            obs.trace(EventKind::Transition, kind as u64);
         }
     }
 

@@ -178,9 +178,13 @@ impl Program {
         &self.methods[m.index()].name
     }
 
-    /// Checks internal consistency: id ranges, call-graph acyclicity, object
-    /// kinds for barrier and array ops, fork/start-mode agreement, and each
-    /// method body's own monitor discipline.
+    /// Checks internal consistency and returns the first error, in this
+    /// order: thread entries; then, for each method in turn, id ranges,
+    /// object kinds and fork counts along its body, followed by the body's
+    /// own monitor discipline; then fork/start-mode agreement; then
+    /// call-graph acyclicity. Each check walks the bodies in place, on
+    /// buffers shared by all methods, so validation makes no allocation
+    /// per method.
     ///
     /// # Errors
     ///
@@ -192,9 +196,11 @@ impl Program {
             }
         }
         let mut forked: Vec<u32> = vec![0; self.threads.len()];
+        let mut held = Vec::new();
         for (i, method) in self.methods.iter().enumerate() {
             self.validate_ops(&method.body, &mut forked)?;
-            check_monitors(MethodId::from_index(i), &method.body, &mut Vec::new())?;
+            held.clear();
+            check_monitors(MethodId::from_index(i), &method.body, &mut held)?;
         }
         // Fork counts are per static op site; a fork op inside a loop still
         // counts once statically (dynamic double-fork is an engine error).
@@ -209,8 +215,7 @@ impl Program {
                 _ => {}
             }
         }
-        self.check_acyclic_calls()?;
-        Ok(())
+        self.check_acyclic_calls()
     }
 
     fn validate_ops(&self, ops: &[Op], forked: &mut [u32]) -> Result<(), ProgramError> {
@@ -265,51 +270,50 @@ impl Program {
         }
     }
 
+    /// One depth-first walk of the static call graph over the method
+    /// bodies themselves, on one stack of `(method, ops left)` frames; a
+    /// loop body gets a frame of its own. A `Call` to a method still on the
+    /// call path is recursion. The walk never recurses, so a long call
+    /// chain cannot overflow the thread's stack.
     fn check_acyclic_calls(&self) -> Result<(), ProgramError> {
-        // Iterative DFS with colors over the static call graph.
         #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Gray,
-            Black,
+        enum State {
+            Unvisited,
+            OnPath,
+            Done,
         }
-        fn callees(ops: &[Op], out: &mut Vec<MethodId>) {
-            for op in ops {
-                match op {
-                    Op::Call(m) => out.push(*m),
-                    Op::Loop { body, .. } => callees(body, out),
-                    _ => {}
-                }
-            }
-        }
-        let mut color = vec![Color::White; self.methods.len()];
-        for start in 0..self.methods.len() {
-            if color[start] != Color::White {
+        let mut state = vec![State::Unvisited; self.methods.len()];
+        let mut stack: Vec<(usize, &[Op])> = Vec::new();
+        for (start, method) in self.methods.iter().enumerate() {
+            if state[start] != State::Unvisited {
                 continue;
             }
-            // Stack of (method, next-callee-cursor).
-            let mut stack: Vec<(usize, Vec<MethodId>, usize)> = Vec::new();
-            let mut cs = Vec::new();
-            callees(&self.methods[start].body, &mut cs);
-            color[start] = Color::Gray;
-            stack.push((start, cs, 0));
-            while let Some((m, cs, cursor)) = stack.last_mut() {
-                if *cursor < cs.len() {
-                    let callee = cs[*cursor];
-                    *cursor += 1;
-                    match color[callee.index()] {
-                        Color::Gray => return Err(ProgramError::RecursiveCall(callee)),
-                        Color::White => {
-                            color[callee.index()] = Color::Gray;
-                            let mut inner = Vec::new();
-                            callees(&self.methods[callee.index()].body, &mut inner);
-                            stack.push((callee.index(), inner, 0));
-                        }
-                        Color::Black => {}
-                    }
-                } else {
-                    color[*m] = Color::Black;
+            state[start] = State::OnPath;
+            stack.push((start, &method.body));
+            while let Some((m, ops)) = stack.last_mut() {
+                let m = *m;
+                let Some((op, rest)) = ops.split_first() else {
                     stack.pop();
+                    // A loop frame sits on a frame of its own method; a
+                    // method's body frame never does (that would be a
+                    // self-call, already refused).
+                    if stack.last().is_none_or(|&(below, _)| below != m) {
+                        state[m] = State::Done;
+                    }
+                    continue;
+                };
+                *ops = rest;
+                match op {
+                    Op::Call(callee) => match state[callee.index()] {
+                        State::OnPath => return Err(ProgramError::RecursiveCall(*callee)),
+                        State::Unvisited => {
+                            state[callee.index()] = State::OnPath;
+                            stack.push((callee.index(), &self.methods[callee.index()].body));
+                        }
+                        State::Done => {}
+                    },
+                    Op::Loop { body, .. } => stack.push((m, body)),
+                    _ => {}
                 }
             }
         }
@@ -486,6 +490,65 @@ mod tests {
         b.method("b", vec![Op::Call(m0)]);
         b.thread(m0);
         assert!(matches!(b.build(), Err(ProgramError::RecursiveCall(_))));
+    }
+
+    /// The call graph is walked on a heap stack, not by recursing per call:
+    /// a 100 000-method chain validates on a 2 MiB thread stack, and the
+    /// same chain closed into a cycle is refused.
+    #[test]
+    fn a_long_call_chain_validates_without_recursing() {
+        let chain = |closed: bool| {
+            let n = 100_000u32;
+            let methods = (0..n)
+                .map(|i| Method {
+                    name: format!("m{i}"),
+                    body: match i + 1 {
+                        next if next < n => vec![Op::Call(MethodId(next))],
+                        _ if closed => vec![Op::Call(MethodId(0))],
+                        _ => Vec::new(),
+                    },
+                })
+                .collect();
+            let threads = vec![ThreadSpec {
+                entry: MethodId(0),
+                start: StartMode::AtRunStart,
+            }];
+            Program {
+                methods,
+                objects: Vec::new(),
+                threads,
+            }
+            .validate()
+        };
+        let results = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || (chain(false), chain(true)))
+            .unwrap()
+            .join()
+            .expect("validation overflowed its stack");
+        assert_eq!(results.0, Ok(()));
+        assert_eq!(results.1, Err(ProgramError::RecursiveCall(MethodId(0))));
+    }
+
+    /// Of two defects, the one checked first is reported: an unknown id
+    /// wins over a monitor misuse earlier in the same body, and fork
+    /// agreement wins over recursion.
+    #[test]
+    fn the_first_check_in_order_reports_its_defect() {
+        let mut b = ProgramBuilder::new();
+        let l = b.object(ObjKind::Monitor);
+        let m = b.method("m", vec![Op::Release(l), Op::Read(ObjId(99), 0)]);
+        b.thread(m);
+        assert_eq!(
+            b.build().unwrap_err(),
+            ProgramError::UnknownObject(ObjId(99))
+        );
+        let mut b = ProgramBuilder::new();
+        let main = b.method("main", vec![Op::Call(MethodId(0))]);
+        b.thread(main);
+        let idle = b.method("idle", vec![Op::Compute(1)]);
+        let never = b.forked_thread(idle);
+        assert_eq!(b.build().unwrap_err(), ProgramError::NeverForked(never));
     }
 
     #[test]

@@ -231,3 +231,39 @@ fn lusearch9_second_run_skips_unary_instrumentation() {
         );
     }
 }
+
+/// A `Threaded` requester under the deterministic engine would wait
+/// forever for a responder the one-threaded engine never runs, so
+/// `run_doublechecker` refuses the pairing instead of hanging. The run is
+/// on a thread of its own so that a hang fails this test at a timeout
+/// rather than wedging the suite.
+#[test]
+fn a_coordination_mode_that_does_not_match_the_plan_is_refused() {
+    use dc_octet::CoordinationMode;
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let wl = by_name("tsp", Scale::Tiny).unwrap();
+    let spec = spec_of(&wl);
+    let (done, finished) = mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(|| {
+            let config = DcConfig::single_run(CoordinationMode::Threaded);
+            let plan = ExecPlan::Det(Schedule::random(5));
+            run_doublechecker(&wl.program, &spec, config, &plan).map(|_| ())
+        });
+        done.send(outcome).ok();
+    });
+    let panic = finished
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the mismatched run hung instead of being refused")
+        .expect_err("the mismatched run was not refused");
+    run.join()
+        .expect("the refusal is caught on the run's thread");
+    let message = panic
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(
+        message.contains("Threaded") && message.contains("Immediate"),
+        "the refusal names both modes: {message}"
+    );
+}
