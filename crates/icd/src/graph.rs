@@ -25,10 +25,27 @@
 //! a [`ReplayConstraint`] needs once the source is gone, so
 //! [`SccReport::edges`] and [`SccReport::constraints`] see a node's edges in
 //! insertion order. Intra-thread edges sit in the in-list too (constraints
-//! are its `Cross` records). ICD consults the map once per node —
-//! [`Graph::insert`] returns the slot, the owning thread keeps it, and its
-//! transaction boundary passes it back as a hint — and otherwise only for
-//! cross-edge endpoints, tests and diagnostics.
+//! are its `Cross` records). ICD consults the map once per node, at
+//! [`Graph::insert`]: the slot it returns is published in the thread's
+//! registers beside the transaction's id, and every later reference — the
+//! boundary that finishes the node, an edge procedure naming it as an
+//! endpoint, `gLastRdSh` — passes it back as a hint, validated against the
+//! slot's occupant ([`TxGraph::resolve`]). A stale hint costs one map
+//! lookup and is never wrong. Otherwise the map serves the collector's
+//! roots and the by-id API tests and diagnostics use.
+//!
+//! # Repeated edges
+//!
+//! The edge procedures derive many edges the graph already implies: a
+//! thread pair that keeps conflicting on one object derives the same edge,
+//! from the same source position, over and over. A cross edge whose
+//! source's *last* out-record is a cross edge to the same destination from
+//! the same `src_pos`, entering it at the same or an earlier `dst_pos`, is
+//! counted but not linked ([`Graph::add_cross`]). The replay constraint
+//! (s, d) implies (s, d′) for every d′ ≥ d — the destination replays its
+//! log in order — so PCD's enabled set is the same at every step, and the
+//! graph's reachability, hence every SCC, is unchanged. [`Graph::add_edge`],
+//! the by-id API, links every edge it is given.
 //!
 //! Finished transactions' read/write logs live in **one log arena owned by
 //! the graph** (`Vec<LogEntry>`): a finish appends the log — copied from the
@@ -42,6 +59,12 @@
 //! ([`Graph::log`]). Neither a warm nor a *cold* graph allocates per node,
 //! per edge or per log (`tests/alloc_free.rs` pins ≤ 64 calls for 1 000
 //! logged nodes and 5 000 edges).
+//!
+//! A graph's buffers outlive it: an [`crate::Icd`] takes this thread's
+//! spare graph ([`Graph::spare`]) and hands its own back when dropped
+//! ([`Graph::recycle`]), so a thread that checks one short run after
+//! another grows the slab, the arenas, the map and the scratch once, not
+//! once per run. A thread keeps its last graph's capacity.
 //!
 //! The graph's own statistics — cross edges, SCCs, skipped probes — are
 //! plain integers: the graph lock that serializes every update also
@@ -61,6 +84,7 @@ use crate::types::{Edge, EdgeKind, LogEntry, ReplayConstraint, SccReport, TxId, 
 use dc_obs::{EventKind, PipelineObs};
 use dc_runtime::ids::ThreadId;
 use dc_runtime::txgraph::{EdgeRec, TxGraph, NIL};
+use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
@@ -190,9 +214,10 @@ pub struct Graph {
     logs: Vec<LogEntry>,
     /// Live slots in log-arena order, the compaction's scratch.
     order: Vec<u32>,
-    /// Last transaction (across all threads) to move an object to RdSh.
-    pub g_last_rd_sh: TxId,
-    /// Cross-thread edges added.
+    /// Last transaction (across all threads) to move an object to RdSh, as
+    /// (slot hint, id).
+    pub(crate) g_last_rd_sh: (u32, TxId),
+    /// Cross-thread edges derived, linked or not ([`Graph::cross_edges`]).
     cross_edges: u64,
     /// SCCs with ≥ 2 transactions detected.
     sccs: u64,
@@ -210,13 +235,49 @@ impl std::ops::Deref for Graph {
     }
 }
 
+thread_local! {
+    /// The buffers of the last graph recycled on this thread, empty
+    /// ([`Graph::recycle`]).
+    static SPARE: Cell<Graph> = Cell::default();
+}
+
 impl Graph {
     /// Creates an empty graph.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Cross-thread edges added (Table 3 column).
+    /// An empty graph on this thread's spare buffers, or a new one.
+    pub(crate) fn spare() -> Self {
+        SPARE.try_with(Cell::take).unwrap_or_default()
+    }
+
+    /// Empties the graph — nodes, edges, logs, `gLastRdSh` and statistics —
+    /// and keeps its buffers for the next [`Graph::spare`] on this thread.
+    /// During thread teardown, when the spare is gone, it is dropped.
+    pub(crate) fn recycle(self) {
+        let Graph {
+            mut core,
+            mut logs,
+            mut order,
+            tarjan,
+            ..
+        } = self;
+        core.clear();
+        logs.clear();
+        order.clear();
+        let empty = Graph {
+            core,
+            logs,
+            order,
+            tarjan,
+            ..Graph::default()
+        };
+        let _ = SPARE.try_with(|spare| spare.set(empty));
+    }
+
+    /// Cross-thread edges the edge procedures derived (Table 3 column),
+    /// counting a repeat that was not linked (see "Repeated edges").
     pub fn cross_edges(&self) -> u64 {
         self.cross_edges
     }
@@ -290,6 +351,35 @@ impl Graph {
         if let (Some(src_slot), Some(dst_slot)) =
             (self.core.slot(edge.src), self.core.slot(edge.dst))
         {
+            self.link(src_slot, dst_slot, edge);
+        }
+    }
+
+    /// Adds the cross edge an edge procedure derived, its endpoints named by
+    /// the slots their threads last saw them in (`hints`: source,
+    /// destination), like [`Graph::add_edge`] otherwise — except that a
+    /// repeat the source's last out-record already implies is counted but
+    /// not linked (see "Repeated edges").
+    pub(crate) fn add_cross(&mut self, edge: Edge, (src_hint, dst_hint): (u32, u32)) {
+        debug_assert_eq!(edge.kind, EdgeKind::Cross);
+        if edge.src == edge.dst {
+            return;
+        }
+        let src_slot = self.core.resolve(src_hint, edge.src);
+        let dst_slot = self.core.resolve(dst_hint, edge.dst);
+        let (Some(src_slot), Some(dst_slot)) = (src_slot, dst_slot) else {
+            return;
+        };
+        let implied = self.core.last_out(src_slot).is_some_and(|last| {
+            let e = &last.data.edge;
+            last.dst_slot == dst_slot
+                && e.kind == EdgeKind::Cross
+                && e.src_pos == edge.src_pos
+                && e.dst_pos <= edge.dst_pos
+        });
+        if implied {
+            self.cross_edges += 1;
+        } else {
             self.link(src_slot, dst_slot, edge);
         }
     }
@@ -669,7 +759,7 @@ impl Collector {
         let t0 = obs.map(|_| Instant::now());
         let registers = threads.flat_map(|tr| [&tr.current_tx, &tr.last_rd_ex]);
         let roots = registers.map(|r| TxId(r.load(Ordering::Acquire)));
-        let g_last_rd_sh = graph.g_last_rd_sh;
+        let (_, g_last_rd_sh) = graph.g_last_rd_sh;
         let collected = graph.collect(roots.chain([g_last_rd_sh]));
         self.after_collect(graph.len());
         self.collected += collected as u64;
@@ -1040,5 +1130,90 @@ mod tests {
         assert!(!p.due());
         p.after_collect(0);
         assert_eq!(p.threshold, 4);
+    }
+
+    /// Adds the cross edge `src@src_pos → dst@dst_pos` the way an edge
+    /// procedure does, with hints that name no slot (the map resolves).
+    fn derive(g: &mut Graph, (src, src_pos): (u64, u32), (dst, dst_pos): (u64, u32)) {
+        let edge = Edge {
+            src: TxId(src),
+            src_pos,
+            dst: TxId(dst),
+            dst_pos,
+            kind: EdgeKind::Cross,
+        };
+        g.add_cross(edge, (NIL, NIL));
+    }
+
+    #[test]
+    fn a_repeated_edge_is_counted_but_not_linked() {
+        let mut g = graph_with(2);
+        derive(&mut g, (1, 3), (2, 0));
+        derive(&mut g, (1, 3), (2, 0));
+        derive(&mut g, (1, 3), (2, 5));
+        assert_eq!(g.cross_edges(), 3, "every derived edge is counted");
+        assert_eq!(g.edge_arena_len(), 1, "the repeats are not linked");
+        let out: Vec<_> = g.out_edges(TxId(1)).map(|e| e.dst_pos).collect();
+        assert_eq!(out, [0], "the earliest entry point is kept");
+    }
+
+    #[test]
+    fn an_edge_its_source_last_out_record_does_not_imply_is_linked() {
+        let mut g = graph_with(3);
+        derive(&mut g, (1, 0), (2, 4));
+        // The source logged more since: a later source position.
+        derive(&mut g, (1, 1), (2, 4));
+        assert_eq!(g.edge_arena_len(), 2, "src_pos grew");
+        // Another destination, then the first one again.
+        derive(&mut g, (1, 1), (3, 4));
+        derive(&mut g, (1, 1), (2, 4));
+        assert_eq!(g.edge_arena_len(), 4, "the last out-record goes elsewhere");
+        // An earlier destination position than the last record's.
+        derive(&mut g, (1, 1), (2, 2));
+        assert_eq!(g.edge_arena_len(), 5, "the last record enters later");
+        // A program-order edge is no cross edge's witness.
+        g.add_edge(Edge {
+            kind: EdgeKind::Intra,
+            ..edge(2, 3)
+        });
+        derive(&mut g, (2, 0), (3, 0));
+        assert_eq!(g.edge_arena_len(), 7, "the last out-record is intra");
+        assert_eq!(g.cross_edges(), 6);
+    }
+
+    #[test]
+    fn a_cycle_built_with_repeats_carries_one_constraint_per_distinct_edge() {
+        let mut g = graph_with(2);
+        let derived = [
+            ((1, 0), (2, 0)),
+            ((1, 0), (2, 1)),
+            ((1, 0), (2, 1)),
+            ((2, 0), (1, 0)),
+            ((2, 0), (1, 2)),
+            ((1, 2), (2, 3)),
+            ((1, 2), (2, 3)),
+        ];
+        for (src, dst) in derived {
+            derive(&mut g, src, dst);
+        }
+        finish_all(&mut g, 2);
+        let scc = g.scc_from(TxId(2)).expect("a two-transaction cycle");
+        let mut distinct: Vec<_> = scc
+            .constraints
+            .iter()
+            .map(|c| (c.src, c.src_pos, c.dst))
+            .collect();
+        assert_eq!(distinct.len(), 3, "{:?}", scc.constraints);
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(
+            distinct,
+            [
+                (TxId(1), 0, TxId(2)),
+                (TxId(1), 2, TxId(2)),
+                (TxId(2), 0, TxId(1))
+            ]
+        );
+        assert_eq!(g.cross_edges(), 7);
     }
 }

@@ -20,7 +20,12 @@
 //! Application threads mutate the IDG under a global mutex (rare relative
 //! to accesses — Table 3: edges ≪ accesses — which is what makes ICD cheap):
 //! one critical section per transaction boundary and one per edge procedure,
-//! each counted by [`Icd::graph_locks`].
+//! each counted by [`Icd::graph_locks`]. A thread publishes the IDG slot of
+//! its current transaction (and of its `lastRdEx`) beside the id, and the
+//! edge procedures name both endpoints by `(slot, id)`, so an edge is
+//! resolved without hashing; the graph validates each slot hint under the
+//! lock. The graph's storage is taken from, and given back to, the
+//! constructing and dropping thread's spare ([`Graph::spare`]).
 //!
 //! A statistic is written by the one thread or lock that already
 //! serializes it, never by a locked read-modify-write of its own: the
@@ -92,8 +97,15 @@ pub(crate) struct ThreadRegs {
     /// coordination against an idle/finished thread still finds a source —
     /// in particular while a unary transaction is `pending`.
     pub(crate) current_tx: AtomicU64,
+    /// The IDG slot [`Graph::insert`] gave `currTX(T)`, stored beside it by
+    /// the owner: the boundary and the edge procedures pass it to the graph
+    /// as a hint. A reader may pair it with another id (the two are separate
+    /// words); the graph validates every hint against the slot's occupant.
+    pub(crate) current_slot: AtomicU32,
     /// `T.lastRdEx`: last transaction of `T` to move an object into RdEx-T.
     pub(crate) last_rd_ex: AtomicU64,
+    /// `current_slot` as it was when `last_rd_ex` was stored: its hint.
+    pub(crate) last_rd_ex_slot: AtomicU32,
     /// Stepped by [`EDGE_EVENT`] by whoever attaches an edge to this
     /// thread's *current* transaction, under the graph lock; drives
     /// unary-transaction cutting and elision epochs.
@@ -140,9 +152,6 @@ struct Local {
     kind: TxKind,
     /// Per-thread transaction sequence number.
     seq: u64,
-    /// IDG slot of the current transaction, as [`Graph::insert`] returned
-    /// it: the boundary finds its own node without hashing.
-    tx_slot: u32,
     /// Instrumented accesses of the current transaction; folded into the
     /// per-kind totals when the transaction's kind is about to change, so
     /// the per-access hook bumps one counter without testing `kind`.
@@ -170,13 +179,14 @@ impl Local {
         debug_assert!(self.log.is_empty(), "log must be drained at tx end");
     }
 
-    /// Makes `id` the thread's current transaction in its registers
-    /// `regs`, starting from the edge events seen so far and an empty
-    /// published log.
-    fn publish(&mut self, regs: &ThreadRegs, id: TxId) {
+    /// Makes `id`, inserted in IDG slot `slot`, the thread's current
+    /// transaction in its registers `regs`, starting from the edge events
+    /// seen so far and an empty published log.
+    fn publish(&mut self, regs: &ThreadRegs, (slot, id): (u32, TxId)) {
         self.seen_edge_events = regs.edge_events.load(Ordering::Acquire);
         regs.log_len.store(0, Ordering::Release);
         regs.pending.store(false, Ordering::Release);
+        regs.current_slot.store(slot, Ordering::Release);
         regs.current_tx.store(id.0, Ordering::Release);
     }
 
@@ -239,7 +249,6 @@ impl Slot {
                 seen_edge_events: 0,
                 kind: TxKind::Unary,
                 seq: 0,
-                tx_slot: 0,
                 accesses: 0,
                 regular_accesses: 0,
                 unary_accesses: 0,
@@ -359,6 +368,14 @@ pub struct Icd {
     obs: Option<Arc<PipelineObs>>,
 }
 
+/// Hands the graph's buffers to the next `Icd` built on the dropping thread
+/// ([`Graph::recycle`]); its statistics go with this one.
+impl Drop for Icd {
+    fn drop(&mut self) {
+        std::mem::take(&mut self.graph.lock().graph).recycle();
+    }
+}
+
 impl std::fmt::Debug for Icd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Icd")
@@ -394,7 +411,7 @@ impl Icd {
                 .map(|_| Arc::new(Slot::new(config.logging, layout)))
                 .collect(),
             graph: Mutex::new(Owned {
-                graph: Graph::new(),
+                graph: Graph::spare(),
                 collector: Collector::new(config.collect_every),
                 locks: 0,
                 next_tx: 1,
@@ -456,6 +473,13 @@ impl Icd {
     /// `currTX(T)`.
     pub fn current_tx(&self, t: ThreadId) -> TxId {
         TxId(self.slot(t).regs.current_tx.load(Ordering::Acquire))
+    }
+
+    /// `currTX(T)` with the slot hint stored beside it.
+    fn current(&self, t: ThreadId) -> (u32, TxId) {
+        let regs = &self.slot(t).regs;
+        let id = TxId(regs.current_tx.load(Ordering::Acquire));
+        (regs.current_slot.load(Ordering::Acquire), id)
     }
 
     /// Snapshot of every finished transaction with its log and the edges
@@ -536,11 +560,11 @@ impl Icd {
     /// (§3.2.3) into recycled report buffers, count the end toward the
     /// collector and run a due pass (the ended transaction is still
     /// `currTX(t)`, hence a root), draw the next id, insert its node with the
-    /// program-order edge, publish it as `currTX(t)`. The thread names its
-    /// own nodes by `(slot, id)`, so none of this consults the graph's id map
-    /// except the insert itself. A boundary with nothing to end and nothing
-    /// to insert (thread exit while a unary transaction is pending) takes no
-    /// lock.
+    /// program-order edge, publish it as `currTX(t)` with its slot. The
+    /// thread names its own nodes by `(slot, id)`, so none of this consults
+    /// the graph's id map except the insert itself. A boundary with nothing
+    /// to end and nothing to insert (thread exit while a unary transaction
+    /// is pending) takes no lock.
     fn boundary(
         &self,
         t: ThreadId,
@@ -550,7 +574,8 @@ impl Icd {
         insert: bool,
     ) -> Option<SccReport> {
         let old = TxId(regs.current_tx.load(Ordering::Acquire));
-        let old_node = (local.tx_slot, old);
+        // The owner is `current_slot`'s only writer.
+        let old_node = (regs.current_slot.load(Ordering::Relaxed), old);
         // The owner is `pending`'s only writer.
         let ends = old.is_some() && !regs.pending.load(Ordering::Relaxed);
         // The graph copies the finished log under the lock; the thread's
@@ -595,8 +620,8 @@ impl Icd {
             if insert {
                 let id = TxId(*next_tx);
                 *next_tx += 1;
-                local.tx_slot = graph.insert_after(id, t, local.kind, local.seq, old_node);
-                local.publish(regs, id);
+                let slot = graph.insert_after(id, t, local.kind, local.seq, old_node);
+                local.publish(regs, (slot, id));
             } else {
                 local.pend(regs);
             }
@@ -664,21 +689,22 @@ impl Icd {
     /// blocked responder (implicit protocol) — either way both ends are
     /// stable.
     pub fn handle_conflicting(&self, resp: ThreadId, req: ThreadId) {
-        let src = self.current_tx(resp);
-        let dst = self.current_tx(req);
+        let (src_hint, src) = self.current(resp);
+        let (dst_hint, dst) = self.current(req);
         if !src.is_some() || !dst.is_some() || src == dst {
             return;
         }
         let src_pos = self.slot(resp).regs.log_len.load(Ordering::Acquire);
         let dst_pos = self.slot(req).regs.log_len.load(Ordering::Acquire);
         let mut guard = self.lock_graph();
-        guard.graph.add_edge(Edge {
+        let edge = Edge {
             src,
             src_pos,
             dst,
             dst_pos,
             kind: EdgeKind::Cross,
-        });
+        };
+        guard.graph.add_cross(edge, (src_hint, dst_hint));
         self.note_edge_event(&guard, resp, src);
         self.note_edge_event(&guard, req, dst);
     }
@@ -687,27 +713,29 @@ impl Icd {
     /// edges `T1.lastRdEx → currTX(t)` and `gLastRdSh → currTX(t)`, then
     /// updates `gLastRdSh` — ordering all transitions to RdSh.
     pub fn handle_upgrading(&self, t: ThreadId, prev_owner: ThreadId) {
-        let cur = self.current_tx(t);
+        let (cur_hint, cur) = self.current(t);
         if !cur.is_some() {
             return;
         }
         let dst_pos = self.slot(t).regs.log_len.load(Ordering::Acquire);
         let owner = &self.slot(prev_owner).regs;
         let last_rd_ex = TxId(owner.last_rd_ex.load(Ordering::Acquire));
+        let last_rd_ex_hint = owner.last_rd_ex_slot.load(Ordering::Acquire);
         let mut guard = self.lock_graph();
         let graph = &mut guard.graph;
         if last_rd_ex.is_some() && last_rd_ex != cur {
-            let src_pos = self.edge_src_pos(graph, prev_owner, last_rd_ex);
-            graph.add_edge(Edge {
+            let src_pos = self.edge_src_pos(graph, prev_owner, (last_rd_ex_hint, last_rd_ex));
+            let edge = Edge {
                 src: last_rd_ex,
                 src_pos,
                 dst: cur,
                 dst_pos,
                 kind: EdgeKind::Cross,
-            });
+            };
+            graph.add_cross(edge, (last_rd_ex_hint, cur_hint));
         }
-        self.add_rd_sh_edge(graph, cur, dst_pos);
-        graph.g_last_rd_sh = cur;
+        self.add_rd_sh_edge(graph, (cur_hint, cur), dst_pos);
+        graph.g_last_rd_sh = (cur_hint, cur);
         // While `prev_owner`'s unary transaction is pending, its `lastRdEx`
         // may be the finished regular transaction `currTX` still names: the
         // edge leaves that one, not the thread's current (unary) one.
@@ -719,38 +747,41 @@ impl Icd {
 
     /// `handleFenceTransition` (Figure 4): adds `gLastRdSh → currTX(t)`.
     pub fn handle_fence(&self, t: ThreadId) {
-        let cur = self.current_tx(t);
+        let (cur_hint, cur) = self.current(t);
         if !cur.is_some() {
             return;
         }
         let dst_pos = self.slot(t).regs.log_len.load(Ordering::Acquire);
         let mut guard = self.lock_graph();
-        self.add_rd_sh_edge(&mut guard.graph, cur, dst_pos);
+        self.add_rd_sh_edge(&mut guard.graph, (cur_hint, cur), dst_pos);
         self.note_edge_event(&guard, t, cur);
     }
 
-    /// The edge `gLastRdSh → cur` both RdSh procedures add, `cur` having
-    /// logged `dst_pos` entries.
-    fn add_rd_sh_edge(&self, graph: &mut Graph, cur: TxId, dst_pos: u32) {
-        let g = graph.g_last_rd_sh;
+    /// The edge `gLastRdSh → cur` both RdSh procedures add, `cur` (slot
+    /// hint, id) having logged `dst_pos` entries.
+    fn add_rd_sh_edge(&self, graph: &mut Graph, (cur_hint, cur): (u32, TxId), dst_pos: u32) {
+        let (g_hint, g) = graph.g_last_rd_sh;
         if g.is_some() && g != cur {
-            let src_pos = self.any_src_pos(graph, g);
-            graph.add_edge(Edge {
+            let src_pos = self.any_src_pos(graph, (g_hint, g));
+            let edge = Edge {
                 src: g,
                 src_pos,
                 dst: cur,
                 dst_pos,
                 kind: EdgeKind::Cross,
-            });
+            };
+            graph.add_cross(edge, (g_hint, cur_hint));
         }
     }
 
     /// Records that `t`'s current transaction moved an object into
-    /// RdEx-`t` (updates `t.lastRdEx`; Figure 4's conflicting handler).
+    /// RdEx-`t` (updates `t.lastRdEx` and its slot hint; Figure 4's
+    /// conflicting handler).
     pub fn note_rdex_claim(&self, t: ThreadId) {
+        let (slot, cur) = self.current(t);
         let regs = &self.slot(t).regs;
-        let cur = regs.current_tx.load(Ordering::Acquire);
-        regs.last_rd_ex.store(cur, Ordering::Release);
+        regs.last_rd_ex_slot.store(slot, Ordering::Release);
+        regs.last_rd_ex.store(cur.0, Ordering::Release);
     }
 
     /// Steps the thread's edge counter if `tx` is still its current
@@ -767,23 +798,25 @@ impl Icd {
         }
     }
 
-    /// Log position to use for an edge out of `tx` owned by thread `owner`:
-    /// the live published length if `tx` is still current, else its final
-    /// length.
-    fn edge_src_pos(&self, graph: &Graph, owner: ThreadId, tx: TxId) -> u32 {
+    /// Log position to use for an edge out of `tx` (slot hint, id) owned by
+    /// thread `owner`: the live published length if `tx` is still current,
+    /// else its final length.
+    fn edge_src_pos(&self, graph: &Graph, owner: ThreadId, (hint, tx): (u32, TxId)) -> u32 {
         let regs = &self.slot(owner).regs;
         if regs.current_tx.load(Ordering::Acquire) == tx.0 {
             regs.log_len.load(Ordering::Acquire)
         } else {
-            graph.node(tx).map_or(0, |n| n.data.final_len)
+            graph
+                .resolve(hint, tx)
+                .map_or(0, |slot| graph.at(slot).data.final_len)
         }
     }
 
     /// Like [`Self::edge_src_pos`] when the owning thread is not known
     /// statically (the `gLastRdSh` register).
-    fn any_src_pos(&self, graph: &Graph, tx: TxId) -> u32 {
-        match graph.node(tx) {
-            Some(node) => self.edge_src_pos(graph, node.data.thread, tx),
+    fn any_src_pos(&self, graph: &Graph, (hint, tx): (u32, TxId)) -> u32 {
+        match graph.resolve(hint, tx) {
+            Some(slot) => self.edge_src_pos(graph, graph.at(slot).data.thread, (slot, tx)),
             None => 0,
         }
     }
@@ -1046,7 +1079,7 @@ mod tests {
             let g = &icd.graph.lock().graph;
             let out: Vec<_> = g.out_edges(t0_tx).map(|e| e.dst).collect();
             assert!(out.contains(&t1_tx));
-            assert_eq!(g.g_last_rd_sh, t1_tx);
+            assert_eq!(g.g_last_rd_sh.1, t1_tx);
         }
         // T2 takes a fence: edge gLastRdSh (= T1's tx) → currTX(T2).
         icd.handle_fence(T2_ID);
@@ -1185,5 +1218,44 @@ mod tests {
         icd.end_regular(T0);
         end_all(&icd, 2);
         assert_eq!(locks(), base + 3 + 2 + 1, "T0 exits pending: no lock");
+    }
+
+    /// A slot hint whose slot a collection recycled for another
+    /// transaction — what a reader that pairs an id with a newer slot sees —
+    /// costs a map lookup, never a wrong endpoint.
+    #[test]
+    fn a_stale_slot_hint_still_names_its_transaction() {
+        let icd = Icd::new(
+            2,
+            IcdConfig {
+                collect_every: 1,
+                ..IcdConfig::default()
+            },
+        );
+        icd.thread_begin(T0);
+        icd.thread_begin(T1);
+        // T1's transaction A ends, and T1 goes on in B.
+        icd.begin_regular(T1, M);
+        let stale = regs(&icd, 1).current_slot.load(Ordering::Relaxed);
+        icd.end_regular(T1);
+        icd.begin_regular(T1, M);
+        let b = icd.current_tx(T1);
+        // T0's ends run collector passes; A, no root, goes, and one of
+        // T0's transactions takes its slot.
+        let mut calls = 0;
+        while regs(&icd, 0).current_slot.load(Ordering::Relaxed) != stale {
+            icd.end_regular(T0);
+            icd.begin_regular(T0, M);
+            calls += 1;
+            assert!(calls < 16, "slot {stale} was never recycled");
+        }
+        let c = icd.current_tx(T0);
+        // T1's register pairs B with the recycled slot, now C's.
+        regs(&icd, 1).current_slot.store(stale, Ordering::Relaxed);
+        icd.handle_conflicting(T1, T0);
+        let g = &icd.graph.lock().graph;
+        assert_eq!(g.cross_edges(), 1);
+        assert_eq!(g.out_edges(b).map(|e| e.dst).collect::<Vec<_>>(), [c]);
+        assert!(g.out_edges(c).all(|e| e.dst != c), "no edge out of C");
     }
 }

@@ -209,9 +209,10 @@ fn cold_graph_allocates_only_by_amortized_growth() {
     assert!(calls <= 64, "{calls} allocator calls for a cold graph");
 }
 
-/// Allocator calls of a *cold* `Icd` driven through `calls` atomic-method
-/// calls on two threads, one conflicting transition per call.
-fn cold_icd_allocations(calls: u32) -> u64 {
+/// Allocator calls of an `Icd` built on this thread and driven through
+/// `calls` atomic-method calls on two threads, one conflicting transition
+/// per call. Dropping it hands its graph to the thread's spare.
+fn icd_allocations(calls: u32) -> u64 {
     let (t0, t1) = (ThreadId(0), ThreadId(1));
     let layout = layout(1, 2);
     let before = allocations();
@@ -231,18 +232,43 @@ fn cold_icd_allocations(calls: u32) -> u64 {
     allocations() - before
 }
 
-/// A cold `Icd` allocates O(log n) times — growth steps of its buffers and
-/// arenas, nothing per call: doubling the call count adds a handful.
+/// Runs `f` on a freshly spawned thread, which has no spare graph yet.
+fn on_new_thread(f: impl FnOnce() -> u64 + Send + 'static) -> u64 {
+    std::thread::spawn(f)
+        .join()
+        .expect("measuring thread panicked")
+}
+
+/// A cold `Icd` — the first on its thread — allocates O(log n) times:
+/// growth steps of its buffers and arenas, nothing per call; doubling the
+/// call count adds a handful.
 #[test]
 fn cold_icd_allocates_only_by_growth() {
     const CALLS: u32 = 128;
     // Measured: 42 at 128 calls, 46 at 256.
-    let small = cold_icd_allocations(CALLS);
-    let large = cold_icd_allocations(2 * CALLS);
+    let small = on_new_thread(|| icd_allocations(CALLS));
+    let large = on_new_thread(|| icd_allocations(2 * CALLS));
     assert!(small <= 64, "{small} allocator calls for {CALLS} calls");
     assert!(
         large - small <= 8,
         "doubling the calls added {} allocator calls",
         large - small
     );
+}
+
+/// A second `Icd` of the same shape on one thread takes the first one's
+/// graph storage (slab, arenas, id map, scratch) and allocates only its
+/// per-thread state, however many calls it runs.
+#[test]
+fn warm_icd_allocates_only_its_thread_state() {
+    let warm = |calls| {
+        on_new_thread(move || {
+            icd_allocations(calls);
+            icd_allocations(calls)
+        })
+    };
+    // Measured: 7 at both sizes.
+    let (small, large) = (warm(128), warm(256));
+    assert!(small <= 8, "{small} allocator calls for a warm Icd");
+    assert_eq!(large, small, "a warm Icd allocated by call count");
 }

@@ -275,6 +275,13 @@ impl<K: Copy + Eq + Hash + Default, N, E> TxGraph<K, N, E> {
         self.edges.get(cursor as usize)
     }
 
+    /// The last record of `slot`'s out-list: the edge it gained most
+    /// recently.
+    #[inline]
+    pub fn last_out(&self, slot: u32) -> Option<&EdgeRec<E>> {
+        self.record(self.at(slot).out_tail)
+    }
+
     /// The records of `slot`'s out-list, in insertion order.
     pub fn out_list(&self, slot: u32) -> impl Iterator<Item = &EdgeRec<E>> {
         let head = self.record(self.at(slot).out_head);

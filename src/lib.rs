@@ -4,6 +4,8 @@
 //! a single dependency. See `README.md` for an overview and `DESIGN.md` for
 //! the system inventory.
 
+pub mod bench;
+
 pub use dc_core as core;
 pub use dc_icd as icd;
 pub use dc_octet as octet;
