@@ -169,6 +169,42 @@ fn matches_velodrome_bit_for_bit_on_deterministic_runs() {
 
 /// The `MetaTable` is laid out for one heap, and the message names the
 /// checker that was misused.
+/// `alpha` and `beta` called five times each on two threads, one action at
+/// a time: every round closes a cycle of the same two methods, and the
+/// checker stores the first round's violation only.
+#[test]
+fn a_violation_repeated_k_times_is_stored_once() {
+    let mut b = ProgramBuilder::new();
+    let o = b.object(ObjKind::Plain { fields: 2 });
+    let m0 = b.method("alpha", vec![Op::Write(o, 0), Op::Read(o, 1)]);
+    let m1 = b.method("beta", vec![Op::Write(o, 1), Op::Read(o, 0)]);
+    let loop_of = |m| {
+        vec![Op::Loop {
+            count: 5,
+            body: vec![Op::Call(m)],
+        }]
+    };
+    let t0 = b.method("t0", loop_of(m0));
+    let t1 = b.method("t1", loop_of(m1));
+    b.thread(t0);
+    b.thread(t1);
+    let p = b.build().unwrap();
+    let schedule = Schedule::RoundRobin { quantum: 1 };
+    let aero = AeroDrome::new(2, excluding_thread_bodies(&p), AeroConfig::default());
+    run_det(&p, &aero, &schedule).unwrap();
+    assert_eq!(aero.cycles(), 5, "one cycle per round");
+    let violations = aero.violations();
+    assert_eq!(violations.len(), 1, "stored once");
+    assert_eq!(violations[0].static_key(), [Some(m0), Some(m1)]);
+    assert!(
+        violations[0].cycle.iter().all(|(tx, _)| tx.0 >> 16 <= 2),
+        "the first round's cycle is kept: {violations:?}"
+    );
+    let velodrome = Online::<()>::new(2, excluding_thread_bodies(&p), OnlineConfig::default());
+    run_det(&p, &velodrome, &schedule).unwrap();
+    assert_eq!(velodrome.violations(), violations);
+}
+
 #[test]
 #[should_panic(expected = "AeroDrome is single-run: run_begin called twice")]
 fn second_run_begin_panics_naming_aerodrome() {

@@ -19,13 +19,13 @@ use dc_obs::{
     ReplayReport, TraceEvent,
 };
 use dc_octet::{BarrierOutcome, CoordinationMode, OctetState, Protocol, TransitionSink};
-use dc_pcd::{replay_scc_with, ReplayStats, Violation};
-use dc_runtime::checker::Checker;
+use dc_pcd::{replay_scc, ReplayStats, Violation};
+use dc_runtime::checker::{Checker, Distinct};
 use dc_runtime::heap::{CellLayout, Heap};
 use dc_runtime::ids::{AccessKind, CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
 use dc_runtime::spec::{AtomicitySpec, EnterOutcome, ExitOutcome, TxFilter, TxTracker};
 use dc_runtime::OwnerCell;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -211,6 +211,17 @@ struct Run {
     icd: Arc<Icd>,
 }
 
+/// What the analysis concluded: each SCC is merged into it under one lock,
+/// once, after its replay ([`DoubleChecker::conclude`]).
+#[derive(Debug, Default)]
+struct Outcome {
+    /// The precise violations, one per static key.
+    violations: Distinct<Violation>,
+    static_info: StaticTxInfo,
+    sccs_to_pcd: u64,
+    pcd: ReplayStats,
+}
+
 /// The composed DoubleChecker analysis.
 pub struct DoubleChecker {
     config: DcConfig,
@@ -220,10 +231,7 @@ pub struct DoubleChecker {
     /// lifecycle hooks do.
     run: OnceLock<Run>,
     slots: Box<[OwnerCell<Local>]>,
-    violations: Mutex<Vec<Violation>>,
-    pcd_stats: Mutex<ReplayStats>,
-    static_info: Mutex<StaticTxInfo>,
-    sccs_to_pcd: AtomicU64,
+    outcome: Mutex<Outcome>,
     /// Latency and trace registry shared with Octet and ICD; `None` at
     /// `Off`.
     obs: Option<Arc<PipelineObs>>,
@@ -256,10 +264,7 @@ impl DoubleChecker {
                     })
                 })
                 .collect(),
-            violations: Mutex::new(Vec::new()),
-            pcd_stats: Mutex::new(ReplayStats::default()),
-            static_info: Mutex::default(),
-            sccs_to_pcd: AtomicU64::new(0),
+            outcome: Mutex::default(),
             obs,
             n_threads,
         }
@@ -306,7 +311,7 @@ impl DoubleChecker {
             },
             replay: ReplayReport {
                 latency: latency(|o| &o.replay_latency),
-                violations: self.pcd_stats.lock().cycles,
+                violations: self.outcome.lock().pcd.cycles,
             },
             trace_recorded: obs.map_or(0, PipelineObs::trace_recorded),
         })
@@ -321,19 +326,14 @@ impl DoubleChecker {
             .unwrap_or_default()
     }
 
-    /// The precise violations found, deduplicated by static identity.
+    /// The precise violations found, the first of each static identity.
     pub fn violations(&self) -> Vec<Violation> {
-        let all = self.violations.lock();
-        let mut seen = std::collections::HashSet::new();
-        all.iter()
-            .filter(|v| seen.insert(v.static_key()))
-            .cloned()
-            .collect()
+        self.outcome.lock().violations.as_slice().to_vec()
     }
 
     /// The static transaction information collected for multi-run mode.
     pub fn static_info(&self) -> StaticTxInfo {
-        self.static_info.lock().clone()
+        self.outcome.lock().static_info.clone()
     }
 
     /// Run statistics (Table 3 columns plus analysis internals); all zero
@@ -343,6 +343,7 @@ impl DoubleChecker {
             return DcStats::default();
         };
         let stats = icd.stats();
+        let outcome = self.outcome.lock();
         DcStats {
             regular_txs: stats.regular_txs.load(Ordering::Relaxed),
             unary_txs: stats.unary_txs.load(Ordering::Relaxed),
@@ -352,9 +353,9 @@ impl DoubleChecker {
             collected_txs: icd.collected_txs(),
             idg_cross_edges: icd.cross_edges(),
             icd_sccs: icd.scc_count(),
-            sccs_to_pcd: self.sccs_to_pcd.load(Ordering::Relaxed),
+            sccs_to_pcd: outcome.sccs_to_pcd,
             graph_locks: icd.graph_locks(),
-            pcd: *self.pcd_stats.lock(),
+            pcd: outcome.pcd,
         }
     }
 
@@ -362,32 +363,38 @@ impl DoubleChecker {
         self.run.get().expect("run_begin builds the run's analyses")
     }
 
-    /// Consumes an SCC report: records static info (first run), runs PCD
-    /// (single-run / second run) and hands the report's buffers back.
+    /// Consumes an SCC report: [`DoubleChecker::conclude`]s it, records
+    /// its static info (first run) under the same lock, and hands the
+    /// report's buffers back.
     fn process_scc(&self, scc: Option<SccReport>) {
         let Some(scc) = scc else { return };
-        self.static_info.lock().absorb_scc(&scc);
-        if self.config.run_pcd {
-            self.replay(&scc);
-        }
+        self.conclude(&scc).static_info.absorb_scc(&scc);
         scc.recycle();
     }
 
-    /// Hands one SCC to PCD and keeps what it found; with a registry, times
-    /// and traces the replay.
-    fn replay(&self, scc: &SccReport) {
-        self.sccs_to_pcd.fetch_add(1, Ordering::Relaxed);
+    /// Hands one SCC to PCD, if this run runs it, without a lock and into a
+    /// buffer that allocates only for a violation (with a registry, timing
+    /// and tracing the replay). Then locks the outcome once to count the
+    /// SCC, merge its statistics and keep each violation whose static key
+    /// is new, and returns the lock.
+    fn conclude(&self, scc: &SccReport) -> MutexGuard<'_, Outcome> {
+        if !self.config.run_pcd {
+            return self.outcome.lock();
+        }
         let t0 = self.obs.as_ref().map(|obs| {
             obs.trace(EventKind::ReplaySubmit, scc.len() as u64);
             Instant::now()
         });
-        // A replay takes the violations' lock only to keep what it found.
-        let stats = replay_scc_with(scc, |v| self.violations.lock().push(v));
+        let (found, stats) = replay_scc(scc);
         if let (Some(obs), Some(t0)) = (&self.obs, t0) {
             obs.replay_latency.record_elapsed(t0);
             obs.trace(EventKind::ReplayDone, stats.cycles);
         }
-        self.pcd_stats.lock().merge(stats);
+        let mut outcome = self.outcome.lock();
+        outcome.sccs_to_pcd += 1;
+        outcome.pcd.merge(stats);
+        outcome.violations.extend(found, Violation::static_key);
+        outcome
     }
 
     /// The instrumented access body shared by plain, array, and sync hooks:
@@ -538,7 +545,7 @@ impl Checker for DoubleChecker {
     fn run_end(&self) {
         if self.config.is_pcd_only() {
             // Straw-man variant: replay every executed transaction.
-            self.replay(&self.run().icd.snapshot_all_finished());
+            self.conclude(&self.run().icd.snapshot_all_finished());
         }
         if let Some(obs) = &self.obs {
             obs.trace(EventKind::RunEnd, self.n_threads as u64);
@@ -561,8 +568,7 @@ impl Checker for DoubleChecker {
 
     fn thread_end(&self, t: ThreadId) {
         let Run { octet, icd } = self.run();
-        let scc = icd.thread_end(t);
-        self.process_scc(scc);
+        self.process_scc(icd.thread_end(t));
         octet.thread_end(t);
     }
 
@@ -572,8 +578,7 @@ impl Checker for DoubleChecker {
         if let EnterOutcome::BeginTransaction(method) = local.tracker.enter(m, &self.spec) {
             self.refresh_context(local);
             if local.context == Context::Instrumented {
-                let scc = self.run().icd.begin_regular(t, method);
-                self.process_scc(scc);
+                self.process_scc(self.run().icd.begin_regular(t, method));
             }
         }
     }
@@ -583,8 +588,7 @@ impl Checker for DoubleChecker {
         let local = unsafe { self.slots[t.index()].get() };
         if let ExitOutcome::EndTransaction(_) = local.tracker.exit(m) {
             if local.context == Context::Instrumented {
-                let scc = self.run().icd.end_regular(t);
-                self.process_scc(scc);
+                self.process_scc(self.run().icd.end_regular(t));
             }
             self.refresh_context(local);
         }
@@ -747,6 +751,46 @@ mod tests {
         c.run_end();
         let stats = c.stats();
         assert_eq!((stats.unary_accesses, stats.log_entries), (4, 2));
+    }
+
+    /// `alpha` and `beta` called five times each on two threads, one
+    /// action at a time: PCD finds a precise cycle of the same two methods
+    /// every round, and the outcome keeps the first round's only.
+    #[test]
+    fn a_violation_repeated_k_times_is_stored_once() {
+        use dc_runtime::engine::det::{run_det, Schedule};
+        use dc_runtime::program::{Op, ProgramBuilder};
+        let mut b = ProgramBuilder::new();
+        let o = b.object(ObjKind::Plain { fields: 2 });
+        let alpha = b.method("alpha", vec![Op::Write(o, 0), Op::Read(o, 1)]);
+        let beta = b.method("beta", vec![Op::Write(o, 1), Op::Read(o, 0)]);
+        let loop_of = |m| {
+            vec![Op::Loop {
+                count: 5,
+                body: vec![Op::Call(m)],
+            }]
+        };
+        let t0 = b.method("t0", loop_of(alpha));
+        let t1 = b.method("t1", loop_of(beta));
+        b.thread(t0);
+        b.thread(t1);
+        let p = b.build().unwrap();
+        let c = DoubleChecker::new(
+            2,
+            AtomicitySpec::excluding([t0, t1]),
+            DcConfig::single_run(CoordinationMode::Immediate),
+        );
+        run_det(&p, &c, &Schedule::RoundRobin { quantum: 1 }).unwrap();
+        assert_eq!(c.stats().pcd.cycles, 5, "one precise cycle per round");
+        assert_eq!(
+            c.outcome.lock().violations.as_slice().len(),
+            1,
+            "stored once"
+        );
+        let violations = c.violations();
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].static_key(), [Some(alpha), Some(beta)]);
+        assert_eq!(violations[0].cycle.len(), 2);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! mark-and-sweep pass); the IDG reads it through `Deref`. An edge record
 //! carries the [`Edge`] plus the source's thread and sequence number, what
 //! a [`ReplayConstraint`] needs once the source is gone, so
-//! [`SccReport::edges`] and [`SccReport::constraints`] see a node's edges in
-//! insertion order. Intra-thread edges sit in the in-list too (constraints
-//! are its `Cross` records). ICD consults the map once per node, at
+//! [`SccReport::constraints`] sees a node's in-edges in insertion order.
+//! Intra-thread edges sit in the in-list too (constraints are its `Cross`
+//! records). ICD consults the map once per node, at
 //! [`Graph::insert`]: the slot it returns is published in the thread's
 //! registers beside the transaction's id, and every later reference — the
 //! boundary that finishes the node, an edge procedure naming it as an
@@ -612,48 +612,43 @@ impl Graph {
             return SccProbe::NoCycle;
         }
         self.sccs += 1;
-        let component = std::mem::take(&mut self.tarjan.component);
-        self.snapshot_component(&component, out);
+        let mut component = std::mem::take(&mut self.tarjan.component);
+        self.snapshot_component(&mut component, out);
         self.tarjan.component = component;
         SccProbe::Cycle(())
     }
 
-    /// Snapshots *every* finished transaction and all edges among them —
-    /// the "PCD-only" variant of §5.4, where PCD processes every executed
-    /// transaction rather than just ICD's SCCs.
+    /// Snapshots *every* finished transaction and the constraints into
+    /// them — the "PCD-only" variant of §5.4, where PCD processes every
+    /// executed transaction rather than just ICD's SCCs.
     pub fn snapshot_all_finished(&mut self) -> SccReport {
-        let component: Vec<u32> = (0..self.core.slab_len() as u32)
+        let mut component: Vec<u32> = (0..self.core.slab_len() as u32)
             .filter(|&i| {
                 let n = self.core.at(i);
                 n.id.is_some() && n.finished
             })
             .collect();
         let mut report = SccReport::default();
-        self.snapshot_component(&component, &mut report);
+        self.snapshot_component(&mut component, &mut report);
         report
     }
 
-    /// Writes `component`'s members — each with a copy of its log, in
-    /// (thread, seq) order — its internal edges and the constraints of its
-    /// members' incoming cross edges into `out`, reusing its buffers.
-    fn snapshot_component(&mut self, component: &[u32], out: &mut SccReport) {
+    /// Sorts `component`'s slots by (thread, seq, id) and writes, in that
+    /// order, each member with a copy of its log and the constraints of its
+    /// incoming cross edges into `out`, reusing its buffers. (Thread and seq
+    /// name one transaction; the id only makes the key total.)
+    fn snapshot_component(&self, component: &mut [u32], out: &mut SccReport) {
+        let core = &self.core;
+        component.sort_unstable_by_key(|&i| {
+            let n = core.at(i);
+            (n.data.thread, n.data.seq, n.id)
+        });
         out.clear();
-        self.core.begin_marks();
-        for &i in component {
-            self.core.mark(i);
-            let n = self.core.at(i);
+        let cross = |r: &&EdgeRec<IdgEdge>| r.data.edge.kind == EdgeKind::Cross;
+        for &i in component.iter() {
+            let n = core.at(i);
             let d = &n.data;
             out.push_tx(n.id, d.thread, d.kind, d.seq, self.log_of(i));
-        }
-        // (thread, seq) names one transaction; the id only makes the key
-        // total.
-        out.txs.sort_unstable_by_key(|t| (t.thread, t.seq, t.id));
-        let core = &self.core;
-        for &i in component {
-            let internal = |r: &&EdgeRec<IdgEdge>| core.is_marked(r.dst_slot);
-            out.edges
-                .extend(core.out_list(i).filter(internal).map(|r| r.data.edge));
-            let cross = |r: &&EdgeRec<IdgEdge>| r.data.edge.kind == EdgeKind::Cross;
             out.constraints
                 .extend(core.in_list(i).filter(cross).map(|r| r.data.constraint()));
         }
@@ -808,8 +803,9 @@ mod tests {
         assert!(g.scc_from(TxId(1)).is_none());
         g.finish(TxId(2), vec![]).unwrap();
         let scc = g.scc_from(TxId(2)).expect("cycle complete");
-        assert_eq!(scc.len(), 2);
-        assert_eq!(scc.edges.len(), 2);
+        assert_eq!(scc.tx_ids().collect::<Vec<_>>(), [TxId(1), TxId(2)]);
+        let pairs: Vec<_> = scc.constraints.iter().map(|c| (c.src, c.dst)).collect();
+        assert_eq!(pairs, [(TxId(2), TxId(1)), (TxId(1), TxId(2))]);
         assert_eq!(g.scc_count(), 1);
     }
 
@@ -861,7 +857,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_carries_logs_and_internal_edges_only() {
+    fn snapshot_carries_logs_and_member_constraints_only() {
         let mut g = graph_with(3);
         g.add_edge(edge(1, 2));
         g.add_edge(edge(2, 1));
@@ -875,9 +871,77 @@ mod tests {
         g.finish(TxId(3), vec![]).unwrap();
         let scc = g.scc_from(TxId(2)).unwrap();
         assert_eq!(scc.len(), 2);
-        assert_eq!(scc.edges.len(), 2, "edge 2→3 excluded");
+        assert!(
+            scc.constraints.iter().all(|c| c.dst != TxId(3)),
+            "edge 2→3 leaves the SCC: {:?}",
+            scc.constraints
+        );
+        assert_eq!(scc.constraints.len(), 2);
         let t1 = scc.txs.iter().find(|t| t.id == TxId(1)).unwrap();
         assert_eq!(scc.log(t1).len(), 1);
+    }
+
+    /// Members come out in (thread, seq, id) order, whatever order Tarjan
+    /// popped them in, with their logs back to back in that order; each
+    /// member's constraints follow its in-list.
+    #[test]
+    fn snapshot_orders_members_by_thread_then_seq() {
+        use dc_runtime::ids::ObjId;
+        let mut g = Graph::new();
+        // (id, thread, seq): ids run against the member order.
+        for (id, thread, seq) in [(1, 2, 7), (2, 0, 9), (3, 2, 3), (4, 0, 1)] {
+            g.insert(TxId(id), ThreadId(thread), TxKind::Unary, seq);
+        }
+        for (src, dst) in [(1, 2), (2, 3), (3, 4), (4, 1), (2, 1)] {
+            g.add_edge(edge(src, dst));
+        }
+        for id in 1..=4 {
+            let log = vec![LogEntry::new(ObjId(id as u32), 0, true, false); id as usize];
+            g.finish(TxId(id), log).unwrap();
+        }
+        let scc = g.scc_from(TxId(1)).expect("one four-member cycle");
+        assert_eq!(
+            scc.tx_ids().collect::<Vec<_>>(),
+            [TxId(4), TxId(2), TxId(3), TxId(1)]
+        );
+        let mut end = 0;
+        for tx in &scc.txs {
+            assert_eq!(tx.log.start, end, "{:?}'s log follows the last", tx.id);
+            assert_eq!(tx.log.len(), tx.id.0 as usize);
+            assert!(scc.log(tx).iter().all(|e| e.obj() == ObjId(tx.id.0 as u32)));
+            end = tx.log.end;
+        }
+        assert_eq!(end as usize, scc.entries.len());
+        let pairs: Vec<_> = scc.constraints.iter().map(|c| (c.src.0, c.dst.0)).collect();
+        assert_eq!(pairs, [(3, 4), (1, 2), (2, 3), (4, 1), (2, 1)]);
+    }
+
+    /// A thread's next transaction follows its last one by a program-order
+    /// edge that leaves the last one at its final log length and enters the
+    /// new one at its start.
+    #[test]
+    fn insert_after_links_program_order_from_the_final_log_length() {
+        let mut g = Graph::new();
+        let t = ThreadId(0);
+        let first = g.insert(TxId(1), t, TxKind::Regular(dc_runtime::ids::MethodId(0)), 1);
+        let entry = LogEntry::new(dc_runtime::ids::ObjId(0), 0, true, false);
+        g.finish(TxId(1), vec![entry, entry]).unwrap();
+        let next = g.insert_after(TxId(2), t, TxKind::Unary, 2, (first, TxId(1)));
+        assert_eq!(
+            g.out_edges(TxId(1)).collect::<Vec<_>>(),
+            [Edge {
+                src: TxId(1),
+                src_pos: 2,
+                dst: TxId(2),
+                dst_pos: 0,
+                kind: EdgeKind::Intra,
+            }]
+        );
+        assert_eq!(g.in_constraints(TxId(2)).count(), 0, "no replay constraint");
+        // A thread's first transaction has no predecessor.
+        g.insert_after(TxId(3), ThreadId(1), TxKind::Unary, 1, (NIL, TxId::NONE));
+        assert_eq!(g.edge_arena_len(), 1);
+        assert_ne!(first, next);
     }
 
     /// A pass that frees a log slides the survivors' logs down in arena

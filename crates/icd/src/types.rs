@@ -196,18 +196,25 @@ thread_local! {
 }
 
 /// An SCC of the imprecise dependence graph, detected when its last member
-/// transaction finished — the unit of work handed to PCD. Its buffers are
-/// reusable: [`SccReport::clear`] keeps their capacity, and a consumer that
-/// hands a report back ([`SccReport::recycle`]) makes the next one a
-/// transaction end on its thread reports allocation-free.
+/// transaction finished — the whole of what ICD hands PCD (§3.3).
+///
+/// It holds the members in (thread, seq, id) order, each with a copy of its
+/// log, and one replay constraint per cross-thread in-edge of a member,
+/// each member's in its in-list's insertion order. Nothing else: PCD takes
+/// the member order as its per-thread chains and never sorts the members
+/// again. [`SccReport::push_tx`] checks the order wherever a report is
+/// built, by ICD or by hand.
+///
+/// Its buffers are reusable: [`SccReport::clear`] keeps their capacity, and
+/// a consumer that hands a report back ([`SccReport::recycle`]) makes the
+/// next one a transaction end on its thread reports allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct SccReport {
-    /// The member transactions.
+    /// The member transactions, in (thread, seq, id) order.
     pub txs: Vec<TxSnapshot>,
-    /// Every member's log, each one contiguous ([`TxSnapshot::log`]).
+    /// Every member's log, back to back in member order
+    /// ([`TxSnapshot::log`]).
     pub entries: Vec<LogEntry>,
-    /// All IDG edges whose endpoints are both members.
-    pub edges: Vec<Edge>,
     /// Replay-ordering constraints from every cross-thread edge whose sink
     /// is a member (sources may be outside the SCC).
     pub constraints: Vec<ReplayConstraint>,
@@ -231,7 +238,6 @@ impl SccReport {
     pub fn clear(&mut self) {
         self.txs.clear();
         self.entries.clear();
-        self.edges.clear();
         self.constraints.clear();
     }
 
@@ -239,7 +245,9 @@ impl SccReport {
     ///
     /// # Panics
     ///
-    /// Panics if the entries buffer outgrows `u32` positions.
+    /// Panics, naming both members by their `(thread, seq, id)` key, unless
+    /// the key is greater than the previous member's; and if the entries
+    /// buffer outgrows `u32` positions.
     pub fn push_tx(
         &mut self,
         id: TxId,
@@ -248,6 +256,10 @@ impl SccReport {
         seq: u64,
         log: &[LogEntry],
     ) {
+        if let Some(p) = self.txs.last() {
+            let (prev, key) = ((p.thread, p.seq, p.id), (thread, seq, id));
+            assert!(prev < key, "SCC members out of order: {prev:?}, {key:?}");
+        }
         let pos = |n: usize| u32::try_from(n).expect("SCC log buffer overflow");
         let start = pos(self.entries.len());
         self.entries.extend_from_slice(log);
@@ -392,5 +404,23 @@ mod tests {
             capacity,
             "clear keeps the buffers"
         );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "SCC members out of order: (ThreadId(1), 0, Tx2), (ThreadId(0), 0, Tx1)"
+    )]
+    fn push_tx_out_of_order_panics() {
+        let mut report = SccReport::default();
+        report.push_tx(TxId(2), ThreadId(1), TxKind::Unary, 0, &[]);
+        report.push_tx(TxId(1), ThreadId(0), TxKind::Unary, 0, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "SCC members out of order")]
+    fn push_tx_repeated_member_panics() {
+        let mut report = SccReport::default();
+        report.push_tx(TxId(1), ThreadId(0), TxKind::Unary, 3, &[]);
+        report.push_tx(TxId(1), ThreadId(0), TxKind::Unary, 3, &[]);
     }
 }

@@ -3,7 +3,7 @@
 //! log actually grows (elided accesses never touch it), so the sequence
 //! deliberately mixes elided duplicates in around the edge-creating hooks.
 
-use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, LogEntry, SccReport};
+use dc_icd::{Icd, IcdConfig, LogEntry, ReplayConstraint, SccReport};
 use dc_runtime::heap::{CellLayout, Heap, ObjKind};
 use dc_runtime::ids::{MethodId, ObjId, ThreadId, SYNC_CELL};
 
@@ -51,23 +51,19 @@ fn drive(icd: &Icd) -> SccReport {
 fn edge_positions_skip_elided_duplicates() {
     let a = drive(&keep_all_icd(2));
     // Elided duplicates must not have advanced the published log length
-    // the edges snapshot.
-    let cross: Vec<_> = a
-        .edges
-        .iter()
-        .filter(|e| e.kind == EdgeKind::Cross)
-        .collect();
+    // the edges snapshot. Every cross edge into a member is one constraint.
+    let cross = &a.constraints;
     assert_eq!(cross.len(), 2);
     assert!(
         cross
             .iter()
-            .any(|e| e.src_pos == 2 && e.dst_pos == 0 && e.src.0 < e.dst.0),
+            .any(|c| c.src_pos == 2 && c.dst_pos == 0 && c.src.0 < c.dst.0),
         "first conflict: T0 logged 2 of 3 accesses, T1 nothing: {cross:?}"
     );
     assert!(
         cross
             .iter()
-            .any(|e| e.src_pos == 1 && e.dst_pos == 2 && e.src.0 > e.dst.0),
+            .any(|c| c.src_pos == 1 && c.dst_pos == 2 && c.src.0 > c.dst.0),
         "second conflict: T1 logged 1 of 2 accesses, T0 still at 2: {cross:?}"
     );
 }
@@ -172,40 +168,23 @@ fn edge_from_a_pending_unary_window_leaves_the_finished_regular_transaction() {
 
     let source = all.txs.iter().find(|t| t.id == finished).unwrap();
     assert_eq!(source.log.len(), 2);
-    let cross: Vec<Edge> = all
-        .edges
-        .iter()
-        .copied()
-        .filter(|e| e.kind == EdgeKind::Cross)
-        .collect();
     assert_eq!(
-        cross,
-        [Edge {
-            src: finished,
-            src_pos: 2,
+        all.constraints,
+        [ReplayConstraint {
             dst: sink,
             dst_pos: 1,
-            kind: EdgeKind::Cross,
-        }]
-    );
-    let gate = all.constraints.iter().find(|c| c.src == finished).unwrap();
-    assert_eq!(
-        (gate.src_thread, gate.src_seq, gate.src_pos as usize),
-        (T0, source.seq, source.log.len()),
-        "the sink's entries from position {} on wait for all of the source's",
-        gate.dst_pos
-    );
-    assert!(
-        all.edges.contains(&Edge {
             src: finished,
+            src_thread: T0,
+            src_seq: source.seq,
             src_pos: 2,
-            dst: next,
-            dst_pos: 0,
-            kind: EdgeKind::Intra,
-        }),
-        "program order runs straight to the next atomic method: {:?}",
-        all.edges
+        }],
+        "the sink's entries from position 1 on wait for all of the source's"
     );
+    // The next atomic method on T0 is the source's successor in program
+    // order (the edge itself: `graph.rs`,
+    // `insert_after_links_program_order_from_the_final_log_length`).
+    let next = all.txs.iter().find(|t| t.id == next).unwrap();
+    assert_eq!((next.thread, next.seq), (T0, source.seq + 2));
     assert!(
         !all.txs
             .iter()
@@ -236,11 +215,9 @@ fn upgrade_from_a_pending_unary_window_names_the_finished_regular_transaction() 
     icd.thread_end(T0);
     icd.thread_end(T1);
     let all = icd.snapshot_all_finished();
-    let edge = all
-        .edges
-        .iter()
-        .find(|e| e.kind == EdgeKind::Cross)
-        .expect("the upgrade edge");
+    let [edge] = all.constraints[..] else {
+        panic!("one constraint, the upgrade edge: {:?}", all.constraints);
+    };
     assert_eq!((edge.src, edge.src_pos), (finished, 3));
     assert_eq!((edge.dst, edge.dst_pos), (sink, 0));
 }

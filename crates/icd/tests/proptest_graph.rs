@@ -309,26 +309,31 @@ proptest! {
         }
     }
 
-    /// SCC reports carry every internal edge and a constraint for every
-    /// cross edge into a member, each node's in insertion order (PCD's
-    /// output order depends on it).
+    /// SCC reports carry their members in strictly increasing (thread, seq,
+    /// id) order with the logs back to back in that order, and a
+    /// constraint for every cross edge into a member, each node's in
+    /// insertion order (PCD's output order depends on both).
     #[test]
     fn scc_reports_are_self_consistent((n, edges) in arb_graph()) {
         let mut g = build(n, &edges);
         for root in 1..=n as u64 {
             if let Some(report) = g.scc_from(TxId(root)) {
                 let members: HashSet<TxId> = report.tx_ids().collect();
+                for pair in report.txs.windows(2) {
+                    let key = |t: &dc_icd::TxSnapshot| (t.thread, t.seq, t.id);
+                    prop_assert!(key(&pair[0]) < key(&pair[1]), "{:?}", report.txs);
+                }
+                let mut end = 0;
+                for t in &report.txs {
+                    prop_assert_eq!(t.log.start, end, "log of {:?}", t.id);
+                    end = t.log.end;
+                }
+                prop_assert_eq!(end as usize, report.entries.len());
                 for m in &members {
                     let inserted = |keep: &dyn Fn(u64, u64) -> bool| -> Vec<(u64, u64)> {
                         let real = edges.iter().filter(|&&(s, d)| s != d && keep(s, d));
                         real.copied().collect()
                     };
-                    let out: Vec<_> = report.edges.iter().filter(|e| e.src == *m).collect();
-                    prop_assert_eq!(
-                        out.iter().map(|e| (e.src.0, e.dst.0)).collect::<Vec<_>>(),
-                        inserted(&|s, d| s == m.0 && members.contains(&TxId(d))),
-                        "internal out-edges of {:?}", m
-                    );
                     let into: Vec<_> = report.constraints.iter().filter(|c| c.dst == *m).collect();
                     prop_assert_eq!(
                         into.iter().map(|c| (c.src.0, c.dst.0)).collect::<Vec<_>>(),
@@ -336,20 +341,9 @@ proptest! {
                         "constraints into {:?}", m
                     );
                 }
-                for e in &report.edges {
-                    prop_assert!(members.contains(&e.src) && members.contains(&e.dst));
-                }
                 // Every constraint targets a member.
                 for c in &report.constraints {
                     prop_assert!(members.contains(&c.dst));
-                }
-                // Every internal cross edge appears among the constraints.
-                let constraint_pairs: HashSet<(TxId, TxId)> =
-                    report.constraints.iter().map(|c| (c.src, c.dst)).collect();
-                for e in &report.edges {
-                    if e.kind == EdgeKind::Cross {
-                        prop_assert!(constraint_pairs.contains(&(e.src, e.dst)));
-                    }
                 }
             }
         }

@@ -18,6 +18,6 @@ pub mod replay;
 pub mod rules;
 pub mod violation;
 
-pub use replay::{replay_scc, replay_scc_with, ReplayStats};
+pub use replay::{replay_scc, ReplayStats};
 pub use rules::{Field, Pdg, PdgEdge};
 pub use violation::{CycleMember, Violation};

@@ -23,9 +23,13 @@
 //! Everything a replay builds — the PDG, both field tables, the per-member
 //! schedule — is indexed by member (the SCC's position of a transaction,
 //! which is its PDG slot); only a constraint's endpoints are looked up by
-//! id, in the PDG's id map, once per SCC. It lives in scratch kept per
-//! OS thread, so a warm replay takes no lock and allocates nothing unless
-//! it finds a violation. Per thread rather than per checker: a checker
+//! id, in the PDG's id map, once per SCC. The report lists its members in
+//! (thread, seq, id) order ([`SccReport`]), so one thread's members are a
+//! range of member indices in program order: that range is the thread's
+//! chain, and nothing is sorted but the constraints.
+//!
+//! The schedule lives in scratch kept per OS thread, so a warm replay takes
+//! no lock and allocates nothing unless it finds a violation. Per thread rather than per checker: a checker
 //! that sees one or two SCCs — one per imported history, say — would
 //! otherwise build every buffer cold each time.
 
@@ -77,8 +81,8 @@ struct Prepped {
     rank: u32,
 }
 
-/// One thread's members: a range of [`Schedule::order`], in seq order, and
-/// the first one not yet done.
+/// One thread's members: a range of member indices, in seq order, and the
+/// first one not yet done.
 #[derive(Clone, Copy, Debug)]
 struct Chain {
     thread: ThreadId,
@@ -103,11 +107,10 @@ struct Progress {
 /// constraints.
 #[derive(Debug, Default)]
 struct Schedule {
-    /// Members grouped per thread, chains ordered by thread id and each in
-    /// seq order. The scan order drives the replay interleaving and hence
+    /// One chain per thread, in thread order, as the report lists its
+    /// members. The scan order drives the replay interleaving and hence
     /// which of several equivalent PDG cycles is reported, so it depends
     /// only on the SCC report.
-    order: Vec<u32>,
     chains: Vec<Chain>,
     /// Indexed by member.
     progress: Vec<Progress>,
@@ -120,22 +123,15 @@ impl Schedule {
     /// every buffer.
     fn prepare(&mut self, scc: &SccReport, pdg: &Pdg) {
         let n = u32::try_from(scc.txs.len()).expect("too many SCC members");
-        self.order.clear();
-        self.order.extend(0..n);
-        self.order.sort_unstable_by_key(|&m| {
-            let tx = &scc.txs[m as usize];
-            (tx.thread, tx.seq, m)
-        });
         self.chains.clear();
-        for (k, &m) in self.order.iter().enumerate() {
-            let thread = scc.txs[m as usize].thread;
+        for (m, tx) in (0..n).zip(&scc.txs) {
             match self.chains.last_mut() {
-                Some(chain) if chain.thread == thread => chain.end += 1,
+                Some(chain) if chain.thread == tx.thread => chain.end += 1,
                 _ => self.chains.push(Chain {
-                    thread,
-                    start: k as u32,
-                    end: k as u32 + 1,
-                    pos: k as u32,
+                    thread: tx.thread,
+                    start: m,
+                    end: m + 1,
+                    pos: m,
                 }),
             }
         }
@@ -174,11 +170,11 @@ impl Schedule {
     /// members; `None` once the chain is done.
     fn head(&mut self, chain: usize) -> Option<u32> {
         let Chain { end, mut pos, .. } = self.chains[chain];
-        while pos < end && self.progress[self.order[pos as usize] as usize].done {
+        while pos < end && self.progress[pos as usize].done {
             pos += 1;
         }
         self.chains[chain].pos = pos;
-        (pos < end).then(|| self.order[pos as usize])
+        (pos < end).then_some(pos)
     }
 
     /// True once every member of the source thread's chain with seq <
@@ -190,7 +186,7 @@ impl Schedule {
         let Some(chain) = self.chains.get(src_chain as usize) else {
             return true; // no members on that thread
         };
-        chain.pos == chain.end || scc.txs[self.order[chain.pos as usize] as usize].seq >= src_seq
+        chain.pos == chain.end || scc.txs[chain.pos as usize].seq >= src_seq
     }
 
     fn constraint_satisfied(&self, scc: &SccReport, c: Prepped) -> bool {
@@ -276,21 +272,15 @@ thread_local! {
 }
 
 /// Replays one SCC on this thread's scratch and returns the precise
-/// violations found, with stats. An SCC whose members share no written
-/// field is refuted by the summary pass alone: no violation, no entry
-/// replayed.
+/// violations found, in the order found, with stats. An SCC whose members
+/// share no written field is refuted by the summary pass alone: no
+/// violation, no entry replayed. Once the scratch has grown to the SCC's
+/// size, this makes no allocator call but the ones a found violation makes
+/// for its own cycle and blame, and for the returned vector.
 pub fn replay_scc(scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
     let mut violations = Vec::new();
-    let stats = replay_scc_with(scc, |v| violations.push(v));
+    let stats = SCRATCH.with(|s| s.borrow_mut().replay(scc, &mut |v| violations.push(v)));
     (violations, stats)
-}
-
-/// [`replay_scc`], handing each violation to `found` as the replay finds
-/// it (`found` must not replay). Once the scratch has grown to the SCC's
-/// size, this makes no allocator call but the ones a found violation makes
-/// for its own cycle and blame.
-pub fn replay_scc_with(scc: &SccReport, mut found: impl FnMut(Violation)) -> ReplayStats {
-    SCRATCH.with(|scratch| scratch.borrow_mut().replay(scc, &mut found))
 }
 
 /// PCD's scratch: the PDG, the field tables and the replay schedule, reused
@@ -305,7 +295,7 @@ struct Replayer {
 }
 
 impl Replayer {
-    /// [`replay_scc_with`] on this scratch.
+    /// [`replay_scc`] on this scratch.
     fn replay(&mut self, scc: &SccReport, found: &mut impl FnMut(Violation)) -> ReplayStats {
         if shares_a_written_field(&mut self.summary, scc) {
             self.replay_unfiltered(scc, found)
@@ -341,13 +331,13 @@ impl Replayer {
         s.prepare(scc, pdg);
         // Program-order edges between consecutive same-thread members: cycles
         // may pass through them (Velodrome's intra-thread edges, §2). Chains
-        // are in sorted-thread order by construction, so the scan order — and
-        // hence which of several equivalent cycles `cycle_through` reports —
-        // depends only on the SCC report, never on map iteration order.
+        // are in thread order as the report lists its members, so the scan
+        // order — and hence which of several equivalent cycles
+        // `cycle_through` reports — depends only on the SCC report, never on
+        // map iteration order.
         for chain in &s.chains {
-            let members = &s.order[chain.start as usize..chain.end as usize];
-            for pair in members.windows(2) {
-                pdg.add_intra_edge(pair[0], pair[1]);
+            for m in chain.start + 1..chain.end {
+                pdg.add_intra_edge(m - 1, m);
             }
         }
         loop {
@@ -411,10 +401,7 @@ impl Replayer {
                     .chains
                     .iter()
                     .filter(|chain| chain.pos < chain.end)
-                    .map(|chain| {
-                        let m = s.order[chain.pos as usize];
-                        (scc.txs[m as usize].id, m)
-                    })
+                    .map(|chain| (scc.txs[chain.pos as usize].id, chain.pos))
                     .min();
                 let Some((_, m)) = stuck else { break };
                 let p = &mut s.progress[m as usize];
@@ -457,11 +444,13 @@ mod tests {
         }
     }
 
-    /// Builds a report, deriving constraints from the edges the way the IDG
-    /// does (sources' thread/seq must be supplied for external sources).
-    fn report(txs: Vec<Tx>, edges: Vec<Edge>) -> SccReport {
+    /// Builds a report, members in (thread, seq, id) order as ICD lists
+    /// them, deriving constraints from the edges the way the IDG does
+    /// (sources' thread/seq must be supplied for external sources).
+    fn report(mut txs: Vec<Tx>, edges: Vec<Edge>) -> SccReport {
         let seqs: HashMap<TxId, (ThreadId, u64)> =
             txs.iter().map(|t| (t.id, (t.thread, t.seq))).collect();
+        txs.sort_by_key(|t| (t.thread, t.seq, t.id));
         let mut scc = SccReport::default();
         for t in &txs {
             let kind = TxKind::Regular(MethodId(t.id.0 as u32));
@@ -482,7 +471,6 @@ mod tests {
                 }
             })
             .collect();
-        scc.edges = edges;
         scc
     }
 

@@ -15,6 +15,7 @@
 
 use crate::heap::Heap;
 use crate::ids::{CellId, MethodId, ObjId, ThreadId};
+use std::collections::HashSet;
 
 /// Hooks invoked by the execution engines. All methods have empty default
 /// bodies so a checker only implements the events it cares about.
@@ -124,9 +125,59 @@ impl NopChecker {
     }
 }
 
+/// A violation's static identity: the sorted multiset of its cycle's
+/// methods, unary members as `None`.
+pub type StaticKey = Vec<Option<MethodId>>;
+
+/// A checker's violations, one per static key, each the first found with
+/// that key, in the order found. Memory grows with the distinct keys, not
+/// with the cycles found.
+#[derive(Debug)]
+pub struct Distinct<V> {
+    kept: Vec<V>,
+    keys: HashSet<StaticKey>,
+}
+
+impl<V> Default for Distinct<V> {
+    fn default() -> Self {
+        Distinct {
+            kept: Vec::new(),
+            keys: HashSet::new(),
+        }
+    }
+}
+
+impl<V> Distinct<V> {
+    /// Keeps each violation of `found`, in order, whose static key (`key`)
+    /// no kept violation has.
+    pub fn extend(&mut self, found: impl IntoIterator<Item = V>, key: impl Fn(&V) -> StaticKey) {
+        for v in found {
+            if self.keys.insert(key(&v)) {
+                self.kept.push(v);
+            }
+        }
+    }
+
+    /// The kept violations, first found first.
+    pub fn as_slice(&self) -> &[V] {
+        &self.kept
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn distinct_keeps_the_first_violation_per_key_in_order() {
+        // A violation stands in as (name, key).
+        let key = |&(_, k): &(&str, u32)| vec![Some(MethodId(k))];
+        let mut d = Distinct::default();
+        d.extend([("a1", 1), ("b1", 2), ("a2", 1)], key);
+        d.extend([("b2", 2), ("c1", 3), ("c2", 3)], key);
+        let names: Vec<_> = d.as_slice().iter().map(|&(n, _)| n).collect();
+        assert_eq!(names, ["a1", "b1", "c1"]);
+    }
 
     #[test]
     fn nop_checker_accepts_all_events() {

@@ -15,7 +15,7 @@
 
 use crate::graph::{CycleFilter, VGraph, VTxId, VViolation};
 use crate::meta::MetaTable;
-use dc_runtime::checker::Checker;
+use dc_runtime::checker::{Checker, Distinct};
 use dc_runtime::heap::Heap;
 use dc_runtime::ids::{CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
 use dc_runtime::spec::TxKind;
@@ -106,7 +106,8 @@ pub struct Online<C> {
     slots: Box<[Slot]>,
     meta: OnceLock<MetaTable>,
     graph: Mutex<VGraph<C>>,
-    violations: Mutex<Vec<VViolation>>,
+    /// One violation per static key, the first found.
+    violations: Mutex<Distinct<VViolation>>,
     stats: OnlineStats,
 }
 
@@ -170,19 +171,14 @@ impl<C: CycleFilter> Online<C> {
                 .collect(),
             meta: OnceLock::new(),
             graph: Mutex::new(VGraph::new(n_threads)),
-            violations: Mutex::new(Vec::new()),
+            violations: Mutex::default(),
             stats: OnlineStats::default(),
         }
     }
 
-    /// The violations found, deduplicated by static identity.
+    /// The violations found, the first of each static identity.
     pub fn violations(&self) -> Vec<VViolation> {
-        let all = self.violations.lock();
-        let mut seen = std::collections::HashSet::new();
-        all.iter()
-            .filter(|v| seen.insert(v.static_key()))
-            .cloned()
-            .collect()
+        self.violations.lock().as_slice().to_vec()
     }
 
     /// Run statistics.
@@ -193,6 +189,11 @@ impl<C: CycleFilter> Online<C> {
     /// Cross-thread dependence edges added.
     pub fn cross_edges(&self) -> u64 {
         self.graph.lock().cross_edges
+    }
+
+    /// Cycles found, each repeat of a static key included.
+    pub fn cycles(&self) -> u64 {
+        self.graph.lock().cycles
     }
 
     fn begin_tx(&self, t: ThreadId, kind: TxKind) {
@@ -298,7 +299,8 @@ impl<C: CycleFilter> Online<C> {
         meta.unlock(slot);
         local.instrumented += 1;
         if !new_violations.is_empty() {
-            self.violations.lock().extend(new_violations);
+            let key = VViolation::static_key;
+            self.violations.lock().extend(new_violations, key);
         }
     }
 
@@ -430,6 +432,46 @@ mod tests {
         let violations = v.violations();
         assert_eq!(violations.len(), 1, "one deduplicated violation");
         assert_eq!(violations[0].cycle.len(), 2);
+    }
+
+    /// `alpha` and `beta` called `k` times each on two threads, one action
+    /// at a time: every round closes a cycle of the same two methods.
+    fn repeated_race(k: u32) -> (Program, AtomicitySpec) {
+        let mut b = ProgramBuilder::new();
+        let o = b.object(ObjKind::Plain { fields: 2 });
+        let m0 = b.method("alpha", vec![Op::Write(o, 0), Op::Read(o, 1)]);
+        let m1 = b.method("beta", vec![Op::Write(o, 1), Op::Read(o, 0)]);
+        let loop_of = |m| {
+            vec![Op::Loop {
+                count: k,
+                body: vec![Op::Call(m)],
+            }]
+        };
+        let t0 = b.method("t0", loop_of(m0));
+        let t1 = b.method("t1", loop_of(m1));
+        b.thread(t0);
+        b.thread(t1);
+        let p = b.build().unwrap();
+        let spec = spec_for(&p);
+        (p, spec)
+    }
+
+    #[test]
+    fn a_violation_repeated_k_times_is_stored_once() {
+        let (p, spec) = repeated_race(5);
+        let v = Velodrome::new(2, spec, VelodromeConfig::default());
+        run_det(&p, &v, &Schedule::RoundRobin { quantum: 1 }).unwrap();
+        assert_eq!(v.cycles(), 5, "one cycle per round");
+        assert_eq!(v.violations.lock().as_slice().len(), 1, "stored once");
+        let violations = v.violations();
+        assert_eq!(violations.len(), 1);
+        let first = &violations[0];
+        let (alpha, beta) = (MethodId(0), MethodId(1));
+        assert_eq!(first.static_key(), [Some(alpha), Some(beta)]);
+        assert!(
+            first.cycle.iter().all(|(tx, _)| tx.0 >> 16 <= 2),
+            "the first round's cycle is kept: {first:?}"
+        );
     }
 
     #[test]
